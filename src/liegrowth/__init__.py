@@ -63,7 +63,6 @@ from .jetalg import (
     diffvec_bracket,
     evaluate,
     jet_of_frame,
-    max_order,
     pure_derivative_extract,
     pure_t_vars,
     substitute,

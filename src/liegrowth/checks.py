@@ -18,15 +18,15 @@ from .polyfields import AffineMap, poly_lie_bracket, pushforward
 __all__ = ["SUITES", "run_suite"]
 
 
-def _rand_fraction(rng, span=6, den=3) -> Fraction:
+def rand_fraction(rng, span=6, den=3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def _rand_point(rng, n) -> tuple[Fraction, ...]:
-    return tuple(_rand_fraction(rng, 3, 3) for _ in range(n))
+def rand_point(rng, n, span=3, den=3) -> tuple[Fraction, ...]:
+    return tuple(rand_fraction(rng, span, den) for _ in range(n))
 
 
-def _enumerate_exprs(k, max_len):
+def all_expressions(k, max_len):
     """All bracket expressions over k generators up to a length."""
     by_len = {1: [freelie.BracketExpr.leaf(g) for g in range(1, k + 1)]}
     for ln in range(2, max_len + 1):
@@ -53,7 +53,7 @@ def suite_hall(rng) -> list[tuple[str, bool, str]]:
         for e in basis.elements():
             ok = ok and freelie.is_hall_element(e, basis)
         members = set(basis.elements())
-        by_len = _enumerate_exprs(k, 4)
+        by_len = all_expressions(k, 4)
         for ln in range(2, 5):
             for e in by_len[ln]:
                 if e not in members and freelie.is_hall_element(e, basis):
@@ -161,7 +161,7 @@ def suite_flags(rng) -> list[tuple[str, bool, str]]:
     ok = True
     for name, fr in frames.items():
         r = len(expected[name])
-        jet = jetalg.jet_of_frame(fr, _rand_point(rng, fr.n), max(r, 3) - 1)
+        jet = jetalg.jet_of_frame(fr, rand_point(rng, fr.n), max(r, 3) - 1)
         for index in itertools.product(range(1, fr.k + 1), repeat=min(r, 3)):
             sym = jetalg.evaluate(jetalg.bracket(index, fr.k, fr.n, jet.order + 1), jet)
             cur = fr.fields[index[-1] - 1]
@@ -175,11 +175,11 @@ def suite_flags(rng) -> list[tuple[str, bool, str]]:
         r = len(expected[name])
         for _ in range(4):
             while True:
-                lin = [[_rand_fraction(rng, 2, 2) for _ in range(fr.n)] for _ in range(fr.n)]
+                lin = [[rand_fraction(rng, 2, 2) for _ in range(fr.n)] for _ in range(fr.n)]
                 if linalg.det(lin) != 0:
                     break
-            amap = AffineMap.make(lin, [_rand_fraction(rng, 2, 2) for _ in range(fr.n)])
-            p = _rand_point(rng, fr.n)
+            amap = AffineMap.make(lin, [rand_fraction(rng, 2, 2) for _ in range(fr.n)])
+            p = rand_point(rng, fr.n)
             moved = pushforward(fr, amap)
             if flags.lie_flag(moved, amap.apply(p), r).dims != flags.lie_flag(fr, p, r).dims:
                 ok = False
@@ -191,7 +191,7 @@ def suite_flags(rng) -> list[tuple[str, bool, str]]:
         (catalog.free_rank2_step3_algebra(), (2, 3, 5)),
     ):
         fr = flags.nilpotent_frame(alg)
-        for point in [(0,) * fr.n] + [_rand_point(rng, fr.n) for _ in range(2)]:
+        for point in [(0,) * fr.n] + [rand_point(rng, fr.n) for _ in range(2)]:
             if flags.lie_flag(fr, point, len(dims)).dims != dims:
                 ok = False
     out.append(("nilpotent frames realize their layer dimensions", ok, ""))
@@ -203,7 +203,7 @@ def suite_ampleness(rng) -> list[tuple[str, bool, str]]:
     ok = True
     for n in (2, 3):
         for _ in range(8):
-            mat = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            mat = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
             w = amp.gl_convex_decomposition(mat)
             if w.average() != tuple(tuple(Fraction(x) for x in row) for row in mat):
                 ok = False

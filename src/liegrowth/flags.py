@@ -4,12 +4,13 @@ Flag dimensions are computed from a Hall-indexed spanning set: the evaluated
 brackets of Hall-set expressions of length up to the step.  Chains of every
 shape span the same layers (antisymmetry and the Jacobi identity reduce any
 bracket to combinations of Hall elements of the same length), which the
-optional cross-check verifies by evaluating the full chain family.
+optional cross-check verifies by evaluating the full right-nested chain
+family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
+one memoised engine for both the Hall span and the chain cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,13 +94,56 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
     )
 
 
-def _hall_exprs_by_len(k: int, max_len: int):
-    return hall_basis(k, max_len).layers
+def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
+    """Yield, for i = 1..max_len, the rank of the values of the Hall
+    expressions of length <= i that ``keep(expr, i)`` admits (all of them
+    when ``keep`` is None).
 
+    Leaf ``X_g`` is ``leaves[g - 1]``; ``bracket`` combines two fields and
+    ``value`` evaluates one.  Fields and values are memoised by expression.
+    With ``cross_check`` the same rank is recomputed from the right-nested
+    chains [X_c1, [X_c2, ...]] admitted by ``keep``, through the same memo,
+    and a disagreement raises AssertionError.
+    """
+    layers = hall_basis(len(leaves), max_len).layers
+    fields: dict[BracketExpr, object] = {}
+    values: dict[BracketExpr, tuple] = {}
 
-def _all_chains(k: int, max_len: int):
-    for ln in range(1, max_len + 1):
-        yield from itertools.product(range(1, k + 1), repeat=ln)
+    def field_of(expr: BracketExpr):
+        got = fields.get(expr)
+        if got is None:
+            if expr.is_leaf:
+                got = leaves[expr.gen - 1]
+            else:
+                got = bracket(field_of(expr.left), field_of(expr.right))
+            fields[expr] = got
+        return got
+
+    def rank_of(family, i: int) -> int:
+        vectors = []
+        for expr in family:
+            if keep is None or keep(expr, i):
+                got = values.get(expr)
+                if got is None:
+                    got = values[expr] = value(field_of(expr))
+                vectors.append(got)
+        return linalg.rank(vectors)
+
+    hall: list[BracketExpr] = []
+    chains: list[BracketExpr] = []
+    newest = layers[0]
+    for i, layer in enumerate(layers, start=1):
+        hall += layer
+        rank = rank_of(hall, i)
+        if cross_check:
+            if i > 1:
+                newest = [BracketExpr.pair(g, e) for g in layers[0] for e in newest]
+            chains += newest
+            if rank_of(chains, i) != rank:
+                raise AssertionError(
+                    f"Hall-indexed span disagrees with the full chain span at length {i}"
+                )
+        yield rank
 
 
 def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> FlagReport:
@@ -110,44 +154,13 @@ def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> Flag
     values = fr.values_at(point)
     if linalg.rank(values) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    layers = _hall_exprs_by_len(k, max_step)
-    cache: dict[BracketExpr, PolyField] = {}
-
-    def field_of(expr: BracketExpr) -> PolyField:
-        got = cache.get(expr)
-        if got is None:
-            if expr.is_leaf:
-                got = fr.fields[expr.gen - 1]
-            else:
-                got = poly_lie_bracket(field_of(expr.left), field_of(expr.right))
-            cache[expr] = got
-        return got
-
     dims = []
-    vectors: list = []
-    for i in range(1, max_step + 1):
-        for expr in layers[i - 1]:
-            vectors.append(field_of(expr).value_at(point))
-        dims.append(linalg.rank(vectors))
-        if cross_check:
-            chain_vecs = []
-            chain_cache: dict[tuple, PolyField] = {}
-            for chain in _all_chains(k, i):
-                cur = chain_cache.get(chain)
-                if cur is None:
-                    if len(chain) == 1:
-                        cur = fr.fields[chain[0] - 1]
-                    else:
-                        cur = poly_lie_bracket(
-                            fr.fields[chain[0] - 1], chain_cache[chain[1:]]
-                        )
-                    chain_cache[chain] = cur
-                chain_vecs.append(cur.value_at(point))
-            if linalg.rank(chain_vecs) != dims[-1]:
-                raise AssertionError(
-                    f"Hall-indexed span disagrees with the full chain span at length {i}"
-                )
-        if dims[-1] == n:
+    for dim in _span_ranks(
+        fr.fields, poly_lie_bracket, lambda f: f.value_at(point), max_step,
+        cross_check=cross_check,
+    ):
+        dims.append(dim)
+        if dim == n:
             break
     return _report_from_dims(k, n, point, dims)
 
@@ -170,37 +183,14 @@ def formal_flag(
     ]
     if linalg.rank(zero_jet) < k:
         raise DegenerateFrame("0-jet vectors are dependent")
-    layers = _hall_exprs_by_len(k, max_step)
-    cache: dict[BracketExpr, jetalg.DiffVec] = {}
-
-    def symbol_of(expr: BracketExpr) -> jetalg.DiffVec:
-        got = cache.get(expr)
-        if got is None:
-            if expr.is_leaf:
-                got = jetalg.bracket((expr.gen,), k, n, r)
-            else:
-                got = jetalg.diffvec_bracket(
-                    symbol_of(expr.left), symbol_of(expr.right)
-                )
-            cache[expr] = got
-        return got
-
+    leaves = [jetalg.bracket((g,), k, n, r) for g in range(1, k + 1)]
     dims = []
-    vectors: list = []
-    for i in range(1, max_step + 1):
-        for expr in layers[i - 1]:
-            vectors.append(jetalg.evaluate(symbol_of(expr), jet))
-        dims.append(linalg.rank(vectors))
-        if cross_check:
-            chain_vecs = [
-                jetalg.evaluate(jetalg.bracket(chain, k, n, r), jet)
-                for chain in _all_chains(k, i)
-            ]
-            if linalg.rank(chain_vecs) != dims[-1]:
-                raise AssertionError(
-                    f"Hall-indexed span disagrees with the full chain span at length {i}"
-                )
-        if dims[-1] == n:
+    for dim in _span_ranks(
+        leaves, jetalg.diffvec_bracket, lambda s: jetalg.evaluate(s, jet), max_step,
+        cross_check=cross_check,
+    ):
+        dims.append(dim)
+        if dim == n:
             break
     return _report_from_dims(k, n, jet.base, dims)
 

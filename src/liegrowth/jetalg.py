@@ -38,7 +38,6 @@ __all__ = [
     "diffvec_bracket",
     "evaluate",
     "jet_of_frame",
-    "max_order",
     "pure_derivative_extract",
     "pure_t_vars",
     "substitute",
@@ -306,11 +305,6 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
     q = DiffPoly(p.k, p.n, p.r)
     q.terms = out
     return q
-
-
-def max_order(p) -> int:
-    """Largest multi-index length among the jet coordinates present."""
-    return p.order()
 
 
 def _acc_product(acc: dict, t1: dict, t2: dict, sign: int) -> None:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
+from liegrowth.checks import all_expressions, rand_fraction, rand_point  # noqa: F401
 from liegrowth.freelie import BracketExpr
 from liegrowth.polyfields import Frame, Poly, PolyField
 
@@ -29,27 +29,6 @@ def chain(*gens) -> BracketExpr:
     return expr
 
 
-def all_expressions(k: int, max_len: int) -> dict[int, list[BracketExpr]]:
-    """Every bracket expression over k generators, grouped by length."""
-    by_len = {1: [leaf(g) for g in range(1, k + 1)]}
-    for ln in range(2, max_len + 1):
-        acc = []
-        for la in range(1, ln):
-            for a in by_len[la]:
-                for b in by_len[ln - la]:
-                    acc.append(pair(a, b))
-        by_len[ln] = acc
-    return by_len
-
-
-def rand_fraction(rng, span=6, den=3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
-
-
-def rand_point(rng, n, span=3, den=3) -> tuple[Fraction, ...]:
-    return tuple(rand_fraction(rng, span, den) for _ in range(n))
-
-
 def constant_frame(n: int, k: int) -> Frame:
     """(d1, ..., dk) on R^n."""
     return Frame(n, tuple(PolyField.basis(n, j) for j in range(1, k + 1)))
@@ -64,7 +43,3 @@ def classical_chain_value(frame: Frame, index, point):
         cur = poly_lie_bracket(frame.fields[c - 1], cur)
     return cur.value_at(point)
 
-
-def all_chains(k: int, max_len: int):
-    for ln in range(1, max_len + 1):
-        yield from itertools.product(range(1, k + 1), repeat=ln)

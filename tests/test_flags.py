@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from liegrowth import catalog, flags, jetalg, linalg
+from liegrowth import ampleness, catalog, flags, freelie, jetalg, linalg
 from liegrowth.errors import (
     DegenerateFrame,
     DomainError,
@@ -101,6 +101,32 @@ def test_formal_flag_matches_lie_flag_on_catalog():
             a = flags.formal_flag(jet, r)
             b = flags.lie_flag(fr, point, r)
             assert a.dims == b.dims, name
+            assert flags.formal_flag(jet, r, cross_check=True) == a, name
+
+
+@pytest.mark.parametrize("caller", ["lie_flag", "formal_flag", "slice_report"])
+def test_cross_check_catches_a_hall_span_gap(caller, monkeypatch):
+    engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
+    # slice_report's maximal-growth precondition reads the true flag.
+    true_flag = flags.lie_flag(engel, origin, 3)
+    monkeypatch.setattr(ampleness, "lie_flag", lambda *args, **kwargs: true_flag)
+
+    def hall_basis_without_length_2(k, max_len):
+        layers = freelie.hall_basis(k, max_len).layers
+        return freelie.HallBasis(k, (layers[0], ()) + layers[2:])
+
+    monkeypatch.setattr(flags, "hall_basis", hall_basis_without_length_2)
+    run = {
+        "lie_flag": lambda: flags.lie_flag(engel, origin, 3, cross_check=True),
+        "formal_flag": lambda: flags.formal_flag(
+            jetalg.jet_of_frame(engel, origin, 2), 3, cross_check=True
+        ),
+        "slice_report": lambda: ampleness.slice_report(
+            engel, origin, (1, 0, 0, 0), 3, cross_check=True
+        ),
+    }[caller]
+    with pytest.raises(AssertionError):
+        run()
 
 
 def test_formal_flag_flat_jet_stalls():

@@ -145,7 +145,7 @@ def test_multilinearity_slot_degrees():
 
 
 def test_max_order_examples():
-    assert ja.max_order(var(1, 1, (1, 2), 2, 3, 3)) == 2
+    assert var(1, 1, (1, 2), 2, 3, 3).order() == 2
     assert ja.bracket((2, 1), 3, 3, 2).order() == 1
     assert ja.bracket((3, 2, 1), 3, 3, 3).order() == 2
 
