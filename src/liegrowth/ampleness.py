@@ -28,7 +28,7 @@ from .errors import (
 # hall_basis is unused here but stays bound: bench/test_bench.py asserts that
 # the benchmark tracer wraps this module's binding of it.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
-from .flags import _span_ranks, lie_flag
+from .flags import _constant_term, _span_ranks, lie_flag
 from .polyfields import Frame, frame_change, poly_lie_bracket
 
 __all__ = [
@@ -344,7 +344,8 @@ def slice_report(
     g = _adapted_change(fr, point, v)
     adapted = frame_change(fr, g)
     ranks = _span_ranks(
-        adapted.fields, poly_lie_bracket, lambda f: f.value_at(point), step,
+        [f.taylor(point, step - 1) for f in adapted.fields], poly_lie_bracket,
+        _constant_term, step,
         keep=lambda expr, i: not _probes_top(expr, i), cross_check=cross_check,
     )
     reports = []

@@ -7,6 +7,13 @@ bracket to combinations of Hall elements of the same length), which the
 optional cross-check verifies by evaluating the full right-nested chain
 family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
 one memoised engine for both the Hall span and the chain cross-check.
+
+A step-s flag at p depends only on the (s-1)-jet of the frame at p, so
+``lie_flag`` and ``slice_report`` bracket Taylor fields of order s - 1
+centred at p (``PolyField.taylor``) instead of the full polynomials, and read
+each value off the constant term.  ``formal_flag`` brackets the jet-space
+symbols of ``jetalg``.  The engine generates Hall layers one length at a
+time and stops early once a whole layer of brackets is zero.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ __all__ = [
     "pushforward",
     "validate_algebra",
 ]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,13 @@ def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
     With ``cross_check`` the same rank is recomputed from the right-nested
     chains [X_c1, [X_c2, ...]] admitted by ``keep``, through the same memo,
     and a disagreement raises AssertionError.
+
+    Hall layers are generated one length at a time.  When ``keep`` is None
+    and every field of a layer of length i > 1 is zero, every longer bracket
+    vanishes too (L_{m+1} = [L_1, L_m]), so the rank at i is yielded for all
+    remaining lengths without generating further layers.
     """
-    layers = hall_basis(len(leaves), max_len).layers
+    k = len(leaves)
     fields: dict[BracketExpr, object] = {}
     values: dict[BracketExpr, tuple] = {}
 
@@ -131,33 +145,51 @@ def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
 
     hall: list[BracketExpr] = []
     chains: list[BracketExpr] = []
-    newest = layers[0]
-    for i, layer in enumerate(layers, start=1):
+    for i in range(1, max_len + 1):
+        layer = hall_basis(k, i).layers[i - 1]
+        if i == 1:
+            first = newest = layer
         hall += layer
         rank = rank_of(hall, i)
         if cross_check:
             if i > 1:
-                newest = [BracketExpr.pair(g, e) for g in layers[0] for e in newest]
+                newest = [BracketExpr.pair(g, e) for g in first for e in newest]
             chains += newest
             if rank_of(chains, i) != rank:
                 raise AssertionError(
                     f"Hall-indexed span disagrees with the full chain span at length {i}"
                 )
         yield rank
+        if keep is None and i > 1 and all(field_of(e).is_zero() for e in layer):
+            for _ in range(i + 1, max_len + 1):
+                yield rank
+            return
+
+
+def _constant_term(f: PolyField) -> tuple[Fraction, ...]:
+    """Value of a Taylor field at its centre: the constant term of each
+    component."""
+    origin = (0,) * f.n
+    return tuple(c.terms.get(origin, _ZERO) for c in f.comps)
 
 
 def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> FlagReport:
-    """Exact flag dimensions of a polynomial frame at a rational point."""
+    """Exact flag dimensions of a polynomial frame at a rational point.
+
+    The brackets are taken of the order ``max_step - 1`` Taylor fields of the
+    frame about ``point``: a length-l bracket is then exact through degree
+    ``max_step - l``, which is all its value at ``point`` needs.
+    """
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
     n, k = fr.n, fr.k
     values = fr.values_at(point)
     if linalg.rank(values) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    leaves = [f.taylor(point, max_step - 1) for f in fr.fields]
     dims = []
     for dim in _span_ranks(
-        fr.fields, poly_lie_bracket, lambda f: f.value_at(point), max_step,
-        cross_check=cross_check,
+        leaves, poly_lie_bracket, _constant_term, max_step, cross_check=cross_check,
     ):
         dims.append(dim)
         if dim == n:

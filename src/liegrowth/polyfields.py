@@ -3,15 +3,26 @@
 A ``Poly`` in ``n`` variables maps exponent tuples to nonzero Fractions.
 A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
 directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
+
+A ``PolyField`` with ``order`` set is a Taylor field: a truncated Taylor
+expansion about the origin, exact through total degree ``order`` and unknown
+above it.  ``PolyField.taylor(p, s)`` recentres an exact field at ``p``.  A
+bracket loses one order (it takes a derivative), so a length-l bracket of
+Taylor leaves of order s - 1 is exact through degree s - l, and its value at
+the centre is its constant term.  Sums, differences and scalings keep the
+smaller order; a bracket whose order would drop below zero raises
+``OrderOverflow``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add, itemgetter
 
 from . import linalg
-from .errors import DomainError
+from .errors import DomainError, OrderOverflow
 
 __all__ = [
     "AffineMap",
@@ -191,11 +202,33 @@ class Poly:
         return f"Poly({self})"
 
 
+def _min_order(a: int | None, b: int | None) -> int | None:
+    """The smaller of two Taylor orders; None (an exact field) is the largest."""
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
+
+
+def _truncate(p: Poly, order: int | None) -> Poly:
+    """``p`` without its terms of total degree above ``order``."""
+    if order is None or all(sum(e) <= order for e in p.terms):
+        return p
+    out = Poly.zero(p.n)
+    out.terms = {e: c for e, c in p.terms.items() if sum(e) <= order}
+    return out
+
+
 @dataclass(frozen=True)
 class PolyField:
-    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients."""
+    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients.
+
+    ``order`` None means the components are exact polynomials; an integer
+    means a Taylor field about the origin, exact through total degree
+    ``order`` (see the module docstring).
+    """
 
     comps: tuple[Poly, ...]
+    order: int | None = None
 
     @property
     def n(self) -> int:
@@ -215,14 +248,70 @@ class PolyField:
     def value_at(self, point) -> tuple[Fraction, ...]:
         return tuple(c.eval_at(point) for c in self.comps)
 
+    def taylor(self, point, order: int) -> PolyField:
+        """Taylor field of this exact field about ``point``, of order ``order``:
+        each component expanded in x -> x + point, keeping only the monomials
+        of total degree <= ``order``.
+        """
+        if self.order is not None:
+            raise DomainError("taylor expands exact fields, not Taylor fields")
+        if order < 0:
+            raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
+        shift = [Fraction(x) for x in point]
+        if len(shift) != self.n:
+            raise DomainError("point dimension does not match the field")
+        # (x_i + p_i)^e = sum_k C(e, k) p_i^(e-k) x_i^k: the (k, factor) pairs
+        # by (i, e), with factor None standing for 1
+        expansions: dict = {}
+
+        def expansion(i: int, e: int):
+            got = expansions.get((i, e))
+            if got is None:
+                p = shift[i]
+                got = [(e, None)]
+                if e and p:
+                    got = [(k, comb(e, k) * p ** (e - k)) for k in range(e)] + got
+                expansions[(i, e)] = got
+            return got
+
+        comps = []
+        for comp in self.comps:
+            out: dict = {}
+            for exps, c in comp.terms.items():
+                # expand one variable at a time, pruning once the degree
+                # passes order
+                partial = [((), c, 0)]
+                for i, e in enumerate(exps):
+                    pairs = expansion(i, e)
+                    partial = [
+                        (head + (k,), coef if f is None else coef * f, deg + k)
+                        for head, coef, deg in partial
+                        for k, f in pairs
+                        if deg + k <= order
+                    ]
+                for head, coef, _ in partial:
+                    out[head] = out.get(head, _ZERO) + coef
+            poly = Poly.zero(self.n)
+            poly.terms = {e: c for e, c in out.items() if c}
+            comps.append(poly)
+        return PolyField(tuple(comps), order)
+
     def __add__(self, other: PolyField) -> PolyField:
-        return PolyField(tuple(a + b for a, b in zip(self.comps, other.comps)))
+        order = _min_order(self.order, other.order)
+        return PolyField(
+            tuple(_truncate(a + b, order) for a, b in zip(self.comps, other.comps)),
+            order,
+        )
 
     def __sub__(self, other: PolyField) -> PolyField:
-        return PolyField(tuple(a - b for a, b in zip(self.comps, other.comps)))
+        order = _min_order(self.order, other.order)
+        return PolyField(
+            tuple(_truncate(a - b, order) for a, b in zip(self.comps, other.comps)),
+            order,
+        )
 
     def scale(self, c) -> PolyField:
-        return PolyField(tuple(p * c for p in self.comps))
+        return PolyField(tuple(p * c for p in self.comps), self.order)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.comps)
@@ -232,19 +321,56 @@ class PolyField:
         return " + ".join(parts) if parts else "0"
 
 
+def _graded_terms(p: Poly) -> list[tuple[tuple[int, ...], Fraction, int]]:
+    """(exponents, coefficient, degree) of each term of ``p``, by degree."""
+    return sorted(((e, c, sum(e)) for e, c in p.terms.items()), key=itemgetter(2))
+
+
 def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
-    """Classical bracket [X, Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j)."""
+    """Classical bracket [X, Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j).
+
+    Of Taylor fields the result has order ``min(orders) - 1``; no product
+    term above that degree is formed.
+    """
     if x.n != y.n:
         raise DomainError("fields live on different ambient dimensions")
     n = x.n
+    order = _min_order(x.order, y.order)
+    if order is not None:
+        order -= 1
+        if order < 0:
+            raise OrderOverflow("a bracket of order-0 Taylor fields has no exact term")
+    cap = float("inf") if order is None else order
+    x_terms = [_graded_terms(c) for c in x.comps]
+    y_terms = [_graded_terms(c) for c in y.comps]
     comps = []
     for i in range(n):
-        acc = Poly.zero(n)
-        for j in range(n):
-            acc = acc + x.comps[j] * y.comps[i].derivative(j + 1)
-            acc = acc - y.comps[j] * x.comps[i].derivative(j + 1)
-        comps.append(acc)
-    return PolyField(tuple(comps))
+        acc: dict = {}
+        for coeff_terms, comp, sign in (
+            (x_terms, y.comps[i], 1), (y_terms, x.comps[i], -1)
+        ):
+            if comp.is_zero():
+                continue
+            for j in range(n):
+                if not coeff_terms[j]:
+                    continue
+                deriv = _graded_terms(comp.derivative(j + 1))
+                if not deriv:
+                    continue
+                low = deriv[0][2]
+                for e1, c1, d1 in coeff_terms[j]:
+                    if d1 + low > cap:
+                        break
+                    c1 = sign * c1
+                    for e2, c2, d2 in deriv:
+                        if d1 + d2 > cap:
+                            break
+                        key = tuple(map(add, e1, e2))
+                        acc[key] = acc.get(key, _ZERO) + c1 * c2
+        poly = Poly.zero(n)
+        poly.terms = {e: c for e, c in acc.items() if c}
+        comps.append(poly)
+    return PolyField(tuple(comps), order)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,27 @@ def test_lie_flag_cross_check_agrees():
         assert a == b
 
 
+def test_lie_flag_stalled_frame_stops_at_a_zero_layer(monkeypatch):
+    # X1 = d1, X2 = d2 + x1*d3 on R^22: [X1, X2] = d3 and every bracket of
+    # length 3 vanishes, so no Hall layer beyond length 3 is generated
+    n = 22
+    x1 = Poly.variable(n, 1)
+    x2_comps = [Poly.zero(n)] * n
+    x2_comps[1], x2_comps[2] = Poly.const(n, 1), x1
+    fr = Frame(n, (PolyField.basis(n, 1), PolyField(tuple(x2_comps))))
+    lengths = []
+
+    def recording_hall_basis(k, max_len):
+        lengths.append(max_len)
+        return freelie.hall_basis(k, max_len)
+
+    monkeypatch.setattr(flags, "hall_basis", recording_hall_basis)
+    rep = flags.lie_flag(fr, (F(1, 2),) * n, n)
+    assert rep.dims == (2,) + (3,) * (n - 1)
+    assert rep.step == 2 and not rep.maximal and not rep.irregular
+    assert max(lengths) == 3
+
+
 # --- formal_flag --------------------------------------------------------------
 
 

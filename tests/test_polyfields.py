@@ -3,7 +3,7 @@ import random
 import pytest
 
 from liegrowth import linalg
-from liegrowth.errors import DomainError
+from liegrowth.errors import DomainError, OrderOverflow
 from liegrowth.polyfields import (
     AffineMap,
     Frame,
@@ -104,3 +104,51 @@ def test_frame_change_requires_invertible():
         frame_change(fr, [[1, 2], [2, 4]])
     changed = frame_change(fr, [[0, 1], [1, 0]])
     assert changed.fields[0] == fr.fields[1]
+
+
+def test_taylor_recentres_and_truncates():
+    n = 2
+    x1 = Poly.variable(n, 1)
+    x2 = Poly.variable(n, 2)
+    X = PolyField((x1 * x1 * x2, Poly.const(n, 5)))
+    # x1^2 x2 about (1, 2): (x1 + 1)^2 (x2 + 2) through degree 1
+    t = X.taylor((1, 2), 1)
+    assert t.order == 1
+    assert t.comps[0] == Poly.const(n, 2) + x1 * 4 + x2
+    assert t.comps[1] == Poly.const(n, 5)
+    assert X.taylor((0, 0), 3) == PolyField(X.comps, 3)
+    assert X.taylor((1, 2), 0).comps[0] == Poly.const(n, 2)
+    with pytest.raises(DomainError):
+        t.taylor((0, 0), 1)
+    with pytest.raises(DomainError):
+        X.taylor((1, 2, 3), 1)
+    with pytest.raises(OrderOverflow):
+        X.taylor((1, 2), -1)
+
+
+def test_bracket_order_drops_by_one_and_overflows_below_zero():
+    n = 2
+    x1 = Poly.variable(n, 1)
+    X = PolyField.basis(n, 1)
+    Y = PolyField((Poly.zero(n), x1 * x1 * x1))
+    exact = poly_lie_bracket(X, Y)
+    assert exact.order is None and exact.comps[1] == x1 * x1 * 3
+    two = poly_lie_bracket(X.taylor((0, 0), 3), Y.taylor((0, 0), 2))
+    assert two.order == 1 and two.comps[1].is_zero()
+    assert poly_lie_bracket(X, Y.taylor((0, 0), 3)).order == 2
+    assert poly_lie_bracket(two, X).order == 0
+    with pytest.raises(OrderOverflow):
+        poly_lie_bracket(poly_lie_bracket(two, X), X)
+
+
+def test_sums_and_scalings_keep_the_smaller_order():
+    n = 2
+    x1 = Poly.variable(n, 1)
+    X = PolyField((x1 * x1, x1))
+    low, high = X.taylor((0, 0), 1), X.taylor((0, 0), 2)
+    for got in (low + high, high + low, high - low, low + X, X - low):
+        assert got.order == 1
+        assert all(p.max_degree() <= 1 for p in got.comps)
+    assert (high - low).comps[0].is_zero()
+    assert (X + X).order is None
+    assert high.scale(3).order == 2

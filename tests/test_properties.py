@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 from liegrowth import flags, freelie, jetalg, linalg, parsing
 from liegrowth.polyfields import Frame, Poly, PolyField, poly_lie_bracket
@@ -49,12 +50,61 @@ def test_symbols_match_classical_on_random_frames():
 
 
 def test_formal_flag_matches_lie_flag_on_random_frames():
+    # lie_flag (Taylor brackets) against formal_flag (jet symbols) and against
+    # the ranks of the exact classical chains
     rng = random.Random(202)
     for _ in range(6):
         fr = _random_frame(rng, 3, 2)
         p = rand_point(rng, 3, span=2, den=2)
         jet = jetalg.jet_of_frame(fr, p, 2)
-        assert flags.formal_flag(jet, 3).dims == flags.lie_flag(fr, p, 3).dims
+        dims = flags.lie_flag(fr, p, 3).dims
+        assert flags.formal_flag(jet, 3).dims == dims
+        chains = []
+        for ln, dim in enumerate(dims, start=1):
+            chains += [
+                classical_chain_value(fr, index, p)
+                for index in itertools.product((1, 2), repeat=ln)
+            ]
+            assert linalg.rank(chains) == dim
+
+
+def test_bracket_commutes_with_taylor_truncation():
+    rng = random.Random(808)
+    for _ in range(8):
+        n = rng.choice((2, 3))
+        fr = _random_frame(rng, n, 2)
+        X, Y = fr.fields
+        p = rand_point(rng, n, span=2, den=2)
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        exact = poly_lie_bracket(X, Y)
+        got = poly_lie_bracket(X.taylor(p, a), Y.taylor(p, b))
+        assert got == exact.taylor(p, min(a, b) - 1)
+        origin = (0,) * n
+        assert tuple(c.terms.get(origin, 0) for c in got.comps) == exact.value_at(p)
+
+
+def test_taylor_coefficients_are_scaled_jet_derivatives():
+    # coefficient of x^alpha times alpha! is the alpha-th derivative at p
+    rng = random.Random(909)
+    for _ in range(4):
+        n = rng.choice((2, 3))
+        fr = _random_frame(rng, n, 2)
+        p = rand_point(rng, n, span=2, den=2)
+        order = 3
+        jet = jetalg.jet_of_frame(fr, p, order)
+        for fld, field in enumerate(fr.fields, start=1):
+            t = field.taylor(p, order)
+            assert t.order == order
+            for comp, poly in enumerate(t.comps, start=1):
+                for ln in range(order + 1):
+                    for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
+                        alpha = tuple(idx.count(j) for j in range(1, n + 1))
+                        coeff = poly.terms.get(alpha, Fraction(0))
+                        scale = 1
+                        for e in alpha:
+                            scale *= factorial(e)
+                        assert coeff * scale == jet[jetalg.JetVar(fld, comp, idx)]
+                assert poly.max_degree() <= order
 
 
 def test_tree_symbols_match_tree_brackets():
