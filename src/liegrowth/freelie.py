@@ -186,14 +186,23 @@ def _is_admissible_pair(a: BracketExpr, b: BracketExpr) -> bool:
 
 def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
     """Generate Hall-set layers up to ``max_len``, checking each layer size
-    against the Witt dimension.  ``cap`` bounds the total element count.
+    against the Witt dimension.  ``cap`` bounds the total element count; a
+    basis that would exceed it raises ``CapExceeded`` before any layer is
+    built.
     """
     if k < 1 or max_len < 1:
         raise DomainError("hall_basis needs k >= 1 and max_len >= 1")
+    # layer sizes are Witt dimensions, so the total is known in advance
+    total = k
+    for length in range(2, max_len + 1):
+        total += witt_dimension(k, length)
+        if total > cap:
+            raise CapExceeded(
+                f"Hall basis would exceed {cap} elements at length {length}"
+            )
     layers: list[tuple[BracketExpr, ...]] = [
         tuple(BracketExpr.leaf(g) for g in range(1, k + 1))
     ]
-    total = k
     for length in range(2, max_len + 1):
         cands = []
         for la in range(1, length // 2 + 1):
@@ -207,11 +216,6 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
         if len(cands) != expected:
             raise AssertionError(
                 f"layer {length} has {len(cands)} elements, Witt predicts {expected}"
-            )
-        total += len(cands)
-        if total > cap:
-            raise CapExceeded(
-                f"Hall basis would exceed {cap} elements at length {length}"
             )
         layers.append(tuple(cands))
     return HallBasis(k, tuple(layers))

@@ -6,6 +6,13 @@ multi-index ``I`` (a sorted tuple of direction indices in 1..n) of component
 parameters ``(k, n, r)``: up to ``k`` fields, ``n`` coordinates, derivative
 data of order at most ``r - 1``.
 
+``DiffPoly`` is the jet-coordinate instance of the sparse ring in
+``polyfields._SparsePoly``: its monomials are sorted tuples of ``JetVar`` and
+its derivation is the total derivative ``D_t`` (``derive``, ``_derive_all``);
+add, multiply and the product kernel of ``diffvec_bracket`` are the base
+class's.  ``jet_of_frame`` reads the jet of a frame off its Taylor fields
+(``PolyField.taylor``) instead of differentiating.
+
 Bracket convention used throughout: ``bracket((b1, ..., bl))`` is the symbol
 of ``[F_b1, [F_b2, [... [F_b{l-1}, F_bl] ...]]]`` -- the leftmost index is the
 outermost field.  Swapping the last two entries flips the sign.
@@ -16,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from math import prod as _prod
 from typing import NamedTuple
 
@@ -25,7 +32,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import Frame
+from .polyfields import Frame, _coeff, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -65,39 +72,29 @@ def _mono_sort_key(mono):
     return (len(mono), tuple(_var_sort_key(v) for v in mono))
 
 
-def _coeff(c):
-    """Exact coefficients only: ints stay ints, rationals stay Fractions."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
-
-
-class DiffPoly:
+class DiffPoly(_SparsePoly):
     """Sparse polynomial in jet coordinates with exact rational coefficients.
 
     ``terms`` maps monomials (tuples of JetVar, canonically sorted) to nonzero
     int or Fraction coefficients.
     """
 
-    __slots__ = ("k", "n", "r", "terms")
+    __slots__ = ("k", "n", "r")
 
     def __init__(self, k: int, n: int, r: int, terms=None):
         self.k = k
         self.n = n
         self.r = r
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coeff(c)
-                if c != 0:
-                    acc = clean.get(mono, 0) + c
-                    if acc == 0:
-                        clean.pop(mono, None)
-                    else:
-                        clean[mono] = acc
-        self.terms = clean
+        super().__init__(terms)
+
+    @property
+    def _ambient(self) -> tuple[int, int, int]:
+        return (self.k, self.n, self.r)
+
+    @staticmethod
+    def _times(m1, monos):
+        """The monomials m1 * m for m in ``monos``: sorted concatenations."""
+        return map(tuple, map(sorted, map(m1.__add__, monos)))
 
     @staticmethod
     def zero(k: int, n: int, r: int) -> DiffPoly:
@@ -111,67 +108,6 @@ class DiffPoly:
     def var(fld: int, comp: int, idx, k: int, n: int, r: int) -> DiffPoly:
         v = make_var(fld, comp, idx, k, n, r)
         return DiffPoly(k, n, r, {(v,): 1})
-
-    def _compat(self, other: DiffPoly):
-        if (self.k, self.n, self.r) != (other.k, other.n, other.r):
-            raise DomainError("mixing differential polynomials of different ambients")
-
-    def __add__(self, other: DiffPoly) -> DiffPoly:
-        self._compat(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, 0) + c
-            if v == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = v
-        p = DiffPoly(self.k, self.n, self.r)
-        p.terms = out
-        return p
-
-    def __neg__(self) -> DiffPoly:
-        p = DiffPoly(self.k, self.n, self.r)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other: DiffPoly) -> DiffPoly:
-        return self + (-other)
-
-    def __mul__(self, other) -> DiffPoly:
-        if not isinstance(other, DiffPoly):
-            c = _coeff(other)
-            p = DiffPoly(self.k, self.n, self.r)
-            if c != 0:
-                p.terms = {m: v * c for m, v in self.terms.items()}
-            return p
-        self._compat(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                v = out.get(mono, 0) + c1 * c2
-                if v == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = v
-        p = DiffPoly(self.k, self.n, self.r)
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffPoly)
-            and (self.k, self.n, self.r) == (other.k, other.n, other.r)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.n, self.r, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def order(self) -> int:
         out = 0
@@ -292,41 +228,20 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
         raise OrderOverflow(
             f"cannot derive a polynomial of order {p.order()} inside order-{p.r - 1} jets"
         )
-    out: dict = {}
-    for mono, c in p.terms.items():
-        for pos, v in enumerate(mono):
-            nv = JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
-            new = tuple(sorted(mono[:pos] + (nv,) + mono[pos + 1 :]))
-            acc = out.get(new, 0) + c
-            if acc == 0:
-                out.pop(new, None)
-            else:
-                out[new] = acc
-    q = DiffPoly(p.k, p.n, p.r)
-    q.terms = out
-    return q
-
-
-def _acc_product(acc: dict, t1: dict, t2: dict, sign: int) -> None:
-    """acc += sign * (poly t1) * (poly t2), merging into one dict."""
-    for m1, c1 in t1.items():
-        sc = sign * c1
-        for m2, c2 in t2.items():
-            mono = tuple(sorted(m1 + m2))
-            acc[mono] = acc.get(mono, 0) + sc * c2
+    return p._like(_derive_all(p)[t - 1])
 
 
 def _derive_all(p: DiffPoly) -> list[dict]:
-    """Term dicts of D_1(p), ..., D_n(p) in one pass."""
+    """Term dicts of D_1(p), ..., D_n(p) in one pass; cancelled coefficients
+    stay as zeros."""
     outs: list[dict] = [{} for _ in range(p.n)]
     for mono, c in p.terms.items():
         for pos, v in enumerate(mono):
             head = mono[:pos]
             tail = mono[pos + 1 :]
-            for t in range(1, p.n + 1):
+            for t, out in enumerate(outs, start=1):
                 nv = JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
                 new = tuple(sorted(head + (nv,) + tail))
-                out = outs[t - 1]
                 out[new] = out.get(new, 0) + c
     return outs
 
@@ -347,13 +262,11 @@ def diffvec_bracket(a: DiffVec, b: DiffVec) -> DiffVec:
         db = _derive_all(b.comps[i])
         da = _derive_all(a.comps[i])
         for j in range(n):
-            if a.comps[j].terms and db[j]:
-                _acc_product(acc, a.comps[j].terms, db[j], 1)
-            if b.comps[j].terms and da[j]:
-                _acc_product(acc, b.comps[j].terms, da[j], -1)
-        p = DiffPoly(a.k, a.n, a.r)
-        p.terms = {m: c for m, c in acc.items() if c != 0}
-        comps.append(p)
+            if db[j]:
+                a.comps[j]._acc_product(acc, db[j])
+            if da[j]:
+                b.comps[j]._acc_product(acc, da[j], -1)
+        comps.append(a.comps[i]._like(acc))
     return DiffVec(comps)
 
 
@@ -426,19 +339,13 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
             continue
         if not poly_factors:
             key = tuple(sorted(kept))
-            val = acc.get(key, 0) + coeff
-            if val == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = val
+            acc[key] = acc.get(key, 0) + coeff
         else:
             term = DiffPoly(p.k, p.n, p.r, {tuple(sorted(kept)): coeff})
             for q in poly_factors:
                 term = term * q
             out = out + term
-    base = DiffPoly(p.k, p.n, p.r)
-    base.terms = acc
-    return out + base
+    return out + p._like(acc)
 
 
 def substitute_vec(vec: DiffVec, assignment) -> DiffVec:
@@ -564,27 +471,23 @@ def pure_derivative_extract(
 
 def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     """All partial derivatives of the frame coefficients up to ``order``,
-    evaluated exactly at ``point``.
+    evaluated exactly at ``point``.  They are read off the order-``order``
+    Taylor fields at ``point``: the derivative along a multi-index that takes
+    direction j alpha_j times is alpha! times the coefficient of x^alpha.
     """
     n = frame.n
-    k = frame.k
     base = tuple(Fraction(x) for x in point)
     if len(base) != n:
         raise DomainError("point dimension does not match the frame")
+    scaled = []
+    for ln in range(order + 1):
+        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
+            alpha = tuple(idx.count(j) for j in range(1, n + 1))
+            scaled.append((idx, alpha, _prod(map(factorial, alpha))))
     values: dict[JetVar, Fraction] = {}
-    for fld in range(1, k + 1):
-        for comp in range(1, n + 1):
-            poly = frame.fields[fld - 1].comps[comp - 1]
-            stack = {(): poly}
-            values[JetVar(fld, comp, ())] = poly.eval_at(base)
-            for ln in range(1, order + 1):
-                new_stack = {}
-                for idx in itertools.combinations_with_replacement(
-                    range(1, n + 1), ln
-                ):
-                    parent = idx[:-1]
-                    dp = stack[parent].derivative(idx[-1])
-                    new_stack[idx] = dp
-                    values[JetVar(fld, comp, idx)] = dp.eval_at(base)
-                stack = new_stack
-    return JetPoint(k, n, order, base, values)
+    for fld, f in enumerate(frame.fields, start=1):
+        for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
+            coeff = poly.terms.get
+            for idx, alpha, scale in scaled:
+                values[JetVar(fld, comp, idx)] = coeff(alpha, 0) * scale
+    return JetPoint(frame.k, n, order, base, values)

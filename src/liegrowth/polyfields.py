@@ -1,17 +1,26 @@
-"""Sparse multivariate polynomials over Q and polynomial vector fields.
+"""Sparse polynomials over Q, polynomial vector fields and Taylor fields.
 
-A ``Poly`` in ``n`` variables maps exponent tuples to nonzero Fractions.
+The sparse ring is written once, in ``_SparsePoly``: a polynomial maps
+monomials to nonzero exact coefficients (ints or Fractions, see ``_coeff``),
+and the base class owns the normalising constructor, ``+``, ``-``, scalar and
+polynomial ``*``, equality, hashing and the one product-accumulate kernel.
+A subclass supplies only what a monomial is (its product ``_times``), its
+ambient (a mismatch raises ``DomainError``) and its own derivation.  ``Poly`` here is
+the classical ring: monomials are exponent n-tuples and the derivation is
+``Poly.derivative``.  ``jetalg.DiffPoly`` is the ring of jet coordinates.
+
 A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
 directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
 
 A ``PolyField`` with ``order`` set is a Taylor field: a truncated Taylor
 expansion about the origin, exact through total degree ``order`` and unknown
-above it.  ``PolyField.taylor(p, s)`` recentres an exact field at ``p``.  A
-bracket loses one order (it takes a derivative), so a length-l bracket of
-Taylor leaves of order s - 1 is exact through degree s - l, and its value at
-the centre is its constant term.  Sums, differences and scalings keep the
-smaller order; a bracket whose order would drop below zero raises
-``OrderOverflow``.
+above it.  ``PolyField.taylor(p, s)`` recentres an exact field at ``p``; its
+coefficient of x^alpha times alpha! is the alpha-th partial derivative at
+``p``, which is how ``jetalg.jet_of_frame`` reads jets.  A bracket loses one
+order (it takes a derivative), so a length-l bracket of Taylor leaves of
+order s - 1 is exact through degree s - l, and its value at the centre is its
+constant term.  Sums, differences and scalings keep the smaller order; a
+bracket whose order would drop below zero raises ``OrderOverflow``.
 """
 
 from __future__ import annotations
@@ -37,22 +46,114 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-class Poly:
-    """Polynomial over Q in variables x1..xn, stored sparsely."""
+def _coeff(c):
+    """Exact coefficients only: ints stay ints, rationals stay Fractions."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
-    __slots__ = ("n", "terms")
+
+class _SparsePoly:
+    """Sparse polynomial over Q: ``terms`` maps monomials to nonzero exact
+    coefficients.  A subclass defines ``_ambient`` (the tuple its constructor
+    takes before ``terms``), the commutative monomial product ``_times`` and
+    its own derivation.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for mono, c in terms.items():
+                c = _coeff(c)
+                if c:
+                    self.terms[mono] = c
+
+    def _like(self, acc: dict):
+        """Polynomial over this ambient holding the nonzero entries of ``acc``,
+        whose coefficients are already exact."""
+        p = type(self)(*self._ambient)
+        p.terms = {m: c for m, c in acc.items() if c}
+        return p
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other._ambient != self._ambient:
+            raise DomainError("mixing polynomials of different ambients")
+
+    def _acc_product(self, acc: dict, terms: dict, sign: int = 1) -> None:
+        """acc += sign * self * (the polynomial with ``terms``), in place;
+        cancelled coefficients stay in ``acc`` as zeros.  The outer loop runs
+        over the shorter factor, so a row of products costs one ``_times``
+        call."""
+        short, long = self.terms, terms
+        if len(short) > len(long):
+            short, long = long, short
+        times = self._times
+        monos, coeffs = long.keys(), long.values()
+        for m1, c1 in short.items():
+            sc = sign * c1
+            for mono, c2 in zip(times(m1, monos), coeffs):
+                acc[mono] = acc.get(mono, 0) + sc * c2
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other._ambient == self._ambient
+            and other.terms == self.terms
+        )
+
+    def __hash__(self):
+        return hash((self._ambient, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _SparsePoly):
+            c = _coeff(other)
+            return self._like({m: v * c for m, v in self.terms.items()})
+        self._check(other)
+        acc: dict = {}
+        self._acc_product(acc, other.terms)
+        return self._like(acc)
+
+    __rmul__ = __mul__
+
+
+class Poly(_SparsePoly):
+    """Polynomial over Q in variables x1..xn, stored sparsely; a monomial is
+    an exponent n-tuple."""
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[exps] = clean.get(exps, _ZERO) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+        super().__init__(terms)
+
+    @property
+    def _ambient(self) -> tuple[int]:
+        return (self.n,)
+
+    @staticmethod
+    def _times(e1, monos):
+        """The monomials e1 * e for e in ``monos``: exponent sums."""
+        return (tuple(map(add, e1, e2)) for e2 in monos)
 
     @staticmethod
     def zero(n: int) -> Poly:
@@ -60,66 +161,14 @@ class Poly:
 
     @staticmethod
     def const(n: int, c) -> Poly:
-        return Poly(n, {(0,) * n: Fraction(c)})
+        return Poly(n, {(0,) * n: c})
 
     @staticmethod
     def variable(n: int, j: int) -> Poly:
         if not 1 <= j <= n:
             raise DomainError(f"variable x{j} out of range 1..{n}")
         exps = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return Poly(n, {exps: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: Poly) -> Poly:
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = out.get(exps, _ZERO) + c
-            if v == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = v
-        p = Poly.zero(self.n)
-        p.terms = out
-        return p
-
-    def __neg__(self) -> Poly:
-        p = Poly.zero(self.n)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __mul__(self, other) -> Poly:
-        if not isinstance(other, Poly):
-            c = Fraction(other)
-            if c == 0:
-                return Poly.zero(self.n)
-            p = Poly.zero(self.n)
-            p.terms = {e: v * c for e, v in self.terms.items()}
-            return p
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(exps, _ZERO) + c1 * c2
-                if v == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = v
-        p = Poly.zero(self.n)
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
+        return Poly(n, {exps: 1})
 
     def __pow__(self, e: int) -> Poly:
         if e < 0:
@@ -134,19 +183,9 @@ class Poly:
         out: dict = {}
         for exps, c in self.terms.items():
             e = exps[j - 1]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[j - 1] = e - 1
-            key = tuple(new)
-            v = out.get(key, _ZERO) + c * e
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        p = Poly.zero(self.n)
-        p.terms = out
-        return p
+            if e:
+                out[exps[: j - 1] + (e - 1,) + exps[j:]] = c * e
+        return self._like(out)
 
     def eval_at(self, point) -> Fraction:
         vals = [Fraction(x) for x in point]
@@ -213,9 +252,7 @@ def _truncate(p: Poly, order: int | None) -> Poly:
     """``p`` without its terms of total degree above ``order``."""
     if order is None or all(sum(e) <= order for e in p.terms):
         return p
-    out = Poly.zero(p.n)
-    out.terms = {e: c for e, c in p.terms.items() if sum(e) <= order}
-    return out
+    return p._like({e: c for e, c in p.terms.items() if sum(e) <= order})
 
 
 @dataclass(frozen=True)
@@ -291,9 +328,7 @@ class PolyField:
                     ]
                 for head, coef, _ in partial:
                     out[head] = out.get(head, _ZERO) + coef
-            poly = Poly.zero(self.n)
-            poly.terms = {e: c for e, c in out.items() if c}
-            comps.append(poly)
+            comps.append(comp._like(out))
         return PolyField(tuple(comps), order)
 
     def __add__(self, other: PolyField) -> PolyField:
@@ -367,9 +402,7 @@ def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
                             break
                         key = tuple(map(add, e1, e2))
                         acc[key] = acc.get(key, _ZERO) + c1 * c2
-        poly = Poly.zero(n)
-        poly.terms = {e: c for e, c in acc.items() if c}
-        comps.append(poly)
+        comps.append(x.comps[i]._like(acc))
     return PolyField(tuple(comps), order)
 
 

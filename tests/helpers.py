@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from liegrowth.checks import all_expressions, rand_fraction, rand_point  # noqa: F401
@@ -43,3 +44,21 @@ def classical_chain_value(frame: Frame, index, point):
         cur = poly_lie_bracket(frame.fields[c - 1], cur)
     return cur.value_at(point)
 
+
+def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
+    """Reference jet: every partial derivative up to ``order`` by chains of
+    ``Poly.derivative`` evaluated at ``point``, keyed by JetVar."""
+    from liegrowth.jetalg import JetVar
+
+    values = {}
+    for fld, f in enumerate(frame.fields, start=1):
+        for comp, poly in enumerate(f.comps, start=1):
+            stack = {(): poly}
+            for ln in range(order + 1):
+                for idx in itertools.combinations_with_replacement(
+                    range(1, frame.n + 1), ln
+                ):
+                    if idx:
+                        stack[idx] = stack[idx[:-1]].derivative(idx[-1])
+                    values[JetVar(fld, comp, idx)] = stack[idx].eval_at(point)
+    return values

@@ -172,6 +172,19 @@ def test_hall_cap():
         fl.hall_basis(4, 6, cap=100)
 
 
+def test_hall_cap_is_checked_before_any_layer_is_built(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return True
+
+    monkeypatch.setattr(fl, "_is_admissible_pair", counting)
+    with pytest.raises(CapExceeded, match="length 20"):
+        fl.hall_basis(2, 40)
+    assert calls == []
+
+
 def test_is_hall_element_examples():
     basis = fl.hall_basis(3, 3)
     assert fl.is_hall_element(pair(leaf(1), leaf(2)), basis)

@@ -56,6 +56,22 @@ def test_poly_str_deterministic():
     assert str(p) == "1/2 - x1 + x2^2"
 
 
+def test_poly_mixed_ambients_raise():
+    a = Poly(2, {(1, 0): 1})
+    b = Poly(3, {(0, 0, 1): 1})
+    with pytest.raises(DomainError):
+        a + b
+    with pytest.raises(DomainError):
+        a * b
+
+
+def test_poly_float_coefficients_raise():
+    with pytest.raises(DomainError):
+        Poly(1, {(1,): 0.5})
+    with pytest.raises(DomainError):
+        Poly.variable(1, 1) * 0.5
+
+
 def test_poly_power_domain():
     with pytest.raises(DomainError):
         Poly.variable(2, 1) ** -1

@@ -8,7 +8,12 @@ from math import factorial
 from liegrowth import flags, freelie, jetalg, linalg, parsing
 from liegrowth.polyfields import Frame, Poly, PolyField, poly_lie_bracket
 
-from helpers import classical_chain_value, rand_fraction, rand_point
+from helpers import (
+    classical_chain_value,
+    jet_by_derivatives,
+    rand_fraction,
+    rand_point,
+)
 
 
 def _random_poly(rng, n, max_deg=2, max_terms=3):
@@ -84,27 +89,42 @@ def test_bracket_commutes_with_taylor_truncation():
 
 
 def test_taylor_coefficients_are_scaled_jet_derivatives():
-    # coefficient of x^alpha times alpha! is the alpha-th derivative at p
+    # coefficient of x^alpha times alpha! is the alpha-th derivative at p;
+    # order 1 truncates the random frames (degree up to 3)
     rng = random.Random(909)
     for _ in range(4):
         n = rng.choice((2, 3))
         fr = _random_frame(rng, n, 2)
         p = rand_point(rng, n, span=2, den=2)
-        order = 3
-        jet = jetalg.jet_of_frame(fr, p, order)
-        for fld, field in enumerate(fr.fields, start=1):
-            t = field.taylor(p, order)
-            assert t.order == order
-            for comp, poly in enumerate(t.comps, start=1):
-                for ln in range(order + 1):
-                    for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
-                        alpha = tuple(idx.count(j) for j in range(1, n + 1))
-                        coeff = poly.terms.get(alpha, Fraction(0))
-                        scale = 1
-                        for e in alpha:
-                            scale *= factorial(e)
-                        assert coeff * scale == jet[jetalg.JetVar(fld, comp, idx)]
-                assert poly.max_degree() <= order
+        for order in (1, 3):
+            ref = jet_by_derivatives(fr, p, order)
+            for fld, field in enumerate(fr.fields, start=1):
+                t = field.taylor(p, order)
+                assert t.order == order
+                for comp, poly in enumerate(t.comps, start=1):
+                    for ln in range(order + 1):
+                        for idx in itertools.combinations_with_replacement(
+                            range(1, n + 1), ln
+                        ):
+                            alpha = tuple(idx.count(j) for j in range(1, n + 1))
+                            coeff = poly.terms.get(alpha, Fraction(0))
+                            scale = 1
+                            for e in alpha:
+                                scale *= factorial(e)
+                            assert coeff * scale == ref[jetalg.JetVar(fld, comp, idx)]
+                    assert poly.max_degree() <= order
+
+
+def test_jet_of_frame_matches_derivative_chains_on_catalog_frames():
+    from liegrowth.catalog import catalog_frames, rank4_step2_frame
+
+    rng = random.Random(910)
+    frames = list(catalog_frames().values()) + [rank4_step2_frame()]
+    assert len(frames) == 6
+    for fr in frames:
+        p = rand_point(rng, fr.n, span=3, den=3)
+        jet = jetalg.jet_of_frame(fr, p, 3)
+        assert jet.values == jet_by_derivatives(fr, p, 3)
 
 
 def test_tree_symbols_match_tree_brackets():

@@ -1,0 +1,113 @@
+"""sympy as an independent oracle for the sparse-polynomial core: ring
+operations of Poly and DiffPoly, Poly.derivative and poly_lie_bracket."""
+
+import random
+
+import pytest
+
+from liegrowth import jetalg
+from liegrowth.polyfields import Poly, PolyField, poly_lie_bracket
+
+from helpers import rand_fraction
+
+sympy = pytest.importorskip("sympy")
+
+
+def _rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _poly_to_sympy(p: Poly, xs):
+    return sympy.Add(
+        *(_rational(c) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+          for exps, c in p.terms.items())
+    )
+
+
+def _diffpoly_to_sympy(p: jetalg.DiffPoly):
+    return sympy.Add(
+        *(_rational(c) * sympy.Mul(*(sympy.Symbol(str(v)) for v in mono))
+          for mono, c in p.terms.items())
+    )
+
+
+def _random_poly(rng, n, max_deg=3, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = rand_fraction(rng, 4, 3)
+    return Poly(n, terms)
+
+
+def _random_diffpoly(rng, k, n, r, max_deg=3, max_terms=4):
+    p = jetalg.DiffPoly.zero(k, n, r)
+    for _ in range(rng.randint(0, max_terms)):
+        term = jetalg.DiffPoly.const(rand_fraction(rng, 4, 3), k, n, r)
+        for _ in range(rng.randint(0, max_deg)):
+            idx = tuple(rng.randint(1, n) for _ in range(rng.randint(0, r - 1)))
+            term = term * jetalg.DiffPoly.var(
+                rng.randint(1, k), rng.randint(1, n), idx, k, n, r
+            )
+        p = p + term
+    return p
+
+
+def _same(got, want) -> bool:
+    return sympy.expand(got - want) == 0
+
+
+def test_poly_ring_operations_match_sympy():
+    rng = random.Random(1201)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        a, b = _random_poly(rng, n), _random_poly(rng, n)
+        sa, sb = _poly_to_sympy(a, xs), _poly_to_sympy(b, xs)
+        assert _same(_poly_to_sympy(a + b, xs), sa + sb)
+        assert _same(_poly_to_sympy(a - b, xs), sa - sb)
+        assert _same(_poly_to_sympy(a * b, xs), sa * sb)
+        c = rand_fraction(rng, 4, 3)
+        assert _same(_poly_to_sympy(a * c, xs), sa * _rational(c))
+
+
+def test_diffpoly_ring_operations_match_sympy():
+    rng = random.Random(1202)
+    for _ in range(40):
+        k, n, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a, b = _random_diffpoly(rng, k, n, r), _random_diffpoly(rng, k, n, r)
+        sa, sb = _diffpoly_to_sympy(a), _diffpoly_to_sympy(b)
+        assert _same(_diffpoly_to_sympy(a + b), sa + sb)
+        assert _same(_diffpoly_to_sympy(a - b), sa - sb)
+        assert _same(_diffpoly_to_sympy(a * b), sa * sb)
+
+
+def test_poly_derivative_matches_sympy():
+    rng = random.Random(1203)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        p = _random_poly(rng, n, max_deg=4)
+        for j in range(1, n + 1):
+            want = sympy.diff(_poly_to_sympy(p, xs), xs[j - 1])
+            assert _same(_poly_to_sympy(p.derivative(j), xs), want)
+
+
+def test_poly_lie_bracket_matches_sympy():
+    rng = random.Random(1204)
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        x = PolyField(tuple(_random_poly(rng, n) for _ in range(n)))
+        y = PolyField(tuple(_random_poly(rng, n) for _ in range(n)))
+        sx = [_poly_to_sympy(c, xs) for c in x.comps]
+        sy = [_poly_to_sympy(c, xs) for c in y.comps]
+        got = poly_lie_bracket(x, y)
+        assert got.order is None
+        for i in range(n):
+            want = sum(
+                sx[j] * sympy.diff(sy[i], xs[j]) - sy[j] * sympy.diff(sx[i], xs[j])
+                for j in range(n)
+            )
+            assert _same(_poly_to_sympy(got.comps[i], xs), want), (i, str(x), str(y))
