@@ -404,69 +404,6 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _phase1_feasible(columns: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact phase-1 simplex: nonnegative x with sum_i x_i col_i = rhs,
-    or None.  Bland's rule, Fraction arithmetic throughout.
-    """
-    m = len(rhs)
-    n = len(columns)
-    tab = []
-    for i in range(m):
-        row = [col[i] for col in columns]
-        b = rhs[i]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(b)
-        tab.append(row)
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for row in tab:
-        for j in range(width):
-            obj[j] -= row[j]
-    for j in range(n, n + m):
-        obj[j] = Fraction(0)
-    basis = list(range(n, n + m))
-    while True:
-        enter = None
-        for j in range(n + m):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        if f != 0:
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
-        basis[leave] = enter
-    if -obj[width - 1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][width - 1]
-    return x
-
-
 def hull_membership_witness(
     spec: MatrixSpaceSpec,
     target,
@@ -505,7 +442,7 @@ def hull_membership_witness(
             [mat[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
             for mat in samples
         ]
-        x = _phase1_feasible(cols, target_vec)
+        x = linalg._phase1_feasible(cols, target_vec)
         if x is None:
             return None
         terms = tuple(

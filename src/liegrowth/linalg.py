@@ -1,155 +1,120 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant go through fraction-free (Bareiss) elimination on
-denominator-cleared integer rows; solving, nullspaces and inverses use plain
-Gauss-Jordan on ``Fraction`` entries.  No tolerances anywhere.
+Every routine here is one fraction-free elimination.  ``_integer_rows``
+clears the denominators of each row; ``_eliminate`` runs integer-preserving
+Gauss-Jordan (Bareiss, Math. Comp. 22 (1968); Edmonds, J. Res. NBS 71B
+(1967)) with ``_pivot`` as its only row operation.  Every entry stays an
+integer minor of the input, so each division is exact, and at the end every
+pivot entry equals the last pivot: reduced row i is ``mat[i] / last``.  Rank
+is the pivot count, the determinant is sign * last / scale, and ``solve``,
+``nullspace`` and ``inverse`` read the reduced rows.  The phase-1 simplex of
+the hull search pivots the same way on an integer tableau.  No tolerances
+anywhere, and no ``Fraction`` arithmetic inside a pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    multipliers."""
+    mat = []
+    scale = 1
+    for row in rows:
+        vals = [Fraction(x) for x in row]
+        mult = lcm(*(x.denominator for x in vals))
+        scale *= mult
+        mat.append([x.numerator * (mult // x.denominator) for x in vals])
+    return mat, scale
 
 
-def _clear_row(row) -> list[int]:
-    denom = 1
-    vals = [Fraction(x) for x in row]
-    for x in vals:
-        denom = _lcm(denom, x.denominator)
-    return [int(x * denom) for x in vals]
+def _pivot(mat: list[list[int]], r: int, c: int, prev: int, rows) -> None:
+    """The one row operation: with p = mat[r][c], each row i in ``rows``
+    becomes (p * row_i - row_i[c] * row_r) // prev.  ``prev`` is the previous
+    pivot, and the division is exact (Sylvester's identity)."""
+    pivot_row = mat[r]
+    p = pivot_row[c]
+    for i in rows:
+        row = mat[i]
+        f = row[c]
+        mat[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+
+
+def _eliminate(mat: list[list[int]]) -> tuple[list[int], int, int]:
+    """Integer-preserving Gauss-Jordan, in place.
+
+    Returns (pivot columns, swap sign, last pivot).  Afterwards every pivot
+    entry equals the last pivot, so reduced row i is ``mat[i] / last``.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            mat[r], mat[sel] = mat[sel], mat[r]
+            sign = -sign
+        _pivot(mat, r, c, prev, [i for i in range(nrows) if i != r])
+        prev = mat[r][c]
+        pivots.append(c)
+    return pivots, sign, prev
 
 
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows of rationals."""
-    mat = [_clear_row(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    prev = 1
-    piv = 0
-    for col in range(ncols):
-        if piv == len(mat):
-            break
-        sel = None
-        for r in range(piv, len(mat)):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[piv], mat[sel] = mat[sel], mat[piv]
-        pivot = mat[piv][col]
-        for r in range(piv + 1, len(mat)):
-            factor = mat[r][col]
-            for c in range(col, ncols):
-                mat[r][c] = (mat[r][c] * pivot - factor * mat[piv][c]) // prev
-        prev = pivot
-        piv += 1
-    return piv
+    mat, _ = _integer_rows(rows)
+    return len(_eliminate(mat)[0])
 
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix (Bareiss, exact)."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    scale = Fraction(1)
-    mat = []
-    for r in rows:
-        vals = [Fraction(x) for x in r]
-        denom = 1
-        for x in vals:
-            denom = _lcm(denom, x.denominator)
-        scale *= denom
-        mat.append([int(x * denom) for x in vals])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        sel = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            mat[col], mat[sel] = mat[sel], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col]
-            for c in range(col, n):
-                mat[r][c] = (mat[r][c] * pivot - factor * mat[col][c]) // prev
-        prev = pivot
-    return Fraction(sign * mat[n - 1][n - 1], 1) / scale
-
-
-def _rref(mat: list[list[Fraction]]):
-    """In-place reduced row echelon form; returns pivot column indices."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        sel = None
-        for r in range(row, nrows):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    return pivots
+    mat, scale = _integer_rows(rows)
+    pivots, sign, last = _eliminate(mat)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def solve(a, b):
     """Unique solution of ``a x = b`` or None (singular/incompatible)."""
-    n = len(a)
-    if n == 0:
+    if not a:
         return []
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = _rref(aug)
     ncols = len(a[0])
-    if ncols in pivots:
+    mat, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a, b))
+    pivots, _, last = _eliminate(mat)
+    if pivots != list(range(ncols)):
         return None
-    if len(pivots) != ncols:
-        return None
-    for r in range(len(pivots), n):
-        if aug[r][ncols] != 0:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
+    return [Fraction(mat[i][ncols], last) for i in range(ncols)]
 
 
 def nullspace(rows):
     """Basis of the right nullspace as a list of Fraction vectors."""
     if not rows:
         return []
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat, _ = _integer_rows(rows)
     ncols = len(mat[0])
-    pivots = _rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, _, last = _eliminate(mat)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -mat[r][f]
+            vec[c] = Fraction(-mat[r][f], last)
         basis.append(vec)
     return basis
 
@@ -157,18 +122,77 @@ def nullspace(rows):
 def inverse(rows):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-        line = [Fraction(x) for x in r]
-        line += [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        aug.append(line)
-    pivots = _rref(aug)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    mat, _ = _integer_rows(
+        list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)
+    )
+    pivots, _, last = _eliminate(mat)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in aug]
+    return [[Fraction(x, last) for x in row[n:]] for row in mat]
 
 
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def _phase1_feasible(columns: list[list[Fraction]], rhs: list[Fraction]):
+    """Exact phase-1 simplex: nonnegative x with sum_i x_i col_i = rhs,
+    or None.  Bland's rule on an integer tableau.
+
+    The constraint rows are scaled by one common multiplier, the lcm of all
+    denominators, so the phase-1 objective (minus the sum of the rows) keeps
+    the signs, and Bland's rule the path, of the rational tableau; scaling
+    row by row would weigh the rows differently.  The artificial columns start
+    as the identity, the previous pivot as 1, and the last row is the
+    objective.  Every pivot is positive, so ratios compare by
+    cross-multiplication and x_b is its entry over the last pivot.
+    """
+    m = len(rhs)
+    n = len(columns)
+    vals = [
+        [Fraction(col[i]) for col in columns] + [Fraction(b)] for i, b in enumerate(rhs)
+    ]
+    mult = lcm(*(x.denominator for row in vals for x in row))
+    tab = []
+    for i, row in enumerate(vals):
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        tab.append(ints[:-1] + [int(j == i) for j in range(m)] + ints[-1:])
+    obj = [-sum(row[j] for row in tab) for j in range(n + m + 1)]
+    obj[n:n + m] = [0] * m
+    tab.append(obj)
+    basis = list(range(n, n + m))
+    prev = 1
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # b_i / a against b_leave / a_leave
+            here = tab[i][-1] * tab[leave][enter]
+            best = tab[leave][-1] * a
+            if here < best or (here == best and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            return None
+        _pivot(tab, leave, enter, prev, [i for i in range(m + 1) if i != leave])
+        prev = tab[leave][enter]
+        obj = tab[m]
+        basis[leave] = enter
+    if obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(tab[i][-1], prev)
+    return x

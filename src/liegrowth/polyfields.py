@@ -138,12 +138,22 @@ class _SparsePoly:
 
 class Poly(_SparsePoly):
     """Polynomial over Q in variables x1..xn, stored sparsely; a monomial is
-    an exponent n-tuple."""
+    an exponent n-tuple of non-negative ints, and the constructor raises
+    ``DomainError`` on any other key."""
 
     __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
+        for exps in terms or ():
+            if not (
+                type(exps) is tuple
+                and len(exps) == n
+                and all(type(e) is int and e >= 0 for e in exps)
+            ):
+                raise DomainError(
+                    f"exponent key {exps!r} is not a tuple of {n} non-negative ints"
+                )
         super().__init__(terms)
 
     @property

@@ -62,3 +62,66 @@ def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
                         stack[idx] = stack[idx[:-1]].derivative(idx[-1])
                     values[JetVar(fld, comp, idx)] = stack[idx].eval_at(point)
     return values
+
+
+def phase1_feasible_reference(columns, rhs):
+    """Reference for ``linalg._phase1_feasible``: the same phase-1 simplex
+    with Bland's rule on a ``Fraction`` tableau, row by row as printed in a
+    textbook.  Nonnegative x with sum_i x_i col_i = rhs, or None."""
+    m = len(rhs)
+    n = len(columns)
+    tab = []
+    for i in range(m):
+        row = [Fraction(col[i]) for col in columns]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(b)
+        tab.append(row)
+    width = n + m + 1
+    obj = [Fraction(0)] * width
+    for row in tab:
+        for j in range(width):
+            obj[j] -= row[j]
+    for j in range(n, n + m):
+        obj[j] = Fraction(0)
+    basis = list(range(n, n + m))
+    while True:
+        enter = None
+        for j in range(n + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width - 1] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return None
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        if f != 0:
+            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        basis[leave] = enter
+    if -obj[width - 1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][width - 1]
+    return x

@@ -72,6 +72,13 @@ def test_poly_float_coefficients_raise():
         Poly.variable(1, 1) * 0.5
 
 
+def test_poly_malformed_keys_raise():
+    for key in ((0, 0, 1), (-1, 0), (1,), (1.0, 0), "x1"):
+        with pytest.raises(DomainError):
+            Poly(2, {key: 1})
+    assert Poly(2, {(0, 2): 1}).eval_at((1, 3)) == 9
+
+
 def test_poly_power_domain():
     with pytest.raises(DomainError):
         Poly.variable(2, 1) ** -1

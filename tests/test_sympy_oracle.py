@@ -1,14 +1,15 @@
-"""sympy as an independent oracle for the sparse-polynomial core: ring
-operations of Poly and DiffPoly, Poly.derivative and poly_lie_bracket."""
+"""sympy as an independent oracle for the sparse-polynomial core (ring
+operations of Poly and DiffPoly, Poly.derivative and poly_lie_bracket) and
+for the exact linear algebra of ``linalg``."""
 
 import random
 
 import pytest
 
-from liegrowth import jetalg
+from liegrowth import jetalg, linalg
 from liegrowth.polyfields import Poly, PolyField, poly_lie_bracket
 
-from helpers import rand_fraction
+from helpers import F, rand_fraction
 
 sympy = pytest.importorskip("sympy")
 
@@ -111,3 +112,64 @@ def test_poly_lie_bracket_matches_sympy():
                 for j in range(n)
             )
             assert _same(_poly_to_sympy(got.comps[i], xs), want), (i, str(x), str(y))
+
+
+def _random_matrix(rng, rows, cols):
+    """Rational entries, a quarter of them zero; some rows repeat or are
+    multiples of another row, so rank deficiency is common."""
+    mat = [
+        [0 if rng.random() < 0.25 else rand_fraction(rng, 6, 4) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for i in range(1, rows):
+        if rng.random() < 0.2:
+            c = rng.choice((1, -2, F(1, 3)))
+            mat[i] = [c * x for x in mat[rng.randrange(i)]]
+    return mat
+
+
+def _sympy_solution(mat, rhs):
+    """The unique solution by sympy, or None when there is none or many."""
+    try:
+        sol, params = sympy.Matrix(mat).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    return None if params.shape[0] else [sympy.Rational(x) for x in sol]
+
+
+def _as_sympy(vec):
+    return [_rational(F(x)) for x in vec]
+
+
+def test_linalg_matches_sympy_on_random_matrices():
+    rng = random.Random(1205)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+        mat = _random_matrix(rng, rows, cols)
+        smat = sympy.Matrix(rows, cols, [_rational(F(x)) for row in mat for x in row])
+        r = linalg.rank(mat)
+        assert r == smat.rank()
+        basis = linalg.nullspace(mat)
+        if rows:
+            assert len(basis) == cols - r
+        for vec in basis:
+            assert all(linalg.dot(row, vec) == 0 for row in mat)
+        if rows:
+            rhs = [rand_fraction(rng, 6, 4) for _ in range(rows)]
+            if rng.random() < 0.5:  # a consistent right-hand side
+                x = [rand_fraction(rng, 3, 3) for _ in range(cols)]
+                rhs = [linalg.dot(row, x) for row in mat]
+            got = linalg.solve(mat, rhs)
+            want = _sympy_solution(smat, _as_sympy(rhs))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _as_sympy(got) == want
+        square = _random_matrix(rng, rows, rows)
+        ssq = sympy.Matrix(rows, rows, [_rational(F(x)) for row in square for x in row])
+        d = ssq.det()
+        assert _rational(linalg.det(square)) == d
+        inv = linalg.inverse(square)
+        if d == 0:
+            assert inv is None
+        else:
+            assert [_as_sympy(row) for row in inv] == ssq.inv().tolist()
