@@ -11,7 +11,18 @@ data of order at most ``r - 1``.
 its derivation is the total derivative ``D_t`` (``derive``, ``_derive_all``);
 add, multiply and the product kernel of ``diffvec_bracket`` are the base
 class's.  ``jet_of_frame`` reads the jet of a frame off its Taylor fields
-(``PolyField.taylor``) instead of differentiating.
+(``PolyField.taylor``) instead of differentiating, and hands its complete,
+canonical dict to ``JetPoint`` without the re-validation a user-built jet
+point gets.
+
+The symbol core does no work twice.  ``_derive_all`` looks the successors
+``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
+filled as coordinates occur, and builds the rest of a monomial once per
+position rather than once per direction.  A ``DiffPoly`` carries its order:
+the first ``order()`` computes it from the distinct coordinates and keeps it,
+so the order checks of ``derive``, ``diffvec_bracket`` and ``evaluate`` cost
+O(1) afterwards.  Nothing mutates ``terms`` after construction (``_like``
+assigns them before any ``order()`` call).
 
 Bracket convention used throughout: ``bracket((b1, ..., bl))`` is the symbol
 of ``[F_b1, [F_b2, [... [F_b{l-1}, F_bl] ...]]]`` -- the leftmost index is the
@@ -79,12 +90,13 @@ class DiffPoly(_SparsePoly):
     int or Fraction coefficients.
     """
 
-    __slots__ = ("k", "n", "r")
+    __slots__ = ("k", "n", "r", "_order")
 
     def __init__(self, k: int, n: int, r: int, terms=None):
         self.k = k
         self.n = n
         self.r = r
+        self._order = None
         super().__init__(terms)
 
     @property
@@ -110,12 +122,13 @@ class DiffPoly(_SparsePoly):
         return DiffPoly(k, n, r, {(v,): 1})
 
     def order(self) -> int:
-        out = 0
-        for mono in self.terms:
-            for v in mono:
-                if len(v.idx) > out:
-                    out = len(v.idx)
-        return out
+        """Largest multi-index length among the coordinates present; computed
+        on the first call and carried from then on."""
+        if self._order is None:
+            self._order = max(
+                (len(v.idx) for v in set().union(*self.terms)), default=0
+            )
+        return self._order
 
     def variables(self) -> set[JetVar]:
         out: set[JetVar] = set()
@@ -224,24 +237,36 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
     """
     if not 1 <= t <= p.n:
         raise DomainError(f"direction {t} out of range 1..{p.n}")
-    if p.order() > p.r - 2:
+    order = p.order()
+    if order > p.r - 2:
         raise OrderOverflow(
-            f"cannot derive a polynomial of order {p.order()} inside order-{p.r - 1} jets"
+            f"cannot derive a polynomial of order {order} inside order-{p.r - 1} jets"
         )
     return p._like(_derive_all(p)[t - 1])
+
+
+# n -> {v: (D_1 v, ..., D_n v)}, filled as coordinates occur.  The successors
+# depend on v and n alone, so one table serves every polynomial.
+_SUCCESSORS: dict[int, dict[JetVar, tuple[JetVar, ...]]] = {}
 
 
 def _derive_all(p: DiffPoly) -> list[dict]:
     """Term dicts of D_1(p), ..., D_n(p) in one pass; cancelled coefficients
     stay as zeros."""
-    outs: list[dict] = [{} for _ in range(p.n)]
+    n = p.n
+    succ = _SUCCESSORS.setdefault(n, {})
+    outs: list[dict] = [{} for _ in range(n)]
     for mono, c in p.terms.items():
         for pos, v in enumerate(mono):
-            head = mono[:pos]
-            tail = mono[pos + 1 :]
-            for t, out in enumerate(outs, start=1):
-                nv = JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
-                new = tuple(sorted(head + (nv,) + tail))
+            nvs = succ.get(v)
+            if nvs is None:
+                nvs = succ[v] = tuple(
+                    JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
+                    for t in range(1, n + 1)
+                )
+            rest = mono[:pos] + mono[pos + 1 :]
+            for nv, out in zip(nvs, outs):
+                new = tuple(sorted(rest + (nv,)))
                 out[new] = out.get(new, 0) + c
     return outs
 
@@ -396,6 +421,17 @@ class JetPoint:
                 f"jet point is missing {len(missing)} coordinates, e.g. {missing[0]}"
             )
 
+    @classmethod
+    def _trusted(cls, k: int, n: int, order: int, base, values) -> JetPoint:
+        """A jet point from parts that are already canonical: a tuple of
+        Fractions, and a complete dict from sorted-index ``JetVar``s to
+        Fractions.  Skips the checks of ``__post_init__``; only
+        ``jet_of_frame`` builds such parts."""
+        jet = cls.__new__(cls)
+        jet.k, jet.n, jet.order, jet.base, jet.values = k, n, order, base, values
+        jet._int_view = None
+        return jet
+
     def __getitem__(self, v: JetVar) -> Fraction:
         try:
             return self.values[v]
@@ -452,9 +488,10 @@ def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
 
 def evaluate(vec: DiffVec, jet: JetPoint) -> tuple[Fraction, ...]:
     """Exact value of a differential vector on a jet point."""
-    if vec.order() > jet.order:
+    order = vec.order()
+    if order > jet.order:
         raise IncompleteJet(
-            f"vector of order {vec.order()} needs jet order >= that, got {jet.order}"
+            f"vector of order {order} needs jet order >= that, got {jet.order}"
         )
     return tuple(_eval_poly(c, jet) for c in vec.comps)
 
@@ -489,5 +526,5 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
         for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
             coeff = poly.terms.get
             for idx, alpha, scale in scaled:
-                values[JetVar(fld, comp, idx)] = coeff(alpha, 0) * scale
-    return JetPoint(frame.k, n, order, base, values)
+                values[JetVar(fld, comp, idx)] = Fraction(coeff(alpha, 0) * scale)
+    return JetPoint._trusted(frame.k, n, order, base, values)

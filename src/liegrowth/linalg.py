@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import DomainError
+
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
@@ -89,9 +91,12 @@ def det(rows) -> Fraction:
 
 
 def solve(a, b):
-    """Unique solution of ``a x = b`` or None (singular/incompatible)."""
+    """Unique solution of ``a x = b`` or None (singular/incompatible).
+    A matrix with no rows has no width to solve for: ``DomainError``."""
     if not a:
-        return []
+        raise DomainError(
+            "solve of an empty matrix: a matrix with no rows has no width"
+        )
     ncols = len(a[0])
     mat, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a, b))
     pivots, _, last = _eliminate(mat)
@@ -101,9 +106,12 @@ def solve(a, b):
 
 
 def nullspace(rows):
-    """Basis of the right nullspace as a list of Fraction vectors."""
+    """Basis of the right nullspace as a list of Fraction vectors.
+    A matrix with no rows has no width: ``DomainError``."""
     if not rows:
-        return []
+        raise DomainError(
+            "nullspace of an empty matrix: a matrix with no rows has no width"
+        )
     mat, _ = _integer_rows(rows)
     ncols = len(mat[0])
     pivots, _, last = _eliminate(mat)

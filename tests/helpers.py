@@ -64,6 +64,30 @@ def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
     return values
 
 
+def derive_all_reference(p) -> list[dict]:
+    """Reference for ``jetalg._derive_all``: term dicts of D_1(p), ...,
+    D_n(p), building each derived coordinate and each sorted monomial afresh
+    for every (term, variable, direction); cancelled coefficients stay as
+    zeros."""
+    from liegrowth.jetalg import JetVar
+
+    outs: list[dict] = [{} for _ in range(p.n)]
+    for mono, c in p.terms.items():
+        for pos, v in enumerate(mono):
+            head = mono[:pos]
+            tail = mono[pos + 1 :]
+            for t, out in enumerate(outs, start=1):
+                nv = JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
+                new = tuple(sorted(head + (nv,) + tail))
+                out[new] = out.get(new, 0) + c
+    return outs
+
+
+def order_by_walk(p) -> int:
+    """Order of a ``DiffPoly`` by walking every coordinate of every term."""
+    return max((len(v.idx) for mono in p.terms for v in mono), default=0)
+
+
 def phase1_feasible_reference(columns, rhs):
     """Reference for ``linalg._phase1_feasible``: the same phase-1 simplex
     with Bland's rule on a ``Fraction`` tableau, row by row as printed in a

@@ -4,6 +4,7 @@ import pytest
 
 from liegrowth import linalg
 from liegrowth.ampleness import det_affine_in_free_column
+from liegrowth.errors import DomainError
 
 from helpers import F, phase1_feasible_reference, rand_fraction
 
@@ -61,6 +62,15 @@ def test_nullspace():
     for vec in basis:
         assert linalg.dot([1, 2, 3], vec) == 0
     assert linalg.nullspace([[1, 0], [0, 1]]) == []
+
+
+def test_rowless_matrix_raises():
+    # a matrix with no rows cannot carry its width: neither an empty basis
+    # nor an empty solution is the answer for a 0 x c matrix
+    with pytest.raises(DomainError, match="empty matrix"):
+        linalg.nullspace([])
+    with pytest.raises(DomainError, match="empty matrix"):
+        linalg.solve([], [])
 
 
 def _lp(rng, rows, cols):

@@ -1,0 +1,163 @@
+"""The symbol core of ``jetalg``: the successor table of ``_derive_all``
+against the reference derivation, the carried order of ``DiffPoly`` against
+a full walk of its terms, and the trusted ``JetPoint`` of ``jet_of_frame``
+against the public constructor."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from liegrowth import catalog
+from liegrowth import jetalg as ja
+from liegrowth.errors import IncompleteJet
+
+from helpers import F, derive_all_reference, order_by_walk, rand_fraction, rand_point
+
+
+def _d(v, t):
+    return ja.JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
+
+
+def _random_var(rng, k, n, max_order):
+    idx = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_order)))
+    return ja.JetVar(rng.randint(1, k), rng.randint(1, n), tuple(sorted(idx)))
+
+
+def _random_diffpoly(rng, k, n, r, max_terms=6, max_deg=3):
+    """Random terms of order <= r - 2, plus pairs c*a*D_t(b) - c*D_t(a)*b:
+    their D_t share the monomial D_t(a)*D_t(b) with opposite coefficients."""
+    terms: dict = {}
+
+    def add(mono, c):
+        mono = tuple(sorted(mono))
+        terms[mono] = terms.get(mono, 0) + c
+
+    for _ in range(rng.randint(0, max_terms)):
+        mono = [_random_var(rng, k, n, r - 2) for _ in range(rng.randint(0, max_deg))]
+        add(mono, rand_fraction(rng, 4, 3))
+    for _ in range(rng.randint(0, 2)):
+        a, b = _random_var(rng, k, n, r - 3), _random_var(rng, k, n, r - 3)
+        t = rng.randint(1, n)
+        c = rand_fraction(rng, 4, 3)
+        add((a, _d(b, t)), c)
+        add((_d(a, t), b), -c)
+    return ja.DiffPoly(k, n, r, terms)
+
+
+# --- successor table ------------------------------------------------------
+
+
+def test_derive_all_matches_reference(monkeypatch):
+    # an empty table, filled at n = 1 first: a coordinate met at a smaller n
+    # must not lend its successors to a larger one
+    monkeypatch.setattr(ja, "_SUCCESSORS", {})
+    rng = random.Random(1601)
+    zeros = 0
+    for n in (1, 2, 3, 4, 2, 1):
+        for _ in range(60):
+            k, r = rng.randint(1, 3), rng.randint(3, 5)
+            p = _random_diffpoly(rng, k, n, r)
+            want = derive_all_reference(p)
+            assert ja._derive_all(p) == want
+            zeros += sum(1 for out in want for c in out.values() if c == 0)
+    assert zeros > 0  # cancelled coefficients were exercised
+
+
+def test_derive_all_keeps_sorted_jetvar_keys():
+    rng = random.Random(1602)
+    for _ in range(40):
+        p = _random_diffpoly(rng, 3, 3, 4)
+        for out in ja._derive_all(p):
+            for mono in out:
+                assert type(mono) is tuple and list(mono) == sorted(mono)
+                assert all(type(v) is ja.JetVar for v in mono)
+                assert all(list(v.idx) == sorted(v.idx) for v in mono)
+
+
+# --- carried order --------------------------------------------------------
+
+
+def test_carried_order_equals_a_full_walk():
+    rng = random.Random(1603)
+    for _ in range(80):
+        k, n, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(3, 5)
+        a = _random_diffpoly(rng, k, n, r)
+        b = _random_diffpoly(rng, k, n, r)
+        a.order(), b.order()  # carried on the operands before they are combined
+        made = {
+            "constructor": a,
+            "_like": a._like(dict(b.terms)),
+            "+": a + b,
+            "-": a - b,
+            "* poly": a * b,
+            "* scalar": a * rand_fraction(rng, 4, 3),
+            "neg": -a,
+        }
+        for what, p in made.items():
+            assert p.order() == order_by_walk(p), what
+            assert p.order() == order_by_walk(p), what  # the carried value
+
+
+def test_carried_order_after_substitute():
+    rng = random.Random(1604)
+    for _ in range(60):
+        k, n, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(3, 5)
+        p = _random_diffpoly(rng, k, n, r)
+        p.order()
+        variables = sorted(p.variables())
+        assignment = {}
+        for v in variables[: rng.randint(0, len(variables))]:
+            if rng.random() < 0.5:
+                assignment[v] = rand_fraction(rng, 3, 2)
+            else:
+                assignment[v] = _random_diffpoly(rng, k, n, r, max_terms=2)
+        q = ja.substitute(p, assignment)
+        assert q.order() == order_by_walk(q)
+
+
+def test_carried_order_of_brackets():
+    for k, n, r in ((2, 2, 4), (2, 3, 4), (3, 2, 3)):
+        vecs = {(a,): ja.bracket((a,), k, n, r) for a in range(1, k + 1)}
+        for ln in range(2, r + 1):
+            for rest in [i for i in vecs if len(i) == ln - 1]:
+                for a in range(1, k + 1):
+                    vec = ja.diffvec_bracket(vecs[(a,)], vecs[rest])
+                    for c in vec.comps:
+                        assert c.order() == order_by_walk(c)
+                    assert vec.order() == max(map(order_by_walk, vec.comps))
+                    if ln < r:
+                        vecs[(a,) + rest] = vec
+
+
+# --- jet points -----------------------------------------------------------
+
+
+def test_jet_of_frame_equals_a_checked_jet_point():
+    rng = random.Random(1605)
+    for name, fr in catalog.catalog_frames().items():
+        for order in (0, 1, 3):
+            jet = ja.jet_of_frame(fr, rand_point(rng, fr.n), order)
+            rebuilt = ja.JetPoint(jet.k, jet.n, jet.order, jet.base, dict(jet.values))
+            assert jet == rebuilt, (name, order)
+            assert all(type(c) is Fraction for c in jet.values.values())
+            assert all(type(c) is Fraction for c in jet.base)
+
+
+def test_user_jet_point_is_normalised_and_checked():
+    values = {
+        ja.JetVar(1, 1, ()): 2,
+        ja.JetVar(1, 1, (1,)): F(1, 2),
+        ja.JetVar(1, 1, (2,)): 0,
+        ja.JetVar(1, 1, (2, 1)): 3,  # unsorted index
+        ja.JetVar(1, 1, (1, 1)): 0,
+        ja.JetVar(1, 1, (2, 2)): 0,
+    }
+    values.update({ja.JetVar(1, 2, v.idx): 1 for v in list(values)})
+    jet = ja.JetPoint(1, 2, 2, (1, 0), values)
+    assert jet[ja.JetVar(1, 1, (1, 2))] == 3
+    assert jet.base == (F(1), F(0)) and type(jet.base[0]) is Fraction
+    assert all(type(c) is Fraction for c in jet.values.values())
+    del values[ja.JetVar(1, 2, (2, 2))]
+    with pytest.raises(IncompleteJet):
+        ja.JetPoint(1, 2, 2, (1, 0), values)
