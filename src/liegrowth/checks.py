@@ -26,6 +26,15 @@ def rand_point(rng, n, span=3, den=3) -> tuple[Fraction, ...]:
     return tuple(rand_fraction(rng, span, den) for _ in range(n))
 
 
+def classical_chain_value(frame, index, point) -> tuple[Fraction, ...]:
+    """Iterated classical bracket with the leftmost-outermost nesting, at
+    ``point``."""
+    cur = frame.fields[index[-1] - 1]
+    for c in reversed(index[:-1]):
+        cur = poly_lie_bracket(frame.fields[c - 1], cur)
+    return cur.value_at(point)
+
+
 def all_expressions(k, max_len):
     """All bracket expressions over k generators up to a length."""
     by_len = {1: [freelie.BracketExpr.leaf(g) for g in range(1, k + 1)]}
@@ -164,10 +173,7 @@ def suite_flags(rng) -> list[tuple[str, bool, str]]:
         jet = jetalg.jet_of_frame(fr, rand_point(rng, fr.n), max(r, 3) - 1)
         for index in itertools.product(range(1, fr.k + 1), repeat=min(r, 3)):
             sym = jetalg.evaluate(jetalg.bracket(index, fr.k, fr.n, jet.order + 1), jet)
-            cur = fr.fields[index[-1] - 1]
-            for c in reversed(index[:-1]):
-                cur = poly_lie_bracket(fr.fields[c - 1], cur)
-            if sym != cur.value_at(jet.base):
+            if sym != classical_chain_value(fr, index, jet.base):
                 ok = False
     out.append(("bracket symbols agree with classical brackets", ok, "one random point each"))
     ok = True

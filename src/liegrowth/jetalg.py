@@ -8,12 +8,14 @@ data of order at most ``r - 1``.
 
 ``DiffPoly`` is the jet-coordinate instance of the sparse ring in
 ``polyfields._SparsePoly``: its monomials are sorted tuples of ``JetVar`` and
-its derivation is the total derivative ``D_t`` (``derive``, ``_derive_all``);
-add, multiply and the product kernel of ``diffvec_bracket`` are the base
-class's.  ``jet_of_frame`` reads the jet of a frame off its Taylor fields
-(``PolyField.taylor``) instead of differentiating, and hands its complete,
-canonical dict to ``JetPoint`` without the re-validation a user-built jet
-point gets.
+its ``_derive_all`` gives the total derivatives D_1, ..., D_n in one pass
+(``derive`` takes one of them).  Add, multiply and the bracket are the shared
+ones: ``diffvec_bracket`` checks the ambient and the order and returns the
+components of ``polyfields._bracket``, the one Lie-bracket kernel, which it
+shares with ``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame
+off its Taylor fields (``PolyField.taylor``) instead of differentiating, and
+hands its complete, canonical dict to ``JetPoint`` without the re-validation
+a user-built jet point gets.
 
 The symbol core does no work twice.  ``_derive_all`` looks the successors
 ``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
@@ -43,7 +45,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import Frame, _coeff, _SparsePoly
+from .polyfields import Frame, _bracket, _coeff, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -83,6 +85,11 @@ def _mono_sort_key(mono):
     return (len(mono), tuple(_var_sort_key(v) for v in mono))
 
 
+# n -> {v: (D_1 v, ..., D_n v)}, filled as coordinates occur.  The successors
+# depend on v and n alone, so one table serves every polynomial.
+_SUCCESSORS: dict[int, dict[JetVar, tuple[JetVar, ...]]] = {}
+
+
 class DiffPoly(_SparsePoly):
     """Sparse polynomial in jet coordinates with exact rational coefficients.
 
@@ -120,6 +127,26 @@ class DiffPoly(_SparsePoly):
     def var(fld: int, comp: int, idx, k: int, n: int, r: int) -> DiffPoly:
         v = make_var(fld, comp, idx, k, n, r)
         return DiffPoly(k, n, r, {(v,): 1})
+
+    def _derive_all(self) -> list[dict]:
+        """Term dicts of D_1(p), ..., D_n(p) in one pass; cancelled
+        coefficients stay as zeros."""
+        n = self.n
+        succ = _SUCCESSORS.setdefault(n, {})
+        outs: list[dict] = [{} for _ in range(n)]
+        for mono, c in self.terms.items():
+            for pos, v in enumerate(mono):
+                nvs = succ.get(v)
+                if nvs is None:
+                    nvs = succ[v] = tuple(
+                        JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
+                        for t in range(1, n + 1)
+                    )
+                rest = mono[:pos] + mono[pos + 1 :]
+                for nv, out in zip(nvs, outs):
+                    new = tuple(sorted(rest + (nv,)))
+                    out[new] = out.get(new, 0) + c
+        return outs
 
     def order(self) -> int:
         """Largest multi-index length among the coordinates present; computed
@@ -242,33 +269,7 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
         raise OrderOverflow(
             f"cannot derive a polynomial of order {order} inside order-{p.r - 1} jets"
         )
-    return p._like(_derive_all(p)[t - 1])
-
-
-# n -> {v: (D_1 v, ..., D_n v)}, filled as coordinates occur.  The successors
-# depend on v and n alone, so one table serves every polynomial.
-_SUCCESSORS: dict[int, dict[JetVar, tuple[JetVar, ...]]] = {}
-
-
-def _derive_all(p: DiffPoly) -> list[dict]:
-    """Term dicts of D_1(p), ..., D_n(p) in one pass; cancelled coefficients
-    stay as zeros."""
-    n = p.n
-    succ = _SUCCESSORS.setdefault(n, {})
-    outs: list[dict] = [{} for _ in range(n)]
-    for mono, c in p.terms.items():
-        for pos, v in enumerate(mono):
-            nvs = succ.get(v)
-            if nvs is None:
-                nvs = succ[v] = tuple(
-                    JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
-                    for t in range(1, n + 1)
-                )
-            rest = mono[:pos] + mono[pos + 1 :]
-            for nv, out in zip(nvs, outs):
-                new = tuple(sorted(rest + (nv,)))
-                out[new] = out.get(new, 0) + c
-    return outs
+    return p._like(p._derive_all()[t - 1])
 
 
 def diffvec_bracket(a: DiffVec, b: DiffVec) -> DiffVec:
@@ -280,19 +281,7 @@ def diffvec_bracket(a: DiffVec, b: DiffVec) -> DiffVec:
         raise OrderOverflow(
             f"cannot derive order-{top} components inside order-{a.r - 1} jets"
         )
-    n = a.n
-    comps = []
-    for i in range(n):
-        acc: dict = {}
-        db = _derive_all(b.comps[i])
-        da = _derive_all(a.comps[i])
-        for j in range(n):
-            if db[j]:
-                a.comps[j]._acc_product(acc, db[j])
-            if da[j]:
-                b.comps[j]._acc_product(acc, da[j], -1)
-        comps.append(a.comps[i]._like(acc))
-    return DiffVec(comps)
+    return DiffVec(_bracket(a.comps, b.comps))
 
 
 def _field_vec(a: int, k: int, n: int, r: int) -> DiffVec:

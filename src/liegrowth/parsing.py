@@ -118,6 +118,19 @@ class _LineParser:
         if tok is not None:
             raise ParseError(f"unexpected trailing token {tok.text!r}", tok.line, tok.col)
 
+    def _rational(self, int_tok: _Token) -> Fraction:
+        """INT ["/" INT] starting at the already consumed ``int_tok``."""
+        num = int(int_tok.text)
+        tok = self.peek()
+        if tok is not None and tok.kind == "/":
+            self.next()
+            den_tok = self.expect("INT")
+            den = int(den_tok.text)
+            if den == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            return Fraction(num, den)
+        return Fraction(num)
+
 
 class _Value:
     """Scalar polynomial or vector field, tagged for type checking."""
@@ -212,18 +225,6 @@ class _ExprParser(_LineParser):
                 raise ParseError("cannot exponentiate a vector", caret.line, caret.col)
             val = _Value(scalar=val.scalar ** int(exp_tok.text))
         return val
-
-    def _rational(self, int_tok: _Token) -> Fraction:
-        num = int(int_tok.text)
-        tok = self.peek()
-        if tok is not None and tok.kind == "/":
-            self.next()
-            den_tok = self.expect("INT")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(num, den)
-        return Fraction(num)
 
 
 def parse_frame(text: str) -> Frame:
@@ -332,16 +333,7 @@ def _parse_rhs(parser: _LineParser, total: int) -> dict[int, Fraction]:
             last = parser.tokens[-1]
             raise ParseError("expected a term", last.line, last.col + len(last.text))
         if tok.kind == "INT":
-            num_tok = parser.next()
-            num = int(num_tok.text)
-            den = 1
-            if parser.peek() is not None and parser.peek().kind == "/":
-                parser.next()
-                den_tok = parser.expect("INT")
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            coeff *= Fraction(num, den)
+            coeff *= parser._rational(parser.next())
             star = parser.next()
             if star.kind != "*":
                 raise ParseError(

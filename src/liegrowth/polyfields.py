@@ -5,9 +5,18 @@ monomials to nonzero exact coefficients (ints or Fractions, see ``_coeff``),
 and the base class owns the normalising constructor, ``+``, ``-``, scalar and
 polynomial ``*``, equality, hashing and the one product-accumulate kernel.
 A subclass supplies only what a monomial is (its product ``_times``), its
-ambient (a mismatch raises ``DomainError``) and its own derivation.  ``Poly`` here is
-the classical ring: monomials are exponent n-tuples and the derivation is
-``Poly.derivative``.  ``jetalg.DiffPoly`` is the ring of jet coordinates.
+ambient (a mismatch raises ``DomainError``) and its derivation in all n
+directions at once, ``_derive_all``.  ``Poly`` here is the classical ring:
+monomials are exponent n-tuples and ``_derive_all`` is the gradient, taken in
+one pass over the terms.  ``jetalg.DiffPoly`` is the ring of jet coordinates,
+whose ``_derive_all`` gives the total derivatives D_1, ..., D_n.
+
+The Lie bracket of vector fields is written once too, in ``_bracket``:
+[A, B]^i = sum_j (A^j D_j B^i - B^j D_j A^i) over either ring, with D_j read
+off ``_derive_all`` and every product accumulated by ``_acc_product``.
+``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their arguments
+and return its components.  Nothing keeps derivatives between calls: each
+bracket differentiates each component of its arguments once.
 
 A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
 directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
@@ -25,6 +34,7 @@ bracket whose order would drop below zero raises ``OrderOverflow``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -59,7 +69,8 @@ class _SparsePoly:
     """Sparse polynomial over Q: ``terms`` maps monomials to nonzero exact
     coefficients.  A subclass defines ``_ambient`` (the tuple its constructor
     takes before ``terms``), the commutative monomial product ``_times`` and
-    its own derivation.
+    the derivation ``_derive_all``; a ring whose products may be capped
+    (``_acc_product``'s ``cap``) also defines the monomial ``_degree``.
     """
 
     __slots__ = ("terms",)
@@ -83,20 +94,36 @@ class _SparsePoly:
         if type(other) is not type(self) or other._ambient != self._ambient:
             raise DomainError("mixing polynomials of different ambients")
 
-    def _acc_product(self, acc: dict, terms: dict, sign: int = 1) -> None:
+    def _acc_product(self, acc: dict, terms: dict, sign: int = 1, cap=None) -> None:
         """acc += sign * self * (the polynomial with ``terms``), in place;
         cancelled coefficients stay in ``acc`` as zeros.  The outer loop runs
         over the shorter factor, so a row of products costs one ``_times``
-        call."""
+        call.  With ``cap`` set, no term of degree above ``cap`` is formed:
+        the longer factor is sorted by degree, and each row stops at its last
+        partner within the cap (a row with none is skipped)."""
         short, long = self.terms, terms
         if len(short) > len(long):
             short, long = long, short
+        if not short:
+            return
         times = self._times
-        monos, coeffs = long.keys(), long.values()
+        if cap is None:
+            monos, coeffs = long.keys(), long.values()
+            for m1, c1 in short.items():
+                sc = sign * c1
+                for mono, c2 in zip(times(m1, monos), coeffs):
+                    acc[mono] = acc.get(mono, 0) + sc * c2
+            return
+        degree = self._degree
+        degs, monos, coeffs = zip(
+            *sorted(((degree(m), m, c) for m, c in long.items()), key=itemgetter(0))
+        )
         for m1, c1 in short.items():
-            sc = sign * c1
-            for mono, c2 in zip(times(m1, monos), coeffs):
-                acc[mono] = acc.get(mono, 0) + sc * c2
+            stop = bisect_right(degs, cap - degree(m1))
+            if stop:
+                sc = sign * c1
+                for mono, c2 in zip(times(m1, monos[:stop]), coeffs[:stop]):
+                    acc[mono] = acc.get(mono, 0) + sc * c2
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -165,6 +192,8 @@ class Poly(_SparsePoly):
         """The monomials e1 * e for e in ``monos``: exponent sums."""
         return (tuple(map(add, e1, e2)) for e2 in monos)
 
+    _degree = staticmethod(sum)
+
     @staticmethod
     def zero(n: int) -> Poly:
         return Poly(n)
@@ -188,14 +217,21 @@ class Poly(_SparsePoly):
             out = out * self
         return out
 
+    def _derive_all(self) -> list[dict]:
+        """Term dicts of d/dx_1, ..., d/dx_n of this polynomial in one pass."""
+        outs: list[dict] = [{} for _ in range(self.n)]
+        for exps, c in self.terms.items():
+            for j, e in enumerate(exps):
+                if e:
+                    key = exps[:j] + (e - 1,) + exps[j + 1 :]
+                    outs[j][key] = c * e if e > 1 else c
+        return outs
+
     def derivative(self, j: int) -> Poly:
         """Exact partial derivative with respect to x_j (1-based)."""
-        out: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[j - 1]
-            if e:
-                out[exps[: j - 1] + (e - 1,) + exps[j:]] = c * e
-        return self._like(out)
+        if not 1 <= j <= self.n:
+            raise DomainError(f"direction {j} out of range 1..{self.n}")
+        return self._like(self._derive_all()[j - 1])
 
     def eval_at(self, point) -> Fraction:
         vals = [Fraction(x) for x in point]
@@ -366,9 +402,21 @@ class PolyField:
         return " + ".join(parts) if parts else "0"
 
 
-def _graded_terms(p: Poly) -> list[tuple[tuple[int, ...], Fraction, int]]:
-    """(exponents, coefficient, degree) of each term of ``p``, by degree."""
-    return sorted(((e, c, sum(e)) for e, c in p.terms.items()), key=itemgetter(2))
+def _bracket(a_comps, b_comps, cap=None) -> list:
+    """Components of [A, B]^i = sum_j (A^j D_j B^i - B^j D_j A^i) for the
+    components of two vectors over one ring, D_j read off the ring's
+    ``_derive_all``; no product term of degree above ``cap`` is formed."""
+    comps = []
+    for ai, bi in zip(a_comps, b_comps):
+        acc: dict = {}
+        db, da = bi._derive_all(), ai._derive_all()
+        for aj, bj, dbj, daj in zip(a_comps, b_comps, db, da):
+            if dbj:
+                aj._acc_product(acc, dbj, 1, cap)
+            if daj:
+                bj._acc_product(acc, daj, -1, cap)
+        comps.append(ai._like(acc))
+    return comps
 
 
 def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
@@ -379,41 +427,12 @@ def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
     """
     if x.n != y.n:
         raise DomainError("fields live on different ambient dimensions")
-    n = x.n
     order = _min_order(x.order, y.order)
     if order is not None:
         order -= 1
         if order < 0:
             raise OrderOverflow("a bracket of order-0 Taylor fields has no exact term")
-    cap = float("inf") if order is None else order
-    x_terms = [_graded_terms(c) for c in x.comps]
-    y_terms = [_graded_terms(c) for c in y.comps]
-    comps = []
-    for i in range(n):
-        acc: dict = {}
-        for coeff_terms, comp, sign in (
-            (x_terms, y.comps[i], 1), (y_terms, x.comps[i], -1)
-        ):
-            if comp.is_zero():
-                continue
-            for j in range(n):
-                if not coeff_terms[j]:
-                    continue
-                deriv = _graded_terms(comp.derivative(j + 1))
-                if not deriv:
-                    continue
-                low = deriv[0][2]
-                for e1, c1, d1 in coeff_terms[j]:
-                    if d1 + low > cap:
-                        break
-                    c1 = sign * c1
-                    for e2, c2, d2 in deriv:
-                        if d1 + d2 > cap:
-                            break
-                        key = tuple(map(add, e1, e2))
-                        acc[key] = acc.get(key, _ZERO) + c1 * c2
-        comps.append(x.comps[i]._like(acc))
-    return PolyField(tuple(comps), order)
+    return PolyField(tuple(_bracket(x.comps, y.comps, order)), order)
 
 
 @dataclass(frozen=True)

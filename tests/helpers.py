@@ -5,7 +5,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from liegrowth.checks import all_expressions, rand_fraction, rand_point  # noqa: F401
+from liegrowth.checks import (  # noqa: F401
+    all_expressions,
+    classical_chain_value,
+    rand_fraction,
+    rand_point,
+)
 from liegrowth.freelie import BracketExpr
 from liegrowth.polyfields import Frame, Poly, PolyField
 
@@ -35,16 +40,6 @@ def constant_frame(n: int, k: int) -> Frame:
     return Frame(n, tuple(PolyField.basis(n, j) for j in range(1, k + 1)))
 
 
-def classical_chain_value(frame: Frame, index, point):
-    """Iterated classical bracket with the leftmost-outermost nesting."""
-    from liegrowth.polyfields import poly_lie_bracket
-
-    cur = frame.fields[index[-1] - 1]
-    for c in reversed(index[:-1]):
-        cur = poly_lie_bracket(frame.fields[c - 1], cur)
-    return cur.value_at(point)
-
-
 def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
     """Reference jet: every partial derivative up to ``order`` by chains of
     ``Poly.derivative`` evaluated at ``point``, keyed by JetVar."""
@@ -65,7 +60,7 @@ def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
 
 
 def derive_all_reference(p) -> list[dict]:
-    """Reference for ``jetalg._derive_all``: term dicts of D_1(p), ...,
+    """Reference for ``jetalg.DiffPoly._derive_all``: term dicts of D_1(p), ...,
     D_n(p), building each derived coordinate and each sorted monomial afresh
     for every (term, variable, direction); cancelled coefficients stay as
     zeros."""

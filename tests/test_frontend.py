@@ -104,6 +104,13 @@ def test_parse_algebra_rational_coefficients():
     assert alg.table[(1, 2)] == {3: F(1, 2)}
 
 
+def test_parse_algebra_zero_denominator_position():
+    with pytest.raises(ParseError) as err:
+        parsing.parse_algebra("layers 2 1\nbracket e1 e2 = 1/0*e3\n")
+    assert str(err.value).startswith("zero denominator")
+    assert err.value.line == 2 and err.value.col == 19
+
+
 def test_parse_algebra_signed_sums_and_zero():
     alg = parsing.parse_algebra(
         "layers 4 2\n"

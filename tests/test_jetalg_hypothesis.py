@@ -1,7 +1,8 @@
 """Hypothesis properties of the symbol bracket: antisymmetry and the Jacobi
 identity of ``diffvec_bracket`` on random order-0 differential vectors with
 r = 3 (the total derivatives commute, so the bracket is a commutator of
-derivations and both hold exactly)."""
+derivations and both hold exactly).  Every coefficient a bracket returns is
+nonzero."""
 
 import pytest
 
@@ -24,15 +25,21 @@ _polys = st.dictionaries(_monos, _coeffs, max_size=3).map(
 _vecs = st.lists(_polys, min_size=N, max_size=N).map(ja.DiffVec)
 
 
+def _checked(a, b):
+    out = ja.diffvec_bracket(a, b)
+    assert all(c != 0 for comp in out.comps for c in comp.terms.values())
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(_vecs, _vecs)
 def test_bracket_is_antisymmetric(a, b):
-    assert (ja.diffvec_bracket(a, b) + ja.diffvec_bracket(b, a)).is_zero()
+    assert (_checked(a, b) + _checked(b, a)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
 @given(_vecs, _vecs, _vecs)
 def test_bracket_satisfies_jacobi(a, b, c):
-    br = ja.diffvec_bracket
+    br = _checked
     total = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
     assert total.is_zero()

@@ -36,6 +36,15 @@ def test_poly_derivative():
     assert Poly.const(2, 5).derivative(1).is_zero()
 
 
+def test_poly_derivative_direction_out_of_range_raises():
+    # x1^2 * x2 * 3: index 0 would wrap to the last exponent, 3 runs off the key
+    p = Poly(2, {(2, 1): 3})
+    for j in (0, 3, -1):
+        with pytest.raises(DomainError):
+            p.derivative(j)
+    assert p.derivative(2) == Poly(2, {(2, 0): 3})
+
+
 def test_poly_compose_affine_consistency():
     rng = random.Random(13)
     x1 = Poly.variable(2, 1)
