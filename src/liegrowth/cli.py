@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import ampleness as amp
 from . import checks, flags, freelie, parsing
-from .errors import DomainError, LieGrowthError
+from .errors import DomainError, LieGrowthError, ParseError
 
 __all__ = ["main"]
 
@@ -59,8 +59,16 @@ def _emit(args, text: str, payload) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; bytes that are not UTF-8 raise ``ParseError`` at the
+    first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines split as the parsers split them; "?" stands for the bad byte
+        lines = (data[: exc.start].decode() + "?").splitlines()
+        raise ParseError(f"not UTF-8 text: {exc.reason}", len(lines), len(lines[-1])) from None
 
 
 def _flag_text(rep: flags.FlagReport) -> str:

@@ -6,17 +6,29 @@ Frame files::
     X1 = d1
     X2 = d2 + x1*d3
 
-Grammar (tokens; whitespace insignificant, ``#`` comments to end of line)::
+Grammar (ASCII tokens; whitespace insignificant, ``#`` comments to end of
+line)::
 
     file     := "dim" INT NEWLINE line+
-    line     := IDENT "=" expr
+    line     := WORD "=" expr
     expr     := term (("+"|"-") term)*
     term     := factor ("*" factor)*
     factor   := RATIONAL | VAR | DVAR | factor "^" INT | "(" expr ")"
     VAR      := "x" INT      DVAR := "d" INT      RATIONAL := INT ("/" INT)?
+    INT      := [0-9]+       WORD := [A-Za-z][A-Za-z0-9_]*
 
-Field names must be X1..Xk in order.  Every parse failure carries the 1-based
-line and column of the offending token.
+The symbols are ``= + - * ^ / ( )``.  Any other character that is not
+whitespace, a non-ASCII digit or letter included, raises
+``ParseError("unexpected character ...")`` at its own column.  Field names
+must be X1..Xk in order.  Every parse failure carries the 1-based line and
+column of the offending token.
+
+An expression evaluates to a scalar/vector flag and one term dict that maps
+(direction, exponent tuple) to a nonzero coefficient, with direction 0 for
+scalar terms.  ``+`` and ``-`` accumulate into that dict in place; ``*``
+multiplies two dicts, at most one of which has directions; ``^`` squares
+repeatedly, so ``x1^100000000`` takes 38 products, not 10^8.  ``parse_frame`` builds
+each component's ``Poly`` once, when its field line is read.
 
 Algebra files::
 
@@ -30,7 +42,10 @@ table is validated before being returned.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from .errors import InvalidAlgebra, ParseError
 from .flags import StratifiedAlgebra, validate_algebra
@@ -38,53 +53,25 @@ from .polyfields import Frame, Poly, PolyField
 
 __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
 
+_Token = namedtuple("_Token", "kind text line col")
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})"
-
-
-_SYMBOLS = "=+-*^/()"
+# One match per token; a symbol is its own kind.  Whitespace matches no
+# alternative and is skipped, and BAD is any other single character.
+_TOKEN = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<WORD>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[=+\-*^/()])|(?P<BAD>\S)"
+)
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
     """Token rows, one per logical line; comments and blank lines dropped."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
         toks = []
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if ch in _SYMBOLS:
-                toks.append(_Token(ch, ch, lineno, col))
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                toks.append(_Token("INT", line[i:j], lineno, col))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                toks.append(_Token("WORD", line[i:j], lineno, col))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", lineno, col)
+        for m in _TOKEN.finditer(raw.split("#", 1)[0]):
+            kind, word, col = m.lastgroup, m.group(), m.start() + 1
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {word!r}", lineno, col)
+            toks.append(_Token(word if kind == "SYM" else kind, word, lineno, col))
         if toks:
             rows.append(toks)
     return rows
@@ -118,7 +105,7 @@ class _LineParser:
         if tok is not None:
             raise ParseError(f"unexpected trailing token {tok.text!r}", tok.line, tok.col)
 
-    def _rational(self, int_tok: _Token) -> Fraction:
+    def _rational(self, int_tok: _Token) -> int | Fraction:
         """INT ["/" INT] starting at the already consumed ``int_tok``."""
         num = int(int_tok.text)
         tok = self.peek()
@@ -129,21 +116,7 @@ class _LineParser:
             if den == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.col)
             return Fraction(num, den)
-        return Fraction(num)
-
-
-class _Value:
-    """Scalar polynomial or vector field, tagged for type checking."""
-
-    __slots__ = ("scalar", "vector")
-
-    def __init__(self, scalar=None, vector=None):
-        self.scalar = scalar
-        self.vector = vector
-
-    @property
-    def is_vector(self):
-        return self.vector is not None
+        return num
 
 
 def _word_index(tok: _Token, prefix: str, n: int, what: str) -> int:
@@ -158,59 +131,67 @@ def _word_index(tok: _Token, prefix: str, n: int, what: str) -> int:
     return idx
 
 
+def _product(a: dict, b: dict) -> dict:
+    """Term dict of the product of two term dicts, at most one of which has
+    directions, so the directions of a key add up to the one present."""
+    out: dict = {}
+    for (da, ea), ca in a.items():
+        for (db, eb), cb in b.items():
+            key = (da + db, tuple(map(add, ea, eb)))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
 class _ExprParser(_LineParser):
+    """Evaluates an expression to ``(vector, terms)``: the term dict of the
+    module docstring and whether it has directions."""
+
     def __init__(self, tokens, line, n):
         super().__init__(tokens, line)
         self.n = n
+        self.zeros = (0,) * n
 
-    def parse_expr(self) -> _Value:
-        val = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in "+-":
-                return val
+    def parse_expr(self) -> tuple[bool, dict]:
+        vector, terms = self.parse_term()
+        while (tok := self.peek()) is not None and tok.kind in "+-":
             self.next()
-            rhs = self.parse_term()
-            if val.is_vector != rhs.is_vector:
+            rhs_vector, rhs = self.parse_term()
+            if vector != rhs_vector:
                 raise ParseError(
                     "cannot add a scalar and a vector term", tok.line, tok.col
                 )
-            if val.is_vector:
-                combined = val.vector + rhs.vector if tok.kind == "+" else val.vector - rhs.vector
-                val = _Value(vector=combined)
-            else:
-                combined = val.scalar + rhs.scalar if tok.kind == "+" else val.scalar - rhs.scalar
-                val = _Value(scalar=combined)
+            sign = 1 if tok.kind == "+" else -1
+            for key, c in rhs.items():
+                c = terms.get(key, 0) + sign * c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return vector, terms
 
-    def parse_term(self) -> _Value:
-        val = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "*":
-                return val
+    def parse_term(self) -> tuple[bool, dict]:
+        vector, terms = self.parse_factor()
+        while (tok := self.peek()) is not None and tok.kind == "*":
             self.next()
-            rhs = self.parse_factor()
-            if val.is_vector and rhs.is_vector:
+            rhs_vector, rhs = self.parse_factor()
+            if vector and rhs_vector:
                 raise ParseError("cannot multiply two vector expressions", tok.line, tok.col)
-            if val.is_vector:
-                val = _Value(vector=PolyField(tuple(c * rhs.scalar for c in val.vector.comps)))
-            elif rhs.is_vector:
-                val = _Value(vector=PolyField(tuple(c * val.scalar for c in rhs.vector.comps)))
-            else:
-                val = _Value(scalar=val.scalar * rhs.scalar)
+            vector, terms = vector or rhs_vector, _product(terms, rhs)
+        return vector, terms
 
-    def parse_factor(self) -> _Value:
+    def parse_factor(self) -> tuple[bool, dict]:
         tok = self.next()
+        zeros = self.zeros
         if tok.kind == "INT":
-            val = _Value(scalar=Poly.const(self.n, self._rational(tok)))
+            c = self._rational(tok)
+            vector, terms = False, {(0, zeros): c} if c else {}
         elif tok.kind == "WORD" and tok.text.startswith("x"):
-            idx = _word_index(tok, "x", self.n, "variable")
-            val = _Value(scalar=Poly.variable(self.n, idx))
+            i = _word_index(tok, "x", self.n, "variable")
+            vector, terms = False, {(0, zeros[: i - 1] + (1,) + zeros[i:]): 1}
         elif tok.kind == "WORD" and tok.text.startswith("d"):
-            idx = _word_index(tok, "d", self.n, "direction")
-            val = _Value(vector=PolyField.basis(self.n, idx))
+            vector, terms = True, {(_word_index(tok, "d", self.n, "direction"), zeros): 1}
         elif tok.kind == "(":
-            val = self.parse_expr()
+            vector, terms = self.parse_expr()
             closing = self.next()
             if closing.kind != ")":
                 raise ParseError(
@@ -218,13 +199,20 @@ class _ExprParser(_LineParser):
                 )
         else:
             raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        while self.peek() is not None and self.peek().kind == "^":
-            caret = self.next()
-            exp_tok = self.expect("INT")
-            if val.is_vector:
+        while (caret := self.peek()) is not None and caret.kind == "^":
+            self.next()
+            e = int(self.expect("INT").text)
+            if vector:
                 raise ParseError("cannot exponentiate a vector", caret.line, caret.col)
-            val = _Value(scalar=val.scalar ** int(exp_tok.text))
-        return val
+            power = {(0, zeros): 1}
+            while e:  # repeated squaring, one bit of e per pass
+                if e & 1:
+                    power = _product(power, terms)
+                e >>= 1
+                if e:
+                    terms = _product(terms, terms)
+            terms = power
+        return vector, terms
 
 
 def parse_frame(text: str) -> Frame:
@@ -253,13 +241,16 @@ def parse_frame(text: str) -> Frame:
                 name.col,
             )
         parser.expect("=")
-        value = parser.parse_expr()
+        vector, terms = parser.parse_expr()
         parser.done()
-        if not value.is_vector:
+        if not vector:
             raise ParseError(
                 "field expression must involve a direction dj", name.line, name.col
             )
-        fields.append(value.vector)
+        comps: list[dict] = [{} for _ in range(n)]
+        for (j, exps), c in terms.items():
+            comps[j - 1][exps] = c
+        fields.append(PolyField(tuple(Poly(n, comp) for comp in comps)))
     if not fields:
         raise ParseError("frame needs at least one field line", rows[0][0].line, 1)
     return Frame(n, tuple(fields))

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -81,6 +82,39 @@ def test_adversarial_fixtures_fail_with_positions():
         with pytest.raises(ParseError) as err:
             parsing.parse_frame(text)
         assert err.value.line >= 1 and err.value.col >= 1, repr(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col",
+    [
+        (parsing.parse_frame, "dim \u00b2\n", 1, 5),
+        (parsing.parse_frame, "dim \u0663\nX1 = d1\n", 1, 5),
+        (parsing.parse_frame, "dim 3\nX1 = x\u00b2*d1\n", 2, 7),
+        (parsing.parse_frame, "dim 3\nX1 = 1/\u00b2*d1\n", 2, 8),
+        (parsing.parse_algebra, "layers 2 \u00b9\n", 1, 10),
+    ],
+)
+def test_non_ascii_digits_are_unexpected_characters(parse, text, line, col):
+    # int() accepts some non-ASCII digits and rejects others; the grammar's
+    # INT is ASCII only, so every one is a ParseError at its own column
+    ch = text.splitlines()[line - 1][col - 1]
+    assert not ch.isascii()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"unexpected character {ch!r} (line {line}, column {col})"
+
+
+def test_huge_exponent_parses_by_repeated_squaring():
+    # a daemon thread, so that a power computed factor by factor fails the
+    # test after 1 s instead of hanging it
+    parsed = []
+    text = "dim 3\nX1 = x1^100000000*d1\n"
+    worker = threading.Thread(target=lambda: parsed.append(parsing.parse_frame(text)), daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert parsed, "x1^100000000 did not parse within 1 s"
+    assert parsed[0].fields[0].comps[0].terms == {(100000000, 0, 0): 1}
 
 
 # --- algebra parsing ------------------------------------------------------------
@@ -274,6 +308,30 @@ def test_cli_parse_error_carries_name(tmp_path, capsys):
     frame_file.write_text("dim 3\nX1 = d9\n")
     assert main(["growth", "--frame", str(frame_file), "--point", "0,0,0"]) == 1
     assert capsys.readouterr().err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--frame", "{f}", "--point", "0,0,0"],
+        ["slice", "--frame", "{f}", "--point", "0,0,0", "--direction", "1,0,0", "--step", "2"],
+        ["nilpotentize", "--algebra", "{f}"],
+    ],
+)
+def test_cli_non_utf8_file_is_a_one_line_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfed\x00i\x00m\x00")
+    assert main([a.format(f=bad) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ParseError: not UTF-8 text: invalid start byte (line 1, column 1)\n"
+
+
+def test_cli_non_utf8_error_counts_lines_and_characters(tmp_path, capsys):
+    bad = tmp_path / "bad.frame"
+    bad.write_bytes("dim 3\r\nX1 = \u00e9 d1 ".encode() + b"\xff\n")
+    assert main(["growth", "--frame", str(bad), "--point", "0,0,0"]) == 1
+    assert capsys.readouterr().err.endswith("(line 2, column 11)\n")
 
 
 def test_cli_usage_error_exit_code():
