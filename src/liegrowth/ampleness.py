@@ -4,16 +4,21 @@ The slice of the maximal-growth relation in a principal subspace reduces to a
 space of matrices with some columns frozen and a rank condition.  This module
 classifies those matrix spaces, produces the explicit convex decompositions
 behind the ample square case, exhibits the hyperplane obstruction in the
-rank-2 case, and searches numerically (but verifies exactly) for convex hull
-membership witnesses.
+rank-2 case, and looks for convex hull membership witnesses of one
+determinant-sign component.  With at most one free column that question is
+decided exactly (the component is an open half-space); otherwise the search
+samples seeded completions and verifies any witness exactly, and a miss is
+inconclusive.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -60,7 +65,9 @@ class Verdict(enum.Enum):
 
 
 def _matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -404,6 +411,43 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix of size >= 2, given as a fresh
+    list of rows (``_eliminate`` reorders and replaces them, so the caller's
+    row lists are never modified).  2 x 2 in closed form."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    pivots, sign, last = linalg._eliminate(rows)
+    return sign * last if len(pivots) == len(rows) else 0
+
+
+def _laplace_terms(fixed: Matrix, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Laplace expansion of det(fixed | W) along the k fixed columns.
+
+    Pairs (free rows, g), one per k-row subset S with det F_S != 0, such that
+    det(fixed | W) * mult = sum(g * det(W on the rows outside S)) for one
+    positive integer mult: g is the signed minor (-1)^(sum S + k(k-1)/2) det F_S
+    (0-based rows) times mult.  No pairs at all when the fixed columns are
+    dependent.
+    """
+    l = len(fixed)
+    terms = []
+    for rows in itertools.combinations(range(l), k):
+        g = linalg.det([fixed[i] for i in rows])
+        if g:
+            if (sum(rows) + k * (k - 1) // 2) % 2:
+                g = -g
+            terms.append((tuple(i for i in range(l) if i not in rows), g))
+    mult = lcm(*(g.denominator for _, g in terms))
+    return [(rest, g.numerator * (mult // g.denominator)) for rest, g in terms]
+
+
+# Every value a sampled entry takes, Fraction(a, b) for a in -8..8 and b in
+# 1..3, keyed by (a, b); 6 * Fraction(a, b) is the integer a * (6 // b).
+_ENTRIES = {(a, b): Fraction(a, b) for a in range(-8, 9) for b in (1, 2, 3)}
+
+
 def hull_membership_witness(
     spec: MatrixSpaceSpec,
     target,
@@ -412,8 +456,16 @@ def hull_membership_witness(
     seed: int,
 ) -> ConvexWitness | None:
     """Search one determinant-sign component for a convex combination hitting
-    the target; any returned witness is verified exactly.  ``None`` means the
-    sampling budget was exhausted and is inconclusive.
+    the target; any returned witness is verified exactly.
+
+    With at most one free column ``None`` is a proof: det(fixed | w) = c . w
+    is linear in the free column w (c from ``det_affine_in_free_column``), so
+    the component is the open half-space {w : s * (c . w) > 0}, which is
+    convex and so its own hull; a target outside it is answered at once,
+    whatever the budget.  The same holds when the fixed columns are dependent
+    (every completion is singular).  Otherwise the search samples completions with seeded entries
+    a/b (a in -8..8, b in 1..3) and ``None`` means the sampling budget was
+    exhausted and is inconclusive.
     """
     if spec.rows != spec.cols:
         raise DomainError("hull search is defined for the square case only")
@@ -432,8 +484,15 @@ def hull_membership_witness(
         witness = ConvexWitness(((Fraction(1), tgt),))
         witness.validate(tgt, det_sign=component_sign)
         return witness
-    rng = random.Random(seed)
     free = q - k
+    if free <= 1:
+        return None
+    # The sign of det over the samples: with the free block scaled by 6 to
+    # integers, det * mult * 6^free = sum(g * det(free block on rest)).
+    laplace = _laplace_terms(spec.fixed, k)
+    if not laplace:
+        return None
+    randint = random.Random(seed).randint
     samples: list[Matrix] = []
     target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
 
@@ -460,21 +519,22 @@ def hull_membership_witness(
     drawn = 0
     while drawn < budget:
         drawn += 1
-        entries = [
-            Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(l * free)
-        ]
-        mat = tuple(
-            tuple(spec.fixed[i]) + tuple(entries[i * free : (i + 1) * free])
+        draws = [(randint(-8, 8), randint(1, 3)) for _ in range(l * free)]
+        block = [
+            [a * (6 // b) for a, b in draws[i * free : (i + 1) * free]]
             for i in range(l)
-        )
-        d = linalg.det(mat)
-        if d != 0 and _sign(d) == component_sign:
-            samples.append(mat)
-        if len(samples) in checkpoints:
-            checkpoints.discard(len(samples))
-            found = try_solve()
-            if found is not None:
-                return found
+        ]
+        d = sum(g * _int_det([block[i] for i in rest]) for rest, g in laplace)
+        if d * component_sign > 0:
+            samples.append(tuple(
+                spec.fixed[i] + tuple(_ENTRIES[ab] for ab in draws[i * free : (i + 1) * free])
+                for i in range(l)
+            ))
+            if len(samples) in checkpoints:
+                checkpoints.discard(len(samples))
+                found = try_solve()
+                if found is not None:
+                    return found
     if samples:
         return try_solve()
     return None

@@ -36,8 +36,9 @@ Algebra files::
     bracket e1 e2 = e3
 
 Right-hand sides are signed sums of optional rational multiples of basis
-labels (or the literal 0); pairs need i < j and may not repeat.  The parsed
-table is validated before being returned.
+labels (or the literal 0); the first term may carry a sign too, so
+``bracket e1 e2 = -e3`` is [e1, e2] = -e3.  Pairs need i < j and may not
+repeat.  The parsed table is validated before being returned.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def _parse_rhs(parser: _LineParser, total: int) -> dict[int, Fraction]:
         parser.next()
         return out
     sign = Fraction(1)
+    if tok is not None and tok.kind in "+-":  # a sign on the first term
+        parser.next()
+        sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
     while True:
         coeff = sign
         tok = parser.peek()

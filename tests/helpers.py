@@ -144,3 +144,79 @@ def phase1_feasible_reference(columns, rhs):
         if b < n:
             x[b] = tab[i][width - 1]
     return x
+
+
+def hull_membership_witness_reference(spec, target, component_sign, budget, seed):
+    """Reference for ``ampleness.hull_membership_witness``: the same seeded
+    search that builds every drawn matrix from ``Fraction`` entries and takes
+    its full ``linalg.det``, with no shortcut for one free column or for
+    dependent fixed columns.  Same draws, checkpoints and simplex, so the same
+    witness or ``None``."""
+    import random
+
+    from liegrowth import linalg
+    from liegrowth.ampleness import ConvexWitness, _matrix
+    from liegrowth.errors import DomainError
+
+    if spec.rows != spec.cols:
+        raise DomainError("hull search is defined for the square case only")
+    if component_sign not in (1, -1):
+        raise DomainError("component sign must be +1 or -1")
+    tgt = _matrix(target)
+    l, q, k = spec.rows, spec.cols, spec.fixed_count
+    if len(tgt) != l or any(len(r) != q for r in tgt):
+        raise DomainError("target shape mismatch")
+    for i in range(l):
+        for j in range(k):
+            if tgt[i][j] != spec.fixed[i][j]:
+                raise DomainError("target does not carry the fixed columns")
+    dt = linalg.det(tgt)
+    if dt != 0 and (dt > 0) == (component_sign > 0):
+        witness = ConvexWitness(((Fraction(1), tgt),))
+        witness.validate(tgt, det_sign=component_sign)
+        return witness
+    rng = random.Random(seed)
+    free = q - k
+    samples = []
+    target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
+
+    def try_solve():
+        cols = [
+            [mat[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
+            for mat in samples
+        ]
+        x = linalg._phase1_feasible(cols, target_vec)
+        if x is None:
+            return None
+        witness = ConvexWitness(
+            tuple((w, samples[idx]) for idx, w in enumerate(x) if w > 0)
+        )
+        witness.validate(tgt, det_sign=component_sign)
+        return witness
+
+    checkpoints = set()
+    c = 256
+    while c < budget:
+        checkpoints.add(c)
+        c *= 4
+    drawn = 0
+    while drawn < budget:
+        drawn += 1
+        entries = [
+            Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(l * free)
+        ]
+        mat = tuple(
+            tuple(spec.fixed[i]) + tuple(entries[i * free : (i + 1) * free])
+            for i in range(l)
+        )
+        d = linalg.det(mat)
+        if d != 0 and (d > 0) == (component_sign > 0):
+            samples.append(mat)
+        if len(samples) in checkpoints:
+            checkpoints.discard(len(samples))
+            found = try_solve()
+            if found is not None:
+                return found
+    if samples:
+        return try_solve()
+    return None

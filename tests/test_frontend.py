@@ -158,6 +158,19 @@ def test_parse_algebra_signed_sums_and_zero():
     assert (1, 4) not in alg.table
 
 
+def test_parse_algebra_leading_sign():
+    alg = parsing.parse_algebra("layers 2 1\nbracket e1 e2 = -e3\n")
+    assert alg.table[(1, 2)] == {3: F(-1)}
+    alg = parsing.parse_algebra(
+        "layers 4 2\nbracket e1 e2 = -2*e5 + e6\nbracket e3 e4 = +e5\n"
+    )
+    assert alg.table[(1, 2)] == {5: F(-2), 6: F(1)}
+    assert alg.table[(3, 4)] == {5: F(1)}
+    with pytest.raises(ParseError) as err:
+        parsing.parse_algebra("layers 2 1\nbracket e1 e2 = - - e3\n")
+    assert err.value.line == 2 and err.value.col == 19
+
+
 def test_parse_algebra_validation_failure():
     with pytest.raises(InvalidAlgebra) as err:
         parsing.parse_algebra("layers 2 1\nbracket e1 e2 = e1\n")

@@ -9,7 +9,8 @@
   (zero fields and negative leading coefficients included), and
   ``parse_algebra`` of a written-out catalog algebra rescaled along the
   diagonal, e_i -> s_i e_i, which maps c^m_ij to c^m_ij s_i s_j / s_m and
-  keeps the grading and the Jacobi identity.
+  keeps the grading and the Jacobi identity (negative scales give rows that
+  start with a minus sign).
 * Fuzz: random insertions, deletions and replacements, ASCII and not, in
   valid frame and algebra files make the parsers raise only
   ``LieGrowthError`` subclasses, and make ``cli.main`` return 0 or 1 with a
@@ -180,16 +181,16 @@ def _algebras(scales):
 
 
 def _algebra_text(alg: StratifiedAlgebra) -> str:
-    """Algebra file of ``alg``; there is no unary minus, so a row whose first
-    coefficient is negative starts with a zero term."""
+    """Algebra file of ``alg``; a negative first coefficient is written with
+    a leading minus."""
     lines = ["layers " + " ".join(map(str, alg.layer_dims))]
     for (i, j), row in sorted(alg.table.items()):
         rhs = ""
         for m, c in sorted(row.items()):
-            if not rhs and c < 0:
-                rhs = f"0*e{m}"
             if rhs:
                 rhs += " + " if c > 0 else " - "
+            elif c < 0:
+                rhs = "-"
             rhs += f"{abs(c)}*e{m}"
         lines.append(f"bracket e{i} e{j} = {rhs or '0'}")
     return "\n".join(lines) + "\n"
