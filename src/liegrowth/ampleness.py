@@ -494,13 +494,12 @@ def hull_membership_witness(
         return None
     randint = random.Random(seed).randint
     samples: list[Matrix] = []
-    target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
+    # one simplex column per sample, its free entries row by row and then 1,
+    # built once when the sample is accepted
+    cols: list[list] = []
+    target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [1]
 
     def try_solve():
-        cols = [
-            [mat[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
-            for mat in samples
-        ]
         x = linalg._phase1_feasible(cols, target_vec)
         if x is None:
             return None
@@ -526,10 +525,11 @@ def hull_membership_witness(
         ]
         d = sum(g * _int_det([block[i] for i in rest]) for rest, g in laplace)
         if d * component_sign > 0:
+            entries = [_ENTRIES[ab] for ab in draws]
             samples.append(tuple(
-                spec.fixed[i] + tuple(_ENTRIES[ab] for ab in draws[i * free : (i + 1) * free])
-                for i in range(l)
+                spec.fixed[i] + tuple(entries[i * free : (i + 1) * free]) for i in range(l)
             ))
+            cols.append(entries + [1])
             if len(samples) in checkpoints:
                 checkpoints.discard(len(samples))
                 found = try_solve()

@@ -8,23 +8,28 @@ data of order at most ``r - 1``.
 
 ``DiffPoly`` is the jet-coordinate instance of the sparse ring in
 ``polyfields._SparsePoly``: its monomials are sorted tuples of ``JetVar`` and
-its ``_derive_all`` gives the total derivatives D_1, ..., D_n in one pass
-(``derive`` takes one of them).  Add, multiply and the bracket are the shared
-ones: ``diffvec_bracket`` checks the ambient and the order and returns the
-components of ``polyfields._bracket``, the one Lie-bracket kernel, which it
+its ``_act`` applies a vector V to a polynomial through the total
+derivatives, sum_t V^t D_t p; ``derive`` is the action of one coordinate
+field.  Add, multiply and the bracket are the shared ones: ``diffvec_bracket``
+checks the ambient and the order and returns the components of
+``polyfields._bracket``, the one Lie-bracket kernel, A(B^i) - B(A^i), which it
 shares with ``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame
 off its Taylor fields (``PolyField.taylor``) instead of differentiating, and
 hands its complete, canonical dict to ``JetPoint`` without the re-validation
 a user-built jet point gets.
 
-The symbol core does no work twice.  ``_derive_all`` looks the successors
+The symbol core does no work twice.  ``_act`` looks the successors
 ``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
-filled as coordinates occur, and builds the rest of a monomial once per
-position rather than once per direction.  A ``DiffPoly`` carries its order:
-the first ``order()`` computes it from the distinct coordinates and keeps it,
-so the order checks of ``derive``, ``diffvec_bracket`` and ``evaluate`` cost
-O(1) afterwards.  Nothing mutates ``terms`` after construction (``_like``
-assigns them before any ``order()`` call).
+filled as coordinates occur, builds the rest of a monomial once per position,
+and forms each product key by one sort of the rest, the successor and the
+multiplier's monomial; no per-direction derivative dict is built.  A
+``DiffPoly`` carries its order: the first ``order()`` computes it from the
+distinct coordinates and keeps it, so the order checks of ``derive``,
+``diffvec_bracket`` and ``evaluate`` cost O(1) afterwards.  It carries the
+lcm of its coefficient denominators and its largest degree the same way, for
+``evaluate``, so a symbol evaluated at many jets walks its terms for them
+once.  Nothing mutates ``terms`` after construction (``_like`` assigns them
+before any ``order()`` or ``evaluate`` call).
 
 Bracket convention used throughout: ``bracket((b1, ..., bl))`` is the symbol
 of ``[F_b1, [F_b2, [... [F_b{l-1}, F_bl] ...]]]`` -- the leftmost index is the
@@ -36,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from math import prod as _prod
 from typing import NamedTuple
 
@@ -97,13 +102,13 @@ class DiffPoly(_SparsePoly):
     int or Fraction coefficients.
     """
 
-    __slots__ = ("k", "n", "r", "_order")
+    __slots__ = ("k", "n", "r", "_order", "_scale")
 
     def __init__(self, k: int, n: int, r: int, terms=None):
         self.k = k
         self.n = n
         self.r = r
-        self._order = None
+        self._order = self._scale = None
         super().__init__(terms)
 
     @property
@@ -128,13 +133,22 @@ class DiffPoly(_SparsePoly):
         v = make_var(fld, comp, idx, k, n, r)
         return DiffPoly(k, n, r, {(v,): 1})
 
-    def _derive_all(self) -> list[dict]:
-        """Term dicts of D_1(p), ..., D_n(p) in one pass; cancelled
-        coefficients stay as zeros."""
+    @staticmethod
+    def _grade(comps, cap=None) -> list:
+        """Per component, its (monomials, coefficients); symbols are exact,
+        so ``cap`` is unused."""
+        return [tuple(p.terms.items()) for p in comps]
+
+    def _act(self, acc: dict, graded: list, sign: int = 1, cap=None) -> None:
+        """acc += sign * sum_t V^t * D_t(self) for the components V^t of a
+        vector as ``_grade`` lists them: each derivative term, a coordinate v
+        replaced by its successor D_t v from ``_SUCCESSORS``, is formed once
+        and multiplied straight into ``acc``, its key sorted together with
+        the multiplier's monomial; cancelled coefficients stay as zeros."""
         n = self.n
         succ = _SUCCESSORS.setdefault(n, {})
-        outs: list[dict] = [{} for _ in range(n)]
         for mono, c in self.terms.items():
+            sc = sign * c
             for pos, v in enumerate(mono):
                 nvs = succ.get(v)
                 if nvs is None:
@@ -143,10 +157,11 @@ class DiffPoly(_SparsePoly):
                         for t in range(1, n + 1)
                     )
                 rest = mono[:pos] + mono[pos + 1 :]
-                for nv, out in zip(nvs, outs):
-                    new = tuple(sorted(rest + (nv,)))
-                    out[new] = out.get(new, 0) + c
-        return outs
+                for nv, mult in zip(nvs, graded):
+                    head = rest + (nv,)
+                    for m2, c2 in mult:
+                        key = tuple(sorted(head + m2))
+                        acc[key] = acc.get(key, 0) + sc * c2
 
     def order(self) -> int:
         """Largest multi-index length among the coordinates present; computed
@@ -269,7 +284,7 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
         raise OrderOverflow(
             f"cannot derive a polynomial of order {order} inside order-{p.r - 1} jets"
         )
-    return p._like(p._derive_all()[t - 1])
+    return p._along(t, DiffPoly.const(1, p.k, p.n, p.r))
 
 
 def diffvec_bracket(a: DiffVec, b: DiffVec) -> DiffVec:
@@ -451,14 +466,14 @@ def iter_jet_vars(k: int, n: int, order: int):
 
 def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
     # Integer fast path: scale jet values and coefficients to integers, then
-    # accumulate a single integer numerator.
+    # accumulate a single integer numerator.  The lcm of the coefficient
+    # denominators and the largest degree are computed on the first call and
+    # carried in ``_scale``, like ``_order``.
     denom, ints = jet._ints()
-    cden = 1
-    for c in p.terms.values():
-        d = c.denominator
-        if d != 1:
-            cden = cden * d // gcd(cden, d)
-    maxdeg = max(map(len, p.terms), default=0)
+    if p._scale is None:
+        cden = lcm(*(c.denominator for c in p.terms.values()))
+        p._scale = (cden, max(map(len, p.terms), default=0))
+    cden, maxdeg = p._scale
     get = ints.__getitem__
     acc = 0
     try:

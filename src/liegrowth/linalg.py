@@ -147,7 +147,8 @@ def dot(u, v) -> Fraction:
 
 def _phase1_feasible(columns: list[list[Fraction]], rhs: list[Fraction]):
     """Exact phase-1 simplex: nonnegative x with sum_i x_i col_i = rhs,
-    or None.  Bland's rule on an integer tableau.
+    or None.  Bland's rule on an integer tableau.  Entries that are already
+    ints or Fractions are read as they are; others go through ``Fraction``.
 
     The constraint rows are scaled by one common multiplier, the lcm of all
     denominators, so the phase-1 objective (minus the sum of the rows) keeps
@@ -159,8 +160,9 @@ def _phase1_feasible(columns: list[list[Fraction]], rhs: list[Fraction]):
     """
     m = len(rhs)
     n = len(columns)
+    vals = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
     vals = [
-        [Fraction(col[i]) for col in columns] + [Fraction(b)] for i, b in enumerate(rhs)
+        [x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in vals
     ]
     mult = lcm(*(x.denominator for row in vals for x in row))
     tab = []

@@ -20,8 +20,9 @@ line)::
 The symbols are ``= + - * ^ / ( )``.  Any other character that is not
 whitespace, a non-ASCII digit or letter included, raises
 ``ParseError("unexpected character ...")`` at its own column.  Field names
-must be X1..Xk in order.  Every parse failure carries the 1-based line and
-column of the offending token.
+must be X1..Xk in order, and ``dim`` is at most ``MAX_DIM`` (100000): a
+larger one is refused at its token, before any field line is read.  Every
+parse failure carries the 1-based line and column of the offending token.
 
 An expression evaluates to a scalar/vector flag and one term dict that maps
 (direction, exponent tuple) to a nonzero coefficient, with direction 0 for
@@ -53,6 +54,11 @@ from .flags import StratifiedAlgebra, validate_algebra
 from .polyfields import Frame, Poly, PolyField
 
 __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
+
+# The largest ``dim`` a frame file may declare, the cap ``hall_basis`` puts on
+# its element count: every field holds ``dim`` components and every monomial
+# ``dim`` exponents, so a larger header is refused before anything is built.
+MAX_DIM = 100_000
 
 _Token = namedtuple("_Token", "kind text line col")
 
@@ -226,6 +232,11 @@ def parse_frame(text: str) -> Frame:
     if word.text != "dim":
         raise ParseError(f"expected 'dim', found {word.text!r}", word.line, word.col)
     dim_tok = header.expect("INT")
+    digits = dim_tok.text.lstrip("0")
+    if len(digits) > len(str(MAX_DIM)) or int(digits or 0) > MAX_DIM:
+        raise ParseError(
+            f"dimension above the limit of {MAX_DIM}", dim_tok.line, dim_tok.col
+        )
     n = int(dim_tok.text)
     if n < 1:
         raise ParseError("dimension must be positive", dim_tok.line, dim_tok.col)

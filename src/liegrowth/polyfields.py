@@ -3,20 +3,24 @@
 The sparse ring is written once, in ``_SparsePoly``: a polynomial maps
 monomials to nonzero exact coefficients (ints or Fractions, see ``_coeff``),
 and the base class owns the normalising constructor, ``+``, ``-``, scalar and
-polynomial ``*``, equality, hashing and the one product-accumulate kernel.
-A subclass supplies only what a monomial is (its product ``_times``), its
-ambient (a mismatch raises ``DomainError``) and its derivation in all n
-directions at once, ``_derive_all``.  ``Poly`` here is the classical ring:
-monomials are exponent n-tuples and ``_derive_all`` is the gradient, taken in
-one pass over the terms.  ``jetalg.DiffPoly`` is the ring of jet coordinates,
-whose ``_derive_all`` gives the total derivatives D_1, ..., D_n.
+polynomial ``*``, equality and hashing.  A subclass supplies only what a
+monomial is (its product ``_times``), its ambient (a mismatch raises
+``DomainError``) and the action of a vector field V on a polynomial p,
+``_act``: acc += sign * sum_j V^j * D_j p, with each derivative term of p
+formed once and multiplied straight into ``acc``, for V's components as the
+ring's ``_grade`` lists them.  ``Poly`` here is the classical ring: monomials
+are exponent n-tuples, D_j is d/dx_j, and ``_grade`` sorts each component by
+degree so that a Taylor bracket stops every row at its cap.
+``jetalg.DiffPoly`` is the ring of jet coordinates, whose D_j are the total
+derivatives.  A partial derivative (``Poly.derivative``, ``jetalg.derive``)
+is the action of a coordinate field, ``_along``.
 
 The Lie bracket of vector fields is written once too, in ``_bracket``:
-[A, B]^i = sum_j (A^j D_j B^i - B^j D_j A^i) over either ring, with D_j read
-off ``_derive_all`` and every product accumulated by ``_acc_product``.
-``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their arguments
-and return its components.  Nothing keeps derivatives between calls: each
-bracket differentiates each component of its arguments once.
+[A, B]^i = A(B^i) - B(A^i) over either ring, each field graded once per
+bracket.  ``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their
+arguments and return its components.  Nothing is kept between calls and no
+per-direction derivative is built: each bracket forms each derivative term of
+its arguments' components once.
 
 A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
 directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
@@ -68,9 +72,10 @@ def _coeff(c):
 class _SparsePoly:
     """Sparse polynomial over Q: ``terms`` maps monomials to nonzero exact
     coefficients.  A subclass defines ``_ambient`` (the tuple its constructor
-    takes before ``terms``), the commutative monomial product ``_times`` and
-    the derivation ``_derive_all``; a ring whose products may be capped
-    (``_acc_product``'s ``cap``) also defines the monomial ``_degree``.
+    takes before ``terms``), the commutative monomial product ``_times``, and
+    the field action ``_act`` with the ``_grade`` of a field's components it
+    reads (see the module docstring); ``_act`` takes a Taylor ``cap`` where the
+    ring has degrees and ignores it otherwise.
     """
 
     __slots__ = ("terms",)
@@ -94,36 +99,14 @@ class _SparsePoly:
         if type(other) is not type(self) or other._ambient != self._ambient:
             raise DomainError("mixing polynomials of different ambients")
 
-    def _acc_product(self, acc: dict, terms: dict, sign: int = 1, cap=None) -> None:
-        """acc += sign * self * (the polynomial with ``terms``), in place;
-        cancelled coefficients stay in ``acc`` as zeros.  The outer loop runs
-        over the shorter factor, so a row of products costs one ``_times``
-        call.  With ``cap`` set, no term of degree above ``cap`` is formed:
-        the longer factor is sorted by degree, and each row stops at its last
-        partner within the cap (a row with none is skipped)."""
-        short, long = self.terms, terms
-        if len(short) > len(long):
-            short, long = long, short
-        if not short:
-            return
-        times = self._times
-        if cap is None:
-            monos, coeffs = long.keys(), long.values()
-            for m1, c1 in short.items():
-                sc = sign * c1
-                for mono, c2 in zip(times(m1, monos), coeffs):
-                    acc[mono] = acc.get(mono, 0) + sc * c2
-            return
-        degree = self._degree
-        degs, monos, coeffs = zip(
-            *sorted(((degree(m), m, c) for m, c in long.items()), key=itemgetter(0))
-        )
-        for m1, c1 in short.items():
-            stop = bisect_right(degs, cap - degree(m1))
-            if stop:
-                sc = sign * c1
-                for mono, c2 in zip(times(m1, monos[:stop]), coeffs[:stop]):
-                    acc[mono] = acc.get(mono, 0) + sc * c2
+    def _along(self, t: int, one):
+        """D_t of this polynomial (1 <= t <= n): the action of the t-th
+        coordinate field, whose t-th component is ``one``, the ring's 1."""
+        zero = self._like({})
+        field = [one if i == t else zero for i in range(1, self.n + 1)]
+        acc: dict = {}
+        self._act(acc, self._grade(field))
+        return self._like(acc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,8 +139,14 @@ class _SparsePoly:
             c = _coeff(other)
             return self._like({m: v * c for m, v in self.terms.items()})
         self._check(other)
+        short, long = self.terms, other.terms
+        if len(short) > len(long):
+            short, long = long, short
         acc: dict = {}
-        self._acc_product(acc, other.terms)
+        monos, coeffs = long.keys(), long.values()
+        for m1, c1 in short.items():
+            for mono, c2 in zip(self._times(m1, monos), coeffs):
+                acc[mono] = acc.get(mono, 0) + c1 * c2
         return self._like(acc)
 
     __rmul__ = __mul__
@@ -192,7 +181,32 @@ class Poly(_SparsePoly):
         """The monomials e1 * e for e in ``monos``: exponent sums."""
         return (tuple(map(add, e1, e2)) for e2 in monos)
 
-    _degree = staticmethod(sum)
+    @staticmethod
+    def _grade(comps, cap=None) -> list:
+        """Per component, its (degrees, monomials, coefficients) by ascending
+        degree, so that ``_act`` stops each row at the cap."""
+        graded = []
+        for p in comps:
+            items = sorted(((sum(m), m, c) for m, c in p.terms.items()), key=itemgetter(0))
+            graded.append(tuple(zip(*items)) or ((), (), ()))
+        return graded
+
+    def _act(self, acc: dict, graded: list, sign: int = 1, cap=None) -> None:
+        """acc += sign * sum_j V^j * d(self)/dx_j for the components V^j of a
+        field graded by ``_grade``: each derivative term is formed once and
+        multiplied straight into ``acc``, and no product of total degree above
+        ``cap`` is formed; cancelled coefficients stay as zeros."""
+        for exps, c in self.terms.items():
+            room = None if cap is None else cap + 1 - sum(exps)
+            for j, e in enumerate(exps):
+                degs, monos, coeffs = graded[j]
+                if e and degs:
+                    stop = None if room is None else bisect_right(degs, room)
+                    d = exps[:j] + (e - 1,) + exps[j + 1 :]
+                    sc = sign * c * e
+                    for m, c2 in zip(monos[:stop], coeffs[:stop]):
+                        key = tuple(map(add, d, m))
+                        acc[key] = acc.get(key, 0) + sc * c2
 
     @staticmethod
     def zero(n: int) -> Poly:
@@ -217,21 +231,11 @@ class Poly(_SparsePoly):
             out = out * self
         return out
 
-    def _derive_all(self) -> list[dict]:
-        """Term dicts of d/dx_1, ..., d/dx_n of this polynomial in one pass."""
-        outs: list[dict] = [{} for _ in range(self.n)]
-        for exps, c in self.terms.items():
-            for j, e in enumerate(exps):
-                if e:
-                    key = exps[:j] + (e - 1,) + exps[j + 1 :]
-                    outs[j][key] = c * e if e > 1 else c
-        return outs
-
     def derivative(self, j: int) -> Poly:
         """Exact partial derivative with respect to x_j (1-based)."""
         if not 1 <= j <= self.n:
             raise DomainError(f"direction {j} out of range 1..{self.n}")
-        return self._like(self._derive_all()[j - 1])
+        return self._along(j, Poly.const(self.n, 1))
 
     def eval_at(self, point) -> Fraction:
         vals = [Fraction(x) for x in point]
@@ -403,18 +407,17 @@ class PolyField:
 
 
 def _bracket(a_comps, b_comps, cap=None) -> list:
-    """Components of [A, B]^i = sum_j (A^j D_j B^i - B^j D_j A^i) for the
-    components of two vectors over one ring, D_j read off the ring's
-    ``_derive_all``; no product term of degree above ``cap`` is formed."""
+    """Components of [A, B]^i = A(B^i) - B(A^i) for the components of two
+    vectors over one ring, where V(p) = sum_j V^j D_j p is the ring's
+    ``_act``; each field is graded once, and no product term of degree above
+    ``cap`` is formed."""
+    grade = a_comps[0]._grade
+    ga, gb = grade(a_comps, cap), grade(b_comps, cap)
     comps = []
     for ai, bi in zip(a_comps, b_comps):
         acc: dict = {}
-        db, da = bi._derive_all(), ai._derive_all()
-        for aj, bj, dbj, daj in zip(a_comps, b_comps, db, da):
-            if dbj:
-                aj._acc_product(acc, dbj, 1, cap)
-            if daj:
-                bj._acc_product(acc, daj, -1, cap)
+        bi._act(acc, ga, 1, cap)
+        ai._act(acc, gb, -1, cap)
         comps.append(ai._like(acc))
     return comps
 

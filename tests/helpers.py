@@ -60,10 +60,10 @@ def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
 
 
 def derive_all_reference(p) -> list[dict]:
-    """Reference for ``jetalg.DiffPoly._derive_all``: term dicts of D_1(p), ...,
-    D_n(p), building each derived coordinate and each sorted monomial afresh
-    for every (term, variable, direction); cancelled coefficients stay as
-    zeros."""
+    """Reference total derivatives of a ``DiffPoly``: term dicts of D_1(p),
+    ..., D_n(p), building each derived coordinate and each sorted monomial
+    afresh for every (term, variable, direction); cancelled coefficients stay
+    as zeros."""
     from liegrowth.jetalg import JetVar
 
     outs: list[dict] = [{} for _ in range(p.n)]
@@ -76,6 +76,51 @@ def derive_all_reference(p) -> list[dict]:
                 new = tuple(sorted(head + (nv,) + tail))
                 out[new] = out.get(new, 0) + c
     return outs
+
+
+def gradient_reference(p) -> list[dict]:
+    """Reference partial derivatives of a ``Poly``: term dicts of d/dx_1, ...,
+    d/dx_n in one pass over the terms."""
+    outs: list[dict] = [{} for _ in range(p.n)]
+    for exps, c in p.terms.items():
+        for j, e in enumerate(exps):
+            if e:
+                outs[j][exps[:j] + (e - 1,) + exps[j + 1 :]] = c * e
+    return outs
+
+
+def _product_reference(acc: dict, left: dict, right: dict, sign: int, cap, times) -> None:
+    """acc += sign * left * right for term dicts, skipping every product of
+    total degree above ``cap`` (exponent-tuple monomials only)."""
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            if cap is not None and sum(m1) + sum(m2) > cap:
+                continue
+            mono = times(m1, m2)
+            acc[mono] = acc.get(mono, 0) + sign * c1 * c2
+
+
+def bracket_reference(a_comps, b_comps, cap=None) -> list:
+    """Reference for ``polyfields._bracket``: [A, B]^i = sum_j (A^j D_j B^i -
+    B^j D_j A^i) with every derivative taken as a term dict first (the
+    gradient of a ``Poly``, the total derivatives of a ``DiffPoly``) and then
+    multiplied term by term, no product of degree above ``cap`` formed."""
+    from operator import add
+
+    from liegrowth.polyfields import Poly
+
+    if isinstance(a_comps[0], Poly):
+        derive, times = gradient_reference, lambda m1, m2: tuple(map(add, m1, m2))
+    else:
+        derive, times = derive_all_reference, lambda m1, m2: tuple(sorted(m1 + m2))
+    comps = []
+    for ai, bi in zip(a_comps, b_comps):
+        acc: dict = {}
+        for aj, bj, dbj, daj in zip(a_comps, b_comps, derive(bi), derive(ai)):
+            _product_reference(acc, aj.terms, dbj, 1, cap, times)
+            _product_reference(acc, bj.terms, daj, -1, cap, times)
+        comps.append(ai._like(acc))
+    return comps
 
 
 def order_by_walk(p) -> int:

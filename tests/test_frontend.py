@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -115,6 +116,24 @@ def test_huge_exponent_parses_by_repeated_squaring():
     worker.join(timeout=1)
     assert parsed, "x1^100000000 did not parse within 1 s"
     assert parsed[0].fields[0].comps[0].terms == {(100000000, 0, 0): 1}
+
+
+@pytest.mark.parametrize("dim", ["1000000000", "100001", "0" * 7 + "100001", "9" * 5000])
+def test_huge_dim_is_refused_at_its_token(dim):
+    # no field line for the largest values: a parser that let them through
+    # would allocate dim-long exponent tuples for the first field
+    body = "X1 = d1 + x1*d2\n" if len(dim.lstrip("0")) <= 6 else ""
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parsing.parse_frame(f"dim {dim}\n{body}")
+    assert time.perf_counter() - t0 < 0.05
+    assert (err.value.line, err.value.col) == (1, 5)
+    assert f"limit of {parsing.MAX_DIM}" in str(err.value)
+
+
+def test_dim_at_the_limit_parses():
+    fr = parsing.parse_frame(f"dim {parsing.MAX_DIM}\nX1 = d1\n")
+    assert parsing.MAX_DIM == 100_000 and fr.n == parsing.MAX_DIM
 
 
 # --- algebra parsing ------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The symbol core of ``jetalg``: the successor table of ``_derive_all``
-against the reference derivation, the carried order of ``DiffPoly`` against
-a full walk of its terms, and the trusted ``JetPoint`` of ``jet_of_frame``
-against the public constructor."""
+"""The symbol core of ``jetalg``: ``derive`` (the action of D_t, read from
+the successor table) against the reference derivation, the carried order and
+evaluation scale of ``DiffPoly`` against a full walk of its terms, and the
+trusted ``JetPoint`` of ``jet_of_frame`` against the public constructor."""
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -49,8 +50,9 @@ def _random_diffpoly(rng, k, n, r, max_terms=6, max_deg=3):
 
 
 def test_derive_all_matches_reference(monkeypatch):
-    # an empty table, filled at n = 1 first: a coordinate met at a smaller n
-    # must not lend its successors to a larger one
+    # derive(p, t) for every t against the reference total derivatives.  An
+    # empty table, filled at n = 1 first: a coordinate met at a smaller n must
+    # not lend its successors to a larger one
     monkeypatch.setattr(ja, "_SUCCESSORS", {})
     rng = random.Random(1601)
     zeros = 0
@@ -59,7 +61,8 @@ def test_derive_all_matches_reference(monkeypatch):
             k, r = rng.randint(1, 3), rng.randint(3, 5)
             p = _random_diffpoly(rng, k, n, r)
             want = derive_all_reference(p)
-            assert p._derive_all() == want
+            for t, out in enumerate(want, start=1):
+                assert ja.derive(p, t) == ja.DiffPoly(k, n, r, out)
             zeros += sum(1 for out in want for c in out.values() if c == 0)
     assert zeros > 0  # cancelled coefficients were exercised
 
@@ -68,8 +71,8 @@ def test_derive_all_keeps_sorted_jetvar_keys():
     rng = random.Random(1602)
     for _ in range(40):
         p = _random_diffpoly(rng, 3, 3, 4)
-        for out in p._derive_all():
-            for mono in out:
+        for t in range(1, 4):
+            for mono in ja.derive(p, t).terms:
                 assert type(mono) is tuple and list(mono) == sorted(mono)
                 assert all(type(v) is ja.JetVar for v in mono)
                 assert all(list(v.idx) == sorted(v.idx) for v in mono)
@@ -128,6 +131,25 @@ def test_carried_order_of_brackets():
                     assert vec.order() == max(map(order_by_walk, vec.comps))
                     if ln < r:
                         vecs[(a,) + rest] = vec
+
+
+def test_carried_evaluation_scale_equals_a_full_walk():
+    # the lcm of the denominators and the largest degree, kept from the first
+    # evaluate, serve every later jet
+    rng = random.Random(1606)
+    for name, fr in catalog.catalog_frames().items():
+        k, n = fr.k, fr.n
+        p = _random_diffpoly(rng, k, n, 4, max_terms=8)
+        vec = ja.DiffVec((p,) + (ja.DiffPoly.zero(k, n, 4),) * (n - 1))
+        assert p._scale is None
+        for _ in range(3):
+            jet = ja.jet_of_frame(fr, rand_point(rng, n), 2)
+            want = sum(
+                (c * prod(jet[v] for v in mono) for mono, c in p.terms.items()), F(0)
+            )
+            assert ja.evaluate(vec, jet)[0] == want, name
+        cden = lcm(*(F(c).denominator for c in p.terms.values()))
+        assert p._scale == (cden, max(map(len, p.terms), default=0)), name
 
 
 # --- jet points -----------------------------------------------------------
