@@ -6,6 +6,7 @@ frames, and ampleness classification of principal-subspace slices.
 from .ampleness import (
     ConvexWitness,
     MatrixSpaceSpec,
+    Refutation,
     SliceReport,
     Verdict,
     adapted_frame,
@@ -14,6 +15,7 @@ from .ampleness import (
     generic_slice_table,
     gl_convex_decomposition,
     hull_membership_witness,
+    hull_verdict,
     slice_report,
 )
 from .errors import (

@@ -5,20 +5,17 @@ space of matrices with some columns frozen and a rank condition.  This module
 classifies those matrix spaces, produces the explicit convex decompositions
 behind the ample square case, exhibits the hyperplane obstruction in the
 rank-2 case, and looks for convex hull membership witnesses of one
-determinant-sign component.  With at most one free column that question is
-decided exactly (the component is an open half-space); otherwise the search
-samples seeded completions and verifies any witness exactly, and a miss is
-inconclusive.
+determinant-sign component.  That question is always decided: with at most
+one free column, or dependent fixed columns, a target outside the component
+is refuted (the component is an open half-space or empty); otherwise a
+witness is constructed and verified exactly.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import (
@@ -39,6 +36,7 @@ from .polyfields import Frame, frame_change, poly_lie_bracket
 __all__ = [
     "ConvexWitness",
     "MatrixSpaceSpec",
+    "Refutation",
     "SliceReport",
     "Verdict",
     "adapted_frame",
@@ -47,6 +45,7 @@ __all__ = [
     "generic_slice_table",
     "gl_convex_decomposition",
     "hull_membership_witness",
+    "hull_verdict",
     "slice_report",
 ]
 
@@ -129,7 +128,7 @@ def classify_matrix_space(spec: MatrixSpaceSpec) -> Verdict:
     raise Unclassified(f"no case covers rows={l} > cols={q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvexWitness:
     """Convex combination sum(weight_i * matrix_i) with positive weights."""
 
@@ -291,7 +290,7 @@ def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceReport:
     """Per-order slice classification.
 
@@ -411,61 +410,59 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix of size >= 2, given as a fresh
-    list of rows (``_eliminate`` reorders and replaces them, so the caller's
-    row lists are never modified).  2 x 2 in closed form."""
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    pivots, sign, last = linalg._eliminate(rows)
-    return sign * last if len(pivots) == len(rows) else 0
+@dataclass(frozen=True, slots=True)
+class Refutation:
+    """Proof that the target is outside the convex hull of one
+    determinant-sign component, checkable by hand.
 
-
-def _laplace_terms(fixed: Matrix, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Laplace expansion of det(fixed | W) along the k fixed columns.
-
-    Pairs (free rows, g), one per k-row subset S with det F_S != 0, such that
-    det(fixed | W) * mult = sum(g * det(W on the rows outside S)) for one
-    positive integer mult: g is the signed minor (-1)^(sum S + k(k-1)/2) det F_S
-    (0-based rows) times mult.  No pairs at all when the fixed columns are
-    dependent.
+    ``fixed_rank`` is the rank of the fixed block; below the fixed column
+    count every completion is singular and the component is empty.  With at
+    most one free column, det(fixed | w) = c . w is linear in the free
+    column w, so the component of sign s is the open half-space
+    s * (c . w) > 0, convex and so its own hull: ``cofactors`` is c and
+    ``value`` is c . w at the target, with s * value <= 0.  With no free
+    column c is empty and ``value`` is det(target).  With two or more free
+    columns only dependent fixed columns refute, and both are None.
     """
-    l = len(fixed)
-    terms = []
-    for rows in itertools.combinations(range(l), k):
-        g = linalg.det([fixed[i] for i in rows])
-        if g:
-            if (sum(rows) + k * (k - 1) // 2) % 2:
-                g = -g
-            terms.append((tuple(i for i in range(l) if i not in rows), g))
-    mult = lcm(*(g.denominator for _, g in terms))
-    return [(rest, g.numerator * (mult // g.denominator)) for rest, g in terms]
+
+    fixed_rank: int
+    cofactors: tuple[Fraction, ...] | None = None
+    value: Fraction | None = None
 
 
-# Every value a sampled entry takes, Fraction(a, b) for a in -8..8 and b in
-# 1..3, keyed by (a, b); 6 * Fraction(a, b) is the integer a * (6 // b).
-_ENTRIES = {(a, b): Fraction(a, b) for a in range(-8, 9) for b in (1, 2, 3)}
+def _diagonals(m: int, sigma: int) -> list[tuple[int, ...]]:
+    """Diagonals of m x m matrices E_i that sum to 0, each of determinant
+    ``sigma``: +-diag(sigma, 1, ..., 1) for even m; for odd m the sign
+    patterns (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1) on the first three
+    entries, +1, +1, -1, -1 on the rest, and the first entry times sigma."""
+    if m % 2 == 0:
+        base = (sigma,) + (1,) * (m - 1)
+        return [base, tuple(-e for e in base)]
+    patterns = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    return [
+        (sigma * a, b, c) + (r,) * (m - 3)
+        for (a, b, c), r in zip(patterns, (1, 1, -1, -1))
+    ]
 
 
-def hull_membership_witness(
-    spec: MatrixSpaceSpec,
-    target,
-    component_sign: int,
-    budget: int,
-    seed: int,
-) -> ConvexWitness | None:
-    """Search one determinant-sign component for a convex combination hitting
-    the target; any returned witness is verified exactly.
+def hull_verdict(
+    spec: MatrixSpaceSpec, target, component_sign: int
+) -> ConvexWitness | Refutation:
+    """Decide whether the target is a convex combination of completions of
+    the fixed block whose determinant has sign ``component_sign``.
 
-    With at most one free column ``None`` is a proof: det(fixed | w) = c . w
-    is linear in the free column w (c from ``det_affine_in_free_column``), so
-    the component is the open half-space {w : s * (c . w) > 0}, which is
-    convex and so its own hull; a target outside it is answered at once,
-    whatever the budget.  The same holds when the fixed columns are dependent
-    (every completion is singular).  Otherwise the search samples completions with seeded entries
-    a/b (a in -8..8, b in 1..3) and ``None`` means the sampling budget was
-    exhausted and is inconclusive.
+    A target of that sign is its own one-member witness.  Otherwise, with
+    at most one free column or with dependent fixed columns, the answer is
+    a ``Refutation``.  With fixed block F of rank k and m >= 2 free columns
+    the witness is built (Gromov, *Partial Differential Relations*, 2.4):
+    k independent rows S of F come from one elimination of F^T, and G puts
+    a unit column on each row outside S, so delta = det(F | G) != 0 and
+    det(F | G E) = delta * det E for any m x m matrix E.  Diagonal E_i that
+    sum to 0, each with sign(det E_i) = s * sign(delta), make
+    det(F | W + t G E_i) a degree-m polynomial in t whose leading
+    coefficient has sign s, so doubling t from 1 reaches a t at which every
+    member has sign s; their equal-weight average is the target W.  Every
+    witness is validated exactly before it is returned.
     """
     if spec.rows != spec.cols:
         raise DomainError("hull search is defined for the square case only")
@@ -484,57 +481,47 @@ def hull_membership_witness(
         witness = ConvexWitness(((Fraction(1), tgt),))
         witness.validate(tgt, det_sign=component_sign)
         return witness
-    free = q - k
-    if free <= 1:
-        return None
-    # The sign of det over the samples: with the free block scaled by 6 to
-    # integers, det * mult * 6^free = sum(g * det(free block on rest)).
-    laplace = _laplace_terms(spec.fixed, k)
-    if not laplace:
-        return None
-    randint = random.Random(seed).randint
-    samples: list[Matrix] = []
-    # one simplex column per sample, its free entries row by row and then 1,
-    # built once when the sample is accepted
-    cols: list[list] = []
-    target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [1]
+    # the pivot columns of F^T are k independent rows of F when rank F = k
+    fixed_t, _ = linalg._integer_rows(zip(*spec.fixed))
+    pivots = linalg._eliminate(fixed_t)[0]
+    m = q - k
+    if m <= 1:  # det(target) = c . w at the target
+        c = det_affine_in_free_column(spec.fixed) if m else ()
+        return Refutation(len(pivots), c, dt)
+    if len(pivots) < k:
+        return Refutation(len(pivots))
+    rest = [i for i in range(l) if i not in pivots]
+    delta = linalg.det(
+        [row + tuple(int(i == r) for r in rest) for i, row in enumerate(spec.fixed)]
+    )
+    diagonals = _diagonals(m, component_sign * _sign(delta))
+    t = 1
+    while True:
+        members = []
+        for diag in diagonals:
+            rows = [list(row) for row in tgt]
+            for j, (i, e) in enumerate(zip(rest, diag)):
+                rows[i][k + j] += t * e
+            members.append(_matrix(rows))
+        if all(_sign(linalg.det(mat)) == component_sign for mat in members):
+            break
+        t *= 2
+    weight = Fraction(1, len(members))
+    witness = ConvexWitness(tuple((weight, mat) for mat in members))
+    witness.validate(tgt, det_sign=component_sign)
+    return witness
 
-    def try_solve():
-        x = linalg._phase1_feasible(cols, target_vec)
-        if x is None:
-            return None
-        terms = tuple(
-            (w, samples[idx]) for idx, w in enumerate(x) if w > 0
-        )
-        witness = ConvexWitness(terms)
-        witness.validate(tgt, det_sign=component_sign)
-        return witness
 
-    checkpoints = set()
-    c = 256
-    while c < budget:
-        checkpoints.add(c)
-        c *= 4
-    drawn = 0
-    while drawn < budget:
-        drawn += 1
-        draws = [(randint(-8, 8), randint(1, 3)) for _ in range(l * free)]
-        block = [
-            [a * (6 // b) for a, b in draws[i * free : (i + 1) * free]]
-            for i in range(l)
-        ]
-        d = sum(g * _int_det([block[i] for i in rest]) for rest, g in laplace)
-        if d * component_sign > 0:
-            entries = [_ENTRIES[ab] for ab in draws]
-            samples.append(tuple(
-                spec.fixed[i] + tuple(entries[i * free : (i + 1) * free]) for i in range(l)
-            ))
-            cols.append(entries + [1])
-            if len(samples) in checkpoints:
-                checkpoints.discard(len(samples))
-                found = try_solve()
-                if found is not None:
-                    return found
-    if samples:
-        return try_solve()
-    return None
+def hull_membership_witness(
+    spec: MatrixSpaceSpec,
+    target,
+    component_sign: int,
+    budget: int = 0,
+    seed: int = 0,
+) -> ConvexWitness | None:
+    """The witness of ``hull_verdict``, or ``None`` when it refutes, so
+    ``None`` is always a proof.  ``budget`` and ``seed`` are unused: the
+    answer is constructed, not searched for, and they stay only for callers
+    that pass them positionally."""
+    verdict = hull_verdict(spec, target, component_sign)
+    return verdict if isinstance(verdict, ConvexWitness) else None

@@ -237,8 +237,9 @@ def suite_ampleness(rng) -> list[tuple[str, bool, str]]:
     coeffs = amp.det_affine_in_free_column([[1, 0], [0, 1], [0, 0]])
     ok = ok and any(c != 0 for c in coeffs)
     kernel_target = [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
-    found = amp.hull_membership_witness(spec, kernel_target, 1, budget=600, seed=rng.randint(0, 10**6))
-    ok = ok and found is None
+    verdict = amp.hull_verdict(spec, kernel_target, 1)
+    ok = ok and isinstance(verdict, amp.Refutation)
+    ok = ok and verdict.value == linalg.dot(coeffs, [row[2] for row in kernel_target]) == 0
     out.append(("hyperplane obstruction witnessed", ok, ""))
     return out
 

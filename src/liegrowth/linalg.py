@@ -7,8 +7,7 @@ Gauss-Jordan (Bareiss, Math. Comp. 22 (1968); Edmonds, J. Res. NBS 71B
 integer minor of the input, so each division is exact, and at the end every
 pivot entry equals the last pivot: reduced row i is ``mat[i] / last``.  Rank
 is the pivot count, the determinant is sign * last / scale, and ``solve``,
-``nullspace`` and ``inverse`` read the reduced rows.  The phase-1 simplex of
-the hull search pivots the same way on an integer tableau.  No tolerances
+``nullspace`` and ``inverse`` read the reduced rows.  No tolerances
 anywhere, and no ``Fraction`` arithmetic inside a pivot.
 """
 
@@ -143,66 +142,3 @@ def inverse(rows):
 
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def _phase1_feasible(columns: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact phase-1 simplex: nonnegative x with sum_i x_i col_i = rhs,
-    or None.  Bland's rule on an integer tableau.  Entries that are already
-    ints or Fractions are read as they are; others go through ``Fraction``.
-
-    The constraint rows are scaled by one common multiplier, the lcm of all
-    denominators, so the phase-1 objective (minus the sum of the rows) keeps
-    the signs, and Bland's rule the path, of the rational tableau; scaling
-    row by row would weigh the rows differently.  The artificial columns start
-    as the identity, the previous pivot as 1, and the last row is the
-    objective.  Every pivot is positive, so ratios compare by
-    cross-multiplication and x_b is its entry over the last pivot.
-    """
-    m = len(rhs)
-    n = len(columns)
-    vals = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
-    vals = [
-        [x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in vals
-    ]
-    mult = lcm(*(x.denominator for row in vals for x in row))
-    tab = []
-    for i, row in enumerate(vals):
-        ints = [x.numerator * (mult // x.denominator) for x in row]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        tab.append(ints[:-1] + [int(j == i) for j in range(m)] + ints[-1:])
-    obj = [-sum(row[j] for row in tab) for j in range(n + m + 1)]
-    obj[n:n + m] = [0] * m
-    tab.append(obj)
-    basis = list(range(n, n + m))
-    prev = 1
-    while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a <= 0:
-                continue
-            if leave is None:
-                leave = i
-                continue
-            # b_i / a against b_leave / a_leave
-            here = tab[i][-1] * tab[leave][enter]
-            best = tab[leave][-1] * a
-            if here < best or (here == best and basis[i] < basis[leave]):
-                leave = i
-        if leave is None:
-            return None
-        _pivot(tab, leave, enter, prev, [i for i in range(m + 1) if i != leave])
-        prev = tab[leave][enter]
-        obj = tab[m]
-        basis[leave] = enter
-    if obj[-1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = Fraction(tab[i][-1], prev)
-    return x

@@ -22,6 +22,8 @@ whitespace, a non-ASCII digit or letter included, raises
 ``ParseError("unexpected character ...")`` at its own column.  Field names
 must be X1..Xk in order, and ``dim`` is at most ``MAX_DIM`` (100000): a
 larger one is refused at its token, before any field line is read.  Every
+integer token, indices and layer dimensions included, has at most
+``MAX_DIGITS`` (4300) digits, Python's default limit for reading one.  Every
 parse failure carries the 1-based line and column of the offending token.
 
 An expression evaluates to a scalar/vector flag and one term dict that maps
@@ -60,6 +62,10 @@ __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
 # ``dim`` exponents, so a larger header is refused before anything is built.
 MAX_DIM = 100_000
 
+# Python's default limit on the digits of an integer read from a string: a
+# longer integer token is refused at its token, whatever it stands for.
+MAX_DIGITS = 4300
+
 _Token = namedtuple("_Token", "kind text line col")
 
 # One match per token; a symbol is its own kind.  Whitespace matches no
@@ -82,6 +88,14 @@ def _tokenize(text: str) -> list[list[_Token]]:
         if toks:
             rows.append(toks)
     return rows
+
+
+def _int(tok: _Token, digits: str | None = None) -> int:
+    """The integer spelled by ``digits``, by default the whole token."""
+    digits = tok.text if digits is None else digits
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"integer of more than {MAX_DIGITS} digits", tok.line, tok.col)
+    return int(digits)
 
 
 class _LineParser:
@@ -114,12 +128,12 @@ class _LineParser:
 
     def _rational(self, int_tok: _Token) -> int | Fraction:
         """INT ["/" INT] starting at the already consumed ``int_tok``."""
-        num = int(int_tok.text)
+        num = _int(int_tok)
         tok = self.peek()
         if tok is not None and tok.kind == "/":
             self.next()
             den_tok = self.expect("INT")
-            den = int(den_tok.text)
+            den = _int(den_tok)
             if den == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.col)
             return Fraction(num, den)
@@ -130,7 +144,7 @@ def _word_index(tok: _Token, prefix: str, n: int, what: str) -> int:
     body = tok.text[len(prefix):]
     if not body.isdigit():
         raise ParseError(f"malformed {what} {tok.text!r}", tok.line, tok.col)
-    idx = int(body)
+    idx = _int(tok, body)
     if not 1 <= idx <= n:
         raise ParseError(
             f"index out of range at token {tok.text!r} (limit {n})", tok.line, tok.col
@@ -208,7 +222,7 @@ class _ExprParser(_LineParser):
             raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
         while (caret := self.peek()) is not None and caret.kind == "^":
             self.next()
-            e = int(self.expect("INT").text)
+            e = _int(self.expect("INT"))
             if vector:
                 raise ParseError("cannot exponentiate a vector", caret.line, caret.col)
             power = {(0, zeros): 1}
@@ -237,7 +251,7 @@ def parse_frame(text: str) -> Frame:
         raise ParseError(
             f"dimension above the limit of {MAX_DIM}", dim_tok.line, dim_tok.col
         )
-    n = int(dim_tok.text)
+    n = _int(dim_tok)
     if n < 1:
         raise ParseError("dimension must be positive", dim_tok.line, dim_tok.col)
     header.done()
@@ -280,7 +294,7 @@ def parse_algebra(text: str) -> StratifiedAlgebra:
     dims = []
     while header.peek() is not None:
         tok = header.expect("INT")
-        d = int(tok.text)
+        d = _int(tok)
         if d < 1:
             raise ParseError("layer dimensions must be positive", tok.line, tok.col)
         dims.append(d)

@@ -126,142 +126,3 @@ def bracket_reference(a_comps, b_comps, cap=None) -> list:
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
     return max((len(v.idx) for mono in p.terms for v in mono), default=0)
-
-
-def phase1_feasible_reference(columns, rhs):
-    """Reference for ``linalg._phase1_feasible``: the same phase-1 simplex
-    with Bland's rule on a ``Fraction`` tableau, row by row as printed in a
-    textbook.  Nonnegative x with sum_i x_i col_i = rhs, or None."""
-    m = len(rhs)
-    n = len(columns)
-    tab = []
-    for i in range(m):
-        row = [Fraction(col[i]) for col in columns]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(b)
-        tab.append(row)
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for row in tab:
-        for j in range(width):
-            obj[j] -= row[j]
-    for j in range(n, n + m):
-        obj[j] = Fraction(0)
-    basis = list(range(n, n + m))
-    while True:
-        enter = None
-        for j in range(n + m):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        if f != 0:
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
-        basis[leave] = enter
-    if -obj[width - 1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][width - 1]
-    return x
-
-
-def hull_membership_witness_reference(spec, target, component_sign, budget, seed):
-    """Reference for ``ampleness.hull_membership_witness``: the same seeded
-    search that builds every drawn matrix from ``Fraction`` entries and takes
-    its full ``linalg.det``, with no shortcut for one free column or for
-    dependent fixed columns.  Same draws, checkpoints and simplex, so the same
-    witness or ``None``."""
-    import random
-
-    from liegrowth import linalg
-    from liegrowth.ampleness import ConvexWitness, _matrix
-    from liegrowth.errors import DomainError
-
-    if spec.rows != spec.cols:
-        raise DomainError("hull search is defined for the square case only")
-    if component_sign not in (1, -1):
-        raise DomainError("component sign must be +1 or -1")
-    tgt = _matrix(target)
-    l, q, k = spec.rows, spec.cols, spec.fixed_count
-    if len(tgt) != l or any(len(r) != q for r in tgt):
-        raise DomainError("target shape mismatch")
-    for i in range(l):
-        for j in range(k):
-            if tgt[i][j] != spec.fixed[i][j]:
-                raise DomainError("target does not carry the fixed columns")
-    dt = linalg.det(tgt)
-    if dt != 0 and (dt > 0) == (component_sign > 0):
-        witness = ConvexWitness(((Fraction(1), tgt),))
-        witness.validate(tgt, det_sign=component_sign)
-        return witness
-    rng = random.Random(seed)
-    free = q - k
-    samples = []
-    target_vec = [tgt[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
-
-    def try_solve():
-        cols = [
-            [mat[i][j] for i in range(l) for j in range(k, q)] + [Fraction(1)]
-            for mat in samples
-        ]
-        x = linalg._phase1_feasible(cols, target_vec)
-        if x is None:
-            return None
-        witness = ConvexWitness(
-            tuple((w, samples[idx]) for idx, w in enumerate(x) if w > 0)
-        )
-        witness.validate(tgt, det_sign=component_sign)
-        return witness
-
-    checkpoints = set()
-    c = 256
-    while c < budget:
-        checkpoints.add(c)
-        c *= 4
-    drawn = 0
-    while drawn < budget:
-        drawn += 1
-        entries = [
-            Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(l * free)
-        ]
-        mat = tuple(
-            tuple(spec.fixed[i]) + tuple(entries[i * free : (i + 1) * free])
-            for i in range(l)
-        )
-        d = linalg.det(mat)
-        if d != 0 and (d > 0) == (component_sign > 0):
-            samples.append(mat)
-        if len(samples) in checkpoints:
-            checkpoints.discard(len(samples))
-            found = try_solve()
-            if found is not None:
-                return found
-    if samples:
-        return try_solve()
-    return None

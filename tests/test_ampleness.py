@@ -15,7 +15,7 @@ from liegrowth.errors import (
     Unclassified,
 )
 
-from helpers import F, hull_membership_witness_reference, rand_fraction, rand_point
+from helpers import F, rand_fraction, rand_point
 
 V = amp.Verdict
 
@@ -381,33 +381,6 @@ def test_hull_seeded_determinism():
     assert (a is None) == (b is None)
     if a is not None:
         assert a == b
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_hull_search_matches_full_det_reference(n):
-    """Same witness or None as the reference search that takes a full
-    ``linalg.det`` of every draw, for every fixed-column count, with
-    dependent fixed columns, targets inside and outside the component, and
-    budgets from below the first checkpoint to past the second."""
-    rng = random.Random(900 + n)
-    budgets = (10, 300, 3000)
-    for k in range(n + 1):
-        for case in range(4):
-            fixed = [[rand_fraction(rng, 3, 2) for _ in range(k)] for _ in range(n)]
-            if k >= 2 and case == 3:
-                for row in fixed:
-                    row[1] = 2 * row[0]
-            target = [
-                fixed[i] + [rand_fraction(rng, 2, 2) for _ in range(n - k)]
-                for i in range(n)
-            ]
-            spec = amp.MatrixSpaceSpec(n, n, fixed, n)
-            budget = budgets[(k + case) % 3] if n < 4 else budgets[case % 2]
-            for sign in (1, -1):
-                seed = rng.randrange(10**6)
-                got = amp.hull_membership_witness(spec, target, sign, budget, seed)
-                want = hull_membership_witness_reference(spec, target, sign, budget, seed)
-                assert got == want, (fixed, target, sign, budget, seed)
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,58 @@ def test_dim_at_the_limit_parses():
     assert parsing.MAX_DIM == 100_000 and fr.n == parsing.MAX_DIM
 
 
+_LONG = "1" * 5000  # past Python's 4300-digit limit for reading an int
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col",
+    [
+        (parsing.parse_frame, f"dim 3\nX1 = {_LONG}*d1\n", 2, 6),
+        (parsing.parse_frame, f"dim 3\nX1 = 1/{_LONG}*d1\n", 2, 8),
+        (parsing.parse_frame, f"dim 3\nX1 = x{_LONG}*d1\n", 2, 6),
+        (parsing.parse_frame, f"dim 3\nX1 = d{_LONG}\n", 2, 6),
+        (parsing.parse_frame, f"dim 3\nX1 = x1^{_LONG}*d1\n", 2, 9),
+        (parsing.parse_frame, f"dim {'0' * 4999}3\nX1 = d1\n", 1, 5),
+        (parsing.parse_algebra, f"layers {_LONG}\n", 1, 8),
+        (parsing.parse_algebra, f"layers 2 1\nbracket e1 e2 = {_LONG}/7*e3\n", 2, 17),
+        (parsing.parse_algebra, f"layers 2 1\nbracket e1 e2 = 1/{_LONG}*e3\n", 2, 19),
+        (parsing.parse_algebra, f"layers 2 1\nbracket e1 e{_LONG} = e3\n", 2, 12),
+    ],
+    ids=["coefficient", "denominator", "variable", "direction", "exponent", "padded-dim",
+         "layer", "rhs-numerator", "rhs-denominator", "basis-label"],
+)
+def test_long_integer_token_is_refused_at_its_token(parse, text, line, col):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.perf_counter() - t0 < 0.05
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"integer of more than {parsing.MAX_DIGITS} digits")
+
+
+def test_integer_token_at_the_digit_limit_parses():
+    fr = parsing.parse_frame(f"dim 1\nX1 = {'1' * parsing.MAX_DIGITS}*d1\n")
+    assert fr.fields[0].comps[0].terms == {(0,): int("1" * parsing.MAX_DIGITS)}
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["growth", "--frame", "{f}", "--point", "0,0"], f"dim 2\nX1 = x1^{_LONG}*d1\n"),
+        (["nilpotentize", "--algebra", "{f}"], f"layers {_LONG}\n"),
+    ],
+    ids=["growth-exponent", "nilpotentize-layer"],
+)
+def test_cli_long_integer_token_is_a_one_line_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert main([a.format(f=path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ParseError: integer of more than 4300 digits")
+    assert err.count("\n") == 1
+
+
 # --- algebra parsing ------------------------------------------------------------
 
 

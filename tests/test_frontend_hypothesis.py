@@ -16,6 +16,9 @@
   ``LieGrowthError`` subclasses, and make ``cli.main`` return 0 or 1 with a
   one-line error, never a traceback.  Every integer in a fuzzed file is at
   most 6 and every exponent at most 4, so no example runs long.
+* Byte fuzz: valid files with LF, CRLF and CR line endings mixed, and with
+  invalid UTF-8, NUL bytes or non-ASCII letters inserted anywhere, read by
+  ``cli._read`` and parsed, give the file's own result or a ``ParseError``.
 """
 
 import contextlib
@@ -31,9 +34,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from liegrowth import catalog, parsing  # noqa: E402
+from liegrowth import catalog, cli, parsing  # noqa: E402
 from liegrowth.cli import main  # noqa: E402
-from liegrowth.errors import LieGrowthError  # noqa: E402
+from liegrowth.errors import LieGrowthError, ParseError  # noqa: E402
 from liegrowth.flags import StratifiedAlgebra, validate_algebra  # noqa: E402
 from liegrowth.polyfields import Frame, Poly, PolyField  # noqa: E402
 
@@ -277,3 +280,44 @@ def test_fuzzed_files_raise_only_library_errors(base, edits):
         assert err.getvalue() == f"{type(error).__name__}: {error}\n"
     elif rc == 1:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+_INSERTS = [
+    b"\xff",  # never valid in UTF-8
+    b"\x80",  # a stray continuation byte
+    b"\xe2\x82",  # a truncated three-byte sequence
+    b"\xed\xa0\x80",  # an encoded surrogate
+    b"\x00",
+    "\u00e9".encode(),  # valid UTF-8, not in the grammar
+]
+
+
+@st.composite
+def _byte_files(draw):
+    """(kind, text, bytes): a valid file, and its bytes with each line ending
+    drawn from LF, CRLF and CR and up to three byte strings inserted."""
+    kind, text = draw(st.one_of(_frame_files, _algebra_files))
+    lines = text.splitlines()
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    data = b"".join(line.encode() + end for line, end in zip(lines, ends))
+    inserts = st.tuples(st.integers(0, 10**4), st.sampled_from(_INSERTS))
+    for pos, chunk in draw(st.lists(inserts, max_size=3)):
+        pos %= len(data) + 1
+        data = data[:pos] + chunk + data[pos:]
+    return kind, text, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_byte_files())
+def test_read_bytes_parse_to_the_file_or_raise_parse_error(case):
+    kind, text, data = case
+    parse = parsing.parse_frame if kind == "frame" else parsing.parse_algebra
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bytes.txt"
+        path.write_bytes(data)
+        try:
+            parsed = parse(cli._read(str(path)))
+        except ParseError:
+            return
+    assert parsed == parse(text)

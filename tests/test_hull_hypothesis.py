@@ -1,9 +1,11 @@
-"""Hypothesis property of the decided hull search: with one free column,
+"""Hypothesis properties of the hull verdicts.  With one free column,
 det(fixed | w) = c . w for the cofactor vector c of the fixed block, so the
 component of sign s is the open half-space {w : s * (c . w) > 0} and
 ``hull_membership_witness`` finds a witness exactly when the target's last
-column lies in it.  c is computed here by cofactor expansion on permutations,
-independently of ``det_affine_in_free_column`` and of ``linalg``."""
+column lies in it.  With independent fixed columns and two or more free
+columns every verdict is a witness.  Determinants and c are computed here by
+expansion on permutations, independently of ``det_affine_in_free_column``
+and of ``linalg``."""
 
 import itertools
 import math
@@ -12,12 +14,14 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from liegrowth import ampleness as amp  # noqa: E402
 
 _entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# the same values, drawn faster, for the larger matrices below
+_small_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 def _leibniz_det(rows) -> Fraction:
@@ -69,3 +73,79 @@ def test_one_free_column_witness_iff_half_space(case, sign, seed):
     value = sum((x * w for x, w in zip(c, last)), Fraction(0))
     found = amp.hull_membership_witness(spec, target, sign, budget=300, seed=seed)
     assert (found is not None) == (sign * value > 0)
+
+
+def _gram_det(fixed) -> Fraction:
+    """det(F^T F), nonzero exactly when the columns of F are independent."""
+    cols = list(zip(*fixed))
+    return _leibniz_det([[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols])
+
+
+@st.composite
+def _ample_case(draw):
+    """k independent fixed columns (k in 0..2), m in 2..5 free columns, and a
+    target whose first free column is sometimes zero, so singular."""
+    k, m = draw(st.integers(0, 2)), draw(st.integers(2, 5))
+    n = k + m
+    fixed = [[draw(_small_entries) for _ in range(k)] for _ in range(n)]
+    assume(k == 0 or _gram_det(fixed) != 0)
+    free = [[draw(_small_entries) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        for row in free:
+            row[0] = Fraction(0)
+    return fixed, [f + w for f, w in zip(fixed, free)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ample_case(), st.sampled_from((1, -1)))
+def test_two_or_more_free_columns_always_give_a_witness(case, sign):
+    fixed, target = case
+    n = len(target)
+    verdict = amp.hull_verdict(amp.MatrixSpaceSpec(n, n, fixed, n), target, sign)
+    assert isinstance(verdict, amp.ConvexWitness)
+    verdict.validate(target, det_sign=sign)
+    if n <= 5:
+        assert all(sign * _leibniz_det(m) > 0 for _, m in verdict.terms)
+
+
+@st.composite
+def _refutable_case(draw):
+    """At most one free column (n in 1..4), or n <= 5 with m >= 2 free
+    columns after k >= 2 fixed columns, the second a multiple of the first."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        k = n - draw(st.integers(0, 1))
+    else:
+        k = draw(st.integers(2, 3))
+        n = k + draw(st.integers(2, 5 - k))
+    fixed = [[draw(_small_entries) for _ in range(k)] for _ in range(n)]
+    if n - k >= 2 or (k >= 2 and draw(st.booleans())):
+        scale = draw(_small_entries)
+        for row in fixed:
+            row[1] = scale * row[0]
+    target = [row + [draw(_small_entries) for _ in range(n - k)] for row in fixed]
+    return fixed, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(_refutable_case(), st.sampled_from((1, -1)))
+def test_one_free_column_or_dependent_fixed_columns_refute(case, sign):
+    fixed, target = case
+    n, k = len(target), len(fixed[0])
+    verdict = amp.hull_verdict(amp.MatrixSpaceSpec(n, n, fixed, n), target, sign)
+    d = _leibniz_det(target)
+    if sign * d > 0:  # the target is its own one-member witness
+        assert isinstance(verdict, amp.ConvexWitness) and len(verdict.terms) == 1
+        return
+    assert isinstance(verdict, amp.Refutation)
+    dependent = k > 0 and _gram_det(fixed) == 0
+    assert (verdict.fixed_rank < k) == dependent
+    if n - k == 0:
+        assert verdict.cofactors == () and verdict.value == d
+    elif n - k == 1:
+        c = _cofactors(fixed)
+        assert list(verdict.cofactors) == c
+        assert verdict.value == sum((x * row[-1] for x, row in zip(c, target)), Fraction(0))
+        assert sign * verdict.value <= 0
+    else:
+        assert dependent and verdict.cofactors is None and verdict.value is None

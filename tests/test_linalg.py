@@ -3,10 +3,9 @@ import random
 import pytest
 
 from liegrowth import linalg
-from liegrowth.ampleness import det_affine_in_free_column
 from liegrowth.errors import DomainError
 
-from helpers import F, phase1_feasible_reference, rand_fraction
+from helpers import F, rand_fraction
 
 
 def test_rank_basics():
@@ -72,65 +71,3 @@ def test_rowless_matrix_raises():
     with pytest.raises(DomainError, match="empty matrix"):
         linalg.solve([], [])
 
-
-def _lp(rng, rows, cols):
-    """Random columns and right-hand side with zeros and negative entries;
-    every third right-hand side is a nonnegative combination of the
-    columns, so feasible and infeasible programs both occur."""
-    def entry():
-        return 0 if rng.random() < 0.25 else rand_fraction(rng, 6, 4)
-
-    columns = [[entry() for _ in range(rows)] for _ in range(cols)]
-    if rng.random() < 1 / 3:
-        weights = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(cols)]
-        rhs = [sum(w * col[i] for w, col in zip(weights, columns))
-               for i in range(rows)]
-    else:
-        rhs = [entry() for _ in range(rows)]
-    return columns, rhs
-
-
-def test_phase1_feasible_matches_fraction_reference():
-    rng = random.Random(17)
-    outcomes = set()
-    negative = 0
-    for _ in range(2000):
-        columns, rhs = _lp(rng, rng.randint(1, 6), rng.randint(1, 12))
-        negative += any(b < 0 for b in rhs)
-        want = phase1_feasible_reference(columns, rhs)
-        assert linalg._phase1_feasible(columns, rhs) == want, (columns, rhs)
-        outcomes.add(want is None)
-    assert outcomes == {True, False} and negative > 500
-
-
-def test_phase1_feasible_matches_reference_on_hull_programs():
-    """The programs hull_membership_witness builds: one column per sampled
-    matrix (its free entries, then 1) against the target's free entries and
-    1.  Targets on the cofactor hyperplane of one free column are never
-    reached; the others usually are."""
-    rng = random.Random(29)
-    outcomes = set()
-    for n, fixed_cols in ((2, 0), (3, 1), (3, 2), (3, 2)):
-        free = range(fixed_cols, n)
-        for _ in range(5):
-            fixed = [[rand_fraction(rng, 4, 3) for _ in range(fixed_cols)]
-                     for _ in range(n)]
-            target = [row + [rand_fraction(rng, 2, 2) for _ in free] for row in fixed]
-            if len(free) == 1:
-                c = det_affine_in_free_column(fixed)
-                if c[-1]:
-                    w = sum(c[i] * target[i][-1] for i in range(n - 1))
-                    target[-1][-1] = -w / c[-1]
-            samples = []
-            count = rng.choice((8, 20, 40))
-            while len(samples) < count:
-                mat = [row + [F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in free]
-                       for row in fixed]
-                if linalg.det(mat) > 0:
-                    samples.append(mat)
-            columns = [[m[i][j] for i in range(n) for j in free] + [1] for m in samples]
-            rhs = [target[i][j] for i in range(n) for j in free] + [1]
-            want = phase1_feasible_reference(columns, rhs)
-            assert linalg._phase1_feasible(columns, rhs) == want
-            outcomes.add(want is None)
-    assert outcomes == {True, False}

@@ -1,5 +1,6 @@
 """The runtime contract: importing liegrowth loads only the standard library."""
 
+import ast
 import json
 import os
 import subprocess
@@ -39,3 +40,20 @@ def test_every_submodule_imports_only_the_standard_library():
         - {"liegrowth"}
     )
     assert foreign == []
+
+
+def test_only_the_check_suites_import_random():
+    """Library answers involve no randomness: only ``checks.py``, whose
+    suites draw seeded inputs, imports ``random``."""
+    importers = set()
+    for path in (SRC / "liegrowth").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.add(path.name)
+    assert importers == {"checks.py"}
