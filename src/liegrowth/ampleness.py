@@ -27,11 +27,12 @@ from .errors import (
     NotFormalSolution,
     Unclassified,
 )
-# hall_basis is unused here but stays bound: bench/test_bench.py asserts that
-# the benchmark tracer wraps this module's binding of it.
+# hall_basis and poly_lie_bracket are unused here but stay bound:
+# bench/test_bench.py asserts that the benchmark tracer wraps this module's
+# bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
-from .flags import _constant_term, _span_ranks, lie_flag
-from .polyfields import Frame, frame_change, poly_lie_bracket
+from .flags import _span_ranks, lie_flag
+from .polyfields import Frame, frame_change, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -350,8 +351,7 @@ def slice_report(
     g = _adapted_change(fr, point, v)
     adapted = frame_change(fr, g)
     ranks = _span_ranks(
-        [f.taylor(point, step - 1) for f in adapted.fields], poly_lie_bracket,
-        _constant_term, step,
+        [f.taylor(point, step - 1) for f in adapted.fields], step,
         keep=lambda expr, i: not _probes_top(expr, i), cross_check=cross_check,
     )
     reports = []

@@ -11,9 +11,10 @@ one memoised engine for both the Hall span and the chain cross-check.
 A step-s flag at p depends only on the (s-1)-jet of the frame at p, so
 ``lie_flag`` and ``slice_report`` bracket Taylor fields of order s - 1
 centred at p (``PolyField.taylor``) instead of the full polynomials, and read
-each value off the constant term.  ``formal_flag`` brackets the jet-space
-symbols of ``jetalg``.  The engine generates Hall layers one length at a
-time and stops early once a whole layer of brackets is zero.
+each value off the constant term.  ``formal_flag`` brackets the Taylor
+fields its jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one
+body, ``_flag``.  The engine generates Hall layers one length at a time and
+stops early once a whole layer of brackets is zero.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ class FlagReport:
 
 
 def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
-    if dims[-1] == n:
-        step = len(dims)
-    else:
-        step = len(dims)
+    step = len(dims)
+    if dims[-1] != n:
         while step > 1 and dims[step - 2] == dims[-1]:
             step -= 1
     irregular = any(
@@ -103,16 +102,16 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
     )
 
 
-def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
+def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     """Yield, for i = 1..max_len, the rank of the values of the Hall
     expressions of length <= i that ``keep(expr, i)`` admits (all of them
     when ``keep`` is None).
 
-    Leaf ``X_g`` is ``leaves[g - 1]``; ``bracket`` combines two fields and
-    ``value`` evaluates one.  Fields and values are memoised by expression.
-    With ``cross_check`` the same rank is recomputed from the right-nested
-    chains [X_c1, [X_c2, ...]] admitted by ``keep``, through the same memo,
-    and a disagreement raises AssertionError.
+    Leaf ``X_g`` is the Taylor field ``leaves[g - 1]``; a bracket is
+    ``poly_lie_bracket`` and a value is the constant term.  Fields and values
+    are memoised by expression.  With ``cross_check`` the same rank is
+    recomputed from the right-nested chains [X_c1, [X_c2, ...]] admitted by
+    ``keep``, through the same memo, and a disagreement raises AssertionError.
 
     Hall layers are generated one length at a time.  When ``keep`` is None
     and every field of a layer of length i > 1 is zero, every longer bracket
@@ -120,16 +119,16 @@ def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
     remaining lengths without generating further layers.
     """
     k = len(leaves)
-    fields: dict[BracketExpr, object] = {}
+    fields: dict[BracketExpr, PolyField] = {}
     values: dict[BracketExpr, tuple] = {}
 
-    def field_of(expr: BracketExpr):
+    def field_of(expr: BracketExpr) -> PolyField:
         got = fields.get(expr)
         if got is None:
             if expr.is_leaf:
                 got = leaves[expr.gen - 1]
             else:
-                got = bracket(field_of(expr.left), field_of(expr.right))
+                got = poly_lie_bracket(field_of(expr.left), field_of(expr.right))
             fields[expr] = got
         return got
 
@@ -139,7 +138,7 @@ def _span_ranks(leaves, bracket, value, max_len, keep=None, cross_check=False):
             if keep is None or keep(expr, i):
                 got = values.get(expr)
                 if got is None:
-                    got = values[expr] = value(field_of(expr))
+                    got = values[expr] = _constant_term(field_of(expr))
                 vectors.append(got)
         return linalg.rank(vectors)
 
@@ -173,6 +172,21 @@ def _constant_term(f: PolyField) -> tuple[Fraction, ...]:
     return tuple(c.terms.get(origin, _ZERO) for c in f.comps)
 
 
+def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
+    """Flag of the Taylor fields ``leaves`` of order ``max_step - 1`` about
+    ``point``: the Hall span ranks up to ``max_step``, stopped once they reach
+    the ambient dimension."""
+    k, n = len(leaves), len(point)
+    if linalg.rank([_constant_term(f) for f in leaves]) < k:
+        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    dims = []
+    for dim in _span_ranks(leaves, max_step, cross_check=cross_check):
+        dims.append(dim)
+        if dim == n:
+            break
+    return _report_from_dims(k, n, point, dims)
+
+
 def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> FlagReport:
     """Exact flag dimensions of a polynomial frame at a rational point.
 
@@ -182,49 +196,27 @@ def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> Flag
     """
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
-    n, k = fr.n, fr.k
-    values = fr.values_at(point)
-    if linalg.rank(values) < k:
-        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
     leaves = [f.taylor(point, max_step - 1) for f in fr.fields]
-    dims = []
-    for dim in _span_ranks(
-        leaves, poly_lie_bracket, _constant_term, max_step, cross_check=cross_check,
-    ):
-        dims.append(dim)
-        if dim == n:
-            break
-    return _report_from_dims(k, n, point, dims)
+    return _flag(leaves, point, max_step, cross_check)
 
 
 def formal_flag(
     jet: jetalg.JetPoint, max_step: int, cross_check: bool = False
 ) -> FlagReport:
-    """Flag dimensions computed purely from a jet via bracket symbols."""
+    """Flag dimensions computed purely from a jet.
+
+    The (max_step - 1)-jet fixes the order ``max_step - 1`` Taylor fields
+    about its base point (``jetalg._taylor_fields``), and those are bracketed
+    exactly as ``lie_flag`` brackets the Taylor fields of a frame.
+    """
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
     if max_step > jet.order + 1:
         raise OrderOverflow(
             f"step {max_step} needs jet order {max_step - 1}, have {jet.order}"
         )
-    k, n = jet.k, jet.n
-    r = jet.order + 1
-    zero_jet = [
-        [jet[jetalg.JetVar(fld, comp, ())] for comp in range(1, n + 1)]
-        for fld in range(1, k + 1)
-    ]
-    if linalg.rank(zero_jet) < k:
-        raise DegenerateFrame("0-jet vectors are dependent")
-    leaves = [jetalg.bracket((g,), k, n, r) for g in range(1, k + 1)]
-    dims = []
-    for dim in _span_ranks(
-        leaves, jetalg.diffvec_bracket, lambda s: jetalg.evaluate(s, jet), max_step,
-        cross_check=cross_check,
-    ):
-        dims.append(dim)
-        if dim == n:
-            break
-    return _report_from_dims(k, n, jet.base, dims)
+    leaves = jetalg._taylor_fields(jet, max_step - 1)
+    return _flag(leaves, jet.base, max_step, cross_check)
 
 
 @dataclass(frozen=True)

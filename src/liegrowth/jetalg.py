@@ -16,7 +16,10 @@ checks the ambient and the order and returns the components of
 shares with ``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame
 off its Taylor fields (``PolyField.taylor``) instead of differentiating, and
 hands its complete, canonical dict to ``JetPoint`` without the re-validation
-a user-built jet point gets.
+a user-built jet point gets.  ``_taylor_fields`` is the inverse read-off: the
+Taylor fields a jet fixes, u^i_{a,alpha} / alpha! being the coefficient of
+x^alpha, which ``flags.formal_flag`` brackets.  Both walk one table of
+multi-indices, ``_multi_indices``.
 
 The symbol core does no work twice.  ``_act`` looks the successors
 ``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
@@ -50,7 +53,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import Frame, _bracket, _coeff, _SparsePoly
+from .polyfields import Frame, Poly, PolyField, _bracket, _coeff, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -510,6 +513,18 @@ def pure_derivative_extract(
     return tuple(jet[JetVar(fld, comp, idx)] for comp in range(1, jet.n + 1))
 
 
+def _multi_indices(n: int, order: int) -> list:
+    """``(idx, alpha, alpha!)`` for every multi-index of length <= ``order``
+    in n directions: the sorted directions of a jet coordinate, the exponents
+    of the matching monomial and their factorial."""
+    table = []
+    for ln in range(order + 1):
+        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
+            alpha = tuple(idx.count(j) for j in range(1, n + 1))
+            table.append((idx, alpha, _prod(map(factorial, alpha))))
+    return table
+
+
 def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     """All partial derivatives of the frame coefficients up to ``order``,
     evaluated exactly at ``point``.  They are read off the order-``order``
@@ -520,15 +535,27 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     base = tuple(Fraction(x) for x in point)
     if len(base) != n:
         raise DomainError("point dimension does not match the frame")
-    scaled = []
-    for ln in range(order + 1):
-        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
-            alpha = tuple(idx.count(j) for j in range(1, n + 1))
-            scaled.append((idx, alpha, _prod(map(factorial, alpha))))
+    table = _multi_indices(n, order)
     values: dict[JetVar, Fraction] = {}
     for fld, f in enumerate(frame.fields, start=1):
         for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
             coeff = poly.terms.get
-            for idx, alpha, scale in scaled:
+            for idx, alpha, scale in table:
                 values[JetVar(fld, comp, idx)] = Fraction(coeff(alpha, 0) * scale)
     return JetPoint._trusted(frame.k, n, order, base, values)
+
+
+def _taylor_fields(jet: JetPoint, order: int) -> list[PolyField]:
+    """The order-``order`` Taylor fields about the base point that ``jet``
+    fixes, the inverse of ``jet_of_frame``'s read-off: component i of field a
+    is sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha."""
+    n, table = jet.n, _multi_indices(jet.n, order)
+
+    def component(fld: int, comp: int) -> Poly:
+        terms = {alpha: jet.values[JetVar(fld, comp, idx)] / scale for idx, alpha, scale in table}
+        return Poly(n, terms)
+
+    return [
+        PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)), order)
+        for fld in range(1, jet.k + 1)
+    ]

@@ -51,7 +51,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
-from .errors import InvalidAlgebra, ParseError
+from .errors import DomainError, InvalidAlgebra, ParseError
 from .flags import StratifiedAlgebra, validate_algebra
 from .polyfields import Frame, Poly, PolyField
 
@@ -63,8 +63,10 @@ __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
 MAX_DIM = 100_000
 
 # Python's default limit on the digits of an integer read from a string: a
-# longer integer token is refused at its token, whatever it stands for.
+# longer integer token is refused at its token, whatever it stands for, and
+# ``frame_to_text`` refuses to write one.
 MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
 
 _Token = namedtuple("_Token", "kind text line col")
 
@@ -386,12 +388,22 @@ def _scalar_term_text(c: Fraction, exps: tuple[int, ...], direction: int) -> str
 
 
 def frame_to_text(frame: Frame) -> str:
-    """Serialize a frame in the file grammar; output re-parses exactly."""
+    """Serialize a frame in the file grammar; output re-parses exactly.
+
+    A coefficient whose numerator or denominator has more than
+    ``MAX_DIGITS`` digits could not be read back, so it raises
+    ``DomainError`` instead.
+    """
     lines = [f"dim {frame.n}"]
     for idx, fld in enumerate(frame.fields, start=1):
         terms = []
         for j, poly in enumerate(fld.comps, start=1):
             for exps, c in sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+                if max(abs(c.numerator), c.denominator) >= _TOO_LONG:
+                    raise DomainError(
+                        f"X{idx} has a d{j} coefficient of more than {MAX_DIGITS} "
+                        "digits (parsing.MAX_DIGITS), which a frame file cannot hold"
+                    )
                 terms.append((j, exps, c))
         terms.sort(key=lambda t: (t[0], sum(t[1]), t[1]))
         if not terms:

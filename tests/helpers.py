@@ -126,3 +126,60 @@ def bracket_reference(a_comps, b_comps, cap=None) -> list:
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
     return max((len(v.idx) for mono in p.terms for v in mono), default=0)
+
+
+def formal_flag_reference(jet, max_step: int, cross_check: bool = False):
+    """Reference for ``flags.formal_flag``: the flag of a jet from the
+    jet-space symbols.  Each Hall bracket's symbol is expanded with
+    ``jetalg.diffvec_bracket`` (memoised by expression) and evaluated on the
+    jet with ``jetalg.evaluate``; the 0-jet must have rank k, and with
+    ``cross_check`` every right-nested chain of each length is evaluated too
+    and its rank compared.  The ranks stop once they reach n."""
+    from liegrowth import jetalg, linalg
+    from liegrowth.errors import DegenerateFrame, DomainError, OrderOverflow
+    from liegrowth.flags import _report_from_dims
+    from liegrowth.freelie import hall_basis
+
+    if max_step < 1:
+        raise DomainError("max_step must be >= 1")
+    if max_step > jet.order + 1:
+        raise OrderOverflow(f"step {max_step} needs jet order {max_step - 1}")
+    k, n, r = jet.k, jet.n, jet.order + 1
+    zero_jet = [
+        [jet[jetalg.JetVar(fld, comp, ())] for comp in range(1, n + 1)]
+        for fld in range(1, k + 1)
+    ]
+    if linalg.rank(zero_jet) < k:
+        raise DegenerateFrame("0-jet vectors are dependent")
+    symbols: dict = {}
+
+    def symbol(expr):
+        got = symbols.get(expr)
+        if got is None:
+            if expr.is_leaf:
+                got = jetalg.bracket((expr.gen,), k, n, r)
+            else:
+                got = jetalg.diffvec_bracket(symbol(expr.left), symbol(expr.right))
+            symbols[expr] = got
+        return got
+
+    def rank_of(family) -> int:
+        return linalg.rank([jetalg.evaluate(symbol(e), jet) for e in family])
+
+    dims: list[int] = []
+    hall: list = []
+    for i in range(1, max_step + 1):
+        hall += hall_basis(k, i).layers[i - 1]
+        rank = rank_of(hall)
+        if cross_check:
+            chains = [
+                chain(*gens)
+                for ln in range(1, i + 1)
+                for gens in itertools.product(range(1, k + 1), repeat=ln)
+            ]
+            if rank_of(chains) != rank:
+                raise AssertionError(f"Hall span disagrees with the chains at length {i}")
+        dims.append(rank)
+        if rank == n:
+            break
+    return _report_from_dims(k, n, jet.base, dims)

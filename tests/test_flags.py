@@ -1,11 +1,14 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from liegrowth import ampleness, catalog, flags, freelie, jetalg, linalg
+from liegrowth import ampleness, catalog, flags, freelie, jetalg, linalg, parsing
 from liegrowth.errors import (
     DegenerateFrame,
     DomainError,
@@ -22,7 +25,13 @@ from liegrowth.polyfields import (
     pushforward,
 )
 
-from helpers import F, constant_frame, rand_fraction, rand_point
+from helpers import (
+    F,
+    constant_frame,
+    formal_flag_reference,
+    rand_fraction,
+    rand_point,
+)
 
 
 # --- classical field brackets -----------------------------------------------
@@ -78,8 +87,11 @@ def test_lie_flag_involutive_stalls():
 
 def test_lie_flag_degenerate():
     fr = Frame(2, (PolyField.basis(2, 1), PolyField.basis(2, 1)))
-    with pytest.raises(DegenerateFrame):
+    with pytest.raises(DegenerateFrame, match="frame vectors dependent at"):
         flags.lie_flag(fr, (0, 0), 2)
+    # formal_flag shares the check and its message
+    with pytest.raises(DegenerateFrame, match="frame vectors dependent at"):
+        flags.formal_flag(jetalg.jet_of_frame(fr, (0, 0), 1), 2)
 
 
 def test_lie_flag_cross_check_agrees():
@@ -148,6 +160,100 @@ def test_cross_check_catches_a_hall_span_gap(caller, monkeypatch):
     }[caller]
     with pytest.raises(AssertionError):
         run()
+
+
+def _outcome(call):
+    """The report a flag call returns, or the type of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _agrees_with_reference(jet, max_step, cross_check=False):
+    got = _outcome(lambda: flags.formal_flag(jet, max_step, cross_check))
+    want = _outcome(lambda: formal_flag_reference(jet, max_step, cross_check))
+    assert got == want, (jet.k, jet.n, jet.order, max_step, cross_check, got, want)
+
+
+def test_formal_flag_matches_the_symbol_reference_on_catalog():
+    rng = random.Random(12)
+    for name, fr in catalog.catalog_frames().items():
+        r = len(catalog.expected_dims()[name])
+        for point in ((0,) * fr.n, rand_point(rng, fr.n), rand_point(rng, fr.n)):
+            for order in range(r):
+                jet = jetalg.jet_of_frame(fr, point, order)
+                for step in range(order + 3):
+                    for cross_check in (False, True):
+                        _agrees_with_reference(jet, step, cross_check)
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, whose generators make the benchmark inputs."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _dense_frames(seed):
+    """The dense quadratic frames, points and steps of a ``flags_dense`` seed."""
+    workloads = _bench_workloads()
+    for k, n, fields, p in workloads.FlagsDense.generate(seed)["dense"]:
+        frame = parsing.parse_frame(workloads.frame_text(n, fields))
+        yield frame, p, len(workloads.max_growth(k, n))
+
+
+@pytest.mark.parametrize("seed", [6201, 6202])
+def test_formal_flag_matches_the_symbol_reference_on_dense_frames(seed):
+    for fr, p, step in _dense_frames(seed):
+        _agrees_with_reference(jetalg.jet_of_frame(fr, p, step - 1), step, seed % 2 == 0)
+
+
+def _random_jet(rng, k, n, order, sparse):
+    """A hand-built jet point: every coordinate rational, most of them zero
+    when ``sparse``."""
+    values = {}
+    for v in jetalg.iter_jet_vars(k, n, order):
+        zero = sparse and rng.random() < 0.7
+        values[v] = 0 if zero else rand_fraction(rng, 3, 2)
+    return jetalg.JetPoint(k, n, order, rand_point(rng, n), values)
+
+
+def test_formal_flag_matches_the_symbol_reference_on_random_jets():
+    rng = random.Random(1212)
+    degenerate = 0
+    for trial in range(120):
+        k = rng.randint(2, 3)
+        n = rng.randint(k, 5)
+        order = rng.randint(0, 3 if n <= 4 else 2)
+        jet = _random_jet(rng, k, n, order, sparse=trial % 2 == 1)
+        zero_jet = [
+            [jet[jetalg.JetVar(f, c, ())] for c in range(1, n + 1)] for f in range(1, k + 1)
+        ]
+        degenerate += linalg.rank(zero_jet) < k
+        for step in (1, order + 1, order + 2):
+            _agrees_with_reference(jet, step, cross_check=trial % 3 == 0)
+    assert degenerate >= 5
+
+
+def test_formal_flag_needs_no_jet_symbols(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formal_flag expanded a jet-space symbol")
+
+    rng = random.Random(13)
+    cases = []
+    for name, fr in catalog.catalog_frames().items():
+        r = len(catalog.expected_dims()[name])
+        jet = jetalg.jet_of_frame(fr, rand_point(rng, fr.n), r - 1)
+        cases.append((jet, r, formal_flag_reference(jet, r, cross_check=True)))
+    for attr in ("bracket", "diffvec_bracket", "evaluate"):
+        monkeypatch.setattr(jetalg, attr, refuse)
+    for jet, r, want in cases:
+        assert flags.formal_flag(jet, r, cross_check=True) == want
 
 
 def test_formal_flag_flat_jet_stalls():

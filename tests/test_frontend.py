@@ -375,6 +375,28 @@ def test_cli_nilpotentize_round_trip(tmp_path, capsys):
     assert flags.lie_flag(reparsed, (0,) * 5, 3).dims == (2, 3, 5)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_nilpotentize_overlong_coefficient_is_a_one_line_error(
+    tmp_path, capsys, fmt, to_file
+):
+    # X1's d4 coefficient is a multiple of big^2, about 6000 digits: a frame
+    # file could not hold it, so nothing is written
+    big = "7" * 3000
+    alg_file = tmp_path / "big.alg"
+    alg_file.write_text(f"layers 2 1 1\nbracket e1 e2 = {big}*e3\nbracket e1 e3 = {big}*e4\n")
+    out_file = tmp_path / "big.frame"
+    argv = ["nilpotentize", "--algebra", str(alg_file), "--format", fmt]
+    if to_file:
+        argv += ["--out", str(out_file)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("DomainError: ") and err.count("\n") == 1
+    assert f"more than {parsing.MAX_DIGITS} digits (parsing.MAX_DIGITS)" in err
+    assert not out_file.exists()
+
+
 def test_cli_ampleness_engel(capsys):
     assert main(["ampleness", "--rank", "2", "--dim", "4"]) == 0
     out = capsys.readouterr().out
