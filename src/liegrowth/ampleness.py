@@ -32,7 +32,7 @@ from .errors import (
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
 from .flags import _span_ranks, lie_flag
-from .polyfields import Frame, frame_change, poly_lie_bracket  # noqa: F401
+from .polyfields import Frame, _exact_point, frame_change, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -326,7 +326,7 @@ def slice_report(
     the top pure derivative.
     """
     n, k = fr.n, fr.k
-    v = [Fraction(x) for x in v]
+    v = [Fraction(x) for x in _exact_point(v, "direction")]
     if len(v) != n:
         raise DomainError("direction dimension does not match the frame")
     if all(x == 0 for x in v):

@@ -15,12 +15,19 @@ each value off the constant term.  ``formal_flag`` brackets the Taylor
 fields its jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one
 body, ``_flag``.  The engine generates Hall layers one length at a time and
 stops early once a whole layer of brackets is zero.
+
+The engine runs on ints.  ``_span_ranks`` multiplies each leaf once by the
+lcm of its coefficient denominators, so every bracket multiplies and adds
+ints and every rank is taken of integer rows.  A rank does not change when
+each vector is multiplied by its own nonzero constant, and by bilinearity
+that is all the scaling does to a bracket's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import jetalg, linalg
 from .errors import (
@@ -54,8 +61,6 @@ __all__ = [
     "pushforward",
     "validate_algebra",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,19 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     recomputed from the right-nested chains [X_c1, [X_c2, ...]] admitted by
     ``keep``, through the same memo, and a disagreement raises AssertionError.
 
+    Each leaf is first multiplied by the lcm of its coefficient denominators
+    (``_integer_field``), so every bracket multiplies and adds ints and
+    ``linalg.rank`` gets integer rows.  This changes no rank: brackets are
+    bilinear, so the bracket of an expression over scaled leaves is the
+    product of its leaves' scales times the unscaled bracket, a nonzero
+    multiple of each value vector.
+
     Hall layers are generated one length at a time.  When ``keep`` is None
     and every field of a layer of length i > 1 is zero, every longer bracket
     vanishes too (L_{m+1} = [L_1, L_m]), so the rank at i is yielded for all
     remaining lengths without generating further layers.
     """
+    leaves = [_integer_field(f) for f in leaves]
     k = len(leaves)
     fields: dict[BracketExpr, PolyField] = {}
     values: dict[BracketExpr, tuple] = {}
@@ -165,11 +178,24 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
             return
 
 
+def _integer_field(f: PolyField) -> PolyField:
+    """``f`` times the lcm of all its coefficient denominators: the same
+    field up to a positive scalar, with int coefficients only."""
+    mult = lcm(*(c.denominator for p in f.comps for c in p.terms.values()))
+    return PolyField(
+        tuple(
+            p._like({e: c.numerator * (mult // c.denominator) for e, c in p.terms.items()})
+            for p in f.comps
+        ),
+        f.order,
+    )
+
+
 def _constant_term(f: PolyField) -> tuple[Fraction, ...]:
     """Value of a Taylor field at its centre: the constant term of each
     component."""
     origin = (0,) * f.n
-    return tuple(c.terms.get(origin, _ZERO) for c in f.comps)
+    return tuple(c.terms.get(origin, 0) for c in f.comps)
 
 
 def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:

@@ -53,7 +53,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import Frame, Poly, PolyField, _bracket, _coeff, _SparsePoly
+from .polyfields import Frame, Poly, PolyField, _bracket, _coeff, _exact_point, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -532,7 +532,7 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     direction j alpha_j times is alpha! times the coefficient of x^alpha.
     """
     n = frame.n
-    base = tuple(Fraction(x) for x in point)
+    base = tuple(Fraction(x) for x in _exact_point(point))
     if len(base) != n:
         raise DomainError("point dimension does not match the frame")
     table = _multi_indices(n, order)

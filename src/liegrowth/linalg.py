@@ -21,11 +21,12 @@ from .errors import DomainError
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    multipliers."""
+    multipliers.  An int or Fraction entry is read as it is; any other entry
+    is converted with ``Fraction``."""
     mat = []
     scale = 1
     for row in rows:
-        vals = [Fraction(x) for x in row]
+        vals = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
         mult = lcm(*(x.denominator for x in vals))
         scale *= mult
         mat.append([x.numerator * (mult // x.denominator) for x in vals])

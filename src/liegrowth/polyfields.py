@@ -34,6 +34,13 @@ order (it takes a derivative), so a length-l bracket of Taylor leaves of
 order s - 1 is exact through degree s - l, and its value at the centre is its
 constant term.  Sums, differences and scalings keep the smaller order; a
 bracket whose order would drop below zero raises ``OrderOverflow``.
+
+``taylor`` expands in integers: it clears the point's common denominator
+once and each component's coefficient denominators once, accumulates every
+term of the expansion as an integer numerator, and forms one exact
+coefficient per output monomial at the end, so an integral coefficient is
+stored as an int.  A point coordinate must be an int or a Fraction
+(``_exact_point``); anything else, a float included, is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add, itemgetter
 
 from . import linalg
@@ -67,6 +74,20 @@ def _coeff(c):
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
+
+
+def _exact_point(point, what: str = "point") -> tuple:
+    """The coordinates of ``point`` under ``_coeff``'s rule; a coordinate
+    that is not an int or a Fraction raises ``DomainError`` naming it."""
+    out = []
+    for i, x in enumerate(point, start=1):
+        try:
+            out.append(_coeff(x))
+        except DomainError:
+            raise DomainError(
+                f"{what} coordinate {i} must be an exact rational, got {type(x).__name__}"
+            ) from None
+    return tuple(out)
 
 
 class _SparsePoly:
@@ -339,16 +360,26 @@ class PolyField:
         """Taylor field of this exact field about ``point``, of order ``order``:
         each component expanded in x -> x + point, keeping only the monomials
         of total degree <= ``order``.
+
+        The expansion runs on integers.  With D the common denominator of the
+        point (shift P/D), and L the lcm of a component's coefficient
+        denominators and d its top degree, a term c x^alpha contributes
+        c L D^(d - |alpha|) prod_i C(alpha_i, k_i) P_i^(alpha_i - k_i), an
+        integer, to the numerator of x^k over L D^(d - |k|).  Each output
+        coefficient becomes one exact number at the end, so integral ones are
+        stored as ints.
         """
         if self.order is not None:
             raise DomainError("taylor expands exact fields, not Taylor fields")
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
-        shift = [Fraction(x) for x in point]
-        if len(shift) != self.n:
+        point = _exact_point(point)
+        if len(point) != self.n:
             raise DomainError("point dimension does not match the field")
-        # (x_i + p_i)^e = sum_k C(e, k) p_i^(e-k) x_i^k: the (k, factor) pairs
-        # by (i, e), with factor None standing for 1
+        den = lcm(*(x.denominator for x in point))
+        shift = [x.numerator * (den // x.denominator) for x in point]
+        # (x_i + P_i/D)^e = sum_k C(e, k) P_i^(e-k) x_i^k / D^(e-k): the
+        # integer (k, factor) pairs by (i, e), with factor None standing for 1
         expansions: dict = {}
 
         def expansion(i: int, e: int):
@@ -363,11 +394,15 @@ class PolyField:
 
         comps = []
         for comp in self.comps:
+            terms = comp.terms
+            mult = lcm(*(c.denominator for c in terms.values()))
+            top = max((sum(exps) for exps in terms), default=0)
             out: dict = {}
-            for exps, c in comp.terms.items():
+            for exps, c in terms.items():
                 # expand one variable at a time, pruning once the degree
                 # passes order
-                partial = [((), c, 0)]
+                num = c.numerator * (mult // c.denominator) * den ** (top - sum(exps))
+                partial = [((), num, 0)]
                 for i, e in enumerate(exps):
                     pairs = expansion(i, e)
                     partial = [
@@ -377,7 +412,12 @@ class PolyField:
                         if deg + k <= order
                     ]
                 for head, coef, _ in partial:
-                    out[head] = out.get(head, _ZERO) + coef
+                    out[head] = out.get(head, 0) + coef
+            dens = [mult * den ** (top - j) for j in range(min(top, order) + 1)]
+            for head, num in out.items():
+                d = dens[sum(head)]
+                if d != 1:
+                    out[head] = _coeff(Fraction(num, d))
             comps.append(comp._like(out))
         return PolyField(tuple(comps), order)
 

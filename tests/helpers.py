@@ -123,6 +123,48 @@ def bracket_reference(a_comps, b_comps, cap=None) -> list:
     return comps
 
 
+def taylor_reference(f, point, order: int):
+    """Reference for ``PolyField.taylor``: each component of the exact field
+    ``f`` expanded in x -> x + point in ``Fraction`` arithmetic, term by term
+    with cached binomial factors, keeping the monomials of total degree <=
+    ``order``."""
+    from math import comb
+
+    shift = [Fraction(x) for x in point]
+    assert f.order is None and order >= 0 and len(shift) == f.n
+    # (x_i + p_i)^e = sum_k C(e, k) p_i^(e-k) x_i^k: the (k, factor) pairs
+    # by (i, e), with factor None standing for 1
+    expansions: dict = {}
+
+    def expansion(i: int, e: int):
+        got = expansions.get((i, e))
+        if got is None:
+            p = shift[i]
+            got = [(e, None)]
+            if e and p:
+                got = [(k, comb(e, k) * p ** (e - k)) for k in range(e)] + got
+            expansions[(i, e)] = got
+        return got
+
+    comps = []
+    for comp in f.comps:
+        out: dict = {}
+        for exps, c in comp.terms.items():
+            partial = [((), c, 0)]
+            for i, e in enumerate(exps):
+                pairs = expansion(i, e)
+                partial = [
+                    (head + (k,), coef if fk is None else coef * fk, deg + k)
+                    for head, coef, deg in partial
+                    for k, fk in pairs
+                    if deg + k <= order
+                ]
+            for head, coef, _ in partial:
+                out[head] = out.get(head, Fraction(0)) + coef
+        comps.append(comp._like(out))
+    return PolyField(tuple(comps), order)
+
+
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
     return max((len(v.idx) for mono in p.terms for v in mono), default=0)

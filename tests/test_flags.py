@@ -213,6 +213,57 @@ def test_formal_flag_matches_the_symbol_reference_on_dense_frames(seed):
         _agrees_with_reference(jetalg.jet_of_frame(fr, p, step - 1), step, seed % 2 == 0)
 
 
+@pytest.mark.parametrize("seed", [6203, 6204])
+def test_integer_engine_matches_the_symbol_reference_on_dense_frames(seed):
+    # the symbol path never scales a leaf, so it checks the integer engine
+    for fr, p, step in _dense_frames(seed):
+        _agrees_with_reference(jetalg.jet_of_frame(fr, p, step - 1), step, True)
+
+
+def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
+    # the cartan frame has coefficients 1/2 and 1/12, the point and the
+    # direction have Fraction coordinates: every field the engine brackets,
+    # and every bracket it gets back, must still hold ints only (the frame is
+    # built first, since building it certifies brackets of exact fields)
+    fr = catalog.cartan_frame()
+    brackets = []
+
+    def int_bracket(x, y):
+        out = poly_lie_bracket(x, y)
+        for f in (x, y, out):
+            for comp in f.comps:
+                assert all(type(c) is int for c in comp.terms.values()), (x, y)
+        brackets.append(out)
+        return out
+
+    monkeypatch.setattr(flags, "poly_lie_bracket", int_bracket)
+    p = (F(1, 3), F(-2, 5), F(3, 7), 1, F(5, 2))
+    v = (F(1, 2), F(-1, 3), 1, 0, 0)
+    for cross_check in (False, True):
+        assert flags.lie_flag(fr, p, 3, cross_check).dims == (2, 3, 5)
+        jet = jetalg.jet_of_frame(fr, p, 2)
+        assert flags.formal_flag(jet, 3, cross_check).dims == (2, 3, 5)
+        assert len(ampleness.slice_report(fr, p, v, 3, cross_check)) == 3
+    assert len(brackets) > 20
+
+
+_INEXACT = [0.1, float("nan"), float("inf"), "1/3"]
+
+
+@pytest.mark.parametrize("bad", _INEXACT, ids=["float", "nan", "inf", "str"])
+def test_inexact_coordinates_are_refused(bad):
+    engel = catalog.engel_frame()
+    point = (0, bad, 0, 0)
+    with pytest.raises(DomainError, match="point coordinate 2 must be an exact rational"):
+        flags.lie_flag(engel, point, 3)
+    with pytest.raises(DomainError, match="point coordinate 2 must be an exact rational"):
+        jetalg.jet_of_frame(engel, point, 2)
+    with pytest.raises(DomainError, match="point coordinate 2 must be an exact rational"):
+        ampleness.slice_report(engel, point, (1, 0, 0, 0), 3)
+    with pytest.raises(DomainError, match="direction coordinate 2 must be an exact rational"):
+        ampleness.slice_report(engel, (0,) * 4, (1, bad, 0, 0), 3)
+
+
 def _random_jet(rng, k, n, order, sparse):
     """A hand-built jet point: every coordinate rational, most of them zero
     when ``sparse``."""

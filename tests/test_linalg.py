@@ -71,3 +71,25 @@ def test_rowless_matrix_raises():
     with pytest.raises(DomainError, match="empty matrix"):
         linalg.solve([], [])
 
+
+
+def test_mixed_int_and_fraction_rows_read_like_fraction_rows():
+    # rows are read as they come: an int entry is not wrapped in a Fraction,
+    # and the answers equal those of the all-Fraction rows
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        mixed = [
+            [rng.randint(-3, 3) if rng.random() < 0.5 else rand_fraction(rng, 3, 4)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.4:
+            mixed[-1] = [2 * x for x in mixed[0]]  # singular
+        fracs = [[F(x) for x in row] for row in mixed]
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        assert linalg.rank(mixed) == linalg.rank(fracs)
+        assert linalg.det(mixed) == linalg.det(fracs)
+        assert linalg.solve(mixed, b) == linalg.solve(fracs, [F(x) for x in b])
+        assert linalg.nullspace(mixed) == linalg.nullspace(fracs)
+        assert linalg.inverse(mixed) == linalg.inverse(fracs)
