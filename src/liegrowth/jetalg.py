@@ -16,10 +16,15 @@ checks the ambient and the order and returns the components of
 shares with ``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame
 off its Taylor fields (``PolyField.taylor``) instead of differentiating, and
 hands its complete, canonical dict to ``JetPoint`` without the re-validation
-a user-built jet point gets.  ``_taylor_fields`` is the inverse read-off: the
-Taylor fields a jet fixes, u^i_{a,alpha} / alpha! being the coefficient of
-x^alpha, which ``flags.formal_flag`` brackets.  Both walk one table of
-multi-indices, ``_multi_indices``.
+a user-built jet point gets; a user-built one reads its base and values by
+``polyfields._coeff``'s rule, so a float is a ``DomainError``.
+``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
+u^i_{a,alpha} / alpha! being the coefficient of x^alpha, which
+``flags.formal_flag`` brackets.  It reads the jet's integer view
+(``JetPoint._ints``: the lcm of the value denominators and each value times
+it, built once per jet and shared with ``evaluate``), so each coefficient is
+an integer quotient one ``gcd`` from lowest terms and no ``Fraction`` is
+divided.  Both walk one table of multi-indices, ``_multi_indices``.
 
 The symbol core does no work twice.  ``_act`` looks the successors
 ``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
@@ -412,12 +417,18 @@ class JetPoint:
     _int_view: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.base = tuple(Fraction(x) for x in self.base)
+        self.base = tuple(map(Fraction, _exact_point(self.base, "base point")))
         if len(self.base) != self.n:
             raise DomainError("base point dimension mismatch")
         vals = {}
         for v, c in self.values.items():
-            vals[JetVar(v.field, v.comp, tuple(sorted(v.idx)))] = Fraction(c)
+            v = JetVar(v.field, v.comp, tuple(sorted(v.idx)))
+            try:
+                vals[v] = Fraction(_coeff(c))
+            except DomainError:
+                raise DomainError(
+                    f"jet value of {v} must be an exact rational, got {type(c).__name__}"
+                ) from None
         self.values = vals
         missing = []
         for v in iter_jet_vars(self.k, self.n, self.order):
@@ -446,13 +457,13 @@ class JetPoint:
             raise IncompleteJet(f"jet point has no coordinate {v}") from None
 
     def _ints(self):
+        """``(denom, ints)``: the lcm of the value denominators and each value
+        times it, an int; computed on the first call and kept."""
         if self._int_view is None:
-            denom = 1
-            for c in self.values.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
+            denom = lcm(*(c.denominator for c in self.values.values()))
             self._int_view = (
                 denom,
-                {v: int(c * denom) for v, c in self.values.items()},
+                {v: c.numerator * (denom // c.denominator) for v, c in self.values.items()},
             )
         return self._int_view
 
@@ -529,7 +540,8 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     """All partial derivatives of the frame coefficients up to ``order``,
     evaluated exactly at ``point``.  They are read off the order-``order``
     Taylor fields at ``point``: the derivative along a multi-index that takes
-    direction j alpha_j times is alpha! times the coefficient of x^alpha.
+    direction j alpha_j times is alpha! times the coefficient of x^alpha,
+    already a ``Fraction`` unless it is an int.
     """
     n = frame.n
     base = tuple(Fraction(x) for x in _exact_point(point))
@@ -541,19 +553,32 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
         for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
             coeff = poly.terms.get
             for idx, alpha, scale in table:
-                values[JetVar(fld, comp, idx)] = Fraction(coeff(alpha, 0) * scale)
+                u = coeff(alpha, 0) * scale
+                values[JetVar(fld, comp, idx)] = Fraction(u) if type(u) is int else u
     return JetPoint._trusted(frame.k, n, order, base, values)
 
 
 def _taylor_fields(jet: JetPoint, order: int) -> list[PolyField]:
     """The order-``order`` Taylor fields about the base point that ``jet``
     fixes, the inverse of ``jet_of_frame``'s read-off: component i of field a
-    is sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha."""
+    is sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha.
+
+    Each coefficient is read from the integer view ``jet._ints()``: with u
+    the value times ``denom``, it is u / (denom * alpha!), one ``gcd`` away
+    from lowest terms, and stored as an int when integral."""
     n, table = jet.n, _multi_indices(jet.n, order)
+    denom, ints = jet._ints()
+    zero = Poly(n)
 
     def component(fld: int, comp: int) -> Poly:
-        terms = {alpha: jet.values[JetVar(fld, comp, idx)] / scale for idx, alpha, scale in table}
-        return Poly(n, terms)
+        terms = {}
+        for idx, alpha, scale in table:
+            u = ints[JetVar(fld, comp, idx)]
+            if u:
+                d = denom * scale
+                g = gcd(u, d)
+                terms[alpha] = u // g if g == d else Fraction(u // g, d // g)
+        return zero._like(terms)
 
     return [
         PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)), order)

@@ -9,8 +9,10 @@ monomial is (its product ``_times``), its ambient (a mismatch raises
 ``_act``: acc += sign * sum_j V^j * D_j p, with each derivative term of p
 formed once and multiplied straight into ``acc``, for V's components as the
 ring's ``_grade`` lists them.  ``Poly`` here is the classical ring: monomials
-are exponent n-tuples, D_j is d/dx_j, and ``_grade`` sorts each component by
-degree so that a Taylor bracket stops every row at its cap.
+are exponent n-tuples, D_j is d/dx_j, and ``_grade`` lists only the nonzero
+components, each sorted by degree, with the lowest degree among them, so that
+a Taylor bracket skips a term whose every product lies above its cap, walks
+only the directions it has a multiplier for and stops every row at the cap.
 ``jetalg.DiffPoly`` is the ring of jet coordinates, whose D_j are the total
 derivatives.  A partial derivative (``Poly.derivative``, ``jetalg.derive``)
 is the action of a coordinate field, ``_along``.
@@ -39,8 +41,13 @@ bracket whose order would drop below zero raises ``OrderOverflow``.
 once and each component's coefficient denominators once, accumulates every
 term of the expansion as an integer numerator, and forms one exact
 coefficient per output monomial at the end, so an integral coefficient is
-stored as an int.  A point coordinate must be an int or a Fraction
-(``_exact_point``); anything else, a float included, is a ``DomainError``.
+stored as an int.  It expands only the variables that move: a variable whose
+exponent or shift is 0 keeps its exponent, so a term runs its list of partial
+products through the other variables alone, pruned once their degree passes
+the order.  A point coordinate must be an int or a Fraction (``_exact_point``);
+anything else, a float included, is a ``DomainError``.  The same rule reads
+every number the other entry points take: ``Poly.eval_at`` and
+``PolyField.value_at``, ``AffineMap.make`` and ``frame_change``.
 """
 
 from __future__ import annotations
@@ -203,26 +210,37 @@ class Poly(_SparsePoly):
         return (tuple(map(add, e1, e2)) for e2 in monos)
 
     @staticmethod
-    def _grade(comps, cap=None) -> list:
-        """Per component, its (degrees, monomials, coefficients) by ascending
-        degree, so that ``_act`` stops each row at the cap."""
-        graded = []
-        for p in comps:
-            items = sorted(((sum(m), m, c) for m, c in p.terms.items()), key=itemgetter(0))
-            graded.append(tuple(zip(*items)) or ((), (), ()))
-        return graded
+    def _grade(comps, cap=None) -> tuple:
+        """The lowest degree of any term and, per nonzero component, its
+        (direction, degrees, monomials, coefficients) by ascending degree, so
+        that ``_act`` skips a zero component and stops each row at the cap."""
+        live = []
+        for j, p in enumerate(comps):
+            if p.terms:
+                items = sorted(((sum(m), m, c) for m, c in p.terms.items()), key=itemgetter(0))
+                live.append((j, *zip(*items)))
+        return min((degs[0] for _, degs, _, _ in live), default=0), live
 
-    def _act(self, acc: dict, graded: list, sign: int = 1, cap=None) -> None:
+    def _act(self, acc: dict, graded: tuple, sign: int = 1, cap=None) -> None:
         """acc += sign * sum_j V^j * d(self)/dx_j for the components V^j of a
         field graded by ``_grade``: each derivative term is formed once and
         multiplied straight into ``acc``, and no product of total degree above
-        ``cap`` is formed; cancelled coefficients stay as zeros."""
+        ``cap`` is formed; a term whose every product would lie above ``cap``
+        is skipped whole.  Cancelled coefficients stay as zeros."""
+        low, live = graded
         for exps, c in self.terms.items():
-            room = None if cap is None else cap + 1 - sum(exps)
-            for j, e in enumerate(exps):
-                degs, monos, coeffs = graded[j]
-                if e and degs:
+            if cap is None:
+                room = None
+            else:
+                room = cap + 1 - sum(exps)
+                if room < low:
+                    continue
+            for j, degs, monos, coeffs in live:
+                e = exps[j]
+                if e:
                     stop = None if room is None else bisect_right(degs, room)
+                    if stop == 0:
+                        continue
                     d = exps[:j] + (e - 1,) + exps[j + 1 :]
                     sc = sign * c * e
                     for m, c2 in zip(monos[:stop], coeffs[:stop]):
@@ -259,7 +277,7 @@ class Poly(_SparsePoly):
         return self._along(j, Poly.const(self.n, 1))
 
     def eval_at(self, point) -> Fraction:
-        vals = [Fraction(x) for x in point]
+        vals = _exact_point(point)
         total = _ZERO
         for exps, c in self.terms.items():
             prod = c
@@ -368,6 +386,12 @@ class PolyField:
         integer, to the numerator of x^k over L D^(d - |k|).  Each output
         coefficient becomes one exact number at the end, so integral ones are
         stored as ints.
+
+        Only the variables with a nonzero exponent and a nonzero shift are
+        expanded, k_i running over 0..alpha_i; every other variable keeps
+        k_i = alpha_i.  The degree of those fixed variables starts the
+        partial products, which are dropped once their degree passes
+        ``order``, so a term of high degree never forms its full product.
         """
         if self.order is not None:
             raise DomainError("taylor expands exact fields, not Taylor fields")
@@ -399,14 +423,24 @@ class PolyField:
             top = max((sum(exps) for exps in terms), default=0)
             out: dict = {}
             for exps, c in terms.items():
-                # expand one variable at a time, pruning once the degree
-                # passes order
-                num = c.numerator * (mult // c.denominator) * den ** (top - sum(exps))
-                partial = [((), num, 0)]
+                # a variable with exponent 0 or shift 0 keeps its exponent;
+                # the others are expanded one at a time, pruning once the
+                # degree passes order
+                low, active = 0, []
                 for i, e in enumerate(exps):
-                    pairs = expansion(i, e)
+                    if e:
+                        if shift[i]:
+                            active.append(i)
+                        else:
+                            low += e
+                if low > order:
+                    continue
+                num = c.numerator * (mult // c.denominator) * den ** (top - sum(exps))
+                partial = [(exps, num, low)]
+                for i in active:
+                    pairs = expansion(i, exps[i])
                     partial = [
-                        (head + (k,), coef if f is None else coef * f, deg + k)
+                        (head[:i] + (k,) + head[i + 1 :], coef if f is None else coef * f, deg + k)
                         for head, coef, deg in partial
                         for k, f in pairs
                         if deg + k <= order
@@ -507,8 +541,13 @@ class AffineMap:
 
     @staticmethod
     def make(linear, shift) -> AffineMap:
-        lin = tuple(tuple(Fraction(x) for x in row) for row in linear)
-        return AffineMap(lin, tuple(Fraction(x) for x in shift))
+        """The map from exact entries; any other entry, a float included,
+        raises ``DomainError`` naming it."""
+        lin = tuple(
+            tuple(map(Fraction, _exact_point(row, f"linear part row {r}")))
+            for r, row in enumerate(linear, start=1)
+        )
+        return AffineMap(lin, tuple(map(Fraction, _exact_point(shift, "shift"))))
 
     @property
     def n(self) -> int:
@@ -554,9 +593,14 @@ def pushforward(fr: Frame, a: AffineMap) -> Frame:
 
 
 def frame_change(fr: Frame, g) -> Frame:
-    """Constant recombination fr . G: new field m is sum_j G[j][m] X_j."""
+    """Constant recombination fr . G: new field m is sum_j G[j][m] X_j.
+    An entry of G that is not exact, a float included, raises
+    ``DomainError`` naming it."""
     k = fr.k
-    rows = [[Fraction(x) for x in row] for row in g]
+    rows = [
+        list(map(Fraction, _exact_point(row, f"change matrix row {r}")))
+        for r, row in enumerate(g, start=1)
+    ]
     if len(rows) != k or any(len(r) != k for r in rows):
         raise DomainError(f"change matrix must be {k}x{k}")
     if linalg.det(rows) == 0:

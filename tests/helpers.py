@@ -165,6 +165,43 @@ def taylor_reference(f, point, order: int):
     return PolyField(tuple(comps), order)
 
 
+def assert_coeff_normal(field) -> None:
+    """Every coefficient of ``field`` is ``_coeff``-normal: an int when
+    integral, a Fraction otherwise, never zero."""
+    for comp in field.comps:
+        for c in comp.terms.values():
+            assert c != 0
+            if isinstance(c, Fraction):
+                assert c.denominator != 1
+            else:
+                assert type(c) is int
+
+
+def taylor_fields_reference(jet, order: int) -> list:
+    """Reference for ``jetalg._taylor_fields``: component i of field a is
+    sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha, each coefficient
+    a ``Fraction`` division of the jet value, normalised by ``Poly``."""
+    from math import factorial, prod
+
+    from liegrowth.jetalg import JetVar
+
+    n = jet.n
+    table = []
+    for ln in range(order + 1):
+        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
+            alpha = tuple(idx.count(j) for j in range(1, n + 1))
+            table.append((idx, alpha, prod(map(factorial, alpha))))
+
+    def component(fld: int, comp: int) -> Poly:
+        terms = {alpha: jet.values[JetVar(fld, comp, idx)] / scale for idx, alpha, scale in table}
+        return Poly(n, terms)
+
+    return [
+        PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)), order)
+        for fld in range(1, jet.k + 1)
+    ]
+
+
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
     return max((len(v.idx) for mono in p.terms for v in mono), default=0)

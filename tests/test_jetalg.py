@@ -333,6 +333,18 @@ def test_jet_point_completeness_check():
         ja.JetPoint(1, 1, 1, (0,), {ja.JetVar(1, 1, ()): F(1)})
 
 
+def test_jet_point_float_entries_raise():
+    values = {ja.JetVar(1, 1, ()): F(1), ja.JetVar(1, 1, (1,)): 2}
+    for bad in (0.1, float("nan"), float("inf"), "1/2"):
+        with pytest.raises(DomainError, match="base point coordinate 1"):
+            ja.JetPoint(1, 1, 1, (bad,), values)
+        with pytest.raises(DomainError, match=r"jet value of u\^1_1,\(1\)"):
+            ja.JetPoint(1, 1, 1, (0,), {**values, ja.JetVar(1, 1, (1,)): bad})
+    jet = ja.JetPoint(1, 1, 1, (F(1, 10),), values)
+    assert jet.base == (F(1, 10),) and jet.values[ja.JetVar(1, 1, (1,))] == F(2)
+    assert all(type(c) is Fraction for c in (*jet.base, *jet.values.values()))
+
+
 # --- oracle equivalence (symbol vs classical), small version ----------------
 
 

@@ -6,7 +6,15 @@ nonzero.
 
 The jet read-off round trip: the Taylor fields ``_taylor_fields`` reads off
 ``jet_of_frame(fr, p, o)`` are the Taylor fields ``f.taylor(p, o)`` of the
-frame, for random polynomial frames, rational points and o = 0..3."""
+frame, for random polynomial frames, rational points and o = 0..3.
+
+The integer read-back: on user-built jet points with zero, negative and
+large-denominator values, ``_taylor_fields`` equals the ``Fraction`` division
+of ``helpers.taylor_fields_reference`` at every order up to the jet's, every
+coefficient it stores is ``_coeff``-normal, and ``_ints`` is the values times
+the lcm of their denominators."""
+
+from math import lcm
 
 import pytest
 
@@ -16,6 +24,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from liegrowth import jetalg as ja  # noqa: E402
 from liegrowth.polyfields import Frame, Poly, PolyField  # noqa: E402
+
+from helpers import assert_coeff_normal, taylor_fields_reference  # noqa: E402
 
 K, N, R = 3, 2, 3
 
@@ -67,3 +77,33 @@ def test_taylor_fields_invert_the_jet_read_off(frame_point, order):
     fr, p = frame_point
     got = ja._taylor_fields(ja.jet_of_frame(fr, p, order), order)
     assert got == [f.taylor(p, order) for f in fr.fields]
+
+
+_values = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=50),
+)
+
+
+@st.composite
+def _jets(draw):
+    k, n, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    names = list(ja.iter_jet_vars(k, n, order))
+    vals = draw(st.lists(_values, min_size=len(names), max_size=len(names)))
+    base = draw(st.lists(_values, min_size=n, max_size=n))
+    return ja.JetPoint(k, n, order, tuple(base), dict(zip(names, vals)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jets())
+def test_taylor_fields_read_back_matches_the_fraction_reference(jet):
+    denom, ints = jet._ints()
+    assert denom == lcm(*(c.denominator for c in jet.values.values()))
+    assert ints == {v: int(c * denom) for v, c in jet.values.items()}
+    for order in range(jet.order + 1):
+        got = ja._taylor_fields(jet, order)
+        assert got == taylor_fields_reference(jet, order)
+        for f in got:
+            assert f.order == order
+            assert_coeff_normal(f)

@@ -81,6 +81,28 @@ def test_poly_float_coefficients_raise():
         Poly.variable(1, 1) * 0.5
 
 
+_INEXACT = (0.1, float("nan"), float("inf"), "1/2")
+
+
+def test_float_entry_points_raise():
+    fr = Frame(2, (PolyField.basis(2, 1), PolyField.basis(2, 2)))
+    x1 = Poly.variable(2, 1)
+    for bad in _INEXACT:
+        with pytest.raises(DomainError, match="change matrix row 1 coordinate 1"):
+            frame_change(fr, [[bad, 0], [0, 1]])
+        with pytest.raises(DomainError, match="linear part row 2 coordinate 1"):
+            AffineMap.make([[1, 0], [bad, 1]], [0, 0])
+        with pytest.raises(DomainError, match="shift coordinate 2"):
+            AffineMap.make([[1, 0], [0, 1]], [0, bad])
+        with pytest.raises(DomainError, match="point coordinate 1"):
+            x1.eval_at((bad, 0))
+        with pytest.raises(DomainError, match="point coordinate 2"):
+            fr.fields[0].value_at((0, bad))
+    assert frame_change(fr, [[F(1, 10), 0], [0, 1]]).fields[0] == PolyField.basis(2, 1).scale(F(1, 10))
+    assert AffineMap.make([[1, 0], [0, 2]], [F(1, 10), 0]).apply((0, 1)) == (F(1, 10), 2)
+    assert x1.eval_at((F(1, 10), 7)) == F(1, 10)
+
+
 def test_poly_malformed_keys_raise():
     for key in ((0, 0, 1), (-1, 0), (1,), (1.0, 0), "x1"):
         with pytest.raises(DomainError):

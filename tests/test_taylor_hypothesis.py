@@ -2,10 +2,10 @@
 equals the ``Fraction`` expansion ``taylor_reference`` on random exact fields
 (n <= 3, degree <= 3, int and Fraction coefficients) at points with zero,
 negative and large-denominator coordinates, mixing ints and Fractions, for
-every order from 0 to one past the degree; and every coefficient it stores is
-``_coeff``-normal: an int when integral, a Fraction otherwise, never zero."""
-
-from fractions import Fraction
+every order from 0 to one past the degree, and on terms of degree up to 6 at
+orders 0 to 2, where the expansion prunes by degree; and every coefficient it
+stores is ``_coeff``-normal: an int when integral, a Fraction otherwise, never
+zero."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from liegrowth.polyfields import Poly, PolyField  # noqa: E402
 
-from helpers import taylor_reference  # noqa: E402
+from helpers import assert_coeff_normal, taylor_reference  # noqa: E402
 
 _coeffs = st.one_of(
     st.integers(-9, 9),
@@ -29,10 +29,11 @@ _coords = st.one_of(
 
 
 @st.composite
-def _field_and_point(draw):
+def _field_and_point(draw, max_degree=3):
     n = draw(st.integers(1, 3))
-    # a monomial of degree <= 3 as the exponent counts of <= 3 variables
-    exps = st.lists(st.integers(0, n - 1), max_size=3).map(
+    # a monomial of degree <= max_degree as the exponent counts of that many
+    # variables
+    exps = st.lists(st.integers(0, n - 1), max_size=max_degree).map(
         lambda vs: tuple(vs.count(i) for i in range(n))
     )
     polys = st.dictionaries(exps, _coeffs, max_size=4).map(lambda t: Poly(n, t))
@@ -41,18 +42,22 @@ def _field_and_point(draw):
     return field, point
 
 
+def _check(f, point, order):
+    got = f.taylor(point, order)
+    assert got == taylor_reference(f, point, order)
+    assert_coeff_normal(got)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_taylor_matches_the_fraction_reference(data):
     f, point = data.draw(_field_and_point())
     degree = max(p.max_degree() for p in f.comps)
-    order = data.draw(st.integers(0, degree + 1))
-    got = f.taylor(point, order)
-    assert got == taylor_reference(f, point, order)
-    for comp in got.comps:
-        for c in comp.terms.values():
-            assert c != 0
-            if isinstance(c, Fraction):
-                assert c.denominator != 1
-            else:
-                assert type(c) is int
+    _check(f, point, data.draw(st.integers(0, degree + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_taylor_prunes_high_degree_terms(data):
+    f, point = data.draw(_field_and_point(max_degree=6))
+    _check(f, point, data.draw(st.integers(0, 2)))
