@@ -40,8 +40,28 @@ def _to_jsonable(obj):
     return obj
 
 
+def _check_size(entry: str, what: str) -> None:
+    """Refuse an entry whose numerator or denominator has more than
+    ``parsing.MAX_DIGITS`` digits or whose exponent exceeds it, before
+    ``Fraction`` expands it, which takes seconds from about 10**6 on."""
+    mantissa, _, exponent = entry.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if any(sum(map(str.isdigit, side)) > parsing.MAX_DIGITS for side in mantissa.split("/")):
+        problem = f"has more than {parsing.MAX_DIGITS} digits"
+    elif digits.isdigit() and (
+        len(digits) > len(str(parsing.MAX_DIGITS)) or int(digits) > parsing.MAX_DIGITS
+    ):
+        problem = f"has an exponent above {parsing.MAX_DIGITS}"
+    else:
+        return
+    shown = entry if len(entry) <= 20 else entry[:20] + "..."
+    raise DomainError(f"{what} entry {shown!r} {problem} (parsing.MAX_DIGITS)")
+
+
 def _parse_vector(text: str, n: int, what: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        _check_size(p, what)
     try:
         vec = tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,33 +6,51 @@ multi-index ``I`` (a sorted tuple of direction indices in 1..n) of component
 parameters ``(k, n, r)``: up to ``k`` fields, ``n`` coordinates, derivative
 data of order at most ``r - 1``.
 
+Inside the symbol core a coordinate is an int, its code in the code table of
+its ambient's ``(k, n)`` (``_Codes``).  The table is made on first use, never
+at import, and grows one derivative order at a time; codes run by order
+first, then by (field, comp, idx), so a code depends on ``(k, n)`` and the
+coordinate alone, and a pickled polynomial means the same in any
+interpreter.  The table holds the ``JetVar`` of each code and its inverse,
+the successor codes (D_1 v, ..., D_n v) of every code below its top order,
+and where each order starts.
+
 ``DiffPoly`` is the jet-coordinate instance of the sparse ring in
-``polyfields._SparsePoly``: its monomials are sorted tuples of ``JetVar`` and
-its ``_act`` applies a vector V to a polynomial through the total
-derivatives, sum_t V^t D_t p; ``derive`` is the action of one coordinate
-field.  Add, multiply and the bracket are the shared ones: ``diffvec_bracket``
-checks the ambient and the order and returns the components of
-``polyfields._bracket``, the one Lie-bracket kernel, A(B^i) - B(A^i), which it
-shares with ``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame
-off its Taylor fields (``PolyField.taylor``) instead of differentiating, and
-hands its complete, canonical dict to ``JetPoint`` without the re-validation
-a user-built jet point gets; a user-built one reads its base and values by
-``polyfields._coeff``'s rule, so a float is a ``DomainError``.
+``polyfields._SparsePoly``: its ``terms`` map sorted tuples of codes to
+coefficients.  Its constructor takes ``JetVar`` monomials, in any order and
+with indices in any order, checks each coordinate against the ambient as
+``make_var`` does, and adds up the spellings of one monomial;
+``sorted_terms``, ``variables``, ``str`` and ``repr`` decode.  ``_act``
+applies a vector V to a polynomial through the total derivatives,
+sum_t V^t D_t p; ``derive`` is the action of one coordinate field.  Add,
+multiply and the bracket are the shared ones: ``diffvec_bracket`` checks the
+ambient and the order and returns the components of ``polyfields._bracket``,
+the one Lie-bracket kernel, A(B^i) - B(A^i), which it shares with
+``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame off its
+Taylor fields (``PolyField.taylor``) instead of differentiating, keys it by
+the table's own ``JetVar``s, shares one Fraction zero among its zero values,
+and hands its complete, canonical dict to ``JetPoint`` without the
+re-validation a user-built jet point gets; a user-built one reads its base
+and values by ``polyfields._coeff``'s rule, so a float is a ``DomainError``.
 ``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
 u^i_{a,alpha} / alpha! being the coefficient of x^alpha, which
-``flags.formal_flag`` brackets.  It reads the jet's integer view
-(``JetPoint._ints``: the lcm of the value denominators and each value times
-it, built once per jet and shared with ``evaluate``), so each coefficient is
-an integer quotient one ``gcd`` from lowest terms and no ``Fraction`` is
-divided.  Both walk one table of multi-indices, ``_multi_indices``.
+``flags.formal_flag`` brackets.  Both walk one table of multi-indices,
+``_multi_indices``, beside the matching codes (``_Codes.block``).
 
-The symbol core does no work twice.  ``_act`` looks the successors
-``(D_1 v, ..., D_n v)`` of a coordinate up in a table keyed by ``n`` and
-filled as coordinates occur, builds the rest of a monomial once per position,
-and forms each product key by one sort of the rest, the successor and the
-multiplier's monomial; no per-direction derivative dict is built.  A
-``DiffPoly`` carries its order: the first ``order()`` computes it from the
-distinct coordinates and keeps it, so the order checks of ``derive``,
+A jet point keeps one integer view per ambient it is read in
+(``JetPoint._coded``): the lcm of its value denominators, and per code the
+value times it, an int, or None where the jet lacks the coordinate.
+``evaluate`` multiplies along a monomial's codes straight out of that list,
+and ``_taylor_fields`` reads each coefficient from it as an integer quotient
+one ``gcd`` from lowest terms, with no ``Fraction`` divided.
+
+The symbol core does no work twice.  ``_act`` reads the successors of a code
+from the table, builds the rest of a monomial once per position, and forms
+each product key by one sort of the rest, the successor and the multiplier's
+monomial, all ints; no per-direction derivative dict is built.  A
+``DiffPoly`` carries its order: the first ``order()`` reads the order of the
+largest last code of its monomials (the highest-order coordinate, codes
+running by order first) and keeps it, so the order checks of ``derive``,
 ``diffvec_bracket`` and ``evaluate`` cost O(1) afterwards.  It carries the
 lcm of its coefficient denominators and its largest degree the same way, for
 ``evaluate``, so a symbol evaluated at many jets walks its terms for them
@@ -47,10 +65,13 @@ outermost field.  Swapping the last two entries flips the sign.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial, gcd, lcm
 from math import prod as _prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -58,7 +79,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import Frame, Poly, PolyField, _bracket, _coeff, _exact_point, _SparsePoly
+from .polyfields import _ZERO, Frame, Poly, PolyField, _bracket, _coeff, _exact_point, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -90,24 +111,104 @@ class JetVar(NamedTuple):
         return f"u^{self.comp}_{self.field}"
 
 
-def _var_sort_key(v: JetVar):
-    return (v.field, v.comp, len(v.idx), v.idx)
-
-
 def _mono_sort_key(mono):
-    return (len(mono), tuple(_var_sort_key(v) for v in mono))
+    return (len(mono), tuple((v.field, v.comp, len(v.idx), v.idx) for v in mono))
 
 
-# n -> {v: (D_1 v, ..., D_n v)}, filled as coordinates occur.  The successors
-# depend on v and n alone, so one table serves every polynomial.
-_SUCCESSORS: dict[int, dict[JetVar, tuple[JetVar, ...]]] = {}
+class _Codes:
+    """The code table of one ambient ``(k, n)``: ``vars[c]`` is the
+    coordinate with code c and ``index`` the inverse, ``succ[c]`` the codes
+    of its successors (D_1 v, ..., D_n v), and ``starts[m]`` the first code
+    of order m.  Codes run by order first, then by (field, comp, idx), and
+    the table grows one order at a time, so a code depends on k, n and the
+    coordinate alone.  Successors are filled only as far as ``_act`` asks,
+    so a table that only names the coordinates of a jet holds none."""
+
+    __slots__ = ("k", "n", "vars", "index", "succ", "starts")
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n = k, n
+        self.vars: list[JetVar] = []
+        self.index: dict[JetVar, int] = {}
+        self.succ: list[tuple[int, ...]] = []
+        self.starts = [0]
+        self.grow(0)
+
+    def grow(self, order: int) -> None:
+        """Code every coordinate of order <= ``order``."""
+        while len(self.starts) - 2 < order:
+            m, dirs = len(self.starts) - 1, range(1, self.n + 1)
+            idxs = list(itertools.combinations_with_replacement(dirs, m))  # shared by all keys
+            for fld in range(1, self.k + 1):
+                for comp in range(1, self.n + 1):
+                    for idx in idxs:
+                        v = JetVar(fld, comp, idx)
+                        self.index[v] = len(self.vars)
+                        self.vars.append(v)
+            self.starts.append(len(self.vars))
+
+    def successors(self, order: int) -> list[tuple[int, ...]]:
+        """``succ``, filled for every code of order <= ``order``."""
+        self.grow(order + 1)
+        index, dirs = self.index, range(1, self.n + 1)
+        for v in self.vars[len(self.succ) : self.starts[order + 1]]:
+            self.succ.append(
+                tuple(index[JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))] for t in dirs)
+            )
+        return self.succ
+
+    def block(self, fld: int, comp: int, order: int) -> list[int]:
+        """The codes of u^comp_{fld,I} for |I| <= ``order``, in the order of
+        ``_multi_indices``: one run of codes per order."""
+        self.grow(order)
+        pos, out = (fld - 1) * self.n + comp - 1, []
+        for m in range(order + 1):
+            lo, hi = self.starts[m], self.starts[m + 1]
+            size = (hi - lo) // (self.k * self.n)
+            out += range(lo + pos * size, lo + (pos + 1) * size)
+        return out
+
+    def order_of(self, code: int, r: int) -> int:
+        """The order of ``code``, coding up to order ``r - 1`` to reach it."""
+        while code >= len(self.vars):
+            if len(self.starts) - 1 >= r:
+                raise DomainError(f"code {code} names no coordinate of order below {r}")
+            self.grow(len(self.starts) - 1)
+        return bisect_right(self.starts, code) - 1
+
+    def encode(self, v, r: int) -> int:
+        """The code of coordinate ``v``, a ``JetVar`` or a (field, comp, idx)
+        triple with its index in any order, which ``make_var`` checks."""
+        try:
+            fld, comp, idx = v
+            v = make_var(fld, comp, idx, self.k, self.n, r)
+        except (TypeError, ValueError):
+            raise DomainError(f"{v!r} is not a jet coordinate (field, comp, idx)") from None
+        self.grow(len(v.idx))
+        code = self.index.get(v)
+        if code is None:
+            raise DomainError(f"{v!r} is not a jet coordinate of integer indices")
+        return code
+
+
+# (k, n) -> the code table of that ambient, made on first use.
+_TABLES: dict[tuple[int, int], _Codes] = {}
+
+
+def _codes(k: int, n: int) -> _Codes:
+    tab = _TABLES.get((k, n))
+    if tab is None:
+        tab = _TABLES[(k, n)] = _Codes(k, n)
+    return tab
 
 
 class DiffPoly(_SparsePoly):
     """Sparse polynomial in jet coordinates with exact rational coefficients.
 
-    ``terms`` maps monomials (tuples of JetVar, canonically sorted) to nonzero
-    int or Fraction coefficients.
+    ``terms`` maps monomials, sorted tuples of the codes of the ambient's
+    ``(k, n)`` table, to nonzero int or Fraction coefficients; the
+    constructor takes ``JetVar`` monomials and ``sorted_terms`` gives them
+    back.
     """
 
     __slots__ = ("k", "n", "r", "_order", "_scale")
@@ -117,6 +218,13 @@ class DiffPoly(_SparsePoly):
         self.n = n
         self.r = r
         self._order = self._scale = None
+        if terms:
+            encode = partial(_codes(k, n).encode, r=r)
+            acc: dict = {}
+            for mono, c in terms.items():
+                key = tuple(sorted(map(encode, mono)))
+                acc[key] = acc.get(key, 0) + _coeff(c)
+            terms = acc
         super().__init__(terms)
 
     @property
@@ -149,45 +257,48 @@ class DiffPoly(_SparsePoly):
 
     def _act(self, acc: dict, graded: list, sign: int = 1, cap=None) -> None:
         """acc += sign * sum_t V^t * D_t(self) for the components V^t of a
-        vector as ``_grade`` lists them: each derivative term, a coordinate v
-        replaced by its successor D_t v from ``_SUCCESSORS``, is formed once
+        vector as ``_grade`` lists them: each derivative term, a code v
+        replaced by its successor D_t v from the code table, is formed once
         and multiplied straight into ``acc``, its key sorted together with
         the multiplier's monomial; cancelled coefficients stay as zeros."""
-        n = self.n
-        succ = _SUCCESSORS.setdefault(n, {})
+        succ = _codes(self.k, self.n).successors(self.order())
         for mono, c in self.terms.items():
             sc = sign * c
             for pos, v in enumerate(mono):
-                nvs = succ.get(v)
-                if nvs is None:
-                    nvs = succ[v] = tuple(
-                        JetVar(v.field, v.comp, tuple(sorted(v.idx + (t,))))
-                        for t in range(1, n + 1)
-                    )
                 rest = mono[:pos] + mono[pos + 1 :]
-                for nv, mult in zip(nvs, graded):
+                for nv, mult in zip(succ[v], graded):
                     head = rest + (nv,)
                     for m2, c2 in mult:
                         key = tuple(sorted(head + m2))
                         acc[key] = acc.get(key, 0) + sc * c2
 
     def order(self) -> int:
-        """Largest multi-index length among the coordinates present; computed
-        on the first call and carried from then on."""
+        """Largest multi-index length among the coordinates present: codes
+        run by order first, so it is the order of the largest last code of a
+        monomial.  Computed on the first call and carried from then on."""
         if self._order is None:
-            self._order = max(
-                (len(v.idx) for v in set().union(*self.terms)), default=0
-            )
+            top = max(map(itemgetter(-1), filter(None, self.terms)), default=None)
+            self._order = 0 if top is None else _codes(self.k, self.n).order_of(top, self.r)
         return self._order
 
+    def _names(self) -> list[JetVar]:
+        """The coordinate of each code, covering every code present."""
+        self.order()
+        return _codes(self.k, self.n).vars
+
     def variables(self) -> set[JetVar]:
-        out: set[JetVar] = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
+        names = self._names()
+        return {names[c] for c in set(itertools.chain.from_iterable(self.terms))}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        """(monomial, coefficient) pairs, each monomial a tuple of ``JetVar``s
+        in their natural order, by degree and then coordinate by coordinate
+        on (field, comp, order, idx)."""
+        names = self._names()
+        items = [
+            (tuple(sorted(names[c] for c in mono)), coeff) for mono, coeff in self.terms.items()
+        ]
+        return sorted(items, key=lambda kv: _mono_sort_key(kv[0]))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -210,16 +321,19 @@ class DiffPoly(_SparsePoly):
 
 
 def make_var(fld: int, comp: int, idx, k: int, n: int, r: int) -> JetVar:
-    idx = tuple(sorted(idx))
+    """The coordinate u^comp_{fld,idx} of the ambient ``(k, n, r)``, its index
+    sorted; outside the ambient it raises ``DomainError`` (``OrderOverflow``
+    for an index longer than r - 1) naming the coordinate."""
+    v = JetVar(fld, comp, tuple(sorted(idx)))
     if not 1 <= fld <= k:
-        raise DomainError(f"field index {fld} out of range 1..{k}")
+        raise DomainError(f"jet coordinate {v}: field index {fld} out of range 1..{k}")
     if not 1 <= comp <= n:
-        raise DomainError(f"component {comp} out of range 1..{n}")
-    if any(not 1 <= t <= n for t in idx):
-        raise DomainError(f"derivative direction out of range in {idx}")
-    if len(idx) > r - 1:
-        raise OrderOverflow(f"multi-index {idx} exceeds jet order {r - 1}")
-    return JetVar(fld, comp, idx)
+        raise DomainError(f"jet coordinate {v}: component {comp} out of range 1..{n}")
+    if any(not 1 <= t <= n for t in v.idx):
+        raise DomainError(f"jet coordinate {v}: derivative direction out of range 1..{n}")
+    if len(v.idx) > r - 1:
+        raise OrderOverflow(f"jet coordinate {v}: multi-index exceeds jet order {r - 1}")
+    return v
 
 
 class DiffVec:
@@ -350,13 +464,16 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     """Replace assigned jet coordinates by rationals or differential
     polynomials; unassigned coordinates are untouched.
     """
+    p.order()  # codes every coordinate of p, so a key it lacks finds no code
+    index = _codes(p.k, p.n).index
     scalars = {}
     polys = {}
     for v, val in assignment.items():
+        code = index.get(v)
         if isinstance(val, DiffPoly):
-            polys[v] = val
+            polys[code] = val
         else:
-            scalars[v] = _coeff(val)
+            scalars[code] = _coeff(val)
     out = DiffPoly.zero(p.k, p.n, p.r)
     acc: dict = {}
     for mono, c in p.terms.items():
@@ -374,11 +491,12 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
                 kept.append(v)
         if coeff == 0:
             continue
+        # a subsequence of a sorted monomial is sorted
         if not poly_factors:
-            key = tuple(sorted(kept))
+            key = tuple(kept)
             acc[key] = acc.get(key, 0) + coeff
         else:
-            term = DiffPoly(p.k, p.n, p.r, {tuple(sorted(kept)): coeff})
+            term = p._like({tuple(kept): coeff})
             for q in poly_factors:
                 term = term * q
             out = out + term
@@ -393,14 +511,16 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     """Jet coordinates present in ``vec`` whose multi-index is exactly ``m``
     copies of direction ``t``; ``m = 0`` returns the 0-jet coordinates.
     """
+    vec.order()  # codes every coordinate of vec
+    tab = _codes(vec.k, vec.n)
     target = (t,) * m
-    out: set[JetVar] = set()
-    for comp in vec.comps:
-        for mono in comp.terms:
-            for v in mono:
-                if v.idx == target:
-                    out.add(v)
-    return out
+    wanted = {
+        tab.index.get(JetVar(fld, comp, target))
+        for fld in range(1, vec.k + 1)
+        for comp in range(1, vec.n + 1)
+    }
+    present = {c for comp in vec.comps for mono in comp.terms for c in mono}
+    return {tab.vars[c] for c in present & wanted}
 
 
 @dataclass
@@ -414,7 +534,7 @@ class JetPoint:
     order: int
     base: tuple[Fraction, ...]
     values: dict[JetVar, Fraction]
-    _int_view: tuple | None = field(default=None, repr=False, compare=False)
+    _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.base = tuple(map(Fraction, _exact_point(self.base, "base point")))
@@ -447,7 +567,7 @@ class JetPoint:
         ``jet_of_frame`` builds such parts."""
         jet = cls.__new__(cls)
         jet.k, jet.n, jet.order, jet.base, jet.values = k, n, order, base, values
-        jet._int_view = None
+        jet._views = {}
         return jet
 
     def __getitem__(self, v: JetVar) -> Fraction:
@@ -456,16 +576,23 @@ class JetPoint:
         except KeyError:
             raise IncompleteJet(f"jet point has no coordinate {v}") from None
 
-    def _ints(self):
-        """``(denom, ints)``: the lcm of the value denominators and each value
-        times it, an int; computed on the first call and kept."""
-        if self._int_view is None:
+    def _coded(self, k: int, n: int):
+        """``(denom, view)`` over the code table of the ambient ``(k, n)``:
+        the lcm of the value denominators, and per code up to this jet's
+        order the value times it, an int, or None where the jet lacks the
+        coordinate.  Built on the first call for that ambient and kept."""
+        got = self._views.get((k, n))
+        if got is None:
             denom = lcm(*(c.denominator for c in self.values.values()))
-            self._int_view = (
-                denom,
-                {v: c.numerator * (denom // c.denominator) for v, c in self.values.items()},
-            )
-        return self._int_view
+            tab = _codes(k, n)
+            tab.grow(self.order)
+            get = self.values.get
+            view = []
+            for v in tab.vars[: tab.starts[self.order + 1]]:
+                c = get(v)
+                view.append(None if c is None else c.numerator * (denom // c.denominator))
+            got = self._views[(k, n)] = (denom, view)
+        return got
 
 
 def iter_jet_vars(k: int, n: int, order: int):
@@ -480,28 +607,34 @@ def iter_jet_vars(k: int, n: int, order: int):
 
 def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
     # Integer fast path: scale jet values and coefficients to integers, then
-    # accumulate a single integer numerator.  The lcm of the coefficient
-    # denominators and the largest degree are computed on the first call and
-    # carried in ``_scale``, like ``_order``.
-    denom, ints = jet._ints()
+    # accumulate a single integer numerator, reading the jet's view indexed
+    # by p's codes; a zero value is the one shared Fraction zero.  The lcm of
+    # the coefficient denominators and the largest degree are computed on the
+    # first call and carried in ``_scale``, like ``_order``.
+    denom, view = jet._coded(p.k, p.n)
     if p._scale is None:
         cden = lcm(*(c.denominator for c in p.terms.values()))
         p._scale = (cden, max(map(len, p.terms), default=0))
     cden, maxdeg = p._scale
-    get = ints.__getitem__
+    get = view.__getitem__
     acc = 0
     try:
         if denom == 1 and cden == 1:
             for mono, c in p.terms.items():
                 acc += _prod(map(get, mono), start=c)
-            return Fraction(acc)
+            return Fraction(acc) if acc else _ZERO
         powers = [denom**e for e in range(maxdeg + 1)]
         for mono, c in p.terms.items():
             prod = _prod(map(get, mono), start=c if cden == 1 else int(c * cden))
             acc += prod * powers[maxdeg - len(mono)]
-    except KeyError as exc:
-        raise IncompleteJet(f"jet point has no coordinate {exc.args[0]}") from None
-    return Fraction(acc, cden * powers[maxdeg])
+    except (IndexError, TypeError):
+        # a code past the view or a None in it: a coordinate the jet lacks
+        names = p._names()
+        for code in itertools.chain.from_iterable(p.terms):
+            if code >= len(view) or view[code] is None:
+                raise IncompleteJet(f"jet point has no coordinate {names[code]}") from None
+        raise
+    return Fraction(acc, cden * powers[maxdeg]) if acc else _ZERO
 
 
 def evaluate(vec: DiffVec, jet: JetPoint) -> tuple[Fraction, ...]:
@@ -525,14 +658,15 @@ def pure_derivative_extract(
 
 
 def _multi_indices(n: int, order: int) -> list:
-    """``(idx, alpha, alpha!)`` for every multi-index of length <= ``order``
-    in n directions: the sorted directions of a jet coordinate, the exponents
-    of the matching monomial and their factorial."""
+    """``(alpha, alpha!)`` for every multi-index of length <= ``order`` in n
+    directions, in the order of ``_Codes.block``: the exponents of the
+    monomial matching the sorted directions of a jet coordinate, and their
+    factorial."""
     table = []
     for ln in range(order + 1):
         for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
             alpha = tuple(idx.count(j) for j in range(1, n + 1))
-            table.append((idx, alpha, _prod(map(factorial, alpha))))
+            table.append((alpha, _prod(map(factorial, alpha))))
     return table
 
 
@@ -548,13 +682,16 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     if len(base) != n:
         raise DomainError("point dimension does not match the frame")
     table = _multi_indices(n, order)
+    tab = _codes(frame.k, n)
     values: dict[JetVar, Fraction] = {}
     for fld, f in enumerate(frame.fields, start=1):
         for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
             coeff = poly.terms.get
-            for idx, alpha, scale in table:
+            for (alpha, scale), code in zip(table, tab.block(fld, comp, order)):
                 u = coeff(alpha, 0) * scale
-                values[JetVar(fld, comp, idx)] = Fraction(u) if type(u) is int else u
+                if type(u) is int:
+                    u = Fraction(u) if u else _ZERO
+                values[tab.vars[code]] = u
     return JetPoint._trusted(frame.k, n, order, base, values)
 
 
@@ -563,17 +700,18 @@ def _taylor_fields(jet: JetPoint, order: int) -> list[PolyField]:
     fixes, the inverse of ``jet_of_frame``'s read-off: component i of field a
     is sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha.
 
-    Each coefficient is read from the integer view ``jet._ints()``: with u
-    the value times ``denom``, it is u / (denom * alpha!), one ``gcd`` away
-    from lowest terms, and stored as an int when integral."""
+    Each coefficient is read from the jet's integer view ``jet._coded``:
+    with u the value times ``denom``, it is u / (denom * alpha!), one ``gcd``
+    away from lowest terms, and stored as an int when integral."""
     n, table = jet.n, _multi_indices(jet.n, order)
-    denom, ints = jet._ints()
+    denom, view = jet._coded(jet.k, n)
+    tab = _codes(jet.k, n)
     zero = Poly(n)
 
     def component(fld: int, comp: int) -> Poly:
         terms = {}
-        for idx, alpha, scale in table:
-            u = ints[JetVar(fld, comp, idx)]
+        for (alpha, scale), code in zip(table, tab.block(fld, comp, order)):
+            u = view[code]
             if u:
                 d = denom * scale
                 g = gcd(u, d)

@@ -59,15 +59,23 @@ def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
     return values
 
 
+def jetvar_terms(p) -> dict:
+    """The terms of a ``DiffPoly`` keyed by ``JetVar`` monomials, decoded by
+    ``sorted_terms``, or the terms of a ``Poly`` as they are."""
+    from liegrowth.jetalg import DiffPoly
+
+    return dict(p.sorted_terms()) if isinstance(p, DiffPoly) else p.terms
+
+
 def derive_all_reference(p) -> list[dict]:
     """Reference total derivatives of a ``DiffPoly``: term dicts of D_1(p),
-    ..., D_n(p), building each derived coordinate and each sorted monomial
-    afresh for every (term, variable, direction); cancelled coefficients stay
-    as zeros."""
+    ..., D_n(p) keyed by ``JetVar`` monomials, building each derived
+    coordinate and each sorted monomial afresh for every (term, variable,
+    direction); cancelled coefficients stay as zeros."""
     from liegrowth.jetalg import JetVar
 
     outs: list[dict] = [{} for _ in range(p.n)]
-    for mono, c in p.terms.items():
+    for mono, c in p.sorted_terms():
         for pos, v in enumerate(mono):
             head = mono[:pos]
             tail = mono[pos + 1 :]
@@ -100,11 +108,13 @@ def _product_reference(acc: dict, left: dict, right: dict, sign: int, cap, times
             acc[mono] = acc.get(mono, 0) + sign * c1 * c2
 
 
-def bracket_reference(a_comps, b_comps, cap=None) -> list:
+def bracket_terms_reference(a_comps, b_comps, cap=None) -> list[dict]:
     """Reference for ``polyfields._bracket``: [A, B]^i = sum_j (A^j D_j B^i -
     B^j D_j A^i) with every derivative taken as a term dict first (the
     gradient of a ``Poly``, the total derivatives of a ``DiffPoly``) and then
-    multiplied term by term, no product of degree above ``cap`` formed."""
+    multiplied term by term, no product of degree above ``cap`` formed.  The
+    components come back as term dicts without zeros, a ``DiffPoly``'s keyed
+    by ``JetVar`` monomials."""
     from operator import add
 
     from liegrowth.polyfields import Poly
@@ -117,10 +127,18 @@ def bracket_reference(a_comps, b_comps, cap=None) -> list:
     for ai, bi in zip(a_comps, b_comps):
         acc: dict = {}
         for aj, bj, dbj, daj in zip(a_comps, b_comps, derive(bi), derive(ai)):
-            _product_reference(acc, aj.terms, dbj, 1, cap, times)
-            _product_reference(acc, bj.terms, daj, -1, cap, times)
-        comps.append(ai._like(acc))
+            _product_reference(acc, jetvar_terms(aj), dbj, 1, cap, times)
+            _product_reference(acc, jetvar_terms(bj), daj, -1, cap, times)
+        comps.append({m: c for m, c in acc.items() if c})
     return comps
+
+
+def bracket_reference(a_comps, b_comps, cap=None) -> list:
+    """``bracket_terms_reference`` as polynomials of the arguments' ring."""
+    return [
+        type(ai)(*ai._ambient, terms)
+        for ai, terms in zip(a_comps, bracket_terms_reference(a_comps, b_comps, cap))
+    ]
 
 
 def taylor_reference(f, point, order: int):
@@ -204,7 +222,7 @@ def taylor_fields_reference(jet, order: int) -> list:
 
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
-    return max((len(v.idx) for mono in p.terms for v in mono), default=0)
+    return max((len(v.idx) for mono, _ in p.sorted_terms() for v in mono), default=0)
 
 
 def formal_flag_reference(jet, max_step: int, cross_check: bool = False):

@@ -52,7 +52,7 @@ def test_diffvec_kernel_matches_reference():
         assert ja.diffvec_bracket(a, b) == ja.DiffVec(got)
         _assert_sorted_keys(got)
         multi += any(len(c.terms) > 1 for c in a.comps)
-        repeated += any(len(set(m)) < len(m) for c in a.comps for m in c.terms)
+        repeated += any(len(set(m)) < len(m) for c in a.comps for m, _ in c.sorted_terms())
     assert multi > 50 and repeated > 50
 
 

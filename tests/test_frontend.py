@@ -188,6 +188,47 @@ def test_cli_long_integer_token_is_a_one_line_error(tmp_path, capsys, argv, text
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, entry, problem",
+    [
+        ("--point", "1e10000000", "has an exponent above 4300"),
+        ("--point", "-1E-0010000000", "has an exponent above 4300"),
+        ("--point", "1e4301", "has an exponent above 4300"),
+        ("--point", "7" * 4301, "has more than 4300 digits"),
+        ("--point", "0." + "7" * 4300, "has more than 4300 digits"),
+        ("--direction", "1/" + "7" * 4301, "has more than 4300 digits"),
+        ("--direction", "1e100000000", "has an exponent above 4300"),
+    ],
+)
+def test_cli_oversized_vector_entry_fails_fast(tmp_path, capsys, flag, entry, problem):
+    # Fraction would expand 1e10000000 for seconds; the entry is refused
+    # before it is read, naming the limit
+    frame_file = tmp_path / "h.frame"
+    frame_file.write_text(parsing.frame_to_text(catalog.heisenberg_frame()))
+    vectors = {"--point": "0,0,0", "--direction": "1,0,0"}
+    vectors[flag] = f"{entry},0,0"
+    argv = ["slice", "--frame", str(frame_file), "--step", "2"]
+    argv += [f"{name}={text}" for name, text in vectors.items()]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    what = flag.lstrip("-")
+    assert err.startswith(f"DomainError: {what} entry ")
+    assert f"{problem} (parsing.MAX_DIGITS)" in err
+
+
+def test_cli_vector_entry_at_the_limits_parses():
+    from liegrowth.cli import _parse_vector
+
+    big = "7" * 4300
+    assert _parse_vector(f"1e4300,{big},1/{big}", 3, "point") == (
+        F(10**4300), F(int(big)), F(1, int(big))
+    )
+    assert _parse_vector("-1E-4300,0.5,1_0", 3, "point") == (F(-1, 10**4300), F(1, 2), F(10))
+
+
 # --- algebra parsing ------------------------------------------------------------
 
 

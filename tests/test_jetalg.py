@@ -139,7 +139,7 @@ def test_multilinearity_slot_degrees():
         slots = Counter(index)
         vec = ja.bracket(index, k, n, len(index))
         for comp in vec.comps:
-            for mono in comp.terms:
+            for mono, _ in comp.sorted_terms():
                 fields = Counter(v.field for v in mono)
                 assert fields == slots, (index, mono)
 

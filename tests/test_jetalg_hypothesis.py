@@ -11,8 +11,8 @@ frame, for random polynomial frames, rational points and o = 0..3.
 The integer read-back: on user-built jet points with zero, negative and
 large-denominator values, ``_taylor_fields`` equals the ``Fraction`` division
 of ``helpers.taylor_fields_reference`` at every order up to the jet's, every
-coefficient it stores is ``_coeff``-normal, and ``_ints`` is the values times
-the lcm of their denominators."""
+coefficient it stores is ``_coeff``-normal, and the integer view ``_coded``
+is the values times the lcm of their denominators, one per code."""
 
 from math import lcm
 
@@ -98,9 +98,12 @@ def _jets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_jets())
 def test_taylor_fields_read_back_matches_the_fraction_reference(jet):
-    denom, ints = jet._ints()
+    denom, view = jet._coded(jet.k, jet.n)
     assert denom == lcm(*(c.denominator for c in jet.values.values()))
-    assert ints == {v: int(c * denom) for v, c in jet.values.items()}
+    names = ja._codes(jet.k, jet.n).vars
+    assert {names[c]: u for c, u in enumerate(view)} == {
+        v: int(c * denom) for v, c in jet.values.items()
+    }
     for order in range(jet.order + 1):
         got = ja._taylor_fields(jet, order)
         assert got == taylor_fields_reference(jet, order)

@@ -57,3 +57,18 @@ def test_only_the_check_suites_import_random():
             if any(name.split(".")[0] == "random" for name in names):
                 importers.add(path.name)
     assert importers == {"checks.py"}
+
+
+def test_importing_the_package_builds_no_code_table():
+    """The jet-coordinate code tables are built on first use, so importing
+    liegrowth and every submodule (what a CLI start pays) builds none."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    probe = PROBE + "\nfrom liegrowth import jetalg\nprint(json.dumps(len(jetalg._TABLES)))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == 0

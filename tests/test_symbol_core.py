@@ -1,17 +1,25 @@
 """The symbol core of ``jetalg``: ``derive`` (the action of D_t, read from
-the successor table) against the reference derivation, the carried order and
-evaluation scale of ``DiffPoly`` against a full walk of its terms, and the
-trusted ``JetPoint`` of ``jet_of_frame`` against the public constructor."""
+the code table) against the reference derivation, the carried order and
+evaluation scale of ``DiffPoly`` against a full walk of its terms, the
+canonical form the constructor gives ``JetVar`` monomials, codes that depend
+on the ambient alone (a pickled polynomial read back in a fresh interpreter),
+and the trusted ``JetPoint`` of ``jet_of_frame`` against the public
+constructor."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
 from liegrowth import catalog
 from liegrowth import jetalg as ja
-from liegrowth.errors import IncompleteJet
+from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
 
 from helpers import F, derive_all_reference, order_by_walk, rand_fraction, rand_point
 
@@ -46,14 +54,14 @@ def _random_diffpoly(rng, k, n, r, max_terms=6, max_deg=3):
     return ja.DiffPoly(k, n, r, terms)
 
 
-# --- successor table ------------------------------------------------------
+# --- code table -----------------------------------------------------------
 
 
 def test_derive_all_matches_reference(monkeypatch):
-    # derive(p, t) for every t against the reference total derivatives.  An
-    # empty table, filled at n = 1 first: a coordinate met at a smaller n must
-    # not lend its successors to a larger one
-    monkeypatch.setattr(ja, "_SUCCESSORS", {})
+    # derive(p, t) for every t against the reference total derivatives.  No
+    # table yet, and n = 1 met first: a table of a smaller ambient must not
+    # lend its codes or successors to a larger one
+    monkeypatch.setattr(ja, "_TABLES", {})
     rng = random.Random(1601)
     zeros = 0
     for n in (1, 2, 3, 4, 2, 1):
@@ -68,14 +76,108 @@ def test_derive_all_matches_reference(monkeypatch):
 
 
 def test_derive_all_keeps_sorted_jetvar_keys():
+    # the keys are sorted tuples of int codes; ``sorted_terms`` decodes them
+    # to sorted tuples of ``JetVar``s with sorted indices
     rng = random.Random(1602)
     for _ in range(40):
         p = _random_diffpoly(rng, 3, 3, 4)
         for t in range(1, 4):
-            for mono in ja.derive(p, t).terms:
+            d = ja.derive(p, t)
+            for mono in d.terms:
+                assert type(mono) is tuple and list(mono) == sorted(mono)
+                assert all(type(c) is int for c in mono)
+            for mono, _ in d.sorted_terms():
                 assert type(mono) is tuple and list(mono) == sorted(mono)
                 assert all(type(v) is ja.JetVar for v in mono)
                 assert all(list(v.idx) == sorted(v.idx) for v in mono)
+
+
+# --- canonical form -------------------------------------------------------
+
+
+def test_constructor_sorts_monomials():
+    a, b = ja.JetVar(1, 1, ()), ja.JetVar(2, 1, ())
+    ab = ja.DiffPoly(2, 2, 3, {(a, b): 1})
+    ba = ja.DiffPoly(2, 2, 3, {(b, a): 1})
+    assert ba == ab and hash(ba) == hash(ab)
+    assert (ba - ab).is_zero()
+    assert ba == ja.DiffPoly.var(1, 1, (), 2, 2, 3) * ja.DiffPoly.var(2, 1, (), 2, 2, 3)
+    # two spellings of one monomial add up, and may cancel
+    assert ja.DiffPoly(2, 2, 3, {(a, b): 1, (b, a): F(1, 2)}) == ab * F(3, 2)
+    assert ja.DiffPoly(2, 2, 3, {(a, b): 1, (b, a): -1}).is_zero()
+    # the sum of two spellings is normalised like any coefficient
+    half = ja.DiffPoly(2, 2, 3, {(a, b): F(1, 2), (b, a): F(1, 2)})
+    assert half == ab and [type(c) for c in half.terms.values()] == [int]
+    assert ja.DiffPoly(2, 2, 3, {(b, a, b): 1}).sorted_terms() == [((a, b, b), 1)]
+
+
+def test_constructor_normalises_the_index():
+    v = ja.JetVar(1, 2, (2, 1))
+    p = ja.DiffPoly(2, 2, 3, {(v,): 3})
+    assert p == 3 * ja.DiffPoly.var(1, 2, (1, 2), 2, 2, 3)
+    assert p.sorted_terms() == [((ja.JetVar(1, 2, (1, 2)),), 3)]
+    assert p.variables() == {ja.JetVar(1, 2, (1, 2))}
+    # a plain (field, comp, idx) triple is a coordinate too
+    assert ja.DiffPoly(2, 2, 3, {((1, 2, (2, 1)),): 3}) == p
+
+
+@pytest.mark.parametrize(
+    "v, error, text",
+    [
+        (ja.JetVar(5, 9, (7, 7, 7)), DomainError, r"u\^9_5,\(7,7,7\): field index 5"),
+        (ja.JetVar(1, 9, ()), DomainError, r"u\^9_1: component 9"),
+        (ja.JetVar(1, 1, (3,)), DomainError, r"u\^1_1,\(3\): derivative direction"),
+        (ja.JetVar(1, 1, (0, 1)), DomainError, r"u\^1_1,\(0,1\): derivative direction"),
+        (ja.JetVar(1, 2, (2, 1, 1)), OrderOverflow, r"u\^2_1,\(1,1,2\): multi-index"),
+        (ja.JetVar(1, 1, (1.5,)), DomainError, "not a jet coordinate"),
+        ((1, 1), DomainError, "not a jet coordinate"),
+        (7, DomainError, "not a jet coordinate"),
+    ],
+)
+def test_constructor_refuses_a_coordinate_outside_the_ambient(v, error, text):
+    with pytest.raises(error, match=text):
+        ja.DiffPoly(2, 2, 3, {(v,): 1})
+    # a zero coefficient does not excuse a bad coordinate
+    with pytest.raises(error, match=text):
+        ja.DiffPoly(2, 2, 3, {(ja.JetVar(1, 1, ()), v): 0})
+
+
+# --- codes depend on the ambient alone -------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_READ_BACK = """
+import pickle, sys
+from liegrowth import jetalg as ja
+p, k, n, r, terms = pickle.loads(sys.stdin.buffer.read())
+assert ja._TABLES == {}
+rebuilt = ja.DiffPoly(k, n, r, terms)
+sys.stdout.buffer.write(pickle.dumps(
+    (p == rebuilt, hash(p), hash(rebuilt), p.order(), p.sorted_terms(), str(p))
+))
+"""
+
+
+def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter(monkeypatch):
+    # grow this interpreter's tables in another order than the fresh one will:
+    # the (2, 3) table to order 3 by a bracket, after other ambients
+    monkeypatch.setattr(ja, "_TABLES", {})
+    ja.bracket((1, 2), 3, 3, 2), ja.bracket((2, 1, 2), 2, 2, 3)
+    vec = ja.bracket((1, 2, 2, 1), 2, 3, 4)
+    rng = random.Random(1607)
+    polys = [c for c in vec.comps] + [_random_diffpoly(rng, 2, 3, 5) for _ in range(4)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for p in polys:
+        payload = pickle.dumps((p, p.k, p.n, p.r, dict(p.sorted_terms())))
+        out = subprocess.run(
+            [sys.executable, "-c", _READ_BACK], input=payload, env=env,
+            capture_output=True, check=True, timeout=60,
+        )
+        same, h, h_rebuilt, order, terms, text = pickle.loads(out.stdout)
+        assert same and h == h_rebuilt == hash(p)
+        assert (order, terms, text) == (p.order(), p.sorted_terms(), str(p))
+        assert pickle.loads(payload)[0] == p
 
 
 # --- carried order --------------------------------------------------------
@@ -145,7 +247,7 @@ def test_carried_evaluation_scale_equals_a_full_walk():
         for _ in range(3):
             jet = ja.jet_of_frame(fr, rand_point(rng, n), 2)
             want = sum(
-                (c * prod(jet[v] for v in mono) for mono, c in p.terms.items()), F(0)
+                (c * prod(jet[v] for v in mono) for mono, c in p.sorted_terms()), F(0)
             )
             assert ja.evaluate(vec, jet)[0] == want, name
         cden = lcm(*(F(c).denominator for c in p.terms.values()))

@@ -29,7 +29,7 @@ def _poly_to_sympy(p: Poly, xs):
 def _diffpoly_to_sympy(p: jetalg.DiffPoly):
     return sympy.Add(
         *(_rational(c) * sympy.Mul(*(sympy.Symbol(str(v)) for v in mono))
-          for mono, c in p.terms.items())
+          for mono, c in p.sorted_terms())
     )
 
 
