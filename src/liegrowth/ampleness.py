@@ -8,7 +8,9 @@ rank-2 case, and looks for convex hull membership witnesses of one
 determinant-sign component.  That question is always decided: with at most
 one free column, or dependent fixed columns, a target outside the component
 is refuted (the component is an open half-space or empty); otherwise a
-witness is constructed and verified exactly.
+witness is constructed and verified exactly.  Slice reports read the frame
+once, as its Taylor leaves at the point; the leaves are recombined, not the
+frame, into the adapted ones.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .errors import (
     NotFormalSolution,
     Unclassified,
 )
-# hall_basis and poly_lie_bracket are unused here but stay bound:
+# hall_basis, lie_flag and poly_lie_bracket are unused here but stay bound:
 # bench/test_bench.py asserts that the benchmark tracer wraps this module's
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
-from .flags import _span_ranks, lie_flag
-from .polyfields import Frame, _exact_point, frame_change, poly_lie_bracket  # noqa: F401
+from .flags import _constant_term, _span_ranks, lie_flag  # noqa: F401
+from .polyfields import Frame, PolyField, _exact_point, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -237,18 +239,16 @@ def det_affine_in_free_column(fixed) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _adapted_change(fr: Frame, point, v):
-    """Constant frame change whose values at the point are adapted to v.
+def _adapted_change(vecs, v):
+    """Constant frame change adapting the independent frame values ``vecs``
+    at a point to v.
 
     Column 1 carries the orthogonal projection of v onto the span, rescaled
     so its pairing with v is 1; the remaining columns span the orthogonal
     complement of the projection inside the span (hence pair to 0 with v).
     All inner products use the Euclidean form in the original coordinates.
     """
-    vecs = fr.values_at(point)
-    k = fr.k
-    if linalg.rank(vecs) < k:
-        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    k = len(vecs)
     v = [Fraction(x) for x in v]
     if all(x == 0 for x in v):
         raise DomainError("direction must be nonzero")
@@ -257,10 +257,7 @@ def _adapted_change(fr: Frame, point, v):
         raise NormalDirection("direction is orthogonal to the frame span")
     gram = [[linalg.dot(a, b) for b in vecs] for a in vecs]
     alpha = linalg.solve(gram, rhs)
-    proj = [
-        sum((alpha[j] * vecs[j][i] for j in range(k)), Fraction(0))
-        for i in range(fr.n)
-    ]
+    proj = [linalg.dot(alpha, col) for col in zip(*vecs)]
     pairing = linalg.dot(proj, v)
     first_col = [a / pairing for a in alpha]
     row = [[linalg.dot(b, proj) for b in vecs]]
@@ -273,22 +270,15 @@ def _adapted_change(fr: Frame, point, v):
 
 
 def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:
-    """Adapted frame values at the point: first vector is the rescaled
-    projection of ``v`` onto the span, the rest are orthogonal to it (and to
-    ``v``) inside the span.
+    """Adapted frame values at the point: the frame values recombined so
+    that the first is the rescaled projection of ``v`` onto the span and the
+    rest are orthogonal to it (and to ``v``) inside the span.
     """
-    g = _adapted_change(fr, point, v)
     vecs = fr.values_at(point)
-    k = fr.k
-    out = []
-    for m in range(k):
-        out.append(
-            tuple(
-                sum((g[j][m] * vecs[j][i] for j in range(k)), Fraction(0))
-                for i in range(fr.n)
-            )
-        )
-    return tuple(out)
+    if linalg.rank(vecs) < fr.k:
+        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    g = _adapted_change(vecs, v)
+    return tuple(tuple(linalg.dot(m, col) for col in zip(*vecs)) for m in zip(*g))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,13 +296,13 @@ class SliceReport:
     normal: bool
 
 
-def _probes_top(expr, level: int) -> bool:
-    """True for a length-``level`` expression whose leaves are ``level - 1``
+def _below_top(expr, level: int) -> bool:
+    """False for a length-``level`` expression whose leaves are ``level - 1``
     copies of field 1 plus one other field: the brackets that reach the top
-    pure derivative along the direction.  At level 1 this is every leaf but
-    X1.
+    pure derivative along the direction.  At level 1 these are every leaf
+    but X1.
     """
-    return expr.length == level and list(expr.leaves()).count(1) == level - 1
+    return expr.length != level or list(expr.leaves()).count(1) != level - 1
 
 
 def slice_report(
@@ -320,10 +310,13 @@ def slice_report(
 ) -> list[SliceReport]:
     """Classify every principal-subspace slice of a maximal-growth frame.
 
-    Normal directions make every slice the full principal subspace.  For
-    non-normal directions the frame is recombined into an adapted one and
-    each level is classified from the rank of the brackets that do not reach
-    the top pure derivative.
+    The frame is read once, as its order ``step - 1`` Taylor fields (leaves)
+    at the point, whose constant terms are its values.  Normal directions
+    make every slice the full principal subspace.  For non-normal directions
+    the leaves are recombined into adapted ones and each level is classified
+    from the rank of the brackets that do not reach the top pure derivative.
+    The same ``_span_ranks`` pass gives the full Hall rank of each level,
+    which a constant frame change does not move, for the maximal-growth check.
     """
     n, k = fr.n, fr.k
     v = [Fraction(x) for x in _exact_point(v, "direction")]
@@ -336,24 +329,24 @@ def slice_report(
         raise NotFormalSolution(
             f"maximal growth on dimension {n} has step {gv.step}, got {step}"
         )
-    flag = lie_flag(fr, point, gv.step)
-    if flag.dims != gv.entries:
-        raise NotFormalSolution(
-            f"flag {flag.dims} differs from the maximal growth vector {gv.entries}"
-        )
-    vecs = fr.values_at(point)
-    if all(linalg.dot(v, b) == 0 for b in vecs):
-        return [
-            SliceReport(i, gv.entries[i - 1], gv.entries[i - 1],
-                        Verdict.TRIVIALLY_AMPLE_FULL, True)
-            for i in range(1, step + 1)
+    leaves = [f.taylor(point, step - 1) for f in fr.fields]
+    vecs = [_constant_term(f) for f in leaves]
+    if linalg.rank(vecs) < k:
+        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    normal = all(linalg.dot(v, b) == 0 for b in vecs)
+    if not normal:
+        g = _adapted_change(vecs, v)
+        leaves = [
+            sum((f.scale(g[j][m]) for j, f in enumerate(leaves) if g[j][m]), PolyField.zero(n))
+            for m in range(k)
         ]
-    g = _adapted_change(fr, point, v)
-    adapted = frame_change(fr, g)
-    ranks = _span_ranks(
-        [f.taylor(point, step - 1) for f in adapted.fields], step,
-        keep=lambda expr, i: not _probes_top(expr, i), cross_check=cross_check,
-    )
+    dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top, cross_check))
+    if dims != gv.entries:
+        raise NotFormalSolution(
+            f"flag {dims} differs from the maximal growth vector {gv.entries}"
+        )
+    if normal:
+        return [SliceReport(i, d, d, Verdict.TRIVIALLY_AMPLE_FULL, True) for i, d in enumerate(dims, 1)]
     reports = []
     for i, m_i in enumerate(ranks, start=1):
         n_i = gv.entries[i - 1]
@@ -363,19 +356,16 @@ def slice_report(
                     f"level {i}: rank {m_i} + {k - 1} != {n_i}; point is not generic"
                 )
             verdict = Verdict.AMPLE_THIN_COMPLEMENT
+        elif m_i == n:
+            verdict = Verdict.TRIVIALLY_AMPLE_FULL
+        elif n < m_i + k - 1:
+            verdict = Verdict.AMPLE_THIN_COMPLEMENT
+        elif n == m_i + k - 1:
+            verdict = Verdict.AMPLE_NON_THIN if k >= 3 else Verdict.NOT_AMPLE_HYPERPLANE
         else:
-            if m_i == n:
-                verdict = Verdict.TRIVIALLY_AMPLE_FULL
-            elif n < m_i + k - 1:
-                verdict = Verdict.AMPLE_THIN_COMPLEMENT
-            elif n == m_i + k - 1:
-                verdict = (
-                    Verdict.AMPLE_NON_THIN if k >= 3 else Verdict.NOT_AMPLE_HYPERPLANE
-                )
-            else:
-                raise InconsistentFormalSolution(
-                    f"top level rank {m_i} leaves {n} > {m_i + k - 1} unreachable"
-                )
+            raise InconsistentFormalSolution(
+                f"top level rank {m_i} leaves {n} > {m_i + k - 1} unreachable"
+            )
         reports.append(SliceReport(i, m_i, n_i, verdict, False))
     return reports
 

@@ -54,21 +54,29 @@ def _check_size(entry: str, what: str) -> None:
         problem = f"has an exponent above {parsing.MAX_DIGITS}"
     else:
         return
-    shown = entry if len(entry) <= 20 else entry[:20] + "..."
-    raise DomainError(f"{what} entry {shown!r} {problem} (parsing.MAX_DIGITS)")
+    raise DomainError(f"{what} entry {_shown(entry)} {problem} (parsing.MAX_DIGITS)")
+
+
+def _shown(entry: str) -> str:
+    """``entry`` quoted for an error message, cut to its first 20
+    characters."""
+    return repr(entry if len(entry) <= 20 else entry[:20] + "...")
 
 
 def _parse_vector(text: str, n: int, what: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
+    vec = []
     for p in parts:
         _check_size(p, what)
-    try:
-        vec = tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
+        try:
+            vec.append(Fraction(p))
+        except ValueError:
+            raise DomainError(f"cannot parse {what} entry {_shown(p)} as a rational") from None
+        except ZeroDivisionError:
+            raise DomainError(f"{what} entry {_shown(p)} has a zero denominator") from None
     if len(vec) != n:
         raise DomainError(f"{what} needs {n} comma-separated rationals, got {len(vec)}")
-    return vec
+    return tuple(vec)
 
 
 def _emit(args, text: str, payload) -> None:
@@ -113,7 +121,18 @@ def _slice_text(reports) -> str:
 
 
 def cmd_witt(args) -> int:
-    value = freelie.witt_dimension(args.generators, args.length)
+    k, length = args.generators, args.length
+    # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
+    # bit lengths alone show most answers past 10**MAX_DIGITS before they
+    # are computed
+    lower_bits = length * (k.bit_length() - 1) - 1 - length.bit_length()
+    huge = k >= 2 and lower_bits >= parsing._TOO_LONG.bit_length()
+    value = None if huge else freelie.witt_dimension(k, length)
+    if huge or value >= parsing._TOO_LONG:
+        raise DomainError(
+            f"witt dimension for {k} generators at length {length} has more than "
+            f"{parsing.MAX_DIGITS} digits (parsing.MAX_DIGITS)"
+        )
     _emit(args, str(value), {"value": value})
     return 0
 

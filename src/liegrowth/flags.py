@@ -6,7 +6,11 @@ shape span the same layers (antisymmetry and the Jacobi identity reduce any
 bracket to combinations of Hall elements of the same length), which the
 optional cross-check verifies by evaluating the full right-nested chain
 family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
-one memoised engine for both the Hall span and the chain cross-check.
+one memoised engine, ``_span_ranks``, for both the Hall span and the chain
+cross-check.  Per length it yields the rank of all Hall values and, given a
+filter, the rank of the values the filter keeps, both read from one memo:
+``slice_report`` takes its maximal-growth check and its slice ranks from one
+pass.
 
 A step-s flag at p depends only on the (s-1)-jet of the frame at p, so
 ``lie_flag`` and ``slice_report`` bracket Taylor fields of order s - 1
@@ -108,15 +112,16 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
 
 
 def _span_ranks(leaves, max_len, keep=None, cross_check=False):
-    """Yield, for i = 1..max_len, the rank of the values of the Hall
-    expressions of length <= i that ``keep(expr, i)`` admits (all of them
-    when ``keep`` is None).
+    """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
+    expressions of length <= i, rank of those of them ``keep(expr, i)``
+    admits); the second is None when ``keep`` is None.
 
     Leaf ``X_g`` is the Taylor field ``leaves[g - 1]``; a bracket is
-    ``poly_lie_bracket`` and a value is the constant term.  Fields and values
-    are memoised by expression.  With ``cross_check`` the same rank is
-    recomputed from the right-nested chains [X_c1, [X_c2, ...]] admitted by
-    ``keep``, through the same memo, and a disagreement raises AssertionError.
+    ``poly_lie_bracket`` and a value is the constant term.  Both ranks read
+    one memo of fields and values by expression, so no bracket is formed
+    twice.  With ``cross_check`` both ranks are recomputed from the
+    right-nested chains [X_c1, [X_c2, ...]], through the same memo, and a
+    disagreement raises AssertionError.
 
     Each leaf is first multiplied by the lcm of its coefficient denominators
     (``_integer_field``), so every bracket multiplies and adds ints and
@@ -127,8 +132,8 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
 
     Hall layers are generated one length at a time.  When ``keep`` is None
     and every field of a layer of length i > 1 is zero, every longer bracket
-    vanishes too (L_{m+1} = [L_1, L_m]), so the rank at i is yielded for all
-    remaining lengths without generating further layers.
+    vanishes too (L_{m+1} = [L_1, L_m]), so the ranks at i are yielded for
+    all remaining lengths without generating further layers.
     """
     leaves = [_integer_field(f) for f in leaves]
     k = len(leaves)
@@ -145,15 +150,18 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
             fields[expr] = got
         return got
 
-    def rank_of(family, i: int) -> int:
+    def rank_of(family) -> int:
         vectors = []
         for expr in family:
-            if keep is None or keep(expr, i):
-                got = values.get(expr)
-                if got is None:
-                    got = values[expr] = _constant_term(field_of(expr))
-                vectors.append(got)
+            got = values.get(expr)
+            if got is None:
+                got = values[expr] = _constant_term(field_of(expr))
+            vectors.append(got)
         return linalg.rank(vectors)
+
+    def ranks(family, i: int) -> tuple:
+        kept = None if keep is None else rank_of([e for e in family if keep(e, i)])
+        return rank_of(family), kept
 
     hall: list[BracketExpr] = []
     chains: list[BracketExpr] = []
@@ -162,19 +170,19 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
         if i == 1:
             first = newest = layer
         hall += layer
-        rank = rank_of(hall, i)
+        got = ranks(hall, i)
         if cross_check:
             if i > 1:
                 newest = [BracketExpr.pair(g, e) for g in first for e in newest]
             chains += newest
-            if rank_of(chains, i) != rank:
+            if ranks(chains, i) != got:
                 raise AssertionError(
                     f"Hall-indexed span disagrees with the full chain span at length {i}"
                 )
-        yield rank
+        yield got
         if keep is None and i > 1 and all(field_of(e).is_zero() for e in layer):
             for _ in range(i + 1, max_len + 1):
-                yield rank
+                yield got
             return
 
 
@@ -206,7 +214,7 @@ def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
     if linalg.rank([_constant_term(f) for f in leaves]) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
     dims = []
-    for dim in _span_ranks(leaves, max_step, cross_check=cross_check):
+    for dim, _ in _span_ranks(leaves, max_step, cross_check=cross_check):
         dims.append(dim)
         if dim == n:
             break

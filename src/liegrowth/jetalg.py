@@ -462,18 +462,20 @@ def bracket_of_expr(expr, k: int, n: int, r: int) -> DiffVec:
 
 def substitute(p: DiffPoly, assignment) -> DiffPoly:
     """Replace assigned jet coordinates by rationals or differential
-    polynomials; unassigned coordinates are untouched.
+    polynomials; unassigned coordinates are untouched.  A key's index is
+    sorted first, as everywhere else, so it names the same coordinate in any
+    order; keys that name no coordinate of ``p`` are ignored, and of keys
+    that name the same one, the last wins.
     """
     p.order()  # codes every coordinate of p, so a key it lacks finds no code
     index = _codes(p.k, p.n).index
-    scalars = {}
-    polys = {}
-    for v, val in assignment.items():
-        code = index.get(v)
-        if isinstance(val, DiffPoly):
-            polys[code] = val
-        else:
-            scalars[code] = _coeff(val)
+    assigned = {
+        index.get(JetVar(v.field, v.comp, tuple(sorted(v.idx)))):
+            val if isinstance(val, DiffPoly) else _coeff(val)
+        for v, val in assignment.items()
+    }
+    polys = {code: val for code, val in assigned.items() if isinstance(val, DiffPoly)}
+    scalars = {code: val for code, val in assigned.items() if code not in polys}
     out = DiffPoly.zero(p.k, p.n, p.r)
     acc: dict = {}
     for mono, c in p.terms.items():

@@ -280,3 +280,79 @@ def formal_flag_reference(jet, max_step: int, cross_check: bool = False):
         if rank == n:
             break
     return _report_from_dims(k, n, jet.base, dims)
+
+
+def bench_workloads():
+    """``bench/workloads.py``, whose generators make the benchmark inputs."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
+    """Reference for ``ampleness.slice_report``, composed of whole-frame
+    steps: the maximal-growth check is ``lie_flag`` at the point; the change
+    matrix comes from the exact frame values (``Frame.values_at``); the
+    adapted frame is ``frame_change`` of the exact frame, expanded afresh by
+    ``PolyField.taylor``; and a second ``_span_ranks`` pass over those
+    leaves, with its own memo, gives the slice ranks.  Errors are raised in
+    the same order and with the same messages."""
+    from liegrowth import ampleness as amp
+    from liegrowth import linalg
+    from liegrowth.errors import DomainError, InconsistentFormalSolution, NotFormalSolution
+    from liegrowth.flags import _span_ranks, lie_flag
+    from liegrowth.freelie import maximal_growth_vector
+    from liegrowth.polyfields import _exact_point, frame_change
+
+    V = amp.Verdict
+    n, k = fr.n, fr.k
+    v = [Fraction(x) for x in _exact_point(v, "direction")]
+    if len(v) != n:
+        raise DomainError("direction dimension does not match the frame")
+    if all(x == 0 for x in v):
+        raise DomainError("direction must be nonzero")
+    gv = maximal_growth_vector(k, n)
+    if step != gv.step:
+        raise NotFormalSolution(f"maximal growth on dimension {n} has step {gv.step}, got {step}")
+    flag = lie_flag(fr, point, gv.step)
+    if flag.dims != gv.entries:
+        raise NotFormalSolution(
+            f"flag {flag.dims} differs from the maximal growth vector {gv.entries}"
+        )
+    vecs = fr.values_at(point)
+    if all(linalg.dot(v, b) == 0 for b in vecs):
+        return [
+            amp.SliceReport(i, gv.entries[i - 1], gv.entries[i - 1], V.TRIVIALLY_AMPLE_FULL, True)
+            for i in range(1, step + 1)
+        ]
+    adapted = frame_change(fr, amp._adapted_change(vecs, v))
+    leaves = [f.taylor(point, step - 1) for f in adapted.fields]
+    reports = []
+    for i, (_, m_i) in enumerate(_span_ranks(leaves, step, amp._below_top, cross_check), 1):
+        n_i = gv.entries[i - 1]
+        if i < step:
+            if m_i + k - 1 != n_i:
+                raise NotFormalSolution(
+                    f"level {i}: rank {m_i} + {k - 1} != {n_i}; point is not generic"
+                )
+            verdict = V.AMPLE_THIN_COMPLEMENT
+        elif m_i == n:
+            verdict = V.TRIVIALLY_AMPLE_FULL
+        elif n < m_i + k - 1:
+            verdict = V.AMPLE_THIN_COMPLEMENT
+        elif n == m_i + k - 1:
+            verdict = V.AMPLE_NON_THIN if k >= 3 else V.NOT_AMPLE_HYPERPLANE
+        else:
+            raise InconsistentFormalSolution(
+                f"top level rank {m_i} leaves {n} > {m_i + k - 1} unreachable"
+            )
+        reports.append(amp.SliceReport(i, m_i, n_i, verdict, False))
+    return reports

@@ -1,13 +1,17 @@
+import importlib
 import itertools
+import pkgutil
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import liegrowth
 from liegrowth import ampleness as amp
-from liegrowth import catalog, linalg
+from liegrowth import catalog, flags, linalg, polyfields
 from liegrowth.errors import (
+    DegenerateFrame,
     DomainError,
     NormalDirection,
     NotAmple,
@@ -15,7 +19,11 @@ from liegrowth.errors import (
     Unclassified,
 )
 
-from helpers import F, rand_fraction, rand_point
+from liegrowth.flags import StratifiedAlgebra, nilpotent_frame
+from liegrowth.freelie import hall_basis, maximal_growth_vector
+from liegrowth.polyfields import Frame, Poly, PolyField
+
+from helpers import F, bench_workloads, chain, rand_fraction, rand_point, slice_report_reference
 
 V = amp.Verdict
 
@@ -234,8 +242,6 @@ def test_slice_rank3_free_non_thin():
 def test_slice_top_level_thin_branch():
     # rank 3 on dimension 5: the top level has more probing columns than the
     # missing rank, so the complement is thin rather than a GL-type slice
-    from liegrowth.flags import StratifiedAlgebra, nilpotent_frame
-
     alg = StratifiedAlgebra(
         (3, 2), {(1, 2): {4: F(1)}, (1, 3): {5: F(1)}}
     )
@@ -259,6 +265,119 @@ def test_slice_rejects_non_maximal_frame():
         amp.slice_report(catalog.martinet_frame(), (0, 0, 0), (1, 0, 0), 3)
     with pytest.raises(NotFormalSolution):
         amp.slice_report(catalog.heisenberg_frame(), (0, 0, 0), (1, 0, 0), 3)
+
+
+def _slice_outcome(call):
+    """The reports a call returns, or the type and message of what it
+    raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+def _slice_cases():
+    """Every catalog frame at the origin and 3 random points, with a normal
+    direction and 5 random ones each; the slices of two ``ampleness``
+    benchmark seeds; and inputs refused at each check in turn."""
+    rng = random.Random(16)
+    frames = dict(catalog.catalog_frames(), rank4=catalog.rank4_step2_frame())
+    for fr in frames.values():
+        step = maximal_growth_vector(fr.k, fr.n).step
+        for p in [(0,) * fr.n] + [rand_point(rng, fr.n) for _ in range(3)]:
+            normal = tuple(linalg.nullspace(fr.values_at(p))[0])
+            for v in [normal] + [rand_point(rng, fr.n, 3, 2) for _ in range(5)]:
+                yield fr, p, v, step
+    workloads = bench_workloads()
+    for seed in (301, 302):
+        for name, p, v, _ in workloads.Ampleness.generate(seed)["slices"]:
+            yield frames[name], p, v, len(workloads.CATALOG[name][2])
+    x1 = Poly.variable(3, 1)
+    degenerate = Frame(3, (PolyField.basis(3, 1), PolyField((Poly.zero(3), x1, Poly.zero(3)))))
+    engel, heis = frames["engel"], frames["heisenberg"]
+    thin_top = nilpotent_frame(StratifiedAlgebra((3, 2), {(1, 2): {4: F(1)}, (1, 3): {5: F(1)}}))
+    yield from [
+        (thin_top, (0,) * 5, (1, 1, 1, 0, 0), 2),
+        (thin_top, (1, F(-1, 2), 0, 2, 0), (1, 0, F(1, 3), 0, 1), 2),
+        (engel, (0,) * 4, (1, 0.5, 0, 0), 3),
+        (engel, (0,) * 4, (1, 0, 0), 3),
+        (engel, (0,) * 4, (0,) * 4, 3),
+        (Frame(2, (PolyField.basis(2, 1), PolyField.basis(2, 2))), (0, 0), (1, 0), 1),
+        (heis, (0, 0, 0), (1, 0, 0), 3),
+        (engel, (0, 0.5, 0, 0), (1, 0, 0, 0), 3),
+        (engel, (0, 0, 0), (1, 0, 0, 0), 3),
+        (degenerate, (0, 0, 0), (1, 0, 0), 2),
+        (degenerate, (1, 0, 0), (0, 0, 1), 2),
+        (frames["martinet"], (0, 0, 0), (1, 0, 0), 2),
+        (frames["martinet"], (0, 0, 0), (0, 0, 1), 2),
+    ]
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_slice_report_matches_the_whole_frame_reference(cross_check):
+    outcomes = set()
+    for fr, p, v, step in _slice_cases():
+        got = _slice_outcome(lambda: amp.slice_report(fr, p, v, step, cross_check))
+        want = _slice_outcome(lambda: slice_report_reference(fr, p, v, step, cross_check))
+        assert got == want, (fr, p, v, step)
+        outcomes.add(got[0] if isinstance(got, tuple) else got[-1].verdict)
+    assert outcomes >= {
+        V.TRIVIALLY_AMPLE_FULL, V.AMPLE_THIN_COMPLEMENT, V.AMPLE_NON_THIN,
+        V.NOT_AMPLE_HYPERPLANE, DomainError, NotFormalSolution, DegenerateFrame,
+    }
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
+    cross_check, monkeypatch
+):
+    cases = [
+        (catalog.engel_frame(), (F(1, 2), -1, 0, F(2, 3)), (1, F(-1, 3), 0, 2), 3),
+        (catalog.cartan_frame(), (1, 0, F(-1, 2), 0, 2), (F(1, 2), 1, 0, 0, -1), 3),
+        (catalog.free_rank3_step2_frame(), (0, 1, 0, 0, 0, F(1, 3)), (1, 1, 0, 0, 2, 0), 2),
+        (catalog.heisenberg_frame(), (1, 2, 0), (0, -1, 1), 2),  # a normal direction
+    ]
+    calls = {"taylor": [], "poly_lie_bracket": [], "frame_change": [], "lie_flag": [],
+             "eval_at": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)  # keeps the arguments alive, so ids stay unique
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [liegrowth] + [
+        importlib.import_module(f"liegrowth.{m.name}")
+        for m in pkgutil.iter_modules(liegrowth.__path__)
+        if m.name != "__main__"
+    ]
+    for fn in (polyfields.poly_lie_bracket, polyfields.frame_change, flags.lie_flag):
+        wrapper = counted(fn.__name__, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(PolyField, "taylor", counted("taylor", PolyField.taylor))
+    monkeypatch.setattr(Poly, "eval_at", counted("eval_at", Poly.eval_at))
+    for fr, p, v, step in cases:
+        for got in calls.values():
+            got.clear()
+        reports = amp.slice_report(fr, p, v, step, cross_check)
+        assert len(reports) == step and reports[0].normal == (fr.n == 3)
+        assert len(calls["taylor"]) == fr.k
+        assert calls["frame_change"] == calls["lie_flag"] == calls["eval_at"] == []
+        # every bracket is of two memoised fields, once per expression: of
+        # the Hall expressions, and of the chains under cross_check
+        pairs = [tuple(map(id, args)) for args in calls["poly_lie_bracket"]]
+        assert len(pairs) == len(set(pairs))
+        exprs = {e for layer in hall_basis(fr.k, step).layers for e in layer}
+        if cross_check:
+            exprs |= {
+                chain(*gens)
+                for length in range(1, step + 1)
+                for gens in itertools.product(range(1, fr.k + 1), repeat=length)
+            }
+        assert 0 < len(pairs) <= sum(not e.is_leaf for e in exprs)
 
 
 def test_slice_rank2_never_non_thin_at_top():
@@ -304,7 +423,7 @@ def test_slice_layer_span_of_wrap_chains():
     )
     for fr, v, step in cases:
         origin = (0,) * fr.n
-        g = amp._adapted_change(fr, origin, v)
+        g = amp._adapted_change(fr.values_at(origin), v)
         adapted = frame_change(fr, g)
         for level in range(2, step):
             vecs = []

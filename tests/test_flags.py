@@ -1,10 +1,7 @@
-import importlib.util
 import itertools
 import random
-import sys
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +24,7 @@ from liegrowth.polyfields import (
 
 from helpers import (
     F,
+    bench_workloads,
     constant_frame,
     formal_flag_reference,
     rand_fraction,
@@ -140,9 +138,6 @@ def test_formal_flag_matches_lie_flag_on_catalog():
 @pytest.mark.parametrize("caller", ["lie_flag", "formal_flag", "slice_report"])
 def test_cross_check_catches_a_hall_span_gap(caller, monkeypatch):
     engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
-    # slice_report's maximal-growth precondition reads the true flag.
-    true_flag = flags.lie_flag(engel, origin, 3)
-    monkeypatch.setattr(ampleness, "lie_flag", lambda *args, **kwargs: true_flag)
 
     def hall_basis_without_length_2(k, max_len):
         layers = freelie.hall_basis(k, max_len).layers
@@ -188,20 +183,9 @@ def test_formal_flag_matches_the_symbol_reference_on_catalog():
                         _agrees_with_reference(jet, step, cross_check)
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, whose generators make the benchmark inputs."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 def _dense_frames(seed):
     """The dense quadratic frames, points and steps of a ``flags_dense`` seed."""
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     for k, n, fields, p in workloads.FlagsDense.generate(seed)["dense"]:
         frame = parsing.parse_frame(workloads.frame_text(n, fields))
         yield frame, p, len(workloads.max_growth(k, n))

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from liegrowth import catalog, flags, parsing
+from liegrowth import catalog, flags, freelie, parsing
 from liegrowth.cli import main
-from liegrowth.errors import InvalidAlgebra, ParseError
+from liegrowth.errors import DomainError, InvalidAlgebra, ParseError
 
 from helpers import F
 
@@ -219,6 +219,20 @@ def test_cli_oversized_vector_entry_fails_fast(tmp_path, capsys, flag, entry, pr
     assert f"{problem} (parsing.MAX_DIGITS)" in err
 
 
+@pytest.mark.parametrize(
+    "entry, problem",
+    [("x" * 100000, "cannot parse point entry 'xxxxxxxxxxxxxxxxxxxx...' as a rational"),
+     ("1/" + "0" * 1000, "point entry '1/000000000000000000...' has a zero denominator")],
+)
+def test_cli_malformed_vector_entry_is_named_briefly(entry, problem):
+    from liegrowth.cli import _parse_vector
+
+    with pytest.raises(DomainError) as err:
+        _parse_vector(entry + ",0,0", 3, "point")
+    assert str(err.value) == problem
+    assert len(str(err.value)) < 200
+
+
 def test_cli_vector_entry_at_the_limits_parses():
     from liegrowth.cli import _parse_vector
 
@@ -331,6 +345,30 @@ def test_serializer_handles_leading_negative():
 def test_cli_witt(capsys):
     assert main(["witt", "--generators", "3", "--length", "3"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k, length", [(10, 5000), (10, 4304), (1000000, 1000000)])
+def test_cli_witt_refuses_an_answer_past_the_digit_limit(capsys, fmt, k, length):
+    # W(10, 4304) has 4301 digits; W(10**6, 10**6) about 6 million, and is
+    # refused before it is computed
+    start = time.perf_counter()
+    argv = ["witt", "--generators", str(k), "--length", str(length), "--format", fmt]
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("DomainError: witt dimension ")
+    assert "has more than 4300 digits (parsing.MAX_DIGITS)" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_witt_answer_just_under_the_digit_limit_prints(capsys, fmt):
+    assert main(["witt", "--generators", "10", "--length", "4303", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    value = json.loads(out)["value"] if fmt == "json" else int(out)
+    assert len(str(value)) == 4300
+    assert value == freelie.witt_dimension(10, 4303)
 
 
 def test_cli_mgv_text(capsys):

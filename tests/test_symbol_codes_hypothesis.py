@@ -131,9 +131,9 @@ def test_coded_core_matches_the_jetvar_oracles(case):
     assert [_decoded(c) for c in got.comps] == bracket_terms_reference(va.comps, vb.comps)
     assert got.order() == max(map(order_by_walk, got.comps))
 
-    # substitute: about half the coordinates of a, by rationals or by b, and
-    # keys a lacks (an unsorted index, a field outside the ambient) that stay
-    # unused
+    # substitute: about half the coordinates of a, by rationals or by b;
+    # keys with an unsorted index, each naming its sorted coordinate and,
+    # coming last, overriding it; and a field outside the ambient, unused
     present = sorted({v for m in ta for v in m})
     assignment, reference = {}, {}
     for v in present:
@@ -142,7 +142,10 @@ def test_coded_core_matches_the_jetvar_oracles(case):
             assignment[v] = reference[v] = rand_fraction(rng, 3, 2)
         elif roll < 0.5:
             assignment[v], reference[v] = b, tb
-    assignment[ja.JetVar(1, 1, (n, 1))] = 5
+    unsorted = [ja.JetVar(1, 1, (n, 1))]
+    unsorted += [ja.JetVar(v.field, v.comp, v.idx[::-1]) for v in present if len(set(v.idx)) > 1]
+    for v in unsorted:
+        assignment[v] = reference[_canon(v)] = 5
     assignment[ja.JetVar(k + 1, 1, ())] = 7
     sub = ja.substitute(a, assignment)
     assert _decoded(sub) == _substitute_reference(ta, reference)
