@@ -34,7 +34,7 @@ from .errors import (
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
 from .flags import _constant_term, _span_ranks, lie_flag  # noqa: F401
-from .polyfields import Frame, PolyField, _exact_point, poly_lie_bracket  # noqa: F401
+from .polyfields import Frame, PolyField, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -66,9 +66,11 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def _matrix(rows) -> Matrix:
+def _matrix(rows, what: str = "matrix") -> Matrix:
+    """Fraction rows, each read as "``what`` row r" by the exactness rule."""
     return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+        tuple(x if type(x) is Fraction else Fraction(x) for x in linalg._exact_vector(row, f"{what} row {r}"))
+        for r, row in enumerate(rows, start=1)
     )
 
 
@@ -87,7 +89,7 @@ class MatrixSpaceSpec:
     required_rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed", _matrix(self.fixed))
+        object.__setattr__(self, "fixed", _matrix(self.fixed, "fixed block"))
         if len(self.fixed) != self.rows:
             raise DomainError("fixed block must have one entry row per matrix row")
         widths = {len(r) for r in self.fixed}
@@ -118,17 +120,23 @@ def classify_matrix_space(spec: MatrixSpaceSpec) -> Verdict:
         )
     if k and linalg.rank(spec.fixed) < k:
         return Verdict.EMPTY_TRIVIALLY_AMPLE
-    if l == q:
-        if q - k >= 2:
+    return _shape_verdict(l, q, k)
+
+
+def _shape_verdict(rows: int, cols: int, fixed: int) -> Verdict:
+    """The case table for independent fixed columns: a verdict from the
+    shape alone, rows x cols with ``fixed`` frozen columns."""
+    if rows == cols:
+        if cols - fixed >= 2:
             return Verdict.AMPLE_NON_THIN
-        if q - k == 1:
+        if cols - fixed == 1:
             return Verdict.NOT_AMPLE_HYPERPLANE
         raise Unclassified("square space with every column fixed")
-    if l < q:
-        if k == l:
+    if rows < cols:
+        if fixed == rows:
             return Verdict.TRIVIALLY_AMPLE_FULL
         return Verdict.AMPLE_THIN_COMPLEMENT
-    raise Unclassified(f"no case covers rows={l} > cols={q}")
+    raise Unclassified(f"no case covers rows={rows} > cols={cols}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +163,7 @@ class ConvexWitness:
             raise AssertionError("witness has a nonpositive weight")
         if sum(self.weights()) != 1:
             raise AssertionError("witness weights do not sum to 1")
-        if self.average() != _matrix(target):
+        if self.average() != _matrix(target, "target"):
             raise AssertionError("witness does not average to the target")
         for _, m in self.terms:
             d = linalg.det(m)
@@ -165,13 +173,13 @@ class ConvexWitness:
                 raise AssertionError("witness member has the wrong determinant sign")
 
 
-def gl_convex_decomposition(m, eps: int = 1) -> ConvexWitness:
+def gl_convex_decomposition(m) -> ConvexWitness:
     """Write a square matrix as an average of two nonsingular matrices.
 
-    Nonsingular input: both members have determinant of the opposite sign
-    (scale the first two columns by 2+eps and -eps and swap roles).  Singular
-    input: shift by the first integer multiple of the identity off the
-    spectrum, m = 1/2 * 2(m - mu I) + 1/2 * 2 mu I.  The returned witness is
+    Nonsingular input: scale the first two columns by 3 and -1, and by -1
+    and 3, so both members have determinant -3 det(m).  Singular input: shift
+    by the first integer multiple of the identity off the spectrum,
+    m = 1/2 * 2(m - mu I) + 1/2 * 2 mu I.  The returned witness is
     re-verified exactly before being returned.
     """
     mat = _matrix(m)
@@ -198,24 +206,8 @@ def gl_convex_decomposition(m, eps: int = 1) -> ConvexWitness:
         witness = ConvexWitness(((Fraction(1, 2), m1), (Fraction(1, 2), m2)))
         witness.validate(mat)
         return witness
-    while True:
-        c1 = Fraction(2 + eps)
-        c2 = Fraction(-eps)
-        m1 = _matrix(
-            [
-                [row[0] * c1, row[1] * c2] + list(row[2:])
-                for row in mat
-            ]
-        )
-        m2 = _matrix(
-            [
-                [row[0] * c2, row[1] * c1] + list(row[2:])
-                for row in mat
-            ]
-        )
-        if linalg.det(m1) != 0 and linalg.det(m2) != 0:
-            break
-        eps += 1
+    m1 = _matrix([[3 * row[0], -row[1], *row[2:]] for row in mat])
+    m2 = _matrix([[-row[0], 3 * row[1], *row[2:]] for row in mat])
     witness = ConvexWitness(((Fraction(1, 2), m1), (Fraction(1, 2), m2)))
     witness.validate(mat, det_sign=-1 if d > 0 else 1)
     return witness
@@ -227,7 +219,7 @@ def det_affine_in_free_column(fixed) -> tuple[Fraction, ...]:
     The kernel of this linear functional is the hyperplane of singular
     completions; it is identically zero iff the fixed columns are dependent.
     """
-    rows = _matrix(fixed)
+    rows = _matrix(fixed, "fixed block")
     n = len(rows)
     if any(len(r) != n - 1 for r in rows):
         raise DomainError("fixed block must be n x (n-1)")
@@ -239,9 +231,17 @@ def det_affine_in_free_column(fixed) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def _direction(v, n: int) -> tuple:
+    """The direction ``v`` read exactly: n coordinates, not all zero."""
+    v = linalg._exact_vector(v, "direction", n)
+    if not any(v):
+        raise DomainError("direction must be nonzero")
+    return v
+
+
 def _adapted_change(vecs, v):
     """Constant frame change adapting the independent frame values ``vecs``
-    at a point to v.
+    at a point to the direction v, read by ``_direction``.
 
     Column 1 carries the orthogonal projection of v onto the span, rescaled
     so its pairing with v is 1; the remaining columns span the orthogonal
@@ -249,9 +249,6 @@ def _adapted_change(vecs, v):
     All inner products use the Euclidean form in the original coordinates.
     """
     k = len(vecs)
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
-        raise DomainError("direction must be nonzero")
     rhs = [linalg.dot(b, v) for b in vecs]
     if all(x == 0 for x in rhs):
         raise NormalDirection("direction is orthogonal to the frame span")
@@ -277,7 +274,7 @@ def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:
     vecs = fr.values_at(point)
     if linalg.rank(vecs) < fr.k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    g = _adapted_change(vecs, v)
+    g = _adapted_change(vecs, _direction(v, fr.n))
     return tuple(tuple(linalg.dot(m, col) for col in zip(*vecs)) for m in zip(*g))
 
 
@@ -319,11 +316,7 @@ def slice_report(
     which a constant frame change does not move, for the maximal-growth check.
     """
     n, k = fr.n, fr.k
-    v = [Fraction(x) for x in _exact_point(v, "direction")]
-    if len(v) != n:
-        raise DomainError("direction dimension does not match the frame")
-    if all(x == 0 for x in v):
-        raise DomainError("direction must be nonzero")
+    v = _direction(v, n)
     gv = maximal_growth_vector(k, n)
     if step != gv.step:
         raise NotFormalSolution(
@@ -356,16 +349,12 @@ def slice_report(
                     f"level {i}: rank {m_i} + {k - 1} != {n_i}; point is not generic"
                 )
             verdict = Verdict.AMPLE_THIN_COMPLEMENT
-        elif m_i == n:
-            verdict = Verdict.TRIVIALLY_AMPLE_FULL
-        elif n < m_i + k - 1:
-            verdict = Verdict.AMPLE_THIN_COMPLEMENT
-        elif n == m_i + k - 1:
-            verdict = Verdict.AMPLE_NON_THIN if k >= 3 else Verdict.NOT_AMPLE_HYPERPLANE
-        else:
+        elif n > m_i + k - 1:
             raise InconsistentFormalSolution(
                 f"top level rank {m_i} leaves {n} > {m_i + k - 1} unreachable"
             )
+        else:
+            verdict = _shape_verdict(n, m_i + k - 1, m_i)
         reports.append(SliceReport(i, m_i, n_i, verdict, False))
     return reports
 
@@ -386,13 +375,7 @@ def generic_slice_table(k: int, n: int) -> list[SliceReport]:
         )
     lower = max(n - k + 1, gv.entries[r - 2] if r >= 2 else 1)
     for m_r in range(lower, n + 1):
-        if m_r == n:
-            verdict = Verdict.TRIVIALLY_AMPLE_FULL
-        elif n == m_r + k - 1:
-            verdict = Verdict.AMPLE_NON_THIN if k >= 3 else Verdict.NOT_AMPLE_HYPERPLANE
-        else:
-            verdict = Verdict.AMPLE_THIN_COMPLEMENT
-        rows.append(SliceReport(r, m_r, n, verdict, False))
+        rows.append(SliceReport(r, m_r, n, _shape_verdict(n, m_r + k - 1, m_r), False))
     return rows
 
 
@@ -458,7 +441,7 @@ def hull_verdict(
         raise DomainError("hull search is defined for the square case only")
     if component_sign not in (1, -1):
         raise DomainError("component sign must be +1 or -1")
-    tgt = _matrix(target)
+    tgt = _matrix(target, "target")
     l, q, k = spec.rows, spec.cols, spec.fixed_count
     if len(tgt) != l or any(len(r) != q for r in tgt):
         raise DomainError("target shape mismatch")

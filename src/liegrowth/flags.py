@@ -277,9 +277,9 @@ class StratifiedAlgebra:
             for m, c in row.items():
                 if not 1 <= m <= total:
                     raise DomainError(f"target e{m} out of range 1..{total}")
-                c = Fraction(c)
+                c = linalg._exact(c, f"structure constant of e{m} in [e{i}, e{j}]")
                 if c != 0:
-                    entries[m] = c
+                    entries[m] = Fraction(c)
             if entries:
                 norm[(i, j)] = entries
         object.__setattr__(self, "table", norm)
@@ -313,7 +313,10 @@ class StratifiedAlgebra:
         return {m: -c for m, c in self.table.get((j, i), {}).items()}
 
     def bracket_vectors(self, u, v) -> list[Fraction]:
-        """Bilinear extension of the bracket to rational coordinate vectors."""
+        """Bilinear extension of the bracket to exact coordinate vectors of
+        length ``dim``."""
+        u = linalg._exact_vector(u, "u", self.dim)
+        v = linalg._exact_vector(v, "v", self.dim)
         out = [Fraction(0)] * self.dim
         for i, a in enumerate(u, start=1):
             if a == 0:
@@ -322,7 +325,7 @@ class StratifiedAlgebra:
                 if b == 0:
                     continue
                 for m, c in self.bracket_basis(i, j).items():
-                    out[m - 1] += Fraction(a) * Fraction(b) * c
+                    out[m - 1] += a * b * c
         return out
 
 

@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _sizes(**sizes) -> None:
+    """Refuse, with a ``DomainError`` naming it, a size that is not an int."""
+    for name, x in sizes.items():
+        if type(x) is not int:
+            raise DomainError(f"{name} must be an int, got {type(x).__name__}")
+
+
 def mobius(m: int) -> int:
     """Classical Moebius function of a positive integer."""
     if m < 1:
@@ -56,6 +63,7 @@ def witt_dimension(k: int, length: int) -> int:
 
     Computed in arbitrary-precision integers; exact divisibility is asserted.
     """
+    _sizes(k=k, length=length)
     if k < 1 or length < 1:
         raise DomainError("witt_dimension needs k >= 1 and length >= 1")
     total = 0
@@ -87,6 +95,7 @@ def maximal_growth_vector(k: int, n: int) -> GrowthVector:
     """Entrywise-maximal growth vector of a rank-``k`` frame on dimension ``n``:
     cumulative Witt sums truncated so the last entry is ``n``.
     """
+    _sizes(k=k, n=n)
     if k < 2 or k >= n:
         raise DomainError(f"maximal growth vector needs 2 <= k < n, got k={k}, n={n}")
     entries = []
@@ -190,6 +199,7 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
     basis that would exceed it raises ``CapExceeded`` before any layer is
     built.
     """
+    _sizes(k=k, max_len=max_len)
     if k < 1 or max_len < 1:
         raise DomainError("hall_basis needs k >= 1 and max_len >= 1")
     # layer sizes are Witt dimensions, so the total is known in advance

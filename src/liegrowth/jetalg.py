@@ -31,7 +31,7 @@ Taylor fields (``PolyField.taylor``) instead of differentiating, keys it by
 the table's own ``JetVar``s, shares one Fraction zero among its zero values,
 and hands its complete, canonical dict to ``JetPoint`` without the
 re-validation a user-built jet point gets; a user-built one reads its base
-and values by ``polyfields._coeff``'s rule, so a float is a ``DomainError``.
+and values by the rule of ``linalg._exact``, so a float is a ``DomainError``.
 ``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
 u^i_{a,alpha} / alpha! being the coefficient of x^alpha, which
 ``flags.formal_flag`` brackets.  Both walk one table of multi-indices,
@@ -79,7 +79,8 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .polyfields import _ZERO, Frame, Poly, PolyField, _bracket, _coeff, _exact_point, _SparsePoly
+from .linalg import _exact, _exact_vector
+from .polyfields import _ZERO, Frame, Poly, PolyField, _bracket, _SparsePoly
 
 __all__ = [
     "DiffPoly",
@@ -223,7 +224,7 @@ class DiffPoly(_SparsePoly):
             acc: dict = {}
             for mono, c in terms.items():
                 key = tuple(sorted(map(encode, mono)))
-                acc[key] = acc.get(key, 0) + _coeff(c)
+                acc[key] = acc.get(key, 0) + (c if type(c) is int else _exact(c, "coefficient"))
             terms = acc
         super().__init__(terms)
 
@@ -471,7 +472,7 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     index = _codes(p.k, p.n).index
     assigned = {
         index.get(JetVar(v.field, v.comp, tuple(sorted(v.idx)))):
-            val if isinstance(val, DiffPoly) else _coeff(val)
+            val if isinstance(val, DiffPoly) else _exact(val, f"value of {v}")
         for v, val in assignment.items()
     }
     polys = {code: val for code, val in assigned.items() if isinstance(val, DiffPoly)}
@@ -539,18 +540,11 @@ class JetPoint:
     _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.base = tuple(map(Fraction, _exact_point(self.base, "base point")))
-        if len(self.base) != self.n:
-            raise DomainError("base point dimension mismatch")
+        self.base = tuple(map(Fraction, _exact_vector(self.base, "base point", self.n)))
         vals = {}
         for v, c in self.values.items():
             v = JetVar(v.field, v.comp, tuple(sorted(v.idx)))
-            try:
-                vals[v] = Fraction(_coeff(c))
-            except DomainError:
-                raise DomainError(
-                    f"jet value of {v} must be an exact rational, got {type(c).__name__}"
-                ) from None
+            vals[v] = c if type(c) is Fraction else Fraction(_exact(c, f"jet value of {v}"))
         self.values = vals
         missing = []
         for v in iter_jet_vars(self.k, self.n, self.order):
@@ -680,9 +674,7 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     already a ``Fraction`` unless it is an int.
     """
     n = frame.n
-    base = tuple(Fraction(x) for x in _exact_point(point))
-    if len(base) != n:
-        raise DomainError("point dimension does not match the frame")
+    base = tuple(map(Fraction, _exact_vector(point, "point", n)))
     table = _multi_indices(n, order)
     tab = _codes(frame.k, n)
     values: dict[JetVar, Fraction] = {}

@@ -9,6 +9,11 @@ pivot entry equals the last pivot: reduced row i is ``mat[i] / last``.  Rank
 is the pivot count, the determinant is sign * last / scale, and ``solve``,
 ``nullspace`` and ``inverse`` read the reduced rows.  No tolerances
 anywhere, and no ``Fraction`` arithmetic inside a pivot.
+
+Every module reads its callers' numbers here, by one rule: an int or a
+``Fraction`` is accepted, anything else is a ``DomainError`` naming the
+argument and position.  ``_exact`` reads a number, ``_exact_vector`` a vector
+and, given ``n``, checks its length.
 """
 
 from __future__ import annotations
@@ -19,17 +24,39 @@ from math import lcm
 from .errors import DomainError
 
 
+def _exact(x, what: str):
+    """``x`` as an exact number: an int as it is, a ``Fraction`` as an int
+    when integral.  Anything else raises ``DomainError`` naming ``what``."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    raise DomainError(f"{what} must be an exact rational, got {type(x).__name__}")
+
+
+def _exact_vector(xs, what: str, n: int | None = None) -> tuple:
+    """The entries of ``xs``, ints and Fractions as given, as a tuple; entry
+    i of another type is "``what`` coordinate i" in the ``DomainError``."""
+    out = tuple(
+        x if type(x) is int or type(x) is Fraction else _exact(x, f"{what} coordinate {i}")
+        for i, x in enumerate(xs, start=1)
+    )
+    if n is not None and len(out) != n:
+        raise DomainError(f"{what} needs {n} coordinates, got {len(out)}")
+    return out
+
+
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    multipliers.  An int or Fraction entry is read as it is; any other entry
-    is converted with ``Fraction``."""
+    multipliers.  Every entry must be an int or a Fraction (``_exact``)."""
     mat = []
     scale = 1
-    for row in rows:
-        vals = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in vals))
+    for r, row in enumerate(rows, start=1):
+        if not all(type(x) is int or type(x) is Fraction for x in row):
+            row = _exact_vector(row, f"matrix row {r}")
+        mult = lcm(*(x.denominator for x in row))
         scale *= mult
-        mat.append([x.numerator * (mult // x.denominator) for x in vals])
+        mat.append([x.numerator * (mult // x.denominator) for x in row])
     return mat, scale
 
 
@@ -82,7 +109,7 @@ def det(rows) -> Fraction:
     """Determinant of a square rational matrix (Bareiss, exact)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+        raise DomainError("matrix is not square")
     mat, scale = _integer_rows(rows)
     pivots, sign, last = _eliminate(mat)
     if len(pivots) < n:
@@ -131,7 +158,7 @@ def inverse(rows):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+        raise DomainError("matrix is not square")
     mat, _ = _integer_rows(
         list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)
     )
@@ -142,4 +169,7 @@ def inverse(rows):
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    """Euclidean pairing of two exact vectors of one length."""
+    u = _exact_vector(u, "left factor")
+    v = _exact_vector(v, "right factor", len(u))
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))

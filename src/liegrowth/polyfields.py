@@ -1,7 +1,7 @@
 """Sparse polynomials over Q, polynomial vector fields and Taylor fields.
 
 The sparse ring is written once, in ``_SparsePoly``: a polynomial maps
-monomials to nonzero exact coefficients (ints or Fractions, see ``_coeff``),
+monomials to nonzero exact coefficients (ints or Fractions, see ``_exact``),
 and the base class owns the normalising constructor, ``+``, ``-``, scalar and
 polynomial ``*``, equality and hashing.  A subclass supplies only what a
 monomial is (its product ``_times``), its ambient (a mismatch raises
@@ -44,10 +44,9 @@ coefficient per output monomial at the end, so an integral coefficient is
 stored as an int.  It expands only the variables that move: a variable whose
 exponent or shift is 0 keeps its exponent, so a term runs its list of partial
 products through the other variables alone, pruned once their degree passes
-the order.  A point coordinate must be an int or a Fraction (``_exact_point``);
-anything else, a float included, is a ``DomainError``.  The same rule reads
-every number the other entry points take: ``Poly.eval_at`` and
-``PolyField.value_at``, ``AffineMap.make`` and ``frame_change``.
+the order.  Coefficients, points (of the ambient's length) and matrix entries
+are read by the exactness rule in ``linalg``: an int or a Fraction, or a
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from operator import add, itemgetter
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
+from .linalg import _exact, _exact_vector
 
 __all__ = [
     "AffineMap",
@@ -72,29 +72,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-
-
-def _coeff(c):
-    """Exact coefficients only: ints stay ints, rationals stay Fractions."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
-
-
-def _exact_point(point, what: str = "point") -> tuple:
-    """The coordinates of ``point`` under ``_coeff``'s rule; a coordinate
-    that is not an int or a Fraction raises ``DomainError`` naming it."""
-    out = []
-    for i, x in enumerate(point, start=1):
-        try:
-            out.append(_coeff(x))
-        except DomainError:
-            raise DomainError(
-                f"{what} coordinate {i} must be an exact rational, got {type(x).__name__}"
-            ) from None
-    return tuple(out)
 
 
 class _SparsePoly:
@@ -112,7 +89,8 @@ class _SparsePoly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = _coeff(c)
+                if type(c) is not int:
+                    c = _exact(c, "coefficient")
                 if c:
                     self.terms[mono] = c
 
@@ -164,7 +142,7 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, _SparsePoly):
-            c = _coeff(other)
+            c = _exact(other, "scalar")
             return self._like({m: v * c for m, v in self.terms.items()})
         self._check(other)
         short, long = self.terms, other.terms
@@ -277,7 +255,7 @@ class Poly(_SparsePoly):
         return self._along(j, Poly.const(self.n, 1))
 
     def eval_at(self, point) -> Fraction:
-        vals = _exact_point(point)
+        vals = _exact_vector(point, "point", self.n)
         total = _ZERO
         for exps, c in self.terms.items():
             prod = c
@@ -397,9 +375,8 @@ class PolyField:
             raise DomainError("taylor expands exact fields, not Taylor fields")
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
-        point = _exact_point(point)
-        if len(point) != self.n:
-            raise DomainError("point dimension does not match the field")
+        if len(point) != self.n or not all(type(x) is int or type(x) is Fraction for x in point):
+            point = _exact_vector(point, "point", self.n)
         den = lcm(*(x.denominator for x in point))
         shift = [x.numerator * (den // x.denominator) for x in point]
         # (x_i + P_i/D)^e = sum_k C(e, k) P_i^(e-k) x_i^k / D^(e-k): the
@@ -451,7 +428,7 @@ class PolyField:
             for head, num in out.items():
                 d = dens[sum(head)]
                 if d != 1:
-                    out[head] = _coeff(Fraction(num, d))
+                    out[head] = _exact(Fraction(num, d), "coefficient")
             comps.append(comp._like(out))
         return PolyField(tuple(comps), order)
 
@@ -541,19 +518,24 @@ class AffineMap:
 
     @staticmethod
     def make(linear, shift) -> AffineMap:
-        """The map from exact entries; any other entry, a float included,
-        raises ``DomainError`` naming it."""
+        """The map from an n x n linear part and a length-n shift of exact
+        entries; another entry or shape raises ``DomainError`` naming it."""
+        shift = tuple(map(Fraction, _exact_vector(shift, "shift")))
+        n = len(shift)
         lin = tuple(
-            tuple(map(Fraction, _exact_point(row, f"linear part row {r}")))
+            tuple(map(Fraction, _exact_vector(row, f"linear part row {r}", n)))
             for r, row in enumerate(linear, start=1)
         )
-        return AffineMap(lin, tuple(map(Fraction, _exact_point(shift, "shift"))))
+        if len(lin) != n:
+            raise DomainError(f"linear part needs {n} rows, got {len(lin)}")
+        return AffineMap(lin, shift)
 
     @property
     def n(self) -> int:
         return len(self.shift)
 
     def apply(self, point) -> tuple[Fraction, ...]:
+        point = _exact_vector(point, "point", self.n)
         return tuple(
             linalg.dot(row, point) + s for row, s in zip(self.linear, self.shift)
         )
@@ -598,7 +580,7 @@ def frame_change(fr: Frame, g) -> Frame:
     ``DomainError`` naming it."""
     k = fr.k
     rows = [
-        list(map(Fraction, _exact_point(row, f"change matrix row {r}")))
+        list(map(Fraction, _exact_vector(row, f"change matrix row {r}")))
         for r, row in enumerate(g, start=1)
     ]
     if len(rows) != k or any(len(r) != k for r in rows):

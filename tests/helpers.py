@@ -184,7 +184,7 @@ def taylor_reference(f, point, order: int):
 
 
 def assert_coeff_normal(field) -> None:
-    """Every coefficient of ``field`` is ``_coeff``-normal: an int when
+    """Every coefficient of ``field`` is ``linalg._exact``-normal: an int when
     integral, a Fraction otherwise, never zero."""
     for comp in field.comps:
         for c in comp.terms.values():
@@ -310,13 +310,11 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     from liegrowth.errors import DomainError, InconsistentFormalSolution, NotFormalSolution
     from liegrowth.flags import _span_ranks, lie_flag
     from liegrowth.freelie import maximal_growth_vector
-    from liegrowth.polyfields import _exact_point, frame_change
+    from liegrowth.polyfields import frame_change
 
     V = amp.Verdict
     n, k = fr.n, fr.k
-    v = [Fraction(x) for x in _exact_point(v, "direction")]
-    if len(v) != n:
-        raise DomainError("direction dimension does not match the frame")
+    v = linalg._exact_vector(v, "direction", n)
     if all(x == 0 for x in v):
         raise DomainError("direction must be nonzero")
     gv = maximal_growth_vector(k, n)

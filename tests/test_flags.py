@@ -246,6 +246,36 @@ def test_inexact_coordinates_are_refused(bad):
         ampleness.slice_report(engel, point, (1, 0, 0, 0), 3)
     with pytest.raises(DomainError, match="direction coordinate 2 must be an exact rational"):
         ampleness.slice_report(engel, (0,) * 4, (1, bad, 0, 0), 3)
+    heis = catalog.heisenberg_frame()
+    with pytest.raises(DomainError, match="point coordinate 2 must be an exact rational"):
+        ampleness.adapted_frame(heis, (0, bad, 0), (1, 0, 0))
+    with pytest.raises(DomainError, match="direction coordinate 1 must be an exact rational"):
+        ampleness.adapted_frame(heis, (0, 0, 0), (bad, 0, 0))
+    spec = ampleness.MatrixSpaceSpec(2, 2, [[1], [0]], 2)
+    matrix_entries = [
+        (lambda: ampleness.MatrixSpaceSpec(2, 2, [[bad], [1]], 2), "fixed block row 1 coordinate 1"),
+        (lambda: ampleness.det_affine_in_free_column([[1], [bad]]), "fixed block row 2 coordinate 1"),
+        (lambda: ampleness.hull_verdict(spec, [[1, bad], [0, -1]], 1), "target row 1 coordinate 2"),
+        (lambda: ampleness.gl_convex_decomposition([[bad, 0], [0, 1]]), "matrix row 1 coordinate 1"),
+        (
+            lambda: ampleness.ConvexWitness(((Fraction(1), ((1, 0), (0, 1))),)).validate([[1, 0], [bad, 1]]),
+            "target row 2 coordinate 1",
+        ),
+        (
+            lambda: flags.StratifiedAlgebra((2, 1), {(1, 2): {3: bad}}),
+            r"structure constant of e3 in \[e1, e2\]",
+        ),
+        (
+            lambda: flags.StratifiedAlgebra((2, 1), {(1, 2): {3: 1}}).bracket_vectors((1, 0, 0), (0, bad, 0)),
+            "v coordinate 2",
+        ),
+    ]
+    for call, where in matrix_entries:
+        with pytest.raises(DomainError, match=f"{where} must be an exact rational"):
+            call()
+    for point, v in (((5,), (1, 0, 0)), ((0, 0, 0), (1, 0))):
+        with pytest.raises(DomainError, match="needs 3 coordinates"):
+            ampleness.adapted_frame(heis, point, v)
 
 
 def _random_jet(rng, k, n, order, sparse):

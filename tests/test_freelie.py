@@ -62,6 +62,20 @@ def test_maximal_growth_vector_examples():
     assert gv.entries == (2, 3, 5, 8) and gv.step == 4
 
 
+def test_sizes_must_be_ints():
+    for call, name in (
+        (lambda: fl.witt_dimension(2.0, 3), "k"),
+        (lambda: fl.witt_dimension(2, 2.5), "length"),
+        (lambda: fl.witt_dimension(2.5, 2), "k"),
+        (lambda: fl.maximal_growth_vector(2.0, 5), "k"),
+        (lambda: fl.maximal_growth_vector(2, 5.0), "n"),
+        (lambda: fl.hall_basis(2.0, 3), "k"),
+        (lambda: fl.hall_basis(2, 3.0), "max_len"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be an int, got float"):
+            call()
+
+
 def test_maximal_growth_vector_domain():
     with pytest.raises(DomainError):
         fl.maximal_growth_vector(1, 5)

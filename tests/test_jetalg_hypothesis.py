@@ -11,7 +11,7 @@ frame, for random polynomial frames, rational points and o = 0..3.
 The integer read-back: on user-built jet points with zero, negative and
 large-denominator values, ``_taylor_fields`` equals the ``Fraction`` division
 of ``helpers.taylor_fields_reference`` at every order up to the jet's, every
-coefficient it stores is ``_coeff``-normal, and the integer view ``_coded``
+coefficient it stores is ``linalg._exact``-normal, and the integer view ``_coded``
 is the values times the lcm of their denominators, one per code."""
 
 from math import lcm

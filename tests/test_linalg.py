@@ -72,6 +72,12 @@ def test_rowless_matrix_raises():
         linalg.solve([], [])
 
 
+def test_non_square_matrix_raises():
+    for call in (linalg.det, linalg.inverse):
+        with pytest.raises(DomainError, match="matrix is not square"):
+            call([[1, 2]])
+
+
 
 def test_mixed_int_and_fraction_rows_read_like_fraction_rows():
     # rows are read as they come: an int entry is not wrapped in a Fraction,

@@ -81,12 +81,13 @@ def test_poly_float_coefficients_raise():
         Poly.variable(1, 1) * 0.5
 
 
-_INEXACT = (0.1, float("nan"), float("inf"), "1/2")
+_INEXACT = (0.1, float("nan"), float("inf"), "1/3")
 
 
 def test_float_entry_points_raise():
     fr = Frame(2, (PolyField.basis(2, 1), PolyField.basis(2, 2)))
     x1 = Poly.variable(2, 1)
+    amap = AffineMap.make([[1, 0], [0, 1]], [0, 0])
     for bad in _INEXACT:
         with pytest.raises(DomainError, match="change matrix row 1 coordinate 1"):
             frame_change(fr, [[bad, 0], [0, 1]])
@@ -98,9 +99,34 @@ def test_float_entry_points_raise():
             x1.eval_at((bad, 0))
         with pytest.raises(DomainError, match="point coordinate 2"):
             fr.fields[0].value_at((0, bad))
+        with pytest.raises(DomainError, match="point coordinate 2"):
+            amap.apply((0, bad))
+        with pytest.raises(DomainError, match="coefficient must be an exact rational"):
+            Poly(2, {(1, 0): bad})
+        with pytest.raises(DomainError, match="scalar must be an exact rational"):
+            x1 * bad
+        for call in (linalg.rank, linalg.det, linalg.inverse, linalg.nullspace):
+            with pytest.raises(DomainError, match="matrix row 2 coordinate 1"):
+                call([[1, 0], [bad, 1]])
+        with pytest.raises(DomainError, match="matrix row 2 coordinate 3"):
+            linalg.solve([[1, 0], [0, 1]], [0, bad])
+        with pytest.raises(DomainError, match="right factor coordinate 2"):
+            linalg.dot((1, 0), (0, bad))
+    for call in (x1.eval_at, fr.fields[0].value_at, fr.values_at, amap.apply):
+        for point in ((1,), (1, 2, 3)):
+            with pytest.raises(DomainError, match="point needs 2 coordinates"):
+                call(point)
     assert frame_change(fr, [[F(1, 10), 0], [0, 1]]).fields[0] == PolyField.basis(2, 1).scale(F(1, 10))
     assert AffineMap.make([[1, 0], [0, 2]], [F(1, 10), 0]).apply((0, 1)) == (F(1, 10), 2)
     assert x1.eval_at((F(1, 10), 7)) == F(1, 10)
+
+
+def test_affine_map_shape_is_checked():
+    heis = Frame(3, (PolyField.basis(3, 1), PolyField.basis(3, 2)))
+    with pytest.raises(DomainError, match="linear part needs 3 rows, got 2"):
+        pushforward(heis, AffineMap.make([[1, 0, 0], [0, 1, 0]], [0, 0, 0]))
+    with pytest.raises(DomainError, match="linear part row 1 needs 2 coordinates, got 3"):
+        AffineMap.make([[1, 0, 0], [0, 1, 0]], [0, 0])
 
 
 def test_poly_malformed_keys_raise():

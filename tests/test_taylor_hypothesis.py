@@ -4,7 +4,7 @@ equals the ``Fraction`` expansion ``taylor_reference`` on random exact fields
 negative and large-denominator coordinates, mixing ints and Fractions, for
 every order from 0 to one past the degree, and on terms of degree up to 6 at
 orders 0 to 2, where the expansion prunes by degree; and every coefficient it
-stores is ``_coeff``-normal: an int when integral, a Fraction otherwise, never
+stores is ``linalg._exact``-normal: an int when integral, a Fraction otherwise, never
 zero."""
 
 import pytest
