@@ -33,8 +33,8 @@ from .errors import (
 # bench/test_bench.py asserts that the benchmark tracer wraps this module's
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
-from .flags import _constant_term, _span_ranks, lie_flag  # noqa: F401
-from .polyfields import Frame, PolyField, poly_lie_bracket  # noqa: F401
+from .flags import _Recombined, _span_ranks, lie_flag  # noqa: F401
+from .polyfields import Frame, _TaylorParts, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -89,6 +89,7 @@ class MatrixSpaceSpec:
     required_rank: int
 
     def __post_init__(self):
+        linalg._sizes(rows=self.rows, cols=self.cols, required_rank=self.required_rank)
         object.__setattr__(self, "fixed", _matrix(self.fixed, "fixed block"))
         if len(self.fixed) != self.rows:
             raise DomainError("fixed block must have one entry row per matrix row")
@@ -307,32 +308,32 @@ def slice_report(
 ) -> list[SliceReport]:
     """Classify every principal-subspace slice of a maximal-growth frame.
 
-    The frame is read once, as its order ``step - 1`` Taylor fields (leaves)
-    at the point, whose constant terms are its values.  Normal directions
-    make every slice the full principal subspace.  For non-normal directions
-    the leaves are recombined into adapted ones and each level is classified
-    from the rank of the brackets that do not reach the top pure derivative.
-    The same ``_span_ranks`` pass gives the full Hall rank of each level,
-    which a constant frame change does not move, for the maximal-growth check.
+    The frame is read once, as its Taylor expansions about the point
+    (leaves, ``polyfields._TaylorParts``), whose degree-0 parts give its
+    values; each degree is expanded once, when the engine first asks for
+    it.  Normal directions make every slice the full principal subspace.
+    For non-normal directions the leaves are recombined into adapted ones
+    (``flags._Recombined``) and each level is classified from the rank of
+    the brackets that do not reach the top pure derivative.  The same
+    ``_span_ranks`` pass gives the full Hall rank of each level, which a
+    constant frame change does not move, for the maximal-growth check.
     """
     n, k = fr.n, fr.k
+    linalg._sizes(step=step)
     v = _direction(v, n)
     gv = maximal_growth_vector(k, n)
     if step != gv.step:
         raise NotFormalSolution(
             f"maximal growth on dimension {n} has step {gv.step}, got {step}"
         )
-    leaves = [f.taylor(point, step - 1) for f in fr.fields]
-    vecs = [_constant_term(f) for f in leaves]
+    leaves = [_TaylorParts(f, point, step - 1) for f in fr.fields]
+    vecs = [leaf.values() for leaf in leaves]
     if linalg.rank(vecs) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
     normal = all(linalg.dot(v, b) == 0 for b in vecs)
     if not normal:
         g = _adapted_change(vecs, v)
-        leaves = [
-            sum((f.scale(g[j][m]) for j, f in enumerate(leaves) if g[j][m]), PolyField.zero(n))
-            for m in range(k)
-        ]
+        leaves = [_Recombined(leaves, [row[m] for row in g]) for m in range(k)]
     dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top, cross_check))
     if dims != gv.entries:
         raise NotFormalSolution(

@@ -252,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="flag dimensions of a frame file at a point")
     p.add_argument("--frame", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--max-step", type=int, default=None)
+    p.add_argument(
+        "--max-step", type=int, default=None,
+        help="longest bracket length to try (default n - k + 2, at least 2); "
+        "the flag stops where it reaches n, so a larger value forms no further bracket",
+    )
     _add_format(p)
     p.set_defaults(func=cmd_growth)
 

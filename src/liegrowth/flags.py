@@ -6,25 +6,35 @@ shape span the same layers (antisymmetry and the Jacobi identity reduce any
 bracket to combinations of Hall elements of the same length), which the
 optional cross-check verifies by evaluating the full right-nested chain
 family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
-one memoised engine, ``_span_ranks``, for both the Hall span and the chain
+one engine, ``_span_ranks``, for both the Hall span and the chain
 cross-check.  Per length it yields the rank of all Hall values and, given a
-filter, the rank of the values the filter keeps, both read from one memo:
+filter, the rank of the values the filter keeps, both read from one store:
 ``slice_report`` takes its maximal-growth check and its slice ranks from one
 pass.
 
-A step-s flag at p depends only on the (s-1)-jet of the frame at p, so
-``lie_flag`` and ``slice_report`` bracket Taylor fields of order s - 1
-centred at p (``PolyField.taylor``) instead of the full polynomials, and read
-each value off the constant term.  ``formal_flag`` brackets the Taylor
-fields its jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one
-body, ``_flag``.  The engine generates Hall layers one length at a time and
-stops early once a whole layer of brackets is zero.
+A step-s flag at p depends only on the (s-1)-jet of the frame at p, so the
+engine brackets Taylor fields centred at p and reads each value off the
+constant term.  It keeps every field as its homogeneous parts by degree, in
+a graded store (``_Graded``) that forms a part only when it is asked for,
+once per (expression, degree): the degree-d part of [A, B] needs the parts
+of degree <= d + 1 of A and B, so at step s a length-m sub-bracket is asked
+for degree s - m at most and a leaf for degree s - 1.  Each step asks for
+one more degree, and once the ranks reach n no further part is formed, so a
+flag costs what the step where it saturates costs, whatever ``max_step``
+says.  The leaves are ``polyfields._GradedLeaf``s: ``lie_flag`` and
+``slice_report`` expand the frame about p (``polyfields._TaylorParts``),
+and ``formal_flag`` reads the Taylor fields its jet fixes
+(``jetalg._taylor_fields``); it and ``lie_flag`` run one body, ``_flag``.
+The engine generates Hall layers one length at a time, evaluates a layer in
+batches of as many values as the rank lacks of n, and stops early once a
+whole layer of brackets vanishes.
 
-The engine runs on ints.  ``_span_ranks`` multiplies each leaf once by the
-lcm of its coefficient denominators, so every bracket multiplies and adds
-ints and every rank is taken of integer rows.  A rank does not change when
-each vector is multiplied by its own nonzero constant, and by bilinearity
-that is all the scaling does to a bracket's value.
+The engine runs on ints.  Each leaf is its Taylor field times one nonzero
+int, with every monomial packed into an int, so a bracket multiplies and
+adds ints and a product of monomials is one int addition, and every rank is
+taken of integer rows.  A rank does not change when each vector is
+multiplied by its own nonzero constant, and by bilinearity that is all the
+scaling does to a bracket's value.
 """
 
 from __future__ import annotations
@@ -41,10 +51,13 @@ from .errors import (
     OrderOverflow,
 )
 from .freelie import BracketExpr, hall_basis, is_free_type, maximal_growth_vector
+from .linalg import _sizes
 from .polyfields import (
     Frame,
     Poly,
     PolyField,
+    _GradedLeaf,
+    _TaylorParts,
     frame_change,
     poly_lie_bracket,
     pushforward,
@@ -111,53 +124,177 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
     )
 
 
+class _Part:
+    """One homogeneous part of an engine field: per component a dict from
+    packed monomials to nonzero ints (``polyfields._GradedLeaf``), whether
+    they are all empty, and, once the part is differentiated, per component
+    its derivative terms by direction."""
+
+    __slots__ = ("comps", "zero", "derivs")
+
+    def __init__(self, comps: list[dict]):
+        self.comps = comps
+        self.zero = not any(comps)
+        self.derivs = None
+
+
+class _Graded:
+    """The graded store of the flag engine.
+
+    Every field is kept as its homogeneous parts by degree, and a part is
+    formed only when it is asked for, once per (expression, degree).  Leaf
+    ``X_g`` is ``leaves[g - 1]``.  The degree-d part of [A, B] is
+
+        sum over a + b = d + 1 of  A_a(B_b) - B_b(A_a),
+
+    V(p) = sum_j V^j d_j p, so it needs the parts of degree <= d + 1 of A
+    and B; a length-m sub-bracket of a value of length s is asked for no
+    degree above s - m.  ``top(expr)`` bounds the degrees that can be
+    nonzero (a bracket drops one degree), and a part above it is not
+    formed.  Monomials are packed ints, so a product of monomials is one
+    int addition.
+    """
+
+    def __init__(self, leaves):
+        self.leaves = leaves
+        self.n, self.width = leaves[0].n, leaves[0].width
+        self.mask = (1 << self.width) - 1
+        self.ones = [1 << (self.width * j) for j in range(self.n)]
+        self.parts: dict[tuple[BracketExpr, int], _Part] = {}
+        self.tops: dict[BracketExpr, int] = {}
+        self.empty = _Part([{} for _ in range(self.n)])
+
+    def top(self, expr: BracketExpr) -> int:
+        got = self.tops.get(expr)
+        if got is None:
+            if expr.is_leaf:
+                got = self.leaves[expr.gen - 1].top
+            else:
+                got = self.top(expr.left) + self.top(expr.right) - 1
+            self.tops[expr] = got
+        return got
+
+    def part(self, expr: BracketExpr, d: int) -> _Part:
+        """The degree-``d`` part of ``expr``, formed on the first call."""
+        if d > self.top(expr):
+            return self.empty
+        key = (expr, d)
+        got = self.parts.get(key)
+        if got is None:
+            got = self.parts[key] = self._form(expr, d)
+        return got
+
+    def value(self, expr: BracketExpr) -> tuple[int, ...]:
+        """The value of ``expr`` at the centre: its degree-0 part."""
+        return tuple(c.get(0, 0) for c in self.part(expr, 0).comps)
+
+    def vanishes(self, expr: BracketExpr, through: int) -> bool:
+        """Whether every part of ``expr`` of degree <= ``through`` is zero,
+        asking for one degree at a time."""
+        return all(self.part(expr, d).zero for d in range(min(through, self.top(expr)) + 1))
+
+    def _form(self, expr: BracketExpr, d: int) -> _Part:
+        if expr.is_leaf:
+            return _Part(self.leaves[expr.gen - 1].part(d))
+        left, right = expr.left, expr.right
+        # per pair of nonzero parts (A_a, B_b): A_a times the derivatives of
+        # B_b, and B_b times those of A_a with the sign flipped
+        products = []
+        for a in range(max(0, d + 1 - self.top(right)), min(d + 1, self.top(left)) + 1):
+            b_part = self.part(right, d + 1 - a)
+            if not b_part.zero:
+                a_part = self.part(left, a)
+                if not a_part.zero:
+                    products.append((1, a_part.comps, self._derivs(b_part)))
+                    products.append((-1, b_part.comps, self._derivs(a_part)))
+        comps = []
+        for i in range(self.n):
+            acc: dict = {}
+            get = acc.get
+            for sign, mults, derivs in products:
+                for j, row in derivs[i]:
+                    mult = mults[j]
+                    if mult:
+                        for dm, dc in row:
+                            dc *= sign
+                            for m, c in mult.items():
+                                m += dm
+                                acc[m] = get(m, 0) + dc * c
+            comps.append({m: c for m, c in acc.items() if c})
+        return _Part(comps)
+
+    def _derivs(self, part: _Part) -> list:
+        """Per component of ``part``, the (direction j, [(monomial, coefficient)])
+        pairs of its nonzero d_j; formed once per part."""
+        if part.derivs is None:
+            w, mask, ones = self.width, self.mask, self.ones
+            part.derivs = []
+            for comp in part.comps:
+                by_dir: dict = {}
+                for m, c in comp.items():
+                    rest, j = m, 0
+                    while rest:
+                        e = rest & mask
+                        if e:
+                            by_dir.setdefault(j, []).append((m - ones[j], c * e))
+                        rest >>= w
+                        j += 1
+                part.derivs.append(list(by_dir.items()))
+        return part.derivs
+
+
+class _Recombined(_GradedLeaf):
+    """The graded leaf of the field sum_j coeffs[j] X_j, for exact
+    ``coeffs`` not all zero and graded leaves L_j = s_j X_j (s_j their
+    ``scale``): sum_j (coeffs[j] / s_j) L_j times the lcm of those ratios'
+    denominators, its ``scale``, formed part by part from the leaves' own
+    parts."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, leaves, coeffs):
+        ratios = [Fraction(c) / leaf.scale for c, leaf in zip(coeffs, leaves)]
+        self.scale = lcm(*(r.denominator for r in ratios))
+        self._terms = [(int(r * self.scale), leaf) for r, leaf in zip(ratios, leaves) if r]
+        self.n, self.width, self._parts = leaves[0].n, leaves[0].width, {}
+        self.top = max(leaf.top for _, leaf in self._terms)
+
+    def _form(self, d: int) -> list[dict]:
+        out: list[dict] = [{} for _ in range(self.n)]
+        for c, leaf in self._terms:
+            for acc, comp in zip(out, leaf.part(d)):
+                for m, x in comp.items():
+                    acc[m] = acc.get(m, 0) + c * x
+        return [{m: x for m, x in acc.items() if x} for acc in out]
+
+
 def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
     expressions of length <= i, rank of those of them ``keep(expr, i)``
     admits); the second is None when ``keep`` is None.
 
-    Leaf ``X_g`` is the Taylor field ``leaves[g - 1]``; a bracket is
-    ``poly_lie_bracket`` and a value is the constant term.  Both ranks read
-    one memo of fields and values by expression, so no bracket is formed
-    twice.  With ``cross_check`` both ranks are recomputed from the
-    right-nested chains [X_c1, [X_c2, ...]], through the same memo, and a
+    The leaves are ``polyfields._GradedLeaf``s, Taylor fields about one
+    centre kept as int parts, each the field times its own nonzero int; a
+    value is a degree-0 part of the graded store ``_Graded``.  Both ranks
+    read one store, so no part is formed twice.  Brackets are bilinear, so
+    the scaled leaves multiply each value vector by a nonzero int, and no
+    rank changes.  With ``cross_check`` both ranks are recomputed from the
+    right-nested chains [X_c1, [X_c2, ...]], through the same store, and a
     disagreement raises AssertionError.
 
-    Each leaf is first multiplied by the lcm of its coefficient denominators
-    (``_integer_field``), so every bracket multiplies and adds ints and
-    ``linalg.rank`` gets integer rows.  This changes no rank: brackets are
-    bilinear, so the bracket of an expression over scaled leaves is the
-    product of its leaves' scales times the unscaled bracket, a nonzero
-    multiple of each value vector.
-
-    Hall layers are generated one length at a time.  When ``keep`` is None
-    and every field of a layer of length i > 1 is zero, every longer bracket
-    vanishes too (L_{m+1} = [L_1, L_m]), so the ranks at i are yielded for
+    When ``keep`` is None and ``cross_check`` is off, a layer is evaluated
+    in batches of as many values as the rank lacks of n, and the ranks stop
+    at n: no further value is formed, and n is yielded for the remaining
+    lengths.  Hall layers are generated one length at a time.  When
+    ``keep`` is None and every field of a layer of length i > 1 vanishes
+    through degree max_len - i, every longer bracket has value zero up to
+    max_len too (L_{m+1} = [L_1, L_m]), so the ranks at i are yielded for
     all remaining lengths without generating further layers.
     """
-    leaves = [_integer_field(f) for f in leaves]
     k = len(leaves)
-    fields: dict[BracketExpr, PolyField] = {}
-    values: dict[BracketExpr, tuple] = {}
-
-    def field_of(expr: BracketExpr) -> PolyField:
-        got = fields.get(expr)
-        if got is None:
-            if expr.is_leaf:
-                got = leaves[expr.gen - 1]
-            else:
-                got = poly_lie_bracket(field_of(expr.left), field_of(expr.right))
-            fields[expr] = got
-        return got
 
     def rank_of(family) -> int:
-        vectors = []
-        for expr in family:
-            got = values.get(expr)
-            if got is None:
-                got = values[expr] = _constant_term(field_of(expr))
-            vectors.append(got)
-        return linalg.rank(vectors)
+        return linalg.rank([store.value(e) for e in family])
 
     def ranks(family, i: int) -> tuple:
         kept = None if keep is None else rank_of([e for e in family if keep(e, i)])
@@ -165,12 +302,24 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
 
     hall: list[BracketExpr] = []
     chains: list[BracketExpr] = []
+    stop_at_n = keep is None and not cross_check
+    got = (0, None)
     for i in range(1, max_len + 1):
         layer = hall_basis(k, i).layers[i - 1]
-        if i == 1:
+        if i == 1:  # hall_basis has checked that there are leaves
             first = newest = layer
-        hall += layer
-        got = ranks(hall, i)
+            store = _Graded(leaves)
+            n = store.n
+        if stop_at_n:
+            done, rank = len(hall), got[0]
+            hall += layer
+            while done < len(hall) and rank < n:
+                done = min(len(hall), done + n - rank)
+                rank = rank_of(hall[:done])
+            got = (rank, None)
+        else:
+            hall += layer
+            got = ranks(hall, i)
         if cross_check:
             if i > 1:
                 newest = [BracketExpr.pair(g, e) for g in first for e in newest]
@@ -180,38 +329,20 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
                     f"Hall-indexed span disagrees with the full chain span at length {i}"
                 )
         yield got
-        if keep is None and i > 1 and all(field_of(e).is_zero() for e in layer):
+        if (stop_at_n and got[0] == n) or (
+            keep is None and i > 1 and all(store.vanishes(e, max_len - i) for e in layer)
+        ):
             for _ in range(i + 1, max_len + 1):
                 yield got
             return
 
 
-def _integer_field(f: PolyField) -> PolyField:
-    """``f`` times the lcm of all its coefficient denominators: the same
-    field up to a positive scalar, with int coefficients only."""
-    mult = lcm(*(c.denominator for p in f.comps for c in p.terms.values()))
-    return PolyField(
-        tuple(
-            p._like({e: c.numerator * (mult // c.denominator) for e, c in p.terms.items()})
-            for p in f.comps
-        ),
-        f.order,
-    )
-
-
-def _constant_term(f: PolyField) -> tuple[Fraction, ...]:
-    """Value of a Taylor field at its centre: the constant term of each
-    component."""
-    origin = (0,) * f.n
-    return tuple(c.terms.get(origin, 0) for c in f.comps)
-
-
 def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
-    """Flag of the Taylor fields ``leaves`` of order ``max_step - 1`` about
-    ``point``: the Hall span ranks up to ``max_step``, stopped once they reach
-    the ambient dimension."""
+    """Flag of the graded leaves ``leaves`` about ``point``, made for
+    ``max_step``: the Hall span ranks up to ``max_step``, stopped once they
+    reach the ambient dimension."""
     k, n = len(leaves), len(point)
-    if linalg.rank([_constant_term(f) for f in leaves]) < k:
+    if linalg.rank([[c.get(0, 0) for c in leaf.part(0)] for leaf in leaves]) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
     dims = []
     for dim, _ in _span_ranks(leaves, max_step, cross_check=cross_check):
@@ -224,13 +355,16 @@ def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
 def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> FlagReport:
     """Exact flag dimensions of a polynomial frame at a rational point.
 
-    The brackets are taken of the order ``max_step - 1`` Taylor fields of the
-    frame about ``point``: a length-l bracket is then exact through degree
-    ``max_step - l``, which is all its value at ``point`` needs.
+    The brackets are taken of the Taylor expansions of the frame about
+    ``point``, one homogeneous part at a time: a length-l bracket needs its
+    parts of degree <= s - l at step s, and a leaf its parts of degree
+    <= s - 1.  Parts are formed only as the steps ask for them, so the flag
+    costs what the step where it reaches n costs, whatever ``max_step``.
     """
+    _sizes(max_step=max_step)
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
-    leaves = [f.taylor(point, max_step - 1) for f in fr.fields]
+    leaves = [_TaylorParts(f, point, max_step - 1) for f in fr.fields]
     return _flag(leaves, point, max_step, cross_check)
 
 
@@ -241,8 +375,9 @@ def formal_flag(
 
     The (max_step - 1)-jet fixes the order ``max_step - 1`` Taylor fields
     about its base point (``jetalg._taylor_fields``), and those are bracketed
-    exactly as ``lie_flag`` brackets the Taylor fields of a frame.
+    exactly as ``lie_flag`` brackets the Taylor expansions of a frame.
     """
+    _sizes(max_step=max_step)
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
     if max_step > jet.order + 1:

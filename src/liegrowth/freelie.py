@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
+from .linalg import _sizes
 
 __all__ = [
     "BracketExpr",
@@ -29,13 +30,6 @@ __all__ = [
     "mobius",
     "witt_dimension",
 ]
-
-
-def _sizes(**sizes) -> None:
-    """Refuse, with a ``DomainError`` naming it, a size that is not an int."""
-    for name, x in sizes.items():
-        if type(x) is not int:
-            raise DomainError(f"{name} must be an int, got {type(x).__name__}")
 
 
 def mobius(m: int) -> int:

@@ -26,23 +26,31 @@ sum_t V^t D_t p; ``derive`` is the action of one coordinate field.  Add,
 multiply and the bracket are the shared ones: ``diffvec_bracket`` checks the
 ambient and the order and returns the components of ``polyfields._bracket``,
 the one Lie-bracket kernel, A(B^i) - B(A^i), which it shares with
-``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame off its
-Taylor fields (``PolyField.taylor``) instead of differentiating, keys it by
-the table's own ``JetVar``s, shares one Fraction zero among its zero values,
-and hands its complete, canonical dict to ``JetPoint`` without the
-re-validation a user-built jet point gets; a user-built one reads its base
-and values by the rule of ``linalg._exact``, so a float is a ``DomainError``.
-``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
-u^i_{a,alpha} / alpha! being the coefficient of x^alpha, which
-``flags.formal_flag`` brackets.  Both walk one table of multi-indices,
-``_multi_indices``, beside the matching codes (``_Codes.block``).
+``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame off the
+int parts of its Taylor expansion (``polyfields._TaylorParts``) instead of
+differentiating, one ``Fraction`` per value, keys it by the table's own
+``JetVar``s, shares one Fraction zero among its zero values, and hands its
+complete, canonical dict to ``JetPoint`` without the re-validation a
+user-built jet point gets; a user-built one reads its base and values by the
+rule of ``linalg._exact``, so a float is a ``DomainError``, and its sizes
+must be ints.  ``_taylor_fields`` is the inverse read-off: the Taylor fields
+a jet fixes, u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as
+the graded int leaves (``_JetParts``) that ``flags.formal_flag`` brackets.
+Both walk one table of multi-indices by length, ``_multi_indices``, beside
+the matching codes (``_Codes.run``).
 
 A jet point keeps one integer view per ambient it is read in
 (``JetPoint._coded``): the lcm of its value denominators, and per code the
 value times it, an int, or None where the jet lacks the coordinate.
 ``evaluate`` multiplies along a monomial's codes straight out of that list,
-and ``_taylor_fields`` reads each coefficient from it as an integer quotient
-one ``gcd`` from lowest terms, with no ``Fraction`` divided.
+and ``_taylor_fields`` scales each entry to an int coefficient from it, with
+no ``Fraction`` formed.
+
+The code tables of the ``MAX_TABLES`` most recently used ambients are kept,
+and an older one is dropped; codes depend on the ambient alone, so a dropped
+table rebuilds with the same codes, and a jet's integer view or a pickled
+polynomial coded against it still reads right.  What reads codes through a
+table grows it first as far as it needs (``DiffPoly._table``).
 
 The symbol core does no work twice.  ``_act`` reads the successors of a code
 from the table, builds the rest of a monomial once per position, and forms
@@ -69,7 +77,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from math import prod as _prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -79,8 +87,16 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
-from .linalg import _exact, _exact_vector
-from .polyfields import _ZERO, Frame, Poly, PolyField, _bracket, _SparsePoly
+from .linalg import _exact, _exact_vector, _sizes
+from .polyfields import (
+    _ZERO,
+    Frame,
+    _bracket,
+    _GradedLeaf,
+    _pack_width,
+    _SparsePoly,
+    _TaylorParts,
+)
 
 __all__ = [
     "DiffPoly",
@@ -158,16 +174,14 @@ class _Codes:
             )
         return self.succ
 
-    def block(self, fld: int, comp: int, order: int) -> list[int]:
-        """The codes of u^comp_{fld,I} for |I| <= ``order``, in the order of
-        ``_multi_indices``: one run of codes per order."""
-        self.grow(order)
-        pos, out = (fld - 1) * self.n + comp - 1, []
-        for m in range(order + 1):
-            lo, hi = self.starts[m], self.starts[m + 1]
-            size = (hi - lo) // (self.k * self.n)
-            out += range(lo + pos * size, lo + (pos + 1) * size)
-        return out
+    def run(self, fld: int, comp: int, m: int) -> range:
+        """The codes of u^comp_{fld,I} for |I| = m, in the order of
+        ``_multi_indices``."""
+        self.grow(m)
+        lo, hi = self.starts[m], self.starts[m + 1]
+        size = (hi - lo) // (self.k * self.n)
+        pos = (fld - 1) * self.n + comp - 1
+        return range(lo + pos * size, lo + (pos + 1) * size)
 
     def order_of(self, code: int, r: int) -> int:
         """The order of ``code``, coding up to order ``r - 1`` to reach it."""
@@ -192,14 +206,20 @@ class _Codes:
         return code
 
 
-# (k, n) -> the code table of that ambient, made on first use.
+# The code tables of the most recently used ambients, at most MAX_TABLES of
+# them, least recently used first; a dropped table rebuilds identically,
+# since a code depends on (k, n) and the coordinate alone.
+MAX_TABLES = 8
 _TABLES: dict[tuple[int, int], _Codes] = {}
 
 
 def _codes(k: int, n: int) -> _Codes:
-    tab = _TABLES.get((k, n))
+    tab = _TABLES.pop((k, n), None)
     if tab is None:
-        tab = _TABLES[(k, n)] = _Codes(k, n)
+        tab = _Codes(k, n)
+        while len(_TABLES) >= MAX_TABLES:
+            del _TABLES[next(iter(_TABLES))]
+    _TABLES[(k, n)] = tab
     return tab
 
 
@@ -282,10 +302,17 @@ class DiffPoly(_SparsePoly):
             self._order = 0 if top is None else _codes(self.k, self.n).order_of(top, self.r)
         return self._order
 
+    def _table(self) -> _Codes:
+        """The code table of this ambient, coded through this polynomial's
+        order, so that it names every code present even where it was
+        dropped and rebuilt since ``order()`` first read it."""
+        tab = _codes(self.k, self.n)
+        tab.grow(self.order())
+        return tab
+
     def _names(self) -> list[JetVar]:
         """The coordinate of each code, covering every code present."""
-        self.order()
-        return _codes(self.k, self.n).vars
+        return self._table().vars
 
     def variables(self) -> set[JetVar]:
         names = self._names()
@@ -468,8 +495,8 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     order; keys that name no coordinate of ``p`` are ignored, and of keys
     that name the same one, the last wins.
     """
-    p.order()  # codes every coordinate of p, so a key it lacks finds no code
-    index = _codes(p.k, p.n).index
+    # every coordinate of p is coded, so a key it lacks finds no code
+    index = p._table().index
     assigned = {
         index.get(JetVar(v.field, v.comp, tuple(sorted(v.idx)))):
             val if isinstance(val, DiffPoly) else _exact(val, f"value of {v}")
@@ -514,8 +541,8 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     """Jet coordinates present in ``vec`` whose multi-index is exactly ``m``
     copies of direction ``t``; ``m = 0`` returns the 0-jet coordinates.
     """
-    vec.order()  # codes every coordinate of vec
     tab = _codes(vec.k, vec.n)
+    tab.grow(vec.order())  # codes every coordinate of vec
     target = (t,) * m
     wanted = {
         tab.index.get(JetVar(fld, comp, target))
@@ -540,6 +567,7 @@ class JetPoint:
     _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        _sizes(k=self.k, n=self.n, order=self.order)
         self.base = tuple(map(Fraction, _exact_vector(self.base, "base point", self.n)))
         vals = {}
         for v, c in self.values.items():
@@ -653,66 +681,82 @@ def pure_derivative_extract(
     return tuple(jet[JetVar(fld, comp, idx)] for comp in range(1, jet.n + 1))
 
 
-def _multi_indices(n: int, order: int) -> list:
-    """``(alpha, alpha!)`` for every multi-index of length <= ``order`` in n
-    directions, in the order of ``_Codes.block``: the exponents of the
-    monomial matching the sorted directions of a jet coordinate, and their
-    factorial."""
-    table = []
+def _multi_indices(n: int, order: int, width: int) -> list[list]:
+    """Per length m <= ``order``, ``(key, alpha!)`` for every multi-index of
+    length m in n directions, in the order of ``_Codes.run``: the packed
+    monomial x^alpha (``polyfields._GradedLeaf``, ``width`` bits per
+    exponent) matching the sorted directions of a jet coordinate, and the
+    factorial of its exponents."""
+    runs = []
     for ln in range(order + 1):
-        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln):
-            alpha = tuple(idx.count(j) for j in range(1, n + 1))
-            table.append((alpha, _prod(map(factorial, alpha))))
-    return table
+        run = []
+        for idx in itertools.combinations_with_replacement(range(n), ln):
+            alpha = [idx.count(j) for j in range(n)]
+            run.append((sum(1 << (width * t) for t in idx), _prod(map(factorial, alpha))))
+        runs.append(run)
+    return runs
 
 
 def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     """All partial derivatives of the frame coefficients up to ``order``,
-    evaluated exactly at ``point``.  They are read off the order-``order``
-    Taylor fields at ``point``: the derivative along a multi-index that takes
-    direction j alpha_j times is alpha! times the coefficient of x^alpha,
-    already a ``Fraction`` unless it is an int.
+    evaluated exactly at ``point``.  They are read off the int parts of the
+    order-``order`` Taylor expansion at ``point`` (``_TaylorParts``): the
+    derivative along a multi-index that takes direction j alpha_j times is
+    alpha! times the coefficient of x^alpha, one ``Fraction`` of the part's
+    int times alpha! over the expansion's scale.
     """
     n = frame.n
+    _sizes(order=order)
     base = tuple(map(Fraction, _exact_vector(point, "point", n)))
-    table = _multi_indices(n, order)
     tab = _codes(frame.k, n)
+    runs = _multi_indices(n, order, _pack_width(order))
     values: dict[JetVar, Fraction] = {}
     for fld, f in enumerate(frame.fields, start=1):
-        for comp, poly in enumerate(f.taylor(base, order).comps, start=1):
-            coeff = poly.terms.get
-            for (alpha, scale), code in zip(table, tab.block(fld, comp, order)):
-                u = coeff(alpha, 0) * scale
-                if type(u) is int:
-                    u = Fraction(u) if u else _ZERO
-                values[tab.vars[code]] = u
+        parts = _TaylorParts(f, base, order)
+        scale = parts.scale
+        for comp, acc in enumerate(parts.expand(0, order), start=1):
+            get = acc.get
+            for m, run in enumerate(runs):
+                for (key, fact), code in zip(run, tab.run(fld, comp, m)):
+                    u = get(key)
+                    values[tab.vars[code]] = Fraction(u * fact, scale) if u else _ZERO
     return JetPoint._trusted(frame.k, n, order, base, values)
 
 
-def _taylor_fields(jet: JetPoint, order: int) -> list[PolyField]:
-    """The order-``order`` Taylor fields about the base point that ``jet``
-    fixes, the inverse of ``jet_of_frame``'s read-off: component i of field a
-    is sum_{|alpha| <= order} u^i_{a,alpha} / alpha! * x^alpha.
+class _JetParts(_GradedLeaf):
+    """Field ``fld`` of the order-``order`` Taylor fields about the base
+    point that ``jet`` fixes, the inverse of ``jet_of_frame``'s read-off,
+    as int parts for the flag engine: the coefficient of x^alpha in
+    component i is u^i_{fld,alpha} / alpha!, and the leaf is that field
+    times ``denom * order!``, so its coefficient is u * (order! / alpha!)
+    with u the value times ``denom`` from the jet's integer view
+    (``jet._coded``), and ``scale`` is ``denom * order!``.  No ``Fraction``
+    is formed."""
 
-    Each coefficient is read from the jet's integer view ``jet._coded``:
-    with u the value times ``denom``, it is u / (denom * alpha!), one ``gcd``
-    away from lowest terms, and stored as an int when integral."""
-    n, table = jet.n, _multi_indices(jet.n, order)
-    denom, view = jet._coded(jet.k, n)
-    tab = _codes(jet.k, n)
-    zero = Poly(n)
+    __slots__ = ("_jet", "_fld", "_runs", "_fact")
 
-    def component(fld: int, comp: int) -> Poly:
-        terms = {}
-        for (alpha, scale), code in zip(table, tab.block(fld, comp, order)):
-            u = view[code]
-            if u:
-                d = denom * scale
-                g = gcd(u, d)
-                terms[alpha] = u // g if g == d else Fraction(u // g, d // g)
-        return zero._like(terms)
+    def __init__(self, jet: JetPoint, fld: int, order: int, runs: list):
+        self.n, self.width, self.top, self._parts = jet.n, _pack_width(order), order, {}
+        self._jet, self._fld, self._runs, self._fact = jet, fld, runs, factorial(order)
+        self.scale = jet._coded(jet.k, jet.n)[0] * self._fact
 
-    return [
-        PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)), order)
-        for fld in range(1, jet.k + 1)
-    ]
+    def _form(self, d: int) -> list[dict]:
+        jet, fld, fact = self._jet, self._fld, self._fact
+        view = jet._coded(jet.k, jet.n)[1]
+        tab = _codes(jet.k, jet.n)
+        out = []
+        for comp in range(1, jet.n + 1):
+            terms = {}
+            for (key, afact), code in zip(self._runs[d], tab.run(fld, comp, d)):
+                u = view[code]
+                if u:
+                    terms[key] = u * (fact // afact)
+            out.append(terms)
+        return out
+
+
+def _taylor_fields(jet: JetPoint, order: int) -> list[_JetParts]:
+    """The flag engine's leaves for ``jet``: per field, the int parts of the
+    order-``order`` Taylor field the jet fixes (``_JetParts``)."""
+    runs = _multi_indices(jet.n, order, _pack_width(order))
+    return [_JetParts(jet, fld, order, runs) for fld in range(1, jet.k + 1)]

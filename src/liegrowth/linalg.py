@@ -13,7 +13,9 @@ anywhere, and no ``Fraction`` arithmetic inside a pivot.
 Every module reads its callers' numbers here, by one rule: an int or a
 ``Fraction`` is accepted, anything else is a ``DomainError`` naming the
 argument and position.  ``_exact`` reads a number, ``_exact_vector`` a vector
-and, given ``n``, checks its length.
+and, given ``n``, checks its length.  A size (a rank, a dimension, a step or
+an order) must be an int itself: ``_sizes`` refuses anything else, a bool
+and an integral float included.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ def _exact(x, what: str):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise DomainError(f"{what} must be an exact rational, got {type(x).__name__}")
+
+
+def _sizes(**sizes) -> None:
+    """Refuse, with a ``DomainError`` naming it, a size that is not an int
+    (a bool is refused too)."""
+    for name, x in sizes.items():
+        if type(x) is not int:
+            raise DomainError(f"{name} must be an int, got {type(x).__name__}")
 
 
 def _exact_vector(xs, what: str, n: int | None = None) -> tuple:

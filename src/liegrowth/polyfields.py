@@ -31,22 +31,30 @@ A ``PolyField`` with ``order`` set is a Taylor field: a truncated Taylor
 expansion about the origin, exact through total degree ``order`` and unknown
 above it.  ``PolyField.taylor(p, s)`` recentres an exact field at ``p``; its
 coefficient of x^alpha times alpha! is the alpha-th partial derivative at
-``p``, which is how ``jetalg.jet_of_frame`` reads jets.  A bracket loses one
-order (it takes a derivative), so a length-l bracket of Taylor leaves of
-order s - 1 is exact through degree s - l, and its value at the centre is its
-constant term.  Sums, differences and scalings keep the smaller order; a
-bracket whose order would drop below zero raises ``OrderOverflow``.
+``p``.  A bracket loses one order (it takes a derivative), so a length-l
+bracket of Taylor leaves of order s - 1 is exact through degree s - l, and
+its value at the centre is its constant term.  Sums, differences and
+scalings keep the smaller order; a bracket whose order would drop below zero
+raises ``OrderOverflow``.
 
-``taylor`` expands in integers: it clears the point's common denominator
-once and each component's coefficient denominators once, accumulates every
-term of the expansion as an integer numerator, and forms one exact
-coefficient per output monomial at the end, so an integral coefficient is
-stored as an int.  It expands only the variables that move: a variable whose
-exponent or shift is 0 keeps its exponent, so a term runs its list of partial
-products through the other variables alone, pruned once their degree passes
-the order.  Coefficients, points (of the ambient's length) and matrix entries
-are read by the exactness rule in ``linalg``: an int or a Fraction, or a
-``DomainError``.
+There is one Taylor expansion, ``_TaylorParts``, and it runs on ints: it
+clears the point's common denominator and the field's coefficient
+denominators once, so the expansion times one int, its ``scale``, has an int
+coefficient for every monomial, and it forms only the parts of the degrees
+it is asked for.  Its monomials are packed ints (the exponent of x_{i+1} in
+bits [w*i, w*(i+1)), w wide enough for the order), so a product of
+monomials is one int addition.  ``PolyField.taylor`` assembles its field
+from the parts of degrees 0..order, one exact coefficient per monomial (an
+int when it is integral); ``jetalg.jet_of_frame`` reads its jet off them;
+and the flag engine (``flags._Graded``) asks a leaf for one degree at a time
+through the interface ``_GradedLeaf``, which ``jetalg._taylor_fields``
+implements as well.  The expansion walks only the variables that move: a
+variable whose exponent or shift is 0 keeps its exponent, so a term runs its
+list of partial products through the other variables alone, pruned once
+their degree leaves the degrees asked for.  Coefficients, points (of the
+ambient's length) and matrix entries are read by the exactness rule in
+``linalg``: an int or a Fraction, or a ``DomainError``; an order must be an
+int.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from operator import add, itemgetter
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
-from .linalg import _exact, _exact_vector
+from .linalg import _exact, _exact_vector, _sizes
 
 __all__ = [
     "AffineMap",
@@ -308,6 +316,148 @@ class Poly(_SparsePoly):
         return f"Poly({self})"
 
 
+def _pack_width(order: int) -> int:
+    """Bits per exponent in a packed monomial of total degree <= ``order``."""
+    return max(order, 1).bit_length()
+
+
+class _GradedLeaf:
+    """A Taylor field about a point kept as its homogeneous parts, the leaf
+    of the flag engine (``flags._Graded``).  ``part(d)`` is the degree-d
+    part times ``scale``, a nonzero int that is the same for every part: a
+    list of n dicts from packed monomials to nonzero ints, the exponent of
+    x_{i+1} in bits [w*i, w*(i+1)) of a key, w = ``width``.  A subclass
+    supplies ``_form(d)``, which ``part`` calls once per degree; ``top`` is
+    a degree above which every part is zero, and no part above the order
+    the leaf was made for may be asked for."""
+
+    __slots__ = ("n", "width", "top", "scale", "_parts")
+
+    def part(self, d: int) -> list[dict]:
+        got = self._parts.get(d)
+        if got is None:
+            got = self._parts[d] = self._form(d)
+        return got
+
+    def _form(self, d: int) -> list[dict]:
+        raise NotImplementedError
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple((key >> (w * i)) & mask for i in range(self.n))
+
+    def values(self) -> tuple:
+        """The field's value at the point, read off the degree-0 part."""
+        return tuple(_exact(Fraction(c.get(0, 0), self.scale), "value") for c in self.part(0))
+
+
+class _TaylorParts(_GradedLeaf):
+    """The Taylor expansion of an exact field about a point, in ints.
+
+    With D the common denominator of the point (shift P/D), L the lcm of the
+    field's coefficient denominators and T its top degree, ``scale`` is
+    L D^T and the expansion is ``scale`` times the Taylor field: a term
+    c x^alpha contributes c L D^(T - |alpha|) prod_i C(alpha_i, k_i)
+    P_i^(alpha_i - k_i) D^(k_i), an int, to x^k.  ``expand(lo, hi)`` forms
+    the parts of degrees lo..hi only, and ``PolyField.taylor``,
+    ``jetalg.jet_of_frame`` and the flag engine (one degree at a time, as
+    ``part``) all read it.
+
+    Only the variables with a nonzero exponent and a nonzero shift are
+    expanded, k_i running over 0..alpha_i; every other variable keeps
+    k_i = alpha_i, and its degree starts the partial products.  A partial
+    product is dropped once its degree passes ``hi``, or once the variables
+    left can no longer lift it to ``lo``, so a term of high degree never
+    forms its full product.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, field: PolyField, point, order: int):
+        if field.order is not None:
+            raise DomainError("taylor expands exact fields, not Taylor fields")
+        _sizes(order=order)
+        if order < 0:
+            raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
+        n = self.n = field.n
+        if len(point) != n or not all(type(x) is int or type(x) is Fraction for x in point):
+            point = _exact_vector(point, "point", n)
+        w = self.width = _pack_width(order)
+        self._parts = {}
+        den = lcm(*(x.denominator for x in point))
+        shift = [x.numerator * (den // x.denominator) for x in point]
+        coeffs = [c for comp in field.comps for c in comp.terms.values()]
+        mult = lcm(*(c.denominator for c in coeffs))
+        top = max((sum(exps) for comp in field.comps for exps in comp.terms), default=0)
+        self.scale = mult * den**top
+        self.top = min(top, order)
+        # (x_i + P_i/D)^e D^e = sum_k C(e, k) P_i^(e-k) D^k x_i^k: the
+        # (k, factor, packed x_i^k) triples by (i, e)
+        expansions: dict = {}
+
+        def expansion(i: int, e: int):
+            got = expansions.get((i, e))
+            if got is None:
+                p, at = shift[i], w * i
+                got = expansions[(i, e)] = [
+                    (j, comb(e, j) * p ** (e - j) * den**j, j << at) for j in range(e + 1)
+                ]
+            return got
+
+        # per component, each term as (numerator, packed key and degree of
+        # the variables that keep their exponent, expanded degree available,
+        # [(triples, degree still available after this variable)])
+        self._terms = []
+        for comp in field.comps:
+            terms = []
+            for exps, c in comp.terms.items():
+                low = key = room = 0
+                active = []
+                for i, e in [(i, e) for i, e in enumerate(exps) if e]:
+                    if shift[i]:
+                        active.append((i, e))
+                        room += e
+                    else:
+                        low += e
+                        key += e << (w * i)
+                if low > order:
+                    continue
+                num = c.numerator * (mult // c.denominator) * den ** (top - room)
+                rest, steps = room, []
+                for i, e in active:
+                    rest -= e
+                    steps.append((expansion(i, e), rest))
+                terms.append((num, key, low, room, steps))
+            self._terms.append(terms)
+
+    def expand(self, lo: int, hi: int) -> list[dict]:
+        """The parts of degrees ``lo``..``hi`` together, times ``scale``: per
+        component a dict from packed monomials to nonzero ints."""
+        out = []
+        for terms in self._terms:
+            acc: dict = {}
+            for num, key, low, room, steps in terms:
+                if low > hi or low + room < lo:
+                    continue
+                partial = [(key, num, low)]
+                for triples, rest in steps:
+                    floor = lo - rest
+                    partial = [
+                        (head + packed, coef * f, deg + j)
+                        for head, coef, deg in partial
+                        for j, f, packed in triples
+                        if floor <= deg + j <= hi
+                    ]
+                for head, coef, _ in partial:
+                    acc[head] = acc.get(head, 0) + coef
+            out.append({m: c for m, c in acc.items() if c})
+        return out
+
+    def _form(self, d: int) -> list[dict]:
+        return self.expand(d, d)
+
+
 def _min_order(a: int | None, b: int | None) -> int | None:
     """The smaller of two Taylor orders; None (an exact field) is the largest."""
     if a is None:
@@ -357,78 +507,18 @@ class PolyField:
         each component expanded in x -> x + point, keeping only the monomials
         of total degree <= ``order``.
 
-        The expansion runs on integers.  With D the common denominator of the
-        point (shift P/D), and L the lcm of a component's coefficient
-        denominators and d its top degree, a term c x^alpha contributes
-        c L D^(d - |alpha|) prod_i C(alpha_i, k_i) P_i^(alpha_i - k_i), an
-        integer, to the numerator of x^k over L D^(d - |k|).  Each output
-        coefficient becomes one exact number at the end, so integral ones are
-        stored as ints.
-
-        Only the variables with a nonzero exponent and a nonzero shift are
-        expanded, k_i running over 0..alpha_i; every other variable keeps
-        k_i = alpha_i.  The degree of those fixed variables starts the
-        partial products, which are dropped once their degree passes
-        ``order``, so a term of high degree never forms its full product.
+        It is assembled from the int parts of ``_TaylorParts``, the one
+        expansion: each coefficient is one exact number, the part's int over
+        the expansion's ``scale``, so an integral coefficient is an int.
         """
-        if self.order is not None:
-            raise DomainError("taylor expands exact fields, not Taylor fields")
-        if order < 0:
-            raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
-        if len(point) != self.n or not all(type(x) is int or type(x) is Fraction for x in point):
-            point = _exact_vector(point, "point", self.n)
-        den = lcm(*(x.denominator for x in point))
-        shift = [x.numerator * (den // x.denominator) for x in point]
-        # (x_i + P_i/D)^e = sum_k C(e, k) P_i^(e-k) x_i^k / D^(e-k): the
-        # integer (k, factor) pairs by (i, e), with factor None standing for 1
-        expansions: dict = {}
-
-        def expansion(i: int, e: int):
-            got = expansions.get((i, e))
-            if got is None:
-                p = shift[i]
-                got = [(e, None)]
-                if e and p:
-                    got = [(k, comb(e, k) * p ** (e - k)) for k in range(e)] + got
-                expansions[(i, e)] = got
-            return got
-
+        parts = _TaylorParts(self, point, order)
+        scale, decode = parts.scale, parts.decode
         comps = []
-        for comp in self.comps:
-            terms = comp.terms
-            mult = lcm(*(c.denominator for c in terms.values()))
-            top = max((sum(exps) for exps in terms), default=0)
-            out: dict = {}
-            for exps, c in terms.items():
-                # a variable with exponent 0 or shift 0 keeps its exponent;
-                # the others are expanded one at a time, pruning once the
-                # degree passes order
-                low, active = 0, []
-                for i, e in enumerate(exps):
-                    if e:
-                        if shift[i]:
-                            active.append(i)
-                        else:
-                            low += e
-                if low > order:
-                    continue
-                num = c.numerator * (mult // c.denominator) * den ** (top - sum(exps))
-                partial = [(exps, num, low)]
-                for i in active:
-                    pairs = expansion(i, exps[i])
-                    partial = [
-                        (head[:i] + (k,) + head[i + 1 :], coef if f is None else coef * f, deg + k)
-                        for head, coef, deg in partial
-                        for k, f in pairs
-                        if deg + k <= order
-                    ]
-                for head, coef, _ in partial:
-                    out[head] = out.get(head, 0) + coef
-            dens = [mult * den ** (top - j) for j in range(min(top, order) + 1)]
-            for head, num in out.items():
-                d = dens[sum(head)]
-                if d != 1:
-                    out[head] = _exact(Fraction(num, d), "coefficient")
+        for comp, acc in zip(self.comps, parts.expand(0, order)):
+            out = {decode(key): num for key, num in acc.items()}
+            if scale != 1:
+                for head, num in out.items():
+                    out[head] = _exact(Fraction(num, scale), "coefficient")
             comps.append(comp._like(out))
         return PolyField(tuple(comps), order)
 

@@ -220,6 +220,22 @@ def taylor_fields_reference(jet, order: int) -> list:
     ]
 
 
+def graded_field(leaf, order: int) -> PolyField:
+    """The order-``order`` Taylor field that a graded flag-engine leaf
+    (``polyfields._GradedLeaf``) stands for: its parts of degree <= ``order``,
+    each monomial decoded and each coefficient divided by the leaf's scale.
+    Every coefficient of a part must be a nonzero int."""
+    comps: list[dict] = [{} for _ in range(leaf.n)]
+    for d in range(order + 1):
+        for acc, part in zip(comps, leaf.part(d)):
+            for key, c in part.items():
+                assert type(c) is int and c, (key, c)
+                exps = leaf.decode(key)
+                assert sum(exps) == d, (exps, d)
+                acc[exps] = Fraction(c, leaf.scale)
+    return PolyField(tuple(Poly(leaf.n, acc) for acc in comps), order)
+
+
 def order_by_walk(p) -> int:
     """Order of a ``DiffPoly`` by walking every coordinate of every term."""
     return max((len(v.idx) for mono, _ in p.sorted_terms() for v in mono), default=0)
@@ -282,6 +298,50 @@ def formal_flag_reference(jet, max_step: int, cross_check: bool = False):
     return _report_from_dims(k, n, jet.base, dims)
 
 
+def lie_flag_reference(fr, point, max_step: int, cross_check: bool = False):
+    """Reference for ``flags.lie_flag`` from whole polynomials: each Hall
+    bracket's field is the untruncated ``poly_lie_bracket`` of the frame's
+    exact fields, formed afresh for every expression (no Taylor field, no
+    memo), and its value is ``value_at(point)``.  The frame values must have
+    rank k; with ``cross_check`` every right-nested chain of each length is
+    evaluated too and its rank compared.  The ranks stop once they reach n."""
+    from liegrowth import linalg
+    from liegrowth.errors import DegenerateFrame, DomainError
+    from liegrowth.flags import _report_from_dims
+    from liegrowth.freelie import hall_basis
+    from liegrowth.polyfields import poly_lie_bracket
+
+    if max_step < 1:
+        raise DomainError("max_step must be >= 1")
+    k, n = fr.k, fr.n
+
+    def field(expr):
+        if expr.is_leaf:
+            return fr.fields[expr.gen - 1]
+        return poly_lie_bracket(field(expr.left), field(expr.right))
+
+    def rank_of(family) -> int:
+        return linalg.rank([field(e).value_at(point) for e in family])
+
+    if linalg.rank(fr.values_at(point)) < k:
+        raise DegenerateFrame("frame vectors are dependent")
+    dims: list[int] = []
+    for i in range(1, max_step + 1):
+        rank = rank_of([e for layer in hall_basis(k, i).layers for e in layer])
+        if cross_check:
+            chains = [
+                chain(*gens)
+                for ln in range(1, i + 1)
+                for gens in itertools.product(range(1, k + 1), repeat=ln)
+            ]
+            if rank_of(chains) != rank:
+                raise AssertionError(f"Hall span disagrees with the chains at length {i}")
+        dims.append(rank)
+        if rank == n:
+            break
+    return _report_from_dims(k, n, point, dims)
+
+
 def bench_workloads():
     """``bench/workloads.py``, whose generators make the benchmark inputs."""
     import importlib.util
@@ -301,16 +361,16 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     """Reference for ``ampleness.slice_report``, composed of whole-frame
     steps: the maximal-growth check is ``lie_flag`` at the point; the change
     matrix comes from the exact frame values (``Frame.values_at``); the
-    adapted frame is ``frame_change`` of the exact frame, expanded afresh by
-    ``PolyField.taylor``; and a second ``_span_ranks`` pass over those
-    leaves, with its own memo, gives the slice ranks.  Errors are raised in
-    the same order and with the same messages."""
+    adapted frame is ``frame_change`` of the exact frame, expanded afresh as
+    graded leaves (``polyfields._TaylorParts``); and a second ``_span_ranks``
+    pass over those leaves, with its own store, gives the slice ranks.
+    Errors are raised in the same order and with the same messages."""
     from liegrowth import ampleness as amp
     from liegrowth import linalg
     from liegrowth.errors import DomainError, InconsistentFormalSolution, NotFormalSolution
     from liegrowth.flags import _span_ranks, lie_flag
     from liegrowth.freelie import maximal_growth_vector
-    from liegrowth.polyfields import frame_change
+    from liegrowth.polyfields import _TaylorParts, frame_change
 
     V = amp.Verdict
     n, k = fr.n, fr.k
@@ -332,7 +392,7 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
             for i in range(1, step + 1)
         ]
     adapted = frame_change(fr, amp._adapted_change(vecs, v))
-    leaves = [f.taylor(point, step - 1) for f in adapted.fields]
+    leaves = [_TaylorParts(f, point, step - 1) for f in adapted.fields]
     reports = []
     for i, (_, m_i) in enumerate(_span_ranks(leaves, step, amp._below_top, cross_check), 1):
         n_i = gv.entries[i - 1]

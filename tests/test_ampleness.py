@@ -337,12 +337,12 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
         (catalog.free_rank3_step2_frame(), (0, 1, 0, 0, 0, F(1, 3)), (1, 1, 0, 0, 2, 0), 2),
         (catalog.heisenberg_frame(), (1, 2, 0), (0, -1, 1), 2),  # a normal direction
     ]
-    calls = {"taylor": [], "poly_lie_bracket": [], "frame_change": [], "lie_flag": [],
-             "eval_at": []}
+    calls = {"expansion": [], "expand": [], "store": [], "form": [], "taylor": [],
+             "poly_lie_bracket": [], "frame_change": [], "lie_flag": [], "eval_at": []}
 
-    def counted(name, fn):
+    def counted(name, fn, record=lambda args: args):
         def wrapper(*args, **kwargs):
-            calls[name].append(args)  # keeps the arguments alive, so ids stay unique
+            calls[name].append(record(args))  # keeps the arguments alive, so ids stay unique
             return fn(*args, **kwargs)
         return wrapper
 
@@ -357,6 +357,13 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
+    parts = polyfields._TaylorParts
+    monkeypatch.setattr(parts, "__init__", counted("expansion", parts.__init__))
+    monkeypatch.setattr(parts, "expand", counted("expand", parts.expand))
+    monkeypatch.setattr(flags._Graded, "__init__", counted("store", flags._Graded.__init__))
+    monkeypatch.setattr(
+        flags._Graded, "_form", counted("form", flags._Graded._form, lambda a: (id(a[0]),) + a[1:])
+    )
     monkeypatch.setattr(PolyField, "taylor", counted("taylor", PolyField.taylor))
     monkeypatch.setattr(Poly, "eval_at", counted("eval_at", Poly.eval_at))
     for fr, p, v, step in cases:
@@ -364,12 +371,18 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
             got.clear()
         reports = amp.slice_report(fr, p, v, step, cross_check)
         assert len(reports) == step and reports[0].normal == (fr.n == 3)
-        assert len(calls["taylor"]) == fr.k
-        assert calls["frame_change"] == calls["lie_flag"] == calls["eval_at"] == []
-        # every bracket is of two memoised fields, once per expression: of
-        # the Hall expressions, and of the chains under cross_check
-        pairs = [tuple(map(id, args)) for args in calls["poly_lie_bracket"]]
-        assert len(pairs) == len(set(pairs))
+        # each field is expanded once, one degree at a time, each degree once
+        assert len(calls["expansion"]) == fr.k
+        expands = [(id(a[0]),) + a[1:] for a in calls["expand"]]
+        assert len(expands) == len(set(expands))
+        assert all(lo == hi < step for _, lo, hi in expands)
+        assert calls["taylor"] == calls["frame_change"] == calls["lie_flag"] == []
+        assert calls["poly_lie_bracket"] == calls["eval_at"] == []
+        # one store, which forms each (expression, degree) part once: of the
+        # Hall expressions, and of the chains under cross_check, no part
+        # above the degree the step needs
+        assert len(calls["store"]) == 1
+        assert len(calls["form"]) == len(set(calls["form"]))
         exprs = {e for layer in hall_basis(fr.k, step).layers for e in layer}
         if cross_check:
             exprs |= {
@@ -377,7 +390,9 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
                 for length in range(1, step + 1)
                 for gens in itertools.product(range(1, fr.k + 1), repeat=length)
             }
-        assert 0 < len(pairs) <= sum(not e.is_leaf for e in exprs)
+        formed = [(expr, d) for _, expr, d in calls["form"]]
+        assert any(not expr.is_leaf for expr, _ in formed)
+        assert all(expr in exprs and d <= step - expr.length for expr, d in formed)
 
 
 def test_slice_rank2_never_non_thin_at_top():

@@ -1,0 +1,83 @@
+"""Hypothesis property of the flag engine: ``lie_flag`` on random polynomial
+frames at the origin and at random rational points equals ``helpers.lie_flag_reference``, the
+flag from untruncated ``poly_lie_bracket`` and ``value_at``, at every
+``max_step`` from 1 to n - k + 2, with and without ``cross_check``; a
+degenerate frame raises ``DegenerateFrame`` in both."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from liegrowth import flags  # noqa: E402
+from liegrowth.polyfields import Frame, Poly, PolyField  # noqa: E402
+
+from helpers import lie_flag_reference  # noqa: E402
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _frame_and_point(draw):
+    """k fields on R^n, n <= 4, each the i-th coordinate field plus
+    components of degree <= 3 (or, now and then, the coordinate field alone
+    or no coordinate field); and a point, the origin
+    one time in three, where the low-degree terms of such frames often
+    vanish, so that the flag stalls and grows again from high degrees."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    # a monomial of degree <= 3 as the exponent counts of <= 3 variables
+    exps = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n))
+    )
+    polys = st.dictionaries(exps, _coeffs, max_size=3).map(lambda t: Poly(n, t))
+    fields = []
+    for i in range(k):
+        shape = draw(st.integers(0, 5))  # 0: no coordinate field, 1: it alone
+        comps = [draw(polys) if shape != 1 else Poly(n) for _ in range(n)]
+        if shape:
+            comps[i] = comps[i] + Poly.const(n, 1)
+        fields.append(PolyField(tuple(comps)))
+    origin = st.just((0,) * n)
+    point = draw(origin | origin | st.lists(_small, min_size=n, max_size=n).map(tuple))
+    return Frame(n, tuple(fields)), point
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frame_and_point(), st.booleans())
+def test_lie_flag_matches_the_whole_polynomial_reference(frame_point, cross_check):
+    fr, p = frame_point
+    for max_step in range(1, fr.n - fr.k + 3):
+        got = _outcome(lambda: flags.lie_flag(fr, p, max_step, cross_check))
+        want = _outcome(lambda: lie_flag_reference(fr, p, max_step, cross_check))
+        assert got == want, (max_step, got, want)
+
+
+@pytest.mark.parametrize("text", [
+    "dim 3\nX1 = d1\nX2 = d2 + x1^3*d3\n",
+    "dim 3\nX1 = d1 + x2*d2\nX2 = d2 + x1^3*d3\n",
+    "dim 4\nX1 = d1\nX2 = d2 + x1^2*d3 + x1^4*d4\n",
+    "dim 4\nX1 = d1 + x2^3*d4\nX2 = d2 + x1^2*d3\n",
+])
+def test_lie_flag_matches_the_reference_where_high_degrees_decide(text):
+    # at the origin these flags stall and grow again from the degree-3 and
+    # degree-4 terms, which only the high-degree parts of short brackets see
+    from liegrowth import parsing
+
+    fr = parsing.parse_frame(text)
+    grows = False
+    for max_step in range(1, fr.n - fr.k + 4):
+        for cross_check in (False, True):
+            got = flags.lie_flag(fr, (0,) * fr.n, max_step, cross_check)
+            assert got == lie_flag_reference(fr, (0,) * fr.n, max_step, cross_check)
+            grows |= got.irregular
+    assert grows

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -206,21 +207,20 @@ def test_integer_engine_matches_the_symbol_reference_on_dense_frames(seed):
 
 def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
     # the cartan frame has coefficients 1/2 and 1/12, the point and the
-    # direction have Fraction coordinates: every field the engine brackets,
-    # and every bracket it gets back, must still hold ints only (the frame is
-    # built first, since building it certifies brackets of exact fields)
+    # direction have Fraction coordinates: every part the graded store forms,
+    # of a leaf or of a bracket, must still hold ints only
     fr = catalog.cartan_frame()
-    brackets = []
+    formed = []
+    form = flags._Graded._form
 
-    def int_bracket(x, y):
-        out = poly_lie_bracket(x, y)
-        for f in (x, y, out):
-            for comp in f.comps:
-                assert all(type(c) is int for c in comp.terms.values()), (x, y)
-        brackets.append(out)
-        return out
+    def int_form(store, expr, d):
+        got = form(store, expr, d)
+        for comp in got.comps:
+            assert all(type(c) is int for c in comp.values()), (expr, d)
+        formed.append((expr, d))
+        return got
 
-    monkeypatch.setattr(flags, "poly_lie_bracket", int_bracket)
+    monkeypatch.setattr(flags._Graded, "_form", int_form)
     p = (F(1, 3), F(-2, 5), F(3, 7), 1, F(5, 2))
     v = (F(1, 2), F(-1, 3), 1, 0, 0)
     for cross_check in (False, True):
@@ -228,7 +228,57 @@ def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
         jet = jetalg.jet_of_frame(fr, p, 2)
         assert flags.formal_flag(jet, 3, cross_check).dims == (2, 3, 5)
         assert len(ampleness.slice_report(fr, p, v, 3, cross_check)) == 3
-    assert len(brackets) > 20
+    assert sum(not expr.is_leaf for expr, _ in formed) > 20
+
+
+R10_FRAME = Path(__file__).parent / "data" / "dense_rank2_r10.frame"
+R10_POINT = (F(1, 3), F(2, 3), -1, F(2, 3), 3, 1, -1, F(-1, 3), 2, -1)
+
+
+def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(monkeypatch):
+    # the graded store asks each field only for the degrees the steps it
+    # reaches need, so a larger max_step forms no further part once the
+    # flag has reached n
+    formed = []
+    form = flags._Graded._form
+
+    def counted(store, expr, d):
+        formed.append((expr, d))
+        return form(store, expr, d)
+
+    monkeypatch.setattr(flags._Graded, "_form", counted)
+    cases = [(parsing.parse_frame(R10_FRAME.read_text()), R10_POINT, 5)]
+    cases += [(fr, p, step) for fr, p, step in _dense_frames(6205) if fr.n >= 6]
+    for fr, p, step in cases:
+        formed.clear()
+        at_step = flags.lie_flag(fr, p, step)
+        assert at_step.dims[-1] == fr.n and at_step.maximal
+        saturating = list(formed)
+        assert len(saturating) == len(set(saturating))
+        formed.clear()
+        assert flags.lie_flag(fr, p, fr.n - fr.k + 2) == at_step
+        assert len(formed) == len(saturating) and set(formed) == set(saturating)
+
+
+def test_step_and_order_sizes_must_be_ints():
+    engel, p = catalog.engel_frame(), (0, 0, 0, 0)
+    jet = jetalg.jet_of_frame(engel, p, 2)
+    for bad in (3.0, True, "3"):
+        calls = [
+            (lambda: flags.lie_flag(engel, p, bad), "max_step"),
+            (lambda: flags.formal_flag(jet, bad), "max_step"),
+            (lambda: jetalg.jet_of_frame(engel, p, bad), "order"),
+            (lambda: ampleness.slice_report(engel, p, (1, 0, 0, 0), bad), "step"),
+            (lambda: engel.fields[1].taylor(p, bad), "order"),
+            (lambda: ampleness.MatrixSpaceSpec(bad, 2, [[1], [0]], 2), "rows"),
+            (lambda: ampleness.MatrixSpaceSpec(2, bad, [[1], [0]], 2), "cols"),
+            (lambda: ampleness.MatrixSpaceSpec(2, 2, [[1], [0]], bad), "required_rank"),
+            (lambda: jetalg.JetPoint(2, 1, bad, (0,), {}), "order"),
+        ]
+        for call, name in calls:
+            refusal = f"{name} must be an int, got {type(bad).__name__}"
+            with pytest.raises(DomainError, match=refusal):
+                call()
 
 
 _INEXACT = [0.1, float("nan"), float("inf"), "1/3"]

@@ -4,15 +4,17 @@ r = 3 (the total derivatives commute, so the bracket is a commutator of
 derivations and both hold exactly).  Every coefficient a bracket returns is
 nonzero.
 
-The jet read-off round trip: the Taylor fields ``_taylor_fields`` reads off
-``jet_of_frame(fr, p, o)`` are the Taylor fields ``f.taylor(p, o)`` of the
+The jet read-off round trip: the Taylor fields that the graded leaves of
+``_taylor_fields`` stand for (``helpers.graded_field``), read off
+``jet_of_frame(fr, p, o)``, are the Taylor fields ``f.taylor(p, o)`` of the
 frame, for random polynomial frames, rational points and o = 0..3.
 
 The integer read-back: on user-built jet points with zero, negative and
-large-denominator values, ``_taylor_fields`` equals the ``Fraction`` division
-of ``helpers.taylor_fields_reference`` at every order up to the jet's, every
-coefficient it stores is ``linalg._exact``-normal, and the integer view ``_coded``
-is the values times the lcm of their denominators, one per code."""
+large-denominator values, the leaves of ``_taylor_fields`` hold nonzero ints
+only, the fields they stand for equal the ``Fraction`` division of
+``helpers.taylor_fields_reference`` at every order up to the jet's, and the
+integer view ``_coded`` is the values times the lcm of their denominators,
+one per code."""
 
 from math import lcm
 
@@ -25,7 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 from liegrowth import jetalg as ja  # noqa: E402
 from liegrowth.polyfields import Frame, Poly, PolyField  # noqa: E402
 
-from helpers import assert_coeff_normal, taylor_fields_reference  # noqa: E402
+from helpers import assert_coeff_normal, graded_field, taylor_fields_reference  # noqa: E402
 
 K, N, R = 3, 2, 3
 
@@ -76,7 +78,7 @@ def _frame_and_point(draw):
 def test_taylor_fields_invert_the_jet_read_off(frame_point, order):
     fr, p = frame_point
     got = ja._taylor_fields(ja.jet_of_frame(fr, p, order), order)
-    assert got == [f.taylor(p, order) for f in fr.fields]
+    assert [graded_field(leaf, order) for leaf in got] == [f.taylor(p, order) for f in fr.fields]
 
 
 _values = st.one_of(
@@ -105,7 +107,7 @@ def test_taylor_fields_read_back_matches_the_fraction_reference(jet):
         v: int(c * denom) for v, c in jet.values.items()
     }
     for order in range(jet.order + 1):
-        got = ja._taylor_fields(jet, order)
+        got = [graded_field(leaf, order) for leaf in ja._taylor_fields(jet, order)]
         assert got == taylor_fields_reference(jet, order)
         for f in got:
             assert f.order == order

@@ -180,6 +180,38 @@ def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter(monkeypatch):
         assert pickle.loads(payload)[0] == p
 
 
+def test_codes_views_and_pickles_survive_an_evicted_table(monkeypatch):
+    # the tables hold the MAX_TABLES most recently used ambients; a dropped
+    # one rebuilds with the same codes, and what was coded against it
+    # (a jet's integer view, a polynomial, its pickle) still reads right
+    monkeypatch.setattr(ja, "_TABLES", {})
+    assert ja.MAX_TABLES >= 8
+    fr = catalog.engel_frame()
+    jet = ja.jet_of_frame(fr, (1, F(1, 2), 0, 2), 2)
+    vec = ja.bracket((1, 2, 1), 2, 4, 3)
+    want = ja.evaluate(vec, jet)
+    view = jet._coded(2, 4)
+    tab = ja._codes(2, 4)
+    codes = {v: tab.index[v] for v in tab.vars}
+    payload = pickle.dumps(vec.comps)
+    text = [str(c) for c in vec.comps]
+    for n in range(5, 5 + ja.MAX_TABLES):  # each new ambient pushes out the oldest
+        ja.DiffPoly.var(1, 1, (1,), 1, n, 3)
+        assert len(ja._TABLES) <= ja.MAX_TABLES
+    assert (2, 4) not in ja._TABLES
+    comps = pickle.loads(payload)
+    # a polynomial that carries its order reads through a table rebuilt from nothing
+    assert [str(c) for c in comps] == [str(c) for c in vec.comps] == text
+    assert ja.evaluate(ja.DiffVec(comps), jet) == ja.evaluate(vec, jet) == want
+    assert jet._coded(2, 4) is view
+    rebuilt = ja._codes(2, 4)
+    assert rebuilt is not tab
+    rebuilt.grow(len(tab.starts) - 2)
+    assert {v: rebuilt.index[v] for v in rebuilt.vars} == codes
+    assert ja.jet_of_frame(fr, (1, F(1, 2), 0, 2), 2) == jet
+    assert ja._codes(2, 4) is rebuilt and list(ja._TABLES)[-1] == (2, 4)
+
+
 # --- carried order --------------------------------------------------------
 
 
