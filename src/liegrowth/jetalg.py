@@ -22,12 +22,13 @@ with indices in any order, checks each coordinate against the ambient as
 ``make_var`` does, and adds up the spellings of one monomial;
 ``sorted_terms``, ``variables``, ``str`` and ``repr`` decode.  ``_act``
 applies a vector V to a polynomial through the total derivatives,
-sum_t V^t D_t p; ``derive`` is the action of one coordinate field.  Add,
-multiply and the bracket are the shared ones: ``diffvec_bracket`` checks the
-ambient and the order and returns the components of ``polyfields._bracket``,
-the one Lie-bracket kernel, A(B^i) - B(A^i), which it shares with
-``poly_lie_bracket``.  ``jet_of_frame`` reads the jet of a frame off the
-int parts of its Taylor expansion (``polyfields._TaylorParts``) instead of
+sum_t V^t D_t p; ``derive`` is the action of one coordinate field, along a
+direction that must be an int.  Add, multiply and the bracket are the shared
+ones: ``diffvec_bracket`` checks the ambient and the order and returns the
+components of ``polyfields._bracket``, the one exact Lie-bracket kernel,
+A(B^i) - B(A^i), which it shares with ``poly_lie_bracket``.
+``jet_of_frame`` reads the jet of a frame off the int parts of its Taylor
+expansion (``polyfields._TaylorParts``) instead of
 differentiating, one ``Fraction`` per value, keys it by the table's own
 ``JetVar``s, shares one Fraction zero among its zero values, and hands its
 complete, canonical dict to ``JetPoint`` without the re-validation a
@@ -73,7 +74,6 @@ outermost field.  Swapping the last two entries flips the sign.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -189,7 +189,7 @@ class _Codes:
             if len(self.starts) - 1 >= r:
                 raise DomainError(f"code {code} names no coordinate of order below {r}")
             self.grow(len(self.starts) - 1)
-        return bisect_right(self.starts, code) - 1
+        return sum(start <= code for start in self.starts) - 1
 
     def encode(self, v, r: int) -> int:
         """The code of coordinate ``v``, a ``JetVar`` or a (field, comp, idx)
@@ -270,13 +270,7 @@ class DiffPoly(_SparsePoly):
         v = make_var(fld, comp, idx, k, n, r)
         return DiffPoly(k, n, r, {(v,): 1})
 
-    @staticmethod
-    def _grade(comps, cap=None) -> list:
-        """Per component, its (monomials, coefficients); symbols are exact,
-        so ``cap`` is unused."""
-        return [tuple(p.terms.items()) for p in comps]
-
-    def _act(self, acc: dict, graded: list, sign: int = 1, cap=None) -> None:
+    def _act(self, acc: dict, graded: list, sign: int = 1) -> None:
         """acc += sign * sum_t V^t * D_t(self) for the components V^t of a
         vector as ``_grade`` lists them: each derivative term, a code v
         replaced by its successor D_t v from the code table, is formed once
@@ -427,6 +421,7 @@ def derive(p: DiffPoly, t: int) -> DiffPoly:
     """Directional derivation D_t: linear, Leibniz, appends ``t`` to the
     multi-index of each coordinate.  Undefined at the top order.
     """
+    _sizes(direction=t)
     if not 1 <= t <= p.n:
         raise DomainError(f"direction {t} out of range 1..{p.n}")
     order = p.order()

@@ -1,4 +1,4 @@
-"""Sparse polynomials over Q, polynomial vector fields and Taylor fields.
+"""Sparse polynomials over Q, polynomial vector fields and their Taylor parts.
 
 The sparse ring is written once, in ``_SparsePoly``: a polynomial maps
 monomials to nonzero exact coefficients (ints or Fractions, see ``_exact``),
@@ -7,35 +7,20 @@ polynomial ``*``, equality and hashing.  A subclass supplies only what a
 monomial is (its product ``_times``), its ambient (a mismatch raises
 ``DomainError``) and the action of a vector field V on a polynomial p,
 ``_act``: acc += sign * sum_j V^j * D_j p, with each derivative term of p
-formed once and multiplied straight into ``acc``, for V's components as the
-ring's ``_grade`` lists them.  ``Poly`` here is the classical ring: monomials
-are exponent n-tuples, D_j is d/dx_j, and ``_grade`` lists only the nonzero
-components, each sorted by degree, with the lowest degree among them, so that
-a Taylor bracket skips a term whose every product lies above its cap, walks
-only the directions it has a multiplier for and stops every row at the cap.
+formed once and multiplied straight into ``acc``.  ``Poly`` here is the
+classical ring: monomials are exponent n-tuples and D_j is d/dx_j.
 ``jetalg.DiffPoly`` is the ring of jet coordinates, whose D_j are the total
 derivatives.  A partial derivative (``Poly.derivative``, ``jetalg.derive``)
 is the action of a coordinate field, ``_along``.
 
 The Lie bracket of vector fields is written once too, in ``_bracket``:
-[A, B]^i = A(B^i) - B(A^i) over either ring, each field graded once per
-bracket.  ``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their
-arguments and return its components.  Nothing is kept between calls and no
-per-direction derivative is built: each bracket forms each derivative term of
-its arguments' components once.
+[A, B]^i = A(B^i) - B(A^i) over either ring, exact, each field's components
+listed once per bracket (``_grade``).  ``poly_lie_bracket`` and
+``jetalg.diffvec_bracket`` validate their arguments and return its
+components.  Nothing is kept between calls.
 
 A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
 directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
-
-A ``PolyField`` with ``order`` set is a Taylor field: a truncated Taylor
-expansion about the origin, exact through total degree ``order`` and unknown
-above it.  ``PolyField.taylor(p, s)`` recentres an exact field at ``p``; its
-coefficient of x^alpha times alpha! is the alpha-th partial derivative at
-``p``.  A bracket loses one order (it takes a derivative), so a length-l
-bracket of Taylor leaves of order s - 1 is exact through degree s - l, and
-its value at the centre is its constant term.  Sums, differences and
-scalings keep the smaller order; a bracket whose order would drop below zero
-raises ``OrderOverflow``.
 
 There is one Taylor expansion, ``_TaylorParts``, and it runs on ints: it
 clears the point's common denominator and the field's coefficient
@@ -43,27 +28,25 @@ denominators once, so the expansion times one int, its ``scale``, has an int
 coefficient for every monomial, and it forms only the parts of the degrees
 it is asked for.  Its monomials are packed ints (the exponent of x_{i+1} in
 bits [w*i, w*(i+1)), w wide enough for the order), so a product of
-monomials is one int addition.  ``PolyField.taylor`` assembles its field
-from the parts of degrees 0..order, one exact coefficient per monomial (an
-int when it is integral); ``jetalg.jet_of_frame`` reads its jet off them;
-and the flag engine (``flags._Graded``) asks a leaf for one degree at a time
-through the interface ``_GradedLeaf``, which ``jetalg._taylor_fields``
-implements as well.  The expansion walks only the variables that move: a
-variable whose exponent or shift is 0 keeps its exponent, so a term runs its
-list of partial products through the other variables alone, pruned once
-their degree leaves the degrees asked for.  Coefficients, points (of the
-ambient's length) and matrix entries are read by the exactness rule in
-``linalg``: an int or a Fraction, or a ``DomainError``; an order must be an
-int.
+monomials is one int addition.  ``PolyField.taylor(p, s)`` assembles from
+the parts of degrees 0..s the degree-<= s Taylor polynomial about ``p``, in
+shifted coordinates, as an ordinary field; ``jetalg.jet_of_frame`` reads its
+jet off the parts, and the flag engine (``flags._Graded``) asks a leaf for
+one degree at a time through the interface ``_GradedLeaf``, which
+``jetalg._taylor_fields`` implements too.
+
+Coefficients, points (of the ambient's length) and matrix entries are read
+by the exactness rule in ``linalg``: an int or a Fraction, or a
+``DomainError``.  An order, an exponent, a direction or a variable index
+must be an int (``linalg._sizes``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, itemgetter
+from operator import add
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
@@ -86,9 +69,8 @@ class _SparsePoly:
     """Sparse polynomial over Q: ``terms`` maps monomials to nonzero exact
     coefficients.  A subclass defines ``_ambient`` (the tuple its constructor
     takes before ``terms``), the commutative monomial product ``_times``, and
-    the field action ``_act`` with the ``_grade`` of a field's components it
-    reads (see the module docstring); ``_act`` takes a Taylor ``cap`` where the
-    ring has degrees and ignores it otherwise.
+    the action ``_act`` of a field whose components ``_grade`` has listed
+    (see the module docstring).
     """
 
     __slots__ = ("terms",)
@@ -108,6 +90,12 @@ class _SparsePoly:
         p = type(self)(*self._ambient)
         p.terms = {m: c for m, c in acc.items() if c}
         return p
+
+    @staticmethod
+    def _grade(comps) -> list:
+        """Per component of a field, its (monomial, coefficient) pairs, read
+        once per bracket."""
+        return [tuple(p.terms.items()) for p in comps]
 
     def _check(self, other) -> None:
         if type(other) is not type(self) or other._ambient != self._ambient:
@@ -195,41 +183,18 @@ class Poly(_SparsePoly):
         """The monomials e1 * e for e in ``monos``: exponent sums."""
         return (tuple(map(add, e1, e2)) for e2 in monos)
 
-    @staticmethod
-    def _grade(comps, cap=None) -> tuple:
-        """The lowest degree of any term and, per nonzero component, its
-        (direction, degrees, monomials, coefficients) by ascending degree, so
-        that ``_act`` skips a zero component and stops each row at the cap."""
-        live = []
-        for j, p in enumerate(comps):
-            if p.terms:
-                items = sorted(((sum(m), m, c) for m, c in p.terms.items()), key=itemgetter(0))
-                live.append((j, *zip(*items)))
-        return min((degs[0] for _, degs, _, _ in live), default=0), live
-
-    def _act(self, acc: dict, graded: tuple, sign: int = 1, cap=None) -> None:
+    def _act(self, acc: dict, graded: list, sign: int = 1) -> None:
         """acc += sign * sum_j V^j * d(self)/dx_j for the components V^j of a
         field graded by ``_grade``: each derivative term is formed once and
-        multiplied straight into ``acc``, and no product of total degree above
-        ``cap`` is formed; a term whose every product would lie above ``cap``
-        is skipped whole.  Cancelled coefficients stay as zeros."""
-        low, live = graded
+        multiplied straight into ``acc``, and a zero component is skipped.
+        Cancelled coefficients stay as zeros."""
         for exps, c in self.terms.items():
-            if cap is None:
-                room = None
-            else:
-                room = cap + 1 - sum(exps)
-                if room < low:
-                    continue
-            for j, degs, monos, coeffs in live:
+            for j, mult in enumerate(graded):
                 e = exps[j]
-                if e:
-                    stop = None if room is None else bisect_right(degs, room)
-                    if stop == 0:
-                        continue
+                if e and mult:
                     d = exps[:j] + (e - 1,) + exps[j + 1 :]
                     sc = sign * c * e
-                    for m, c2 in zip(monos[:stop], coeffs[:stop]):
+                    for m, c2 in mult:
                         key = tuple(map(add, d, m))
                         acc[key] = acc.get(key, 0) + sc * c2
 
@@ -243,12 +208,14 @@ class Poly(_SparsePoly):
 
     @staticmethod
     def variable(n: int, j: int) -> Poly:
+        _sizes(n=n, variable=j)
         if not 1 <= j <= n:
             raise DomainError(f"variable x{j} out of range 1..{n}")
         exps = tuple(1 if i == j - 1 else 0 for i in range(n))
         return Poly(n, {exps: 1})
 
     def __pow__(self, e: int) -> Poly:
+        _sizes(exponent=e)
         if e < 0:
             raise DomainError("negative exponents are not polynomial")
         out = Poly.const(self.n, 1)
@@ -258,6 +225,7 @@ class Poly(_SparsePoly):
 
     def derivative(self, j: int) -> Poly:
         """Exact partial derivative with respect to x_j (1-based)."""
+        _sizes(direction=j)
         if not 1 <= j <= self.n:
             raise DomainError(f"direction {j} out of range 1..{self.n}")
         return self._along(j, Poly.const(self.n, 1))
@@ -274,16 +242,24 @@ class Poly(_SparsePoly):
         return total
 
     def compose(self, subs) -> Poly:
-        """Substitute x_i := subs[i] (polynomials over a common variable set)."""
-        m = subs[0].n if subs else self.n
-        out = Poly.zero(m)
+        """Substitute x_i := subs[i] for n polynomials over a common variable
+        set; another number of them raises ``DomainError``.  Each power
+        subs[i]**e is formed once per call, and the terms are summed in one
+        accumulator."""
+        if len(subs) != self.n:
+            raise DomainError(f"compose needs {self.n} substitutions, got {len(subs)}")
+        out = subs[0] if subs else self
+        needed = {(i, e) for exps in self.terms for i, e in enumerate(exps) if e}
+        powers = {(i, e): subs[i] ** e for i, e in needed}
+        acc: dict = {}
         for exps, c in self.terms.items():
-            term = Poly.const(m, c)
-            for sub, e in zip(subs, exps):
+            term = out._like({(0,) * out.n: c})
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * sub**e
-            out = out + term
-        return out
+                    term = term * powers[i, e]
+            for mono, v in term.terms.items():
+                acc[mono] = acc.get(mono, 0) + v
+        return out._like(acc)
 
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -353,11 +329,11 @@ class _GradedLeaf:
 
 
 class _TaylorParts(_GradedLeaf):
-    """The Taylor expansion of an exact field about a point, in ints.
+    """The Taylor expansion of a field about a point, in ints.
 
     With D the common denominator of the point (shift P/D), L the lcm of the
     field's coefficient denominators and T its top degree, ``scale`` is
-    L D^T and the expansion is ``scale`` times the Taylor field: a term
+    L D^T and the expansion is ``scale`` times the Taylor polynomial: a term
     c x^alpha contributes c L D^(T - |alpha|) prod_i C(alpha_i, k_i)
     P_i^(alpha_i - k_i) D^(k_i), an int, to x^k.  ``expand(lo, hi)`` forms
     the parts of degrees lo..hi only, and ``PolyField.taylor``,
@@ -375,8 +351,6 @@ class _TaylorParts(_GradedLeaf):
     __slots__ = ("_terms",)
 
     def __init__(self, field: PolyField, point, order: int):
-        if field.order is not None:
-            raise DomainError("taylor expands exact fields, not Taylor fields")
         _sizes(order=order)
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
@@ -458,31 +432,11 @@ class _TaylorParts(_GradedLeaf):
         return self.expand(d, d)
 
 
-def _min_order(a: int | None, b: int | None) -> int | None:
-    """The smaller of two Taylor orders; None (an exact field) is the largest."""
-    if a is None:
-        return b
-    return a if b is None else min(a, b)
-
-
-def _truncate(p: Poly, order: int | None) -> Poly:
-    """``p`` without its terms of total degree above ``order``."""
-    if order is None or all(sum(e) <= order for e in p.terms):
-        return p
-    return p._like({e: c for e, c in p.terms.items() if sum(e) <= order})
-
-
 @dataclass(frozen=True)
 class PolyField:
-    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients.
-
-    ``order`` None means the components are exact polynomials; an integer
-    means a Taylor field about the origin, exact through total degree
-    ``order`` (see the module docstring).
-    """
+    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients."""
 
     comps: tuple[Poly, ...]
-    order: int | None = None
 
     @property
     def n(self) -> int:
@@ -503,14 +457,10 @@ class PolyField:
         return tuple(c.eval_at(point) for c in self.comps)
 
     def taylor(self, point, order: int) -> PolyField:
-        """Taylor field of this exact field about ``point``, of order ``order``:
-        each component expanded in x -> x + point, keeping only the monomials
-        of total degree <= ``order``.
-
-        It is assembled from the int parts of ``_TaylorParts``, the one
-        expansion: each coefficient is one exact number, the part's int over
-        the expansion's ``scale``, so an integral coefficient is an int.
-        """
+        """The degree-<= ``order`` Taylor polynomial about ``point`` in
+        shifted coordinates, as an ordinary field: its x^alpha coefficient,
+        the alpha-th partial derivative at ``point`` over alpha!, is a part
+        of ``_TaylorParts`` over its ``scale``, an int when integral."""
         parts = _TaylorParts(self, point, order)
         scale, decode = parts.scale, parts.decode
         comps = []
@@ -520,24 +470,16 @@ class PolyField:
                 for head, num in out.items():
                     out[head] = _exact(Fraction(num, scale), "coefficient")
             comps.append(comp._like(out))
-        return PolyField(tuple(comps), order)
+        return PolyField(tuple(comps))
 
     def __add__(self, other: PolyField) -> PolyField:
-        order = _min_order(self.order, other.order)
-        return PolyField(
-            tuple(_truncate(a + b, order) for a, b in zip(self.comps, other.comps)),
-            order,
-        )
+        return PolyField(tuple(a + b for a, b in zip(self.comps, other.comps)))
 
     def __sub__(self, other: PolyField) -> PolyField:
-        order = _min_order(self.order, other.order)
-        return PolyField(
-            tuple(_truncate(a - b, order) for a, b in zip(self.comps, other.comps)),
-            order,
-        )
+        return PolyField(tuple(a - b for a, b in zip(self.comps, other.comps)))
 
     def scale(self, c) -> PolyField:
-        return PolyField(tuple(p * c for p in self.comps), self.order)
+        return PolyField(tuple(p * c for p in self.comps))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.comps)
@@ -547,36 +489,26 @@ class PolyField:
         return " + ".join(parts) if parts else "0"
 
 
-def _bracket(a_comps, b_comps, cap=None) -> list:
+def _bracket(a_comps, b_comps) -> list:
     """Components of [A, B]^i = A(B^i) - B(A^i) for the components of two
     vectors over one ring, where V(p) = sum_j V^j D_j p is the ring's
-    ``_act``; each field is graded once, and no product term of degree above
-    ``cap`` is formed."""
+    ``_act``; each field is graded once."""
     grade = a_comps[0]._grade
-    ga, gb = grade(a_comps, cap), grade(b_comps, cap)
+    ga, gb = grade(a_comps), grade(b_comps)
     comps = []
     for ai, bi in zip(a_comps, b_comps):
         acc: dict = {}
-        bi._act(acc, ga, 1, cap)
-        ai._act(acc, gb, -1, cap)
+        bi._act(acc, ga, 1)
+        ai._act(acc, gb, -1)
         comps.append(ai._like(acc))
     return comps
 
 
 def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
-    """Classical bracket [X, Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j).
-
-    Of Taylor fields the result has order ``min(orders) - 1``; no product
-    term above that degree is formed.
-    """
+    """Classical bracket [X, Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j)."""
     if x.n != y.n:
         raise DomainError("fields live on different ambient dimensions")
-    order = _min_order(x.order, y.order)
-    if order is not None:
-        order -= 1
-        if order < 0:
-            raise OrderOverflow("a bracket of order-0 Taylor fields has no exact term")
-    return PolyField(tuple(_bracket(x.comps, y.comps, order)), order)
+    return PolyField(tuple(_bracket(x.comps, y.comps)))
 
 
 @dataclass(frozen=True)
@@ -645,21 +577,22 @@ def pushforward(fr: Frame, a: AffineMap) -> Frame:
     inv = a.inverse()
     n = fr.n
     subs = [
-        Poly(n, {tuple(1 if m == j else 0 for m in range(n)): inv.linear[i][j]
-                 for j in range(n) if inv.linear[i][j] != 0})
-        + Poly.const(n, inv.shift[i])
-        for i in range(n)
+        Poly(n, {tuple(int(m == j) for m in range(n)): x for j, x in enumerate(row)})
+        + Poly.const(n, shift)
+        for row, shift in zip(inv.linear, inv.shift)
     ]
+    linear = [[_exact(x, "linear part entry") for x in row] for row in a.linear]
     new_fields = []
     for f in fr.fields:
         pulled = [c.compose(subs) for c in f.comps]
         comps = []
-        for i in range(n):
-            acc = Poly.zero(n)
-            for j in range(n):
-                if a.linear[i][j] != 0:
-                    acc = acc + pulled[j] * a.linear[i][j]
-            comps.append(acc)
+        for row in linear:
+            acc: dict = {}
+            for p, x in zip(pulled, row):
+                if x:
+                    for mono, c in p.terms.items():
+                        acc[mono] = acc.get(mono, 0) + c * x
+            comps.append(Poly(n)._like(acc))
         new_fields.append(PolyField(tuple(comps)))
     return Frame(n, tuple(new_fields))
 

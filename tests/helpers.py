@@ -97,24 +97,20 @@ def gradient_reference(p) -> list[dict]:
     return outs
 
 
-def _product_reference(acc: dict, left: dict, right: dict, sign: int, cap, times) -> None:
-    """acc += sign * left * right for term dicts, skipping every product of
-    total degree above ``cap`` (exponent-tuple monomials only)."""
+def _product_reference(acc: dict, left: dict, right: dict, sign: int, times) -> None:
+    """acc += sign * left * right for term dicts."""
     for m1, c1 in left.items():
         for m2, c2 in right.items():
-            if cap is not None and sum(m1) + sum(m2) > cap:
-                continue
             mono = times(m1, m2)
             acc[mono] = acc.get(mono, 0) + sign * c1 * c2
 
 
-def bracket_terms_reference(a_comps, b_comps, cap=None) -> list[dict]:
+def bracket_terms_reference(a_comps, b_comps) -> list[dict]:
     """Reference for ``polyfields._bracket``: [A, B]^i = sum_j (A^j D_j B^i -
     B^j D_j A^i) with every derivative taken as a term dict first (the
     gradient of a ``Poly``, the total derivatives of a ``DiffPoly``) and then
-    multiplied term by term, no product of degree above ``cap`` formed.  The
-    components come back as term dicts without zeros, a ``DiffPoly``'s keyed
-    by ``JetVar`` monomials."""
+    multiplied term by term.  The components come back as term dicts without
+    zeros, a ``DiffPoly``'s keyed by ``JetVar`` monomials."""
     from operator import add
 
     from liegrowth.polyfields import Poly
@@ -127,17 +123,17 @@ def bracket_terms_reference(a_comps, b_comps, cap=None) -> list[dict]:
     for ai, bi in zip(a_comps, b_comps):
         acc: dict = {}
         for aj, bj, dbj, daj in zip(a_comps, b_comps, derive(bi), derive(ai)):
-            _product_reference(acc, jetvar_terms(aj), dbj, 1, cap, times)
-            _product_reference(acc, jetvar_terms(bj), daj, -1, cap, times)
+            _product_reference(acc, jetvar_terms(aj), dbj, 1, times)
+            _product_reference(acc, jetvar_terms(bj), daj, -1, times)
         comps.append({m: c for m, c in acc.items() if c})
     return comps
 
 
-def bracket_reference(a_comps, b_comps, cap=None) -> list:
+def bracket_reference(a_comps, b_comps) -> list:
     """``bracket_terms_reference`` as polynomials of the arguments' ring."""
     return [
         type(ai)(*ai._ambient, terms)
-        for ai, terms in zip(a_comps, bracket_terms_reference(a_comps, b_comps, cap))
+        for ai, terms in zip(a_comps, bracket_terms_reference(a_comps, b_comps))
     ]
 
 
@@ -149,7 +145,7 @@ def taylor_reference(f, point, order: int):
     from math import comb
 
     shift = [Fraction(x) for x in point]
-    assert f.order is None and order >= 0 and len(shift) == f.n
+    assert order >= 0 and len(shift) == f.n
     # (x_i + p_i)^e = sum_k C(e, k) p_i^(e-k) x_i^k: the (k, factor) pairs
     # by (i, e), with factor None standing for 1
     expansions: dict = {}
@@ -180,7 +176,7 @@ def taylor_reference(f, point, order: int):
             for head, coef, _ in partial:
                 out[head] = out.get(head, Fraction(0)) + coef
         comps.append(comp._like(out))
-    return PolyField(tuple(comps), order)
+    return PolyField(tuple(comps))
 
 
 def assert_coeff_normal(field) -> None:
@@ -193,6 +189,16 @@ def assert_coeff_normal(field) -> None:
                 assert c.denominator != 1
             else:
                 assert type(c) is int
+
+
+def truncate(field: PolyField, degree: int) -> PolyField:
+    """``field`` without its terms of total degree above ``degree``."""
+    return PolyField(
+        tuple(
+            Poly(field.n, {e: c for e, c in p.terms.items() if sum(e) <= degree})
+            for p in field.comps
+        )
+    )
 
 
 def taylor_fields_reference(jet, order: int) -> list:
@@ -215,13 +221,13 @@ def taylor_fields_reference(jet, order: int) -> list:
         return Poly(n, terms)
 
     return [
-        PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)), order)
+        PolyField(tuple(component(fld, comp) for comp in range(1, n + 1)))
         for fld in range(1, jet.k + 1)
     ]
 
 
 def graded_field(leaf, order: int) -> PolyField:
-    """The order-``order`` Taylor field that a graded flag-engine leaf
+    """The degree-<= ``order`` Taylor polynomial that a graded flag-engine leaf
     (``polyfields._GradedLeaf``) stands for: its parts of degree <= ``order``,
     each monomial decoded and each coefficient divided by the leaf's scale.
     Every coefficient of a part must be a nonzero int."""
@@ -233,7 +239,7 @@ def graded_field(leaf, order: int) -> PolyField:
                 exps = leaf.decode(key)
                 assert sum(exps) == d, (exps, d)
                 acc[exps] = Fraction(c, leaf.scale)
-    return PolyField(tuple(Poly(leaf.n, acc) for acc in comps), order)
+    return PolyField(tuple(Poly(leaf.n, acc) for acc in comps))
 
 
 def order_by_walk(p) -> int:

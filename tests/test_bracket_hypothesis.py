@@ -1,9 +1,7 @@
 """Hypothesis properties of the shared Lie-bracket kernel through
-``poly_lie_bracket``: antisymmetry and the Jacobi identity on random exact
-fields (n <= 3, degree <= 2) and on Taylor fields of random orders >= 2,
-whose brackets drop every product term above the order (the cap).  Every
-coefficient a bracket returns is nonzero, and no term of a Taylor bracket
-lies above its order."""
+``poly_lie_bracket``: antisymmetry and the Jacobi identity on random fields
+(n <= 3, degree <= 2) and on their Taylor polynomials of random degrees in
+2..4 about a shared point.  Every coefficient a bracket returns is nonzero."""
 
 import pytest
 
@@ -20,15 +18,14 @@ _small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 def _checked(x, y):
     out = poly_lie_bracket(x, y)
     assert all(c != 0 for comp in out.comps for c in comp.terms.values())
-    if out.order is not None:
-        assert all(sum(e) <= out.order for comp in out.comps for e in comp.terms)
     return out
 
 
 @st.composite
 def _fields(draw, count, taylor):
-    """``count`` fields on one R^n with components of degree <= 2; as Taylor
-    fields, each is expanded at a shared point to its own order in 2..4."""
+    """``count`` fields on one R^n with components of degree <= 2; with
+    ``taylor``, each is replaced by its Taylor polynomial about a shared
+    point, of its own degree in 2..4."""
     n = draw(st.integers(1, 3))
     # a monomial of degree <= 2 as the exponent counts of <= 2 variables
     exps = st.lists(st.integers(0, n - 1), max_size=2).map(
@@ -60,5 +57,3 @@ def test_poly_bracket_satisfies_jacobi(taylor, data):
     br = _checked
     total = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
     assert total.is_zero()
-    if taylor:
-        assert total.order == min(f.order for f in (x, y, z)) - 2

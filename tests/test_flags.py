@@ -263,8 +263,15 @@ def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(
 def test_step_and_order_sizes_must_be_ints():
     engel, p = catalog.engel_frame(), (0, 0, 0, 0)
     jet = jetalg.jet_of_frame(engel, p, 2)
+    x1 = Poly.variable(4, 1)
+    u = jetalg.DiffPoly.var(1, 1, (), 2, 4, 3)
     for bad in (3.0, True, "3"):
         calls = [
+            (lambda: x1**bad, "exponent"),
+            (lambda: x1.derivative(bad), "direction"),
+            (lambda: Poly.variable(4, bad), "variable"),
+            (lambda: Poly.variable(bad, 1), "n"),
+            (lambda: jetalg.derive(u, bad), "direction"),
             (lambda: flags.lie_flag(engel, p, bad), "max_step"),
             (lambda: flags.formal_flag(jet, bad), "max_step"),
             (lambda: jetalg.jet_of_frame(engel, p, bad), "order"),

@@ -13,6 +13,7 @@ from helpers import (
     jet_by_derivatives,
     rand_fraction,
     rand_point,
+    truncate,
 )
 
 
@@ -82,7 +83,7 @@ def test_bracket_commutes_with_taylor_truncation():
         p = rand_point(rng, n, span=2, den=2)
         a, b = rng.randint(1, 3), rng.randint(1, 3)
         exact = poly_lie_bracket(X, Y)
-        got = poly_lie_bracket(X.taylor(p, a), Y.taylor(p, b))
+        got = truncate(poly_lie_bracket(X.taylor(p, a), Y.taylor(p, b)), min(a, b) - 1)
         assert got == exact.taylor(p, min(a, b) - 1)
         origin = (0,) * n
         assert tuple(c.terms.get(origin, 0) for c in got.comps) == exact.value_at(p)
@@ -100,7 +101,7 @@ def test_taylor_coefficients_are_scaled_jet_derivatives():
             ref = jet_by_derivatives(fr, p, order)
             for fld, field in enumerate(fr.fields, start=1):
                 t = field.taylor(p, order)
-                assert t.order == order
+                assert all(c.max_degree() <= order for c in t.comps)
                 for comp, poly in enumerate(t.comps, start=1):
                     for ln in range(order + 1):
                         for idx in itertools.combinations_with_replacement(

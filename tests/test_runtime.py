@@ -72,3 +72,40 @@ def test_importing_the_package_builds_no_code_table():
         check=True, timeout=60,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == 0
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module imports is used in it or listed in its
+    ``__all__``, unless the import is marked ``# noqa: F401``.  The package
+    ``__init__.py`` only re-exports and is not checked."""
+    dead = []
+    for path in sorted((SRC / "liegrowth").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = used | _exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in kept:
+                    dead.append(f"{path.name}:{node.lineno} {name}")
+    assert dead == []
