@@ -429,14 +429,15 @@ def hull_verdict(
     at most one free column or with dependent fixed columns, the answer is
     a ``Refutation``.  With fixed block F of rank k and m >= 2 free columns
     the witness is built (Gromov, *Partial Differential Relations*, 2.4):
-    k independent rows S of F come from one elimination of F^T, and G puts
-    a unit column on each row outside S, so delta = det(F | G) != 0 and
-    det(F | G E) = delta * det E for any m x m matrix E.  Diagonal E_i that
-    sum to 0, each with sign(det E_i) = s * sign(delta), make
-    det(F | W + t G E_i) a degree-m polynomial in t whose leading
-    coefficient has sign s, so doubling t from 1 reaches a t at which every
-    member has sign s; their equal-weight average is the target W.  Every
-    witness is validated exactly before it is returned.
+    k independent rows S of F are the pivot columns of one echelon form of
+    F^T (``linalg._Echelon``), and G puts a unit column on each row outside
+    S, so delta = det(F | G) != 0 and det(F | G E) = delta * det E for any
+    m x m matrix E.  Diagonal E_i that sum to 0, each with
+    sign(det E_i) = s * sign(delta), make det(F | W + t G E_i) a degree-m
+    polynomial in t whose leading coefficient has sign s, so doubling t
+    from 1 reaches a t at which every member has sign s; their equal-weight
+    average is the target W.  Every witness is validated exactly before it
+    is returned.
     """
     if spec.rows != spec.cols:
         raise DomainError("hull search is defined for the square case only")
@@ -456,8 +457,7 @@ def hull_verdict(
         witness.validate(tgt, det_sign=component_sign)
         return witness
     # the pivot columns of F^T are k independent rows of F when rank F = k
-    fixed_t, _ = linalg._integer_rows(zip(*spec.fixed))
-    pivots = linalg._eliminate(fixed_t)[0]
+    pivots = linalg._Echelon(linalg._integer_rows(zip(*spec.fixed))[0]).cols
     m = q - k
     if m <= 1:  # det(target) = c . w at the target
         c = det_affine_in_free_column(spec.fixed) if m else ()

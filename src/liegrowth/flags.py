@@ -8,9 +8,10 @@ optional cross-check verifies by evaluating the full right-nested chain
 family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
 one engine, ``_span_ranks``, for both the Hall span and the chain
 cross-check.  Per length it yields the rank of all Hall values and, given a
-filter, the rank of the values the filter keeps, both read from one store:
-``slice_report`` takes its maximal-growth check and its slice ranks from one
-pass.
+filter, the rank of the values the filter keeps, both read from one
+incremental echelon form (``linalg._Echelon``) that each value is reduced
+into once: ``slice_report`` takes its maximal-growth check and its slice
+ranks from one pass.
 
 A step-s flag at p depends only on the (s-1)-jet of the frame at p, so the
 engine brackets Taylor fields centred at p and reads each value off the
@@ -25,9 +26,9 @@ says.  The leaves are ``polyfields._GradedLeaf``s: ``lie_flag`` and
 ``slice_report`` expand the frame about p (``polyfields._TaylorParts``),
 and ``formal_flag`` reads the Taylor fields its jet fixes
 (``jetalg._taylor_fields``); it and ``lie_flag`` run one body, ``_flag``.
-The engine generates Hall layers one length at a time, evaluates a layer in
-batches of as many values as the rank lacks of n, and stops early once a
-whole layer of brackets vanishes.
+The engine generates Hall layers one length at a time, adds their values
+to the span one at a time, forms no value once the span has rank n, and
+stops early once a whole layer of brackets vanishes.
 
 The engine runs on ints.  Each leaf is its Taylor field times one nonzero
 int, with every monomial packed into an int, so a bracket multiplies and
@@ -271,67 +272,66 @@ class _Recombined(_GradedLeaf):
 def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
     expressions of length <= i, rank of those of them ``keep(expr, i)``
-    admits); the second is None when ``keep`` is None.
+    admits); the second is None when ``keep`` is None, and then the pairs
+    stop after the first whose rank is n.
+
+    ``keep`` is asked only of the expressions of length i, and every shorter
+    expression counts: the kept rank at i is that of all values of length
+    < i and the admitted ones of length i.  So the Hall values go into one
+    span (``linalg._Echelon``) layer by layer, the admitted ones of a layer
+    first, the kept rank is read before the rest of the layer, and each
+    value is reduced once.  Once the span has rank n no further value is
+    formed.
 
     The leaves are ``polyfields._GradedLeaf``s, Taylor fields about one
     centre kept as int parts, each the field times its own nonzero int; a
-    value is a degree-0 part of the graded store ``_Graded``.  Both ranks
-    read one store, so no part is formed twice.  Brackets are bilinear, so
-    the scaled leaves multiply each value vector by a nonzero int, and no
-    rank changes.  With ``cross_check`` both ranks are recomputed from the
-    right-nested chains [X_c1, [X_c2, ...]], through the same store, and a
-    disagreement raises AssertionError.
+    value is a degree-0 part of the graded store ``_Graded``.  Brackets are
+    bilinear, so the scaled leaves multiply each value vector by a nonzero
+    int, and no rank changes.  With ``cross_check`` both ranks are
+    recomputed from a second span of the right-nested chains
+    [X_c1, [X_c2, ...]], through the same store, and a disagreement raises
+    AssertionError.
 
-    When ``keep`` is None and ``cross_check`` is off, a layer is evaluated
-    in batches of as many values as the rank lacks of n, and the ranks stop
-    at n: no further value is formed, and n is yielded for the remaining
-    lengths.  Hall layers are generated one length at a time.  When
-    ``keep`` is None and every field of a layer of length i > 1 vanishes
-    through degree max_len - i, every longer bracket has value zero up to
-    max_len too (L_{m+1} = [L_1, L_m]), so the ranks at i are yielded for
-    all remaining lengths without generating further layers.
+    Hall layers are generated one length at a time.  When ``keep`` is None
+    and every field of a layer of length i > 1 vanishes through degree
+    max_len - i, every longer bracket has value zero up to max_len too
+    (L_{m+1} = [L_1, L_m]), so the ranks at i are yielded for all remaining
+    lengths without generating further layers.
     """
     k = len(leaves)
 
-    def rank_of(family) -> int:
-        return linalg.rank([store.value(e) for e in family])
+    def add(span, family) -> int:
+        for e in family:
+            if span.rank == n:
+                break
+            span.add(store.value(e))
+        return span.rank
 
-    def ranks(family, i: int) -> tuple:
-        kept = None if keep is None else rank_of([e for e in family if keep(e, i)])
-        return rank_of(family), kept
+    def grow(span, layer, i) -> tuple:
+        if keep is None:
+            return add(span, layer), None
+        kept = add(span, [e for e in layer if keep(e, i)])
+        return add(span, [e for e in layer if not keep(e, i)]), kept
 
-    hall: list[BracketExpr] = []
-    chains: list[BracketExpr] = []
-    stop_at_n = keep is None and not cross_check
-    got = (0, None)
+    hall, chains = linalg._Echelon(), linalg._Echelon()
     for i in range(1, max_len + 1):
         layer = hall_basis(k, i).layers[i - 1]
         if i == 1:  # hall_basis has checked that there are leaves
             first = newest = layer
             store = _Graded(leaves)
             n = store.n
-        if stop_at_n:
-            done, rank = len(hall), got[0]
-            hall += layer
-            while done < len(hall) and rank < n:
-                done = min(len(hall), done + n - rank)
-                rank = rank_of(hall[:done])
-            got = (rank, None)
-        else:
-            hall += layer
-            got = ranks(hall, i)
+        got = grow(hall, layer, i)
         if cross_check:
             if i > 1:
                 newest = [BracketExpr.pair(g, e) for g in first for e in newest]
-            chains += newest
-            if ranks(chains, i) != got:
+            if grow(chains, newest, i) != got:
                 raise AssertionError(
                     f"Hall-indexed span disagrees with the full chain span at length {i}"
                 )
         yield got
-        if (stop_at_n and got[0] == n) or (
-            keep is None and i > 1 and all(store.vanishes(e, max_len - i) for e in layer)
-        ):
+        if keep is None and got[0] == n:
+            return
+        if keep is None and i > 1 and all(store.vanishes(e, max_len - i) for e in layer):
             for _ in range(i + 1, max_len + 1):
                 yield got
             return
@@ -344,11 +344,7 @@ def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
     k, n = len(leaves), len(point)
     if linalg.rank([[c.get(0, 0) for c in leaf.part(0)] for leaf in leaves]) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    dims = []
-    for dim, _ in _span_ranks(leaves, max_step, cross_check=cross_check):
-        dims.append(dim)
-        if dim == n:
-            break
+    dims = [dim for dim, _ in _span_ranks(leaves, max_step, cross_check=cross_check)]
     return _report_from_dims(k, n, point, dims)
 
 
@@ -519,11 +515,12 @@ def validate_algebra(alg: StratifiedAlgebra) -> AlgebraValidation:
             for b in alg.layer_indices(lay):
                 vec = alg.bracket_basis(a, b)
                 rows.append([vec.get(m, Fraction(0)) for m in target])
-        if linalg.rank(rows) != alg.layer_dims[lay]:
+        got = linalg.rank(rows)
+        if got != alg.layer_dims[lay]:
             return AlgebraValidation(
                 False,
                 "generation",
-                f"[layer 1, layer {lay}] spans only rank {linalg.rank(rows)} of the "
+                f"[layer 1, layer {lay}] spans only rank {got} of the "
                 f"{alg.layer_dims[lay]}-dimensional layer {lay + 1}",
             )
     return AlgebraValidation(True)

@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Every routine here is one fraction-free elimination.  ``_integer_rows``
-clears the denominators of each row; ``_eliminate`` runs integer-preserving
-Gauss-Jordan (Bareiss, Math. Comp. 22 (1968); Edmonds, J. Res. NBS 71B
-(1967)) with ``_pivot`` as its only row operation.  Every entry stays an
-integer minor of the input, so each division is exact, and at the end every
-pivot entry equals the last pivot: reduced row i is ``mat[i] / last``.  Rank
-is the pivot count, the determinant is sign * last / scale, and ``solve``,
-``nullspace`` and ``inverse`` read the reduced rows.  No tolerances
+clears the denominators of each row, and ``_Echelon`` grows an
+integer-preserving Gauss-Jordan form (Bareiss, Math. Comp. 22 (1968);
+Edmonds, J. Res. NBS 71B (1967)) one row at a time, with ``_pivot`` as its
+only row operation.  Every entry stays an integer minor of the rows added
+so far, so each division is exact, and every pivot entry equals the last
+pivot: reduced row s is ``rows[s] / last``, with its pivot in column
+``cols[s]``.  Rank is the pivot count, the determinant is ``last / scale``
+signed by the order of the pivot columns, and ``solve``, ``nullspace`` and
+``inverse`` read the reduced rows.  The flag engine adds its values to one
+``_Echelon`` per span, so each value is reduced once.  No tolerances
 anywhere, and no ``Fraction`` arithmetic inside a pivot.
 
 Every module reads its callers' numbers here, by one rule: an int or a
@@ -58,12 +61,14 @@ def _exact_vector(xs, what: str, n: int | None = None) -> tuple:
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    multipliers.  Every entry must be an int or a Fraction (``_exact``)."""
+    multipliers.  Every entry must be an int or a Fraction (``_exact``), and
+    every row as long as the first."""
     mat = []
     scale = 1
     for r, row in enumerate(rows, start=1):
-        if not all(type(x) is int or type(x) is Fraction for x in row):
-            row = _exact_vector(row, f"matrix row {r}")
+        width = len(mat[0]) if mat else len(row)
+        if len(row) != width or not all(type(x) is int or type(x) is Fraction for x in row):
+            row = _exact_vector(row, f"matrix row {r}", width)
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
         mat.append([x.numerator * (mult // x.denominator) for x in row])
@@ -82,37 +87,57 @@ def _pivot(mat: list[list[int]], r: int, c: int, prev: int, rows) -> None:
         mat[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
 
 
-def _eliminate(mat: list[list[int]]) -> tuple[list[int], int, int]:
-    """Integer-preserving Gauss-Jordan, in place.
+class _Echelon:
+    """The integer Gauss-Jordan form of the int rows added so far.
 
-    Returns (pivot columns, swap sign, last pivot).  Afterwards every pivot
-    entry equals the last pivot, so reduced row i is ``mat[i] / last``.
+    ``rows[s]`` has its pivot in column ``cols[s]``, every pivot entry is
+    ``last`` and every other entry of a pivot column is 0, so reduced row s
+    is ``rows[s] / last``; ``last`` is the determinant of the added rows'
+    pivot block, its columns in the order of ``cols``.  ``add(v)`` reduces
+    v to ``last * v - sum_s v[cols[s]] * rows[s]``, whose entries are
+    minors and need no division.  A nonzero remainder is a new pivot row at
+    its first nonzero column, and ``_pivot`` reduces the older rows against
+    it.  That column leads a vector of the row space, so it is a pivot of
+    the row-reduced form, and the set of ``cols`` is that form's pivot set.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            mat[r], mat[sel] = mat[sel], mat[r]
-            sign = -sign
-        _pivot(mat, r, c, prev, [i for i in range(nrows) if i != r])
-        prev = mat[r][c]
-        pivots.append(c)
-    return pivots, sign, prev
+
+    __slots__ = ("rows", "cols", "last")
+
+    def __init__(self, rows=()):
+        self.rows, self.cols, self.last = [], [], 1
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.cols)
+
+    def add(self, row) -> None:
+        """Reduce the int row ``row`` against the pivots; a nonzero
+        remainder becomes a pivot row.  A span of full width absorbs it."""
+        cols, rows, last = self.cols, self.rows, self.last
+        if len(cols) == len(row):
+            return
+        rem = [last * x for x in row]
+        for c, pivot_row in zip(cols, rows):
+            if f := row[c]:
+                rem = [a - f * b for a, b in zip(rem, pivot_row)]
+        for c, x in enumerate(rem):
+            if x:
+                rows.append(rem)
+                _pivot(rows, len(cols), c, last, range(len(cols)))
+                cols.append(c)
+                self.last = x
+                return
+
+    def by_column(self):
+        """The reduced rows in the order of their pivot columns."""
+        return [row for _, row in sorted(zip(self.cols, self.rows))]
 
 
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows of rationals."""
-    mat, _ = _integer_rows(rows)
-    return len(_eliminate(mat)[0])
+    return _Echelon(_integer_rows(rows)[0]).rank
 
 
 def det(rows) -> Fraction:
@@ -121,10 +146,11 @@ def det(rows) -> Fraction:
     if any(len(r) != n for r in rows):
         raise DomainError("matrix is not square")
     mat, scale = _integer_rows(rows)
-    pivots, sign, last = _eliminate(mat)
-    if len(pivots) < n:
+    ech = _Echelon(mat)
+    if ech.rank < n:
         return Fraction(0)
-    return Fraction(sign * last, scale)
+    inversions = sum(a > b for i, a in enumerate(ech.cols) for b in ech.cols[i + 1 :])
+    return Fraction((-1) ** inversions * ech.last, scale)
 
 
 def solve(a, b):
@@ -136,10 +162,10 @@ def solve(a, b):
         )
     ncols = len(a[0])
     mat, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a, b))
-    pivots, _, last = _eliminate(mat)
-    if pivots != list(range(ncols)):
+    ech = _Echelon(mat)
+    if sorted(ech.cols) != list(range(ncols)):
         return None
-    return [Fraction(mat[i][ncols], last) for i in range(ncols)]
+    return [Fraction(row[ncols], ech.last) for row in ech.by_column()]
 
 
 def nullspace(rows):
@@ -151,15 +177,15 @@ def nullspace(rows):
         )
     mat, _ = _integer_rows(rows)
     ncols = len(mat[0])
-    pivots, _, last = _eliminate(mat)
+    ech = _Echelon(mat)
     basis = []
     for f in range(ncols):
-        if f in pivots:
+        if f in ech.cols:
             continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = Fraction(-mat[r][f], last)
+        for c, row in zip(ech.cols, ech.rows):
+            vec[c] = Fraction(-row[f], ech.last)
         basis.append(vec)
     return basis
 
@@ -172,10 +198,10 @@ def inverse(rows):
     mat, _ = _integer_rows(
         list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)
     )
-    pivots, _, last = _eliminate(mat)
-    if pivots != list(range(n)):
+    ech = _Echelon(mat)
+    if sorted(ech.cols) != list(range(n)):
         return None
-    return [[Fraction(x, last) for x in row[n:]] for row in mat]
+    return [[Fraction(x, ech.last) for x in row[n:]] for row in ech.by_column()]
 
 
 def dot(u, v) -> Fraction:

@@ -218,9 +218,13 @@ class Poly(_SparsePoly):
         _sizes(exponent=e)
         if e < 0:
             raise DomainError("negative exponents are not polynomial")
-        out = Poly.const(self.n, 1)
-        for _ in range(e):
-            out = out * self
+        out, base = Poly.const(self.n, 1), self
+        while e:  # repeated squaring, one bit of e per pass
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def derivative(self, j: int) -> Poly:

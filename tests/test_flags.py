@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -258,6 +259,46 @@ def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(
         formed.clear()
         assert flags.lie_flag(fr, p, fr.n - fr.k + 2) == at_step
         assert len(formed) == len(saturating) and set(formed) == set(saturating)
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_spans_take_no_row_at_rank_n_and_only_the_degeneracy_check_calls_rank(
+    cross_check, monkeypatch
+):
+    # every span grows one row at a time, and a value is formed and added
+    # only while its span lacks rank n; the only rank the engine takes whole
+    # is _flag's check that the frame vectors are independent
+    adds, rank_callers = [], []
+    add, rank = linalg._Echelon.add, linalg.rank
+
+    def recorded_add(span, row):
+        adds.append((span.rank, len(row)))
+        return add(span, row)
+
+    def recorded_rank(rows):
+        caller = sys._getframe(1)
+        rank_callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return rank(rows)
+
+    monkeypatch.setattr(linalg._Echelon, "add", recorded_add)
+    monkeypatch.setattr(linalg, "rank", recorded_rank)
+    r10 = parsing.parse_frame(R10_FRAME.read_text())
+    engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
+    runs = [
+        (lambda: flags.lie_flag(r10, R10_POINT, 10, cross_check), 1),
+        (lambda: flags.formal_flag(jetalg.jet_of_frame(r10, R10_POINT, 4), 5, cross_check), 1),
+        (lambda: flags.lie_flag(engel, origin, 4, cross_check), 1),
+        (lambda: ampleness.slice_report(r10, R10_POINT, range(1, 11), 5, cross_check), 0),
+        (lambda: ampleness.slice_report(engel, origin, (1, 1, 0, 0), 3, cross_check), 0),
+        (lambda: ampleness.slice_report(engel, origin, (0, 0, 1, 0), 3, cross_check), 0),
+    ]
+    for run, flag_ranks in runs:
+        adds.clear()
+        rank_callers.clear()
+        run()
+        assert adds and all(rank_before < width for rank_before, width in adds)
+        from_flags = [c for c in rank_callers if c[0] == flags.__name__]
+        assert from_flags == [(flags.__name__, "_flag")] * flag_ranks
 
 
 def test_step_and_order_sizes_must_be_ints():

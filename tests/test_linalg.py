@@ -99,3 +99,13 @@ def test_mixed_int_and_fraction_rows_read_like_fraction_rows():
         assert linalg.solve(mixed, b) == linalg.solve(fracs, [F(x) for x in b])
         assert linalg.nullspace(mixed) == linalg.nullspace(fracs)
         assert linalg.inverse(mixed) == linalg.inverse(fracs)
+
+
+def test_ragged_rows_are_refused():
+    # every row must be as long as the first, not read as a shorter one
+    for call in (linalg.rank, linalg.nullspace):
+        for ragged in ([[1, 2], [3]], [[0, 1], [1]], [[1], [2, 3]]):
+            with pytest.raises(DomainError, match="matrix row 2 needs"):
+                call(ragged)
+    with pytest.raises(DomainError, match="matrix row 2 needs 3 coordinates, got 2"):
+        linalg.solve([[1, 2], [3]], [1, 2])

@@ -1,9 +1,11 @@
 import random
+import threading
 
 import pytest
 
 from liegrowth import linalg
 from liegrowth.errors import DomainError, OrderOverflow
+from liegrowth.parsing import parse_frame
 from liegrowth.polyfields import (
     AffineMap,
     Frame,
@@ -156,6 +158,32 @@ def test_poly_power_domain():
         Poly.variable(2, 1) ** -1
     with pytest.raises(DomainError):
         Poly.variable(2, 3)
+
+
+def test_poly_power_squares_repeatedly():
+    # a daemon thread, so that a power computed factor by factor fails the
+    # test after 0.5 s instead of hanging it
+    powered = []
+    worker = threading.Thread(
+        target=lambda: powered.append(Poly.variable(2, 1) ** 10**8), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=0.5)
+    assert powered, "x1 ** 10**8 did not finish within 0.5 s"
+    read = parse_frame("dim 2\nX1 = x1^100000000*d1\n").fields[0].comps[0]
+    assert powered[0] == read and powered[0].terms == {(10**8, 0): 1}
+    rng = random.Random(23)
+    for _ in range(20):
+        p = Poly(2, {
+            (rng.randint(0, 2), rng.randint(0, 2)): rand_fraction(rng, 3, 2)
+            for _ in range(rng.randint(0, 3))
+        })
+        product = Poly.const(2, 1)
+        for e in range(7):
+            got = p**e
+            assert got == product and str(got) == str(product)
+            assert [type(c) for c in got.terms.values()] == [type(product.terms[m]) for m in got.terms]
+            product = product * p
 
 
 def test_affine_map_inverse_round_trip():

@@ -2,6 +2,7 @@
 operations of Poly and DiffPoly, Poly.derivative and poly_lie_bracket) and
 for the exact linear algebra of ``linalg``."""
 
+import itertools
 import random
 
 import pytest
@@ -141,39 +142,75 @@ def _as_sympy(vec):
     return [_rational(F(x)) for x in vec]
 
 
+def _sparse_matrix(rng, rows, cols):
+    """Rational entries, about 70% of them zero, so that pivots often fall
+    out of column order."""
+    return [
+        [0 if rng.random() < 0.7 else rand_fraction(rng, 6, 4) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _permutation_matrices(limit):
+    """Every permutation matrix of size 1..limit."""
+    for n in range(1, limit + 1):
+        for perm in itertools.permutations(range(n)):
+            yield [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+def _sympy_matrix(mat, rows, cols):
+    return sympy.Matrix(rows, cols, [_rational(F(x)) for row in mat for x in row])
+
+
+def _assert_rank_nullspace_solve(rng, mat, rows, cols):
+    smat = _sympy_matrix(mat, rows, cols)
+    r = linalg.rank(mat)
+    assert r == smat.rank()
+    # hull_verdict reads independent rows from this pivot set
+    ech = linalg._Echelon(linalg._integer_rows(mat)[0])
+    assert set(ech.cols) == set(smat.rref()[1])
+    if not rows:  # a rowless matrix has no width to answer for
+        with pytest.raises(DomainError, match="empty matrix"):
+            linalg.nullspace(mat)
+        with pytest.raises(DomainError, match="empty matrix"):
+            linalg.solve(mat, [])
+        return
+    basis = linalg.nullspace(mat)
+    assert len(basis) == cols - r
+    for vec in basis:
+        assert all(linalg.dot(row, vec) == 0 for row in mat)
+    rhs = [rand_fraction(rng, 6, 4) for _ in range(rows)]
+    if rng.random() < 0.5:  # a consistent right-hand side
+        x = [rand_fraction(rng, 3, 3) for _ in range(cols)]
+        rhs = [linalg.dot(row, x) for row in mat]
+    got = linalg.solve(mat, rhs)
+    want = _sympy_solution(smat, _as_sympy(rhs))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _as_sympy(got) == want
+
+
+def _assert_det_inverse(square):
+    ssq = _sympy_matrix(square, len(square), len(square))
+    d = ssq.det()
+    assert _rational(linalg.det(square)) == d
+    inv = linalg.inverse(square)
+    if d == 0:
+        assert inv is None
+    else:
+        assert [_as_sympy(row) for row in inv] == ssq.inv().tolist()
+
+
 def test_linalg_matches_sympy_on_random_matrices():
+    # dense matrices put their pivots in increasing column order; sparse and
+    # permutation matrices do not, which the sign of det and the order of
+    # the rows of solve and inverse depend on
     rng = random.Random(1205)
-    for _ in range(300):
-        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
-        mat = _random_matrix(rng, rows, cols)
-        smat = sympy.Matrix(rows, cols, [_rational(F(x)) for row in mat for x in row])
-        r = linalg.rank(mat)
-        assert r == smat.rank()
-        if not rows:  # a rowless matrix has no width to answer for
-            with pytest.raises(DomainError, match="empty matrix"):
-                linalg.nullspace(mat)
-            with pytest.raises(DomainError, match="empty matrix"):
-                linalg.solve(mat, [])
-        else:
-            basis = linalg.nullspace(mat)
-            assert len(basis) == cols - r
-            for vec in basis:
-                assert all(linalg.dot(row, vec) == 0 for row in mat)
-            rhs = [rand_fraction(rng, 6, 4) for _ in range(rows)]
-            if rng.random() < 0.5:  # a consistent right-hand side
-                x = [rand_fraction(rng, 3, 3) for _ in range(cols)]
-                rhs = [linalg.dot(row, x) for row in mat]
-            got = linalg.solve(mat, rhs)
-            want = _sympy_solution(smat, _as_sympy(rhs))
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert _as_sympy(got) == want
-        square = _random_matrix(rng, rows, rows)
-        ssq = sympy.Matrix(rows, rows, [_rational(F(x)) for row in square for x in row])
-        d = ssq.det()
-        assert _rational(linalg.det(square)) == d
-        inv = linalg.inverse(square)
-        if d == 0:
-            assert inv is None
-        else:
-            assert [_as_sympy(row) for row in inv] == ssq.inv().tolist()
+    for make in (_random_matrix, _sparse_matrix):
+        for _ in range(300):
+            rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+            _assert_rank_nullspace_solve(rng, make(rng, rows, cols), rows, cols)
+            _assert_det_inverse(make(rng, rows, rows))
+    for perm in _permutation_matrices(4):
+        _assert_rank_nullspace_solve(rng, perm, len(perm), len(perm))
+        _assert_det_inverse(perm)
