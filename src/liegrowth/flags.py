@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import comb, factorial, lcm
 
 from . import jetalg, linalg
 from .errors import (
@@ -397,15 +398,19 @@ class StratifiedAlgebra:
     table: dict[tuple[int, int], dict[int, Fraction]]
 
     def __post_init__(self):
+        for lay, d in enumerate(self.layer_dims, start=1):
+            _sizes(**{f"layer dimension {lay} ({d!r})": d})
         if not self.layer_dims or any(d < 1 for d in self.layer_dims):
             raise DomainError("layer dimensions must be positive")
         total = self.dim
         norm: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), row in self.table.items():
+            _sizes(**{f"index {x!r} of bracket pair {(i, j)}": x for x in (i, j)})
             if not (1 <= i < j <= total):
                 raise DomainError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {total}")
             entries = {}
             for m, c in row.items():
+                _sizes(**{f"target index {m!r} of [e{i}, e{j}]": m})
                 if not 1 <= m <= total:
                     raise DomainError(f"target e{m} out of range 1..{total}")
                 c = linalg._exact(c, f"structure constant of e{m} in [e{i}, e{j}]")
@@ -448,15 +453,17 @@ class StratifiedAlgebra:
         length ``dim``."""
         u = linalg._exact_vector(u, "u", self.dim)
         v = linalg._exact_vector(v, "v", self.dim)
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u, start=1):
-            if a == 0:
-                continue
-            for j, b in enumerate(v, start=1):
-                if b == 0:
-                    continue
-                for m, c in self.bracket_basis(i, j).items():
-                    out[m - 1] += a * b * c
+        return self._bracket(u, v, Fraction(0))
+
+    def _bracket(self, u, v, zero) -> list:
+        """[u, v] for coordinate sequences u, v of length ``dim`` over any
+        ring whose zero is ``zero``: the sum over the table of
+        c^m_ij (u_i v_j - u_j v_i) e_m."""
+        out = [zero] * self.dim
+        for (i, j), row in self.table.items():
+            term = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+            for m, c in row.items():
+                out[m - 1] = out[m - 1] + term * c
         return out
 
 
@@ -490,24 +497,19 @@ def validate_algebra(alg: StratifiedAlgebra) -> AlgebraValidation:
                     f"[e{i}, e{j}] has component e{m} in layer {alg.layer_of(m)}, "
                     f"expected layer {target}",
                 )
-    basis = [
-        [Fraction(1) if idx == m else Fraction(0) for idx in range(1, n + 1)]
-        for m in range(1, n + 1)
-    ]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for l in range(j + 1, n + 1):
-                acc = alg.bracket_vectors(alg.bracket_vectors(basis[i - 1], basis[j - 1]), basis[l - 1])
-                term = alg.bracket_vectors(alg.bracket_vectors(basis[j - 1], basis[l - 1]), basis[i - 1])
-                acc = [a + b for a, b in zip(acc, term)]
-                term = alg.bracket_vectors(alg.bracket_vectors(basis[l - 1], basis[i - 1]), basis[j - 1])
-                acc = [a + b for a, b in zip(acc, term)]
-                if any(c != 0 for c in acc):
-                    return AlgebraValidation(
-                        False,
-                        "jacobi",
-                        f"Jacobi fails on (e{i}, e{j}, e{l}); defect {acc}",
-                    )
+    for i, j, l in combinations(range(1, n + 1), 3):
+        defect: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+            for m, x in alg.bracket_basis(a, b).items():
+                for t, y in alg.bracket_basis(m, c).items():
+                    defect[t] = defect.get(t, 0) + x * y
+        if any(defect.values()):
+            acc = [Fraction(defect.get(m, 0)) for m in range(1, n + 1)]
+            return AlgebraValidation(
+                False,
+                "jacobi",
+                f"Jacobi fails on (e{i}, e{j}, e{l}); defect {acc}",
+            )
     for lay in range(1, r):
         rows = []
         target = list(alg.layer_indices(lay + 1))
@@ -526,56 +528,42 @@ def validate_algebra(alg: StratifiedAlgebra) -> AlgebraValidation:
     return AlgebraValidation(True)
 
 
-# Linear-in-the-new-argument part of the group law in exponential coordinates:
-# coefficients of ad_x^m applied to the new direction, m = 0..5.  Derived from
-# the truncated tensor-algebra model (re-derived in the test suite) and locked
-# here as exact rationals; valid through step 6.
-BCH_LINEAR_COEFFS: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 12),
-    Fraction(0),
-    Fraction(-1, 720),
-    Fraction(0),
-)
-
-
-def _ad_poly(alg: StratifiedAlgebra, w: list[Poly]) -> list[Poly]:
-    """ad_x(w) where x is the coordinate vector of polynomial variables."""
-    n = alg.dim
-    out = [Poly.zero(n) for _ in range(n)]
-    for (i, j), row in alg.table.items():
-        xi = Poly.variable(n, i)
-        xj = Poly.variable(n, j)
-        term = xi * w[j - 1] - xj * w[i - 1]
-        if term.is_zero():
-            continue
-        for m, c in row.items():
-            out[m - 1] = out[m - 1] + term * c
-    return out
+def _series_coefficients(count: int) -> list[Fraction]:
+    """The first ``count`` Taylor coefficients B_m / m! of z / (1 - e^(-z)):
+    the Bernoulli numbers with B_1 = +1/2, from the recurrence
+    sum_{j <= m} C(m + 1, j) B_j = m + 1."""
+    bern: list[Fraction] = []
+    for m in range(count):
+        rest = sum(comb(m + 1, j) * b for j, b in enumerate(bern))
+        bern.append(Fraction(m + 1 - rest, m + 1))
+    return [b / factorial(m) for m, b in enumerate(bern)]
 
 
 def left_invariant_extensions(alg: StratifiedAlgebra) -> list[PolyField]:
     """Left-invariant fields extending every basis vector, in exponential
     coordinates of the group: X_b(x) = sum_m coeff_m * ad_x^m(e_b).
+
+    The linear part in y of log(exp(x) exp(y)) is z / (1 - e^(-z)) applied
+    to y, z = ad_x, so coeff_m = B_m / m! with B_1 = +1/2 (B. C. Hall, *Lie
+    Groups, Lie Algebras, and Representations*, 2nd ed., 2015, on the
+    derivative of the exponential map).  ad_x^m vanishes for m >= step, so
+    the coefficients are generated up to the step and every step is
+    accepted.  Each family is checked exactly against the structure
+    constants before it is returned.
     """
     report = validate_algebra(alg)
     if not report.valid:
         raise InvalidAlgebra(report)
-    if alg.step > len(BCH_LINEAR_COEFFS):
-        raise DomainError(
-            f"left-invariant extension table covers step <= {len(BCH_LINEAR_COEFFS)}"
-        )
     n = alg.dim
+    coeffs = _series_coefficients(alg.step)
+    x = [Poly.variable(n, i) for i in range(1, n + 1)]
+    zero = Poly.zero(n)
     fields = []
     for b in range(1, n + 1):
-        cur = [
-            Poly.const(n, 1) if m == b else Poly.zero(n) for m in range(1, n + 1)
-        ]
-        acc = [p * BCH_LINEAR_COEFFS[0] for p in cur]
-        for m in range(1, alg.step):
-            cur = _ad_poly(alg, cur)
-            c = BCH_LINEAR_COEFFS[m]
+        cur = [Poly.const(n, 1) if m == b else zero for m in range(1, n + 1)]
+        acc = [p * coeffs[0] for p in cur]
+        for c in coeffs[1:]:
+            cur = alg._bracket(x, cur, zero)
             if c != 0:
                 acc = [a + p * c for a, p in zip(acc, cur)]
         fields.append(PolyField(tuple(acc)))

@@ -657,7 +657,12 @@ def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
 
 
 def evaluate(vec: DiffVec, jet: JetPoint) -> tuple[Fraction, ...]:
-    """Exact value of a differential vector on a jet point."""
+    """Exact value of a differential vector on a jet point of the same
+    ambient dimension; the jet may have more fields or a higher order."""
+    if vec.n != jet.n:
+        raise DomainError(
+            f"a vector on R^{vec.n} cannot be evaluated on a jet on R^{jet.n}"
+        )
     order = vec.order()
     if order > jet.order:
         raise IncompleteJet(

@@ -155,10 +155,16 @@ def det(rows) -> Fraction:
 
 def solve(a, b):
     """Unique solution of ``a x = b`` or None (singular/incompatible).
-    A matrix with no rows has no width to solve for: ``DomainError``."""
+    A matrix with no rows has no width to solve for, and ``b`` needs one
+    entry per row of ``a``: otherwise ``DomainError``."""
     if not a:
         raise DomainError(
             "solve of an empty matrix: a matrix with no rows has no width"
+        )
+    if len(b) != len(a):
+        raise DomainError(
+            f"solve needs one right-hand side entry per row: {len(a)} rows, "
+            f"{len(b)} entries in b"
         )
     ncols = len(a[0])
     mat, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a, b))

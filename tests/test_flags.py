@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -563,6 +564,25 @@ def test_structure_table_bounds():
         flags.StratifiedAlgebra((2,), {(2, 1): {1: F(1)}})
 
 
+@pytest.mark.parametrize(
+    "dims, table, named",
+    [
+        ((2.0, 1), {(1, 2): {3: 1}}, "layer dimension 1 (2.0) must be an int, got float"),
+        ((True, 1), {(1, 2): {3: 1}}, "layer dimension 1 (True) must be an int, got bool"),
+        ((2, 1), {(1.0, 2): {3: 1}}, "index 1.0 of bracket pair (1.0, 2) must be an int"),
+        ((2, 1), {(1, F(2)): {3: 1}}, "index Fraction(2, 1) of bracket pair"),
+        ((2, 1), {(1, 2): {3.0: 1}}, "target index 3.0 of [e1, e2] must be an int"),
+    ],
+    ids=["float-layer", "bool-layer", "float-pair", "fraction-pair", "float-target"],
+)
+def test_structure_sizes_must_be_ints(dims, table, named):
+    # every size is read by linalg._sizes: a stored float layer dimension
+    # would end in a TypeError inside validate_algebra
+    with pytest.raises(DomainError) as err:
+        flags.StratifiedAlgebra(dims, table)
+    assert str(err.value).startswith(named)
+
+
 # --- nilpotent frames -----------------------------------------------------------
 
 
@@ -607,22 +627,42 @@ def test_nilpotent_frame_rejects_invalid():
         flags.nilpotent_frame(alg)
 
 
-def test_nilpotent_frame_step_cap():
-    # valid filiform algebra of step 7: beyond the locked series table
-    dims = (2,) + (1,) * 6
-    table = {(1, i): {i + 1: F(1)} for i in range(2, 8)}
-    alg = flags.StratifiedAlgebra(dims, table)
-    assert flags.validate_algebra(alg).valid
-    with pytest.raises(DomainError):
-        flags.nilpotent_frame(alg)
+def _filiform(step):
+    """The filiform algebra of the given step: [e1, e_i] = e_{i+1}."""
+    dims = (2,) + (1,) * (step - 1)
+    table = {(1, i): {i + 1: F(1)} for i in range(2, step + 1)}
+    return flags.StratifiedAlgebra(dims, table)
+
+
+def test_nilpotent_frame_certifies_filiform_steps_seven_to_ten():
+    # the series coefficients are generated to any step; nilpotent_frame
+    # certifies each family against the structure constants before returning
+    rng = random.Random(77)
+    for step in range(7, 11):
+        fr = flags.nilpotent_frame(_filiform(step))
+        want = tuple(range(2, step + 2))
+        points = [(0,) * fr.n] + [rand_point(rng, fr.n) for _ in range(3)]
+        for p in points:
+            assert flags.lie_flag(fr, p, step).dims == want
 
 
 def test_nilpotent_frame_step_six_filiform_works():
-    dims = (2,) + (1,) * 5
-    table = {(1, i): {i + 1: F(1)} for i in range(2, 7)}
-    fr = flags.nilpotent_frame(flags.StratifiedAlgebra(dims, table))
+    fr = flags.nilpotent_frame(_filiform(6))
     rep = flags.lie_flag(fr, (0,) * 7, 6)
     assert rep.dims == (2, 3, 4, 5, 6, 7)
+
+
+def test_validate_algebra_checks_jacobi_from_the_table(monkeypatch):
+    # a 40-dimensional filiform algebra: 9880 basis triples, each checked
+    # from bracket_basis, with no dense vector bracket
+    def dense(*args):
+        raise AssertionError("validate_algebra called bracket_vectors")
+
+    alg = _filiform(39)
+    monkeypatch.setattr(flags.StratifiedAlgebra, "bracket_vectors", dense)
+    start = time.perf_counter()
+    assert flags.validate_algebra(alg).valid
+    assert time.perf_counter() - start < 1.0
 
 
 # --- group-law series coefficients: brute-force re-derivation -------------------
@@ -691,10 +731,13 @@ def _binom(m, j):
 
 
 def test_series_coefficients_match_locked_table():
-    derived = _series_linear_coeffs(6)
-    assert tuple(derived) == flags.BCH_LINEAR_COEFFS
+    for step in range(1, 9):
+        assert flags._series_coefficients(step) == _series_linear_coeffs(step)
+    assert flags._series_coefficients(6) == [F(1), F(1, 2), F(1, 12), 0, F(-1, 720), 0]
 
 
 def test_series_low_order_terms():
-    assert flags.BCH_LINEAR_COEFFS[0] == 1
-    assert flags.BCH_LINEAR_COEFFS[1] == F(1, 2)
+    coeffs = flags._series_coefficients(2)
+    assert coeffs[0] == 1
+    assert coeffs[1] == F(1, 2)
+    assert all(type(c) is Fraction for c in flags._series_coefficients(8))

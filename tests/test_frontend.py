@@ -454,6 +454,21 @@ def test_cli_nilpotentize_round_trip(tmp_path, capsys):
     assert flags.lie_flag(reparsed, (0,) * 5, 3).dims == (2, 3, 5)
 
 
+def test_cli_nilpotentize_takes_a_step_seven_algebra(tmp_path, capsys):
+    # step 7 needs the series coefficient of ad_x^6, generated like the rest
+    alg_file = tmp_path / "filiform7.alg"
+    lines = ["layers 2 1 1 1 1 1 1"] + [f"bracket e1 e{i} = e{i + 1}" for i in range(2, 8)]
+    alg_file.write_text("\n".join(lines) + "\n")
+    out_file = tmp_path / "filiform7.frame"
+    argv = ["nilpotentize", "--algebra", str(alg_file), "--out", str(out_file)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["growth", "--frame", str(out_file), "--point", "0,0,0,0,0,0,0,0"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "growth (2, 3, 4, 5, 6, 7, 8) step=7 maximal=false free_type=false"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_cli_nilpotentize_overlong_coefficient_is_a_one_line_error(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liegrowth import jetalg as ja
-from liegrowth.catalog import heisenberg_frame, martinet_frame
+from liegrowth.catalog import engel_frame, heisenberg_frame, martinet_frame
 from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
 from liegrowth.polyfields import Frame, Poly, PolyField
 
@@ -282,6 +282,16 @@ def test_evaluate_incomplete():
     jet = ja.jet_of_frame(fr, (0, 0, 0), 1)
     with pytest.raises(IncompleteJet):
         ja.evaluate(ja.bracket((1, 2, 1), 2, 3, 3), jet)
+
+
+def test_evaluate_refuses_a_jet_of_another_dimension():
+    # the symbol's total derivatives run over its own n directions, so a
+    # jet on R^4 cannot value a vector on R^3
+    jet = ja.jet_of_frame(engel_frame(), (0, 0, 0, 0), 1)
+    with pytest.raises(DomainError, match=r"vector on R\^3 .* jet on R\^4"):
+        ja.evaluate(ja.bracket((1, 2), 2, 3, 2), jet)
+    # [X1, X2] = d3 + x1 d4 on the Engel frame
+    assert ja.evaluate(ja.bracket((1, 2), 2, 4, 2), jet) == (0, 0, 1, 0)
 
 
 def test_pure_derivative_extract():

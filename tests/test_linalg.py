@@ -55,6 +55,15 @@ def test_solve_and_inverse():
     assert linalg.inverse([[1, 1], [2, 2]]) is None
 
 
+def test_solve_refuses_a_right_hand_side_of_another_length():
+    # every equation needs its right-hand side: a longer b is not cut to fit,
+    # and a shorter one does not make the system unsolvable
+    with pytest.raises(DomainError, match="1 rows, 2 entries in b"):
+        linalg.solve([[1]], [1, 2])
+    with pytest.raises(DomainError, match="2 rows, 1 entries in b"):
+        linalg.solve([[1, 0], [0, 1]], [1])
+
+
 def test_nullspace():
     basis = linalg.nullspace([[1, 2, 3]])
     assert len(basis) == 2
