@@ -40,6 +40,7 @@ scaling does to a bracket's value.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,7 +54,7 @@ from .errors import (
     OrderOverflow,
 )
 from .freelie import BracketExpr, hall_basis, is_free_type, maximal_growth_vector
-from .linalg import _sizes
+from .linalg import _sizes, _tuple
 from .polyfields import (
     Frame,
     Poly,
@@ -391,20 +392,34 @@ class StratifiedAlgebra:
 
     ``table[(i, j)]`` with ``i < j`` maps basis indices ``m`` to the rational
     coefficient of e_m in [e_i, e_j]; omitted pairs are zero brackets and the
-    antisymmetric completion is implied.
+    antisymmetric completion is implied.  A table that is not such a
+    mapping raises ``DomainError`` naming the bad key or row.
     """
 
     layer_dims: tuple[int, ...]
     table: dict[tuple[int, int], dict[int, Fraction]]
 
     def __post_init__(self):
+        object.__setattr__(self, "layer_dims", _tuple(self.layer_dims, "layer dimensions"))
         for lay, d in enumerate(self.layer_dims, start=1):
             _sizes(**{f"layer dimension {lay} ({d!r})": d})
         if not self.layer_dims or any(d < 1 for d in self.layer_dims):
             raise DomainError("layer dimensions must be positive")
         total = self.dim
         norm: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), row in self.table.items():
+        if not isinstance(self.table, Mapping):
+            raise DomainError(
+                f"structure table must map pairs (i, j) to rows, got {type(self.table).__name__}"
+            )
+        for key, row in self.table.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise DomainError(f"bracket key {key!r:.60} is not a pair (i, j)")
+            if not isinstance(row, Mapping):
+                raise DomainError(
+                    f"row of bracket pair {key!r} is of type {type(row).__name__}, "
+                    "not a mapping from targets to coefficients"
+                )
+            i, j = key
             _sizes(**{f"index {x!r} of bracket pair {(i, j)}": x for x in (i, j)})
             if not (1 <= i < j <= total):
                 raise DomainError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {total}")

@@ -20,7 +20,11 @@ and where each order starts.
 coefficients.  Its constructor takes ``JetVar`` monomials, in any order and
 with indices in any order, checks each coordinate against the ambient as
 ``make_var`` does, and adds up the spellings of one monomial;
-``sorted_terms``, ``variables``, ``str`` and ``repr`` decode.  ``_act``
+``sorted_terms``, ``variables`` and the shared ``str`` and ``repr`` decode.
+``DiffVec`` is the jet instance of the one vector, ``polyfields._Vector``,
+which reads its components (n differential polynomials of one ambient) and
+owns its arithmetic, equality and text; it adds only ``k``, ``r``, ``zero``
+and ``order``.  ``_act``
 applies a vector V to a polynomial through the total derivatives,
 sum_t V^t D_t p; ``derive`` is the action of one coordinate field, along a
 direction that must be an int.  Add, multiply and the bracket are the shared
@@ -96,6 +100,7 @@ from .polyfields import (
     _pack_width,
     _SparsePoly,
     _TaylorParts,
+    _Vector,
 )
 
 __all__ = [
@@ -322,24 +327,9 @@ class DiffPoly(_SparsePoly):
         ]
         return sorted(items, key=lambda kv: _mono_sort_key(kv[0]))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            body = "*".join(str(v) for v in mono) if mono else "1"
-            if abs(c) == 1 and mono:
-                s = body
-            else:
-                s = f"{abs(c)}*{body}" if mono else str(abs(c))
-            if not parts:
-                parts.append(s if c > 0 else f"-{s}")
-            else:
-                parts.append(f" + {s}" if c > 0 else f" - {s}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DiffPoly({self})"
+    def _printed_terms(self):
+        """As ``sorted_terms``, a coordinate printed as ``JetVar`` prints."""
+        return [(list(map(str, mono)), c) for mono, c in self.sorted_terms()]
 
 
 def make_var(fld: int, comp: int, idx, k: int, n: int, r: int) -> JetVar:
@@ -358,30 +348,16 @@ def make_var(fld: int, comp: int, idx, k: int, n: int, r: int) -> JetVar:
     return v
 
 
-class DiffVec:
-    """n-tuple of differential polynomials, read as sum(comps[i] * d_{i+1})."""
+class DiffVec(_Vector):
+    """n-tuple of differential polynomials of one ambient ``(k, n, r)``, read
+    as sum(comps[i] * D_{i+1}): the vector of ``polyfields._Vector``, which
+    validates the components and owns the arithmetic, equality and text."""
 
     __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        comps = tuple(comps)
-        if not comps:
-            raise DomainError("empty differential vector")
-        k, n, r = comps[0].k, comps[0].n, comps[0].r
-        if len(comps) != n:
-            raise DomainError(f"expected {n} components, got {len(comps)}")
-        for c in comps:
-            if (c.k, c.n, c.r) != (k, n, r):
-                raise DomainError("components disagree on ambient parameters")
-        self.comps = comps
 
     @property
     def k(self) -> int:
         return self.comps[0].k
-
-    @property
-    def n(self) -> int:
-        return self.comps[0].n
 
     @property
     def r(self) -> int:
@@ -391,30 +367,8 @@ class DiffVec:
     def zero(k: int, n: int, r: int) -> DiffVec:
         return DiffVec(tuple(DiffPoly.zero(k, n, r) for _ in range(n)))
 
-    def __add__(self, other: DiffVec) -> DiffVec:
-        return DiffVec(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other: DiffVec) -> DiffVec:
-        return DiffVec(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self) -> DiffVec:
-        return DiffVec(tuple(-a for a in self.comps))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffVec) and self.comps == other.comps
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
     def order(self) -> int:
         return max(c.order() for c in self.comps)
-
-    def __str__(self) -> str:
-        parts = [f"({c})*d{i + 1}" for i, c in enumerate(self.comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
 
 
 def derive(p: DiffPoly, t: int) -> DiffPoly:

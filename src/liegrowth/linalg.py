@@ -47,6 +47,14 @@ def _sizes(**sizes) -> None:
             raise DomainError(f"{name} must be an int, got {type(x).__name__}")
 
 
+def _tuple(items, what: str) -> tuple:
+    """``items`` as a tuple; what is not iterable raises ``DomainError``."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {type(items).__name__}") from None
+
+
 def _exact_vector(xs, what: str, n: int | None = None) -> tuple:
     """The entries of ``xs``, ints and Fractions as given, as a tuple; entry
     i of another type is "``what`` coordinate i" in the ``DomainError``."""

@@ -3,24 +3,29 @@
 The sparse ring is written once, in ``_SparsePoly``: a polynomial maps
 monomials to nonzero exact coefficients (ints or Fractions, see ``_exact``),
 and the base class owns the normalising constructor, ``+``, ``-``, scalar and
-polynomial ``*``, equality and hashing.  A subclass supplies only what a
-monomial is (its product ``_times``), its ambient (a mismatch raises
-``DomainError``) and the action of a vector field V on a polynomial p,
-``_act``: acc += sign * sum_j V^j * D_j p, with each derivative term of p
-formed once and multiplied straight into ``acc``.  ``Poly`` here is the
-classical ring: monomials are exponent n-tuples and D_j is d/dx_j.
+polynomial ``*``, equality, hashing and the text, one signed join of terms.
+A subclass supplies only what a monomial is (its product ``_times``), its
+ambient (a mismatch raises ``DomainError``), the action of a vector field V
+on a polynomial p, ``_act``: acc += sign * sum_j V^j * D_j p, with each
+derivative term of p formed once and multiplied straight into ``acc``, and
+its terms in print order with the text of their factors
+(``_printed_terms``).  ``Poly`` here is the classical ring: monomials are
+exponent n-tuples and D_j is d/dx_j.
 ``jetalg.DiffPoly`` is the ring of jet coordinates, whose D_j are the total
 derivatives.  A partial derivative (``Poly.derivative``, ``jetalg.derive``)
 is the action of a coordinate field, ``_along``.
 
-The Lie bracket of vector fields is written once too, in ``_bracket``:
-[A, B]^i = A(B^i) - B(A^i) over either ring, exact, each field's components
-listed once per bracket (``_grade``).  ``poly_lie_bracket`` and
-``jetalg.diffvec_bracket`` validate their arguments and return its
-components.  Nothing is kept between calls.
-
-A ``PolyField`` is an n-tuple of coefficient polynomials for the coordinate
-directions; a ``Frame`` is a k-tuple of fields sharing one ambient dimension.
+The vector field is written once, next to the ring, in ``_Vector``: one
+component per variable of one ring and one ambient, read by one validation
+(anything else, ``PolyField(())`` included, raises ``DomainError``), with
+componentwise ``+``, ``-``, ``scale``, ``is_zero``, equality and text.
+``PolyField`` is its classical instance, a frozen dataclass of n ``Poly``s
+in n variables, and ``jetalg.DiffVec`` its jet instance.  The Lie bracket is
+written once too, in ``_bracket``: [A, B]^i = A(B^i) - B(A^i) over either
+ring, exact, each field's components listed once per bracket (``_grade``).
+``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their
+arguments and return its components.  Nothing is kept between calls.  A
+``Frame`` is a tuple of ``PolyField``s sharing one ambient dimension.
 
 There is one Taylor expansion, ``_TaylorParts``, and it runs on ints: it
 clears the point's common denominator and the field's coefficient
@@ -46,11 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, sub
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
-from .linalg import _exact, _exact_vector, _sizes
+from .linalg import _exact, _exact_vector, _sizes, _tuple
 
 __all__ = [
     "AffineMap",
@@ -68,9 +73,10 @@ _ZERO = Fraction(0)
 class _SparsePoly:
     """Sparse polynomial over Q: ``terms`` maps monomials to nonzero exact
     coefficients.  A subclass defines ``_ambient`` (the tuple its constructor
-    takes before ``terms``), the commutative monomial product ``_times``, and
-    the action ``_act`` of a field whose components ``_grade`` has listed
-    (see the module docstring).
+    takes before ``terms``), the commutative monomial product ``_times``, the
+    action ``_act`` of a field whose components ``_grade`` has listed (see
+    the module docstring), and the print order and factor texts of its terms
+    (``_printed_terms``), which ``str`` joins.
     """
 
     __slots__ = ("terms",)
@@ -152,6 +158,106 @@ class _SparsePoly:
         return self._like(acc)
 
     __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        """The terms in the ring's order (``_printed_terms``: per term the
+        texts of its factors, and its coefficient), each ``|c|*f1*f2...``
+        with a coefficient of 1 left out before a factor, joined by signs."""
+        out = []
+        for factors, c in self._printed_terms():
+            if abs(c) != 1 or not factors:
+                factors = [str(abs(c)), *factors]
+            out += [" - " if c < 0 else " + ", "*".join(factors)]
+        if not out:
+            return "0"
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class _Vector:
+    """Vector sum(comps[j] * D_{j+1}) over one sparse ring, written once for
+    ``PolyField`` and ``jetalg.DiffVec``.  ``comps`` is read as a tuple of
+    polynomials of one ring and one ambient, one per variable of that ring
+    (its ``n``); anything else raises ``DomainError``.  The arithmetic is
+    componentwise and returns the same type."""
+
+    __slots__ = ()
+
+    def __init__(self, comps):
+        self.comps = self._read(comps)
+
+    @staticmethod
+    def _read(comps) -> tuple:
+        comps = _tuple(comps, "vector components")
+        if not comps:
+            raise DomainError("a vector needs at least one component")
+        ring = type(comps[0])
+        if not issubclass(ring, _SparsePoly):
+            raise DomainError(f"vector component 1 is of type {ring.__name__}, not a polynomial")
+        ambient = comps[0]._ambient
+        for j, c in enumerate(comps, start=1):
+            if type(c) is not ring:
+                raise DomainError(
+                    f"vector component {j} is of type {type(c).__name__}, not {ring.__name__}"
+                )
+            if c._ambient != ambient:
+                raise DomainError(f"vector components 1 and {j} have different ambients")
+        if len(comps) != comps[0].n:
+            raise DomainError(
+                f"a vector needs one component per variable ({comps[0].n}), got {len(comps)}"
+            )
+        return comps
+
+    @property
+    def n(self) -> int:
+        return len(self.comps)
+
+    def __add__(self, other):
+        return type(self)(tuple(map(add, self.comps, other.comps)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(map(sub, self.comps, other.comps)))
+
+    def __neg__(self):
+        return type(self)(tuple(-p for p in self.comps))
+
+    def scale(self, c):
+        """This vector times ``c``, a number or a polynomial of its ring."""
+        return type(self)(tuple(p * c for p in self.comps))
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.comps)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.comps == self.comps
+
+    def __hash__(self):
+        return hash(self.comps)
+
+    def __str__(self) -> str:
+        parts = [f"({p})*d{j}" for j, p in enumerate(self.comps, start=1) if p.terms]
+        return " + ".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(comps={self.comps!r})"
+
+
+def _bracket(a_comps, b_comps) -> list:
+    """Components of [A, B]^i = A(B^i) - B(A^i) for the components of two
+    vectors over one ring, where V(p) = sum_j V^j D_j p is the ring's
+    ``_act``; each field is graded once."""
+    grade = a_comps[0]._grade
+    ga, gb = grade(a_comps), grade(b_comps)
+    comps = []
+    for ai, bi in zip(a_comps, b_comps):
+        acc: dict = {}
+        bi._act(acc, ga, 1)
+        ai._act(acc, gb, -1)
+        comps.append(ai._like(acc))
+    return comps
 
 
 class Poly(_SparsePoly):
@@ -268,32 +374,10 @@ class Poly(_SparsePoly):
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def _term_str(self, exps, c) -> str:
-        parts = []
-        if abs(c) != 1 or not any(exps):
-            parts.append(str(abs(c)))
-        for i, e in enumerate(exps):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        out = []
-        for idx, (exps, c) in enumerate(items):
-            s = self._term_str(exps, c)
-            if idx == 0:
-                out.append(s if c > 0 else f"-{s}")
-            else:
-                out.append(f" + {s}" if c > 0 else f" - {s}")
-        return "".join(out)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
+    def _printed_terms(self):
+        """By total degree, then exponent tuple: x_i^e printed as ``xi^e``."""
+        for exps, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+            yield [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e], c
 
 
 def _pack_width(order: int) -> int:
@@ -436,15 +520,15 @@ class _TaylorParts(_GradedLeaf):
         return self.expand(d, d)
 
 
-@dataclass(frozen=True)
-class PolyField:
-    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients."""
+@dataclass(frozen=True, eq=False, repr=False)
+class PolyField(_Vector):
+    """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients: n
+    ``Poly``s in n variables (``_Vector``)."""
 
     comps: tuple[Poly, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.comps)
+    def __post_init__(self):
+        object.__setattr__(self, "comps", self._read(self.comps))
 
     @staticmethod
     def zero(n: int) -> PolyField:
@@ -476,37 +560,6 @@ class PolyField:
             comps.append(comp._like(out))
         return PolyField(tuple(comps))
 
-    def __add__(self, other: PolyField) -> PolyField:
-        return PolyField(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other: PolyField) -> PolyField:
-        return PolyField(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def scale(self, c) -> PolyField:
-        return PolyField(tuple(p * c for p in self.comps))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.comps)
-
-    def __str__(self) -> str:
-        parts = [f"({c})*d{j + 1}" for j, c in enumerate(self.comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-
-def _bracket(a_comps, b_comps) -> list:
-    """Components of [A, B]^i = A(B^i) - B(A^i) for the components of two
-    vectors over one ring, where V(p) = sum_j V^j D_j p is the ring's
-    ``_act``; each field is graded once."""
-    grade = a_comps[0]._grade
-    ga, gb = grade(a_comps), grade(b_comps)
-    comps = []
-    for ai, bi in zip(a_comps, b_comps):
-        acc: dict = {}
-        bi._act(acc, ga, 1)
-        ai._act(acc, gb, -1)
-        comps.append(ai._like(acc))
-    return comps
-
 
 def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
     """Classical bracket [X, Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j)."""
@@ -517,15 +570,22 @@ def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
 
 @dataclass(frozen=True)
 class Frame:
-    """k-tuple of polynomial vector fields on R^n."""
+    """k-tuple of polynomial vector fields on R^n; ``fields`` is kept as a
+    tuple, and an entry that is not a ``PolyField`` on R^n raises
+    ``DomainError``."""
 
     n: int
     fields: tuple[PolyField, ...]
 
     def __post_init__(self):
-        for f in self.fields:
+        _sizes(**{"frame dimension": self.n})
+        fields = _tuple(self.fields, "frame fields")
+        for j, f in enumerate(fields, start=1):
+            if not isinstance(f, PolyField):
+                raise DomainError(f"frame field {j} is of type {type(f).__name__}, not PolyField")
             if f.n != self.n:
                 raise DomainError("all frame fields must share the ambient dimension")
+        object.__setattr__(self, "fields", fields)
 
     @property
     def k(self) -> int:

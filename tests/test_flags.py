@@ -572,14 +572,31 @@ def test_structure_table_bounds():
         ((2, 1), {(1.0, 2): {3: 1}}, "index 1.0 of bracket pair (1.0, 2) must be an int"),
         ((2, 1), {(1, F(2)): {3: 1}}, "index Fraction(2, 1) of bracket pair"),
         ((2, 1), {(1, 2): {3.0: 1}}, "target index 3.0 of [e1, e2] must be an int"),
+        (2, {}, "layer dimensions must be a sequence, got int"),
     ],
-    ids=["float-layer", "bool-layer", "float-pair", "fraction-pair", "float-target"],
+    ids=["float-layer", "bool-layer", "float-pair", "fraction-pair", "float-target", "int-layers"],
 )
 def test_structure_sizes_must_be_ints(dims, table, named):
     # every size is read by linalg._sizes: a stored float layer dimension
     # would end in a TypeError inside validate_algebra
     with pytest.raises(DomainError) as err:
         flags.StratifiedAlgebra(dims, table)
+    assert str(err.value).startswith(named)
+
+
+@pytest.mark.parametrize(
+    "table, named",
+    [
+        ({(1, 2, 3): {3: 1}}, "bracket key (1, 2, 3) is not a pair"),
+        ({(1,): {3: 1}}, "bracket key (1,) is not a pair"),
+        ({(1, 2): [3]}, "row of bracket pair (1, 2) is of type list"),
+        ([(1, 2)], "structure table must map pairs (i, j) to rows, got list"),
+    ],
+    ids=["triple-key", "single-key", "list-row", "list-table"],
+)
+def test_malformed_structure_table_is_named(table, named):
+    with pytest.raises(DomainError) as err:
+        flags.StratifiedAlgebra((2, 1), table)
     assert str(err.value).startswith(named)
 
 

@@ -4,6 +4,11 @@ r = 3 (the total derivatives commute, so the bracket is a commutator of
 derivations and both hold exactly).  Every coefficient a bracket returns is
 nonzero.
 
+The shared vector of ``PolyField`` and ``DiffVec``: ``+``, ``-``, unary
+``-``, ``scale`` by a number and by a ring element, ``is_zero``, ``str`` and
+equality are the componentwise ring operations, for random vectors of
+either type.
+
 The jet read-off round trip: the Taylor fields that the graded leaves of
 ``_taylor_fields`` stand for (``helpers.graded_field``), read off
 ``jet_of_frame(fr, p, o)``, are the Taylor fields ``f.taylor(p, o)`` of the
@@ -17,6 +22,7 @@ integer view ``_coded`` is the values times the lcm of their denominators,
 one per code."""
 
 from math import lcm
+from operator import add, sub
 
 import pytest
 
@@ -60,6 +66,44 @@ def test_bracket_satisfies_jacobi(a, b, c):
     br = _checked
     total = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
     assert total.is_zero()
+
+
+@st.composite
+def _vector_case(draw):
+    """Two vectors of one type and ambient, a number and an element of their
+    ring: ``DiffVec``s of ``_vecs``, or ``PolyField``s on R^n, n <= 3, with
+    polynomials as in ``_frame_and_point``; the second vector is sometimes
+    a copy of the first."""
+    if draw(st.booleans()):
+        vecs, elements = _vecs, _polys
+    else:
+        n = draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        elements = st.dictionaries(exps, _coeffs, max_size=4).map(lambda t: Poly(n, t))
+        vecs = st.lists(elements, min_size=n, max_size=n).map(lambda c: PolyField(tuple(c)))
+    a = draw(vecs)
+    b = type(a)(a.comps) if draw(st.booleans()) else draw(vecs)
+    return a, b, draw(_coeffs | st.just(0)), draw(elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_case())
+def test_vector_operations_are_componentwise(case):
+    a, b, c, p = case
+    vec = type(a)
+    for got, want in [
+        (a + b, map(add, a.comps, b.comps)),
+        (a - b, map(sub, a.comps, b.comps)),
+        (-a, (-x for x in a.comps)),
+        (a.scale(c), (x * c for x in a.comps)),
+        (a.scale(p), (x * p for x in a.comps)),
+    ]:
+        assert type(got) is vec and got.comps == tuple(want)
+    assert a.is_zero() == all(x.is_zero() for x in a.comps)
+    terms = [f"({x})*d{j}" for j, x in enumerate(a.comps, start=1) if not x.is_zero()]
+    assert str(a) == (" + ".join(terms) or "0")
+    assert (a == b) == (a.comps == b.comps)
+    assert a == vec(a.comps) and hash(a) == hash(vec(a.comps))
 
 
 @st.composite

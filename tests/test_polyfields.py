@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from liegrowth import jetalg as ja
 from liegrowth import linalg
 from liegrowth.errors import DomainError, OrderOverflow
 from liegrowth.parsing import parse_frame
@@ -144,6 +145,54 @@ def test_affine_map_shape_is_checked():
         pushforward(heis, AffineMap.make([[1, 0, 0], [0, 1, 0]], [0, 0, 0]))
     with pytest.raises(DomainError, match="linear part row 1 needs 2 coordinates, got 3"):
         AffineMap.make([[1, 0, 0], [0, 1, 0]], [0, 0])
+
+
+_VECTORS = {
+    "PolyField": (PolyField, lambda n: [Poly.variable(n, j) for j in range(1, n + 1)]),
+    "DiffVec": (
+        ja.DiffVec,
+        lambda n: [ja.DiffPoly.var(1, j, (), 2, n, 2) for j in range(1, n + 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VECTORS))
+def test_malformed_vector_components_raise(kind):
+    # both field types read their components by one rule; before it, a
+    # malformed PolyField was accepted and failed later: IndexError in
+    # poly_lie_bracket or lie_flag for a wrong count, AttributeError in str
+    # for (1, 2)
+    vec, comps = _VECTORS[kind]
+    two, three = comps(2), comps(3)
+    alien = ja.DiffPoly.var(1, 2, (), 2, 2, 2) if vec is PolyField else Poly.variable(2, 2)
+    cases = [
+        ((), "a vector needs at least one component"),
+        (5, "vector components must be a sequence, got int"),
+        ((1, 2), "vector component 1 is of type int, not a polynomial"),
+        ((two[0], "x2"), "vector component 2 is of type str, not "),
+        ((two[0], alien), f"vector component 2 is of type {type(alien).__name__}, not "),
+        ((two[0], three[1]), "vector components 1 and 2 have different ambients"),
+        ((three[0], three[1]), r"one component per variable \(3\), got 2"),
+        ((two[0], two[1], two[0]), r"one component per variable \(2\), got 3"),
+    ]
+    for bad, named in cases:
+        with pytest.raises(DomainError, match=named):
+            vec(bad)
+    assert vec(two).comps == tuple(two) and vec(iter(two)) == vec(two)
+
+
+def test_frame_reads_its_fields():
+    f = PolyField.basis(2, 1)
+    with pytest.raises(DomainError, match="frame field 1 is of type str, not PolyField"):
+        Frame(2, ("x",))
+    with pytest.raises(DomainError, match="frame field 2 is of type DiffVec, not PolyField"):
+        Frame(2, (f, ja.DiffVec.zero(1, 2, 2)))
+    with pytest.raises(DomainError, match="frame fields must be a sequence, got int"):
+        Frame(2, 5)
+    with pytest.raises(DomainError, match="frame dimension must be an int, got float"):
+        Frame(2.0, (f,))
+    fr = Frame(2, [f])
+    assert fr.fields == (f,) and hash(fr) == hash(Frame(2, (f,)))
 
 
 def test_poly_malformed_keys_raise():
