@@ -48,11 +48,16 @@ def _sizes(**sizes) -> None:
 
 
 def _tuple(items, what: str) -> tuple:
-    """``items`` as a tuple; what is not iterable raises ``DomainError``."""
+    """``items`` as a tuple; what is not iterable raises ``DomainError``.
+    Only the iterability is checked here: an error raised while iterating
+    (say, inside a generator) propagates as it is."""
+    if type(items) is tuple:
+        return items
     try:
-        return tuple(items)
+        it = iter(items)
     except TypeError:
         raise DomainError(f"{what} must be a sequence, got {type(items).__name__}") from None
+    return tuple(it)
 
 
 def _exact_vector(xs, what: str, n: int | None = None) -> tuple:

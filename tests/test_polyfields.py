@@ -181,6 +181,27 @@ def test_malformed_vector_components_raise(kind):
     assert vec(two).comps == tuple(two) and vec(iter(two)) == vec(two)
 
 
+def test_an_error_raised_while_iterating_is_not_read_as_a_non_sequence():
+    # only an input that cannot be iterated is refused as "must be a
+    # sequence"; a TypeError raised inside a generator propagates as it is
+    from liegrowth.flags import StratifiedAlgebra
+
+    def broken(items):
+        yield from items
+        raise TypeError("raised inside the generator")
+
+    two = _VECTORS["PolyField"][1](2)
+    calls = [
+        lambda: PolyField(broken(two)),
+        lambda: ja.DiffVec(broken(_VECTORS["DiffVec"][1](2))),
+        lambda: Frame(2, broken([PolyField(two)])),
+        lambda: StratifiedAlgebra(broken((2, 1)), {(1, 2): {3: 1}}),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="raised inside the generator"):
+            call()
+
+
 def test_frame_reads_its_fields():
     f = PolyField.basis(2, 1)
     with pytest.raises(DomainError, match="frame field 1 is of type str, not PolyField"):
