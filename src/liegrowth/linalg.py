@@ -61,11 +61,12 @@ def _tuple(items, what: str) -> tuple:
 
 
 def _exact_vector(xs, what: str, n: int | None = None) -> tuple:
-    """The entries of ``xs``, ints and Fractions as given, as a tuple; entry
-    i of another type is "``what`` coordinate i" in the ``DomainError``."""
+    """The entries of ``xs``, ints and Fractions as given, as a tuple; an
+    ``xs`` that is not iterable (``_tuple``) or an entry i of another type
+    is "``what`` ..." in the ``DomainError``."""
     out = tuple(
         x if type(x) is int or type(x) is Fraction else _exact(x, f"{what} coordinate {i}")
-        for i, x in enumerate(xs, start=1)
+        for i, x in enumerate(_tuple(xs, what), start=1)
     )
     if n is not None and len(out) != n:
         raise DomainError(f"{what} needs {n} coordinates, got {len(out)}")

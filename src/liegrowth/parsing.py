@@ -26,12 +26,22 @@ integer token, indices and layer dimensions included, has at most
 ``MAX_DIGITS`` (4300) digits, Python's default limit for reading one.  Every
 parse failure carries the 1-based line and column of the offending token.
 
+A file is read in one pass.  Each line is one ``findall`` of ``_TOKEN``,
+which yields the token texts; a token's kind is read from its first
+character, and a column is computed only when a ``ParseError`` is raised, by
+scanning that one line again.  A character that starts no token is refused
+before any line is parsed.
+
 An expression evaluates to a scalar/vector flag and one term dict that maps
 (direction, exponent tuple) to a nonzero coefficient, with direction 0 for
-scalar terms.  ``+`` and ``-`` accumulate into that dict in place; ``*``
-multiplies two dicts, at most one of which has directions; ``^`` squares
-repeatedly, so ``x1^100000000`` takes 38 products, not 10^8.  ``parse_frame`` builds
-each component's ``Poly`` once, when its field line is read.
+scalar terms.  Within a term, the rationals, variables and direction, with
+their powers, fold into one running coefficient, exponent list and
+direction, so ``x1^100000000`` adds to one exponent.  Only a parenthesized
+factor is a term dict: ``^`` on it squares repeatedly, and ``_product``
+multiplies the term's monomial by each such factor in turn, left to right.
+``+`` and ``-`` accumulate terms into the expression's dict in place.
+``parse_frame`` builds each component's ``Poly`` once, when its field line
+is read.
 
 Algebra files::
 
@@ -47,9 +57,9 @@ repeat.  The parsed table is validated before being returned.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+import string
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .errors import DomainError, InvalidAlgebra, ParseError
 from .flags import StratifiedAlgebra, validate_algebra
@@ -68,90 +78,181 @@ MAX_DIM = 100_000
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
 
-_Token = namedtuple("_Token", "kind text line col")
-
-# One match per token; a symbol is its own kind.  Whitespace matches no
-# alternative and is skipped, and BAD is any other single character.
-_TOKEN = re.compile(
-    r"(?P<INT>[0-9]+)|(?P<WORD>[A-Za-z][A-Za-z0-9_]*)|(?P<SYM>[=+\-*^/()])|(?P<BAD>\S)"
-)
-
-
-def _tokenize(text: str) -> list[list[_Token]]:
-    """Token rows, one per logical line; comments and blank lines dropped."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = []
-        for m in _TOKEN.finditer(raw.split("#", 1)[0]):
-            kind, word, col = m.lastgroup, m.group(), m.start() + 1
-            if kind == "BAD":
-                raise ParseError(f"unexpected character {word!r}", lineno, col)
-            toks.append(_Token(word if kind == "SYM" else kind, word, lineno, col))
-        if toks:
-            rows.append(toks)
-    return rows
+# One match per token; whitespace matches no alternative and is skipped, and
+# the last alternative is any other single character.  A token's kind is read
+# from its first character: INT, WORD or the symbol itself.  A character with
+# no kind starts no token of the grammar, and ``_tokenize`` refuses it.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[=+\-*^/()]|\S")
+_KINDS = dict.fromkeys(string.digits, "INT") | dict.fromkeys(string.ascii_letters, "WORD")
+_KINDS |= {symbol: symbol for symbol in "=+-*^/()"}
 
 
-def _int(tok: _Token, digits: str | None = None) -> int:
-    """The integer spelled by ``digits``, by default the whole token."""
-    digits = tok.text if digits is None else digits
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(f"integer of more than {MAX_DIGITS} digits", tok.line, tok.col)
-    return int(digits)
+class _Line:
+    """The token texts of one logical line and a cursor into them.  A
+    column is found only for an error, by scanning the line again."""
 
+    __slots__ = ("toks", "pos", "lineno", "code")
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
+    def __init__(self, lineno: int, code: str, toks: list[str]):
+        self.toks, self.pos, self.lineno, self.code = toks, 0, lineno, code
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, at: int) -> ParseError:
+        """ParseError at token ``at``; past the last token, just after it."""
+        spans = [m.span() for m in _TOKEN.finditer(self.code)]
+        col = spans[at][0] + 1 if at < len(spans) else spans[-1][1] + 1
+        return ParseError(message, self.lineno, col)
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise ParseError("unexpected end of line", self.line, last.col + len(last.text))
-        self.pos += 1
-        return tok
+    def peek(self) -> str | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def expect(self, kind: str) -> _Token:
+    def next(self) -> str:
+        pos = self.pos
+        if pos == len(self.toks):
+            raise self.error("unexpected end of line", pos)
+        self.pos = pos + 1
+        return self.toks[pos]
+
+    def expect(self, kind: str) -> str:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
+        if _KINDS[tok[0]] != kind:
+            raise self.error(f"expected {kind!r}, found {tok!r}", self.pos - 1)
         return tok
 
     def done(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing token {tok.text!r}", tok.line, tok.col)
+        if self.pos < len(self.toks):
+            raise self.error(f"unexpected trailing token {self.toks[self.pos]!r}", self.pos)
 
-    def _rational(self, int_tok: _Token) -> int | Fraction:
-        """INT ["/" INT] starting at the already consumed ``int_tok``."""
-        num = _int(int_tok)
-        tok = self.peek()
-        if tok is not None and tok.kind == "/":
-            self.next()
-            den_tok = self.expect("INT")
-            den = _int(den_tok)
+    def integer(self, at: int, digits: str | None = None) -> int:
+        """The integer spelled by ``digits``, by default all of token ``at``."""
+        digits = self.toks[at] if digits is None else digits
+        if len(digits) > MAX_DIGITS:
+            raise self.error(f"integer of more than {MAX_DIGITS} digits", at)
+        return int(digits)
+
+    def rational(self, at: int) -> int | Fraction:
+        """INT ["/" INT] starting at the already consumed token ``at``."""
+        num = self.integer(at)
+        if self.peek() == "/":
+            self.pos += 1
+            self.expect("INT")
+            den = self.integer(self.pos - 1)
             if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                raise self.error("zero denominator", self.pos - 1)
             return Fraction(num, den)
         return num
 
+    def index(self, at: int, n: int, what: str) -> int:
+        """The index in 1..n of token ``at``: a letter, then digits."""
+        tok = self.toks[at]
+        if not tok[1:].isdigit():
+            raise self.error(f"malformed {what} {tok!r}", at)
+        idx = self.integer(at, tok[1:])
+        if not 1 <= idx <= n:
+            raise self.error(f"index out of range at token {tok!r} (limit {n})", at)
+        return idx
 
-def _word_index(tok: _Token, prefix: str, n: int, what: str) -> int:
-    body = tok.text[len(prefix):]
-    if not body.isdigit():
-        raise ParseError(f"malformed {what} {tok.text!r}", tok.line, tok.col)
-    idx = _int(tok, body)
-    if not 1 <= idx <= n:
-        raise ParseError(
-            f"index out of range at token {tok.text!r} (limit {n})", tok.line, tok.col
-        )
-    return idx
+    def expr(self, n: int) -> tuple[bool, dict]:
+        """An expression on R^n as ``(vector, terms)``: the term dict of the
+        module docstring and whether it has directions."""
+        vector, terms = self.term(n)
+        while (sign := self.peek()) is not None and sign in "+-":
+            at = self.pos
+            self.pos += 1
+            rhs_vector, rhs = self.term(n)
+            if vector != rhs_vector:
+                raise self.error("cannot add a scalar and a vector term", at)
+            for key, c in rhs.items():
+                if sign == "-":
+                    c = -c
+                if key not in terms:
+                    terms[key] = c
+                elif c := terms[key] + c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return vector, terms
+
+    def term(self, n: int) -> tuple[bool, dict]:
+        """Numbers, variables and a direction fold into one coefficient,
+        exponent list and direction; each parenthesized factor is a term
+        dict that multiplies the result."""
+        toks, end = self.toks, len(self.toks)
+        coef, exps, direction, vector, parens, star = 1, [0] * n, 0, False, [], 0
+        while True:  # one factor per pass; ``value`` is the number, the
+            # index of x_i or d_j, or the term dict of a parenthesized factor
+            at = self.pos
+            tok = self.next()
+            lead = tok[0]
+            if lead == "x" or lead == "d":
+                value = self.index(at, n, "variable" if lead == "x" else "direction")
+            elif lead == "(":
+                is_vector, value = self.expr(n)
+                if (closing := self.next()) != ")":
+                    raise self.error(f"expected ')', found {closing!r}", self.pos - 1)
+            elif _KINDS[lead] == "INT":
+                value = self.rational(at)
+            else:
+                raise self.error(f"unexpected token {tok!r}", at)
+            factor_vector = lead == "d" or lead == "(" and is_vector
+            power = 1
+            while self.pos < end and toks[self.pos] == "^":
+                caret = self.pos
+                self.pos += 1
+                self.expect("INT")
+                e = self.integer(self.pos - 1)
+                if factor_vector:
+                    raise self.error("cannot exponentiate a vector", caret)
+                if lead != "(":
+                    power *= e
+                    continue
+                squares, value = value, {(0, (0,) * n): 1}
+                while e:  # repeated squaring, one bit of e per pass
+                    if e & 1:
+                        value = _product(value, squares)
+                    e >>= 1
+                    if e:
+                        squares = _product(squares, squares)
+            if factor_vector:
+                if vector:
+                    raise self.error("cannot multiply two vector expressions", star)
+                vector = True
+            if lead == "x":
+                exps[value - 1] += power
+            elif lead == "d":
+                direction = value
+            elif lead == "(":
+                parens.append(value)
+            else:
+                if power != 1:
+                    value = value**power if power else 1
+                coef = value if coef == 1 else coef * value
+            if self.pos == end or toks[self.pos] != "*":
+                break
+            star = self.pos
+            self.pos += 1
+        if not coef:
+            return vector, {}
+        terms = {(direction, tuple(exps)): coef}
+        for factor in parens:
+            terms = _product(terms, factor)
+        return vector, terms
+
+
+def _tokenize(text: str) -> list[_Line]:
+    """One ``_Line`` per logical line; comments and blank lines dropped.  A
+    character that starts no token raises before any line is parsed."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        toks = _TOKEN.findall(code)
+        if not toks:
+            continue
+        row = _Line(lineno, code, toks)
+        if not _KINDS.keys() >= set(map(itemgetter(0), toks)):
+            at = next(i for i, tok in enumerate(toks) if tok[0] not in _KINDS)
+            raise row.error(f"unexpected character {toks[at]!r}", at)
+        rows.append(row)
+    return rows
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -165,122 +266,40 @@ def _product(a: dict, b: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-class _ExprParser(_LineParser):
-    """Evaluates an expression to ``(vector, terms)``: the term dict of the
-    module docstring and whether it has directions."""
-
-    def __init__(self, tokens, line, n):
-        super().__init__(tokens, line)
-        self.n = n
-        self.zeros = (0,) * n
-
-    def parse_expr(self) -> tuple[bool, dict]:
-        vector, terms = self.parse_term()
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            self.next()
-            rhs_vector, rhs = self.parse_term()
-            if vector != rhs_vector:
-                raise ParseError(
-                    "cannot add a scalar and a vector term", tok.line, tok.col
-                )
-            sign = 1 if tok.kind == "+" else -1
-            for key, c in rhs.items():
-                c = terms.get(key, 0) + sign * c
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        return vector, terms
-
-    def parse_term(self) -> tuple[bool, dict]:
-        vector, terms = self.parse_factor()
-        while (tok := self.peek()) is not None and tok.kind == "*":
-            self.next()
-            rhs_vector, rhs = self.parse_factor()
-            if vector and rhs_vector:
-                raise ParseError("cannot multiply two vector expressions", tok.line, tok.col)
-            vector, terms = vector or rhs_vector, _product(terms, rhs)
-        return vector, terms
-
-    def parse_factor(self) -> tuple[bool, dict]:
-        tok = self.next()
-        zeros = self.zeros
-        if tok.kind == "INT":
-            c = self._rational(tok)
-            vector, terms = False, {(0, zeros): c} if c else {}
-        elif tok.kind == "WORD" and tok.text.startswith("x"):
-            i = _word_index(tok, "x", self.n, "variable")
-            vector, terms = False, {(0, zeros[: i - 1] + (1,) + zeros[i:]): 1}
-        elif tok.kind == "WORD" and tok.text.startswith("d"):
-            vector, terms = True, {(_word_index(tok, "d", self.n, "direction"), zeros): 1}
-        elif tok.kind == "(":
-            vector, terms = self.parse_expr()
-            closing = self.next()
-            if closing.kind != ")":
-                raise ParseError(
-                    f"expected ')', found {closing.text!r}", closing.line, closing.col
-                )
-        else:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        while (caret := self.peek()) is not None and caret.kind == "^":
-            self.next()
-            e = _int(self.expect("INT"))
-            if vector:
-                raise ParseError("cannot exponentiate a vector", caret.line, caret.col)
-            power = {(0, zeros): 1}
-            while e:  # repeated squaring, one bit of e per pass
-                if e & 1:
-                    power = _product(power, terms)
-                e >>= 1
-                if e:
-                    terms = _product(terms, terms)
-            terms = power
-        return vector, terms
-
-
 def parse_frame(text: str) -> Frame:
     """Parse a frame file into a Frame of polynomial fields."""
     rows = _tokenize(text)
     if not rows:
         raise ParseError("empty input", 1, 1)
-    header = _LineParser(rows[0], rows[0][0].line)
+    header = rows[0]
     word = header.expect("WORD")
-    if word.text != "dim":
-        raise ParseError(f"expected 'dim', found {word.text!r}", word.line, word.col)
+    if word != "dim":
+        raise header.error(f"expected 'dim', found {word!r}", 0)
     dim_tok = header.expect("INT")
-    digits = dim_tok.text.lstrip("0")
+    digits = dim_tok.lstrip("0")
     if len(digits) > len(str(MAX_DIM)) or int(digits or 0) > MAX_DIM:
-        raise ParseError(
-            f"dimension above the limit of {MAX_DIM}", dim_tok.line, dim_tok.col
-        )
-    n = _int(dim_tok)
+        raise header.error(f"dimension above the limit of {MAX_DIM}", 1)
+    n = header.integer(1)
     if n < 1:
-        raise ParseError("dimension must be positive", dim_tok.line, dim_tok.col)
+        raise header.error("dimension must be positive", 1)
     header.done()
     fields = []
-    for row in rows[1:]:
-        parser = _ExprParser(row, row[0].line, n)
-        name = parser.expect("WORD")
+    for line in rows[1:]:
+        name = line.expect("WORD")
         expected = f"X{len(fields) + 1}"
-        if name.text != expected:
-            raise ParseError(
-                f"expected field name {expected!r}, found {name.text!r}",
-                name.line,
-                name.col,
-            )
-        parser.expect("=")
-        vector, terms = parser.parse_expr()
-        parser.done()
+        if name != expected:
+            raise line.error(f"expected field name {expected!r}, found {name!r}", 0)
+        line.expect("=")
+        vector, terms = line.expr(n)
+        line.done()
         if not vector:
-            raise ParseError(
-                "field expression must involve a direction dj", name.line, name.col
-            )
+            raise line.error("field expression must involve a direction dj", 0)
         comps: list[dict] = [{} for _ in range(n)]
         for (j, exps), c in terms.items():
             comps[j - 1][exps] = c
         fields.append(PolyField(tuple(Poly(n, comp) for comp in comps)))
     if not fields:
-        raise ParseError("frame needs at least one field line", rows[0][0].line, 1)
+        raise ParseError("frame needs at least one field line", header.lineno, 1)
     return Frame(n, tuple(fields))
 
 
@@ -289,42 +308,36 @@ def parse_algebra(text: str) -> StratifiedAlgebra:
     rows = _tokenize(text)
     if not rows:
         raise ParseError("empty input", 1, 1)
-    header = _LineParser(rows[0], rows[0][0].line)
+    header = rows[0]
     word = header.expect("WORD")
-    if word.text != "layers":
-        raise ParseError(f"expected 'layers', found {word.text!r}", word.line, word.col)
+    if word != "layers":
+        raise header.error(f"expected 'layers', found {word!r}", 0)
     dims = []
     while header.peek() is not None:
-        tok = header.expect("INT")
-        d = _int(tok)
+        header.expect("INT")
+        d = header.integer(header.pos - 1)
         if d < 1:
-            raise ParseError("layer dimensions must be positive", tok.line, tok.col)
+            raise header.error("layer dimensions must be positive", header.pos - 1)
         dims.append(d)
     if not dims:
-        tok = rows[0][-1]
-        raise ParseError("expected at least one layer dimension", tok.line, tok.col + len(tok.text))
+        raise header.error("expected at least one layer dimension", header.pos)
     total = sum(dims)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for row in rows[1:]:
-        parser = _LineParser(row, row[0].line)
-        word = parser.expect("WORD")
-        if word.text != "bracket":
-            raise ParseError(
-                f"expected 'bracket', found {word.text!r}", word.line, word.col
-            )
-        ei = parser.expect("WORD")
-        i = _e_index(ei, total)
-        ej = parser.expect("WORD")
-        j = _e_index(ej, total)
+    for line in rows[1:]:
+        word = line.expect("WORD")
+        if word != "bracket":
+            raise line.error(f"expected 'bracket', found {word!r}", 0)
+        line.expect("WORD")
+        i = _e_index(line, total)
+        line.expect("WORD")
+        j = _e_index(line, total)
         if not i < j:
-            raise ParseError(
-                f"bracket pair needs i < j, got e{i} e{j}", ei.line, ei.col
-            )
+            raise line.error(f"bracket pair needs i < j, got e{i} e{j}", 1)
         if (i, j) in table:
-            raise ParseError(f"duplicate bracket line for e{i} e{j}", ei.line, ei.col)
-        parser.expect("=")
-        table[(i, j)] = _parse_rhs(parser, total)
-        parser.done()
+            raise line.error(f"duplicate bracket line for e{i} e{j}", 1)
+        line.expect("=")
+        table[(i, j)] = _parse_rhs(line, total)
+        line.done()
     alg = StratifiedAlgebra(tuple(dims), table)
     report = validate_algebra(alg)
     if not report.valid:
@@ -332,45 +345,44 @@ def parse_algebra(text: str) -> StratifiedAlgebra:
     return alg
 
 
-def _e_index(tok: _Token, total: int) -> int:
-    if tok.kind != "WORD" or not tok.text.startswith("e"):
-        raise ParseError(f"expected basis label, found {tok.text!r}", tok.line, tok.col)
-    return _word_index(tok, "e", total, "basis label")
+def _e_index(line: _Line, total: int) -> int:
+    """The index of the basis label that ``line`` has just read."""
+    tok = line.toks[line.pos - 1]
+    if not tok.startswith("e"):
+        raise line.error(f"expected basis label, found {tok!r}", line.pos - 1)
+    return line.index(line.pos - 1, total, "basis label")
 
 
-def _parse_rhs(parser: _LineParser, total: int) -> dict[int, Fraction]:
+def _parse_rhs(line: _Line, total: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
-    tok = parser.peek()
-    if tok is not None and tok.kind == "INT" and tok.text == "0" and parser.pos + 1 == len(parser.tokens):
-        parser.next()
+    tok = line.peek()
+    if tok == "0" and line.pos + 1 == len(line.toks):
+        line.next()
         return out
     sign = Fraction(1)
-    if tok is not None and tok.kind in "+-":  # a sign on the first term
-        parser.next()
-        sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
+    if tok is not None and tok in "+-":  # a sign on the first term
+        line.next()
+        sign = Fraction(1) if tok == "+" else Fraction(-1)
     while True:
         coeff = sign
-        tok = parser.peek()
+        tok = line.peek()
         if tok is None:
-            last = parser.tokens[-1]
-            raise ParseError("expected a term", last.line, last.col + len(last.text))
-        if tok.kind == "INT":
-            coeff *= parser._rational(parser.next())
-            star = parser.next()
-            if star.kind != "*":
-                raise ParseError(
-                    f"expected '*', found {star.text!r}", star.line, star.col
-                )
-        label = parser.next()
-        m = _e_index(label, total)
+            raise line.error("expected a term", line.pos)
+        if _KINDS[tok[0]] == "INT":
+            line.next()
+            coeff *= line.rational(line.pos - 1)
+            if (star := line.next()) != "*":
+                raise line.error(f"expected '*', found {star!r}", line.pos - 1)
+        line.next()
+        m = _e_index(line, total)
         out[m] = out.get(m, Fraction(0)) + coeff
-        tok = parser.peek()
+        tok = line.peek()
         if tok is None:
             break
-        if tok.kind not in "+-":
-            raise ParseError(f"expected '+' or '-', found {tok.text!r}", tok.line, tok.col)
-        parser.next()
-        sign = Fraction(1) if tok.kind == "+" else Fraction(-1)
+        if tok not in "+-":
+            raise line.error(f"expected '+' or '-', found {tok!r}", line.pos)
+        line.next()
+        sign = Fraction(1) if tok == "+" else Fraction(-1)
     return {m: c for m, c in out.items() if c != 0}
 
 

@@ -215,11 +215,19 @@ class _Vector:
     def n(self) -> int:
         return len(self.comps)
 
+    def _operand(self, other, symbol: str) -> tuple:
+        """The components of ``other``, which must be a vector too."""
+        if not isinstance(other, _Vector):
+            raise DomainError(
+                f"{type(self).__name__} {symbol} {type(other).__name__}: the operand is not a vector"
+            )
+        return other.comps
+
     def __add__(self, other):
-        return type(self)(tuple(map(add, self.comps, other.comps)))
+        return type(self)(tuple(map(add, self.comps, self._operand(other, "+"))))
 
     def __sub__(self, other):
-        return type(self)(tuple(map(sub, self.comps, other.comps)))
+        return type(self)(tuple(map(sub, self.comps, self._operand(other, "-"))))
 
     def __neg__(self):
         return type(self)(tuple(-p for p in self.comps))
@@ -443,7 +451,9 @@ class _TaylorParts(_GradedLeaf):
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
         n = self.n = field.n
-        if len(point) != n or not all(type(x) is int or type(x) is Fraction for x in point):
+        if type(point) is not tuple or len(point) != n or not all(
+            type(x) is int or type(x) is Fraction for x in point
+        ):
             point = _exact_vector(point, "point", n)
         w = self.width = _pack_width(order)
         self._parts = {}

@@ -1,6 +1,8 @@
 import json
 import threading
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from liegrowth import catalog, flags, freelie, parsing
 from liegrowth.cli import main
 from liegrowth.errors import DomainError, InvalidAlgebra, ParseError
 
-from helpers import F
+from helpers import F, bench_workloads
 
 
 # --- frame parsing ------------------------------------------------------------
@@ -85,6 +87,65 @@ def test_adversarial_fixtures_fail_with_positions():
         assert err.value.line >= 1 and err.value.col >= 1, repr(text)
 
 
+# The message, line and column of each ADVERSARIAL fixture, in its order.
+ADVERSARIAL_ERRORS = [
+    ("empty input", 1, 1),
+    ("unexpected end of line", 1, 4),
+    ("dimension must be positive", 1, 5),
+    ("expected 'dim', found 'dims'", 1, 1),
+    ("frame needs at least one field line", 1, 1),
+    ("unexpected end of line", 2, 5),
+    ("expected field name 'X1', found 'X2'", 2, 1),
+    ("expected field name 'X2', found 'X1'", 3, 1),
+    ("expected field name 'X1', found 'Y1'", 2, 1),
+    ("expected '=', found 'd1'", 2, 4),
+    ("unexpected end of line", 2, 10),
+    ("unexpected token '+'", 2, 6),
+    ("unexpected token '-'", 2, 6),
+    ("unexpected end of line", 2, 9),
+    ("unexpected trailing token ')'", 2, 8),
+    ("unexpected token ')'", 2, 7),
+    ("zero denominator", 2, 8),
+    ("expected 'INT', found '/'", 2, 8),
+    ("index out of range at token 'd4' (limit 3)", 2, 6),
+    ("index out of range at token 'x4' (limit 3)", 2, 6),
+    ("cannot multiply two vector expressions", 2, 8),
+    ("cannot exponentiate a vector", 2, 8),
+    ("expected 'INT', found 'x2'", 2, 9),
+    ("expected 'INT', found '('", 2, 9),
+    ("field expression must involve a direction dj", 2, 1),
+    ("cannot add a scalar and a vector term", 2, 9),
+    ("unexpected character '@'", 2, 9),
+    ("unexpected trailing token 'd2'", 2, 9),
+    ("malformed direction 'dx'", 2, 6),
+    ("unexpected character '.'", 1, 6),
+]
+
+ALGEBRA_ERRORS = [
+    ("layers 2 \u00b9\n", "unexpected character '\u00b9'", 1, 10),
+    ("layers 2 1\nbracket e1 e2 = 1/0*e3\n", "zero denominator", 2, 19),
+    ("layers 2 1\nbracket e1 e2 = - - e3\n", "expected basis label, found '-'", 2, 19),
+    ("layers 2 1\nbracket e2 e1 = e3\n", "bracket pair needs i < j, got e2 e1", 2, 9),
+    ("layers 2 1\nbracket e1 e2 = e3\nbracket e1 e2 = e3\n",
+     "duplicate bracket line for e1 e2", 3, 9),
+    ("layers 2 1\nbracket e1 e5 = e3\n", "index out of range at token 'e5' (limit 3)", 2, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, col",
+    [(parsing.parse_frame, text, *want) for text, want in zip(ADVERSARIAL, ADVERSARIAL_ERRORS)]
+    + [(parsing.parse_algebra, *case) for case in ALGEBRA_ERRORS],
+)
+def test_parse_errors_keep_their_message_and_position(parse, text, message, line, col):
+    assert len(ADVERSARIAL_ERRORS) == len(ADVERSARIAL)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line {line}, column {col})", line, col
+    )
+
+
 @pytest.mark.parametrize(
     "parse, text, line, col",
     [
@@ -106,6 +167,80 @@ def test_non_ascii_digits_are_unexpected_characters(parse, text, line, col):
     assert str(err.value) == f"unexpected character {ch!r} (line {line}, column {col})"
 
 
+def _terms(frame):
+    """Every field's components as (monomial, coefficient, type) lists, in
+    dict order."""
+    return [
+        [[(m, c, type(c)) for m, c in comp.terms.items()] for comp in fld.comps]
+        for fld in frame.fields
+    ]
+
+
+def test_frames_without_parentheses_form_no_term_product(monkeypatch):
+    # a term's numbers, variables, direction and powers fold into one
+    # monomial; only a parenthesized factor goes through _product
+    workloads = bench_workloads()
+    texts = [(Path(__file__).parent / "data" / "dense_rank2_r10.frame").read_text()]
+    for seed in (1, 2, 3):
+        for wl in (workloads.FlagsDense, workloads.Cli):
+            files = wl.files(wl.generate(seed))
+            texts += [text for name, text in sorted(files.items()) if name.endswith(".frame")]
+    assert len(texts) == 1 + 3 * (16 + 15)
+    want = [_terms(parsing.parse_frame(text)) for text in texts]
+
+    def refuse(a, b):
+        raise AssertionError("_product called")
+
+    monkeypatch.setattr(parsing, "_product", refuse)
+    assert [_terms(parsing.parse_frame(text)) for text in texts] == want
+
+
+@pytest.mark.parametrize(
+    "expr, comps",
+    [
+        ("x1^2^3*d1", [[((6, 0), 1, int)], []]),
+        ("(x1 + 1)^0*d2", [[], [((0, 0), 1, int)]]),
+        ("0^0*d1", [[((0, 0), 1, int)], []]),
+        ("2*(x1*d1)*x2^2", [[((1, 2), 2, int)], []]),
+        (
+            "(d1 + x1*d2)*(1/2 + x2)",
+            [[((0, 0), F(1, 2), Fraction), ((0, 1), 1, int)], [((1, 0), F(1, 2), Fraction), ((1, 1), 1, int)]],
+        ),
+        ("0*(x1 + x2)*d1", [[], []]),
+        (
+            # parenthesized factors multiply left to right, and the x1
+            # terms of the first product cancel
+            "(x1 - 1/2)*(x1 + 1/2)*(x1 + 1)*d1",
+            [[((3, 0), 1, int), ((2, 0), 1, int), ((1, 0), F(-1, 4), Fraction), ((0, 0), F(-1, 4), Fraction)], []],
+        ),
+        ("1/2^0*d1 + 2^3*x2*d2 - 4/2*x1^0*d2", [[((0, 0), 1, int)], [((0, 1), 8, int), ((0, 0), -2, int)]]),
+    ],
+)
+def test_term_corner_cases(expr, comps):
+    assert _terms(parsing.parse_frame(f"dim 2\nX1 = {expr}\n")) == [comps]
+
+
+@pytest.mark.parametrize(
+    "expr, message, col",
+    [
+        ("d1 + (x1 + x3)*d2", "index out of range at token 'x3' (limit 2)", 17),
+        ("(x1 + 1/0)*d1", "zero denominator", 14),
+        ("(1 + (x1 + d2))*d1", "cannot add a scalar and a vector term", 15),
+        ("(x1 + 1)^2^x1*d1", "expected 'INT', found 'x1'", 17),
+        # a factor's powers are read before it is multiplied into its term
+        ("d1*d2^2", "cannot exponentiate a vector", 11),
+        ("d1*(x1*d2)^x1", "expected 'INT', found 'x1'", 17),
+        ("x1*d1*d2^0", "cannot exponentiate a vector", 14),
+    ],
+)
+def test_errors_inside_a_term_keep_their_position(expr, message, col):
+    with pytest.raises(ParseError) as err:
+        parsing.parse_frame(f"dim 2\nX1 = {expr}\n")
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line 2, column {col})", 2, col
+    )
+
+
 def test_huge_exponent_parses_by_repeated_squaring():
     # a daemon thread, so that a power computed factor by factor fails the
     # test after 1 s instead of hanging it
@@ -116,6 +251,17 @@ def test_huge_exponent_parses_by_repeated_squaring():
     worker.join(timeout=1)
     assert parsed, "x1^100000000 did not parse within 1 s"
     assert parsed[0].fields[0].comps[0].terms == {(100000000, 0, 0): 1}
+
+
+def test_huge_power_of_a_parenthesized_factor_squares_repeatedly():
+    # a parenthesized factor stays a term dict, and ^ on it squares
+    parsed = []
+    text = "dim 3\nX1 = (x1*x2^2)^100000000*d1\n"
+    worker = threading.Thread(target=lambda: parsed.append(parsing.parse_frame(text)), daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert parsed, "(x1*x2^2)^100000000 did not parse within 1 s"
+    assert parsed[0].fields[0].comps[0].terms == {(100000000, 200000000, 0): 1}
 
 
 @pytest.mark.parametrize("dim", ["1000000000", "100001", "0" * 7 + "100001", "9" * 5000])

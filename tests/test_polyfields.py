@@ -181,6 +181,41 @@ def test_malformed_vector_components_raise(kind):
     assert vec(two).comps == tuple(two) and vec(iter(two)) == vec(two)
 
 
+@pytest.mark.parametrize("point", [5, None], ids=["int", "None"])
+def test_a_point_that_cannot_be_iterated_is_a_domain_error(point):
+    # every reader of a point goes through linalg._exact_vector; before that
+    # rule these were a TypeError from enumerate or from len(point)
+    from liegrowth import catalog
+    from liegrowth.ampleness import slice_report
+    from liegrowth.flags import lie_flag
+
+    heis = catalog.heisenberg_frame()
+    calls = [
+        lambda: heis.values_at(point),
+        lambda: ja.jet_of_frame(heis, point, 2),
+        lambda: lie_flag(heis, point, 2),
+        lambda: slice_report(heis, point, (1, 0, 0), 2),
+    ]
+    named = f"point must be a sequence, got {type(point).__name__}"
+    for call in calls:
+        with pytest.raises(DomainError, match=named):
+            call()
+
+
+@pytest.mark.parametrize("kind", sorted(_VECTORS))
+def test_vector_arithmetic_with_a_non_vector_names_its_type(kind):
+    vec, comps = _VECTORS[kind]
+    v = vec(comps(2))
+    for other in (5, None, "x"):
+        for symbol, op in (("+", v.__add__), ("-", v.__sub__)):
+            with pytest.raises(DomainError) as err:
+                op(other)
+            assert str(err.value) == (
+                f"{kind} {symbol} {type(other).__name__}: the operand is not a vector"
+            )
+    assert (v + v) - v == v
+
+
 def test_an_error_raised_while_iterating_is_not_read_as_a_non_sequence():
     # only an input that cannot be iterated is refused as "must be a
     # sequence"; a TypeError raised inside a generator propagates as it is
