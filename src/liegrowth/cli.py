@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (printed as ``ErrorName: message`` on
 stderr), 2 usage error.  Every subcommand takes ``--format text|json``;
 reports serialize with the field names of their dataclasses, rationals as
-``p/q`` strings.
+``p/q`` strings.  Each subcommand imports only the library modules it runs,
+so that ``hall`` or ``mgv`` does not load (and compile) the flag engine.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import ampleness as amp
-from . import checks, flags, freelie, parsing
 from .errors import DomainError, LieGrowthError, ParseError
 
 __all__ = ["main"]
@@ -44,6 +43,8 @@ def _check_size(entry: str, what: str) -> None:
     """Refuse an entry whose numerator or denominator has more than
     ``parsing.MAX_DIGITS`` digits or whose exponent exceeds it, before
     ``Fraction`` expands it, which takes seconds from about 10**6 on."""
+    from . import parsing
+
     mantissa, _, exponent = entry.lower().partition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if any(sum(map(str.isdigit, side)) > parsing.MAX_DIGITS for side in mantissa.split("/")):
@@ -99,7 +100,8 @@ def _read(path: str) -> str:
         raise ParseError(f"not UTF-8 text: {exc.reason}", len(lines), len(lines[-1])) from None
 
 
-def _flag_text(rep: flags.FlagReport) -> str:
+def _flag_text(rep) -> str:
+    """The text line of a ``flags.FlagReport``."""
     dims = "(" + ", ".join(str(d) for d in rep.dims) + ")"
     line = (
         f"growth {dims} step={rep.step} maximal={str(rep.maximal).lower()} "
@@ -121,6 +123,8 @@ def _slice_text(reports) -> str:
 
 
 def cmd_witt(args) -> int:
+    from . import freelie, parsing
+
     k, length = args.generators, args.length
     # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
     # bit lengths alone show most answers past 10**MAX_DIGITS before they
@@ -138,6 +142,8 @@ def cmd_witt(args) -> int:
 
 
 def cmd_hall(args) -> int:
+    from . import freelie
+
     basis = freelie.hall_basis(args.generators, args.max_length)
     lines = []
     for ln, layer in enumerate(basis.layers, start=1):
@@ -152,6 +158,8 @@ def cmd_hall(args) -> int:
 
 
 def cmd_mgv(args) -> int:
+    from . import freelie
+
     gv = freelie.maximal_growth_vector(args.rank, args.dim)
     free = freelie.is_free_type(gv, args.rank)
     text = f"{gv} step={gv.step} free_type={str(free).lower()}"
@@ -160,6 +168,8 @@ def cmd_mgv(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from . import flags, parsing
+
     frame = parsing.parse_frame(_read(args.frame))
     point = _parse_vector(args.point, frame.n, "point")
     max_step = args.max_step
@@ -171,6 +181,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_nilpotentize(args) -> int:
+    from . import flags, parsing
+
     alg = parsing.parse_algebra(_read(args.algebra))
     frame = flags.nilpotent_frame(alg)
     text = parsing.frame_to_text(frame)
@@ -184,21 +196,27 @@ def cmd_nilpotentize(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    from . import ampleness, parsing
+
     frame = parsing.parse_frame(_read(args.frame))
     point = _parse_vector(args.point, frame.n, "point")
     direction = _parse_vector(args.direction, frame.n, "direction")
-    reports = amp.slice_report(frame, point, direction, args.step)
+    reports = ampleness.slice_report(frame, point, direction, args.step)
     _emit(args, _slice_text(reports), reports)
     return 0
 
 
 def cmd_ampleness(args) -> int:
-    rows = amp.generic_slice_table(args.rank, args.dim)
+    from . import ampleness
+
+    rows = ampleness.generic_slice_table(args.rank, args.dim)
     _emit(args, _slice_text(rows), {"rank": args.rank, "dim": args.dim, "rows": rows})
     return 0
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     results = checks.run_suite(args.suite, seed=args.seed)
     lines = []
     failed = 0

@@ -43,10 +43,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial, lcm
 
-from . import jetalg, linalg
+from . import linalg
 from .errors import (
     DegenerateFrame,
     DomainError,
@@ -366,15 +365,15 @@ def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> Flag
     return _flag(leaves, point, max_step, cross_check)
 
 
-def formal_flag(
-    jet: jetalg.JetPoint, max_step: int, cross_check: bool = False
-) -> FlagReport:
-    """Flag dimensions computed purely from a jet.
+def formal_flag(jet, max_step: int, cross_check: bool = False) -> FlagReport:
+    """Flag dimensions computed purely from a jet (a ``jetalg.JetPoint``).
 
     The (max_step - 1)-jet fixes the order ``max_step - 1`` Taylor fields
     about its base point (``jetalg._taylor_fields``), and those are bracketed
     exactly as ``lie_flag`` brackets the Taylor expansions of a frame.
     """
+    from . import jetalg  # here, so that lie_flag alone never loads it
+
     _sizes(max_step=max_step)
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
@@ -493,6 +492,10 @@ def validate_algebra(alg: StratifiedAlgebra) -> AlgebraValidation:
     """Check grading, the Jacobi identity, and generation by the first layer.
 
     Returns the first violated identity with witnesses instead of raising.
+    Jacobi is checked on the basis triples i < j < l, in sorted order, that
+    contain a pair with a nonzero table row: the defect of any other triple
+    is a sum of brackets of zero, so a table of t rows costs about t * dim
+    triples, not C(dim, 3).
     """
     n = alg.dim
     r = alg.step
@@ -512,7 +515,13 @@ def validate_algebra(alg: StratifiedAlgebra) -> AlgebraValidation:
                     f"[e{i}, e{j}] has component e{m} in layer {alg.layer_of(m)}, "
                     f"expected layer {target}",
                 )
-    for i, j, l in combinations(range(1, n + 1), 3):
+    triples = {
+        tuple(sorted((a, b, c)))
+        for a, b in alg.table
+        for c in range(1, n + 1)
+        if c != a and c != b
+    }
+    for i, j, l in sorted(triples):
         defect: dict[int, Fraction] = {}
         for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
             for m, x in alg.bracket_basis(a, b).items():

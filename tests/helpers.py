@@ -420,3 +420,52 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
             )
         reports.append(amp.SliceReport(i, m_i, n_i, verdict, False))
     return reports
+
+
+def validate_algebra_reference(alg):
+    """Reference for ``flags.validate_algebra``: grading, then the Jacobi
+    identity on every basis triple i < j < l in order, then generation by
+    the first layer; the first failure is returned."""
+    from liegrowth import linalg
+    from liegrowth.flags import AlgebraValidation
+
+    n, r = alg.dim, alg.step
+    for (i, j), row in sorted(alg.table.items()):
+        target = alg.layer_of(i) + alg.layer_of(j)
+        for m in sorted(row):
+            if target > r:
+                return AlgebraValidation(
+                    False, "grading", f"[e{i}, e{j}] lands in layer {target} > step {r} but is nonzero"
+                )
+            if alg.layer_of(m) != target:
+                return AlgebraValidation(
+                    False,
+                    "grading",
+                    f"[e{i}, e{j}] has component e{m} in layer {alg.layer_of(m)}, "
+                    f"expected layer {target}",
+                )
+    for i, j, l in itertools.combinations(range(1, n + 1), 3):
+        defect: dict = {}
+        for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+            for m, x in alg.bracket_basis(a, b).items():
+                for t, y in alg.bracket_basis(m, c).items():
+                    defect[t] = defect.get(t, 0) + x * y
+        if any(defect.values()):
+            acc = [Fraction(defect.get(m, 0)) for m in range(1, n + 1)]
+            return AlgebraValidation(False, "jacobi", f"Jacobi fails on (e{i}, e{j}, e{l}); defect {acc}")
+    for lay in range(1, r):
+        target = list(alg.layer_indices(lay + 1))
+        rows = [
+            [alg.bracket_basis(a, b).get(m, Fraction(0)) for m in target]
+            for a in alg.layer_indices(1)
+            for b in alg.layer_indices(lay)
+        ]
+        got = linalg.rank(rows)
+        if got != alg.layer_dims[lay]:
+            return AlgebraValidation(
+                False,
+                "generation",
+                f"[layer 1, layer {lay}] spans only rank {got} of the "
+                f"{alg.layer_dims[lay]}-dimensional layer {lay + 1}",
+            )
+    return AlgebraValidation(True)

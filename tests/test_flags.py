@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import threading
 import time
 from fractions import Fraction
 from math import factorial
@@ -32,6 +33,7 @@ from helpers import (
     formal_flag_reference,
     rand_fraction,
     rand_point,
+    validate_algebra_reference,
 )
 
 
@@ -681,6 +683,61 @@ def test_validate_algebra_checks_jacobi_from_the_table(monkeypatch):
     assert flags.validate_algebra(alg).valid
     assert time.perf_counter() - start < 1.0
 
+
+
+def _random_graded_algebra(rng):
+    """A table on random layer dimensions: each pair of basis vectors gets a
+    row with probability 0.4, mostly with targets in its graded layer, now
+    and then anywhere."""
+    dims = (rng.randint(2, 3),) + tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+    alg = flags.StratifiedAlgebra(dims, {})
+    n, r = alg.dim, alg.step
+    table = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        lay = alg.layer_of(i) + alg.layer_of(j)
+        if rng.random() < 0.4 and (lay <= r or rng.random() < 0.05):
+            graded = lay <= r and rng.random() < 0.95
+            pool = alg.layer_indices(lay) if graded else range(1, n + 1)
+            targets = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+            table[(i, j)] = {m: rng.choice((-2, -1, 1, 1, 2)) for m in targets}
+    return flags.StratifiedAlgebra(dims, table)
+
+
+def test_validate_algebra_matches_the_all_triples_reference():
+    # validate_algebra checks Jacobi only on triples holding a table pair;
+    # the first failure, its kind and its detail match the loop over all
+    # C(dim, 3) triples
+    rng = random.Random(2401)
+    kinds = set()
+    for _ in range(400):
+        alg = _random_graded_algebra(rng)
+        got = flags.validate_algebra(alg)
+        assert got == validate_algebra_reference(alg), alg
+        kinds.add(got.kind)
+    assert kinds == {None, "grading", "jacobi", "generation"}
+
+
+def test_validate_algebra_fails_fast_on_a_sparse_wide_table():
+    # one bracket on a 1113-dimensional algebra: about 10**3 triples hold
+    # the one table pair, against C(1113, 3) = 2.3 * 10**8 in all.  A daemon
+    # thread, so that a loop over every triple fails the test after 1 s
+    # instead of hanging it
+    raised = []
+
+    def parse():
+        try:
+            parsing.parse_algebra("layers 2 1111\nbracket e1 e2 = 3/2*e3\n")
+        except InvalidAlgebra as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=parse, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert raised, "layers 2 1111 was not refused within 1 s"
+    assert raised[0].report.kind == "generation"
+    assert str(raised[0]) == (
+        "generation: [layer 1, layer 1] spans only rank 1 of the 1111-dimensional layer 2"
+    )
 
 # --- group-law series coefficients: brute-force re-derivation -------------------
 

@@ -1,11 +1,17 @@
-"""The runtime contract: importing liegrowth loads only the standard library."""
+"""The runtime contract: importing liegrowth loads only the standard library,
+each module is loaded on first use, and the package exports a fixed surface."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import liegrowth
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,13 +29,17 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_every_submodule_imports_only_the_standard_library():
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_every_submodule_imports_only_the_standard_library():
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", PROBE], env=_env(), capture_output=True, text=True,
         check=True, timeout=60,
     )
     loaded = json.loads(out.stdout)
@@ -61,14 +71,10 @@ def test_only_the_check_suites_import_random():
 
 def test_importing_the_package_builds_no_code_table():
     """The jet-coordinate code tables are built on first use, so importing
-    liegrowth and every submodule (what a CLI start pays) builds none."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
+    liegrowth and every submodule builds none."""
     probe = PROBE + "\nfrom liegrowth import jetalg\nprint(json.dumps(len(jetalg._TABLES)))\n"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=_env(), capture_output=True, text=True,
         check=True, timeout=60,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == 0
@@ -109,3 +115,117 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if name not in kept:
                     dead.append(f"{path.name}:{node.lineno} {name}")
     assert dead == []
+
+
+# The public names of the package, by defining module.
+EXPORTED = {
+    "ampleness": (
+        "ConvexWitness", "MatrixSpaceSpec", "Refutation", "SliceReport", "Verdict",
+        "adapted_frame", "classify_matrix_space", "det_affine_in_free_column",
+        "generic_slice_table", "gl_convex_decomposition", "hull_membership_witness",
+        "hull_verdict", "slice_report",
+    ),
+    "errors": (
+        "CapExceeded", "DegenerateFrame", "DomainError", "IncompleteJet",
+        "InconsistentFormalSolution", "InvalidAlgebra", "LieGrowthError",
+        "NormalDirection", "NotAmple", "NotFormalSolution", "OrderOverflow",
+        "ParseError", "Unclassified",
+    ),
+    "flags": (
+        "AlgebraValidation", "FlagReport", "StratifiedAlgebra", "formal_flag",
+        "left_invariant_extensions", "lie_flag", "nilpotent_frame", "validate_algebra",
+    ),
+    "freelie": (
+        "BracketExpr", "GrowthVector", "HallBasis", "hall_basis", "is_free_type",
+        "is_hall_element", "maximal_growth_vector", "mobius", "witt_dimension",
+    ),
+    "jetalg": (
+        "DiffPoly", "DiffVec", "JetPoint", "JetVar", "bracket", "bracket_of_expr",
+        "derive", "diffvec_bracket", "evaluate", "jet_of_frame",
+        "pure_derivative_extract", "pure_t_vars", "substitute",
+    ),
+    "parsing": ("frame_to_text", "parse_algebra", "parse_frame"),
+    "polyfields": (
+        "AffineMap", "Frame", "Poly", "PolyField", "frame_change", "poly_lie_bracket",
+        "pushforward",
+    ),
+}
+
+
+def test_the_package_exports_each_name_of_its_defining_module():
+    names = sorted(n for group in EXPORTED.values() for n in group)
+    assert len(names) == 66
+    assert sorted(liegrowth.__all__) == names
+    for mod, group in EXPORTED.items():
+        home = importlib.import_module(f"liegrowth.{mod}")
+        for name in group:
+            assert getattr(liegrowth, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from liegrowth import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    assert set(names) <= set(dir(liegrowth))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        liegrowth.no_such_name  # noqa: B018
+
+
+def test_a_package_name_follows_its_defining_module(monkeypatch):
+    # the package binds no re-exported name, so a rebinding in the defining
+    # module is what the package name reads
+    from liegrowth import flags
+
+    assert "lie_flag" not in vars(liegrowth)
+    marker = object()
+    monkeypatch.setattr(flags, "lie_flag", marker)
+    assert liegrowth.lie_flag is marker
+
+
+# Runs the CLI with the given arguments as ``python -m liegrowth`` does and
+# prints, last, the liegrowth modules loaded; with no arguments it only
+# imports the package.
+COLD = """
+import json, runpy, sys
+argv = sys.argv[1:]
+if argv:
+    sys.argv = ["liegrowth"] + argv
+    try:
+        runpy.run_module("liegrowth", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import liegrowth
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "liegrowth")))
+"""
+
+HEISENBERG = "dim 3\nX1 = d1 - 1/2*x2*d3\nX2 = d2 + 1/2*x1*d3\n"
+FREE23 = "layers 2 1\nbracket e1 e2 = e3\n"
+BASE = {"liegrowth", "liegrowth.cli", "liegrowth.errors", "liegrowth.freelie", "liegrowth.linalg"}
+POINT = ["--point", "0,0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, allowed, refused",
+    [
+        ([], {"liegrowth"}, set()),
+        (["hall", "--generators", "2", "--max-length", "3"], BASE, set()),
+        (["mgv", "--rank", "3", "--dim", "14"], BASE, set()),
+        (["growth", "--frame", "heis.frame", *POINT], None, {"jetalg", "checks", "catalog"}),
+        (["nilpotentize", "--algebra", "h.alg"], None, {"jetalg", "checks", "catalog"}),
+        (
+            ["slice", "--frame", "heis.frame", *POINT, "--direction", "1,0,0", "--step", "2"],
+            None, {"jetalg", "checks", "catalog"},
+        ),
+        (["ampleness", "--rank", "2", "--dim", "4"], None, {"jetalg", "checks", "catalog"}),
+    ],
+    ids=["import", "hall", "mgv", "growth", "nilpotentize", "slice", "ampleness"],
+)
+def test_a_cold_start_loads_only_the_modules_it_runs(tmp_path, argv, allowed, refused):
+    (tmp_path / "heis.frame").write_text(HEISENBERG)
+    (tmp_path / "h.alg").write_text(FREE23)
+    out = subprocess.run(
+        [sys.executable, "-c", COLD, *argv], env=_env(), cwd=tmp_path,
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    if allowed is not None:
+        assert loaded <= allowed
+    assert not {f"liegrowth.{mod}" for mod in refused} & loaded
