@@ -10,7 +10,10 @@ one free column, or dependent fixed columns, a target outside the component
 is refuted (the component is an open half-space or empty); otherwise a
 witness is constructed and verified exactly.  Slice reports read the frame
 once, as its Taylor leaves at the point; the leaves are recombined, not the
-frame, into the adapted ones.
+frame, into the adapted ones.  ``_adapted_change`` reads the frame values
+at the point once for ``adapted_frame`` and ``slice_report``: it is their
+only independence check and normal-direction test, and it builds the
+adapted change from the Gram solve alone.
 """
 
 from __future__ import annotations
@@ -240,28 +243,33 @@ def _direction(v, n: int) -> tuple:
     return v
 
 
-def _adapted_change(vecs, v):
-    """Constant frame change adapting the independent frame values ``vecs``
-    at a point to the direction v, read by ``_direction``.
+def _adapted_change(vecs, v, point):
+    """Constant frame change adapting the frame values ``vecs`` at ``point``
+    to the direction v, or ``None`` for a normal direction; the one front
+    end of ``adapted_frame`` and ``slice_report``.
 
-    Column 1 carries the orthogonal projection of v onto the span, rescaled
-    so its pairing with v is 1; the remaining columns span the orthogonal
-    complement of the projection inside the span (hence pair to 0 with v).
-    All inner products use the Euclidean form in the original coordinates.
+    In this order: dependent values raise ``DegenerateFrame``, v is read by
+    ``_direction``, and a v orthogonal to every value is normal.  Otherwise,
+    with r_i = <X_i, v> and G the Gram matrix, G alpha = r puts the
+    orthogonal projection of v onto the span at P = sum_j alpha_j X_j, so
+    <X_i, P> = r_i and <P, v> = alpha . r.  Column 1 is alpha / (alpha . r),
+    the projection rescaled so its pairing with v is 1; the remaining
+    columns are the nullspace of r, the orthogonal complement of P inside
+    the span (hence they pair to 0 with v).  All inner products use the
+    Euclidean form in the original coordinates.
     """
     k = len(vecs)
-    rhs = [linalg.dot(b, v) for b in vecs]
-    if all(x == 0 for x in rhs):
-        raise NormalDirection("direction is orthogonal to the frame span")
-    gram = [[linalg.dot(a, b) for b in vecs] for a in vecs]
-    alpha = linalg.solve(gram, rhs)
-    proj = [linalg.dot(alpha, col) for col in zip(*vecs)]
-    pairing = linalg.dot(proj, v)
-    first_col = [a / pairing for a in alpha]
-    row = [[linalg.dot(b, proj) for b in vecs]]
-    null = linalg.nullspace(row)
-    cols = [first_col] + null
-    g = [[cols[m][j] for m in range(k)] for j in range(k)]
+    if linalg.rank(vecs) < k:
+        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    # an empty frame has no value to give the ambient dimension
+    v = _direction(v, len(vecs[0]) if vecs else len(point))
+    r = [linalg.dot(b, v) for b in vecs]
+    if not any(r):
+        return None
+    alpha = linalg.solve([[linalg.dot(a, b) for b in vecs] for a in vecs], r)
+    pairing = linalg.dot(alpha, r)
+    cols = [[a / pairing for a in alpha], *linalg.nullspace([r])]
+    g = [[col[j] for col in cols] for j in range(k)]
     if linalg.det(g) == 0:
         raise AssertionError("adapted change matrix is singular")
     return g
@@ -270,12 +278,14 @@ def _adapted_change(vecs, v):
 def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:
     """Adapted frame values at the point: the frame values recombined so
     that the first is the rescaled projection of ``v`` onto the span and the
-    rest are orthogonal to it (and to ``v``) inside the span.
+    rest are orthogonal to it (and to ``v``) inside the span.  Dependent
+    values are refused before the direction is read (``_adapted_change``),
+    and a normal direction raises ``NormalDirection``.
     """
     vecs = fr.values_at(point)
-    if linalg.rank(vecs) < fr.k:
-        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    g = _adapted_change(vecs, _direction(v, fr.n))
+    g = _adapted_change(vecs, v, point)
+    if g is None:
+        raise NormalDirection("direction is orthogonal to the frame span")
     return tuple(tuple(linalg.dot(m, col) for col in zip(*vecs)) for m in zip(*g))
 
 
@@ -311,8 +321,11 @@ def slice_report(
     The frame is read once, as its Taylor expansions about the point
     (leaves, ``polyfields._TaylorParts``), whose degree-0 parts give its
     values; each degree is expanded once, when the engine first asks for
-    it.  Normal directions make every slice the full principal subspace.
-    For non-normal directions the leaves are recombined into adapted ones
+    it.  The direction is read first; the values then go through
+    ``_adapted_change``, which refuses dependent ones and returns ``None``
+    for a normal direction, and a normal direction makes every slice the
+    full principal subspace.  For non-normal directions the leaves are
+    recombined by the change it returns into adapted ones
     (``flags._Recombined``) and each level is classified from the rank of
     the brackets that do not reach the top pure derivative.  The same
     ``_span_ranks`` pass gives the full Hall rank of each level, which a
@@ -327,12 +340,9 @@ def slice_report(
             f"maximal growth on dimension {n} has step {gv.step}, got {step}"
         )
     leaves = [_TaylorParts(f, point, step - 1) for f in fr.fields]
-    vecs = [leaf.values() for leaf in leaves]
-    if linalg.rank(vecs) < k:
-        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    normal = all(linalg.dot(v, b) == 0 for b in vecs)
+    g = _adapted_change([leaf.values() for leaf in leaves], v, point)
+    normal = g is None
     if not normal:
-        g = _adapted_change(vecs, v)
         leaves = [_Recombined(leaves, [row[m] for row in g]) for m in range(k)]
     dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top, cross_check))
     if dims != gv.entries:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import json
 import sys
 from fractions import Fraction
 
@@ -41,18 +40,16 @@ def _to_jsonable(obj):
 
 def _check_size(entry: str, what: str) -> None:
     """Refuse an entry whose numerator or denominator has more than
-    ``parsing.MAX_DIGITS`` digits or whose exponent exceeds it, before
+    ``linalg.MAX_DIGITS`` digits or whose exponent exceeds it, before
     ``Fraction`` expands it, which takes seconds from about 10**6 on."""
-    from . import parsing
+    from .linalg import MAX_DIGITS
 
     mantissa, _, exponent = entry.lower().partition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if any(sum(map(str.isdigit, side)) > parsing.MAX_DIGITS for side in mantissa.split("/")):
-        problem = f"has more than {parsing.MAX_DIGITS} digits"
-    elif digits.isdigit() and (
-        len(digits) > len(str(parsing.MAX_DIGITS)) or int(digits) > parsing.MAX_DIGITS
-    ):
-        problem = f"has an exponent above {parsing.MAX_DIGITS}"
+    if any(sum(map(str.isdigit, side)) > MAX_DIGITS for side in mantissa.split("/")):
+        problem = f"has more than {MAX_DIGITS} digits"
+    elif digits.isdigit() and (len(digits) > len(str(MAX_DIGITS)) or int(digits) > MAX_DIGITS):
+        problem = f"has an exponent above {MAX_DIGITS}"
     else:
         return
     raise DomainError(f"{what} entry {_shown(entry)} {problem} (parsing.MAX_DIGITS)")
@@ -82,6 +79,8 @@ def _parse_vector(text: str, n: int, what: str) -> tuple[Fraction, ...]:
 
 def _emit(args, text: str, payload) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(_to_jsonable(payload), indent=2))
     else:
         print(text)
@@ -123,19 +122,19 @@ def _slice_text(reports) -> str:
 
 
 def cmd_witt(args) -> int:
-    from . import freelie, parsing
+    from . import freelie, linalg
 
     k, length = args.generators, args.length
     # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
     # bit lengths alone show most answers past 10**MAX_DIGITS before they
     # are computed
     lower_bits = length * (k.bit_length() - 1) - 1 - length.bit_length()
-    huge = k >= 2 and lower_bits >= parsing._TOO_LONG.bit_length()
+    huge = k >= 2 and lower_bits >= linalg._TOO_LONG.bit_length()
     value = None if huge else freelie.witt_dimension(k, length)
-    if huge or value >= parsing._TOO_LONG:
+    if huge or value >= linalg._TOO_LONG:
         raise DomainError(
             f"witt dimension for {k} generators at length {length} has more than "
-            f"{parsing.MAX_DIGITS} digits (parsing.MAX_DIGITS)"
+            f"{linalg.MAX_DIGITS} digits (parsing.MAX_DIGITS)"
         )
     _emit(args, str(value), {"value": value})
     return 0

@@ -28,7 +28,10 @@ and ``formal_flag`` reads the Taylor fields its jet fixes
 (``jetalg._taylor_fields``); it and ``lie_flag`` run one body, ``_flag``.
 The engine generates Hall layers one length at a time, adds their values
 to the span one at a time, forms no value once the span has rank n, and
-stops early once a whole layer of brackets vanishes.
+stops early once a whole layer of brackets vanishes.  Layer 1 is the
+leaves' values, so its rank is the independence check of the frame at the
+point: ``_flag`` raises ``DegenerateFrame`` when it is below k, before any
+bracket is formed.
 
 The engine runs on ints.  Each leaf is its Taylor field times one nonzero
 int, with every monomial packed into an int, so a bracket multiplies and
@@ -341,11 +344,15 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
 def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
     """Flag of the graded leaves ``leaves`` about ``point``, made for
     ``max_step``: the Hall span ranks up to ``max_step``, stopped once they
-    reach the ambient dimension."""
+    reach the ambient dimension.  Layer 1 is the leaves' values, so its
+    rank is the independence check: below k it raises ``DegenerateFrame``
+    before any bracket is formed."""
     k, n = len(leaves), len(point)
-    if linalg.rank([[c.get(0, 0) for c in leaf.part(0)] for leaf in leaves]) < k:
+    ranks = _span_ranks(leaves, max_step, cross_check=cross_check)
+    first, _ = next(ranks)
+    if first < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    dims = [dim for dim, _ in _span_ranks(leaves, max_step, cross_check=cross_check)]
+    dims = [first] + [dim for dim, _ in ranks]
     return _report_from_dims(k, n, point, dims)
 
 

@@ -28,6 +28,13 @@ from math import lcm
 
 from .errors import DomainError
 
+# Python's default limit on the digits of an integer read from a string: a
+# longer integer token of a frame or algebra file is refused at its token,
+# whatever it stands for, ``parsing.frame_to_text`` refuses to write one,
+# and the CLI refuses to read or print one.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
 
 def _exact(x, what: str):
     """``x`` as an exact number: an int as it is, a ``Fraction`` as an int

@@ -23,8 +23,9 @@ whitespace, a non-ASCII digit or letter included, raises
 must be X1..Xk in order, and ``dim`` is at most ``MAX_DIM`` (100000): a
 larger one is refused at its token, before any field line is read.  Every
 integer token, indices and layer dimensions included, has at most
-``MAX_DIGITS`` (4300) digits, Python's default limit for reading one.  Every
-parse failure carries the 1-based line and column of the offending token.
+``MAX_DIGITS`` (4300, kept in ``linalg``) digits, Python's default limit
+for reading one.  Every parse failure carries the 1-based line and column
+of the offending token.
 
 A file is read in one pass.  Each line is one ``findall`` of ``_TOKEN``,
 which yields the token texts; a token's kind is read from its first
@@ -63,6 +64,7 @@ from operator import add, itemgetter
 
 from .errors import DomainError, InvalidAlgebra, ParseError
 from .flags import StratifiedAlgebra, validate_algebra
+from .linalg import _TOO_LONG, MAX_DIGITS
 from .polyfields import Frame, Poly, PolyField
 
 __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
@@ -71,12 +73,6 @@ __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
 # its element count: every field holds ``dim`` components and every monomial
 # ``dim`` exponents, so a larger header is refused before anything is built.
 MAX_DIM = 100_000
-
-# Python's default limit on the digits of an integer read from a string: a
-# longer integer token is refused at its token, whatever it stands for, and
-# ``frame_to_text`` refuses to write one.
-MAX_DIGITS = 4300
-_TOO_LONG = 10**MAX_DIGITS
 
 # One match per token; whitespace matches no alternative and is skipped, and
 # the last alternative is any other single character.  A token's kind is read
@@ -386,52 +382,33 @@ def _parse_rhs(line: _Line, total: int) -> dict[int, Fraction]:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _scalar_term_text(c: Fraction, exps: tuple[int, ...], direction: int) -> str:
-    parts = []
-    if abs(c) != 1:
-        parts.append(str(abs(c)))
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    parts.append(f"d{direction}")
-    return "*".join(parts)
-
-
 def frame_to_text(frame: Frame) -> str:
     """Serialize a frame in the file grammar; output re-parses exactly.
 
-    A coefficient whose numerator or denominator has more than
+    Each term is ``|c|*x1^e1*...*dj`` with the factor texts of
+    ``Poly._printed_terms``, component by component, and a coefficient of 1
+    left out.  A coefficient whose numerator or denominator has more than
     ``MAX_DIGITS`` digits could not be read back, so it raises
     ``DomainError`` instead.
     """
     lines = [f"dim {frame.n}"]
     for idx, fld in enumerate(frame.fields, start=1):
-        terms = []
+        out = []
         for j, poly in enumerate(fld.comps, start=1):
-            for exps, c in sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+            for factors, c in poly._printed_terms():
                 if max(abs(c.numerator), c.denominator) >= _TOO_LONG:
                     raise DomainError(
                         f"X{idx} has a d{j} coefficient of more than {MAX_DIGITS} "
                         "digits (parsing.MAX_DIGITS), which a frame file cannot hold"
                     )
-                terms.append((j, exps, c))
-        terms.sort(key=lambda t: (t[0], sum(t[1]), t[1]))
-        if not terms:
-            lines.append(f"X{idx} = 0*d1")
-            continue
-        rendered = []
-        for pos, (j, exps, c) in enumerate(terms):
-            body = _scalar_term_text(c, exps, j)
-            if pos == 0:
-                # no unary minus in the grammar: fold a leading negative
-                # coefficient into a parenthesized scalar factor
-                if c > 0:
-                    rendered.append(body)
-                else:
-                    rendered.append(f"(0 - {str(abs(c))})*" + _scalar_term_text(Fraction(1), exps, j))
-            else:
-                rendered.append((" + " if c > 0 else " - ") + body)
-        lines.append(f"X{idx} = " + "".join(rendered))
+                body = "*".join([*factors, f"d{j}"])
+                if not out and c < 0:
+                    # no unary minus in the grammar: fold a leading negative
+                    # coefficient into a parenthesized scalar factor
+                    out.append(f"(0 - {str(-c)})*{body}")
+                    continue
+                if abs(c) != 1:
+                    body = f"{str(abs(c))}*{body}"
+                out.append(((" + " if c > 0 else " - ") if out else "") + body)
+        lines.append(f"X{idx} = " + ("".join(out) or "0*d1"))
     return "\n".join(lines) + "\n"

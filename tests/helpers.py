@@ -363,6 +363,71 @@ def bench_workloads():
     return sys.modules[name]
 
 
+def adapted_change_reference(vecs, v):
+    """Reference for ``ampleness._adapted_change`` on independent values
+    ``vecs`` and an exact nonzero direction ``v``, by the projection formula:
+    the orthogonal projection P of v onto the span is formed as a vector;
+    column 1 is the Gram solution alpha over <P, v>, and the other columns
+    are the nullspace of the row of pairings <X_i, P>.  ``None`` for a
+    normal direction."""
+    from liegrowth import linalg
+
+    k = len(vecs)
+    rhs = [linalg.dot(b, v) for b in vecs]
+    if all(x == 0 for x in rhs):
+        return None
+    gram = [[linalg.dot(a, b) for b in vecs] for a in vecs]
+    alpha = linalg.solve(gram, rhs)
+    proj = [linalg.dot(alpha, col) for col in zip(*vecs)]
+    pairing = linalg.dot(proj, v)
+    cols = [[a / pairing for a in alpha]] + linalg.nullspace([[linalg.dot(b, proj) for b in vecs]])
+    return [[cols[m][j] for m in range(k)] for j in range(k)]
+
+
+def frame_to_text_reference(frame) -> str:
+    """Reference for ``parsing.frame_to_text``: every term of a field
+    collected with its direction, sorted by (direction, degree, exponents),
+    and each written from its exponents, ``|c|*x1^e1*...*dj``."""
+    from liegrowth.errors import DomainError
+    from liegrowth.linalg import _TOO_LONG, MAX_DIGITS
+
+    def term_text(c, exps, direction):
+        parts = [str(abs(c))] if abs(c) != 1 else []
+        for i, e in enumerate(exps):
+            if e == 1:
+                parts.append(f"x{i + 1}")
+            elif e > 1:
+                parts.append(f"x{i + 1}^{e}")
+        parts.append(f"d{direction}")
+        return "*".join(parts)
+
+    lines = [f"dim {frame.n}"]
+    for idx, fld in enumerate(frame.fields, start=1):
+        terms = []
+        for j, poly in enumerate(fld.comps, start=1):
+            for exps, c in poly.terms.items():
+                if max(abs(c.numerator), c.denominator) >= _TOO_LONG:
+                    raise DomainError(
+                        f"X{idx} has a d{j} coefficient of more than {MAX_DIGITS} "
+                        "digits (parsing.MAX_DIGITS), which a frame file cannot hold"
+                    )
+                terms.append((j, exps, c))
+        terms.sort(key=lambda t: (t[0], sum(t[1]), t[1]))
+        if not terms:
+            lines.append(f"X{idx} = 0*d1")
+            continue
+        rendered = []
+        for pos, (j, exps, c) in enumerate(terms):
+            if pos == 0 and c < 0:
+                rendered.append(f"(0 - {str(abs(c))})*" + term_text(1, exps, j))
+            elif pos == 0:
+                rendered.append(term_text(c, exps, j))
+            else:
+                rendered.append((" + " if c > 0 else " - ") + term_text(c, exps, j))
+        lines.append(f"X{idx} = " + "".join(rendered))
+    return "\n".join(lines) + "\n"
+
+
 def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     """Reference for ``ampleness.slice_report``, composed of whole-frame
     steps: the maximal-growth check is ``lie_flag`` at the point; the change
@@ -391,13 +456,13 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
         raise NotFormalSolution(
             f"flag {flag.dims} differs from the maximal growth vector {gv.entries}"
         )
-    vecs = fr.values_at(point)
-    if all(linalg.dot(v, b) == 0 for b in vecs):
+    g = adapted_change_reference(fr.values_at(point), v)
+    if g is None:
         return [
             amp.SliceReport(i, gv.entries[i - 1], gv.entries[i - 1], V.TRIVIALLY_AMPLE_FULL, True)
             for i in range(1, step + 1)
         ]
-    adapted = frame_change(fr, amp._adapted_change(vecs, v))
+    adapted = frame_change(fr, g)
     leaves = [_TaylorParts(f, point, step - 1) for f in adapted.fields]
     reports = []
     for i, (_, m_i) in enumerate(_span_ranks(leaves, step, amp._below_top, cross_check), 1):

@@ -23,7 +23,15 @@ from liegrowth.flags import StratifiedAlgebra, nilpotent_frame
 from liegrowth.freelie import hall_basis, maximal_growth_vector
 from liegrowth.polyfields import Frame, Poly, PolyField
 
-from helpers import F, bench_workloads, chain, rand_fraction, rand_point, slice_report_reference
+from helpers import (
+    F,
+    adapted_change_reference,
+    bench_workloads,
+    chain,
+    rand_fraction,
+    rand_point,
+    slice_report_reference,
+)
 
 V = amp.Verdict
 
@@ -196,6 +204,43 @@ def test_adapted_frame_general_position():
             assert linalg.dot(w, v) == 0
             assert linalg.dot(w, vals[0]) == 0
         assert linalg.rank(vals) == fr.k
+
+
+def test_adapted_change_matches_the_projection_formula():
+    # random independent values, 1 <= k <= n <= 9, with random directions
+    # and directions in the orthogonal complement of the span
+    rng = random.Random(25)
+    normal = cases = 0
+    while cases < 2000:
+        n = rng.randint(1, 9)
+        k = rng.randint(1, n)
+        vecs = [rand_point(rng, n) for _ in range(k)]
+        if linalg.rank(vecs) < k:
+            continue
+        if k < n and rng.random() < 0.15:
+            basis = linalg.nullspace(vecs)
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            v = [sum(a * c for a, c in zip(coeffs, col)) for col in zip(*basis)]
+        else:
+            v = rand_point(rng, n, 3, 2)
+        if not any(v):
+            continue
+        cases += 1
+        want = adapted_change_reference(vecs, tuple(v))
+        normal += want is None
+        assert amp._adapted_change(vecs, v, (0,) * n) == want, (vecs, v)
+    assert normal >= 100
+
+
+def test_a_degenerate_frame_with_a_zero_direction_keeps_each_precedence():
+    # adapted_frame checks independence first, slice_report reads the
+    # direction first
+    x1 = Poly.variable(3, 1)
+    degenerate = Frame(3, (PolyField.basis(3, 1), PolyField((Poly.zero(3), x1, Poly.zero(3)))))
+    with pytest.raises(DegenerateFrame, match=r"frame vectors dependent at \(0, 0, 0\)"):
+        amp.adapted_frame(degenerate, (0, 0, 0), (0, 0, 0))
+    with pytest.raises(DomainError, match="direction must be nonzero"):
+        amp.slice_report(degenerate, (0, 0, 0), (0, 0, 0), 2)
 
 
 # --- slice_report ----------------------------------------------------------------
@@ -438,7 +483,7 @@ def test_slice_layer_span_of_wrap_chains():
     )
     for fr, v, step in cases:
         origin = (0,) * fr.n
-        g = amp._adapted_change(fr.values_at(origin), v)
+        g = amp._adapted_change(fr.values_at(origin), v, origin)
         adapted = frame_change(fr, g)
         for level in range(2, step):
             vecs = []

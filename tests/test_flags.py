@@ -97,6 +97,35 @@ def test_lie_flag_degenerate():
         flags.formal_flag(jetalg.jet_of_frame(fr, (0, 0), 1), 2)
 
 
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_check, monkeypatch):
+    # X2 = x2 X1 + x3 d2 is dependent on X1 where x3 = 0; layer 1 of the
+    # engine, the leaves' values, refuses it at once, whatever max_step
+    fr = parsing.parse_frame("dim 3\nX1 = d1 + x2*d3\nX2 = x2*d1 + x2^2*d3 + x3*d2\n")
+    formed = []
+    form = flags._Graded._form
+
+    def recorded_form(store, expr, d):
+        formed.append(expr)
+        return form(store, expr, d)
+
+    monkeypatch.setattr(flags._Graded, "_form", recorded_form)
+    for p in ((1, 2, 0), (0, F(-1, 3), 0)):
+        runs = (
+            lambda: flags.lie_flag(fr, p, 30, cross_check),
+            lambda: flags.formal_flag(jetalg.jet_of_frame(fr, p, 29), 30, cross_check),
+        )
+        for run in runs:
+            formed.clear()
+            with pytest.raises(DegenerateFrame, match=r"^frame vectors dependent at \("):
+                run()
+            assert all(expr.is_leaf for expr in formed)
+    # where x3 != 0 the same frame is independent, and brackets are formed
+    formed.clear()
+    assert flags.lie_flag(fr, (1, 2, 1), 30, cross_check).dims == (2, 3)
+    assert not all(expr.is_leaf for expr in formed)
+
+
 def test_lie_flag_cross_check_agrees():
     for fr, r in ((catalog.engel_frame(), 3), (catalog.free_rank3_step2_frame(), 2)):
         a = flags.lie_flag(fr, (0,) * fr.n, r)
@@ -265,12 +294,10 @@ def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(
 
 
 @pytest.mark.parametrize("cross_check", [False, True])
-def test_spans_take_no_row_at_rank_n_and_only_the_degeneracy_check_calls_rank(
-    cross_check, monkeypatch
-):
+def test_spans_take_no_row_at_rank_n_and_flags_takes_no_whole_rank(cross_check, monkeypatch):
     # every span grows one row at a time, and a value is formed and added
-    # only while its span lacks rank n; the only rank the engine takes whole
-    # is _flag's check that the frame vectors are independent
+    # only while its span lacks rank n; flags takes no whole rank, since
+    # the rank of layer 1 is its check that the frame vectors are independent
     adds, rank_callers = [], []
     add, rank = linalg._Echelon.add, linalg.rank
 
@@ -288,20 +315,19 @@ def test_spans_take_no_row_at_rank_n_and_only_the_degeneracy_check_calls_rank(
     r10 = parsing.parse_frame(R10_FRAME.read_text())
     engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
     runs = [
-        (lambda: flags.lie_flag(r10, R10_POINT, 10, cross_check), 1),
-        (lambda: flags.formal_flag(jetalg.jet_of_frame(r10, R10_POINT, 4), 5, cross_check), 1),
-        (lambda: flags.lie_flag(engel, origin, 4, cross_check), 1),
-        (lambda: ampleness.slice_report(r10, R10_POINT, range(1, 11), 5, cross_check), 0),
-        (lambda: ampleness.slice_report(engel, origin, (1, 1, 0, 0), 3, cross_check), 0),
-        (lambda: ampleness.slice_report(engel, origin, (0, 0, 1, 0), 3, cross_check), 0),
+        lambda: flags.lie_flag(r10, R10_POINT, 10, cross_check),
+        lambda: flags.formal_flag(jetalg.jet_of_frame(r10, R10_POINT, 4), 5, cross_check),
+        lambda: flags.lie_flag(engel, origin, 4, cross_check),
+        lambda: ampleness.slice_report(r10, R10_POINT, range(1, 11), 5, cross_check),
+        lambda: ampleness.slice_report(engel, origin, (1, 1, 0, 0), 3, cross_check),
+        lambda: ampleness.slice_report(engel, origin, (0, 0, 1, 0), 3, cross_check),
     ]
-    for run, flag_ranks in runs:
+    for run in runs:
         adds.clear()
         rank_callers.clear()
         run()
         assert adds and all(rank_before < width for rank_before, width in adds)
-        from_flags = [c for c in rank_callers if c[0] == flags.__name__]
-        assert from_flags == [(flags.__name__, "_flag")] * flag_ranks
+        assert not [c for c in rank_callers if c[0] == flags.__name__]
 
 
 def test_step_and_order_sizes_must_be_ints():

@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ from liegrowth import catalog, flags, freelie, parsing
 from liegrowth.cli import main
 from liegrowth.errors import DomainError, InvalidAlgebra, ParseError
 
-from helpers import F, bench_workloads
+from helpers import F, bench_workloads, frame_to_text_reference
 
 
 # --- frame parsing ------------------------------------------------------------
@@ -483,6 +484,61 @@ def test_serializer_handles_leading_negative():
     text = parsing.frame_to_text(Frame(2, (f,)))
     again = parsing.parse_frame(text)
     assert again.fields[0] == f
+
+
+def _random_frame(rng):
+    """A frame on R^1..R^4 of up to 3 fields: sparse components with int and
+    Fraction coefficients of either sign, and some fields zero."""
+    from liegrowth.polyfields import Frame, Poly, PolyField
+
+    n = rng.randint(1, 4)
+    fields = []
+    for _ in range(rng.randint(1, 3)):
+        comps = []
+        for _ in range(n):
+            terms = {}
+            if rng.random() < 0.6:
+                for _ in range(rng.randint(1, 4)):
+                    exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                    terms[exps] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+            comps.append(Poly(n, terms))
+        fields.append(PolyField(tuple(comps)))
+    return Frame(n, tuple(fields))
+
+
+def test_serializer_matches_the_reference_renderer():
+    # the catalog and 1500 seeded random frames: the same text, which
+    # re-parses to the frame
+    rng = random.Random(25)
+    frames = list(catalog.catalog_frames().values())
+    frames += [_random_frame(rng) for _ in range(1500)]
+    for frame in frames:
+        text = parsing.frame_to_text(frame)
+        assert text == frame_to_text_reference(frame)
+        assert parsing.parse_frame(text) == frame
+    assert any("= (0 - " in parsing.frame_to_text(f) for f in frames)
+    assert any("= 0*d1" in parsing.frame_to_text(f) for f in frames)
+
+
+def test_serializer_refuses_a_coefficient_past_the_digit_limit():
+    # the first such coefficient in field, direction and term order is named
+    from liegrowth.polyfields import Frame, Poly, PolyField
+
+    huge, x1 = 10**parsing.MAX_DIGITS, Poly.variable(3, 1)
+    small = PolyField((x1, Poly.zero(3), Poly.zero(3)))
+    for big in (huge, F(1, huge), -huge):
+        late = PolyField((x1, x1 * 2 + Poly.const(3, big), x1 * big))
+        frame = Frame(3, (small, late))
+        with pytest.raises(DomainError) as err:
+            parsing.frame_to_text(frame)
+        assert str(err.value) == (
+            "X2 has a d2 coefficient of more than 4300 digits (parsing.MAX_DIGITS), "
+            "which a frame file cannot hold"
+        )
+        with pytest.raises(DomainError) as ref:
+            frame_to_text_reference(frame)
+        assert str(ref.value) == str(err.value)
+    assert parsing.frame_to_text(Frame(3, (PolyField((x1 * (huge - 1),) * 3),)))
 
 
 # --- CLI -------------------------------------------------------------------------

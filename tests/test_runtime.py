@@ -180,10 +180,11 @@ def test_a_package_name_follows_its_defining_module(monkeypatch):
 
 
 # Runs the CLI with the given arguments as ``python -m liegrowth`` does and
-# prints, last, the liegrowth modules loaded; with no arguments it only
+# prints, last, the liegrowth modules loaded, and ``json`` if it was loaded
+# before this script imports it to print them; with no arguments it only
 # imports the package.
 COLD = """
-import json, runpy, sys
+import runpy, sys
 argv = sys.argv[1:]
 if argv:
     sys.argv = ["liegrowth"] + argv
@@ -193,7 +194,9 @@ if argv:
         assert exc.code == 0, exc.code
 else:
     import liegrowth
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "liegrowth")))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("liegrowth", "json"))
+import json
+print(json.dumps(loaded))
 """
 
 HEISENBERG = "dim 3\nX1 = d1 - 1/2*x2*d3\nX2 = d2 + 1/2*x1*d3\n"
@@ -206,6 +209,7 @@ POINT = ["--point", "0,0,0"]
     "argv, allowed, refused",
     [
         ([], {"liegrowth"}, set()),
+        (["witt", "--generators", "3", "--length", "3"], BASE, set()),
         (["hall", "--generators", "2", "--max-length", "3"], BASE, set()),
         (["mgv", "--rank", "3", "--dim", "14"], BASE, set()),
         (["growth", "--frame", "heis.frame", *POINT], None, {"jetalg", "checks", "catalog"}),
@@ -216,7 +220,7 @@ POINT = ["--point", "0,0,0"]
         ),
         (["ampleness", "--rank", "2", "--dim", "4"], None, {"jetalg", "checks", "catalog"}),
     ],
-    ids=["import", "hall", "mgv", "growth", "nilpotentize", "slice", "ampleness"],
+    ids=["import", "witt", "hall", "mgv", "growth", "nilpotentize", "slice", "ampleness"],
 )
 def test_a_cold_start_loads_only_the_modules_it_runs(tmp_path, argv, allowed, refused):
     (tmp_path / "heis.frame").write_text(HEISENBERG)
@@ -226,6 +230,8 @@ def test_a_cold_start_loads_only_the_modules_it_runs(tmp_path, argv, allowed, re
         capture_output=True, text=True, check=True, timeout=60,
     )
     loaded = set(json.loads(out.stdout.splitlines()[-1]))
+    # every run writes text, so none needs json
+    assert "json" not in loaded
     if allowed is not None:
         assert loaded <= allowed
     assert not {f"liegrowth.{mod}" for mod in refused} & loaded
