@@ -37,7 +37,7 @@ from .errors import (
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
 from .flags import _Recombined, _span_ranks, lie_flag  # noqa: F401
-from .polyfields import Frame, _TaylorParts, poly_lie_bracket  # noqa: F401
+from .polyfields import Frame, _taylor_leaves, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -261,8 +261,7 @@ def _adapted_change(vecs, v, point):
     k = len(vecs)
     if linalg.rank(vecs) < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    # an empty frame has no value to give the ambient dimension
-    v = _direction(v, len(vecs[0]) if vecs else len(point))
+    v = _direction(v, len(vecs[0]))
     r = [linalg.dot(b, v) for b in vecs]
     if not any(r):
         return None
@@ -319,17 +318,18 @@ def slice_report(
     """Classify every principal-subspace slice of a maximal-growth frame.
 
     The frame is read once, as its Taylor expansions about the point
-    (leaves, ``polyfields._TaylorParts``), whose degree-0 parts give its
-    values; each degree is expanded once, when the engine first asks for
-    it.  The direction is read first; the values then go through
-    ``_adapted_change``, which refuses dependent ones and returns ``None``
-    for a normal direction, and a normal direction makes every slice the
-    full principal subspace.  For non-normal directions the leaves are
-    recombined by the change it returns into adapted ones
-    (``flags._Recombined``) and each level is classified from the rank of
-    the brackets that do not reach the top pure derivative.  The same
-    ``_span_ranks`` pass gives the full Hall rank of each level, which a
-    constant frame change does not move, for the maximal-growth check.
+    (leaves, ``polyfields._taylor_leaves``, sharing one expansion of the
+    frame's monomials), whose degree-0 parts give its values; each degree
+    is expanded once, when the engine first asks for it.  The direction is
+    read first; the values then go through ``_adapted_change``, which
+    refuses dependent ones and returns ``None`` for a normal direction, and
+    a normal direction makes every slice the full principal subspace.  For
+    non-normal directions the leaves are recombined by the change it
+    returns into adapted ones (``flags._Recombined``) and each level is
+    classified from the rank of the brackets that do not reach the top pure
+    derivative.  The same ``_span_ranks`` pass gives the full Hall rank of
+    each level, which a constant frame change does not move, for the
+    maximal-growth check.
     """
     n, k = fr.n, fr.k
     linalg._sizes(step=step)
@@ -339,7 +339,7 @@ def slice_report(
         raise NotFormalSolution(
             f"maximal growth on dimension {n} has step {gv.step}, got {step}"
         )
-    leaves = [_TaylorParts(f, point, step - 1) for f in fr.fields]
+    leaves = _taylor_leaves(fr.fields, point, step - 1)
     g = _adapted_change([leaf.values() for leaf in leaves], v, point)
     normal = g is None
     if not normal:

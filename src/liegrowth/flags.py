@@ -23,9 +23,12 @@ for degree s - m at most and a leaf for degree s - 1.  Each step asks for
 one more degree, and once the ranks reach n no further part is formed, so a
 flag costs what the step where it saturates costs, whatever ``max_step``
 says.  The leaves are ``polyfields._GradedLeaf``s: ``lie_flag`` and
-``slice_report`` expand the frame about p (``polyfields._TaylorParts``),
-and ``formal_flag`` reads the Taylor fields its jet fixes
-(``jetalg._taylor_fields``); it and ``lie_flag`` run one body, ``_flag``.
+``slice_report`` expand the frame about p (``polyfields._taylor_leaves``),
+one per-point expansion of the frame's monomials that the leaves share, so
+each monomial is expanded once per degree whatever the number of fields
+and components that hold it; and ``formal_flag`` reads the Taylor fields
+its jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one
+body, ``_flag``.
 The engine generates Hall layers one length at a time, adds their values
 to the span one at a time, forms no value once the span has rank n, and
 stops early once a whole layer of brackets vanishes.  Layer 1 is the
@@ -62,7 +65,7 @@ from .polyfields import (
     Poly,
     PolyField,
     _GradedLeaf,
-    _TaylorParts,
+    _taylor_leaves,
     frame_change,
     poly_lie_bracket,
     pushforward,
@@ -368,7 +371,7 @@ def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> Flag
     _sizes(max_step=max_step)
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
-    leaves = [_TaylorParts(f, point, max_step - 1) for f in fr.fields]
+    leaves = _taylor_leaves(fr.fields, point, max_step - 1)
     return _flag(leaves, point, max_step, cross_check)
 
 

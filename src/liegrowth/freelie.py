@@ -8,13 +8,19 @@ the admissible expressions of one length in this order, so output is
 deterministic.  Within each length the order is one valid choice among many;
 layer *sizes* are forced (they must match the Witt dimension, which is
 asserted during generation), layer *contents* are not canonical.
+
+Each layer is built once per rank: ``hall_basis`` keeps the layers of the
+``MAX_RANKS`` most recently used ranks and extends them as far as a call
+asks, and an older rank is dropped; the layers depend on the rank alone, so
+a dropped rank rebuilds the same ones.  A ``BracketExpr`` carries its order
+key and its hash from construction, so neither a comparison nor a lookup
+walks the tree.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded, DomainError
 from .linalg import _sizes
@@ -110,14 +116,28 @@ def is_free_type(gv: GrowthVector, k: int) -> bool:
     return gv.entries[-1] == total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BracketExpr:
-    """Element of the free magma: a leaf ``X_g`` or a pair ``[left, right]``."""
+    """Element of the free magma: a leaf ``X_g`` or a pair ``[left, right]``.
+
+    Its order key, (1, (g,)) for a leaf and (length, (key of left, key of
+    right)) for a pair, and its hash are set at construction from those of
+    its subtrees; equal trees have equal keys, so ``==`` compares keys."""
 
     gen: int | None
     left: BracketExpr | None
     right: BracketExpr | None
     length: int
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.gen is not None:
+            key = (1, (self.gen,))
+        else:
+            key = (self.length, (self.left._key, self.right._key))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((self.gen, self.left, self.right, self.length)))
 
     @staticmethod
     def leaf(g: int) -> BracketExpr:
@@ -146,18 +166,26 @@ class BracketExpr:
             return f"X{self.gen}"
         return f"[{self.left}, {self.right}]"
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not BracketExpr:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
     def __lt__(self, other: BracketExpr) -> bool:
-        return _key(self) < _key(other)
+        return self._key < other._key
 
     def __le__(self, other: BracketExpr) -> bool:
-        return _key(self) <= _key(other)
+        return self._key <= other._key
 
 
-@functools.lru_cache(maxsize=None)
-def _key(e: BracketExpr):
-    if e.is_leaf:
-        return (1, (e.gen,))
-    return (e.length, (_key(e.left), _key(e.right)))
+def _key(e: BracketExpr) -> tuple:
+    """The order key of ``e``: length first, then left and right subtrees."""
+    return e._key
 
 
 @dataclass(frozen=True)
@@ -187,11 +215,17 @@ def _is_admissible_pair(a: BracketExpr, b: BracketExpr) -> bool:
     return b.is_leaf or b.left <= a
 
 
+# The Hall layers of the most recently used ranks, at most MAX_RANKS of
+# them, least recently used first; a dropped rank rebuilds the same layers.
+MAX_RANKS = 4
+_LAYERS: dict[int, tuple[tuple[BracketExpr, ...], ...]] = {}
+
+
 def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
     """Generate Hall-set layers up to ``max_len``, checking each layer size
     against the Witt dimension.  ``cap`` bounds the total element count; a
     basis that would exceed it raises ``CapExceeded`` before any layer is
-    built.
+    built.  Each layer is built once per rank (``_LAYERS``).
     """
     _sizes(k=k, max_len=max_len)
     if k < 1 or max_len < 1:
@@ -204,15 +238,19 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
             raise CapExceeded(
                 f"Hall basis would exceed {cap} elements at length {length}"
             )
-    layers: list[tuple[BracketExpr, ...]] = [
-        tuple(BracketExpr.leaf(g) for g in range(1, k + 1))
-    ]
-    for length in range(2, max_len + 1):
+    layers = _LAYERS.pop(k, None)
+    if layers is None:
+        layers = (tuple(BracketExpr.leaf(g) for g in range(1, k + 1)),)
+        while len(_LAYERS) >= MAX_RANKS:
+            del _LAYERS[next(iter(_LAYERS))]
+    # grown in a new list, so that a caller never sees a layer half added
+    grown = list(layers)
+    for length in range(len(layers) + 1, max_len + 1):
         cands = []
         for la in range(1, length // 2 + 1):
             lb = length - la
-            for a in layers[la - 1]:
-                for b in layers[lb - 1]:
+            for a in grown[la - 1]:
+                for b in grown[lb - 1]:
                     if _is_admissible_pair(a, b):
                         cands.append(BracketExpr.pair(a, b))
         cands.sort(key=_key)
@@ -221,8 +259,9 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
             raise AssertionError(
                 f"layer {length} has {len(cands)} elements, Witt predicts {expected}"
             )
-        layers.append(tuple(cands))
-    return HallBasis(k, tuple(layers))
+        grown.append(tuple(cands))
+    layers = _LAYERS[k] = tuple(grown)
+    return HallBasis(k, layers[:max_len])
 
 
 def is_hall_element(e: BracketExpr, basis: HallBasis) -> bool:

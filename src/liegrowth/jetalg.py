@@ -32,15 +32,16 @@ ones: ``diffvec_bracket`` checks the ambient and the order and returns the
 components of ``polyfields._bracket``, the one exact Lie-bracket kernel,
 A(B^i) - B(A^i), which it shares with ``poly_lie_bracket``.
 ``jet_of_frame`` reads the jet of a frame off the int parts of its Taylor
-expansion (``polyfields._TaylorParts``) instead of
-differentiating, one ``Fraction`` per value, keys it by the table's own
-``JetVar``s, shares one Fraction zero among its zero values, and hands its
-complete, canonical dict to ``JetPoint`` without the re-validation a
-user-built jet point gets; a user-built one reads its base and values by the
-rule of ``linalg._exact``, so a float is a ``DomainError``, and its sizes
-must be ints.  ``_taylor_fields`` is the inverse read-off: the Taylor fields
-a jet fixes, u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as
-the graded int leaves (``_JetParts``) that ``flags.formal_flag`` brackets.
+expansion (``polyfields._taylor_leaves``, one expansion of its monomials
+shared by its fields) instead of differentiating, one ``Fraction`` per
+value, keys it by the table's own ``JetVar``s, shares one Fraction zero
+among its zero values, and hands its complete, canonical dict to
+``JetPoint`` without the re-validation a user-built jet point gets; a
+user-built one reads its base and values by the rule of ``linalg._exact``,
+so a float is a ``DomainError``, and its sizes must be ints.
+``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
+u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the graded int
+leaves (``_JetParts``) that ``flags.formal_flag`` brackets.
 Both walk one table of multi-indices by length, ``_multi_indices``, beside
 the matching codes (``_Codes.run``).
 
@@ -99,7 +100,7 @@ from .polyfields import (
     _GradedLeaf,
     _pack_width,
     _SparsePoly,
-    _TaylorParts,
+    _taylor_leaves,
     _Vector,
 )
 
@@ -654,7 +655,7 @@ def _multi_indices(n: int, order: int, width: int) -> list[list]:
 def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     """All partial derivatives of the frame coefficients up to ``order``,
     evaluated exactly at ``point``.  They are read off the int parts of the
-    order-``order`` Taylor expansion at ``point`` (``_TaylorParts``): the
+    order-``order`` Taylor expansion at ``point`` (``_taylor_leaves``): the
     derivative along a multi-index that takes direction j alpha_j times is
     alpha! times the coefficient of x^alpha, one ``Fraction`` of the part's
     int times alpha! over the expansion's scale.
@@ -665,8 +666,7 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     tab = _codes(frame.k, n)
     runs = _multi_indices(n, order, _pack_width(order))
     values: dict[JetVar, Fraction] = {}
-    for fld, f in enumerate(frame.fields, start=1):
-        parts = _TaylorParts(f, base, order)
+    for fld, parts in enumerate(_taylor_leaves(frame.fields, base, order), start=1):
         scale = parts.scale
         for comp, acc in enumerate(parts.expand(0, order), start=1):
             get = acc.get

@@ -25,19 +25,26 @@ written once too, in ``_bracket``: [A, B]^i = A(B^i) - B(A^i) over either
 ring, exact, each field's components listed once per bracket (``_grade``).
 ``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their
 arguments and return its components.  Nothing is kept between calls.  A
-``Frame`` is a tuple of ``PolyField``s sharing one ambient dimension.
+``Frame`` is a nonempty tuple of ``PolyField``s sharing one ambient
+dimension.
 
-There is one Taylor expansion, ``_TaylorParts``, and it runs on ints: it
-clears the point's common denominator and the field's coefficient
-denominators once, so the expansion times one int, its ``scale``, has an int
-coefficient for every monomial, and it forms only the parts of the degrees
-it is asked for.  Its monomials are packed ints (the exponent of x_{i+1} in
-bits [w*i, w*(i+1)), w wide enough for the order), so a product of
-monomials is one int addition.  ``PolyField.taylor(p, s)`` assembles from
-the parts of degrees 0..s the degree-<= s Taylor polynomial about ``p``, in
-shifted coordinates, as an ordinary field; ``jetalg.jet_of_frame`` reads its
-jet off the parts, and the flag engine (``flags._Graded``) asks a leaf for
-one degree at a time through the interface ``_GradedLeaf``, which
+There is one Taylor expansion, and it runs on ints.  ``_Expansion`` expands
+about the point each distinct monomial of the fields of one call, once for
+every component and every field: it clears the point's common denominator,
+and it forms a degree slice of a monomial (packed monomials and int
+factors) the first time any field asks for that degree.  ``_TaylorParts``
+is one field's expansion read off those slices: it clears the field's
+coefficient denominators once, so the expansion times one int, its
+``scale``, has an int coefficient for every monomial, and it forms only the
+parts of the degrees it is asked for.  Monomials are packed ints (the
+exponent of x_{i+1} in bits [w*i, w*(i+1)), w wide enough for the order),
+so a product of monomials is one int addition.  ``_taylor_leaves`` makes
+the ``_TaylorParts`` of a call's fields about one ``_Expansion``, which
+goes when they go.  ``PolyField.taylor(p, s)`` assembles from the parts of
+degrees 0..s the degree-<= s Taylor polynomial about ``p``, in shifted
+coordinates, as an ordinary field; ``jetalg.jet_of_frame`` reads its jet
+off the parts, and the flag engine (``flags._Graded``) asks a leaf for one
+degree at a time through the interface ``_GradedLeaf``, which
 ``jetalg._taylor_fields`` implements too.
 
 Coefficients, points (of the ambient's length) and matrix entries are read
@@ -424,110 +431,183 @@ class _GradedLeaf:
         return tuple(_exact(Fraction(c.get(0, 0), self.scale), "value") for c in self.part(0))
 
 
-class _TaylorParts(_GradedLeaf):
-    """The Taylor expansion of a field about a point, in ints.
+class _Expansion:
+    """The expansion about one point, for one order, of the monomials of the
+    fields whose leaves share it, in ints.
 
-    With D the common denominator of the point (shift P/D), L the lcm of the
-    field's coefficient denominators and T its top degree, ``scale`` is
-    L D^T and the expansion is ``scale`` times the Taylor polynomial: a term
-    c x^alpha contributes c L D^(T - |alpha|) prod_i C(alpha_i, k_i)
-    P_i^(alpha_i - k_i) D^(k_i), an int, to x^k.  ``expand(lo, hi)`` forms
-    the parts of degrees lo..hi only, and ``PolyField.taylor``,
-    ``jetalg.jet_of_frame`` and the flag engine (one degree at a time, as
-    ``part``) all read it.
+    With D the common denominator of the point (shift P/D), the slice of
+    degree d of a monomial x^alpha is the degree-d part of
+    D^|alpha| (x + P/D)^alpha: the pairs (packed x^k, int factor
+    prod_i C(alpha_i, k_i) P_i^(alpha_i - k_i) D^(k_i)) for |k| = d.  Each
+    distinct exponent tuple has one record (``monomial``), shared by every
+    component and every field that holds it, and ``form`` fills in its
+    slices of the degrees a leaf asks for, the first time any leaf asks.
 
     Only the variables with a nonzero exponent and a nonzero shift are
     expanded, k_i running over 0..alpha_i; every other variable keeps
     k_i = alpha_i, and its degree starts the partial products.  A partial
-    product is dropped once its degree passes ``hi``, or once the variables
-    left can no longer lift it to ``lo``, so a term of high degree never
-    forms its full product.
+    product is dropped once its degree passes the highest degree asked for,
+    or once the variables left can no longer lift it to the lowest, so a
+    monomial of high degree never forms its full product.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("n", "width", "order", "den", "shift", "_monos", "_factors")
 
-    def __init__(self, field: PolyField, point, order: int):
+    def __init__(self, n: int, point, order: int):
         _sizes(order=order)
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
-        n = self.n = field.n
         if type(point) is not tuple or len(point) != n or not all(
             type(x) is int or type(x) is Fraction for x in point
         ):
             point = _exact_vector(point, "point", n)
-        w = self.width = _pack_width(order)
-        self._parts = {}
-        den = lcm(*(x.denominator for x in point))
-        shift = [x.numerator * (den // x.denominator) for x in point]
-        coeffs = [c for comp in field.comps for c in comp.terms.values()]
-        mult = lcm(*(c.denominator for c in coeffs))
-        top = max((sum(exps) for comp in field.comps for exps in comp.terms), default=0)
-        self.scale = mult * den**top
-        self.top = min(top, order)
-        # (x_i + P_i/D)^e D^e = sum_k C(e, k) P_i^(e-k) D^k x_i^k: the
-        # (k, factor, packed x_i^k) triples by (i, e)
-        expansions: dict = {}
+        self.n, self.order, self.width = n, order, _pack_width(order)
+        den = self.den = lcm(*(x.denominator for x in point))
+        self.shift = [x.numerator * (den // x.denominator) for x in point]
+        # exponent tuple -> its record; (i, e) -> its ``_expansion`` triples
+        self._monos: dict = {}
+        self._factors: dict = {}
 
-        def expansion(i: int, e: int):
-            got = expansions.get((i, e))
-            if got is None:
-                p, at = shift[i], w * i
-                got = expansions[(i, e)] = [
-                    (j, comb(e, j) * p ** (e - j) * den**j, j << at) for j in range(e + 1)
-                ]
-            return got
-
-        # per component, each term as (numerator, packed key and degree of
-        # the variables that keep their exponent, expanded degree available,
-        # [(triples, degree still available after this variable)])
-        self._terms = []
-        for comp in field.comps:
-            terms = []
-            for exps, c in comp.terms.items():
-                low = key = room = 0
-                active = []
-                for i, e in [(i, e) for i, e in enumerate(exps) if e]:
+    def monomial(self, exps: tuple) -> tuple:
+        """The record of the monomial x^alpha, alpha = ``exps``: its degree
+        |alpha|, the degree of its unshifted variables (the degrees of its
+        nonzero slices run from this one to |alpha|), its slices by degree,
+        the packed monomial of its unshifted variables and the expansion
+        triples of each shifted one."""
+        got = self._monos.get(exps)
+        if got is None:
+            w, shift = self.width, self.shift
+            key = low = 0
+            active = []
+            for i, e in enumerate(exps):
+                if e:
                     if shift[i]:
-                        active.append((i, e))
-                        room += e
+                        active.append(self._expansion(i, e))
                     else:
                         low += e
                         key += e << (w * i)
-                if low > order:
-                    continue
-                num = c.numerator * (mult // c.denominator) * den ** (top - room)
-                rest, steps = room, []
-                for i, e in active:
-                    rest -= e
-                    steps.append((expansion(i, e), rest))
-                terms.append((num, key, low, room, steps))
-            self._terms.append(terms)
+            got = self._monos[exps] = (sum(exps), low, {}, key, active)
+        return got
+
+    def form(self, record: tuple, lo: int, hi: int) -> None:
+        """Fill in, from one pass of partial products, the slices of degrees
+        ``lo``..``hi`` that the monomial of ``record`` lacks; lo..hi lies
+        within the degrees of its nonzero slices."""
+        deg, low, slices, key, active = record
+        partial = [(key, self.den**low, low)]
+        room = deg - low
+        for triples in active:
+            room -= triples[-1][0]
+            floor = lo - room
+            partial = [
+                (head + packed, coef * f, d + j)
+                for head, coef, d in partial
+                for j, f, packed in triples
+                if floor <= d + j <= hi
+            ]
+        # every degree of lo..hi is reached, since no factor is zero
+        fresh: dict = {}
+        for head, coef, d in partial:
+            got = fresh.get(d)
+            if got is None:
+                fresh[d] = [(head, coef)]
+            else:
+                got.append((head, coef))
+        for d, got in fresh.items():
+            slices.setdefault(d, got)
+
+    def _expansion(self, i: int, e: int) -> list:
+        """The (k, factor, packed x_i^k) triples, k = 0..e, of
+        (x_i + P_i/D)^e D^e = sum_k C(e, k) P_i^(e-k) D^k x_i^k."""
+        got = self._factors.get((i, e))
+        if got is None:
+            p, den, at = self.shift[i], self.den, self.width * i
+            got = self._factors[(i, e)] = [
+                (j, comb(e, j) * p ** (e - j) * den**j, j << at) for j in range(e + 1)
+            ]
+        return got
+
+
+class _TaylorParts(_GradedLeaf):
+    """The Taylor expansion of a field about a point, in ints, read off the
+    slices of its monomials in the ``_Expansion`` it shares.
+
+    With D the common denominator of the point, L the lcm of the field's
+    coefficient denominators and T its top degree, ``scale`` is L D^T and
+    the expansion is ``scale`` times the Taylor polynomial: a term
+    c x^alpha contributes c L D^(T - |alpha|), an int, times each slice of
+    x^alpha.  The terms are grouped by monomial, so each slice is looked up
+    once per field and degree.  ``expand(lo, hi)`` forms the parts of
+    degrees lo..hi only, and ``PolyField.taylor``, ``jetalg.jet_of_frame``
+    and the flag engine (one degree at a time, as ``part``) all read it.
+    """
+
+    __slots__ = ("_about", "_terms")
+
+    def __init__(self, field: PolyField, about: _Expansion):
+        self.n, self.width, self._about, self._parts = about.n, about.width, about, {}
+        records, monomial = about._monos, about.monomial
+        # per monomial of the field: its record and the (component,
+        # coefficient) pairs that hold it
+        users: dict = {}
+        mult = 1
+        top = 0
+        for i, comp in enumerate(field.comps):
+            for exps, c in comp.terms.items():
+                got = users.get(exps)
+                if got is None:
+                    record = records.get(exps) or monomial(exps)
+                    if record[0] > top:
+                        top = record[0]
+                    got = users[exps] = (record, [])
+                got[1].append((i, c))
+                if type(c) is not int:
+                    mult = lcm(mult, c.denominator)
+        den, order = about.den, about.order
+        self.scale = mult * den**top
+        self.top = min(top, order)
+        lift = [mult * den ** (top - deg) for deg in range(top + 1)]
+        # per monomial that has a slice of degree <= order: its degree, its
+        # lowest degree, its slices, its record and the (component, int
+        # coefficient) pairs
+        self._terms = []
+        for record, terms in users.values():
+            deg, low, slices, _, _ = record
+            if low <= order:
+                up = lift[deg]
+                nums = [
+                    (i, c * up if type(c) is int else c.numerator * (up // c.denominator))
+                    for i, c in terms
+                ]
+                self._terms.append((deg, low, slices, record, nums))
 
     def expand(self, lo: int, hi: int) -> list[dict]:
         """The parts of degrees ``lo``..``hi`` together, times ``scale``: per
         component a dict from packed monomials to nonzero ints."""
-        out = []
-        for terms in self._terms:
-            acc: dict = {}
-            for num, key, low, room, steps in terms:
-                if low > hi or low + room < lo:
-                    continue
-                partial = [(key, num, low)]
-                for triples, rest in steps:
-                    floor = lo - rest
-                    partial = [
-                        (head + packed, coef * f, deg + j)
-                        for head, coef, deg in partial
-                        for j, f, packed in triples
-                        if floor <= deg + j <= hi
-                    ]
-                for head, coef, _ in partial:
-                    acc[head] = acc.get(head, 0) + coef
-            out.append({m: c for m, c in acc.items() if c})
-        return out
+        form = self._about.form
+        out: list[dict] = [{} for _ in range(self.n)]
+        for deg, low, slices, record, terms in self._terms:
+            first, last = lo if lo > low else low, hi if hi < deg else deg
+            for d in range(first, last + 1):
+                got = slices.get(d)
+                if got is None:
+                    form(record, first, last)
+                    got = slices[d]
+                for i, num in terms:
+                    acc = out[i]
+                    for key, f in got:
+                        acc[key] = acc.get(key, 0) + num * f
+        return [{m: c for m, c in acc.items() if c} if acc else acc for acc in out]
 
     def _form(self, d: int) -> list[dict]:
         return self.expand(d, d)
+
+
+def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
+    """The ``_TaylorParts`` of ``fields`` (``PolyField``s on one R^n, at
+    least one) about ``point`` to ``order``, sharing one ``_Expansion``."""
+    about = _Expansion(fields[0].n, point, order)
+    return [_TaylorParts(f, about) for f in fields]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -559,7 +639,7 @@ class PolyField(_Vector):
         shifted coordinates, as an ordinary field: its x^alpha coefficient,
         the alpha-th partial derivative at ``point`` over alpha!, is a part
         of ``_TaylorParts`` over its ``scale``, an int when integral."""
-        parts = _TaylorParts(self, point, order)
+        parts = _taylor_leaves([self], point, order)[0]
         scale, decode = parts.scale, parts.decode
         comps = []
         for comp, acc in zip(self.comps, parts.expand(0, order)):
@@ -580,9 +660,9 @@ def poly_lie_bracket(x: PolyField, y: PolyField) -> PolyField:
 
 @dataclass(frozen=True)
 class Frame:
-    """k-tuple of polynomial vector fields on R^n; ``fields`` is kept as a
-    tuple, and an entry that is not a ``PolyField`` on R^n raises
-    ``DomainError``."""
+    """k-tuple of polynomial vector fields on R^n, k >= 1; ``fields`` is
+    kept as a tuple, and no field, or an entry that is not a ``PolyField``
+    on R^n, raises ``DomainError``."""
 
     n: int
     fields: tuple[PolyField, ...]
@@ -590,6 +670,8 @@ class Frame:
     def __post_init__(self):
         _sizes(**{"frame dimension": self.n})
         fields = _tuple(self.fields, "frame fields")
+        if not fields:
+            raise DomainError("a frame needs at least one field")
         for j, f in enumerate(fields, start=1):
             if not isinstance(f, PolyField):
                 raise DomainError(f"frame field {j} is of type {type(f).__name__}, not PolyField")

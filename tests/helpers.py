@@ -441,7 +441,7 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     from liegrowth.errors import DomainError, InconsistentFormalSolution, NotFormalSolution
     from liegrowth.flags import _span_ranks, lie_flag
     from liegrowth.freelie import maximal_growth_vector
-    from liegrowth.polyfields import _TaylorParts, frame_change
+    from liegrowth.polyfields import _taylor_leaves, frame_change
 
     V = amp.Verdict
     n, k = fr.n, fr.k
@@ -463,7 +463,7 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
             for i in range(1, step + 1)
         ]
     adapted = frame_change(fr, g)
-    leaves = [_TaylorParts(f, point, step - 1) for f in adapted.fields]
+    leaves = _taylor_leaves(adapted.fields, point, step - 1)
     reports = []
     for i, (_, m_i) in enumerate(_span_ranks(leaves, step, amp._below_top, cross_check), 1):
         n_i = gv.entries[i - 1]

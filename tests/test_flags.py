@@ -126,6 +126,44 @@ def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_chec
     assert not all(expr.is_leaf for expr in formed)
 
 
+def test_an_involutive_frame_keeps_its_rank_at_every_step():
+    # X1 = d1 + x2^2*d3 and X2 = d2 + 2*x1*x2*d3 commute, so the flag at any
+    # point is (2, 2, 2): the bracket cancels only when each derivative
+    # carries its exponent factor (d x2^2 / dx2 = 2*x2), which a rank on a
+    # generic frame does not see
+    fr = parsing.parse_frame("dim 3\nX1 = d1 + x2^2*d3\nX2 = d2 + 2*x1*x2*d3\n")
+    p = (1, 2, 3)
+    assert flags.lie_flag(fr, p, 3).dims == (2, 2, 2)
+    assert flags.lie_flag(fr, p, 3, cross_check=True).dims == (2, 2, 2)
+    assert flags.formal_flag(jetalg.jet_of_frame(fr, p, 2), 3).dims == (2, 2, 2)
+
+
+def test_a_flag_saturating_at_step_2_forms_no_slice_above_degree_1(monkeypatch):
+    # terms of degree 10 to 12 in every field; the flag reaches n = 3 at
+    # step 2, so at max_step = 30 the leaves are asked for degrees 0 and 1
+    # only, and the shared expansion forms no slice of a higher degree
+    fr = parsing.parse_frame(
+        "dim 3\nX1 = d1 + x1^5*x2^3*x3^4*d3 - 2*x3^10*d2\n"
+        "X2 = d2 + x1*d3 + x2^12*d1 + 3/2*x1^4*x2^6*d3\n"
+    )
+    from liegrowth import polyfields
+
+    formed = []
+    form = polyfields._Expansion.form
+
+    def recorded(about, record, lo, hi):
+        formed.append((record[0], lo, hi))
+        return form(about, record, lo, hi)
+
+    monkeypatch.setattr(polyfields._Expansion, "form", recorded)
+    for p in ((1, 2, -1), (0, F(1, 3), 2)):
+        for cross_check in (False, True):
+            formed.clear()
+            assert flags.lie_flag(fr, p, 30, cross_check).dims == (2, 3)
+            assert formed and max(hi for _, _, hi in formed) <= 1
+            assert any(deg >= 10 for deg, _, _ in formed)
+
+
 def test_lie_flag_cross_check_agrees():
     for fr, r in ((catalog.engel_frame(), 3), (catalog.free_rank3_step2_frame(), 2)):
         a = flags.lie_flag(fr, (0,) * fr.n, r)

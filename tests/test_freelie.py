@@ -251,3 +251,85 @@ def test_expression_order_is_total_on_small_set():
     # length dominates
     for e in all_expressions(2, 3)[3]:
         assert chain(1, 2) < e
+
+
+def _hall_layers_oracle(k, max_len):
+    """Per length, the brute-force Hall layer: every expression that meets
+    the defining conditions, in the order of the recursive key below."""
+    by_len = all_expressions(k, max_len)
+    return [
+        sorted((e for e in by_len[ln] if _hall_conditions_oracle(e, _key_oracle)), key=_key_oracle)
+        for ln in range(1, max_len + 1)
+    ]
+
+
+def _key_oracle(e):
+    """The order key by its recursive definition, walking the tree."""
+    if e.is_leaf:
+        return (1, (e.gen,))
+    return (e.length, (_key_oracle(e.left), _key_oracle(e.right)))
+
+
+def test_repeated_growing_and_shrinking_hall_calls_equal_a_fresh_build(monkeypatch):
+    monkeypatch.setattr(fl, "_LAYERS", {})
+    oracle = {k: _hall_layers_oracle(k, 5) for k in (1, 2, 3)}
+    sequence = [(2, 1), (2, 3), (3, 2), (2, 5), (2, 2), (3, 5), (1, 4), (3, 4), (2, 5), (3, 1)]
+    for k, length in sequence:
+        got = fl.hall_basis(k, length)
+        assert got.k == k and len(got.layers) == length
+        assert [list(layer) for layer in got.layers] == oracle[k][:length]
+        with monkeypatch.context() as m:
+            m.setattr(fl, "_LAYERS", {})
+            assert fl.hall_basis(k, length) == got
+    # the cached layers are the ones handed out, built once
+    assert fl.hall_basis(2, 4).layers == fl.hall_basis(2, 5).layers[:4]
+    assert all(a is b for a, b in zip(fl.hall_basis(3, 3).layers[2], fl.hall_basis(3, 5).layers[2]))
+
+
+def test_hall_cache_keeps_few_ranks_and_a_dropped_rank_rebuilds_the_same(monkeypatch):
+    monkeypatch.setattr(fl, "_LAYERS", {})
+    first = fl.hall_basis(2, 6)
+    for k in range(3, 3 + fl.MAX_RANKS + 2):
+        fl.hall_basis(k, 3)
+        assert len(fl._LAYERS) <= fl.MAX_RANKS
+    assert 2 not in fl._LAYERS
+    again = fl.hall_basis(2, 6)
+    assert again == first and again.layers[5][0] is not first.layers[5][0]
+
+
+def test_hall_cap_is_checked_before_a_cached_rank_grows(monkeypatch):
+    monkeypatch.setattr(fl, "_LAYERS", {})
+    fl.hall_basis(2, 6)
+    cached = fl._LAYERS[2]
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return True
+
+    monkeypatch.setattr(fl, "_is_admissible_pair", counting)
+    with pytest.raises(CapExceeded, match="length 8"):
+        fl.hall_basis(2, 8, cap=60)
+    assert calls == [] and fl._LAYERS[2] is cached
+    # a basis within the cap reads the cached layers and builds none
+    assert fl.hall_basis(2, 6, cap=60).layers == cached
+    assert calls == []
+
+
+def test_independently_built_equal_expressions_agree_in_eq_hash_and_order():
+    first = [e for es in all_expressions(2, 5).values() for e in es]
+    second = [e for es in all_expressions(2, 5).values() for e in es]
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert fl._key(a) == fl._key(b) == _key_oracle(a)
+        assert a <= b and b <= a and not a < b
+    assert len(set(first) | set(second)) == len(first)
+    # the order of the one pair equals that of the other, and of the keys
+    for a, b, a2, b2 in zip(first[::7], first[3::11], second[::7], second[3::11]):
+        assert (a < b) == (a2 < b2) == (_key_oracle(a) < _key_oracle(b))
+        assert (a == b) == (a2 == b2) == (str(a) == str(b))
+    # a Hall element equals the expression built apart with the same text
+    texts = {str(e): e for e in second}
+    for e in fl.hall_basis(2, 5).elements():
+        twin = texts[str(e)]
+        assert twin == e and hash(twin) == hash(e) and fl._key(twin) == fl._key(e)

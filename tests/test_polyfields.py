@@ -251,6 +251,23 @@ def test_frame_reads_its_fields():
     assert fr.fields == (f,) and hash(fr) == hash(Frame(2, (f,)))
 
 
+@pytest.mark.parametrize("entry", ["lie_flag", "adapted_frame", "slice_report"])
+def test_an_empty_frame_is_refused_naming_the_frame(entry):
+    # no field to give a rank, a value or a flag: the frame itself refuses,
+    # before lie_flag reaches hall_basis, adapted_frame reads a direction or
+    # slice_report asks for a maximal growth vector
+    from liegrowth import ampleness, flags
+
+    run = {
+        "lie_flag": lambda fr: flags.lie_flag(fr, (1, 2, 3), 2),
+        "adapted_frame": lambda fr: ampleness.adapted_frame(fr, (1, 2, 3), (1, 0, 0)),
+        "slice_report": lambda fr: ampleness.slice_report(fr, (1, 2, 3), (1, 0, 0), 2),
+    }[entry]
+    for fields in ((), [], iter(())):
+        with pytest.raises(DomainError, match="^a frame needs at least one field$"):
+            run(Frame(3, fields))
+
+
 def test_poly_malformed_keys_raise():
     for key in ((0, 0, 1), (-1, 0), (1,), (1.0, 0), "x1"):
         with pytest.raises(DomainError):
