@@ -66,24 +66,17 @@ from .polyfields import (
     PolyField,
     _GradedLeaf,
     _taylor_leaves,
-    frame_change,
     poly_lie_bracket,
-    pushforward,
 )
 
 __all__ = [
     "AlgebraValidation",
     "FlagReport",
-    "Frame",
-    "PolyField",
     "StratifiedAlgebra",
     "formal_flag",
-    "frame_change",
     "left_invariant_extensions",
     "lie_flag",
     "nilpotent_frame",
-    "poly_lie_bracket",
-    "pushforward",
     "validate_algebra",
 ]
 

@@ -9,18 +9,20 @@ deterministic.  Within each length the order is one valid choice among many;
 layer *sizes* are forced (they must match the Witt dimension, which is
 asserted during generation), layer *contents* are not canonical.
 
-Each layer is built once per rank: ``hall_basis`` keeps the layers of the
-``MAX_RANKS`` most recently used ranks and extends them as far as a call
-asks, and an older rank is dropped; the layers depend on the rank alone, so
-a dropped rank rebuilds the same ones.  A ``BracketExpr`` carries its order
-key and its hash from construction, so neither a comparison nor a lookup
-walks the tree.
+Each layer is built once per rank: the layers of a rank are one list in the
+standard library's bounded cache (``functools.lru_cache``), which keeps the
+``MAX_RANKS`` most recently used ranks and drops an older one, and
+``hall_basis`` extends that list by whole layers as far as a call asks; the
+layers depend on the rank alone, so a dropped rank rebuilds the same ones.
+A ``BracketExpr`` carries its order key and its hash from construction, so
+neither a comparison nor a lookup walks the tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import CapExceeded, DomainError
 from .linalg import _sizes
@@ -215,17 +217,24 @@ def _is_admissible_pair(a: BracketExpr, b: BracketExpr) -> bool:
     return b.is_leaf or b.left <= a
 
 
-# The Hall layers of the most recently used ranks, at most MAX_RANKS of
-# them, least recently used first; a dropped rank rebuilds the same layers.
+# The Hall layers of the MAX_RANKS most recently used ranks; a dropped rank
+# rebuilds the same layers.  Called positionally, as lru_cache keys on the
+# call.
 MAX_RANKS = 4
-_LAYERS: dict[int, tuple[tuple[BracketExpr, ...], ...]] = {}
+
+
+@lru_cache(maxsize=MAX_RANKS)
+def _layers(k: int) -> list[tuple[BracketExpr, ...]]:
+    """The Hall layers of rank ``k`` built so far, from the leaves on;
+    ``hall_basis`` appends whole layers to it."""
+    return [tuple(BracketExpr.leaf(g) for g in range(1, k + 1))]
 
 
 def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
     """Generate Hall-set layers up to ``max_len``, checking each layer size
     against the Witt dimension.  ``cap`` bounds the total element count; a
     basis that would exceed it raises ``CapExceeded`` before any layer is
-    built.  Each layer is built once per rank (``_LAYERS``).
+    built.  Each layer is built once per rank (``_layers``).
     """
     _sizes(k=k, max_len=max_len)
     if k < 1 or max_len < 1:
@@ -238,19 +247,13 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
             raise CapExceeded(
                 f"Hall basis would exceed {cap} elements at length {length}"
             )
-    layers = _LAYERS.pop(k, None)
-    if layers is None:
-        layers = (tuple(BracketExpr.leaf(g) for g in range(1, k + 1)),)
-        while len(_LAYERS) >= MAX_RANKS:
-            del _LAYERS[next(iter(_LAYERS))]
-    # grown in a new list, so that a caller never sees a layer half added
-    grown = list(layers)
+    layers = _layers(k)
     for length in range(len(layers) + 1, max_len + 1):
         cands = []
         for la in range(1, length // 2 + 1):
             lb = length - la
-            for a in grown[la - 1]:
-                for b in grown[lb - 1]:
+            for a in layers[la - 1]:
+                for b in layers[lb - 1]:
                     if _is_admissible_pair(a, b):
                         cands.append(BracketExpr.pair(a, b))
         cands.sort(key=_key)
@@ -259,9 +262,9 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
             raise AssertionError(
                 f"layer {length} has {len(cands)} elements, Witt predicts {expected}"
             )
-        grown.append(tuple(cands))
-    layers = _LAYERS[k] = tuple(grown)
-    return HallBasis(k, layers[:max_len])
+        # appended whole, so that a caller never sees a layer half built
+        layers.append(tuple(cands))
+    return HallBasis(k, tuple(layers[:max_len]))
 
 
 def is_hall_element(e: BracketExpr, basis: HallBasis) -> bool:

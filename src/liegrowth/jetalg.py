@@ -49,13 +49,16 @@ A jet point keeps one integer view per ambient it is read in
 (``JetPoint._coded``): the lcm of its value denominators, and per code the
 value times it, an int, or None where the jet lacks the coordinate.
 ``evaluate`` multiplies along a monomial's codes straight out of that list,
-and ``_taylor_fields`` scales each entry to an int coefficient from it, with
-no ``Fraction`` formed.
+on one integer path whatever the denominators, and ``_taylor_fields``
+scales each entry to an int coefficient from it, with no ``Fraction``
+formed.
 
-The code tables of the ``MAX_TABLES`` most recently used ambients are kept,
-and an older one is dropped; codes depend on the ambient alone, so a dropped
-table rebuilds with the same codes, and a jet's integer view or a pickled
-polynomial coded against it still reads right.  What reads codes through a
+The code tables are kept in the standard library's bounded cache
+(``_codes``, a ``functools.lru_cache`` over ``_Codes``): those of the
+``MAX_TABLES`` most recently used ambients stay, and an older one is
+dropped; codes depend on the ambient alone, so a dropped table rebuilds
+with the same codes, and a jet's integer view or a pickled polynomial
+coded against it still reads right.  What reads codes through a
 table grows it first as far as it needs (``DiffPoly._table``).
 
 The symbol core does no work twice.  ``_act`` reads the successors of a code
@@ -81,7 +84,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial, lcm
 from math import prod as _prod
 from operator import itemgetter
@@ -212,21 +215,11 @@ class _Codes:
         return code
 
 
-# The code tables of the most recently used ambients, at most MAX_TABLES of
-# them, least recently used first; a dropped table rebuilds identically,
-# since a code depends on (k, n) and the coordinate alone.
+# The code tables of the MAX_TABLES most recently used ambients; a dropped
+# table rebuilds identically, since a code depends on (k, n) and the
+# coordinate alone.  Called positionally, as lru_cache keys on the call.
 MAX_TABLES = 8
-_TABLES: dict[tuple[int, int], _Codes] = {}
-
-
-def _codes(k: int, n: int) -> _Codes:
-    tab = _TABLES.pop((k, n), None)
-    if tab is None:
-        tab = _Codes(k, n)
-        while len(_TABLES) >= MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]
-    _TABLES[(k, n)] = tab
-    return tab
+_codes = lru_cache(maxsize=MAX_TABLES)(_Codes)
 
 
 class DiffPoly(_SparsePoly):
@@ -454,7 +447,6 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     }
     polys = {code: val for code, val in assigned.items() if isinstance(val, DiffPoly)}
     scalars = {code: val for code, val in assigned.items() if code not in polys}
-    out = DiffPoly.zero(p.k, p.n, p.r)
     acc: dict = {}
     for mono, c in p.terms.items():
         coeff = c
@@ -472,15 +464,12 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
         if coeff == 0:
             continue
         # a subsequence of a sorted monomial is sorted
-        if not poly_factors:
-            key = tuple(kept)
-            acc[key] = acc.get(key, 0) + coeff
-        else:
-            term = p._like({tuple(kept): coeff})
-            for q in poly_factors:
-                term = term * q
-            out = out + term
-    return out + p._like(acc)
+        term = {tuple(kept): coeff}
+        for q in poly_factors:
+            term = (p._like(term) * q).terms
+        for key, c in term.items():
+            acc[key] = acc.get(key, 0) + c
+    return p._like(acc)
 
 
 def substitute_vec(vec: DiffVec, assignment) -> DiffVec:
@@ -518,6 +507,11 @@ class JetPoint:
 
     def __post_init__(self):
         _sizes(k=self.k, n=self.n, order=self.order)
+        if self.k < 1 or self.n < 1 or self.order < 0:
+            raise DomainError(
+                f"a jet point needs k >= 1, n >= 1 and order >= 0, "
+                f"got k={self.k}, n={self.n}, order={self.order}"
+            )
         self.base = tuple(map(Fraction, _exact_vector(self.base, "base point", self.n)))
         vals = {}
         for v, c in self.values.items():
@@ -580,24 +574,22 @@ def iter_jet_vars(k: int, n: int, order: int):
 
 
 def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
-    # Integer fast path: scale jet values and coefficients to integers, then
-    # accumulate a single integer numerator, reading the jet's view indexed
-    # by p's codes; a zero value is the one shared Fraction zero.  The lcm of
-    # the coefficient denominators and the largest degree are computed on the
+    # One integer path for every input: the coefficients times their lcm
+    # ``cden`` and the jet's values times theirs, ``denom`` (the jet's view,
+    # indexed by p's codes), summed into one integer numerator, a monomial
+    # of degree d weighted by denom**(maxdeg - d); with integer values and
+    # coefficients every power is 1.  A zero value is the one shared
+    # Fraction zero.  ``cden`` and the largest degree are computed on the
     # first call and carried in ``_scale``, like ``_order``.
     denom, view = jet._coded(p.k, p.n)
     if p._scale is None:
         cden = lcm(*(c.denominator for c in p.terms.values()))
         p._scale = (cden, max(map(len, p.terms), default=0))
     cden, maxdeg = p._scale
+    powers = [denom**e for e in range(maxdeg + 1)]
     get = view.__getitem__
     acc = 0
     try:
-        if denom == 1 and cden == 1:
-            for mono, c in p.terms.items():
-                acc += _prod(map(get, mono), start=c)
-            return Fraction(acc) if acc else _ZERO
-        powers = [denom**e for e in range(maxdeg + 1)]
         for mono, c in p.terms.items():
             prod = _prod(map(get, mono), start=c if cden == 1 else int(c * cden))
             acc += prod * powers[maxdeg - len(mono)]

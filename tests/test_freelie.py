@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from liegrowth import freelie as fl
@@ -271,36 +273,48 @@ def _key_oracle(e):
 
 
 def test_repeated_growing_and_shrinking_hall_calls_equal_a_fresh_build(monkeypatch):
-    monkeypatch.setattr(fl, "_LAYERS", {})
+    fl._layers.cache_clear()
     oracle = {k: _hall_layers_oracle(k, 5) for k in (1, 2, 3)}
     sequence = [(2, 1), (2, 3), (3, 2), (2, 5), (2, 2), (3, 5), (1, 4), (3, 4), (2, 5), (3, 1)]
     for k, length in sequence:
         got = fl.hall_basis(k, length)
         assert got.k == k and len(got.layers) == length
         assert [list(layer) for layer in got.layers] == oracle[k][:length]
-        with monkeypatch.context() as m:
-            m.setattr(fl, "_LAYERS", {})
+        with monkeypatch.context() as m:  # a fresh cache, this one left as it is
+            m.setattr(fl, "_layers", lru_cache(maxsize=fl.MAX_RANKS)(fl._layers.__wrapped__))
             assert fl.hall_basis(k, length) == got
     # the cached layers are the ones handed out, built once
     assert fl.hall_basis(2, 4).layers == fl.hall_basis(2, 5).layers[:4]
     assert all(a is b for a, b in zip(fl.hall_basis(3, 3).layers[2], fl.hall_basis(3, 5).layers[2]))
 
 
-def test_hall_cache_keeps_few_ranks_and_a_dropped_rank_rebuilds_the_same(monkeypatch):
-    monkeypatch.setattr(fl, "_LAYERS", {})
+def test_hall_cache_keeps_few_ranks_and_a_dropped_rank_rebuilds_the_same():
+    fl._layers.cache_clear()
     first = fl.hall_basis(2, 6)
-    for k in range(3, 3 + fl.MAX_RANKS + 2):
-        fl.hall_basis(k, 3)
-        assert len(fl._LAYERS) <= fl.MAX_RANKS
-    assert 2 not in fl._LAYERS
+    ranks = range(3, 3 + fl.MAX_RANKS + 2)
+    built = {}
+    for k in ranks:
+        built[k] = fl.hall_basis(k, 3).layers
+        assert fl._layers.cache_info().currsize == min(k - 1, fl.MAX_RANKS)
+    # the MAX_RANKS most recent ranks are kept, read in the order they came
+    info = fl._layers.cache_info()
+    for k in ranks[-fl.MAX_RANKS :]:
+        assert all(a is b for a, b in zip(fl.hall_basis(k, 3).layers[2], built[k][2]))
+    assert fl._layers.cache_info().misses == info.misses
+    # and the least recently used, rank 2, was dropped: it is built again, the same
     again = fl.hall_basis(2, 6)
+    assert fl._layers.cache_info().misses == info.misses + 1
     assert again == first and again.layers[5][0] is not first.layers[5][0]
+    # that pushed out the oldest kept rank
+    oldest = ranks[-fl.MAX_RANKS]
+    assert fl.hall_basis(oldest, 3).layers[2][0] is not built[oldest][2][0]
 
 
 def test_hall_cap_is_checked_before_a_cached_rank_grows(monkeypatch):
-    monkeypatch.setattr(fl, "_LAYERS", {})
+    fl._layers.cache_clear()
     fl.hall_basis(2, 6)
-    cached = fl._LAYERS[2]
+    cached = fl._layers(2)
+    built = tuple(cached)
     calls = []
 
     def counting(a, b):
@@ -310,9 +324,10 @@ def test_hall_cap_is_checked_before_a_cached_rank_grows(monkeypatch):
     monkeypatch.setattr(fl, "_is_admissible_pair", counting)
     with pytest.raises(CapExceeded, match="length 8"):
         fl.hall_basis(2, 8, cap=60)
-    assert calls == [] and fl._LAYERS[2] is cached
+    assert calls == [] and fl._layers(2) is cached
+    assert len(cached) == 6 and all(a is b for a, b in zip(cached, built))
     # a basis within the cap reads the cached layers and builds none
-    assert fl.hall_basis(2, 6, cap=60).layers == cached
+    assert fl.hall_basis(2, 6, cap=60).layers == built
     assert calls == []
 
 

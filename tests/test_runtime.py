@@ -72,7 +72,10 @@ def test_only_the_check_suites_import_random():
 def test_importing_the_package_builds_no_code_table():
     """The jet-coordinate code tables are built on first use, so importing
     liegrowth and every submodule builds none."""
-    probe = PROBE + "\nfrom liegrowth import jetalg\nprint(json.dumps(len(jetalg._TABLES)))\n"
+    probe = PROBE + (
+        "\nfrom liegrowth import jetalg\n"
+        "print(json.dumps(jetalg._codes.cache_info().currsize))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_env(), capture_output=True, text=True,
         check=True, timeout=60,
@@ -166,6 +169,14 @@ def test_the_package_exports_each_name_of_its_defining_module():
     assert set(names) <= set(dir(liegrowth))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         liegrowth.no_such_name  # noqa: B018
+
+
+def test_a_module_lists_only_its_own_names_in_its_all():
+    # the package reads each name from its defining module, so no module
+    # re-exports another's in its ``__all__``
+    for mod, group in EXPORTED.items():
+        home = importlib.import_module(f"liegrowth.{mod}")
+        assert sorted(getattr(home, "__all__", group)) == sorted(group), mod
 
 
 def test_a_package_name_follows_its_defining_module(monkeypatch):

@@ -57,11 +57,11 @@ def _random_diffpoly(rng, k, n, r, max_terms=6, max_deg=3):
 # --- code table -----------------------------------------------------------
 
 
-def test_derive_all_matches_reference(monkeypatch):
+def test_derive_all_matches_reference():
     # derive(p, t) for every t against the reference total derivatives.  No
     # table yet, and n = 1 met first: a table of a smaller ambient must not
     # lend its codes or successors to a larger one
-    monkeypatch.setattr(ja, "_TABLES", {})
+    ja._codes.cache_clear()
     rng = random.Random(1601)
     zeros = 0
     for n in (1, 2, 3, 4, 2, 1):
@@ -150,7 +150,7 @@ _READ_BACK = """
 import pickle, sys
 from liegrowth import jetalg as ja
 p, k, n, r, terms = pickle.loads(sys.stdin.buffer.read())
-assert ja._TABLES == {}
+assert ja._codes.cache_info().currsize == 0
 rebuilt = ja.DiffPoly(k, n, r, terms)
 sys.stdout.buffer.write(pickle.dumps(
     (p == rebuilt, hash(p), hash(rebuilt), p.order(), p.sorted_terms(), str(p))
@@ -158,10 +158,10 @@ sys.stdout.buffer.write(pickle.dumps(
 """
 
 
-def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter(monkeypatch):
+def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter():
     # grow this interpreter's tables in another order than the fresh one will:
     # the (2, 3) table to order 3 by a bracket, after other ambients
-    monkeypatch.setattr(ja, "_TABLES", {})
+    ja._codes.cache_clear()
     ja.bracket((1, 2), 3, 3, 2), ja.bracket((2, 1, 2), 2, 2, 3)
     vec = ja.bracket((1, 2, 2, 1), 2, 3, 4)
     rng = random.Random(1607)
@@ -180,11 +180,11 @@ def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter(monkeypatch):
         assert pickle.loads(payload)[0] == p
 
 
-def test_codes_views_and_pickles_survive_an_evicted_table(monkeypatch):
+def test_codes_views_and_pickles_survive_an_evicted_table():
     # the tables hold the MAX_TABLES most recently used ambients; a dropped
     # one rebuilds with the same codes, and what was coded against it
     # (a jet's integer view, a polynomial, its pickle) still reads right
-    monkeypatch.setattr(ja, "_TABLES", {})
+    ja._codes.cache_clear()
     assert ja.MAX_TABLES >= 8
     fr = catalog.engel_frame()
     jet = ja.jet_of_frame(fr, (1, F(1, 2), 0, 2), 2)
@@ -195,21 +195,33 @@ def test_codes_views_and_pickles_survive_an_evicted_table(monkeypatch):
     codes = {v: tab.index[v] for v in tab.vars}
     payload = pickle.dumps(vec.comps)
     text = [str(c) for c in vec.comps]
-    for n in range(5, 5 + ja.MAX_TABLES):  # each new ambient pushes out the oldest
+    newer = range(5, 5 + ja.MAX_TABLES)
+    for n in newer:  # each new ambient pushes out the oldest
         ja.DiffPoly.var(1, 1, (1,), 1, n, 3)
-        assert len(ja._TABLES) <= ja.MAX_TABLES
-    assert (2, 4) not in ja._TABLES
+        assert ja._codes.cache_info().currsize <= ja.MAX_TABLES
+    # the newer tables are all kept, read in the order they came, and (2, 4)
+    # was dropped: it is built again from nothing
+    hits = ja._codes.cache_info().hits
+    for n in newer:
+        ja._codes(1, n)
+    info = ja._codes.cache_info()
+    assert info.hits == hits + ja.MAX_TABLES and info.currsize == ja.MAX_TABLES
+    rebuilt = ja._codes(2, 4)
+    assert ja._codes.cache_info().misses == info.misses + 1
+    assert rebuilt is not tab and len(rebuilt.vars) < len(tab.vars)
     comps = pickle.loads(payload)
     # a polynomial that carries its order reads through a table rebuilt from nothing
     assert [str(c) for c in comps] == [str(c) for c in vec.comps] == text
     assert ja.evaluate(ja.DiffVec(comps), jet) == ja.evaluate(vec, jet) == want
     assert jet._coded(2, 4) is view
-    rebuilt = ja._codes(2, 4)
-    assert rebuilt is not tab
+    assert ja._codes(2, 4) is rebuilt
     rebuilt.grow(len(tab.starts) - 2)
     assert {v: rebuilt.index[v] for v in rebuilt.vars} == codes
     assert ja.jet_of_frame(fr, (1, F(1, 2), 0, 2), 2) == jet
-    assert ja._codes(2, 4) is rebuilt and list(ja._TABLES)[-1] == (2, 4)
+    # (2, 4), now the most recently used, outlasts MAX_TABLES - 1 more ambients
+    for n in range(30, 30 + ja.MAX_TABLES - 1):
+        ja._codes(1, n)
+    assert ja._codes(2, 4) is rebuilt
 
 
 # --- carried order --------------------------------------------------------
@@ -267,23 +279,38 @@ def test_carried_order_of_brackets():
                         vecs[(a,) + rest] = vec
 
 
+def _evaluate_at_each(fr, p, points, name):
+    """Evaluate ``p`` at the jet of ``fr`` at each point against a full walk,
+    then check the scale it carries; the last jet is returned."""
+    k, n = fr.k, fr.n
+    vec = ja.DiffVec((p,) + (ja.DiffPoly.zero(k, n, 4),) * (n - 1))
+    assert p._scale is None
+    for point in points:
+        jet = ja.jet_of_frame(fr, point, 2)
+        want = sum((c * prod(jet[v] for v in mono) for mono, c in p.sorted_terms()), F(0))
+        assert ja.evaluate(vec, jet)[0] == want, name
+    cden = lcm(*(F(c).denominator for c in p.terms.values()))
+    assert p._scale == (cden, max(map(len, p.terms), default=0)), name
+    return jet
+
+
 def test_carried_evaluation_scale_equals_a_full_walk():
     # the lcm of the denominators and the largest degree, kept from the first
     # evaluate, serve every later jet
     rng = random.Random(1606)
-    for name, fr in catalog.catalog_frames().items():
-        k, n = fr.k, fr.n
-        p = _random_diffpoly(rng, k, n, 4, max_terms=8)
-        vec = ja.DiffVec((p,) + (ja.DiffPoly.zero(k, n, 4),) * (n - 1))
-        assert p._scale is None
-        for _ in range(3):
-            jet = ja.jet_of_frame(fr, rand_point(rng, n), 2)
-            want = sum(
-                (c * prod(jet[v] for v in mono) for mono, c in p.sorted_terms()), F(0)
-            )
-            assert ja.evaluate(vec, jet)[0] == want, name
-        cden = lcm(*(F(c).denominator for c in p.terms.values()))
-        assert p._scale == (cden, max(map(len, p.terms), default=0)), name
+    frames = catalog.catalog_frames()
+    for name, fr in frames.items():
+        p = _random_diffpoly(rng, fr.k, fr.n, 4, max_terms=8)
+        _evaluate_at_each(fr, p, [rand_point(rng, fr.n) for _ in range(3)], name)
+    # an int symbol at int points of a frame with int coefficients: every
+    # denominator is 1, and so is every power of it that evaluate weighs by
+    rng = random.Random(1608)
+    for name in ("heisenberg", "martinet"):
+        fr = frames[name]
+        symbol = max(ja.bracket((1, 1, 2), fr.k, fr.n, 4).comps, key=lambda c: len(c.terms))
+        points = [tuple(rng.randint(-3, 3) for _ in range(fr.n)) for _ in range(3)]
+        jet = _evaluate_at_each(fr, symbol, points, name)
+        assert symbol.terms and symbol._scale[0] == 1 and jet._coded(fr.k, fr.n)[0] == 1, name
 
 
 # --- jet points -----------------------------------------------------------
@@ -317,3 +344,15 @@ def test_user_jet_point_is_normalised_and_checked():
     del values[ja.JetVar(1, 2, (2, 2))]
     with pytest.raises(IncompleteJet):
         ja.JetPoint(1, 2, 2, (1, 0), values)
+
+
+@pytest.mark.parametrize(
+    "k, n, order, base", [(0, 3, 1, (0, 0, 0)), (1, 0, 1, ()), (1, 1, -1, (0,))]
+)
+def test_a_jet_point_without_fields_directions_or_order_is_refused(k, n, order, base):
+    # refused when built, naming the jet, rather than by a later flag query
+    text = rf"k >= 1, n >= 1 and order >= 0, got k={k}, n={n}, order={order}$"
+    with pytest.raises(DomainError, match=text):
+        ja.JetPoint(k, n, order, base, {})
+    # the smallest jet point is fine
+    assert ja.JetPoint(1, 1, 0, (0,), {ja.JetVar(1, 1, ()): 1})[ja.JetVar(1, 1, ())] == 1
