@@ -33,33 +33,36 @@ components of ``polyfields._bracket``, the one exact Lie-bracket kernel,
 A(B^i) - B(A^i), which it shares with ``poly_lie_bracket``.
 ``jet_of_frame`` reads the jet of a frame off the int parts of its Taylor
 expansion (``polyfields._taylor_leaves``, one expansion of its monomials
-shared by its fields) instead of differentiating, one ``Fraction`` per
-value, keys it by the table's own ``JetVar``s, shares one Fraction zero
-among its zero values, and hands its complete, canonical dict to
-``JetPoint`` without the re-validation a user-built jet point gets; a
-user-built one reads its base and values by the rule of ``linalg._exact``,
-so a float is a ``DomainError``, and its sizes must be ints.
+shared by its fields) instead of differentiating: the numerator of each
+value is the part's int times alpha! over the lcm of the fields' scales,
+written straight into the jet's store, with no ``Fraction`` formed.
 ``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
 u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the graded int
 leaves (``_JetParts``) that ``flags.formal_flag`` brackets.
 Both walk one table of multi-indices by length, ``_multi_indices``, beside
 the matching codes (``_Codes.run``).
 
-A jet point keeps one integer view per ambient it is read in
-(``JetPoint._coded``): the lcm of its value denominators, and per code the
-value times it, an int, or None where the jet lacks the coordinate.
-``evaluate`` multiplies along a monomial's codes straight out of that list,
-on one integer path whatever the denominators, and ``_taylor_fields``
-scales each entry to an int coefficient from it, with no ``Fraction``
-formed.
+A jet point is a frozen record that keeps its values once, as ints over
+one denominator: ``_denom``, the lcm of the value denominators, and
+``_nums``, per code of its ambient's table up to its order, the value times
+``_denom``.  ``jet[v]`` and ``values`` (a new dict on every read) read
+``Fraction``s off it; ``evaluate`` multiplies along a monomial's codes
+straight out of that list, on one integer path whatever the denominators,
+and ``_taylor_fields`` scales each entry to an int coefficient.  The
+checked constructor reads each key as ``_Codes.encode`` does and each value
+by the rule of ``linalg._exact`` (a float is a ``DomainError``), ignores a
+key that names no coordinate the jet fixes, and refuses a missing one with
+``IncompleteJet``; it and ``jet_of_frame`` both end in ``JetPoint._set``,
+and from equal values they build equal jets.
 
 The code tables are kept in the standard library's bounded cache
 (``_codes``, a ``functools.lru_cache`` over ``_Codes``): those of the
 ``MAX_TABLES`` most recently used ambients stay, and an older one is
 dropped; codes depend on the ambient alone, so a dropped table rebuilds
-with the same codes, and a jet's integer view or a pickled polynomial
-coded against it still reads right.  What reads codes through a
-table grows it first as far as it needs (``DiffPoly._table``).
+with the same codes, and a jet's store or a pickled polynomial coded
+against it still reads right.  What reads codes through a
+table grows it first as far as it needs (``DiffPoly._table``,
+``JetPoint._table``).
 
 The symbol core does no work twice.  ``_act`` reads the successors of a code
 from the table, builds the rest of a monomial once per position, and forms
@@ -85,7 +88,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from math import prod as _prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -160,8 +163,8 @@ class _Codes:
         self.starts = [0]
         self.grow(0)
 
-    def grow(self, order: int) -> None:
-        """Code every coordinate of order <= ``order``."""
+    def grow(self, order: int) -> _Codes:
+        """Code every coordinate of order <= ``order``; the table itself."""
         while len(self.starts) - 2 < order:
             m, dirs = len(self.starts) - 1, range(1, self.n + 1)
             idxs = list(itertools.combinations_with_replacement(dirs, m))  # shared by all keys
@@ -172,6 +175,7 @@ class _Codes:
                         self.index[v] = len(self.vars)
                         self.vars.append(v)
             self.starts.append(len(self.vars))
+        return self
 
     def successors(self, order: int) -> list[tuple[int, ...]]:
         """``succ``, filled for every code of order <= ``order``."""
@@ -299,9 +303,7 @@ class DiffPoly(_SparsePoly):
         """The code table of this ambient, coded through this polynomial's
         order, so that it names every code present even where it was
         dropped and rebuilt since ``order()`` first read it."""
-        tab = _codes(self.k, self.n)
-        tab.grow(self.order())
-        return tab
+        return _codes(self.k, self.n).grow(self.order())
 
     def _names(self) -> list[JetVar]:
         """The coordinate of each code, covering every code present."""
@@ -480,8 +482,7 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     """Jet coordinates present in ``vec`` whose multi-index is exactly ``m``
     copies of direction ``t``; ``m = 0`` returns the 0-jet coordinates.
     """
-    tab = _codes(vec.k, vec.n)
-    tab.grow(vec.order())  # codes every coordinate of vec
+    tab = _codes(vec.k, vec.n).grow(vec.order())  # codes every coordinate of vec
     target = (t,) * m
     wanted = {
         tab.index.get(JetVar(fld, comp, target))
@@ -492,95 +493,100 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     return {tab.vars[c] for c in present & wanted}
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class JetPoint:
     """Total rational assignment of all jet coordinates up to ``order``,
-    together with the base point.
+    together with the base point, kept as ints over one denominator (see
+    the module docstring).
+
+    ``JetPoint(k, n, order, base, values)`` takes ``values`` as a mapping
+    from coordinates (a ``JetVar`` or a (field, comp, idx) triple, its index
+    in any order) to exact rationals; of keys naming one coordinate the last
+    wins.
     """
 
     k: int
     n: int
     order: int
     base: tuple[Fraction, ...]
-    values: dict[JetVar, Fraction]
-    _views: dict = field(default_factory=dict, repr=False, compare=False)
+    _denom: int = field(repr=False)
+    _nums: list[int] = field(repr=False)
 
-    def __post_init__(self):
-        _sizes(k=self.k, n=self.n, order=self.order)
-        if self.k < 1 or self.n < 1 or self.order < 0:
+    def __init__(self, k: int, n: int, order: int, base, values):
+        _sizes(k=k, n=n, order=order)
+        if k < 1 or n < 1 or order < 0:
             raise DomainError(
                 f"a jet point needs k >= 1, n >= 1 and order >= 0, "
-                f"got k={self.k}, n={self.n}, order={self.order}"
+                f"got k={k}, n={n}, order={order}"
             )
-        self.base = tuple(map(Fraction, _exact_vector(self.base, "base point", self.n)))
-        vals = {}
-        for v, c in self.values.items():
-            v = JetVar(v.field, v.comp, tuple(sorted(v.idx)))
-            vals[v] = c if type(c) is Fraction else Fraction(_exact(c, f"jet value of {v}"))
-        self.values = vals
-        missing = []
-        for v in iter_jet_vars(self.k, self.n, self.order):
-            if v not in vals:
-                missing.append(v)
+        base = tuple(map(Fraction, _exact_vector(base, "base point", n)))
+        if not hasattr(values, "items"):
+            raise DomainError(f"jet values must be a mapping, got {type(values).__name__}")
+        tab = _codes(k, n).grow(order)
+        vals: list = [None] * tab.starts[order + 1]
+        for key, c in values.items():
+            try:
+                fld, comp, idx = key
+                v = JetVar(fld, comp, tuple(sorted(idx)))
+                code = tab.index.get(v)
+            except (TypeError, ValueError):
+                raise DomainError(f"{key!r} is not a jet coordinate (field, comp, idx)") from None
+            c = _exact(c, f"jet value of {v}")
+            if code is not None and code < len(vals):
+                vals[code] = c
+        missing = [tab.vars[code] for code, c in enumerate(vals) if c is None]
         if missing:
-            raise IncompleteJet(
-                f"jet point is missing {len(missing)} coordinates, e.g. {missing[0]}"
-            )
+            first = min(missing, key=lambda v: (v.field, v.comp, len(v.idx), v.idx))
+            raise IncompleteJet(f"jet point is missing {len(missing)} coordinates, e.g. {first}")
+        denom = lcm(*(c.denominator for c in vals))
+        self._set(k, n, order, base, denom, [c.numerator * (denom // c.denominator) for c in vals])
 
-    @classmethod
-    def _trusted(cls, k: int, n: int, order: int, base, values) -> JetPoint:
-        """A jet point from parts that are already canonical: a tuple of
-        Fractions, and a complete dict from sorted-index ``JetVar``s to
-        Fractions.  Skips the checks of ``__post_init__``; only
-        ``jet_of_frame`` builds such parts."""
-        jet = cls.__new__(cls)
-        jet.k, jet.n, jet.order, jet.base, jet.values = k, n, order, base, values
-        jet._views = {}
-        return jet
+    def _set(self, k: int, n: int, order: int, base, denom: int, nums: list) -> JetPoint:
+        """This jet, its parts set from canonical ones: ``base`` a tuple of
+        Fractions, ``denom`` the lcm of the value denominators and ``nums``
+        the value times ``denom`` per code up to ``order``."""
+        vars(self).update(k=k, n=n, order=order, base=base, _denom=denom, _nums=nums)
+        return self
+
+    def _table(self) -> _Codes:
+        """The code table of this jet's ambient, coded through its order,
+        even where it was dropped and rebuilt since the jet was made."""
+        return _codes(self.k, self.n).grow(self.order)
+
+    @property
+    def values(self) -> dict[JetVar, Fraction]:
+        """Every coordinate the jet fixes and its value, in code order: a
+        new dict on every read."""
+        denom = self._denom
+        return {v: Fraction(u, denom) for v, u in zip(self._table().vars, self._nums)}
 
     def __getitem__(self, v: JetVar) -> Fraction:
-        try:
-            return self.values[v]
-        except KeyError:
-            raise IncompleteJet(f"jet point has no coordinate {v}") from None
+        code = self._table().index.get(v)
+        if code is None or code >= len(self._nums):
+            raise IncompleteJet(f"jet point has no coordinate {v}")
+        return Fraction(self._nums[code], self._denom)
 
-    def _coded(self, k: int, n: int):
+    def _coded(self, k: int, n: int) -> tuple[int, list]:
         """``(denom, view)`` over the code table of the ambient ``(k, n)``:
-        the lcm of the value denominators, and per code up to this jet's
-        order the value times it, an int, or None where the jet lacks the
-        coordinate.  Built on the first call for that ambient and kept."""
-        got = self._views.get((k, n))
-        if got is None:
-            denom = lcm(*(c.denominator for c in self.values.values()))
-            tab = _codes(k, n)
-            tab.grow(self.order)
-            get = self.values.get
-            view = []
-            for v in tab.vars[: tab.starts[self.order + 1]]:
-                c = get(v)
-                view.append(None if c is None else c.numerator * (denom // c.denominator))
-            got = self._views[(k, n)] = (denom, view)
-        return got
-
-
-def iter_jet_vars(k: int, n: int, order: int):
-    for fld in range(1, k + 1):
-        for comp in range(1, n + 1):
-            for ln in range(order + 1):
-                for idx in itertools.combinations_with_replacement(
-                    range(1, n + 1), ln
-                ):
-                    yield JetVar(fld, comp, idx)
+        the store for the jet's own ambient, and for another one a list
+        rebuilt on each call, per code up to this jet's order the value
+        times ``denom``, or None where the jet lacks the coordinate."""
+        if (k, n) == (self.k, self.n):
+            return self._denom, self._nums
+        tab, nums = _codes(k, n).grow(self.order), self._nums
+        codes = map(self._table().index.get, tab.vars[: tab.starts[self.order + 1]])
+        return self._denom, [None if c is None else nums[c] for c in codes]
 
 
 def _eval_poly(p: DiffPoly, jet: JetPoint) -> Fraction:
     # One integer path for every input: the coefficients times their lcm
-    # ``cden`` and the jet's values times theirs, ``denom`` (the jet's view,
-    # indexed by p's codes), summed into one integer numerator, a monomial
-    # of degree d weighted by denom**(maxdeg - d); with integer values and
-    # coefficients every power is 1.  A zero value is the one shared
-    # Fraction zero.  ``cden`` and the largest degree are computed on the
-    # first call and carried in ``_scale``, like ``_order``.
+    # ``cden`` and the jet's values times theirs, ``denom`` (the jet's store,
+    # or a view for another ambient, indexed by p's codes), summed into one
+    # integer numerator, a monomial of degree d weighted by
+    # denom**(maxdeg - d); with integer values and coefficients every power
+    # is 1.  A zero value is the one shared Fraction zero.  ``cden`` and the
+    # largest degree are computed on the first call and carried in
+    # ``_scale``, like ``_order``.
     denom, view = jet._coded(p.k, p.n)
     if p._scale is None:
         cden = lcm(*(c.denominator for c in p.terms.values()))
@@ -649,24 +655,34 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     evaluated exactly at ``point``.  They are read off the int parts of the
     order-``order`` Taylor expansion at ``point`` (``_taylor_leaves``): the
     derivative along a multi-index that takes direction j alpha_j times is
-    alpha! times the coefficient of x^alpha, one ``Fraction`` of the part's
-    int times alpha! over the expansion's scale.
+    alpha! times the coefficient of x^alpha, the part's int times alpha!
+    over the part's scale.  Each is written as an int over the lcm of the
+    scales, and the gcd of that lcm and every numerator is divided out, which
+    leaves the lcm of the reduced denominators, as the checked constructor
+    keeps them.
     """
     n = frame.n
     _sizes(order=order)
     base = tuple(map(Fraction, _exact_vector(point, "point", n)))
-    tab = _codes(frame.k, n)
+    tab = _codes(frame.k, n).grow(order)
     runs = _multi_indices(n, order, _pack_width(order))
-    values: dict[JetVar, Fraction] = {}
-    for fld, parts in enumerate(_taylor_leaves(frame.fields, base, order), start=1):
-        scale = parts.scale
+    leaves = _taylor_leaves(frame.fields, base, order)
+    denom = lcm(*(parts.scale for parts in leaves))
+    nums = [0] * tab.starts[order + 1]
+    for fld, parts in enumerate(leaves, start=1):
+        mult = denom // parts.scale
         for comp, acc in enumerate(parts.expand(0, order), start=1):
             get = acc.get
             for m, run in enumerate(runs):
                 for (key, fact), code in zip(run, tab.run(fld, comp, m)):
                     u = get(key)
-                    values[tab.vars[code]] = Fraction(u * fact, scale) if u else _ZERO
-    return JetPoint._trusted(frame.k, n, order, base, values)
+                    if u:
+                        nums[code] = u * fact * mult
+    g = gcd(denom, *nums)
+    if g != 1:
+        denom //= g
+        nums = [u // g for u in nums]
+    return JetPoint.__new__(JetPoint)._set(frame.k, n, order, base, denom, nums)
 
 
 class _JetParts(_GradedLeaf):
@@ -675,26 +691,24 @@ class _JetParts(_GradedLeaf):
     as int parts for the flag engine: the coefficient of x^alpha in
     component i is u^i_{fld,alpha} / alpha!, and the leaf is that field
     times ``denom * order!``, so its coefficient is u * (order! / alpha!)
-    with u the value times ``denom`` from the jet's integer view
-    (``jet._coded``), and ``scale`` is ``denom * order!``.  No ``Fraction``
-    is formed."""
+    with u the value times ``denom`` from the jet's store (``jet._nums``),
+    and ``scale`` is ``denom * order!``.  No ``Fraction`` is formed."""
 
     __slots__ = ("_jet", "_fld", "_runs", "_fact")
 
     def __init__(self, jet: JetPoint, fld: int, order: int, runs: list):
         self.n, self.width, self.top, self._parts = jet.n, _pack_width(order), order, {}
         self._jet, self._fld, self._runs, self._fact = jet, fld, runs, factorial(order)
-        self.scale = jet._coded(jet.k, jet.n)[0] * self._fact
+        self.scale = jet._denom * self._fact
 
     def _form(self, d: int) -> list[dict]:
         jet, fld, fact = self._jet, self._fld, self._fact
-        view = jet._coded(jet.k, jet.n)[1]
-        tab = _codes(jet.k, jet.n)
+        nums, tab = jet._nums, _codes(jet.k, jet.n)
         out = []
         for comp in range(1, jet.n + 1):
             terms = {}
             for (key, afact), code in zip(self._runs[d], tab.run(fld, comp, d)):
-                u = view[code]
+                u = nums[code]
                 if u:
                     terms[key] = u * (fact // afact)
             out.append(terms)

@@ -99,9 +99,14 @@ class _SparsePoly:
 
     def _like(self, acc: dict):
         """Polynomial over this ambient holding the nonzero entries of ``acc``,
-        whose coefficients are already exact."""
+        whose coefficients are already exact; an integral ``Fraction`` is kept
+        as an int, as the constructor keeps it."""
         p = type(self)(*self._ambient)
-        p.terms = {m: c for m, c in acc.items() if c}
+        p.terms = {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in acc.items()
+            if c
+        }
         return p
 
     @staticmethod

@@ -40,6 +40,20 @@ def constant_frame(n: int, k: int) -> Frame:
     return Frame(n, tuple(PolyField.basis(n, j) for j in range(1, k + 1)))
 
 
+def jet_vars(k: int, n: int, order: int) -> list:
+    """Every jet coordinate of ``k`` fields on R^n up to ``order``, by field,
+    component, order and index, enumerated without the code table."""
+    from liegrowth.jetalg import JetVar
+
+    return [
+        JetVar(fld, comp, idx)
+        for fld in range(1, k + 1)
+        for comp in range(1, n + 1)
+        for ln in range(order + 1)
+        for idx in itertools.combinations_with_replacement(range(1, n + 1), ln)
+    ]
+
+
 def jet_by_derivatives(frame: Frame, point, order: int) -> dict:
     """Reference jet: every partial derivative up to ``order`` by chains of
     ``Poly.derivative`` evaluated at ``point``, keyed by JetVar."""
@@ -346,6 +360,49 @@ def lie_flag_reference(fr, point, max_step: int, cross_check: bool = False):
         if rank == n:
             break
     return _report_from_dims(k, n, point, dims)
+
+
+def triangular_map(rng, n: int, degree: int = 2, terms: int = 2) -> list:
+    """A seeded triangular automorphism phi_j(x) = x_j + f_j(x_1, ..., x_{j-1})
+    of R^n, as its ``Poly``s f_1 = 0, f_2, ..., f_n: each f_j has 1 to
+    ``terms`` monomials of degree 1..``degree`` in x_1..x_{j-1}, with nonzero
+    int or half-int coefficients."""
+    fs = [Poly.zero(n)]
+    for j in range(2, n + 1):
+        monos = {}
+        for _ in range(rng.randint(1, terms)):
+            exps = [0] * n
+            for _ in range(rng.randint(1, degree)):
+                exps[rng.randrange(j - 1)] += 1
+            monos[tuple(exps)] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+        fs.append(Poly(n, monos))
+    return fs
+
+
+def push_triangular(fr: Frame, fs: list) -> Frame:
+    """The frame phi_* X for the triangular map phi_j = x_j + fs[j-1]
+    (``triangular_map``): each field is (D phi . X) o psi, with
+    (D phi . X)_i = X_i + sum_{j<i} (d f_i / d x_j) X_j and psi the
+    triangular inverse, psi_j(y) = y_j - f_j(psi_1, ..., psi_{j-1}), all by
+    ``Poly.derivative`` and ``Poly.compose``."""
+    n = fr.n
+    ys = [Poly.variable(n, j) for j in range(1, n + 1)]
+    psi: list = []
+    for j in range(n):  # f_j reads x_1..x_{j-1} only, which psi already has
+        psi.append(ys[j] - fs[j].compose(psi + ys[j:]))
+    fields = []
+    for f in fr.fields:
+        moved = [
+            sum((fs[i].derivative(j + 1) * f.comps[j] for j in range(i)), f.comps[i])
+            for i in range(n)
+        ]
+        fields.append(PolyField(tuple(c.compose(psi) for c in moved)))
+    return Frame(n, tuple(fields))
+
+
+def apply_triangular(fs: list, point) -> tuple:
+    """phi(point) for the triangular map of ``fs``."""
+    return tuple(x + f.eval_at(point) for x, f in zip(point, fs))
 
 
 def bench_workloads():

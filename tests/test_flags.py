@@ -28,11 +28,15 @@ from liegrowth.polyfields import (
 
 from helpers import (
     F,
+    apply_triangular,
     bench_workloads,
     constant_frame,
     formal_flag_reference,
+    jet_vars,
+    push_triangular,
     rand_fraction,
     rand_point,
+    triangular_map,
     validate_algebra_reference,
 )
 
@@ -443,11 +447,30 @@ def test_inexact_coordinates_are_refused(bad):
             ampleness.adapted_frame(heis, point, v)
 
 
+def test_flags_are_kept_by_triangular_automorphisms():
+    # phi_j = x_j + f_j(x_1, ..., x_{j-1}) mixes degrees, so a frame whose
+    # ranks drop (Martinet at the origin, the flat d1, d2 on R^4) becomes a
+    # dense one whose ranks drop only through cancellations; the flag of
+    # phi_* X at phi(p) is the flag of X at p, from the frame and from its jet
+    rng = random.Random(0)
+    frames = dict(catalog.catalog_frames(), flat=constant_frame(4, 2))
+    for name, fr in frames.items():
+        for _ in range(5):
+            fs = triangular_map(rng, fr.n)
+            pushed = push_triangular(fr, fs)
+            for p in ((0,) * fr.n, rand_point(rng, fr.n)):
+                want = flags.lie_flag(fr, p, fr.n).dims
+                q = apply_triangular(fs, p)
+                got = flags.lie_flag(pushed, q, fr.n).dims
+                formal = flags.formal_flag(jetalg.jet_of_frame(pushed, q, fr.n - 1), fr.n).dims
+                assert got == formal == want, (name, fs, p)
+
+
 def _random_jet(rng, k, n, order, sparse):
     """A hand-built jet point: every coordinate rational, most of them zero
     when ``sparse``."""
     values = {}
-    for v in jetalg.iter_jet_vars(k, n, order):
+    for v in jet_vars(k, n, order):
         zero = sparse and rng.random() < 0.7
         values[v] = 0 if zero else rand_fraction(rng, 3, 2)
     return jetalg.JetPoint(k, n, order, rand_point(rng, n), values)

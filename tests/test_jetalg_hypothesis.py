@@ -18,8 +18,8 @@ The integer read-back: on user-built jet points with zero, negative and
 large-denominator values, the leaves of ``_taylor_fields`` hold nonzero ints
 only, the fields they stand for equal the ``Fraction`` division of
 ``helpers.taylor_fields_reference`` at every order up to the jet's, and the
-integer view ``_coded`` is the values times the lcm of their denominators,
-one per code."""
+integer store that ``_coded`` hands out is the values times the lcm of their
+denominators, one per code."""
 
 from math import lcm
 from operator import add, sub
@@ -33,7 +33,12 @@ from hypothesis import strategies as st  # noqa: E402
 from liegrowth import jetalg as ja  # noqa: E402
 from liegrowth.polyfields import Frame, Poly, PolyField  # noqa: E402
 
-from helpers import assert_coeff_normal, graded_field, taylor_fields_reference  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_coeff_normal,
+    graded_field,
+    jet_vars,
+    taylor_fields_reference,
+)
 
 K, N, R = 3, 2, 3
 
@@ -135,7 +140,7 @@ _values = st.one_of(
 @st.composite
 def _jets(draw):
     k, n, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    names = list(ja.iter_jet_vars(k, n, order))
+    names = jet_vars(k, n, order)
     vals = draw(st.lists(_values, min_size=len(names), max_size=len(names)))
     base = draw(st.lists(_values, min_size=n, max_size=n))
     return ja.JetPoint(k, n, order, tuple(base), dict(zip(names, vals)))

@@ -369,3 +369,21 @@ def test_taylor_recentres_and_truncates():
         X.taylor((1, 2, 3), 1)
     with pytest.raises(OrderOverflow):
         X.taylor((1, 2), -1)
+
+
+def test_ring_results_keep_an_integral_coefficient_as_an_int():
+    # every ring result passes ``_like``, which keeps an integral Fraction
+    # as an int, as the constructor does
+    x = Poly(1, {(1,): F(1, 2)})
+    u, w = ja.JetVar(1, 1, ()), ja.JetVar(1, 1, (1,))
+    d = ja.DiffPoly(1, 1, 2, {(u,): F(1, 2)})
+    results = {
+        "Poly +": (x + x, (1,)),
+        "Poly *": (x * 2, (1,)),
+        "Poly compose": (x.compose([Poly(1, {(1,): 2})]), (1,)),
+        "DiffPoly +": (d + d, (0,)),
+        "DiffPoly *": (d * 2, (0,)),
+        "substitute": (ja.substitute(ja.DiffPoly(1, 1, 2, {(u, w): F(1, 2)}), {w: 2}), (0,)),
+    }
+    for what, (p, mono) in results.items():
+        assert p.terms == {mono: 1} and type(p.terms[mono]) is int, what

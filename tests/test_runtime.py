@@ -2,6 +2,7 @@
 each module is loaded on first use, and the package exports a fixed surface."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -169,6 +170,19 @@ def test_the_package_exports_each_name_of_its_defining_module():
     assert set(names) <= set(dir(liegrowth))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         liegrowth.no_such_name  # noqa: B018
+
+
+def test_every_public_dataclass_is_frozen():
+    # a record handed to a caller cannot be changed under the answers
+    # computed from it
+    records = [
+        name for name in liegrowth.__all__
+        if isinstance(getattr(liegrowth, name), type)
+        and dataclasses.is_dataclass(getattr(liegrowth, name))
+    ]
+    assert "JetPoint" in records and "Frame" in records
+    thawed = [name for name in records if not getattr(liegrowth, name).__dataclass_params__.frozen]
+    assert thawed == []
 
 
 def test_a_module_lists_only_its_own_names_in_its_all():

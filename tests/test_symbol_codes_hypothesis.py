@@ -26,6 +26,7 @@ from liegrowth.errors import IncompleteJet  # noqa: E402
 from helpers import (  # noqa: E402
     bracket_terms_reference,
     derive_all_reference,
+    jet_vars,
     order_by_walk,
     rand_fraction,
 )
@@ -99,7 +100,7 @@ def _cases(draw):
 
 
 def _jet(k: int, n: int, order: int, rng) -> ja.JetPoint:
-    values = {v: rand_fraction(rng, 5, 4) for v in ja.iter_jet_vars(k, n, order)}
+    values = {v: rand_fraction(rng, 5, 4) for v in jet_vars(k, n, order)}
     return ja.JetPoint(k, n, order, tuple(rand_fraction(rng, 5, 4) for _ in range(n)), values)
 
 

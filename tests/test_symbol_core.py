@@ -3,25 +3,35 @@ the code table) against the reference derivation, the carried order and
 evaluation scale of ``DiffPoly`` against a full walk of its terms, the
 canonical form the constructor gives ``JetVar`` monomials, codes that depend
 on the ambient alone (a pickled polynomial read back in a fresh interpreter),
-and the trusted ``JetPoint`` of ``jet_of_frame`` against the public
-constructor."""
+the ``JetPoint`` that ``jet_of_frame`` builds from parts against the
+checked constructor, and a jet point as a frozen record that keeps its
+values once and refuses malformed input."""
 
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
 
 import pytest
 
-from liegrowth import catalog
+from liegrowth import catalog, flags
 from liegrowth import jetalg as ja
 from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
 
-from helpers import F, derive_all_reference, order_by_walk, rand_fraction, rand_point
+from helpers import (
+    F,
+    derive_all_reference,
+    jet_vars,
+    order_by_walk,
+    rand_fraction,
+    rand_point,
+)
 
 
 def _d(v, t):
@@ -183,7 +193,7 @@ def test_a_pickled_polynomial_reads_back_in_a_fresh_interpreter():
 def test_codes_views_and_pickles_survive_an_evicted_table():
     # the tables hold the MAX_TABLES most recently used ambients; a dropped
     # one rebuilds with the same codes, and what was coded against it
-    # (a jet's integer view, a polynomial, its pickle) still reads right
+    # (a jet's integer store, a polynomial, its pickle) still reads right
     ja._codes.cache_clear()
     assert ja.MAX_TABLES >= 8
     fr = catalog.engel_frame()
@@ -213,7 +223,7 @@ def test_codes_views_and_pickles_survive_an_evicted_table():
     # a polynomial that carries its order reads through a table rebuilt from nothing
     assert [str(c) for c in comps] == [str(c) for c in vec.comps] == text
     assert ja.evaluate(ja.DiffVec(comps), jet) == ja.evaluate(vec, jet) == want
-    assert jet._coded(2, 4) is view
+    assert jet._coded(2, 4)[1] is view[1]
     assert ja._codes(2, 4) is rebuilt
     rebuilt.grow(len(tab.starts) - 2)
     assert {v: rebuilt.index[v] for v in rebuilt.vars} == codes
@@ -356,3 +366,84 @@ def test_a_jet_point_without_fields_directions_or_order_is_refused(k, n, order, 
         ja.JetPoint(k, n, order, base, {})
     # the smallest jet point is fine
     assert ja.JetPoint(1, 1, 0, (0,), {ja.JetVar(1, 1, ()): 1})[ja.JetVar(1, 1, ())] == 1
+
+
+@pytest.mark.parametrize(
+    "order, values, text",
+    [
+        (0, {"x": 1}, "'x' is not a jet coordinate (field, comp, idx)"),
+        (0, [1], "jet values must be a mapping, got list"),
+        (
+            1,
+            {ja.JetVar(1, 1, (None, 1)): 1},
+            "JetVar(field=1, comp=1, idx=(None, 1)) is not a jet coordinate (field, comp, idx)",
+        ),
+    ],
+    ids=["str key", "list", "None in index"],
+)
+def test_a_malformed_jet_point_is_refused_naming_it(order, values, text):
+    with pytest.raises(DomainError, match=re.escape(text) + "$"):
+        ja.JetPoint(1, 1, order, (0,), values)
+
+
+def test_a_key_is_read_as_a_coordinate_and_one_the_jet_lacks_is_ignored():
+    u, w = ja.JetVar(1, 1, ()), ja.JetVar(1, 1, (1,))
+    jet = ja.JetPoint(1, 1, 1, (0,), {u: 2, w: F(1, 3)})
+    # a (field, comp, idx) triple names the coordinate its JetVar names
+    assert ja.JetPoint(1, 1, 1, (0,), {(1, 1, ()): 2, (1, 1, (1,)): F(1, 3)}) == jet
+    # another field, a higher order or a direction outside R^1 names no
+    # coordinate of the jet: it is ignored, as ``substitute`` ignores it
+    extra = {ja.JetVar(2, 1, ()): 5, ja.JetVar(1, 1, (1, 1)): 7, ja.JetVar(1, 1, (2,)): 9}
+    assert ja.JetPoint(1, 1, 1, (0,), {u: 2, w: F(1, 3), **extra}) == jet
+    for v in extra:
+        with pytest.raises(IncompleteJet, match="jet point has no coordinate"):
+            jet[v]  # noqa: B018
+    # but its value is read by the exactness rule all the same
+    with pytest.raises(DomainError, match=r"jet value of u\^1_2"):
+        ja.JetPoint(1, 1, 1, (0,), {u: 2, w: 1, ja.JetVar(2, 1, ()): 0.5})
+    assert jet.values == {u: 2, w: F(1, 3)}
+    assert repr(jet) == "JetPoint(k=1, n=1, order=1, base=(Fraction(0, 1),))"
+
+
+def test_a_jet_point_is_frozen_and_its_values_are_a_copy():
+    engel = catalog.engel_frame()
+    jet = ja.jet_of_frame(engel, (1, F(1, 2), 0, 2), 1)
+    v = ja.JetVar(2, 4, ())
+    vec = ja.bracket((1, 2), 2, 4, 2)
+    before = (jet[v], ja.evaluate(vec, jet), flags.formal_flag(jet, 2))
+    for name, value in (("order", 2), ("values", {}), ("k", 1), ("base", (0, 0, 0, 0))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(jet, name, value)
+    # an order-1 Engel jet cannot answer step 3, whatever is written
+    with pytest.raises(OrderOverflow, match="step 3 needs jet order 2, have 1"):
+        flags.formal_flag(jet, 3)
+    values = jet.values
+    assert values is not jet.values and values == jet.values
+    values[v] = 5
+    values[ja.JetVar(1, 1, ())] = 0.5
+    assert (jet[v], ja.evaluate(vec, jet), flags.formal_flag(jet, 2)) == before
+    assert jet.values != values and jet == ja.jet_of_frame(engel, (1, F(1, 2), 0, 2), 1)
+
+
+def test_a_jet_point_reads_through_a_rebuilt_table():
+    # every read grows the (k, n) table to the jet's order first, so a jet
+    # outlives the table it was made with
+    values = {v: F(i + 1, 3) for i, v in enumerate(jet_vars(2, 2, 2))}
+    jet = ja.JetPoint(2, 2, 2, (0, 0), values)
+    for read in (
+        lambda: [jet[v] for v in values] == list(values.values()),
+        lambda: jet.values == values,
+        lambda: ja.evaluate(ja.bracket((1, 2, 1), 2, 2, 3), jet)
+        == ja.evaluate(ja.bracket((1, 2, 1), 2, 2, 3), ja.JetPoint(2, 2, 2, (0, 0), values)),
+    ):
+        ja._codes.cache_clear()
+        assert read()
+    # a view for another number of fields is rebuilt on each call, None
+    # where the jet lacks a field, and reads through a rebuilt table too
+    ja._codes.cache_clear()
+    denom, wide = jet._coded(3, 2)
+    names = ja._codes(3, 2).vars
+    assert denom == 3 and jet._coded(3, 2)[1] == wide and jet._coded(3, 2)[1] is not wide
+    assert {names[c]: F(u, 3) for c, u in enumerate(wide) if u is not None} == values
+    lacking = [names[c] for c, u in enumerate(wide) if u is None]
+    assert len(lacking) == len(wide) - len(values) and {v.field for v in lacking} == {3}
