@@ -9,8 +9,11 @@ determinant-sign component.  That question is always decided: with at most
 one free column, or dependent fixed columns, a target outside the component
 is refuted (the component is an open half-space or empty); otherwise a
 witness is constructed and verified exactly.  Slice reports read the frame
-once, as its Taylor leaves at the point; the leaves are recombined, not the
-frame, into the adapted ones.  ``_adapted_change`` reads the frame values
+once, as its Taylor leaves at the point (``polyfields._TaylorParts``, the
+flag engine's one leaf); the leaves are recombined, not the frame, into the
+adapted ones, leaves of the same class whose terms are merged monomial by
+monomial over the same expansion (``polyfields._recombined``).
+``_adapted_change`` reads the frame values
 at the point once for ``adapted_frame`` and ``slice_report``: it is their
 only independence check and normal-direction test, and it builds the
 adapted change from the Gram solve alone.
@@ -36,8 +39,8 @@ from .errors import (
 # bench/test_bench.py asserts that the benchmark tracer wraps this module's
 # bindings of them.
 from .freelie import hall_basis, maximal_growth_vector  # noqa: F401
-from .flags import _Recombined, _span_ranks, lie_flag  # noqa: F401
-from .polyfields import Frame, _taylor_leaves, poly_lie_bracket  # noqa: F401
+from .flags import _span_ranks, lie_flag  # noqa: F401
+from .polyfields import Frame, _recombined, _taylor_leaves, poly_lie_bracket  # noqa: F401
 
 __all__ = [
     "ConvexWitness",
@@ -325,7 +328,8 @@ def slice_report(
     refuses dependent ones and returns ``None`` for a normal direction, and
     a normal direction makes every slice the full principal subspace.  For
     non-normal directions the leaves are recombined by the change it
-    returns into adapted ones (``flags._Recombined``) and each level is
+    returns into adapted ones (``polyfields._recombined``, leaves of the
+    same class over the same expansion) and each level is
     classified from the rank of the brackets that do not reach the top pure
     derivative.  The same ``_span_ranks`` pass gives the full Hall rank of
     each level, which a constant frame change does not move, for the
@@ -343,7 +347,7 @@ def slice_report(
     g = _adapted_change([leaf.values() for leaf in leaves], v, point)
     normal = g is None
     if not normal:
-        leaves = [_Recombined(leaves, [row[m] for row in g]) for m in range(k)]
+        leaves = [_recombined(leaves, [row[m] for row in g]) for m in range(k)]
     dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top, cross_check))
     if dims != gv.entries:
         raise NotFormalSolution(

@@ -22,13 +22,15 @@ of degree <= d + 1 of A and B, so at step s a length-m sub-bracket is asked
 for degree s - m at most and a leaf for degree s - 1.  Each step asks for
 one more degree, and once the ranks reach n no further part is formed, so a
 flag costs what the step where it saturates costs, whatever ``max_step``
-says.  The leaves are ``polyfields._GradedLeaf``s: ``lie_flag`` and
-``slice_report`` expand the frame about p (``polyfields._taylor_leaves``),
-one per-point expansion of the frame's monomials that the leaves share, so
-each monomial is expanded once per degree whatever the number of fields
-and components that hold it; and ``formal_flag`` reads the Taylor fields
-its jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one
-body, ``_flag``.
+says.  The leaves are of one class, ``polyfields._TaylorParts``, int
+Taylor parts about p: ``lie_flag`` and ``slice_report`` expand the frame
+about p (``polyfields._taylor_leaves``), one per-point expansion of the
+frame's monomials that the leaves share, so each monomial is expanded once
+per degree whatever the number of fields and components that hold it, and
+``slice_report`` recombines those leaves into the adapted ones
+(``polyfields._recombined``); ``formal_flag`` reads the Taylor fields its
+jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one body,
+``_flag``.
 The engine generates Hall layers one length at a time, adds their values
 to the span one at a time, forms no value once the span has rank n, and
 stops early once a whole layer of brackets vanishes.  Layer 1 is the
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import linalg
 from .errors import (
@@ -64,7 +66,6 @@ from .polyfields import (
     Frame,
     Poly,
     PolyField,
-    _GradedLeaf,
     _taylor_leaves,
     poly_lie_bracket,
 )
@@ -127,7 +128,7 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
 
 class _Part:
     """One homogeneous part of an engine field: per component a dict from
-    packed monomials to nonzero ints (``polyfields._GradedLeaf``), whether
+    packed monomials to nonzero ints (``polyfields._TaylorParts``), whether
     they are all empty, and, once the part is differentiated, per component
     its derivative terms by direction."""
 
@@ -244,31 +245,6 @@ class _Graded:
         return part.derivs
 
 
-class _Recombined(_GradedLeaf):
-    """The graded leaf of the field sum_j coeffs[j] X_j, for exact
-    ``coeffs`` not all zero and graded leaves L_j = s_j X_j (s_j their
-    ``scale``): sum_j (coeffs[j] / s_j) L_j times the lcm of those ratios'
-    denominators, its ``scale``, formed part by part from the leaves' own
-    parts."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, leaves, coeffs):
-        ratios = [Fraction(c) / leaf.scale for c, leaf in zip(coeffs, leaves)]
-        self.scale = lcm(*(r.denominator for r in ratios))
-        self._terms = [(int(r * self.scale), leaf) for r, leaf in zip(ratios, leaves) if r]
-        self.n, self.width, self._parts = leaves[0].n, leaves[0].width, {}
-        self.top = max(leaf.top for _, leaf in self._terms)
-
-    def _form(self, d: int) -> list[dict]:
-        out: list[dict] = [{} for _ in range(self.n)]
-        for c, leaf in self._terms:
-            for acc, comp in zip(out, leaf.part(d)):
-                for m, x in comp.items():
-                    acc[m] = acc.get(m, 0) + c * x
-        return [{m: x for m, x in acc.items() if x} for acc in out]
-
-
 def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
     expressions of length <= i, rank of those of them ``keep(expr, i)``
@@ -283,7 +259,7 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     value is reduced once.  Once the span has rank n no further value is
     formed.
 
-    The leaves are ``polyfields._GradedLeaf``s, Taylor fields about one
+    The leaves are ``polyfields._TaylorParts``, Taylor fields about one
     centre kept as int parts, each the field times its own nonzero int; a
     value is a degree-0 part of the graded store ``_Graded``.  Brackets are
     bilinear, so the scaled leaves multiply each value vector by a nonzero
@@ -338,7 +314,7 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
 
 
 def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
-    """Flag of the graded leaves ``leaves`` about ``point``, made for
+    """Flag of the leaves ``leaves`` about ``point``, made for
     ``max_step``: the Hall span ranks up to ``max_step``, stopped once they
     reach the ambient dimension.  Layer 1 is the leaves' values, so its
     rank is the independence check: below k it raises ``DegenerateFrame``

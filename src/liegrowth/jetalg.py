@@ -37,8 +37,9 @@ shared by its fields) instead of differentiating: the numerator of each
 value is the part's int times alpha! over the lcm of the fields' scales,
 written straight into the jet's store, with no ``Fraction`` formed.
 ``_taylor_fields`` is the inverse read-off: the Taylor fields a jet fixes,
-u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the graded int
-leaves (``_JetParts``) that ``flags.formal_flag`` brackets.
+u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the flag
+engine's one leaf, ``polyfields._TaylorParts``, given all its int parts at
+once, which ``flags.formal_flag`` brackets.
 Both walk one table of multi-indices by length, ``_multi_indices``, beside
 the matching codes (``_Codes.run``).
 
@@ -103,10 +104,10 @@ from .polyfields import (
     _ZERO,
     Frame,
     _bracket,
-    _GradedLeaf,
     _pack_width,
     _SparsePoly,
     _taylor_leaves,
+    _TaylorParts,
     _Vector,
 )
 
@@ -204,16 +205,25 @@ class _Codes:
             self.grow(len(self.starts) - 1)
         return sum(start <= code for start in self.starts) - 1
 
+    def code(self, key) -> int | None:
+        """The code of coordinate ``key``, a ``JetVar`` or a (field, comp,
+        idx) triple with its index in any order, or None when the table
+        has no such coordinate; any other key raises ``DomainError``."""
+        try:
+            fld, comp, idx = key
+            return self.index.get(JetVar(fld, comp, tuple(sorted(idx))))
+        except (TypeError, ValueError):
+            raise DomainError(f"{key!r} is not a jet coordinate (field, comp, idx)") from None
+
     def encode(self, v, r: int) -> int:
-        """The code of coordinate ``v``, a ``JetVar`` or a (field, comp, idx)
-        triple with its index in any order, which ``make_var`` checks."""
+        """The code of coordinate ``v``, read as ``code`` reads it, which
+        ``make_var`` checks against the ambient ``(k, n, r)``."""
         try:
             fld, comp, idx = v
             v = make_var(fld, comp, idx, self.k, self.n, r)
         except (TypeError, ValueError):
             raise DomainError(f"{v!r} is not a jet coordinate (field, comp, idx)") from None
-        self.grow(len(v.idx))
-        code = self.index.get(v)
+        code = self.grow(len(v.idx)).code(v)
         if code is None:
             raise DomainError(f"{v!r} is not a jet coordinate of integer indices")
         return code
@@ -270,8 +280,7 @@ class DiffPoly(_SparsePoly):
 
     @staticmethod
     def var(fld: int, comp: int, idx, k: int, n: int, r: int) -> DiffPoly:
-        v = make_var(fld, comp, idx, k, n, r)
-        return DiffPoly(k, n, r, {(v,): 1})
+        return DiffPoly(k, n, r, {((fld, comp, idx),): 1})
 
     def _act(self, acc: dict, graded: list, sign: int = 1) -> None:
         """acc += sign * sum_t V^t * D_t(self) for the components V^t of a
@@ -440,11 +449,10 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     order; keys that name no coordinate of ``p`` are ignored, and of keys
     that name the same one, the last wins.
     """
-    # every coordinate of p is coded, so a key it lacks finds no code
-    index = p._table().index
+    # every coordinate of p is coded, so a key it lacks finds no code of p
+    code = p._table().code
     assigned = {
-        index.get(JetVar(v.field, v.comp, tuple(sorted(v.idx)))):
-            val if isinstance(val, DiffPoly) else _exact(val, f"value of {v}")
+        code(v): val if isinstance(val, DiffPoly) else _exact(val, f"value of {v}")
         for v, val in assignment.items()
     }
     polys = {code: val for code, val in assigned.items() if isinstance(val, DiffPoly)}
@@ -525,13 +533,8 @@ class JetPoint:
         tab = _codes(k, n).grow(order)
         vals: list = [None] * tab.starts[order + 1]
         for key, c in values.items():
-            try:
-                fld, comp, idx = key
-                v = JetVar(fld, comp, tuple(sorted(idx)))
-                code = tab.index.get(v)
-            except (TypeError, ValueError):
-                raise DomainError(f"{key!r} is not a jet coordinate (field, comp, idx)") from None
-            c = _exact(c, f"jet value of {v}")
+            code = tab.code(key)
+            c = _exact(c, f"jet value of {key if code is None else tab.vars[code]}")
             if code is not None and code < len(vals):
                 vals[code] = c
         missing = [tab.vars[code] for code, c in enumerate(vals) if c is None]
@@ -560,8 +563,9 @@ class JetPoint:
         denom = self._denom
         return {v: Fraction(u, denom) for v, u in zip(self._table().vars, self._nums)}
 
-    def __getitem__(self, v: JetVar) -> Fraction:
-        code = self._table().index.get(v)
+    def __getitem__(self, v) -> Fraction:
+        """The value of coordinate ``v``, read as ``_Codes.code`` reads it."""
+        code = self._table().code(v)
         if code is None or code >= len(self._nums):
             raise IncompleteJet(f"jet point has no coordinate {v}")
         return Fraction(self._nums[code], self._denom)
@@ -637,7 +641,7 @@ def pure_derivative_extract(
 def _multi_indices(n: int, order: int, width: int) -> list[list]:
     """Per length m <= ``order``, ``(key, alpha!)`` for every multi-index of
     length m in n directions, in the order of ``_Codes.run``: the packed
-    monomial x^alpha (``polyfields._GradedLeaf``, ``width`` bits per
+    monomial x^alpha (``polyfields._TaylorParts``, ``width`` bits per
     exponent) matching the sorted directions of a jet coordinate, and the
     factorial of its exponents."""
     runs = []
@@ -685,38 +689,29 @@ def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:
     return JetPoint.__new__(JetPoint)._set(frame.k, n, order, base, denom, nums)
 
 
-class _JetParts(_GradedLeaf):
-    """Field ``fld`` of the order-``order`` Taylor fields about the base
-    point that ``jet`` fixes, the inverse of ``jet_of_frame``'s read-off,
-    as int parts for the flag engine: the coefficient of x^alpha in
-    component i is u^i_{fld,alpha} / alpha!, and the leaf is that field
-    times ``denom * order!``, so its coefficient is u * (order! / alpha!)
-    with u the value times ``denom`` from the jet's store (``jet._nums``),
-    and ``scale`` is ``denom * order!``.  No ``Fraction`` is formed."""
-
-    __slots__ = ("_jet", "_fld", "_runs", "_fact")
-
-    def __init__(self, jet: JetPoint, fld: int, order: int, runs: list):
-        self.n, self.width, self.top, self._parts = jet.n, _pack_width(order), order, {}
-        self._jet, self._fld, self._runs, self._fact = jet, fld, runs, factorial(order)
-        self.scale = jet._denom * self._fact
-
-    def _form(self, d: int) -> list[dict]:
-        jet, fld, fact = self._jet, self._fld, self._fact
-        nums, tab = jet._nums, _codes(jet.k, jet.n)
-        out = []
-        for comp in range(1, jet.n + 1):
-            terms = {}
-            for (key, afact), code in zip(self._runs[d], tab.run(fld, comp, d)):
-                u = nums[code]
-                if u:
-                    terms[key] = u * (fact // afact)
-            out.append(terms)
-        return out
-
-
-def _taylor_fields(jet: JetPoint, order: int) -> list[_JetParts]:
-    """The flag engine's leaves for ``jet``: per field, the int parts of the
-    order-``order`` Taylor field the jet fixes (``_JetParts``)."""
-    runs = _multi_indices(jet.n, order, _pack_width(order))
-    return [_JetParts(jet, fld, order, runs) for fld in range(1, jet.k + 1)]
+def _taylor_fields(jet: JetPoint, order: int) -> list[_TaylorParts]:
+    """The flag engine's leaves for ``jet``: per field, the order-``order``
+    Taylor field about the base point that the jet fixes, the inverse of
+    ``jet_of_frame``'s read-off, as a ``polyfields._TaylorParts`` given
+    every part.  The coefficient of x^alpha in component i is
+    u^i_{fld,alpha} / alpha!, and the leaf is that field times
+    ``denom * order!``, so its coefficient is u * (order! / alpha!) with u
+    the value times ``denom`` from the jet's store (``jet._nums``), and
+    ``scale`` is ``denom * order!``.  No ``Fraction`` is formed."""
+    n, width, fact = jet.n, _pack_width(order), factorial(order)
+    runs = _multi_indices(n, order, width)
+    nums, tab = jet._nums, _codes(jet.k, n)
+    leaves = []
+    for fld in range(1, jet.k + 1):
+        parts = {}
+        for d, run in enumerate(runs):
+            parts[d] = comps = []
+            for comp in range(1, n + 1):
+                terms = {}
+                for (key, afact), code in zip(run, tab.run(fld, comp, d)):
+                    u = nums[code]
+                    if u:
+                        terms[key] = u * (fact // afact)
+                comps.append(terms)
+        leaves.append(_TaylorParts(n, width, order, jet._denom * fact, parts=parts))
+    return leaves

@@ -14,8 +14,8 @@ signed by the order of the pivot columns, and ``solve``, ``nullspace`` and
 anywhere, and no ``Fraction`` arithmetic inside a pivot.
 
 Every module reads its callers' numbers here, by one rule: an int or a
-``Fraction`` is accepted, anything else is a ``DomainError`` naming the
-argument and position.  ``_exact`` reads a number, ``_exact_vector`` a vector
+``Fraction`` is accepted, anything else (a bool too) is a ``DomainError``
+naming the argument and position.  ``_exact`` reads a number, ``_exact_vector`` a vector
 and, given ``n``, checks its length.  A size (a rank, a dimension, a step or
 an order) must be an int itself: ``_sizes`` refuses anything else, a bool
 and an integral float included.
@@ -38,8 +38,9 @@ _TOO_LONG = 10**MAX_DIGITS
 
 def _exact(x, what: str):
     """``x`` as an exact number: an int as it is, a ``Fraction`` as an int
-    when integral.  Anything else raises ``DomainError`` naming ``what``."""
-    if isinstance(x, int):
+    when integral.  Anything else, a bool included, raises ``DomainError``
+    naming ``what``."""
+    if isinstance(x, int) and type(x) is not bool:
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x

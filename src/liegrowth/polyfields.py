@@ -32,20 +32,24 @@ There is one Taylor expansion, and it runs on ints.  ``_Expansion`` expands
 about the point each distinct monomial of the fields of one call, once for
 every component and every field: it clears the point's common denominator,
 and it forms a degree slice of a monomial (packed monomials and int
-factors) the first time any field asks for that degree.  ``_TaylorParts``
-is one field's expansion read off those slices: it clears the field's
-coefficient denominators once, so the expansion times one int, its
-``scale``, has an int coefficient for every monomial, and it forms only the
-parts of the degrees it is asked for.  Monomials are packed ints (the
-exponent of x_{i+1} in bits [w*i, w*(i+1)), w wide enough for the order),
-so a product of monomials is one int addition.  ``_taylor_leaves`` makes
-the ``_TaylorParts`` of a call's fields about one ``_Expansion``, which
-goes when they go.  ``PolyField.taylor(p, s)`` assembles from the parts of
-degrees 0..s the degree-<= s Taylor polynomial about ``p``, in shifted
-coordinates, as an ordinary field; ``jetalg.jet_of_frame`` reads its jet
-off the parts, and the flag engine (``flags._Graded``) asks a leaf for one
-degree at a time through the interface ``_GradedLeaf``, which
-``jetalg._taylor_fields`` implements too.
+factors) the first time any field asks for that degree.  There is one
+Taylor leaf too, ``_TaylorParts``: a field about the point as its
+homogeneous parts, each times one int, its ``scale``, with an int
+coefficient for every monomial.  Monomials are packed ints (the exponent of
+x_{i+1} in bits [w*i, w*(i+1)), w wide enough for the order), so a product
+of monomials is one int addition.  A leaf forms each part once, when it is
+first asked for, from its per-monomial terms about the shared expansion, or
+is given its parts when it is made.  ``_taylor_leaves`` makes the leaves of
+a call's fields about one ``_Expansion``, which goes when they go, clearing
+each field's coefficient denominators once; ``_recombined`` makes the leaf
+of a constant combination of such leaves by merging their terms monomial by
+monomial, as ``ampleness.slice_report`` recombines a frame into its adapted
+one; and ``jetalg._taylor_fields`` gives every part of the Taylor fields a
+jet fixes.  ``PolyField.taylor(p, s)`` assembles from the parts of degrees
+0..s the degree-<= s Taylor polynomial about ``p``, in shifted coordinates,
+as an ordinary field; ``jetalg.jet_of_frame`` reads its jet off the parts,
+and the flag engine (``flags._Graded``) asks a leaf for one degree at a
+time.
 
 Coefficients, points (of the ambient's length) and matrix entries are read
 by the exactness rule in ``linalg``: an int or a Fraction, or a
@@ -405,37 +409,6 @@ def _pack_width(order: int) -> int:
     return max(order, 1).bit_length()
 
 
-class _GradedLeaf:
-    """A Taylor field about a point kept as its homogeneous parts, the leaf
-    of the flag engine (``flags._Graded``).  ``part(d)`` is the degree-d
-    part times ``scale``, a nonzero int that is the same for every part: a
-    list of n dicts from packed monomials to nonzero ints, the exponent of
-    x_{i+1} in bits [w*i, w*(i+1)) of a key, w = ``width``.  A subclass
-    supplies ``_form(d)``, which ``part`` calls once per degree; ``top`` is
-    a degree above which every part is zero, and no part above the order
-    the leaf was made for may be asked for."""
-
-    __slots__ = ("n", "width", "top", "scale", "_parts")
-
-    def part(self, d: int) -> list[dict]:
-        got = self._parts.get(d)
-        if got is None:
-            got = self._parts[d] = self._form(d)
-        return got
-
-    def _form(self, d: int) -> list[dict]:
-        raise NotImplementedError
-
-    def decode(self, key: int) -> tuple[int, ...]:
-        """The exponent tuple of a packed monomial."""
-        w, mask = self.width, (1 << self.width) - 1
-        return tuple((key >> (w * i)) & mask for i in range(self.n))
-
-    def values(self) -> tuple:
-        """The field's value at the point, read off the degree-0 part."""
-        return tuple(_exact(Fraction(c.get(0, 0), self.scale), "value") for c in self.part(0))
-
-
 class _Expansion:
     """The expansion about one point, for one order, of the monomials of the
     fields whose leaves share it, in ints.
@@ -533,25 +506,84 @@ class _Expansion:
         return got
 
 
-class _TaylorParts(_GradedLeaf):
-    """The Taylor expansion of a field about a point, in ints, read off the
-    slices of its monomials in the ``_Expansion`` it shares.
+class _TaylorParts:
+    """A Taylor field about a point kept as its homogeneous parts in ints,
+    the one leaf of the flag engine (``flags._Graded``).
 
-    With D the common denominator of the point, L the lcm of the field's
-    coefficient denominators and T its top degree, ``scale`` is L D^T and
-    the expansion is ``scale`` times the Taylor polynomial: a term
-    c x^alpha contributes c L D^(T - |alpha|), an int, times each slice of
-    x^alpha.  The terms are grouped by monomial, so each slice is looked up
-    once per field and degree.  ``expand(lo, hi)`` forms the parts of
-    degrees lo..hi only, and ``PolyField.taylor``, ``jetalg.jet_of_frame``
-    and the flag engine (one degree at a time, as ``part``) all read it.
+    ``part(d)`` is the degree-d part times ``scale``, a nonzero int that is
+    the same for every part: a list of n dicts from packed monomials to
+    nonzero ints, the exponent of x_{i+1} in bits [w*i, w*(i+1)) of a key,
+    w = ``width``.  ``top`` is a degree above which every part is zero, and
+    no part above the order the leaf was made for may be asked for.  A part
+    is given at construction (``parts``, as ``jetalg._taylor_fields`` gives
+    every part of a jet's leaf) or formed once, when first asked for, from
+    ``terms`` about the shared ``_Expansion`` ``about``: per monomial that
+    has a slice of degree <= the order, its degree, its lowest degree, its
+    slices, its record and the (component, int coefficient) pairs that hold
+    it, each slice times its coefficient adding to a part.  ``expand(lo,
+    hi)`` forms the parts of degrees lo..hi together from those terms, and
+    ``PolyField.taylor``, ``jetalg.jet_of_frame`` and the flag engine (one
+    degree at a time, as ``part``) all read it.
     """
 
-    __slots__ = ("_about", "_terms")
+    __slots__ = ("n", "width", "top", "scale", "_about", "_terms", "_parts")
 
-    def __init__(self, field: PolyField, about: _Expansion):
-        self.n, self.width, self._about, self._parts = about.n, about.width, about, {}
-        records, monomial = about._monos, about.monomial
+    def __init__(self, n: int, width: int, top: int, scale: int, about=None, terms=(), parts=None):
+        self.n, self.width, self.top, self.scale = n, width, top, scale
+        self._about, self._terms = about, terms
+        self._parts = {} if parts is None else parts
+
+    def part(self, d: int) -> list[dict]:
+        got = self._parts.get(d)
+        if got is None:
+            got = self._parts[d] = self.expand(d, d)
+        return got
+
+    def expand(self, lo: int, hi: int) -> list[dict]:
+        """The parts of degrees ``lo``..``hi`` together, times ``scale``,
+        formed from the terms: per component a dict from packed monomials to
+        nonzero ints.  A leaf given its parts has no terms, and only
+        ``part`` reads it."""
+        out: list[dict] = [{} for _ in range(self.n)]
+        for deg, low, slices, record, terms in self._terms:
+            first, last = lo if lo > low else low, hi if hi < deg else deg
+            for d in range(first, last + 1):
+                got = slices.get(d)
+                if got is None:
+                    self._about.form(record, first, last)
+                    got = slices[d]
+                for i, num in terms:
+                    acc = out[i]
+                    for key, f in got:
+                        acc[key] = acc.get(key, 0) + num * f
+        return [{m: c for m, c in acc.items() if c} if acc else acc for acc in out]
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple((key >> (w * i)) & mask for i in range(self.n))
+
+    def values(self) -> tuple:
+        """The field's value at the point, read off the degree-0 part."""
+        return tuple(_exact(Fraction(c.get(0, 0), self.scale), "value") for c in self.part(0))
+
+
+def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
+    """The ``_TaylorParts`` of ``fields`` (``PolyField``s on one R^n, at
+    least one) about ``point`` to ``order``, sharing one ``_Expansion``,
+    which goes when they go.
+
+    With D the common denominator of the point, L the lcm of a field's
+    coefficient denominators and T its top degree, the field's ``scale`` is
+    L D^T and its leaf is ``scale`` times its Taylor polynomial: a term
+    c x^alpha contributes c L D^(T - |alpha|), an int, times each slice of
+    x^alpha.  The terms are grouped by monomial, so each slice is looked up
+    once per field and degree.
+    """
+    about = _Expansion(fields[0].n, point, order)
+    records, monomial, den = about._monos, about.monomial, about.den
+    leaves = []
+    for field in fields:
         # per monomial of the field: its record and the (component,
         # coefficient) pairs that hold it
         users: dict = {}
@@ -568,51 +600,49 @@ class _TaylorParts(_GradedLeaf):
                 got[1].append((i, c))
                 if type(c) is not int:
                     mult = lcm(mult, c.denominator)
-        den, order = about.den, about.order
-        self.scale = mult * den**top
-        self.top = min(top, order)
         lift = [mult * den ** (top - deg) for deg in range(top + 1)]
-        # per monomial that has a slice of degree <= order: its degree, its
-        # lowest degree, its slices, its record and the (component, int
-        # coefficient) pairs
-        self._terms = []
-        for record, terms in users.values():
+        terms = []
+        for record, held in users.values():
             deg, low, slices, _, _ = record
             if low <= order:
                 up = lift[deg]
                 nums = [
                     (i, c * up if type(c) is int else c.numerator * (up // c.denominator))
-                    for i, c in terms
+                    for i, c in held
                 ]
-                self._terms.append((deg, low, slices, record, nums))
-
-    def expand(self, lo: int, hi: int) -> list[dict]:
-        """The parts of degrees ``lo``..``hi`` together, times ``scale``: per
-        component a dict from packed monomials to nonzero ints."""
-        form = self._about.form
-        out: list[dict] = [{} for _ in range(self.n)]
-        for deg, low, slices, record, terms in self._terms:
-            first, last = lo if lo > low else low, hi if hi < deg else deg
-            for d in range(first, last + 1):
-                got = slices.get(d)
-                if got is None:
-                    form(record, first, last)
-                    got = slices[d]
-                for i, num in terms:
-                    acc = out[i]
-                    for key, f in got:
-                        acc[key] = acc.get(key, 0) + num * f
-        return [{m: c for m, c in acc.items() if c} if acc else acc for acc in out]
-
-    def _form(self, d: int) -> list[dict]:
-        return self.expand(d, d)
+                terms.append((deg, low, slices, record, nums))
+        scale = mult * den**top
+        leaves.append(_TaylorParts(about.n, about.width, min(top, order), scale, about, terms))
+    return leaves
 
 
-def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
-    """The ``_TaylorParts`` of ``fields`` (``PolyField``s on one R^n, at
-    least one) about ``point`` to ``order``, sharing one ``_Expansion``."""
-    about = _Expansion(fields[0].n, point, order)
-    return [_TaylorParts(f, about) for f in fields]
+def _recombined(leaves, coeffs) -> _TaylorParts:
+    """The leaf of the field sum_j coeffs[j] X_j, for exact ``coeffs`` not
+    all zero and leaves L_j = s_j X_j of one ``_taylor_leaves`` call (s_j
+    their ``scale``): sum_j (coeffs[j] / s_j) L_j times the lcm of those
+    ratios' denominators, its ``scale``.  The leaves' terms are merged
+    monomial by monomial, keyed by the identity of the record of their
+    shared expansion, so a slice is still formed once for all of them."""
+    ratios = [Fraction(c) / leaf.scale for c, leaf in zip(coeffs, leaves)]
+    scale = lcm(*(r.denominator for r in ratios))
+    # per record, by identity: a term of it and its summed int coefficients
+    # by component
+    merged: dict = {}
+    for r, leaf in zip(ratios, leaves):
+        if r:
+            weight = int(r * scale)
+            for term in leaf._terms:
+                acc = merged.setdefault(id(term[3]), (term, {}))[1]
+                for i, num in term[4]:
+                    acc[i] = acc.get(i, 0) + weight * num
+    terms = []
+    for term, acc in merged.values():
+        nums = [(i, c) for i, c in acc.items() if c]
+        if nums:
+            terms.append(term[:4] + (nums,))
+    top = max(leaf.top for r, leaf in zip(ratios, leaves) if r)
+    first = leaves[0]
+    return _TaylorParts(first.n, first.width, top, scale, first._about, terms)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -241,8 +241,9 @@ def taylor_fields_reference(jet, order: int) -> list:
 
 
 def graded_field(leaf, order: int) -> PolyField:
-    """The degree-<= ``order`` Taylor polynomial that a graded flag-engine leaf
-    (``polyfields._GradedLeaf``) stands for: its parts of degree <= ``order``,
+    """The degree-<= ``order`` Taylor polynomial that a flag-engine leaf
+    (``polyfields._TaylorParts``, whether its parts are formed from its
+    terms or given) stands for: its parts of degree <= ``order``,
     each monomial decoded and each coefficient divided by the leaf's scale.
     Every coefficient of a part must be a nonzero int."""
     comps: list[dict] = [{} for _ in range(leaf.n)]
@@ -489,8 +490,9 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     """Reference for ``ampleness.slice_report``, composed of whole-frame
     steps: the maximal-growth check is ``lie_flag`` at the point; the change
     matrix comes from the exact frame values (``Frame.values_at``); the
-    adapted frame is ``frame_change`` of the exact frame, expanded afresh as
-    graded leaves (``polyfields._TaylorParts``); and a second ``_span_ranks``
+    adapted frame is ``frame_change`` of the exact frame, expanded afresh
+    (``polyfields._taylor_leaves``) where ``slice_report`` recombines the
+    frame's leaves (``polyfields._recombined``); and a second ``_span_ranks``
     pass over those leaves, with its own store, gives the slice ranks.
     Errors are raised in the same order and with the same messages."""
     from liegrowth import ampleness as amp

@@ -28,9 +28,12 @@ from helpers import (
     adapted_change_reference,
     bench_workloads,
     chain,
+    graded_field,
+    push_triangular,
     rand_fraction,
     rand_point,
     slice_report_reference,
+    triangular_map,
 )
 
 V = amp.Verdict
@@ -402,8 +405,8 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
-    parts = polyfields._TaylorParts
-    monkeypatch.setattr(parts, "__init__", counted("expansion", parts.__init__))
+    expansion, parts = polyfields._Expansion, polyfields._TaylorParts
+    monkeypatch.setattr(expansion, "__init__", counted("expansion", expansion.__init__))
     monkeypatch.setattr(parts, "expand", counted("expand", parts.expand))
     monkeypatch.setattr(flags._Graded, "__init__", counted("store", flags._Graded.__init__))
     monkeypatch.setattr(
@@ -416,8 +419,9 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
             got.clear()
         reports = amp.slice_report(fr, p, v, step, cross_check)
         assert len(reports) == step and reports[0].normal == (fr.n == 3)
-        # each field is expanded once, one degree at a time, each degree once
-        assert len(calls["expansion"]) == fr.k
+        # the frame is expanded once, and each leaf, the recombined ones
+        # too, one degree at a time, each degree once
+        assert len(calls["expansion"]) == 1
         expands = [(id(a[0]),) + a[1:] for a in calls["expand"]]
         assert len(expands) == len(set(expands))
         assert all(lo == hi < step for _, lo, hi in expands)
@@ -438,6 +442,38 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
         formed = [(expr, d) for _, expr, d in calls["form"]]
         assert any(not expr.is_leaf for expr, _ in formed)
         assert all(expr in exprs and d <= step - expr.length for expr, d in formed)
+
+
+def test_a_recombined_leaf_is_the_leaf_of_the_changed_frame():
+    # an independent route: _recombined merges the leaves' terms, while
+    # frame_change recombines the frame's polynomials, which _taylor_leaves
+    # then expands afresh; every part over its scale is the same, and every
+    # coefficient of a part a nonzero int (graded_field checks both)
+    rng = random.Random(5)
+    frames = list(catalog.catalog_frames().values())
+    frames += [push_triangular(fr, triangular_map(rng, fr.n)) for fr in frames[:3]]
+    heis = catalog.heisenberg_frame()
+    # (X1, X1 + X2): the change below cancels every term of X1 in field 2
+    frames.append(Frame(3, (heis.fields[0], heis.fields[0] + heis.fields[1])))
+    for fr in frames:
+        k, order = fr.k, fr.n - fr.k + 1
+        changes = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+        changes.append([[1 if i == j else -1 if i == 0 else 0 for j in range(k)] for i in range(k)])
+        while len(changes) < 4:
+            g = [[rand_fraction(rng, 2, 3) for _ in range(k)] for _ in range(k)]
+            g[rng.randrange(k)][rng.randrange(k)] = 0  # a field left out of a combination
+            if linalg.det(g) != 0:
+                changes.append(g)
+        for point in ((0,) * fr.n, rand_point(rng, fr.n)):
+            leaves = polyfields._taylor_leaves(fr.fields, point, order)
+            for g in changes:
+                changed = polyfields._taylor_leaves(
+                    polyfields.frame_change(fr, g).fields, point, order
+                )
+                for m, want in enumerate(changed):
+                    got = polyfields._recombined(leaves, [row[m] for row in g])
+                    assert got._about is leaves[0]._about
+                    assert graded_field(got, order) == graded_field(want, order)
 
 
 def test_slice_rank2_never_non_thin_at_top():

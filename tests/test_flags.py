@@ -447,6 +447,32 @@ def test_inexact_coordinates_are_refused(bad):
             ampleness.adapted_frame(heis, point, v)
 
 
+@pytest.mark.parametrize(
+    "call, where",
+    [
+        (
+            lambda: jetalg.JetPoint(1, 1, 0, (True,), {jetalg.JetVar(1, 1, ()): False}),
+            "base point coordinate 1",
+        ),
+        (
+            lambda: jetalg.JetPoint(1, 1, 0, (1,), {jetalg.JetVar(1, 1, ()): False}),
+            r"jet value of u\^1_1",
+        ),
+        (lambda: Poly(1, {(1,): True}), "coefficient"),
+        (
+            lambda: flags.lie_flag(catalog.heisenberg_frame(), (True, False, 0), 2),
+            "point coordinate 1",
+        ),
+    ],
+    ids=["jet base", "jet value", "coefficient", "flag point"],
+)
+def test_a_bool_is_not_read_as_a_rational(call, where):
+    # True == 1, but a bool is a truth value: read as one it made Poly(1,
+    # {(1,): True}) print as x1 and a flag answer at (1, 0, 0)
+    with pytest.raises(DomainError, match=f"{where} must be an exact rational, got bool$"):
+        call()
+
+
 def test_flags_are_kept_by_triangular_automorphisms():
     # phi_j = x_j + f_j(x_1, ..., x_{j-1}) mixes degrees, so a frame whose
     # ranks drop (Martinet at the origin, the flat d1, d2 on R^4) becomes a

@@ -9,7 +9,7 @@ The shared vector of ``PolyField`` and ``DiffVec``: ``+``, ``-``, unary
 equality are the componentwise ring operations, for random vectors of
 either type.
 
-The jet read-off round trip: the Taylor fields that the graded leaves of
+The jet read-off round trip: the Taylor fields that the leaves of
 ``_taylor_fields`` stand for (``helpers.graded_field``), read off
 ``jet_of_frame(fr, p, o)``, are the Taylor fields ``f.taylor(p, o)`` of the
 frame, for random polynomial frames, rational points and o = 0..3.

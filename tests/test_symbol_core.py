@@ -405,6 +405,42 @@ def test_a_key_is_read_as_a_coordinate_and_one_the_jet_lacks_is_ignored():
     assert repr(jet) == "JetPoint(k=1, n=1, order=1, base=(Fraction(0, 1),))"
 
 
+_P = ja.DiffPoly.var(1, 1, (1,), 1, 1, 3) * ja.DiffPoly.var(1, 1, (), 1, 1, 3)
+_HEIS = ja.jet_of_frame(catalog.heisenberg_frame(), (1, F(1, 2), -2), 2)
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: ja.substitute(_P, {(1, 1, (1,)): 2}), 2 * ja.DiffPoly.var(1, 1, (), 1, 1, 3)),
+        (lambda: ja.substitute(_P, {"x": 2}), "'x' is not a jet coordinate (field, comp, idx)"),
+        (lambda: _HEIS[ja.JetVar(1, 3, (2, 1))], _HEIS[ja.JetVar(1, 3, (1, 2))]),
+        (lambda: _HEIS[(1, 1, [1])], _HEIS[ja.JetVar(1, 1, (1,))]),
+        (lambda: _HEIS[(2, 3, [1])], 1),  # X2 = d2 + x1*d3
+        (
+            lambda: ja.DiffPoly.var(1, 1, "ab", 2, 3, 3),
+            "(1, 1, 'ab') is not a jet coordinate (field, comp, idx)",
+        ),
+    ],
+    ids=[
+        "substitute triple",
+        "substitute str",
+        "jet unsorted JetVar",
+        "jet list index",
+        "jet list index, nonzero",
+        "var str",
+    ],
+)
+def test_every_coordinate_key_is_read_one_way(call, want):
+    # a JetVar or a (field, comp, idx) triple with its index in any order
+    # names a coordinate, and any other key is a DomainError naming it
+    if isinstance(want, str):
+        with pytest.raises(DomainError, match=re.escape(want) + "$"):
+            call()
+    else:
+        assert call() == want
+
+
 def test_a_jet_point_is_frozen_and_its_values_are_a_copy():
     engel = catalog.engel_frame()
     jet = ja.jet_of_frame(engel, (1, F(1, 2), 0, 2), 1)
