@@ -10,9 +10,11 @@ one free column, or dependent fixed columns, a target outside the component
 is refuted (the component is an open half-space or empty); otherwise a
 witness is constructed and verified exactly.  Slice reports read the frame
 once, as its Taylor leaves at the point (``polyfields._TaylorParts``, the
-flag engine's one leaf); the leaves are recombined, not the frame, into the
-adapted ones, leaves of the same class whose terms are merged monomial by
-monomial over the same expansion (``polyfields._recombined``).
+flag engine's one leaf; the ``polyfields`` docstring describes the packed
+monomial, the leaf and the graded store once); the leaves are recombined,
+not the frame, into the adapted ones, leaves of the same class whose terms
+are merged monomial by monomial over the same expansion
+(``polyfields._recombined``).
 ``_adapted_change`` reads the frame values
 at the point once for ``adapted_frame`` and ``slice_report``: it is their
 only independence check and normal-direction test, and it builds the

@@ -15,18 +15,17 @@ ranks from one pass.
 
 A step-s flag at p depends only on the (s-1)-jet of the frame at p, so the
 engine brackets Taylor fields centred at p and reads each value off the
-constant term.  It keeps every field as its homogeneous parts by degree, in
-a graded store (``_Graded``) that forms a part only when it is asked for,
-once per (expression, degree): the degree-d part of [A, B] needs the parts
-of degree <= d + 1 of A and B, so at step s a length-m sub-bracket is asked
-for degree s - m at most and a leaf for degree s - 1.  Each step asks for
-one more degree, and once the ranks reach n no further part is formed, so a
-flag costs what the step where it saturates costs, whatever ``max_step``
-says.  The leaves are of one class, ``polyfields._TaylorParts``, int
-Taylor parts about p: ``lie_flag`` and ``slice_report`` expand the frame
-about p (``polyfields._taylor_leaves``), one per-point expansion of the
-frame's monomials that the leaves share, so each monomial is expanded once
-per degree whatever the number of fields and components that hold it, and
+constant term, from the graded store ``polyfields._Graded``: the
+``polyfields`` docstring describes the packed monomial, the leaf and the
+store once, and this module neither packs nor unpacks a monomial.  The
+store forms a part only when it is asked for, so each step asks for one
+more degree, and once the ranks reach n no further part is formed: a flag
+costs what the step where it saturates costs, whatever ``max_step`` says.
+The leaves are of one class, ``polyfields._TaylorParts``, int Taylor parts
+about p: ``lie_flag`` and ``slice_report`` expand the frame about p
+(``polyfields._taylor_leaves``), one per-point expansion of the frame's
+monomials that the leaves share, so each monomial is expanded once per
+degree whatever the number of fields and components that hold it, and
 ``slice_report`` recombines those leaves into the adapted ones
 (``polyfields._recombined``); ``formal_flag`` reads the Taylor fields its
 jet fixes (``jetalg._taylor_fields``); it and ``lie_flag`` run one body,
@@ -36,14 +35,7 @@ to the span one at a time, forms no value once the span has rank n, and
 stops early once a whole layer of brackets vanishes.  Layer 1 is the
 leaves' values, so its rank is the independence check of the frame at the
 point: ``_flag`` raises ``DegenerateFrame`` when it is below k, before any
-bracket is formed.
-
-The engine runs on ints.  Each leaf is its Taylor field times one nonzero
-int, with every monomial packed into an int, so a bracket multiplies and
-adds ints and a product of monomials is one int addition, and every rank is
-taken of integer rows.  A rank does not change when each vector is
-multiplied by its own nonzero constant, and by bilinearity that is all the
-scaling does to a bracket's value.
+bracket is formed.  Every rank is taken of integer rows.
 """
 
 from __future__ import annotations
@@ -66,6 +58,7 @@ from .polyfields import (
     Frame,
     Poly,
     PolyField,
+    _Graded,
     _taylor_leaves,
     poly_lie_bracket,
 )
@@ -126,125 +119,6 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
     )
 
 
-class _Part:
-    """One homogeneous part of an engine field: per component a dict from
-    packed monomials to nonzero ints (``polyfields._TaylorParts``), whether
-    they are all empty, and, once the part is differentiated, per component
-    its derivative terms by direction."""
-
-    __slots__ = ("comps", "zero", "derivs")
-
-    def __init__(self, comps: list[dict]):
-        self.comps = comps
-        self.zero = not any(comps)
-        self.derivs = None
-
-
-class _Graded:
-    """The graded store of the flag engine.
-
-    Every field is kept as its homogeneous parts by degree, and a part is
-    formed only when it is asked for, once per (expression, degree).  Leaf
-    ``X_g`` is ``leaves[g - 1]``.  The degree-d part of [A, B] is
-
-        sum over a + b = d + 1 of  A_a(B_b) - B_b(A_a),
-
-    V(p) = sum_j V^j d_j p, so it needs the parts of degree <= d + 1 of A
-    and B; a length-m sub-bracket of a value of length s is asked for no
-    degree above s - m.  ``top(expr)`` bounds the degrees that can be
-    nonzero (a bracket drops one degree), and a part above it is not
-    formed.  Monomials are packed ints, so a product of monomials is one
-    int addition.
-    """
-
-    def __init__(self, leaves):
-        self.leaves = leaves
-        self.n, self.width = leaves[0].n, leaves[0].width
-        self.mask = (1 << self.width) - 1
-        self.ones = [1 << (self.width * j) for j in range(self.n)]
-        self.parts: dict[tuple[BracketExpr, int], _Part] = {}
-        self.tops: dict[BracketExpr, int] = {}
-        self.empty = _Part([{} for _ in range(self.n)])
-
-    def top(self, expr: BracketExpr) -> int:
-        got = self.tops.get(expr)
-        if got is None:
-            if expr.is_leaf:
-                got = self.leaves[expr.gen - 1].top
-            else:
-                got = self.top(expr.left) + self.top(expr.right) - 1
-            self.tops[expr] = got
-        return got
-
-    def part(self, expr: BracketExpr, d: int) -> _Part:
-        """The degree-``d`` part of ``expr``, formed on the first call."""
-        if d > self.top(expr):
-            return self.empty
-        key = (expr, d)
-        got = self.parts.get(key)
-        if got is None:
-            got = self.parts[key] = self._form(expr, d)
-        return got
-
-    def value(self, expr: BracketExpr) -> tuple[int, ...]:
-        """The value of ``expr`` at the centre: its degree-0 part."""
-        return tuple(c.get(0, 0) for c in self.part(expr, 0).comps)
-
-    def vanishes(self, expr: BracketExpr, through: int) -> bool:
-        """Whether every part of ``expr`` of degree <= ``through`` is zero,
-        asking for one degree at a time."""
-        return all(self.part(expr, d).zero for d in range(min(through, self.top(expr)) + 1))
-
-    def _form(self, expr: BracketExpr, d: int) -> _Part:
-        if expr.is_leaf:
-            return _Part(self.leaves[expr.gen - 1].part(d))
-        left, right = expr.left, expr.right
-        # per pair of nonzero parts (A_a, B_b): A_a times the derivatives of
-        # B_b, and B_b times those of A_a with the sign flipped
-        products = []
-        for a in range(max(0, d + 1 - self.top(right)), min(d + 1, self.top(left)) + 1):
-            b_part = self.part(right, d + 1 - a)
-            if not b_part.zero:
-                a_part = self.part(left, a)
-                if not a_part.zero:
-                    products.append((1, a_part.comps, self._derivs(b_part)))
-                    products.append((-1, b_part.comps, self._derivs(a_part)))
-        comps = []
-        for i in range(self.n):
-            acc: dict = {}
-            get = acc.get
-            for sign, mults, derivs in products:
-                for j, row in derivs[i]:
-                    mult = mults[j]
-                    if mult:
-                        for dm, dc in row:
-                            dc *= sign
-                            for m, c in mult.items():
-                                m += dm
-                                acc[m] = get(m, 0) + dc * c
-            comps.append({m: c for m, c in acc.items() if c})
-        return _Part(comps)
-
-    def _derivs(self, part: _Part) -> list:
-        """Per component of ``part``, the (direction j, [(monomial, coefficient)])
-        pairs of its nonzero d_j; formed once per part."""
-        if part.derivs is None:
-            w, mask, ones = self.width, self.mask, self.ones
-            part.derivs = []
-            for comp in part.comps:
-                by_dir: dict = {}
-                for m, c in comp.items():
-                    rest, j = m, 0
-                    while rest:
-                        e = rest & mask
-                        if e:
-                            by_dir.setdefault(j, []).append((m - ones[j], c * e))
-                        rest >>= w
-                        j += 1
-                part.derivs.append(list(by_dir.items()))
-        return part.derivs
-
-
 def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
     expressions of length <= i, rank of those of them ``keep(expr, i)``
@@ -261,9 +135,9 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
 
     The leaves are ``polyfields._TaylorParts``, Taylor fields about one
     centre kept as int parts, each the field times its own nonzero int; a
-    value is a degree-0 part of the graded store ``_Graded``.  Brackets are
-    bilinear, so the scaled leaves multiply each value vector by a nonzero
-    int, and no rank changes.  With ``cross_check`` both ranks are
+    value is a degree-0 part of the graded store ``polyfields._Graded``.
+    Brackets are bilinear, so the scaled leaves multiply each value vector
+    by a nonzero int, and no rank changes.  With ``cross_check`` both ranks are
     recomputed from a second span of the right-nested chains
     [X_c1, [X_c2, ...]], through the same store, and a disagreement raises
     AssertionError.

@@ -15,11 +15,17 @@ interpreter.  The table holds the ``JetVar`` of each code and its inverse,
 the successor codes (D_1 v, ..., D_n v) of every code below its top order,
 and where each order starts.
 
+One reader, ``_Codes.code``, reads every coordinate key, a ``JetVar`` or a
+(field, comp, idx) triple: its index is sorted, and its field, comp and
+index entries must be ints by the rule of ``linalg._sizes`` (a bool or a
+float is a ``DomainError`` naming it).  ``_Codes.encode`` checks the key
+against the ambient ``(k, n, r)`` before it reads it.
+
 ``DiffPoly`` is the jet-coordinate instance of the sparse ring in
 ``polyfields._SparsePoly``: its ``terms`` map sorted tuples of codes to
 coefficients.  Its constructor takes ``JetVar`` monomials, in any order and
-with indices in any order, checks each coordinate against the ambient as
-``make_var`` does, and adds up the spellings of one monomial;
+with indices in any order, codes each coordinate by ``_Codes.encode``, and
+adds up the spellings of one monomial;
 ``sorted_terms``, ``variables`` and the shared ``str`` and ``repr`` decode.
 ``DiffVec`` is the jet instance of the one vector, ``polyfields._Vector``,
 which reads its components (n differential polynomials of one ambient) and
@@ -41,7 +47,9 @@ u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the flag
 engine's one leaf, ``polyfields._TaylorParts``, given all its int parts at
 once, which ``flags.formal_flag`` brackets.
 Both walk one table of multi-indices by length, ``_multi_indices``, beside
-the matching codes (``_Codes.run``).
+the matching codes (``_Codes.run``); the table's packed monomials come from
+``polyfields._packed_index``, and the ``polyfields`` docstring describes
+the packed monomial, the leaf and the graded store once.
 
 A jet point is a frozen record that keeps its values once, as ints over
 one denominator: ``_denom``, the lcm of the value denominators, and
@@ -50,7 +58,7 @@ one denominator: ``_denom``, the lcm of the value denominators, and
 ``Fraction``s off it; ``evaluate`` multiplies along a monomial's codes
 straight out of that list, on one integer path whatever the denominators,
 and ``_taylor_fields`` scales each entry to an int coefficient.  The
-checked constructor reads each key as ``_Codes.encode`` does and each value
+checked constructor reads each key by ``_Codes.code`` and each value
 by the rule of ``linalg._exact`` (a float is a ``DomainError``), ignores a
 key that names no coordinate the jet fixes, and refuses a missing one with
 ``IncompleteJet``; it and ``jet_of_frame`` both end in ``JetPoint._set``,
@@ -105,6 +113,7 @@ from .polyfields import (
     Frame,
     _bracket,
     _pack_width,
+    _packed_index,
     _SparsePoly,
     _taylor_leaves,
     _TaylorParts,
@@ -208,25 +217,39 @@ class _Codes:
     def code(self, key) -> int | None:
         """The code of coordinate ``key``, a ``JetVar`` or a (field, comp,
         idx) triple with its index in any order, or None when the table
-        has no such coordinate; any other key raises ``DomainError``."""
+        has no such coordinate.  Its field, comp and index entries are read
+        by the rule of ``linalg._sizes``: one that is not an int, a bool or
+        a float included, raises ``DomainError`` naming it, and so does any
+        other key."""
         try:
             fld, comp, idx = key
-            return self.index.get(JetVar(fld, comp, tuple(sorted(idx))))
+            v = JetVar(fld, comp, tuple(sorted(idx)))
+            if not all(type(x) is int for x in v[:2] + v.idx):
+                _sizes(**{f"{key!r} is not a jet coordinate: its entry {x!r}": x for x in v[:2] + v.idx})
+            return self.index.get(v)
         except (TypeError, ValueError):
             raise DomainError(f"{key!r} is not a jet coordinate (field, comp, idx)") from None
 
     def encode(self, v, r: int) -> int:
-        """The code of coordinate ``v``, read as ``code`` reads it, which
-        ``make_var`` checks against the ambient ``(k, n, r)``."""
+        """The code of coordinate ``v`` of the ambient ``(k, n, r)``, read as
+        ``code`` reads it; outside the ambient it raises ``DomainError``
+        (``OrderOverflow`` for an index longer than r - 1) naming the
+        coordinate, its index sorted."""
+        k, n = self.k, self.n
         try:
             fld, comp, idx = v
-            v = make_var(fld, comp, idx, self.k, self.n, r)
+            var = JetVar(fld, comp, tuple(sorted(idx)))
+            if not 1 <= fld <= k:
+                raise DomainError(f"jet coordinate {var}: field index {fld} out of range 1..{k}")
+            if not 1 <= comp <= n:
+                raise DomainError(f"jet coordinate {var}: component {comp} out of range 1..{n}")
+            if any(not 1 <= t <= n for t in var.idx):
+                raise DomainError(f"jet coordinate {var}: derivative direction out of range 1..{n}")
         except (TypeError, ValueError):
             raise DomainError(f"{v!r} is not a jet coordinate (field, comp, idx)") from None
-        code = self.grow(len(v.idx)).code(v)
-        if code is None:
-            raise DomainError(f"{v!r} is not a jet coordinate of integer indices")
-        return code
+        if len(var.idx) > r - 1:
+            raise OrderOverflow(f"jet coordinate {var}: multi-index exceeds jet order {r - 1}")
+        return self.grow(len(var.idx)).code(var)
 
 
 # The code tables of the MAX_TABLES most recently used ambients; a dropped
@@ -337,22 +360,6 @@ class DiffPoly(_SparsePoly):
         return [(list(map(str, mono)), c) for mono, c in self.sorted_terms()]
 
 
-def make_var(fld: int, comp: int, idx, k: int, n: int, r: int) -> JetVar:
-    """The coordinate u^comp_{fld,idx} of the ambient ``(k, n, r)``, its index
-    sorted; outside the ambient it raises ``DomainError`` (``OrderOverflow``
-    for an index longer than r - 1) naming the coordinate."""
-    v = JetVar(fld, comp, tuple(sorted(idx)))
-    if not 1 <= fld <= k:
-        raise DomainError(f"jet coordinate {v}: field index {fld} out of range 1..{k}")
-    if not 1 <= comp <= n:
-        raise DomainError(f"jet coordinate {v}: component {comp} out of range 1..{n}")
-    if any(not 1 <= t <= n for t in v.idx):
-        raise DomainError(f"jet coordinate {v}: derivative direction out of range 1..{n}")
-    if len(v.idx) > r - 1:
-        raise OrderOverflow(f"jet coordinate {v}: multi-index exceeds jet order {r - 1}")
-    return v
-
-
 class DiffVec(_Vector):
     """n-tuple of differential polynomials of one ambient ``(k, n, r)``, read
     as sum(comps[i] * D_{i+1}): the vector of ``polyfields._Vector``, which
@@ -421,6 +428,7 @@ def bracket(index, k: int, n: int, r: int) -> DiffVec:
     if len(index) > r:
         raise OrderOverflow(f"length {len(index)} exceeds the order budget r={r}")
     for a in index:
+        _sizes(**{f"field index {a!r}": a})
         if not 1 <= a <= k:
             raise DomainError(f"field index {a} out of range 1..{k}")
     vec = _field_vec(index[-1], k, n, r)
@@ -434,6 +442,7 @@ def bracket_of_expr(expr, k: int, n: int, r: int) -> DiffVec:
     if expr.length > r:
         raise OrderOverflow(f"length {expr.length} exceeds the order budget r={r}")
     if expr.is_leaf:
+        _sizes(**{f"field index {expr.gen!r}": expr.gen})
         if not 1 <= expr.gen <= k:
             raise DomainError(f"field index {expr.gen} out of range 1..{k}")
         return _field_vec(expr.gen, k, n, r)
@@ -493,7 +502,7 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     tab = _codes(vec.k, vec.n).grow(vec.order())  # codes every coordinate of vec
     target = (t,) * m
     wanted = {
-        tab.index.get(JetVar(fld, comp, target))
+        tab.code((fld, comp, target))
         for fld in range(1, vec.k + 1)
         for comp in range(1, vec.n + 1)
     }
@@ -649,7 +658,7 @@ def _multi_indices(n: int, order: int, width: int) -> list[list]:
         run = []
         for idx in itertools.combinations_with_replacement(range(n), ln):
             alpha = [idx.count(j) for j in range(n)]
-            run.append((sum(1 << (width * t) for t in idx), _prod(map(factorial, alpha))))
+            run.append((_packed_index(idx, width), _prod(map(factorial, alpha))))
         runs.append(run)
     return runs
 

@@ -28,28 +28,44 @@ arguments and return its components.  Nothing is kept between calls.  A
 ``Frame`` is a nonempty tuple of ``PolyField``s sharing one ambient
 dimension.
 
-There is one Taylor expansion, and it runs on ints.  ``_Expansion`` expands
-about the point each distinct monomial of the fields of one call, once for
-every component and every field: it clears the point's common denominator,
-and it forms a degree slice of a monomial (packed monomials and int
-factors) the first time any field asks for that degree.  There is one
-Taylor leaf too, ``_TaylorParts``: a field about the point as its
-homogeneous parts, each times one int, its ``scale``, with an int
-coefficient for every monomial.  Monomials are packed ints (the exponent of
-x_{i+1} in bits [w*i, w*(i+1)), w wide enough for the order), so a product
-of monomials is one int addition.  A leaf forms each part once, when it is
-first asked for, from its per-monomial terms about the shared expansion, or
-is given its parts when it is made.  ``_taylor_leaves`` makes the leaves of
-a call's fields about one ``_Expansion``, which goes when they go, clearing
-each field's coefficient denominators once; ``_recombined`` makes the leaf
-of a constant combination of such leaves by merging their terms monomial by
-monomial, as ``ampleness.slice_report`` recombines a frame into its adapted
-one; and ``jetalg._taylor_fields`` gives every part of the Taylor fields a
-jet fixes.  ``PolyField.taylor(p, s)`` assembles from the parts of degrees
-0..s the degree-<= s Taylor polynomial about ``p``, in shifted coordinates,
-as an ordinary field; ``jetalg.jet_of_frame`` reads its jet off the parts,
-and the flag engine (``flags._Graded``) asks a leaf for one degree at a
-time.
+The Taylor engine runs on ints, and its monomial format is known here
+alone.  A packed monomial is one int: the exponent of x_{i+1} sits in bits
+[w*i, w*(i+1)), w = ``_pack_width(order)`` bits wide enough for the order,
+so a product of monomials is one int addition and d/dx_j of x^alpha one
+subtraction.  ``_Expansion`` and ``_packed_index`` (a jet multi-index, for
+``jetalg``) pack, ``_TaylorParts.decode`` unpacks and ``_Graded``
+differentiates and multiplies packed monomials; ``flags`` and ``jetalg``
+only pass them on.
+
+There is one Taylor expansion.  ``_Expansion`` expands about the point each
+distinct monomial of the fields of one call, once for every component and
+every field: it clears the point's common denominator, and it forms a
+degree slice of a monomial (packed monomials and int factors) the first
+time any field asks for that degree.  There is one Taylor leaf too,
+``_TaylorParts``: a field about the point as its homogeneous parts, each
+times one int, its ``scale``, with an int coefficient for every packed
+monomial.  A leaf forms each part once, when it is first asked for, from
+its per-monomial terms about the shared expansion, or is given its parts
+when it is made.  ``_taylor_leaves`` makes the leaves of a call's fields
+about one ``_Expansion``, which goes when they go, clearing each field's
+coefficient denominators once; ``_recombined`` makes the leaf of a constant
+combination of such leaves by merging their terms monomial by monomial, as
+``ampleness.slice_report`` recombines a frame into its adapted one; and
+``jetalg._taylor_fields`` gives every part of the Taylor fields a jet fixes.
+``PolyField.taylor(p, s)`` assembles from the parts of degrees 0..s the
+degree-<= s Taylor polynomial about ``p``, in shifted coordinates, as an
+ordinary field, and ``jetalg.jet_of_frame`` reads its jet off the parts.
+
+There is one graded store, ``_Graded``, the field store of the flag engine
+(``flags._span_ranks``).  It keeps every bracket of the leaves as its
+homogeneous parts by degree and forms a part only when it is asked for,
+once per (expression, degree), asking a leaf for one degree at a time.  The
+degree-d part of [A, B] needs the parts of degree <= d + 1 of A and B, so
+at step s a length-m sub-bracket is asked for degree s - m at most and a
+leaf for degree s - 1, and a value is a degree-0 part.  Each leaf is its
+Taylor field times one nonzero int, so a bracket multiplies and adds ints,
+and by bilinearity all the scaling does to a bracket's value is multiply
+it by a nonzero int, which changes no rank.
 
 Coefficients, points (of the ambient's length) and matrix entries are read
 by the exactness rule in ``linalg``: an int or a Fraction, or a
@@ -66,6 +82,7 @@ from operator import add, sub
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
+from .freelie import BracketExpr
 from .linalg import _exact, _exact_vector, _sizes, _tuple
 
 __all__ = [
@@ -409,6 +426,13 @@ def _pack_width(order: int) -> int:
     return max(order, 1).bit_length()
 
 
+def _packed_index(idx, width: int) -> int:
+    """The packed monomial x^alpha of a jet multi-index ``idx``, its
+    directions 0-based and repeated alpha_j times, ``width`` bits per
+    exponent."""
+    return sum(1 << (width * t) for t in idx)
+
+
 class _Expansion:
     """The expansion about one point, for one order, of the monomials of the
     fields whose leaves share it, in ints.
@@ -508,7 +532,7 @@ class _Expansion:
 
 class _TaylorParts:
     """A Taylor field about a point kept as its homogeneous parts in ints,
-    the one leaf of the flag engine (``flags._Graded``).
+    the one leaf of the flag engine's store (``_Graded``).
 
     ``part(d)`` is the degree-d part times ``scale``, a nonzero int that is
     the same for every part: a list of n dicts from packed monomials to
@@ -643,6 +667,125 @@ def _recombined(leaves, coeffs) -> _TaylorParts:
     top = max(leaf.top for r, leaf in zip(ratios, leaves) if r)
     first = leaves[0]
     return _TaylorParts(first.n, first.width, top, scale, first._about, terms)
+
+
+class _Part:
+    """One homogeneous part of an engine field: per component a dict from
+    packed monomials to nonzero ints (``polyfields._TaylorParts``), whether
+    they are all empty, and, once the part is differentiated, per component
+    its derivative terms by direction."""
+
+    __slots__ = ("comps", "zero", "derivs")
+
+    def __init__(self, comps: list[dict]):
+        self.comps = comps
+        self.zero = not any(comps)
+        self.derivs = None
+
+
+class _Graded:
+    """The graded store of the flag engine.
+
+    Every field is kept as its homogeneous parts by degree, and a part is
+    formed only when it is asked for, once per (expression, degree).  Leaf
+    ``X_g`` is ``leaves[g - 1]``.  The degree-d part of [A, B] is
+
+        sum over a + b = d + 1 of  A_a(B_b) - B_b(A_a),
+
+    V(p) = sum_j V^j d_j p, so it needs the parts of degree <= d + 1 of A
+    and B; a length-m sub-bracket of a value of length s is asked for no
+    degree above s - m.  ``top(expr)`` bounds the degrees that can be
+    nonzero (a bracket drops one degree), and a part above it is not
+    formed.  Monomials are packed ints, so a product of monomials is one
+    int addition.
+    """
+
+    def __init__(self, leaves):
+        self.leaves = leaves
+        self.n, self.width = leaves[0].n, leaves[0].width
+        self.mask = (1 << self.width) - 1
+        self.ones = [1 << (self.width * j) for j in range(self.n)]
+        self.parts: dict[tuple[BracketExpr, int], _Part] = {}
+        self.tops: dict[BracketExpr, int] = {}
+        self.empty = _Part([{} for _ in range(self.n)])
+
+    def top(self, expr: BracketExpr) -> int:
+        got = self.tops.get(expr)
+        if got is None:
+            if expr.is_leaf:
+                got = self.leaves[expr.gen - 1].top
+            else:
+                got = self.top(expr.left) + self.top(expr.right) - 1
+            self.tops[expr] = got
+        return got
+
+    def part(self, expr: BracketExpr, d: int) -> _Part:
+        """The degree-``d`` part of ``expr``, formed on the first call."""
+        if d > self.top(expr):
+            return self.empty
+        key = (expr, d)
+        got = self.parts.get(key)
+        if got is None:
+            got = self.parts[key] = self._form(expr, d)
+        return got
+
+    def value(self, expr: BracketExpr) -> tuple[int, ...]:
+        """The value of ``expr`` at the centre: its degree-0 part."""
+        return tuple(c.get(0, 0) for c in self.part(expr, 0).comps)
+
+    def vanishes(self, expr: BracketExpr, through: int) -> bool:
+        """Whether every part of ``expr`` of degree <= ``through`` is zero,
+        asking for one degree at a time."""
+        return all(self.part(expr, d).zero for d in range(min(through, self.top(expr)) + 1))
+
+    def _form(self, expr: BracketExpr, d: int) -> _Part:
+        if expr.is_leaf:
+            return _Part(self.leaves[expr.gen - 1].part(d))
+        left, right = expr.left, expr.right
+        # per pair of nonzero parts (A_a, B_b): A_a times the derivatives of
+        # B_b, and B_b times those of A_a with the sign flipped
+        products = []
+        for a in range(max(0, d + 1 - self.top(right)), min(d + 1, self.top(left)) + 1):
+            b_part = self.part(right, d + 1 - a)
+            if not b_part.zero:
+                a_part = self.part(left, a)
+                if not a_part.zero:
+                    products.append((1, a_part.comps, self._derivs(b_part)))
+                    products.append((-1, b_part.comps, self._derivs(a_part)))
+        comps = []
+        for i in range(self.n):
+            acc: dict = {}
+            get = acc.get
+            for sign, mults, derivs in products:
+                for j, row in derivs[i]:
+                    mult = mults[j]
+                    if mult:
+                        for dm, dc in row:
+                            dc *= sign
+                            for m, c in mult.items():
+                                m += dm
+                                acc[m] = get(m, 0) + dc * c
+            comps.append({m: c for m, c in acc.items() if c})
+        return _Part(comps)
+
+    def _derivs(self, part: _Part) -> list:
+        """Per component of ``part``, the (direction j, [(monomial, coefficient)])
+        pairs of its nonzero d_j; formed once per part."""
+        if part.derivs is None:
+            w, mask, ones = self.width, self.mask, self.ones
+            part.derivs = []
+            for comp in part.comps:
+                by_dir: dict = {}
+                for m, c in comp.items():
+                    rest, j = m, 0
+                    while rest:
+                        e = rest & mask
+                        if e:
+                            by_dir.setdefault(j, []).append((m - ones[j], c * e))
+                        rest >>= w
+                        j += 1
+                part.derivs.append(list(by_dir.items()))
+        return part.derivs
 
 
 @dataclass(frozen=True, eq=False, repr=False)

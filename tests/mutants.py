@@ -1,0 +1,164 @@
+"""Mutation gate: every named mutant of the engine must fail the tier-1 tests.
+
+Run from anywhere as
+
+    python tests/mutants.py
+
+Each mutant is one textual replacement in one module of ``src/liegrowth``.
+Its pattern must occur exactly once in the module, or the gate stops before
+it runs anything.  The repository tree (without ``.git`` and caches) is
+copied to a temporary directory once per mutant, the mutant is applied to
+the copy, and the tier-1 tests run there with ``-x``.  The unmutated copy
+runs first and must pass, so that no mutant counts as killed by a broken
+tree.  One JSON object per run is printed as it ends (the mutant's name,
+``killed`` or ``survived``, and the seconds it took), then a summary.  The
+exit status is 0 when every mutant is killed, 1 when one survives, and 2
+when a pattern does not match once or the unmutated tree fails.
+
+A mutant whose tests run past ``TIMEOUT_S`` counts as killed: a hang is a
+failure the tests show.  pytest does not collect this file (it is not a
+``test_*.py`` module).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out", ".benchmarks"
+)
+
+# (name, module under src/liegrowth, pattern, replacement)
+MUTANTS = [
+    (
+        "graded-derivs-drop-exponent",
+        "polyfields.py",
+        "append((m - ones[j], c * e))",
+        "append((m - ones[j], c))",
+    ),
+    (
+        "graded-form-sign-flip",
+        "polyfields.py",
+        "products.append((-1, b_part.comps, self._derivs(a_part)))",
+        "products.append((1, b_part.comps, self._derivs(a_part)))",
+    ),
+    (
+        "expansion-no-binomial",
+        "polyfields.py",
+        "(j, comb(e, j) * p ** (e - j) * den**j, j << at)",
+        "(j, p ** (e - j) * den**j, j << at)",
+    ),
+    (
+        "packed-index-off-by-one",
+        "polyfields.py",
+        "return sum(1 << (width * t) for t in idx)",
+        "return sum(1 << (width * (t + 1)) for t in idx)",
+    ),
+    (
+        "recombined-wrong-weight",
+        "polyfields.py",
+        "weight = int(r * scale)",
+        "weight = int(r * scale) + 1",
+    ),
+    (
+        "taylor-fields-no-factorial-ratio",
+        "jetalg.py",
+        "terms[key] = u * (fact // afact)",
+        "terms[key] = u * fact",
+    ),
+    (
+        "echelon-add-sign",
+        "linalg.py",
+        "rem = [a - f * b for a, b in zip(rem, pivot_row)]",
+        "rem = [a + f * b for a, b in zip(rem, pivot_row)]",
+    ),
+    (
+        "bracket-sign",
+        "polyfields.py",
+        "ai._act(acc, gb, -1)",
+        "ai._act(acc, gb, 1)",
+    ),
+    (
+        "adapted-change-unscaled",
+        "ampleness.py",
+        "cols = [[a / pairing for a in alpha], *linalg.nullspace([r])]",
+        "cols = [list(alpha), *linalg.nullspace([r])]",
+    ),
+    (
+        "shape-verdict-hyperplane",
+        "ampleness.py",
+        "if cols - fixed >= 2:",
+        "if cols - fixed >= 1:",
+    ),
+    (
+        "hull-verdict-pivots",
+        "ampleness.py",
+        "if len(pivots) < k:",
+        "if len(pivots) <= k:",
+    ),
+]
+
+
+def _run_tests(tree: Path) -> tuple[str, float]:
+    """Run tier-1 with ``-x`` in ``tree``: "passed", "failed" or "timeout",
+    and the seconds it took."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        )
+        outcome = "passed" if done.returncode == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        outcome = "timeout"
+    return outcome, round(time.perf_counter() - start, 1)
+
+
+def _run(name: str, module: str | None = None, old: str = "", new: str = "") -> dict:
+    """Copy the tree, apply one mutant (none for the baseline), run tier-1."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        if module is not None:
+            path = tree / "src" / "liegrowth" / module
+            path.write_text(path.read_text().replace(old, new, 1))
+        outcome, seconds = _run_tests(tree)
+    return {"mutant": name, "outcome": outcome, "seconds": seconds}
+
+
+def main() -> int:
+    for name, module, old, new in MUTANTS:
+        count = (ROOT / "src" / "liegrowth" / module).read_text().count(old)
+        if count != 1:
+            error = f"pattern occurs {count} times in {module}"
+            print(json.dumps({"mutant": name, "error": error}))
+            return 2
+    baseline = _run("none")
+    print(json.dumps(baseline), flush=True)
+    if baseline["outcome"] != "passed":
+        return 2
+    survived = []
+    for name, module, old, new in MUTANTS:
+        got = _run(name, module, old, new)
+        got["outcome"] = "survived" if got["outcome"] == "passed" else "killed"
+        print(json.dumps(got), flush=True)
+        if got["outcome"] == "survived":
+            survived.append(name)
+    killed = len(MUTANTS) - len(survived)
+    print(json.dumps({"mutants": len(MUTANTS), "killed": killed, "survived": survived}))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -405,13 +405,11 @@ def test_slice_report_expands_each_field_once_and_forms_each_bracket_once(
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
-    expansion, parts = polyfields._Expansion, polyfields._TaylorParts
+    expansion, parts, store = polyfields._Expansion, polyfields._TaylorParts, polyfields._Graded
     monkeypatch.setattr(expansion, "__init__", counted("expansion", expansion.__init__))
     monkeypatch.setattr(parts, "expand", counted("expand", parts.expand))
-    monkeypatch.setattr(flags._Graded, "__init__", counted("store", flags._Graded.__init__))
-    monkeypatch.setattr(
-        flags._Graded, "_form", counted("form", flags._Graded._form, lambda a: (id(a[0]),) + a[1:])
-    )
+    monkeypatch.setattr(store, "__init__", counted("store", store.__init__))
+    monkeypatch.setattr(store, "_form", counted("form", store._form, lambda a: (id(a[0]),) + a[1:]))
     monkeypatch.setattr(PolyField, "taylor", counted("taylor", PolyField.taylor))
     monkeypatch.setattr(Poly, "eval_at", counted("eval_at", Poly.eval_at))
     for fr, p, v, step in cases:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from liegrowth import ampleness, catalog, flags, freelie, jetalg, linalg, parsing
+from liegrowth import ampleness, catalog, flags, freelie, jetalg, linalg, parsing, polyfields
 from liegrowth.errors import (
     DegenerateFrame,
     DomainError,
@@ -107,13 +107,13 @@ def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_chec
     # engine, the leaves' values, refuses it at once, whatever max_step
     fr = parsing.parse_frame("dim 3\nX1 = d1 + x2*d3\nX2 = x2*d1 + x2^2*d3 + x3*d2\n")
     formed = []
-    form = flags._Graded._form
+    form = polyfields._Graded._form
 
     def recorded_form(store, expr, d):
         formed.append(expr)
         return form(store, expr, d)
 
-    monkeypatch.setattr(flags._Graded, "_form", recorded_form)
+    monkeypatch.setattr(polyfields._Graded, "_form", recorded_form)
     for p in ((1, 2, 0), (0, F(-1, 3), 0)):
         runs = (
             lambda: flags.lie_flag(fr, p, 30, cross_check),
@@ -286,7 +286,7 @@ def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
     # of a leaf or of a bracket, must still hold ints only
     fr = catalog.cartan_frame()
     formed = []
-    form = flags._Graded._form
+    form = polyfields._Graded._form
 
     def int_form(store, expr, d):
         got = form(store, expr, d)
@@ -295,7 +295,7 @@ def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
         formed.append((expr, d))
         return got
 
-    monkeypatch.setattr(flags._Graded, "_form", int_form)
+    monkeypatch.setattr(polyfields._Graded, "_form", int_form)
     p = (F(1, 3), F(-2, 5), F(3, 7), 1, F(5, 2))
     v = (F(1, 2), F(-1, 3), 1, 0, 0)
     for cross_check in (False, True):
@@ -315,13 +315,13 @@ def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(
     # reaches need, so a larger max_step forms no further part once the
     # flag has reached n
     formed = []
-    form = flags._Graded._form
+    form = polyfields._Graded._form
 
     def counted(store, expr, d):
         formed.append((expr, d))
         return form(store, expr, d)
 
-    monkeypatch.setattr(flags._Graded, "_form", counted)
+    monkeypatch.setattr(polyfields._Graded, "_form", counted)
     cases = [(parsing.parse_frame(R10_FRAME.read_text()), R10_POINT, 5)]
     cases += [(fr, p, step) for fr, p, step in _dense_frames(6205) if fr.n >= 6]
     for fr, p, step in cases:

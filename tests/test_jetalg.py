@@ -10,7 +10,7 @@ from liegrowth.catalog import engel_frame, heisenberg_frame, martinet_frame
 from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
 from liegrowth.polyfields import Frame, Poly, PolyField
 
-from helpers import F, classical_chain_value, constant_frame, rand_point
+from helpers import F, classical_chain_value, constant_frame, leaf, rand_point
 
 
 def var(fld, comp, idx, k, n, r):
@@ -109,6 +109,11 @@ def test_bracket_errors():
         ja.bracket((1, 2, 1), 2, 2, 2)
     with pytest.raises(DomainError):
         ja.bracket((3,), 2, 2, 2)
+    # a field index is a size (linalg._sizes): 1.0 and True are not read as 1
+    with pytest.raises(DomainError, match=r"^field index 1\.0 must be an int, got float$"):
+        ja.bracket((1.0, 1), 1, 1, 2)
+    with pytest.raises(DomainError, match="^field index True must be an int, got bool$"):
+        ja.bracket_of_expr(leaf(True), 1, 1, 2)
 
 
 def test_antisymmetry_small():

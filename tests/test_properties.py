@@ -6,13 +6,17 @@ from fractions import Fraction
 from math import factorial
 
 from liegrowth import flags, freelie, jetalg, linalg, parsing
-from liegrowth.polyfields import Frame, Poly, PolyField, poly_lie_bracket
+from liegrowth.polyfields import Frame, Poly, PolyField, _pack_width, poly_lie_bracket
 
 from helpers import (
+    apply_triangular,
     classical_chain_value,
     jet_by_derivatives,
+    lie_flag_reference,
+    push_triangular,
     rand_fraction,
     rand_point,
+    triangular_map,
     truncate,
 )
 
@@ -27,16 +31,17 @@ def _random_poly(rng, n, max_deg=2, max_terms=3):
     return p
 
 
-def _random_frame(rng, n, k):
+def _random_frame(rng, n, k, max_deg=2):
     """Random polynomial frame with constant parts the first k basis vectors,
-    so the fields stay independent near rational sample points.
+    so the fields stay independent near rational sample points; its other
+    terms have degree <= max_deg + 1.
     """
     fields = []
     for j in range(1, k + 1):
         comps = []
         for i in range(1, n + 1):
             base = Poly.const(n, 1 if i == j else 0)
-            comps.append(base + _random_poly(rng, n) * Poly.variable(n, 1))
+            comps.append(base + _random_poly(rng, n, max_deg) * Poly.variable(n, 1))
         fields.append(PolyField(tuple(comps)))
     return Frame(n, tuple(fields))
 
@@ -126,6 +131,55 @@ def test_jet_of_frame_matches_derivative_chains_on_catalog_frames():
         p = rand_point(rng, fr.n, span=3, den=3)
         jet = jetalg.jet_of_frame(fr, p, 3)
         assert jet.values == jet_by_derivatives(fr, p, 3)
+
+
+# jet orders and the bits per exponent of their packed Taylor monomials
+# (polyfields._pack_width): every width from 1 to 4, and two orders of width 3
+PACKING_WIDTHS = ((1, 1), (3, 2), (4, 3), (7, 3), (8, 4))
+
+
+def test_jets_and_flags_are_read_right_at_every_packing_width():
+    # random frames with terms up to degree order + 1, at points where their
+    # values are independent: the jet read off the packed Taylor parts
+    # equals the derivative chains, and the flag of that jet equals the
+    # flag of the frame and the whole-polynomial reference
+    rng = random.Random(1103)
+    for order, width in PACKING_WIDTHS:
+        assert _pack_width(order) == width
+        for trial in range(3):
+            n = rng.choice((2, 3))
+            fr = _random_frame(rng, n, 2, max_deg=order)
+            p = rand_point(rng, n, span=2, den=2)
+            while linalg.rank(fr.values_at(p)) < 2:
+                p = rand_point(rng, n, span=2, den=2)
+            jet = jetalg.jet_of_frame(fr, p, order)
+            assert jet.values == jet_by_derivatives(fr, p, order), (order, trial)
+            want = lie_flag_reference(fr, p, order + 1)
+            assert flags.lie_flag(fr, p, order + 1) == want, (order, trial)
+            assert flags.formal_flag(jet, order + 1) == want, (order, trial)
+
+
+def test_a_deep_involutive_flag_is_read_right_at_every_packing_width():
+    # X1 = d1, X2 = q(x1) (d2 + d3) with q of degree `order` spans an
+    # involutive distribution whose brackets ad_X1^m X2 = q^(m)(x1) (d2 + d3)
+    # do not vanish up to m = order, so the flag is (2, ..., 2) through step
+    # order + 1 and the store asks the leaves for every degree up to
+    # `order`; a triangular automorphism makes every component dense
+    rng = random.Random(1104)
+    x1 = Poly.variable(3, 1)
+    for order, _ in PACKING_WIDTHS:
+        q = sum((x1**e * rand_fraction(rng, 3, 2) for e in range(order)), x1**order)
+        p = rand_point(rng, 3, span=2, den=2)
+        while q.eval_at(p) == 0:
+            p = rand_point(rng, 3, span=2, den=2)
+        fr = Frame(3, (PolyField.basis(3, 1), PolyField((Poly.zero(3), q, q))))
+        fs = triangular_map(rng, 3)
+        moved, at = push_triangular(fr, fs), apply_triangular(fs, p)
+        jet = jetalg.jet_of_frame(moved, at, order)
+        assert jet.values == jet_by_derivatives(moved, at, order), order
+        want = flags.lie_flag(moved, at, order + 1)
+        assert want.dims == (2,) * (order + 1), order
+        assert flags.formal_flag(jet, order + 1) == want, order
 
 
 def test_tree_symbols_match_tree_brackets():

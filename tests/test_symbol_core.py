@@ -421,6 +421,26 @@ _HEIS = ja.jet_of_frame(catalog.heisenberg_frame(), (1, F(1, 2), -2), 2)
             lambda: ja.DiffPoly.var(1, 1, "ab", 2, 3, 3),
             "(1, 1, 'ab') is not a jet coordinate (field, comp, idx)",
         ),
+        # its entries are sizes (linalg._sizes): 1.0, True and Fraction(1)
+        # are refused, naming the entry, not read as 1
+        (
+            lambda: ja.JetPoint(1, 1, 0, (0,), {(1.0, 1, ()): 2}),
+            "(1.0, 1, ()) is not a jet coordinate: its entry 1.0 must be an int, got float",
+        ),
+        (
+            lambda: ja.DiffPoly.var(True, 1, (), 1, 1, 2),
+            "JetVar(field=True, comp=1, idx=()) is not a jet coordinate: "
+            "its entry True must be an int, got bool",
+        ),
+        (
+            lambda: _HEIS[(1, F(1), (2.0, 1))],
+            "(1, Fraction(1, 1), (2.0, 1)) is not a jet coordinate: "
+            "its entry Fraction(1, 1) must be an int, got Fraction",
+        ),
+        (
+            lambda: ja.substitute(_P, {(1, 1, (True,)): 2}),
+            "(1, 1, (True,)) is not a jet coordinate: its entry True must be an int, got bool",
+        ),
     ],
     ids=[
         "substitute triple",
@@ -429,6 +449,10 @@ _HEIS = ja.jet_of_frame(catalog.heisenberg_frame(), (1, F(1, 2), -2), 2)
         "jet list index",
         "jet list index, nonzero",
         "var str",
+        "jet float field",
+        "var bool field",
+        "jet Fraction comp",
+        "substitute bool index",
     ],
 )
 def test_every_coordinate_key_is_read_one_way(call, want):
