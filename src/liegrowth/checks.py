@@ -27,12 +27,15 @@ def rand_point(rng, n, span=3, den=3) -> tuple[Fraction, ...]:
 
 
 def classical_chain_value(frame, index, point) -> tuple[Fraction, ...]:
-    """Iterated classical bracket with the leftmost-outermost nesting, at
-    ``point``."""
-    cur = frame.fields[index[-1] - 1]
-    for c in reversed(index[:-1]):
-        cur = poly_lie_bracket(frame.fields[c - 1], cur)
-    return cur.value_at(point)
+    """The classical bracket of the fields of ``frame`` that
+    ``BracketExpr.chain(index)`` names (leftmost outermost), at ``point``."""
+
+    def value(e):
+        if e.is_leaf:
+            return frame.fields[e.gen - 1]
+        return poly_lie_bracket(value(e.left), value(e.right))
+
+    return value(freelie.BracketExpr.chain(index)).value_at(point)
 
 
 def all_expressions(k, max_len):
@@ -68,27 +71,16 @@ def suite_hall(rng) -> list[tuple[str, bool, str]]:
                 if e not in members and freelie.is_hall_element(e, basis):
                     ok = False
     out.append(("membership agrees with enumeration", ok, "k <= 3, len <= 4"))
-    ok = True
-    for k in (2, 3, 4):
-        basis = freelie.hall_basis(k, 5)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if i == j:
-                    continue
-                inner = (
-                    freelie.BracketExpr.pair(
-                        freelie.BracketExpr.leaf(i), freelie.BracketExpr.leaf(j)
-                    )
-                    if j > i
-                    else freelie.BracketExpr.pair(
-                        freelie.BracketExpr.leaf(j), freelie.BracketExpr.leaf(i)
-                    )
-                )
-                e = inner
-                while e.length < 5:
-                    e = freelie.BracketExpr.pair(freelie.BracketExpr.leaf(i), e)
-                    if not freelie.is_hall_element(e, basis):
-                        ok = False
+    # [X_i, ..., [X_i, [X_min(i,j), X_max(i,j)]]] with 1..3 wraps
+    ok = all(
+        freelie.is_hall_element(
+            freelie.BracketExpr.chain((i,) * wraps + (min(i, j), max(i, j))),
+            freelie.hall_basis(k, 5),
+        )
+        for k in (2, 3, 4)
+        for i, j in itertools.permutations(range(1, k + 1), 2)
+        for wraps in range(1, 4)
+    )
     out.append(("iterated wrap chains are Hall elements", ok, "k <= 4, len <= 5"))
     ok = True
     for k in (2, 3, 4):

@@ -122,20 +122,9 @@ def _slice_text(reports) -> str:
 
 
 def cmd_witt(args) -> int:
-    from . import freelie, linalg
+    from . import freelie
 
-    k, length = args.generators, args.length
-    # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
-    # bit lengths alone show most answers past 10**MAX_DIGITS before they
-    # are computed
-    lower_bits = length * (k.bit_length() - 1) - 1 - length.bit_length()
-    huge = k >= 2 and lower_bits >= linalg._TOO_LONG.bit_length()
-    value = None if huge else freelie.witt_dimension(k, length)
-    if huge or value >= linalg._TOO_LONG:
-        raise DomainError(
-            f"witt dimension for {k} generators at length {length} has more than "
-            f"{linalg.MAX_DIGITS} digits (parsing.MAX_DIGITS)"
-        )
+    value = freelie.witt_dimension(args.generators, args.length)
     _emit(args, str(value), {"value": value})
     return 0
 

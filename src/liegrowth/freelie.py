@@ -16,6 +16,14 @@ standard library's bounded cache (``functools.lru_cache``), which keeps the
 layers depend on the rank alone, so a dropped rank rebuilds the same ones.
 A ``BracketExpr`` carries its order key and its hash from construction, so
 neither a comparison nor a lookup walks the tree.
+
+``BracketExpr`` owns the bracket rules.  Every leaf, however it is built,
+reads its generator index by the size rule of ``linalg._sizes`` (an int, not
+a bool or a float) and refuses one below 1; ``BracketExpr.chain`` builds the
+right-nested chain [X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]], the one
+spelling of the convention that ``jetalg.bracket`` and the check suites
+read.  ``witt_dimension`` owns its size bound: a value of more than
+``linalg.MAX_DIGITS`` digits is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 from .errors import CapExceeded, DomainError
-from .linalg import _sizes
+from .linalg import _TOO_LONG, MAX_DIGITS, _sizes, _tuple
 
 __all__ = [
     "BracketExpr",
@@ -63,18 +72,31 @@ def witt_dimension(k: int, length: int) -> int:
     """Dimension of the degree-``length`` layer of the free Lie algebra on
     ``k`` generators: (1/length) * sum over d | length of mu(d) * k**(length/d).
 
-    Computed in arbitrary-precision integers; exact divisibility is asserted.
+    Computed in arbitrary-precision integers, the divisors walked in pairs
+    (d, length/d) up to the square root; exact divisibility is asserted.  A
+    value of more than ``linalg.MAX_DIGITS`` digits is a ``DomainError``,
+    mostly told from bit lengths before anything is computed.
     """
     _sizes(k=k, length=length)
     if k < 1 or length < 1:
         raise DomainError("witt_dimension needs k >= 1 and length >= 1")
-    total = 0
-    for d in range(1, length + 1):
-        if length % d == 0:
-            total += mobius(d) * k ** (length // d)
-    if total % length != 0:
-        raise AssertionError(
-            f"Witt sum {total} not divisible by {length} for k={k}"
+    # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
+    # bit lengths alone show most values past 10**MAX_DIGITS
+    lower_bits = length * (k.bit_length() - 1) - 1 - length.bit_length()
+    total = None
+    if k < 2 or lower_bits < _TOO_LONG.bit_length():
+        total = 0
+        for d in range(1, isqrt(length) + 1):
+            if length % d == 0:
+                total += mobius(d) * k ** (length // d)
+                if d * d != length:
+                    total += mobius(length // d) * k**d
+        if total % length != 0:
+            raise AssertionError(f"Witt sum {total} not divisible by {length} for k={k}")
+    if total is None or total // length >= _TOO_LONG:
+        raise DomainError(
+            f"witt dimension for {k} generators at length {length} has more than "
+            f"{MAX_DIGITS} digits (parsing.MAX_DIGITS)"
         )
     return total // length
 
@@ -135,6 +157,9 @@ class BracketExpr:
 
     def __post_init__(self):
         if self.gen is not None:
+            _sizes(**{f"generator index {self.gen!r}": self.gen})
+            if self.gen < 1:
+                raise DomainError(f"generator index must be positive, got {self.gen}")
             key = (1, (self.gen,))
         else:
             key = (self.length, (self.left._key, self.right._key))
@@ -143,13 +168,23 @@ class BracketExpr:
 
     @staticmethod
     def leaf(g: int) -> BracketExpr:
-        if g < 1:
-            raise DomainError(f"generator index must be positive, got {g}")
         return BracketExpr(g, None, None, 1)
 
     @staticmethod
     def pair(a: BracketExpr, b: BracketExpr) -> BracketExpr:
         return BracketExpr(None, a, b, a.length + b.length)
+
+    @staticmethod
+    def chain(gens) -> BracketExpr:
+        """The right-nested chain [X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]]
+        of the generator indices ``gens``: the leftmost is outermost."""
+        gens = _tuple(gens, "bracket index")
+        if not gens:
+            raise DomainError("bracket needs a nonempty multi-index")
+        expr = BracketExpr.leaf(gens[-1])
+        for g in gens[-2::-1]:
+            expr = BracketExpr.pair(BracketExpr.leaf(g), expr)
+        return expr
 
     @property
     def is_leaf(self) -> bool:

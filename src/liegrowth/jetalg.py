@@ -62,7 +62,7 @@ checked constructor reads each key by ``_Codes.code`` and each value
 by the rule of ``linalg._exact`` (a float is a ``DomainError``), ignores a
 key that names no coordinate the jet fixes, and refuses a missing one with
 ``IncompleteJet``; it and ``jet_of_frame`` both end in ``JetPoint._set``,
-and from equal values they build equal jets.
+and from equal values they build equal jets, which hash equal.
 
 The code tables are kept in the standard library's bounded cache
 (``_codes``, a ``functools.lru_cache`` over ``_Codes``): those of the
@@ -88,7 +88,10 @@ before any ``order()`` or ``evaluate`` call).
 
 Bracket convention used throughout: ``bracket((b1, ..., bl))`` is the symbol
 of ``[F_b1, [F_b2, [... [F_b{l-1}, F_bl] ...]]]`` -- the leftmost index is the
-outermost field.  Swapping the last two entries flips the sign.
+outermost field.  Swapping the last two entries flips the sign.  It is
+``bracket_of_expr`` of ``freelie.BracketExpr.chain``, which owns the chain
+and the check of every generator index; ``bracket_of_expr`` checks only that
+an index names one of the k fields and that the length fits the order.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ from .errors import (
     IncompleteJet,
     OrderOverflow,
 )
+from .freelie import BracketExpr
 from .linalg import _exact, _exact_vector, _sizes
 from .polyfields import (
     _ZERO,
@@ -417,33 +421,23 @@ def _field_vec(a: int, k: int, n: int, r: int) -> DiffVec:
 
 
 def bracket(index, k: int, n: int, r: int) -> DiffVec:
-    """Fully expanded symbol of the iterated bracket named by ``index``.
-
-    ``index`` lists field indices; the leftmost is outermost.  Length 1 gives
-    the 0-jet vector of that field; longer indices wrap one field at a time.
-    """
-    index = tuple(index)
-    if len(index) == 0:
-        raise DomainError("bracket needs a nonempty multi-index")
-    if len(index) > r:
-        raise OrderOverflow(f"length {len(index)} exceeds the order budget r={r}")
-    for a in index:
-        _sizes(**{f"field index {a!r}": a})
-        if not 1 <= a <= k:
-            raise DomainError(f"field index {a} out of range 1..{k}")
-    vec = _field_vec(index[-1], k, n, r)
-    for c in reversed(index[:-1]):
-        vec = diffvec_bracket(_field_vec(c, k, n, r), vec)
-    return vec
+    """Fully expanded symbol of the iterated bracket named by ``index``:
+    ``bracket_of_expr`` of the right-nested chain ``BracketExpr.chain(index)``,
+    so the leftmost field index is outermost and length 1 gives the 0-jet
+    vector of that field."""
+    return bracket_of_expr(BracketExpr.chain(index), k, n, r)
 
 
 def bracket_of_expr(expr, k: int, n: int, r: int) -> DiffVec:
-    """Symbol of an arbitrary bracket expression tree (see freelie)."""
+    """Symbol of an arbitrary bracket expression tree (see freelie), whose
+    generator indices name fields 1..k; a ``BracketExpr`` has checked them
+    for ints >= 1 already."""
+    if type(expr) is not BracketExpr:
+        raise DomainError(f"a bracket symbol needs a BracketExpr, got {type(expr).__name__}")
     if expr.length > r:
         raise OrderOverflow(f"length {expr.length} exceeds the order budget r={r}")
     if expr.is_leaf:
-        _sizes(**{f"field index {expr.gen!r}": expr.gen})
-        if not 1 <= expr.gen <= k:
+        if expr.gen > k:
             raise DomainError(f"field index {expr.gen} out of range 1..{k}")
         return _field_vec(expr.gen, k, n, r)
     return diffvec_bracket(
@@ -458,6 +452,8 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     order; keys that name no coordinate of ``p`` are ignored, and of keys
     that name the same one, the last wins.
     """
+    if not hasattr(assignment, "items"):
+        raise DomainError(f"an assignment must be a mapping, got {type(assignment).__name__}")
     # every coordinate of p is coded, so a key it lacks finds no code of p
     code = p._table().code
     assigned = {
@@ -499,6 +495,7 @@ def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     """Jet coordinates present in ``vec`` whose multi-index is exactly ``m``
     copies of direction ``t``; ``m = 0`` returns the 0-jet coordinates.
     """
+    _sizes(m=m)
     tab = _codes(vec.k, vec.n).grow(vec.order())  # codes every coordinate of vec
     target = (t,) * m
     wanted = {
@@ -559,6 +556,11 @@ class JetPoint:
         the value times ``denom`` per code up to ``order``."""
         vars(self).update(k=k, n=n, order=order, base=base, _denom=denom, _nums=nums)
         return self
+
+    def __hash__(self) -> int:
+        # the store stays a list, which ``evaluate`` indexes faster than a
+        # tuple; nothing writes to it after ``_set``
+        return hash((self.k, self.n, self.order, self.base, self._denom, tuple(self._nums)))
 
     def _table(self) -> _Codes:
         """The code table of this jet's ambient, coded through its order,
@@ -641,6 +643,7 @@ def pure_derivative_extract(
     jet: JetPoint, fld: int, t: int, m: int
 ) -> tuple[Fraction, ...]:
     """The order-``m`` pure derivative column of field ``fld`` along ``t``."""
+    _sizes(m=m)
     if m > jet.order:
         raise DomainError(f"pure order {m} exceeds jet order {jet.order}")
     idx = (t,) * m

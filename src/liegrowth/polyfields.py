@@ -446,11 +446,12 @@ class _Expansion:
     slices of the degrees a leaf asks for, the first time any leaf asks.
 
     Only the variables with a nonzero exponent and a nonzero shift are
-    expanded, k_i running over 0..alpha_i; every other variable keeps
-    k_i = alpha_i, and its degree starts the partial products.  A partial
-    product is dropped once its degree passes the highest degree asked for,
-    or once the variables left can no longer lift it to the lowest, so a
-    monomial of high degree never forms its full product.
+    expanded, k_i running over 0..min(alpha_i, order), as no slice above
+    the order is asked for; every other variable keeps k_i = alpha_i, and
+    its degree starts the partial products.  A partial product is dropped
+    once its degree passes the highest degree asked for, or once the
+    variables left can no longer lift it to the lowest, so a monomial of
+    high degree never forms its full product.
     """
 
     __slots__ = ("n", "width", "order", "den", "shift", "_monos", "_factors")
@@ -474,30 +475,32 @@ class _Expansion:
         """The record of the monomial x^alpha, alpha = ``exps``: its degree
         |alpha|, the degree of its unshifted variables (the degrees of its
         nonzero slices run from this one to |alpha|), its slices by degree,
-        the packed monomial of its unshifted variables and the expansion
-        triples of each shifted one."""
+        the packed monomial of its unshifted variables, the expansion
+        triples of each shifted one, and the most that those can add to a
+        degree (each expanded through the order only)."""
         got = self._monos.get(exps)
         if got is None:
             w, shift = self.width, self.shift
-            key = low = 0
+            key = low = reach = 0
             active = []
             for i, e in enumerate(exps):
                 if e:
                     if shift[i]:
-                        active.append(self._expansion(i, e))
+                        triples = self._expansion(i, e)
+                        active.append(triples)
+                        reach += triples[-1][0]
                     else:
                         low += e
                         key += e << (w * i)
-            got = self._monos[exps] = (sum(exps), low, {}, key, active)
+            got = self._monos[exps] = (sum(exps), low, {}, key, active, reach)
         return got
 
     def form(self, record: tuple, lo: int, hi: int) -> None:
         """Fill in, from one pass of partial products, the slices of degrees
         ``lo``..``hi`` that the monomial of ``record`` lacks; lo..hi lies
         within the degrees of its nonzero slices."""
-        deg, low, slices, key, active = record
+        deg, low, slices, key, active, room = record
         partial = [(key, self.den**low, low)]
-        room = deg - low
         for triples in active:
             room -= triples[-1][0]
             floor = lo - room
@@ -519,13 +522,15 @@ class _Expansion:
             slices.setdefault(d, got)
 
     def _expansion(self, i: int, e: int) -> list:
-        """The (k, factor, packed x_i^k) triples, k = 0..e, of
-        (x_i + P_i/D)^e D^e = sum_k C(e, k) P_i^(e-k) D^k x_i^k."""
+        """The (k, factor, packed x_i^k) triples, k = 0..min(e, order), of
+        (x_i + P_i/D)^e D^e = sum_k C(e, k) P_i^(e-k) D^k x_i^k: no slice
+        above the order is asked for, so no higher k is formed."""
         got = self._factors.get((i, e))
         if got is None:
             p, den, at = self.shift[i], self.den, self.width * i
             got = self._factors[(i, e)] = [
-                (j, comb(e, j) * p ** (e - j) * den**j, j << at) for j in range(e + 1)
+                (j, comb(e, j) * p ** (e - j) * den**j, j << at)
+                for j in range(min(e, self.order) + 1)
             ]
         return got
 
@@ -627,7 +632,7 @@ def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
         lift = [mult * den ** (top - deg) for deg in range(top + 1)]
         terms = []
         for record, held in users.values():
-            deg, low, slices, _, _ = record
+            deg, low, slices = record[:3]
             if low <= order:
                 up = lift[deg]
                 nums = [

@@ -29,10 +29,7 @@ def pair(a, b) -> BracketExpr:
 
 def chain(*gens) -> BracketExpr:
     """Right-nested wrap [X_{g1}, [X_{g2}, [... X_{gl}]]]."""
-    expr = leaf(gens[-1])
-    for g in reversed(gens[:-1]):
-        expr = pair(leaf(g), expr)
-    return expr
+    return BracketExpr.chain(gens)
 
 
 def constant_frame(n: int, k: int) -> Frame:

@@ -105,6 +105,54 @@ MUTANTS = [
         "if len(pivots) < k:",
         "if len(pivots) <= k:",
     ),
+    (
+        "witness-weight-sign-unchecked",
+        "ampleness.py",
+        'raise AssertionError("witness has a nonpositive weight")',
+        "pass",
+    ),
+    (
+        "witness-weight-sum-unchecked",
+        "ampleness.py",
+        'raise AssertionError("witness weights do not sum to 1")',
+        "pass",
+    ),
+    (
+        "witness-average-unchecked",
+        "ampleness.py",
+        'raise AssertionError("witness does not average to the target")',
+        "pass",
+    ),
+    (
+        "witness-singular-member-unchecked",
+        "ampleness.py",
+        'raise AssertionError("witness member is singular")',
+        "pass",
+    ),
+    (
+        "witness-det-sign-unchecked",
+        "ampleness.py",
+        'raise AssertionError("witness member has the wrong determinant sign")',
+        "pass",
+    ),
+    (
+        "certify-extensions-unchecked",
+        "flags.py",
+        "if got != want:",
+        "if False:",
+    ),
+    (
+        "hall-layer-size-unchecked",
+        "freelie.py",
+        "if len(cands) != expected:",
+        "if False:",
+    ),
+    (
+        "generator-index-unchecked",
+        "freelie.py",
+        '_sizes(**{f"generator index {self.gen!r}": self.gen})',
+        "pass",
+    ),
 ]
 
 

@@ -136,6 +136,33 @@ def test_gl_refuses_one_by_one():
         amp.gl_convex_decomposition([[5]])
 
 
+_I, _TWICE = _mat([[1, 0], [0, 1]]), _mat([[2, 0], [0, 1]])  # det 1 and det 2
+
+
+@pytest.mark.parametrize(
+    "terms, target, det_sign, message",
+    [
+        # each witness has the one defect its check names
+        (((F(1), _I), (F(0), _TWICE)), [[1, 0], [0, 1]], None, "has a nonpositive weight"),
+        (((F(4, 7), _I), (F(4, 7), _TWICE)), [[F(12, 7), 0], [0, F(8, 7)]], None,
+         "weights do not sum to 1"),
+        (((F(1, 2), _I), (F(1, 2), _TWICE)), [[F(3, 2), 0], [0, 2]], None,
+         "does not average to the target"),
+        (((F(1, 2), _I), (F(1, 2), _mat([[1, 0], [0, 0]]))), [[1, 0], [0, F(1, 2)]], None,
+         "member is singular"),
+        (((F(1, 2), _I), (F(1, 2), _mat([[0, 1], [1, 0]]))), [[F(1, 2)] * 2] * 2, 1,
+         "member has the wrong determinant sign"),
+    ],
+)
+def test_convex_witness_validate_refuses_each_defect(terms, target, det_sign, message):
+    with pytest.raises(AssertionError, match=f"^witness {message}$"):
+        amp.ConvexWitness(terms).validate(target, det_sign)
+
+
+def test_convex_witness_validate_passes_a_true_witness():
+    amp.ConvexWitness(((F(1, 2), _I), (F(1, 2), _TWICE))).validate([[F(3, 2), 0], [0, 1]], 1)
+
+
 # --- det_affine_in_free_column ----------------------------------------------------
 
 

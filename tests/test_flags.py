@@ -732,6 +732,26 @@ def test_nilpotent_frame_heisenberg_fields():
     assert poly_lie_bracket(fr.fields[0], fr.fields[1]) == third
 
 
+def test_certify_extensions_refuses_a_perturbed_coefficient():
+    # one nonconstant coefficient of one extension, plus 1: the field still
+    # restricts to its basis vector at 0, and the structure-constant
+    # identity fails
+    for alg in (catalog.heisenberg_algebra(), catalog.engel_algebra()):
+        fields = flags.left_invariant_extensions(alg)
+        perturbed = 0
+        for b, f in enumerate(fields):
+            for i, comp in enumerate(f.comps):
+                for mono, c in comp.terms.items():
+                    if any(mono):
+                        comps = list(f.comps)
+                        comps[i] = Poly(alg.dim, {**comp.terms, mono: c + 1})
+                        changed = fields[:b] + [PolyField(tuple(comps))] + fields[b + 1 :]
+                        with pytest.raises(RuntimeError, match="^structure-constant identity fails"):
+                            flags._certify_extensions(alg, changed)
+                        perturbed += 1
+        assert perturbed >= 2
+
+
 def test_nilpotent_frame_abelian():
     alg = flags.StratifiedAlgebra((2,), {})
     fr = flags.nilpotent_frame(alg)

@@ -1,3 +1,4 @@
+import time
 from functools import lru_cache
 
 import pytest
@@ -53,6 +54,33 @@ def test_witt_divisibility_holds_widely():
             assert d >= 0
             if k >= 2:
                 assert d > 0
+
+
+def test_witt_dimension_owns_its_digit_bound():
+    # a value of more than linalg.MAX_DIGITS digits is refused, from bit
+    # lengths before it is computed; the divisors are walked to the square
+    # root only, so a rank-1 layer, 0 past length 1, is quick at any length
+    for k, length in ((2, 10**8), (3, 10**6), (1, 10**8)):
+        start = time.perf_counter()
+        if k == 1:
+            assert fl.witt_dimension(k, length) == 0
+        else:
+            with pytest.raises(
+                DomainError,
+                match=f"^witt dimension for {k} generators at length {length} has more "
+                r"than 4300 digits \(parsing\.MAX_DIGITS\)$",
+            ):
+                fl.witt_dimension(k, length)
+        assert time.perf_counter() - start < 1, (k, length)
+    # W(10, 4303) has 4300 digits and W(10, 4304) 4301, computed and refused
+    assert len(str(fl.witt_dimension(10, 4303))) == 4300
+    with pytest.raises(DomainError, match="has more than 4300 digits"):
+        fl.witt_dimension(10, 4304)
+    # the paired walk meets every divisor once, a square root included
+    for k in (2, 3):
+        for n in range(1, 50):
+            every = sum(_mobius_oracle(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            assert fl.witt_dimension(k, n) == every // n, (k, n)
 
 
 def test_maximal_growth_vector_examples():
@@ -199,6 +227,42 @@ def test_hall_cap_is_checked_before_any_layer_is_built(monkeypatch):
     with pytest.raises(CapExceeded, match="length 20"):
         fl.hall_basis(2, 40)
     assert calls == []
+
+
+def test_hall_basis_refuses_a_layer_of_the_wrong_size(monkeypatch):
+    # with the admissible pair (X1, [X1, X2]) dropped, layer 3 of rank 2
+    # has one element where the Witt dimension says 2; built on a fresh
+    # cache, so that the shared one never holds the short layer
+    dropped = (leaf(1), pair(leaf(1), leaf(2)))
+    admissible = fl._is_admissible_pair
+    monkeypatch.setattr(fl, "_is_admissible_pair", lambda a, b: (a, b) != dropped and admissible(a, b))
+    monkeypatch.setattr(fl, "_layers", lru_cache(maxsize=fl.MAX_RANKS)(fl._layers.__wrapped__))
+    assert len(fl.hall_basis(2, 2).layer(2)) == 1
+    with pytest.raises(AssertionError, match="^layer 3 has 1 elements, Witt predicts 2$"):
+        fl.hall_basis(2, 3)
+
+
+def test_every_bracket_expression_checks_its_generators():
+    # one generator rule, an int (linalg._sizes) and >= 1, on every path
+    # that builds a leaf: the dataclass itself, ``leaf`` and ``chain``
+    for build, match in (
+        (lambda: fl.BracketExpr.leaf(1.5), "^generator index 1.5 must be an int, got float$"),
+        (lambda: fl.BracketExpr.leaf(True), "^generator index True must be an int, got bool$"),
+        (lambda: fl.BracketExpr(0, None, None, 1), "^generator index must be positive, got 0$"),
+        (lambda: fl.BracketExpr.leaf(-2), "^generator index must be positive, got -2$"),
+        (lambda: fl.BracketExpr.chain((1, 2.0)), "^generator index 2.0 must be an int, got float$"),
+        (lambda: fl.BracketExpr.chain(()), "^bracket needs a nonempty multi-index$"),
+        (lambda: fl.BracketExpr.chain(5), "^bracket index must be a sequence, got int$"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            build()
+
+
+def test_chain_nests_to_the_right():
+    assert fl.BracketExpr.chain((3,)) == leaf(3)
+    assert fl.BracketExpr.chain([1, 2, 3]) == pair(leaf(1), pair(leaf(2), leaf(3)))
+    assert str(fl.BracketExpr.chain(iter((2, 1, 1, 2)))) == "[X2, [X1, [X1, X2]]]"
+    assert fl.BracketExpr.chain((2, 1, 1, 2)).length == 4
 
 
 def test_is_hall_element_examples():

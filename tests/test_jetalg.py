@@ -8,6 +8,7 @@ import pytest
 from liegrowth import jetalg as ja
 from liegrowth.catalog import engel_frame, heisenberg_frame, martinet_frame
 from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
+from liegrowth.freelie import BracketExpr
 from liegrowth.polyfields import Frame, Poly, PolyField
 
 from helpers import F, classical_chain_value, constant_frame, leaf, rand_point
@@ -109,11 +110,23 @@ def test_bracket_errors():
         ja.bracket((1, 2, 1), 2, 2, 2)
     with pytest.raises(DomainError):
         ja.bracket((3,), 2, 2, 2)
-    # a field index is a size (linalg._sizes): 1.0 and True are not read as 1
-    with pytest.raises(DomainError, match=r"^field index 1\.0 must be an int, got float$"):
+    # a generator index is a size (linalg._sizes): 1.0 and True are not read
+    # as 1, and a BracketExpr refuses them when its leaf is built
+    with pytest.raises(DomainError, match=r"^generator index 1\.0 must be an int, got float$"):
         ja.bracket((1.0, 1), 1, 1, 2)
-    with pytest.raises(DomainError, match="^field index True must be an int, got bool$"):
-        ja.bracket_of_expr(leaf(True), 1, 1, 2)
+    with pytest.raises(DomainError, match="^generator index True must be an int, got bool$"):
+        leaf(True)
+    with pytest.raises(DomainError, match="^bracket index must be a sequence, got int$"):
+        ja.bracket(5, 1, 1, 2)
+    for expr in ("x", (1, 2), None):
+        with pytest.raises(DomainError, match="^a bracket symbol needs a BracketExpr, got "):
+            ja.bracket_of_expr(expr, 1, 1, 2)
+
+
+def test_bracket_is_the_symbol_of_its_chain():
+    # ``bracket`` is ``bracket_of_expr`` of ``BracketExpr.chain``
+    for index in ((2,), (1, 2), (2, 1, 1), (1, 2, 2, 1)):
+        assert ja.bracket(index, 2, 3, 4) == ja.bracket_of_expr(BracketExpr.chain(index), 2, 3, 4)
 
 
 def test_antisymmetry_small():
@@ -205,6 +218,13 @@ def test_adapted_substitution_matches_hand_expansion():
         assert sub.comps[i - 1] == expected
 
 
+def test_substitute_refuses_an_assignment_that_is_not_a_mapping():
+    p = var(1, 1, (), 2, 2, 2)
+    for bad in (5, [(ja.JetVar(1, 1, ()), 7)], None):
+        with pytest.raises(DomainError, match="^an assignment must be a mapping, got "):
+            ja.substitute(p, bad)
+
+
 def test_pure_t_vars_examples():
     k, n = 2, 3
     vec = ja.bracket((2, 1), k, n, 2)
@@ -216,6 +236,10 @@ def test_pure_t_vars_examples():
     assert zeros == {
         ja.JetVar(fld, comp, ()) for fld in (1, 2) for comp in range(1, n + 1)
     }
+    # m is a size (linalg._sizes): 1.0 and True are not read as 1
+    for m in (1.0, True):
+        with pytest.raises(DomainError, match=f"^m must be an int, got {type(m).__name__}$"):
+            ja.pure_t_vars(vec, 1, m)
 
 
 def test_perpendicular_substitution_kills_top_pure_vars():
@@ -307,6 +331,20 @@ def test_pure_derivative_extract():
     assert ja.pure_derivative_extract(jet, 2, 1, 1) == (0, 0, 1)
     assert ja.pure_derivative_extract(jet, 1, 1, 1) == (0, 0, 0)
     assert ja.pure_derivative_extract(jet, 2, 1, 2) == (0, 0, 0)
+    for m in (1.0, True):
+        with pytest.raises(DomainError, match=f"^m must be an int, got {type(m).__name__}$"):
+            ja.pure_derivative_extract(jet, 2, 1, m)
+
+
+def test_equal_jets_hash_equal():
+    fr = heisenberg_frame()
+    jet = ja.jet_of_frame(fr, (0, F(1, 2), 0), 2)
+    rebuilt = ja.JetPoint(2, 3, 2, (0, F(1, 2), 0), jet.values)
+    assert jet == rebuilt and hash(jet) == hash(rebuilt)
+    other = ja.jet_of_frame(fr, (1, F(1, 2), 0), 2)
+    table = {jet: "first", other: "second"}
+    assert table[rebuilt] == "first" and table[ja.jet_of_frame(fr, (1, F(1, 2), 0), 2)] == "second"
+    assert len({jet, rebuilt, other}) == 2
 
 
 def test_jet_of_constant_frame():

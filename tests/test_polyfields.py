@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from liegrowth.polyfields import (
 )
 
 from helpers import F, rand_fraction, rand_point
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_poly_arithmetic():
@@ -369,6 +375,43 @@ def test_taylor_recentres_and_truncates():
         X.taylor((1, 2, 3), 1)
     with pytest.raises(OrderOverflow):
         X.taylor((1, 2), -1)
+
+
+# X1 = d1, X2 = d2 + (x1 + x2)^1000 d3 on R^3 at (1, 2, 3): the flag at step
+# 2 and the 2-jet.  Prints the seconds the two calls take, the flag's
+# dimensions and u^3_2, u^3_2,(1) and u^3_2,(1,2).
+_HIGH_POWER = """
+import time
+from math import comb
+from liegrowth import flags, jetalg
+from liegrowth.polyfields import Frame, Poly, PolyField
+one, zero = Poly.const(3, 1), Poly.zero(3)
+power = Poly(3, {(a, 1000 - a, 0): comb(1000, a) for a in range(1001)})
+fr = Frame(3, (PolyField((one, zero, zero)), PolyField((zero, one, power))))
+start = time.perf_counter()
+report = flags.lie_flag(fr, (1, 2, 3), 2)
+jet = jetalg.jet_of_frame(fr, (1, 2, 3), 2)
+print(time.perf_counter() - start)
+print(report.dims)
+print([jet[(2, 3, idx)] for idx in ((), (1,), (1, 2))])
+"""
+
+
+def test_the_taylor_expansion_stops_at_the_order():
+    # each power (x_i + p_i)^e is expanded through x_i^order only, not
+    # through x_i^e: 3 terms per power here, not up to 1,001.  In a
+    # subprocess, so that a full expansion (seconds) fails the test at its
+    # timeout instead of hanging it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _HIGH_POWER], env=env, capture_output=True, text=True,
+        check=True, timeout=10,
+    )
+    seconds, dims, values = out.stdout.splitlines()
+    assert float(seconds) < 1, f"lie_flag and jet_of_frame took {seconds} s"
+    assert dims == "(2, 3)"
+    assert values == str([F(3**1000), F(1000 * 3**999), F(1000 * 999 * 3**998)])
 
 
 def test_ring_results_keep_an_integral_coefficient_as_an_int():
