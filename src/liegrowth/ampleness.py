@@ -74,11 +74,11 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def _matrix(rows, what: str = "matrix") -> Matrix:
-    """Fraction rows, each read as "``what`` row r" by the exactness rule."""
+def _matrix(rows, what: str = "matrix", nrows: int | None = None, ncols: int | None = None) -> Matrix:
+    """The matrix read by ``linalg._exact_matrix``, as Fraction rows."""
     return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in linalg._exact_vector(row, f"{what} row {r}"))
-        for r, row in enumerate(rows, start=1)
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        for row in linalg._exact_matrix(rows, what, nrows, ncols)
     )
 
 
@@ -97,13 +97,12 @@ class MatrixSpaceSpec:
     required_rank: int
 
     def __post_init__(self):
-        linalg._sizes(rows=self.rows, cols=self.cols, required_rank=self.required_rank)
-        object.__setattr__(self, "fixed", _matrix(self.fixed, "fixed block"))
-        if len(self.fixed) != self.rows:
-            raise DomainError("fixed block must have one entry row per matrix row")
-        widths = {len(r) for r in self.fixed}
-        if len(widths) > 1:
-            raise DomainError("ragged fixed block")
+        sizes = {"rows": self.rows, "cols": self.cols, "required_rank": self.required_rank}
+        linalg._sizes(**sizes)
+        for name, x in sizes.items():
+            if x < 0:
+                raise DomainError(f"{name} must be non-negative, got {x}")
+        object.__setattr__(self, "fixed", _matrix(self.fixed, "fixed block", self.rows))
         if self.fixed_count > self.cols:
             raise DomainError("more fixed columns than columns")
         if self.required_rank > min(self.rows, self.cols):
@@ -191,9 +190,10 @@ def gl_convex_decomposition(m) -> ConvexWitness:
     m = 1/2 * 2(m - mu I) + 1/2 * 2 mu I.  The returned witness is
     re-verified exactly before being returned.
     """
-    mat = _matrix(m)
+    m = linalg._tuple(m, "matrix")
+    mat = _matrix(m, ncols=len(m))
     n = len(mat)
-    if n == 0 or any(len(r) != n for r in mat):
+    if n == 0:
         raise DomainError("need a nonempty square matrix")
     if n == 1:
         raise NotAmple("1x1 case: the punctured line is not ample")
@@ -228,10 +228,9 @@ def det_affine_in_free_column(fixed) -> tuple[Fraction, ...]:
     The kernel of this linear functional is the hyperplane of singular
     completions; it is identically zero iff the fixed columns are dependent.
     """
-    rows = _matrix(fixed, "fixed block")
+    fixed = linalg._tuple(fixed, "fixed block")
+    rows = _matrix(fixed, "fixed block", ncols=len(fixed) - 1)
     n = len(rows)
-    if any(len(r) != n - 1 for r in rows):
-        raise DomainError("fixed block must be n x (n-1)")
     coeffs = []
     for i in range(n):
         minor = [rows[r] for r in range(n) if r != i]
@@ -457,16 +456,13 @@ def hull_verdict(
     """
     if spec.rows != spec.cols:
         raise DomainError("hull search is defined for the square case only")
+    linalg._sizes(**{"component sign": component_sign})
     if component_sign not in (1, -1):
         raise DomainError("component sign must be +1 or -1")
-    tgt = _matrix(target, "target")
     l, q, k = spec.rows, spec.cols, spec.fixed_count
-    if len(tgt) != l or any(len(r) != q for r in tgt):
-        raise DomainError("target shape mismatch")
-    for i in range(l):
-        for j in range(k):
-            if tgt[i][j] != spec.fixed[i][j]:
-                raise DomainError("target does not carry the fixed columns")
+    tgt = _matrix(target, "target", l, q)
+    if any(row[:k] != fixed for row, fixed in zip(tgt, spec.fixed)):
+        raise DomainError("target does not carry the fixed columns")
     dt = linalg.det(tgt)
     if dt != 0 and _sign(dt) == component_sign:
         witness = ConvexWitness(((Fraction(1), tgt),))

@@ -40,7 +40,6 @@ bracket is formed.  Every rank is taken of integer rows.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -244,8 +243,9 @@ class StratifiedAlgebra:
 
     ``table[(i, j)]`` with ``i < j`` maps basis indices ``m`` to the rational
     coefficient of e_m in [e_i, e_j]; omitted pairs are zero brackets and the
-    antisymmetric completion is implied.  A table that is not such a
-    mapping raises ``DomainError`` naming the bad key or row.
+    antisymmetric completion is implied.  A key that is not a pair, or a
+    table or row that is not a mapping (``linalg._mapping``), raises
+    ``DomainError`` naming it.
     """
 
     layer_dims: tuple[int, ...]
@@ -259,24 +259,15 @@ class StratifiedAlgebra:
             raise DomainError("layer dimensions must be positive")
         total = self.dim
         norm: dict[tuple[int, int], dict[int, Fraction]] = {}
-        if not isinstance(self.table, Mapping):
-            raise DomainError(
-                f"structure table must map pairs (i, j) to rows, got {type(self.table).__name__}"
-            )
-        for key, row in self.table.items():
+        for key, row in linalg._mapping(self.table, "structure table").items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise DomainError(f"bracket key {key!r:.60} is not a pair (i, j)")
-            if not isinstance(row, Mapping):
-                raise DomainError(
-                    f"row of bracket pair {key!r} is of type {type(row).__name__}, "
-                    "not a mapping from targets to coefficients"
-                )
             i, j = key
             _sizes(**{f"index {x!r} of bracket pair {(i, j)}": x for x in (i, j)})
             if not (1 <= i < j <= total):
                 raise DomainError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= {total}")
             entries = {}
-            for m, c in row.items():
+            for m, c in linalg._mapping(row, f"row of bracket pair {key!r}").items():
                 _sizes(**{f"target index {m!r} of [e{i}, e{j}]": m})
                 if not 1 <= m <= total:
                     raise DomainError(f"target e{m} out of range 1..{total}")

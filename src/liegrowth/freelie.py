@@ -19,10 +19,14 @@ neither a comparison nor a lookup walks the tree.
 
 ``BracketExpr`` owns the bracket rules.  Every leaf, however it is built,
 reads its generator index by the size rule of ``linalg._sizes`` (an int, not
-a bool or a float) and refuses one below 1; ``BracketExpr.chain`` builds the
-right-nested chain [X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]], the one
-spelling of the convention that ``jetalg.bracket`` and the check suites
-read.  ``witt_dimension`` owns its size bound: a value of more than
+a bool or a float) and refuses one below 1, and every expression checks its
+shape when it is built: its length is a size too, a leaf has no subtrees and
+length 1, a pair has two ``BracketExpr`` subtrees and the sum of their
+lengths.
+``BracketExpr.chain`` builds the right-nested chain
+[X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]], the one spelling of the
+convention that ``jetalg.bracket`` and the check suites read.
+``witt_dimension`` owns its size bound: a value of more than
 ``linalg.MAX_DIGITS`` digits is a ``DomainError``.
 """
 
@@ -51,6 +55,7 @@ __all__ = [
 
 def mobius(m: int) -> int:
     """Classical Moebius function of a positive integer."""
+    _sizes(m=m)
     if m < 1:
         raise DomainError(f"mobius is defined for m >= 1, got {m}")
     count = 0
@@ -156,13 +161,21 @@ class BracketExpr:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        _sizes(**{"bracket length": self.length})
         if self.gen is not None:
             _sizes(**{f"generator index {self.gen!r}": self.gen})
             if self.gen < 1:
                 raise DomainError(f"generator index must be positive, got {self.gen}")
+            if (self.left, self.right, self.length) != (None, None, 1):
+                raise DomainError(f"leaf X{self.gen} must have no subtrees and length 1")
             key = (1, (self.gen,))
         else:
-            key = (self.length, (self.left._key, self.right._key))
+            left, right = self.left, self.right
+            if type(left) is not BracketExpr or type(right) is not BracketExpr:
+                raise DomainError(f"a pair needs BracketExpr subtrees, got {type(left).__name__} and {type(right).__name__}")
+            if self.length != (length := left.length + right.length):
+                raise DomainError(f"bracket pair has length {self.length}, not its subtrees' {length}")
+            key = (self.length, (left._key, right._key))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((self.gen, self.left, self.right, self.length)))
 
@@ -172,7 +185,9 @@ class BracketExpr:
 
     @staticmethod
     def pair(a: BracketExpr, b: BracketExpr) -> BracketExpr:
-        return BracketExpr(None, a, b, a.length + b.length)
+        # the constructor refuses a subtree that is not a BracketExpr
+        length = a.length + b.length if type(a) is BracketExpr and type(b) is BracketExpr else 0
+        return BracketExpr(None, a, b, length)
 
     @staticmethod
     def chain(gens) -> BracketExpr:

@@ -111,7 +111,7 @@ from .errors import (
     OrderOverflow,
 )
 from .freelie import BracketExpr
-from .linalg import _exact, _exact_vector, _sizes
+from .linalg import _exact, _exact_vector, _mapping, _sizes, _tuple
 from .polyfields import (
     _ZERO,
     Frame,
@@ -279,11 +279,11 @@ class DiffPoly(_SparsePoly):
         self.n = n
         self.r = r
         self._order = self._scale = None
-        if terms:
+        if terms is not None:
             encode = partial(_codes(k, n).encode, r=r)
             acc: dict = {}
-            for mono, c in terms.items():
-                key = tuple(sorted(map(encode, mono)))
+            for mono, c in _mapping(terms, "terms").items():
+                key = tuple(sorted(map(encode, _tuple(mono, "monomial"))))
                 acc[key] = acc.get(key, 0) + (c if type(c) is int else _exact(c, "coefficient"))
             terms = acc
         super().__init__(terms)
@@ -452,13 +452,11 @@ def substitute(p: DiffPoly, assignment) -> DiffPoly:
     order; keys that name no coordinate of ``p`` are ignored, and of keys
     that name the same one, the last wins.
     """
-    if not hasattr(assignment, "items"):
-        raise DomainError(f"an assignment must be a mapping, got {type(assignment).__name__}")
     # every coordinate of p is coded, so a key it lacks finds no code of p
     code = p._table().code
     assigned = {
         code(v): val if isinstance(val, DiffPoly) else _exact(val, f"value of {v}")
-        for v, val in assignment.items()
+        for v, val in _mapping(assignment, "an assignment").items()
     }
     polys = {code: val for code, val in assigned.items() if isinstance(val, DiffPoly)}
     scalars = {code: val for code, val in assigned.items() if code not in polys}
@@ -534,8 +532,7 @@ class JetPoint:
                 f"got k={k}, n={n}, order={order}"
             )
         base = tuple(map(Fraction, _exact_vector(base, "base point", n)))
-        if not hasattr(values, "items"):
-            raise DomainError(f"jet values must be a mapping, got {type(values).__name__}")
+        _mapping(values, "jet values")
         tab = _codes(k, n).grow(order)
         vals: list = [None] * tab.starts[order + 1]
         for key, c in values.items():

@@ -16,13 +16,19 @@ anywhere, and no ``Fraction`` arithmetic inside a pivot.
 Every module reads its callers' numbers here, by one rule: an int or a
 ``Fraction`` is accepted, anything else (a bool too) is a ``DomainError``
 naming the argument and position.  ``_exact`` reads a number, ``_exact_vector`` a vector
-and, given ``n``, checks its length.  A size (a rank, a dimension, a step or
+and, given ``n``, checks its length.  Every matrix argument, here and in
+the other modules, is read by ``_exact_matrix``: any iterable of rows, row r
+read as the vector "``what`` row r", by one shape rule (every row as long as
+the first, or as ``ncols`` when that is given, and ``nrows`` rows when that
+is given).  Every mapping argument is read by ``_mapping``, which refuses
+anything that is not a mapping.  A size (a rank, a dimension, a step or
 an order) must be an int itself: ``_sizes`` refuses anything else, a bool
 and an integral float included.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -34,6 +40,8 @@ from .errors import DomainError
 # and the CLI refuses to read or print one.
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
+# the entry types the exactness rule keeps as they are
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _exact(x, what: str):
@@ -69,28 +77,50 @@ def _tuple(items, what: str) -> tuple:
 
 
 def _exact_vector(xs, what: str, n: int | None = None) -> tuple:
-    """The entries of ``xs``, ints and Fractions as given, as a tuple; an
-    ``xs`` that is not iterable (``_tuple``) or an entry i of another type
-    is "``what`` ..." in the ``DomainError``."""
-    out = tuple(
-        x if type(x) is int or type(x) is Fraction else _exact(x, f"{what} coordinate {i}")
-        for i, x in enumerate(_tuple(xs, what), start=1)
-    )
-    if n is not None and len(out) != n:
-        raise DomainError(f"{what} needs {n} coordinates, got {len(out)}")
-    return out
+    """The entries of ``xs``, ints and Fractions as given, as a tuple (a
+    tuple of such entries is returned as it is); an ``xs`` that is not
+    iterable (``_tuple``) or an entry i of another type is "``what`` ..." in
+    the ``DomainError``."""
+    xs = _tuple(xs, what)
+    if not _EXACT_TYPES.issuperset(map(type, xs)):
+        xs = tuple(
+            x if type(x) is int or type(x) is Fraction else _exact(x, f"{what} coordinate {i}")
+            for i, x in enumerate(xs, start=1)
+        )
+    if n is not None and len(xs) != n:
+        raise DomainError(f"{what} needs {n} coordinates, got {len(xs)}")
+    return xs
+
+
+def _exact_matrix(rows, what: str, nrows: int | None = None, ncols: int | None = None) -> tuple:
+    """The rows of ``rows``, each read by ``_exact_vector`` as "``what`` row
+    r", as a tuple.  Every row must be as long as the first, or as ``ncols``
+    when that is given, and given ``nrows`` there must be that many rows;
+    anything else is a ``DomainError`` naming ``what``."""
+    rows = _tuple(rows, what)
+    if nrows is not None and len(rows) != nrows:
+        raise DomainError(f"{what} needs {nrows} rows, got {len(rows)}")
+    mat = []
+    for r, row in enumerate(rows, start=1):
+        mat.append(_exact_vector(row, f"{what} row {r}", ncols))
+        ncols = len(mat[0])
+    return tuple(mat)
+
+
+def _mapping(x, what: str):
+    """``x`` itself when it is a mapping; anything else raises
+    ``DomainError`` naming ``what``."""
+    if not isinstance(x, Mapping):
+        raise DomainError(f"{what} must be a mapping, got {type(x).__name__}")
+    return x
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those
-    multipliers.  Every entry must be an int or a Fraction (``_exact``), and
-    every row as long as the first."""
+    multipliers.  The rows must be read already (``_exact_matrix``)."""
     mat = []
     scale = 1
-    for r, row in enumerate(rows, start=1):
-        width = len(mat[0]) if mat else len(row)
-        if len(row) != width or not all(type(x) is int or type(x) is Fraction for x in row):
-            row = _exact_vector(row, f"matrix row {r}", width)
+    for row in rows:
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
         mat.append([x.numerator * (mult // x.denominator) for x in row])
@@ -159,13 +189,14 @@ class _Echelon:
 
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows of rationals."""
-    return _Echelon(_integer_rows(rows)[0]).rank
+    return _Echelon(_integer_rows(_exact_matrix(rows, "matrix"))[0]).rank
 
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix (Bareiss, exact)."""
+    rows = _exact_matrix(rows, "matrix")
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
     mat, scale = _integer_rows(rows)
     ech = _Echelon(mat)
@@ -178,7 +209,9 @@ def det(rows) -> Fraction:
 def solve(a, b):
     """Unique solution of ``a x = b`` or None (singular/incompatible).
     A matrix with no rows has no width to solve for, and ``b`` needs one
-    entry per row of ``a``: otherwise ``DomainError``."""
+    entry per row of ``a``: otherwise ``DomainError``.  The augmented rows
+    (row r of ``a``, then b[r]) are read as one matrix."""
+    a, b = _tuple(a, "matrix"), _tuple(b, "right-hand side")
     if not a:
         raise DomainError(
             "solve of an empty matrix: a matrix with no rows has no width"
@@ -188,9 +221,10 @@ def solve(a, b):
             f"solve needs one right-hand side entry per row: {len(a)} rows, "
             f"{len(b)} entries in b"
         )
-    ncols = len(a[0])
-    mat, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a, b))
-    ech = _Echelon(mat)
+    augmented = (_tuple(row, f"matrix row {r}") + (bv,) for r, (row, bv) in enumerate(zip(a, b), start=1))
+    rows = _exact_matrix(augmented, "matrix")
+    ncols = len(rows[0]) - 1
+    ech = _Echelon(_integer_rows(rows)[0])
     if sorted(ech.cols) != list(range(ncols)):
         return None
     return [Fraction(row[ncols], ech.last) for row in ech.by_column()]
@@ -199,13 +233,13 @@ def solve(a, b):
 def nullspace(rows):
     """Basis of the right nullspace as a list of Fraction vectors.
     A matrix with no rows has no width: ``DomainError``."""
+    rows = _exact_matrix(rows, "matrix")
     if not rows:
         raise DomainError(
             "nullspace of an empty matrix: a matrix with no rows has no width"
         )
-    mat, _ = _integer_rows(rows)
-    ncols = len(mat[0])
-    ech = _Echelon(mat)
+    ncols = len(rows[0])
+    ech = _Echelon(_integer_rows(rows)[0])
     basis = []
     for f in range(ncols):
         if f in ech.cols:
@@ -220,13 +254,11 @@ def nullspace(rows):
 
 def inverse(rows):
     """Inverse of a square rational matrix, or None if singular."""
+    rows = _exact_matrix(rows, "matrix")
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
-    mat, _ = _integer_rows(
-        list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)
-    )
-    ech = _Echelon(mat)
+    ech = _Echelon(_integer_rows(r + tuple(int(j == i) for j in range(n)) for i, r in enumerate(rows))[0])
     if sorted(ech.cols) != list(range(n)):
         return None
     return [[Fraction(x, ech.last) for x in row[n:]] for row in ech.by_column()]

@@ -69,7 +69,9 @@ it by a nonzero int, which changes no rank.
 
 Coefficients, points (of the ambient's length) and matrix entries are read
 by the exactness rule in ``linalg``: an int or a Fraction, or a
-``DomainError``.  An order, an exponent, a direction or a variable index
+``DomainError``; a matrix (a linear part, a change matrix) is read by its
+shape rule (``linalg._exact_matrix``), and ``terms`` must be a mapping
+(``linalg._mapping``).  An order, an exponent, a direction or a variable index
 must be an int (``linalg._sizes``).
 """
 
@@ -83,7 +85,7 @@ from operator import add, sub
 from . import linalg
 from .errors import DomainError, OrderOverflow
 from .freelie import BracketExpr
-from .linalg import _exact, _exact_vector, _sizes, _tuple
+from .linalg import _exact, _exact_matrix, _exact_vector, _mapping, _sizes, _tuple
 
 __all__ = [
     "AffineMap",
@@ -310,7 +312,7 @@ class Poly(_SparsePoly):
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        for exps in terms or ():
+        for exps in _mapping(terms, "terms") if terms is not None else ():
             if not (
                 type(exps) is tuple
                 and len(exps) == n
@@ -883,12 +885,7 @@ class AffineMap:
         entries; another entry or shape raises ``DomainError`` naming it."""
         shift = tuple(map(Fraction, _exact_vector(shift, "shift")))
         n = len(shift)
-        lin = tuple(
-            tuple(map(Fraction, _exact_vector(row, f"linear part row {r}", n)))
-            for r, row in enumerate(linear, start=1)
-        )
-        if len(lin) != n:
-            raise DomainError(f"linear part needs {n} rows, got {len(lin)}")
+        lin = tuple(tuple(map(Fraction, row)) for row in _exact_matrix(linear, "linear part", n, n))
         return AffineMap(lin, shift)
 
     @property
@@ -941,12 +938,7 @@ def frame_change(fr: Frame, g) -> Frame:
     An entry of G that is not exact, a float included, raises
     ``DomainError`` naming it."""
     k = fr.k
-    rows = [
-        list(map(Fraction, _exact_vector(row, f"change matrix row {r}")))
-        for r, row in enumerate(g, start=1)
-    ]
-    if len(rows) != k or any(len(r) != k for r in rows):
-        raise DomainError(f"change matrix must be {k}x{k}")
+    rows = _exact_matrix(g, "change matrix", k, k)
     if linalg.det(rows) == 0:
         raise DomainError("frame change matrix is singular")
     new_fields = []

@@ -590,3 +590,37 @@ def validate_algebra_reference(alg):
                 f"{alg.layer_dims[lay]}-dimensional layer {lay + 1}",
             )
     return AlgebraValidation(True)
+
+
+def matrix_and_mapping_calls() -> dict:
+    """Entry points that read a matrix or a mapping argument: name ->
+    (callable, valid arguments, position of that argument)."""
+    from liegrowth import ampleness, flags, jetalg, linalg
+    from liegrowth.polyfields import AffineMap, frame_change
+
+    square = [[1, 2], [3, 4]]
+    u = jetalg.JetVar(1, 1, ())
+    return {
+        "rank": (linalg.rank, (square,), 0),
+        "det": (linalg.det, (square,), 0),
+        "solve": (linalg.solve, (square, [1, 1]), 0),
+        "solve b": (linalg.solve, (square, [1, 1]), 1),
+        "nullspace": (linalg.nullspace, ([[1, 2]],), 0),
+        "inverse": (linalg.inverse, (square,), 0),
+        "AffineMap.make": (AffineMap.make, ([[1, 0], [0, 1]], [0, 0]), 0),
+        "frame_change": (frame_change, (constant_frame(2, 2), [[1, 0], [0, 1]]), 1),
+        "MatrixSpaceSpec": (ampleness.MatrixSpaceSpec, (2, 3, [[1], [0]], 2), 2),
+        "gl_convex_decomposition": (ampleness.gl_convex_decomposition, (square,), 0),
+        "det_affine_in_free_column": (ampleness.det_affine_in_free_column, ([[1], [2]],), 0),
+        "hull_verdict": (
+            ampleness.hull_verdict,
+            (ampleness.MatrixSpaceSpec(2, 2, [[1], [0]], 2), [[1, 0], [0, 1]], 1),
+            1,
+        ),
+        "Poly": (Poly, (2, {(1, 0): 1}), 1),
+        "DiffPoly": (jetalg.DiffPoly, (1, 1, 1, {(u,): 1}), 3),
+        "JetPoint": (jetalg.JetPoint, (1, 1, 0, (0,), {u: 1}), 4),
+        "substitute": (jetalg.substitute, (jetalg.DiffPoly.var(1, 1, (), 1, 1, 1), {u: 2}), 1),
+        "structure table": (flags.StratifiedAlgebra, ((2, 1), {(1, 2): {3: 1}}), 1),
+        "structure row": (lambda row: flags.StratifiedAlgebra((2, 1), {(1, 2): row}), ({3: 1},), 0),
+    }

@@ -153,6 +153,24 @@ MUTANTS = [
         '_sizes(**{f"generator index {self.gen!r}": self.gen})',
         "pass",
     ),
+    (
+        "matrix-row-count-unchecked",
+        "linalg.py",
+        "if nrows is not None and len(rows) != nrows:",
+        "if False:",
+    ),
+    (
+        "mapping-unchecked",
+        "linalg.py",
+        "if not isinstance(x, Mapping):",
+        "if False:",
+    ),
+    (
+        "bracket-shape-unchecked",
+        "freelie.py",
+        "if (self.left, self.right, self.length) != (None, None, 1):",
+        "if False:",
+    ),
 ]
 
 

@@ -614,6 +614,25 @@ def test_hull_requires_square_and_matching_fixed_columns():
         amp.hull_membership_witness(sq, [[2, 0], [0, 1]], 1, 10, 0)
 
 
+def test_hull_component_sign_is_a_size():
+    sq = amp.MatrixSpaceSpec(2, 2, [[1], [0]], 2)
+    for sign, kind in ((True, "bool"), (1.0, "float")):
+        with pytest.raises(DomainError, match=f"^component sign must be an int, got {kind}$"):
+            amp.hull_verdict(sq, [[1, 0], [0, 1]], sign)
+    with pytest.raises(DomainError, match="^component sign must be [+]1 or -1$"):
+        amp.hull_verdict(sq, [[1, 0], [0, 1]], 2)
+
+
+def test_matrix_space_sizes_are_not_negative():
+    for args, name in (
+        ((-1, 3, [], 3), "rows"),
+        ((2, -1, [[], []], 0), "cols"),
+        ((2, 3, [[1], [0]], -1), "required_rank"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be non-negative, got -1$"):
+            amp.MatrixSpaceSpec(*args)
+
+
 def test_hull_seeded_determinism():
     spec = amp.MatrixSpaceSpec(2, 2, [[], []], 2)
     a = amp.hull_membership_witness(spec, [[0, 1], [1, 0]], 1, budget=2000, seed=11)

@@ -704,8 +704,8 @@ def test_structure_sizes_must_be_ints(dims, table, named):
     [
         ({(1, 2, 3): {3: 1}}, "bracket key (1, 2, 3) is not a pair"),
         ({(1,): {3: 1}}, "bracket key (1,) is not a pair"),
-        ({(1, 2): [3]}, "row of bracket pair (1, 2) is of type list"),
-        ([(1, 2)], "structure table must map pairs (i, j) to rows, got list"),
+        ({(1, 2): [3]}, "row of bracket pair (1, 2) must be a mapping, got list"),
+        ([(1, 2)], "structure table must be a mapping, got list"),
     ],
     ids=["triple-key", "single-key", "list-row", "list-table"],
 )

@@ -39,6 +39,10 @@ def test_mobius_against_oracle():
 def test_mobius_domain():
     with pytest.raises(DomainError):
         fl.mobius(0)
+    # m is a size: a float, a bool or a string is refused, not computed
+    for m, kind in ((1.5, "float"), (True, "bool"), ("3", "str")):
+        with pytest.raises(DomainError, match=f"^m must be an int, got {kind}$"):
+            fl.mobius(m)
 
 
 def test_witt_examples():
@@ -256,6 +260,27 @@ def test_every_bracket_expression_checks_its_generators():
     ):
         with pytest.raises(DomainError, match=match):
             build()
+
+
+def test_every_bracket_expression_checks_its_shape():
+    # a leaf has no subtrees and length 1; a pair has two BracketExpr
+    # subtrees and the sum of their lengths, on every path that builds one
+    x1, x2 = leaf(1), leaf(2)
+    for build, match in (
+        (lambda: fl.BracketExpr.pair(1, 2), "^a pair needs BracketExpr subtrees, got int and int$"),
+        (lambda: fl.BracketExpr.pair(x1, None), "^a pair needs BracketExpr subtrees, got BracketExpr and None"),
+        (lambda: fl.BracketExpr(None, None, None, 1), "^a pair needs BracketExpr subtrees, got NoneType and"),
+        (lambda: fl.BracketExpr(1, None, None, 5), "^leaf X1 must have no subtrees and length 1$"),
+        (lambda: fl.BracketExpr(1, x1, x2, 1), "^leaf X1 must have no subtrees and length 1$"),
+        (lambda: fl.BracketExpr(None, x1, x2, 3), "^bracket pair has length 3, not its subtrees' 2$"),
+        # the length is a size: a bool or an integral float is refused
+        (lambda: fl.BracketExpr(1, None, None, True), "^bracket length must be an int, got bool$"),
+        (lambda: fl.BracketExpr(None, x1, x2, 2.0), "^bracket length must be an int, got float$"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            build()
+    assert fl.BracketExpr(None, x1, x2, 2) == fl.BracketExpr.pair(x1, x2)
+    assert fl.BracketExpr(1, None, None, 1) == x1
 
 
 def test_chain_nests_to_the_right():

@@ -152,6 +152,12 @@ def test_constructor_refuses_a_coordinate_outside_the_ambient(v, error, text):
         ja.DiffPoly(2, 2, 3, {(ja.JetVar(1, 1, ()), v): 0})
 
 
+def test_constructor_refuses_a_monomial_that_is_not_a_sequence():
+    for mono in (7, None):
+        with pytest.raises(DomainError, match="^monomial must be a sequence, got "):
+            ja.DiffPoly(2, 2, 3, {mono: 1})
+
+
 # --- codes depend on the ambient alone -------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
