@@ -316,9 +316,7 @@ def _below_top(expr, level: int) -> bool:
     return expr.length != level or list(expr.leaves()).count(1) != level - 1
 
 
-def slice_report(
-    fr: Frame, point, v, step: int, cross_check: bool = False
-) -> list[SliceReport]:
+def slice_report(fr: Frame, point, v, step: int) -> list[SliceReport]:
     """Classify every principal-subspace slice of a maximal-growth frame.
 
     The frame is read once, as its Taylor expansions about the point
@@ -349,7 +347,7 @@ def slice_report(
     normal = g is None
     if not normal:
         leaves = [_recombined(leaves, [row[m] for row in g]) for m in range(k)]
-    dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top, cross_check))
+    dims, ranks = zip(*_span_ranks(leaves, step, None if normal else _below_top))
     if dims != gv.entries:
         raise NotFormalSolution(
             f"flag {dims} differs from the maximal growth vector {gv.entries}"

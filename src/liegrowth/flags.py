@@ -3,15 +3,15 @@
 Flag dimensions are computed from a Hall-indexed spanning set: the evaluated
 brackets of Hall-set expressions of length up to the step.  Chains of every
 shape span the same layers (antisymmetry and the Jacobi identity reduce any
-bracket to combinations of Hall elements of the same length), which the
-optional cross-check verifies by evaluating the full right-nested chain
-family.  ``lie_flag``, ``formal_flag`` and ``ampleness.slice_report`` share
-one engine, ``_span_ranks``, for both the Hall span and the chain
-cross-check.  Per length it yields the rank of all Hall values and, given a
-filter, the rank of the values the filter keeps, both read from one
-incremental echelon form (``linalg._Echelon``) that each value is reduced
-into once: ``slice_report`` takes its maximal-growth check and its slice
-ranks from one pass.
+bracket to combinations of Hall elements of the same length), so no other
+family is evaluated; the engine-free references of the tests compare the
+Hall span with the right-nested chains.  ``lie_flag``, ``formal_flag`` and
+``ampleness.slice_report`` share one engine, ``_span_ranks``.  Per length it
+yields the rank of all Hall values and, given a filter, the rank of the
+values the filter keeps, both read from one span, an incremental echelon
+form (``linalg._Echelon``) that each value is reduced into once:
+``slice_report`` takes its maximal-growth check and its slice ranks from one
+pass.
 
 A step-s flag at p depends only on the (s-1)-jet of the frame at p, so the
 engine brackets Taylor fields centred at p and reads each value off the
@@ -51,7 +51,7 @@ from .errors import (
     InvalidAlgebra,
     OrderOverflow,
 )
-from .freelie import BracketExpr, hall_basis, is_free_type, maximal_growth_vector
+from .freelie import hall_basis, is_free_type, maximal_growth_vector
 from .linalg import _sizes, _tuple
 from .polyfields import (
     Frame,
@@ -118,7 +118,7 @@ def _report_from_dims(k: int, n: int, point, dims: list[int]) -> FlagReport:
     )
 
 
-def _span_ranks(leaves, max_len, keep=None, cross_check=False):
+def _span_ranks(leaves, max_len, keep=None):
     """Yield, for i = 1..max_len, the pair (rank of the values of the Hall
     expressions of length <= i, rank of those of them ``keep(expr, i)``
     admits); the second is None when ``keep`` is None, and then the pairs
@@ -136,10 +136,7 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     centre kept as int parts, each the field times its own nonzero int; a
     value is a degree-0 part of the graded store ``polyfields._Graded``.
     Brackets are bilinear, so the scaled leaves multiply each value vector
-    by a nonzero int, and no rank changes.  With ``cross_check`` both ranks are
-    recomputed from a second span of the right-nested chains
-    [X_c1, [X_c2, ...]], through the same store, and a disagreement raises
-    AssertionError.
+    by a nonzero int, and no rank changes.
 
     Hall layers are generated one length at a time.  When ``keep`` is None
     and every field of a layer of length i > 1 vanishes through degree
@@ -148,35 +145,25 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
     lengths without generating further layers.
     """
     k = len(leaves)
+    span = linalg._Echelon()
 
-    def add(span, family) -> int:
+    def add(family) -> int:
         for e in family:
             if span.rank == n:
                 break
             span.add(store.value(e))
         return span.rank
 
-    def grow(span, layer, i) -> tuple:
-        if keep is None:
-            return add(span, layer), None
-        kept = add(span, [e for e in layer if keep(e, i)])
-        return add(span, [e for e in layer if not keep(e, i)]), kept
-
-    hall, chains = linalg._Echelon(), linalg._Echelon()
     for i in range(1, max_len + 1):
         layer = hall_basis(k, i).layers[i - 1]
         if i == 1:  # hall_basis has checked that there are leaves
-            first = newest = layer
             store = _Graded(leaves)
             n = store.n
-        got = grow(hall, layer, i)
-        if cross_check:
-            if i > 1:
-                newest = [BracketExpr.pair(g, e) for g in first for e in newest]
-            if grow(chains, newest, i) != got:
-                raise AssertionError(
-                    f"Hall-indexed span disagrees with the full chain span at length {i}"
-                )
+        if keep is None:
+            got = add(layer), None
+        else:
+            kept = add([e for e in layer if keep(e, i)])
+            got = add([e for e in layer if not keep(e, i)]), kept
         yield got
         if keep is None and got[0] == n:
             return
@@ -186,14 +173,14 @@ def _span_ranks(leaves, max_len, keep=None, cross_check=False):
             return
 
 
-def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
+def _flag(leaves, point, max_step: int) -> FlagReport:
     """Flag of the leaves ``leaves`` about ``point``, made for
     ``max_step``: the Hall span ranks up to ``max_step``, stopped once they
     reach the ambient dimension.  Layer 1 is the leaves' values, so its
     rank is the independence check: below k it raises ``DegenerateFrame``
     before any bracket is formed."""
     k, n = len(leaves), len(point)
-    ranks = _span_ranks(leaves, max_step, cross_check=cross_check)
+    ranks = _span_ranks(leaves, max_step)
     first, _ = next(ranks)
     if first < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
@@ -201,7 +188,7 @@ def _flag(leaves, point, max_step: int, cross_check: bool) -> FlagReport:
     return _report_from_dims(k, n, point, dims)
 
 
-def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> FlagReport:
+def lie_flag(fr: Frame, point, max_step: int) -> FlagReport:
     """Exact flag dimensions of a polynomial frame at a rational point.
 
     The brackets are taken of the Taylor expansions of the frame about
@@ -214,10 +201,10 @@ def lie_flag(fr: Frame, point, max_step: int, cross_check: bool = False) -> Flag
     if max_step < 1:
         raise DomainError("max_step must be >= 1")
     leaves = _taylor_leaves(fr.fields, point, max_step - 1)
-    return _flag(leaves, point, max_step, cross_check)
+    return _flag(leaves, point, max_step)
 
 
-def formal_flag(jet, max_step: int, cross_check: bool = False) -> FlagReport:
+def formal_flag(jet, max_step: int) -> FlagReport:
     """Flag dimensions computed purely from a jet (a ``jetalg.JetPoint``).
 
     The (max_step - 1)-jet fixes the order ``max_step - 1`` Taylor fields
@@ -234,7 +221,7 @@ def formal_flag(jet, max_step: int, cross_check: bool = False) -> FlagReport:
             f"step {max_step} needs jet order {max_step - 1}, have {jet.order}"
         )
     leaves = jetalg._taylor_fields(jet, max_step - 1)
-    return _flag(leaves, jet.base, max_step, cross_check)
+    return _flag(leaves, jet.base, max_step)
 
 
 @dataclass(frozen=True)

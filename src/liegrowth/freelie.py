@@ -27,7 +27,9 @@ lengths.
 [X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]], the one spelling of the
 convention that ``jetalg.bracket`` and the check suites read.
 ``witt_dimension`` owns its size bound: a value of more than
-``linalg.MAX_DIGITS`` digits is a ``DomainError``.
+``linalg.MAX_DIGITS`` digits is a ``DomainError``.  ``hall_basis`` refuses
+a basis of more than ``MAX_HALL_ELEMENTS`` elements with ``CapExceeded``
+before it builds a layer.
 """
 
 from __future__ import annotations
@@ -280,11 +282,15 @@ def _layers(k: int) -> list[tuple[BracketExpr, ...]]:
     return [tuple(BracketExpr.leaf(g) for g in range(1, k + 1))]
 
 
-def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
+# The most Hall elements one basis may hold; read at each call.
+MAX_HALL_ELEMENTS = 100_000
+
+
+def hall_basis(k: int, max_len: int) -> HallBasis:
     """Generate Hall-set layers up to ``max_len``, checking each layer size
-    against the Witt dimension.  ``cap`` bounds the total element count; a
-    basis that would exceed it raises ``CapExceeded`` before any layer is
-    built.  Each layer is built once per rank (``_layers``).
+    against the Witt dimension.  A basis of more than ``MAX_HALL_ELEMENTS``
+    elements raises ``CapExceeded`` before any layer is built.  Each layer
+    is built once per rank (``_layers``).
     """
     _sizes(k=k, max_len=max_len)
     if k < 1 or max_len < 1:
@@ -293,9 +299,10 @@ def hall_basis(k: int, max_len: int, cap: int = 100_000) -> HallBasis:
     total = k
     for length in range(2, max_len + 1):
         total += witt_dimension(k, length)
-        if total > cap:
+        if total > MAX_HALL_ELEMENTS:
             raise CapExceeded(
-                f"Hall basis would exceed {cap} elements at length {length}"
+                f"Hall basis would exceed {MAX_HALL_ELEMENTS} elements "
+                f"(freelie.MAX_HALL_ELEMENTS) at length {length}"
             )
     layers = _layers(k)
     for length in range(len(layers) + 1, max_len + 1):

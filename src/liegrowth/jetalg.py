@@ -492,8 +492,13 @@ def substitute_vec(vec: DiffVec, assignment) -> DiffVec:
 def pure_t_vars(vec: DiffVec, t: int, m: int) -> set[JetVar]:
     """Jet coordinates present in ``vec`` whose multi-index is exactly ``m``
     copies of direction ``t``; ``m = 0`` returns the 0-jet coordinates.
+    A ``t`` outside 1..n or a negative ``m`` is a ``DomainError`` naming it.
     """
-    _sizes(m=m)
+    _sizes(t=t, m=m)
+    if not 1 <= t <= vec.n:
+        raise DomainError(f"t must be in 1..{vec.n}, got {t}")
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
     tab = _codes(vec.k, vec.n).grow(vec.order())  # codes every coordinate of vec
     target = (t,) * m
     wanted = {
@@ -639,8 +644,16 @@ def evaluate(vec: DiffVec, jet: JetPoint) -> tuple[Fraction, ...]:
 def pure_derivative_extract(
     jet: JetPoint, fld: int, t: int, m: int
 ) -> tuple[Fraction, ...]:
-    """The order-``m`` pure derivative column of field ``fld`` along ``t``."""
-    _sizes(m=m)
+    """The order-``m`` pure derivative column of field ``fld`` along ``t``.
+    A ``fld`` outside 1..k, a ``t`` outside 1..n or a negative ``m`` is a
+    ``DomainError`` naming it."""
+    _sizes(fld=fld, t=t, m=m)
+    if not 1 <= fld <= jet.k:
+        raise DomainError(f"fld must be in 1..{jet.k}, got {fld}")
+    if not 1 <= t <= jet.n:
+        raise DomainError(f"t must be in 1..{jet.n}, got {t}")
+    if m < 0:
+        raise DomainError(f"m must be >= 0, got {m}")
     if m > jet.order:
         raise DomainError(f"pure order {m} exceeds jet order {jet.order}")
     idx = (t,) * m

@@ -69,9 +69,10 @@ from .polyfields import Frame, Poly, PolyField
 
 __all__ = ["frame_to_text", "parse_algebra", "parse_frame"]
 
-# The largest ``dim`` a frame file may declare, the cap ``hall_basis`` puts on
-# its element count: every field holds ``dim`` components and every monomial
-# ``dim`` exponents, so a larger header is refused before anything is built.
+# The largest ``dim`` a frame file may declare, the element cap of
+# ``hall_basis`` (``freelie.MAX_HALL_ELEMENTS``): every field holds ``dim``
+# components and every monomial ``dim`` exponents, so a larger header is
+# refused before anything is built.
 MAX_DIM = 100_000
 
 # One match per token; whitespace matches no alternative and is skipped, and

@@ -462,10 +462,7 @@ class _Expansion:
         _sizes(order=order)
         if order < 0:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
-        if type(point) is not tuple or len(point) != n or not all(
-            type(x) is int or type(x) is Fraction for x in point
-        ):
-            point = _exact_vector(point, "point", n)
+        point = _exact_vector(point, "point", n)
         self.n, self.order, self.width = n, order, _pack_width(order)
         den = self.den = lcm(*(x.denominator for x in point))
         self.shift = [x.numerator * (den // x.denominator) for x in point]

@@ -32,6 +32,16 @@ def chain(*gens) -> BracketExpr:
     return BracketExpr.chain(gens)
 
 
+def chains_up_to(k: int, length: int) -> list:
+    """Every right-nested chain of ``k`` generators of length <= ``length``:
+    the family whose span the flag references compare with the Hall span."""
+    return [
+        chain(*gens)
+        for ln in range(1, length + 1)
+        for gens in itertools.product(range(1, k + 1), repeat=ln)
+    ]
+
+
 def constant_frame(n: int, k: int) -> Frame:
     """(d1, ..., dk) on R^n."""
     return Frame(n, tuple(PolyField.basis(n, j) for j in range(1, k + 1)))
@@ -259,13 +269,13 @@ def order_by_walk(p) -> int:
     return max((len(v.idx) for mono, _ in p.sorted_terms() for v in mono), default=0)
 
 
-def formal_flag_reference(jet, max_step: int, cross_check: bool = False):
+def formal_flag_reference(jet, max_step: int, chains: bool = False):
     """Reference for ``flags.formal_flag``: the flag of a jet from the
     jet-space symbols.  Each Hall bracket's symbol is expanded with
     ``jetalg.diffvec_bracket`` (memoised by expression) and evaluated on the
     jet with ``jetalg.evaluate``; the 0-jet must have rank k, and with
-    ``cross_check`` every right-nested chain of each length is evaluated too
-    and its rank compared.  The ranks stop once they reach n."""
+    ``chains`` every right-nested chain of each length is evaluated too and
+    its rank compared.  The ranks stop once they reach n."""
     from liegrowth import jetalg, linalg
     from liegrowth.errors import DegenerateFrame, DomainError, OrderOverflow
     from liegrowth.flags import _report_from_dims
@@ -302,26 +312,20 @@ def formal_flag_reference(jet, max_step: int, cross_check: bool = False):
     for i in range(1, max_step + 1):
         hall += hall_basis(k, i).layers[i - 1]
         rank = rank_of(hall)
-        if cross_check:
-            chains = [
-                chain(*gens)
-                for ln in range(1, i + 1)
-                for gens in itertools.product(range(1, k + 1), repeat=ln)
-            ]
-            if rank_of(chains) != rank:
-                raise AssertionError(f"Hall span disagrees with the chains at length {i}")
+        if chains and rank_of(chains_up_to(k, i)) != rank:
+            raise AssertionError(f"Hall span disagrees with the chains at length {i}")
         dims.append(rank)
         if rank == n:
             break
     return _report_from_dims(k, n, jet.base, dims)
 
 
-def lie_flag_reference(fr, point, max_step: int, cross_check: bool = False):
+def lie_flag_reference(fr, point, max_step: int, chains: bool = False):
     """Reference for ``flags.lie_flag`` from whole polynomials: each Hall
     bracket's field is the untruncated ``poly_lie_bracket`` of the frame's
     exact fields, formed afresh for every expression (no Taylor field, no
     memo), and its value is ``value_at(point)``.  The frame values must have
-    rank k; with ``cross_check`` every right-nested chain of each length is
+    rank k; with ``chains`` every right-nested chain of each length is
     evaluated too and its rank compared.  The ranks stop once they reach n."""
     from liegrowth import linalg
     from liegrowth.errors import DegenerateFrame, DomainError
@@ -346,14 +350,8 @@ def lie_flag_reference(fr, point, max_step: int, cross_check: bool = False):
     dims: list[int] = []
     for i in range(1, max_step + 1):
         rank = rank_of([e for layer in hall_basis(k, i).layers for e in layer])
-        if cross_check:
-            chains = [
-                chain(*gens)
-                for ln in range(1, i + 1)
-                for gens in itertools.product(range(1, k + 1), repeat=ln)
-            ]
-            if rank_of(chains) != rank:
-                raise AssertionError(f"Hall span disagrees with the chains at length {i}")
+        if chains and rank_of(chains_up_to(k, i)) != rank:
+            raise AssertionError(f"Hall span disagrees with the chains at length {i}")
         dims.append(rank)
         if rank == n:
             break
@@ -483,21 +481,28 @@ def frame_to_text_reference(frame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
-    """Reference for ``ampleness.slice_report``, composed of whole-frame
-    steps: the maximal-growth check is ``lie_flag`` at the point; the change
-    matrix comes from the exact frame values (``Frame.values_at``); the
-    adapted frame is ``frame_change`` of the exact frame, expanded afresh
-    (``polyfields._taylor_leaves``) where ``slice_report`` recombines the
-    frame's leaves (``polyfields._recombined``); and a second ``_span_ranks``
-    pass over those leaves, with its own store, gives the slice ranks.
-    Errors are raised in the same order and with the same messages."""
+def slice_report_reference(fr, point, v, step: int, chains: bool = False):
+    """Reference for ``ampleness.slice_report`` that shares no code with the
+    flag engine: the change matrix comes from the exact frame values
+    (``Frame.values_at``, ``adapted_change_reference``), the adapted frame is
+    ``frame_change`` of the exact frame, and each Hall value is the whole
+    ``poly_lie_bracket`` field of its expression, formed afresh from the
+    frame's fields, at the point (``value_at``).  Level i keeps every value
+    of length < i and those of length i whose leaves are not i - 1 copies of
+    field 1 plus one other; the rank of all values of length <= i is the
+    maximal-growth check.  With ``chains`` every right-nested chain of each
+    length is evaluated too, and its pair of ranks compared with the Hall
+    one.  Errors are raised in the same order and with the same messages."""
     from liegrowth import ampleness as amp
     from liegrowth import linalg
-    from liegrowth.errors import DomainError, InconsistentFormalSolution, NotFormalSolution
-    from liegrowth.flags import _span_ranks, lie_flag
-    from liegrowth.freelie import maximal_growth_vector
-    from liegrowth.polyfields import _taylor_leaves, frame_change
+    from liegrowth.errors import (
+        DegenerateFrame,
+        DomainError,
+        InconsistentFormalSolution,
+        NotFormalSolution,
+    )
+    from liegrowth.freelie import hall_basis, maximal_growth_vector
+    from liegrowth.polyfields import frame_change, poly_lie_bracket
 
     V = amp.Verdict
     n, k = fr.n, fr.k
@@ -507,21 +512,43 @@ def slice_report_reference(fr, point, v, step: int, cross_check: bool = False):
     gv = maximal_growth_vector(k, n)
     if step != gv.step:
         raise NotFormalSolution(f"maximal growth on dimension {n} has step {gv.step}, got {step}")
-    flag = lie_flag(fr, point, gv.step)
-    if flag.dims != gv.entries:
+    vecs = fr.values_at(point)
+    if linalg.rank(vecs) < k:
+        raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
+    g = adapted_change_reference(vecs, v)
+    fields = fr.fields if g is None else frame_change(fr, g).fields
+    values: dict = {}
+
+    def field(expr):
+        if expr.is_leaf:
+            return fields[expr.gen - 1]
+        return poly_lie_bracket(field(expr.left), field(expr.right))
+
+    def ranks(family, i) -> tuple:
+        for e in family:
+            if e not in values:
+                values[e] = field(e).value_at(point)
+        kept = [e for e in family if e.length < i or list(e.leaves()).count(1) != i - 1]
+        return linalg.rank([values[e] for e in family]), linalg.rank([values[e] for e in kept])
+
+    dims, kept_ranks, hall = [], [], []
+    for i in range(1, step + 1):
+        hall += hall_basis(k, i).layers[i - 1]
+        got = ranks(hall, i)
+        if chains and ranks(chains_up_to(k, i), i) != got:
+            raise AssertionError(f"Hall span disagrees with the chains at length {i}")
+        dims.append(got[0])
+        kept_ranks.append(got[1])
+    if tuple(dims) != gv.entries:
         raise NotFormalSolution(
-            f"flag {flag.dims} differs from the maximal growth vector {gv.entries}"
+            f"flag {tuple(dims)} differs from the maximal growth vector {gv.entries}"
         )
-    g = adapted_change_reference(fr.values_at(point), v)
     if g is None:
         return [
-            amp.SliceReport(i, gv.entries[i - 1], gv.entries[i - 1], V.TRIVIALLY_AMPLE_FULL, True)
-            for i in range(1, step + 1)
+            amp.SliceReport(i, d, d, V.TRIVIALLY_AMPLE_FULL, True) for i, d in enumerate(dims, 1)
         ]
-    adapted = frame_change(fr, g)
-    leaves = _taylor_leaves(adapted.fields, point, step - 1)
     reports = []
-    for i, (_, m_i) in enumerate(_span_ranks(leaves, step, amp._below_top, cross_check), 1):
+    for i, m_i in enumerate(kept_ranks, 1):
         n_i = gv.entries[i - 1]
         if i < step:
             if m_i + k - 1 != n_i:

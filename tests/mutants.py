@@ -171,6 +171,73 @@ MUTANTS = [
         "if (self.left, self.right, self.length) != (None, None, 1):",
         "if False:",
     ),
+    (
+        "eval-poly-degree-weight-dropped",
+        "jetalg.py",
+        "acc += prod * powers[maxdeg - len(mono)]",
+        "acc += prod",
+    ),
+    (
+        "eval-poly-coefficient-denominator-dropped",
+        "jetalg.py",
+        "return Fraction(acc, cden * powers[maxdeg]) if acc else _ZERO",
+        "return Fraction(acc, powers[maxdeg]) if acc else _ZERO",
+    ),
+    ("diffpoly-act-sign-dropped", "jetalg.py", "sc = sign * c", "sc = c"),
+    ("codes-successors-reversed", "jetalg.py", "for t in dirs)", "for t in reversed(dirs))"),
+    ("poly-act-drops-exponent", "polyfields.py", "sc = sign * c * e", "sc = sign * c"),
+    (
+        "hall-admissibility-strict",
+        "freelie.py",
+        "return b.is_leaf or b.left <= a",
+        "return b.is_leaf or b.left < a",
+    ),
+    (
+        "bernoulli-recurrence-denominator",
+        "flags.py",
+        "bern.append(Fraction(m + 1 - rest, m + 1))",
+        "bern.append(Fraction(m + 1 - rest, m + 2))",
+    ),
+    ("jacobi-unchecked", "flags.py", "if any(defect.values()):", "if False:"),
+    ("generation-unchecked", "flags.py", "if got != alg.layer_dims[lay]:", "if False:"),
+    ("below-top-count", "ampleness.py", "count(1) != level - 1", "count(1) != level"),
+    (
+        "cofactor-sign",
+        "ampleness.py",
+        "sign = -1 if (i + n + 1) % 2 else 1",
+        "sign = -1 if (i + n) % 2 else 1",
+    ),
+    (
+        "nullspace-sign",
+        "linalg.py",
+        "vec[c] = Fraction(-row[f], ech.last)",
+        "vec[c] = Fraction(row[f], ech.last)",
+    ),
+    (
+        "pushforward-forward-linear",
+        "polyfields.py",
+        "for row, shift in zip(inv.linear, inv.shift)",
+        "for row, shift in zip(a.linear, inv.shift)",
+    ),
+    (
+        "frame-change-transposed",
+        "polyfields.py",
+        "acc = acc + fr.fields[j].scale(rows[j][m])",
+        "acc = acc + fr.fields[j].scale(rows[m][j])",
+    ),
+    (
+        "graded-vanishes-short",
+        "polyfields.py",
+        "for d in range(min(through, self.top(expr)) + 1)",
+        "for d in range(min(through, self.top(expr)))",
+    ),
+    (
+        "free-type-short-sum",
+        "freelie.py",
+        "total = sum(witt_dimension(k, i) for i in range(1, gv.step + 1))",
+        "total = sum(witt_dimension(k, i) for i in range(1, gv.step))",
+    ),
+    ("jet-of-frame-no-factorial", "jetalg.py", "nums[code] = u * fact * mult", "nums[code] = u * mult"),
 ]
 
 

@@ -14,7 +14,7 @@ from liegrowth import ampleness as amp
 from liegrowth import catalog, flags, freelie, jetalg, linalg
 from liegrowth.polyfields import AffineMap, frame_change, poly_lie_bracket, pushforward
 
-from helpers import classical_chain_value, rand_fraction, rand_point
+from helpers import classical_chain_value, rand_fraction, rand_point, slice_report_reference
 
 
 def _report(num: int, elapsed: float, limit: float, desc: str) -> None:
@@ -180,7 +180,8 @@ def test_criterion_7_ampleness_dichotomy():
         reps = amp.slice_report(heis, (0, 0, 0), v, 2)
         assert reps[-1].verdict is V.NOT_AMPLE_HYPERPLANE, v
     engel = catalog.engel_frame()
-    reps = amp.slice_report(engel, (0,) * 4, (1, 0, 0, 0), 3, cross_check=True)
+    reps = amp.slice_report(engel, (0,) * 4, (1, 0, 0, 0), 3)
+    assert reps == slice_report_reference(engel, (0,) * 4, (1, 0, 0, 0), 3, chains=True)
     assert reps[-1].verdict is V.NOT_AMPLE_HYPERPLANE
     for v in ((1, 0, 0, 0), (1, 0, 2, 0), (1, 0, 0, -3)):
         reps = amp.slice_report(engel, (0,) * 4, v, 3)

@@ -3,8 +3,9 @@
 ``lie_flag`` on random polynomial frames at the origin and at random
 rational points equals ``helpers.lie_flag_reference``, the flag from
 untruncated ``poly_lie_bracket`` and ``value_at``, at every ``max_step``
-from 1 to n - k + 2, with and without ``cross_check``; a degenerate frame
-raises ``DegenerateFrame`` in both.
+from 1 to n - k + 2, with and without the reference's comparison of its
+Hall span with the right-nested chains; a degenerate frame raises
+``DegenerateFrame`` in both.
 
 A triangular automorphism phi keeps flags: ``lie_flag`` and
 ``formal_flag(jet_of_frame(...))`` of phi_* X at phi(p) equal the flag of X
@@ -69,11 +70,11 @@ def _outcome(call):
 
 @settings(max_examples=80, deadline=None)
 @given(_frame_and_point(), st.booleans())
-def test_lie_flag_matches_the_whole_polynomial_reference(frame_point, cross_check):
+def test_lie_flag_matches_the_whole_polynomial_reference(frame_point, chains):
     fr, p = frame_point
     for max_step in range(1, fr.n - fr.k + 3):
-        got = _outcome(lambda: flags.lie_flag(fr, p, max_step, cross_check))
-        want = _outcome(lambda: lie_flag_reference(fr, p, max_step, cross_check))
+        got = _outcome(lambda: flags.lie_flag(fr, p, max_step))
+        want = _outcome(lambda: lie_flag_reference(fr, p, max_step, chains))
         assert got == want, (max_step, got, want)
 
 
@@ -91,10 +92,10 @@ def test_lie_flag_matches_the_reference_where_high_degrees_decide(text):
     fr = parsing.parse_frame(text)
     grows = False
     for max_step in range(1, fr.n - fr.k + 4):
-        for cross_check in (False, True):
-            got = flags.lie_flag(fr, (0,) * fr.n, max_step, cross_check)
-            assert got == lie_flag_reference(fr, (0,) * fr.n, max_step, cross_check)
-            grows |= got.irregular
+        got = flags.lie_flag(fr, (0,) * fr.n, max_step)
+        for chains in (False, True):
+            assert got == lie_flag_reference(fr, (0,) * fr.n, max_step, chains)
+        grows |= got.irregular
     assert grows
 
 

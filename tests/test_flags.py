@@ -33,9 +33,11 @@ from helpers import (
     constant_frame,
     formal_flag_reference,
     jet_vars,
+    lie_flag_reference,
     push_triangular,
     rand_fraction,
     rand_point,
+    slice_report_reference,
     triangular_map,
     validate_algebra_reference,
 )
@@ -101,8 +103,7 @@ def test_lie_flag_degenerate():
         flags.formal_flag(jetalg.jet_of_frame(fr, (0, 0), 1), 2)
 
 
-@pytest.mark.parametrize("cross_check", [False, True])
-def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_check, monkeypatch):
+def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(monkeypatch):
     # X2 = x2 X1 + x3 d2 is dependent on X1 where x3 = 0; layer 1 of the
     # engine, the leaves' values, refuses it at once, whatever max_step
     fr = parsing.parse_frame("dim 3\nX1 = d1 + x2*d3\nX2 = x2*d1 + x2^2*d3 + x3*d2\n")
@@ -116,8 +117,8 @@ def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_chec
     monkeypatch.setattr(polyfields._Graded, "_form", recorded_form)
     for p in ((1, 2, 0), (0, F(-1, 3), 0)):
         runs = (
-            lambda: flags.lie_flag(fr, p, 30, cross_check),
-            lambda: flags.formal_flag(jetalg.jet_of_frame(fr, p, 29), 30, cross_check),
+            lambda: flags.lie_flag(fr, p, 30),
+            lambda: flags.formal_flag(jetalg.jet_of_frame(fr, p, 29), 30),
         )
         for run in runs:
             formed.clear()
@@ -126,7 +127,7 @@ def test_a_frame_dependent_at_the_point_is_refused_before_any_bracket(cross_chec
             assert all(expr.is_leaf for expr in formed)
     # where x3 != 0 the same frame is independent, and brackets are formed
     formed.clear()
-    assert flags.lie_flag(fr, (1, 2, 1), 30, cross_check).dims == (2, 3)
+    assert flags.lie_flag(fr, (1, 2, 1), 30).dims == (2, 3)
     assert not all(expr.is_leaf for expr in formed)
 
 
@@ -138,7 +139,7 @@ def test_an_involutive_frame_keeps_its_rank_at_every_step():
     fr = parsing.parse_frame("dim 3\nX1 = d1 + x2^2*d3\nX2 = d2 + 2*x1*x2*d3\n")
     p = (1, 2, 3)
     assert flags.lie_flag(fr, p, 3).dims == (2, 2, 2)
-    assert flags.lie_flag(fr, p, 3, cross_check=True).dims == (2, 2, 2)
+    assert lie_flag_reference(fr, p, 3, chains=True).dims == (2, 2, 2)
     assert flags.formal_flag(jetalg.jet_of_frame(fr, p, 2), 3).dims == (2, 2, 2)
 
 
@@ -161,17 +162,17 @@ def test_a_flag_saturating_at_step_2_forms_no_slice_above_degree_1(monkeypatch):
 
     monkeypatch.setattr(polyfields._Expansion, "form", recorded)
     for p in ((1, 2, -1), (0, F(1, 3), 2)):
-        for cross_check in (False, True):
-            formed.clear()
-            assert flags.lie_flag(fr, p, 30, cross_check).dims == (2, 3)
-            assert formed and max(hi for _, _, hi in formed) <= 1
-            assert any(deg >= 10 for deg, _, _ in formed)
+        formed.clear()
+        assert flags.lie_flag(fr, p, 30).dims == (2, 3)
+        assert formed and max(hi for _, _, hi in formed) <= 1
+        assert any(deg >= 10 for deg, _, _ in formed)
 
 
 def test_lie_flag_cross_check_agrees():
+    # the reference compares its Hall span with the right-nested chains
     for fr, r in ((catalog.engel_frame(), 3), (catalog.free_rank3_step2_frame(), 2)):
         a = flags.lie_flag(fr, (0,) * fr.n, r)
-        b = flags.lie_flag(fr, (0,) * fr.n, r, cross_check=True)
+        b = lie_flag_reference(fr, (0,) * fr.n, r, chains=True)
         assert a == b
 
 
@@ -208,29 +209,34 @@ def test_formal_flag_matches_lie_flag_on_catalog():
             a = flags.formal_flag(jet, r)
             b = flags.lie_flag(fr, point, r)
             assert a.dims == b.dims, name
-            assert flags.formal_flag(jet, r, cross_check=True) == a, name
+            assert formal_flag_reference(jet, r, chains=True) == a, name
 
 
 @pytest.mark.parametrize("caller", ["lie_flag", "formal_flag", "slice_report"])
 def test_cross_check_catches_a_hall_span_gap(caller, monkeypatch):
+    # the reference of each flag call, handed a Hall basis without its
+    # length-2 layer, gives a wrong answer with its chain comparison off and
+    # refuses the basis with it on
     engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
+    jet = jetalg.jet_of_frame(engel, origin, 2)
+    hall_basis = freelie.hall_basis
 
     def hall_basis_without_length_2(k, max_len):
-        layers = freelie.hall_basis(k, max_len).layers
+        layers = hall_basis(k, max_len).layers
         return freelie.HallBasis(k, (layers[0], ()) + layers[2:])
 
-    monkeypatch.setattr(flags, "hall_basis", hall_basis_without_length_2)
     run = {
-        "lie_flag": lambda: flags.lie_flag(engel, origin, 3, cross_check=True),
-        "formal_flag": lambda: flags.formal_flag(
-            jetalg.jet_of_frame(engel, origin, 2), 3, cross_check=True
-        ),
-        "slice_report": lambda: ampleness.slice_report(
-            engel, origin, (1, 0, 0, 0), 3, cross_check=True
+        "lie_flag": lambda chains: lie_flag_reference(engel, origin, 3, chains),
+        "formal_flag": lambda chains: formal_flag_reference(jet, 3, chains),
+        "slice_report": lambda chains: slice_report_reference(
+            engel, origin, (1, 0, 0, 0), 3, chains
         ),
     }[caller]
-    with pytest.raises(AssertionError):
-        run()
+    right = run(True)
+    monkeypatch.setattr(freelie, "hall_basis", hall_basis_without_length_2)
+    assert _outcome(lambda: run(False)) != right
+    with pytest.raises(AssertionError, match="^Hall span disagrees with the chains at length 2$"):
+        run(True)
 
 
 def _outcome(call):
@@ -241,10 +247,10 @@ def _outcome(call):
         return type(exc)
 
 
-def _agrees_with_reference(jet, max_step, cross_check=False):
-    got = _outcome(lambda: flags.formal_flag(jet, max_step, cross_check))
-    want = _outcome(lambda: formal_flag_reference(jet, max_step, cross_check))
-    assert got == want, (jet.k, jet.n, jet.order, max_step, cross_check, got, want)
+def _agrees_with_reference(jet, max_step, chains=False):
+    got = _outcome(lambda: flags.formal_flag(jet, max_step))
+    want = _outcome(lambda: formal_flag_reference(jet, max_step, chains))
+    assert got == want, (jet.k, jet.n, jet.order, max_step, chains, got, want)
 
 
 def test_formal_flag_matches_the_symbol_reference_on_catalog():
@@ -255,8 +261,8 @@ def test_formal_flag_matches_the_symbol_reference_on_catalog():
             for order in range(r):
                 jet = jetalg.jet_of_frame(fr, point, order)
                 for step in range(order + 3):
-                    for cross_check in (False, True):
-                        _agrees_with_reference(jet, step, cross_check)
+                    for chains in (False, True):
+                        _agrees_with_reference(jet, step, chains)
 
 
 def _dense_frames(seed):
@@ -298,12 +304,12 @@ def test_the_flag_engine_brackets_int_coefficients_only(monkeypatch):
     monkeypatch.setattr(polyfields._Graded, "_form", int_form)
     p = (F(1, 3), F(-2, 5), F(3, 7), 1, F(5, 2))
     v = (F(1, 2), F(-1, 3), 1, 0, 0)
-    for cross_check in (False, True):
-        assert flags.lie_flag(fr, p, 3, cross_check).dims == (2, 3, 5)
-        jet = jetalg.jet_of_frame(fr, p, 2)
-        assert flags.formal_flag(jet, 3, cross_check).dims == (2, 3, 5)
-        assert len(ampleness.slice_report(fr, p, v, 3, cross_check)) == 3
-    assert sum(not expr.is_leaf for expr, _ in formed) > 20
+    assert flags.lie_flag(fr, p, 3).dims == (2, 3, 5)
+    assert flags.formal_flag(jetalg.jet_of_frame(fr, p, 2), 3).dims == (2, 3, 5)
+    assert len(ampleness.slice_report(fr, p, v, 3)) == 3
+    # every Hall bracket of the flag was formed
+    brackets = {e for layer in freelie.hall_basis(2, 3).layers[1:] for e in layer}
+    assert {expr for expr, _ in formed if not expr.is_leaf} == brackets
 
 
 R10_FRAME = Path(__file__).parent / "data" / "dense_rank2_r10.frame"
@@ -335,8 +341,7 @@ def test_lie_flag_at_the_default_step_forms_only_what_the_saturating_step_forms(
         assert len(formed) == len(saturating) and set(formed) == set(saturating)
 
 
-@pytest.mark.parametrize("cross_check", [False, True])
-def test_spans_take_no_row_at_rank_n_and_flags_takes_no_whole_rank(cross_check, monkeypatch):
+def test_spans_take_no_row_at_rank_n_and_flags_takes_no_whole_rank(monkeypatch):
     # every span grows one row at a time, and a value is formed and added
     # only while its span lacks rank n; flags takes no whole rank, since
     # the rank of layer 1 is its check that the frame vectors are independent
@@ -357,12 +362,12 @@ def test_spans_take_no_row_at_rank_n_and_flags_takes_no_whole_rank(cross_check, 
     r10 = parsing.parse_frame(R10_FRAME.read_text())
     engel, origin = catalog.engel_frame(), (0, 0, 0, 0)
     runs = [
-        lambda: flags.lie_flag(r10, R10_POINT, 10, cross_check),
-        lambda: flags.formal_flag(jetalg.jet_of_frame(r10, R10_POINT, 4), 5, cross_check),
-        lambda: flags.lie_flag(engel, origin, 4, cross_check),
-        lambda: ampleness.slice_report(r10, R10_POINT, range(1, 11), 5, cross_check),
-        lambda: ampleness.slice_report(engel, origin, (1, 1, 0, 0), 3, cross_check),
-        lambda: ampleness.slice_report(engel, origin, (0, 0, 1, 0), 3, cross_check),
+        lambda: flags.lie_flag(r10, R10_POINT, 10),
+        lambda: flags.formal_flag(jetalg.jet_of_frame(r10, R10_POINT, 4), 5),
+        lambda: flags.lie_flag(engel, origin, 4),
+        lambda: ampleness.slice_report(r10, R10_POINT, range(1, 11), 5),
+        lambda: ampleness.slice_report(engel, origin, (1, 1, 0, 0), 3),
+        lambda: ampleness.slice_report(engel, origin, (0, 0, 1, 0), 3),
     ]
     for run in runs:
         adds.clear()
@@ -515,7 +520,7 @@ def test_formal_flag_matches_the_symbol_reference_on_random_jets():
         ]
         degenerate += linalg.rank(zero_jet) < k
         for step in (1, order + 1, order + 2):
-            _agrees_with_reference(jet, step, cross_check=trial % 3 == 0)
+            _agrees_with_reference(jet, step, chains=trial % 3 == 0)
     assert degenerate >= 5
 
 
@@ -528,11 +533,11 @@ def test_formal_flag_needs_no_jet_symbols(monkeypatch):
     for name, fr in catalog.catalog_frames().items():
         r = len(catalog.expected_dims()[name])
         jet = jetalg.jet_of_frame(fr, rand_point(rng, fr.n), r - 1)
-        cases.append((jet, r, formal_flag_reference(jet, r, cross_check=True)))
+        cases.append((jet, r, formal_flag_reference(jet, r, chains=True)))
     for attr in ("bracket", "diffvec_bracket", "evaluate"):
         monkeypatch.setattr(jetalg, attr, refuse)
     for jet, r, want in cases:
-        assert flags.formal_flag(jet, r, cross_check=True) == want
+        assert flags.formal_flag(jet, r) == want
 
 
 def test_formal_flag_flat_jet_stalls():

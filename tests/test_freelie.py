@@ -215,9 +215,16 @@ def test_hall_layers_sorted_and_ordered_by_length():
         assert a < b
 
 
-def test_hall_cap():
-    with pytest.raises(CapExceeded):
-        fl.hall_basis(4, 6, cap=100)
+def test_hall_cap(monkeypatch):
+    # the cap is read at each call, and the error names it
+    monkeypatch.setattr(fl, "MAX_HALL_ELEMENTS", 100)
+    with pytest.raises(CapExceeded, match=(
+        r"^Hall basis would exceed 100 elements \(freelie\.MAX_HALL_ELEMENTS\) at length 5$"
+    )):
+        fl.hall_basis(4, 6)
+    monkeypatch.undo()
+    assert fl.MAX_HALL_ELEMENTS == 100_000
+    assert len(list(fl.hall_basis(4, 6).elements())) == 964
 
 
 def test_hall_cap_is_checked_before_any_layer_is_built(monkeypatch):
@@ -411,12 +418,13 @@ def test_hall_cap_is_checked_before_a_cached_rank_grows(monkeypatch):
         return True
 
     monkeypatch.setattr(fl, "_is_admissible_pair", counting)
+    monkeypatch.setattr(fl, "MAX_HALL_ELEMENTS", 60)
     with pytest.raises(CapExceeded, match="length 8"):
-        fl.hall_basis(2, 8, cap=60)
+        fl.hall_basis(2, 8)
     assert calls == [] and fl._layers(2) is cached
     assert len(cached) == 6 and all(a is b for a, b in zip(cached, built))
     # a basis within the cap reads the cached layers and builds none
-    assert fl.hall_basis(2, 6, cap=60).layers == built
+    assert fl.hall_basis(2, 6).layers == built
     assert calls == []
 
 

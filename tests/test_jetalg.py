@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -334,6 +335,32 @@ def test_pure_derivative_extract():
     for m in (1.0, True):
         with pytest.raises(DomainError, match=f"^m must be an int, got {type(m).__name__}$"):
             ja.pure_derivative_extract(jet, 2, 1, m)
+
+
+@pytest.mark.parametrize(
+    "fn, args, named",
+    [
+        ("pure_t_vars", (1, -1), "m must be >= 0, got -1"),
+        ("pure_t_vars", (0, 1), "t must be in 1..3, got 0"),
+        ("pure_t_vars", (4, 1), "t must be in 1..3, got 4"),
+        ("pure_t_vars", (1.0, 1), "t must be an int, got float"),
+        ("pure_derivative_extract", (1, 1, -1), "m must be >= 0, got -1"),
+        ("pure_derivative_extract", (1, 0, 1), "t must be in 1..3, got 0"),
+        ("pure_derivative_extract", (1, 4, 1), "t must be in 1..3, got 4"),
+        ("pure_derivative_extract", (0, 1, 1), "fld must be in 1..2, got 0"),
+        ("pure_derivative_extract", (3, 1, 1), "fld must be in 1..2, got 3"),
+        ("pure_derivative_extract", (True, 1, 1), "fld must be an int, got bool"),
+    ],
+)
+def test_a_pure_derivative_argument_out_of_range_is_named(fn, args, named):
+    # a negative order once read as the 0-jet, and a direction or field out
+    # of range as no coordinate at all
+    first = {
+        "pure_t_vars": ja.bracket((1, 2), 2, 3, 3),
+        "pure_derivative_extract": ja.jet_of_frame(heisenberg_frame(), (0, 0, 0), 2),
+    }[fn]
+    with pytest.raises(DomainError, match=f"^{re.escape(named)}$"):
+        getattr(ja, fn)(first, *args)
 
 
 def test_equal_jets_hash_equal():
