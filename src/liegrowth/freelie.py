@@ -29,7 +29,9 @@ convention that ``jetalg.bracket`` and the check suites read.
 ``witt_dimension`` owns its size bound: a value of more than
 ``linalg.MAX_DIGITS`` digits is a ``DomainError``.  ``hall_basis`` refuses
 a basis of more than ``MAX_HALL_ELEMENTS`` elements with ``CapExceeded``
-before it builds a layer.
+before it builds a layer.  ``maximal_growth_vector`` depends on (k, n)
+alone, and a bounded cache keyed on the arguments' types keeps its
+``MAX_GROWTH_VECTORS`` most recent answers.
 """
 
 from __future__ import annotations
@@ -122,9 +124,17 @@ class GrowthVector:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
+# The maximal growth vectors of the MAX_GROWTH_VECTORS most recently asked
+# (k, n); a dropped one is computed again.
+MAX_GROWTH_VECTORS = 128
+
+
+@lru_cache(maxsize=MAX_GROWTH_VECTORS, typed=True)
 def maximal_growth_vector(k: int, n: int) -> GrowthVector:
     """Entrywise-maximal growth vector of a rank-``k`` frame on dimension ``n``:
-    cumulative Witt sums truncated so the last entry is ``n``.
+    cumulative Witt sums truncated so the last entry is ``n``.  Answers are
+    kept per (k, n) in a bounded cache keyed on the arguments' types too,
+    so a bool or a float is refused whatever int was asked for before.
     """
     _sizes(k=k, n=n)
     if k < 2 or k >= n:

@@ -9,7 +9,9 @@ so far, so each division is exact, and every pivot entry equals the last
 pivot: reduced row s is ``rows[s] / last``, with its pivot in column
 ``cols[s]``.  Rank is the pivot count, the determinant is ``last / scale``
 signed by the order of the pivot columns, and ``solve``, ``nullspace`` and
-``inverse`` read the reduced rows.  The flag engine adds its values to one
+``_int_inverse`` read the reduced rows.  ``_int_inverse`` gives an inverse
+as int rows over one denominator, which ``inverse`` divides out and
+``polyfields.AffineMap`` keeps.  The flag engine adds its values to one
 ``_Echelon`` per span, so each value is reduced once.  No tolerances
 anywhere, and no ``Fraction`` arithmetic inside a pivot.
 
@@ -254,6 +256,17 @@ def nullspace(rows):
 
 def inverse(rows):
     """Inverse of a square rational matrix, or None if singular."""
+    got = _int_inverse(rows)
+    if got is None:
+        return None
+    mat, last = got
+    return [[Fraction(x, last) for x in row] for row in mat]
+
+
+def _int_inverse(rows) -> tuple[list[list[int]], int] | None:
+    """The inverse of a square rational matrix as int rows over one int D,
+    and D, or None if singular: the reduced rows of (rows | I) are
+    D (I | rows^-1)."""
     rows = _exact_matrix(rows, "matrix")
     n = len(rows)
     if rows and len(rows[0]) != n:
@@ -261,7 +274,7 @@ def inverse(rows):
     ech = _Echelon(_integer_rows(r + tuple(int(j == i) for j in range(n)) for i, r in enumerate(rows))[0])
     if sorted(ech.cols) != list(range(n)):
         return None
-    return [[Fraction(x, ech.last) for x in row[n:]] for row in ech.by_column()]
+    return [row[n:] for row in ech.by_column()], ech.last
 
 
 def dot(u, v) -> Fraction:

@@ -67,6 +67,22 @@ Taylor field times one nonzero int, so a bracket multiplies and adds ints,
 and by bilinearity all the scaling does to a bracket's value is multiply
 it by a nonzero int, which changes no rank.
 
+The affine moves run on ints too, on one kernel, ``_Substitution``:
+x_i := S_i / D for int polynomials S_i in packed monomials over one int D.
+``pushforward`` reads the inverse map once, from one fraction-free
+elimination, as int affine forms over one D (``AffineMap._inverse_rows``),
+and its linear part once as an int matrix over one denominator;
+``frame_change`` reads its change matrix so and substitutes the identity;
+``Poly.compose`` clears its substitutions over their common denominator.
+The polynomials moved together are cleared once (``_lifted_terms``, shared
+with ``_taylor_leaves``): with L the lcm of their coefficient denominators
+and T their top degree, a term c x^alpha becomes the int
+c L D^(T - |alpha|).  Each power of each S_i and each monomial's image is
+formed once per call, the matrix combines each monomial's int coefficients
+before they multiply its image, and ``_Substitution._emit`` forms the one
+``Fraction`` of each output coefficient at the very end, dividing by the
+matrix's denominator times L D^T and keeping an integral one as an int.
+
 Coefficients, points (of the ambient's length) and matrix entries are read
 by the exactness rule in ``linalg``: an int or a Fraction, or a
 ``DomainError``; a matrix (a linear part, a change matrix) is read by its
@@ -80,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import DomainError, OrderOverflow
@@ -396,23 +412,30 @@ class Poly(_SparsePoly):
 
     def compose(self, subs) -> Poly:
         """Substitute x_i := subs[i] for n polynomials over a common variable
-        set; another number of them raises ``DomainError``.  Each power
-        subs[i]**e is formed once per call, and the terms are summed in one
-        accumulator."""
+        set, the ambient of subs[0]; another number of them, or a
+        substitution used on another ambient, raises ``DomainError``.  The
+        substitutions are cleared to ints over one denominator D and packed,
+        and ``_Substitution`` forms each power once and the result in ints,
+        with one ``Fraction`` per coefficient at the end."""
         if len(subs) != self.n:
             raise DomainError(f"compose needs {self.n} substitutions, got {len(subs)}")
-        out = subs[0] if subs else self
-        needed = {(i, e) for exps in self.terms for i, e in enumerate(exps) if e}
-        powers = {(i, e): subs[i] ** e for i, e in needed}
-        acc: dict = {}
-        for exps, c in self.terms.items():
-            term = out._like({(0,) * out.n: c})
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers[i, e]
-            for mono, v in term.terms.items():
-                acc[mono] = acc.get(mono, 0) + v
-        return out._like(acc)
+        ring = Poly(subs[0].n if subs else self.n)
+        used = {i for exps in self.terms for i, e in enumerate(exps) if e}
+        for i in used:
+            ring._check(subs[i])
+        # the degree of each substitution bounds the exponents formed
+        degs = [subs[i].max_degree() if i in used else 0 for i in range(self.n)]
+        top = max((sum(map(mul, exps, degs)) for exps in self.terms), default=0)
+        w = _pack_width(top)
+        den = lcm(*(c.denominator for i in used for c in subs[i].terms.values()))
+        packed = [
+            {
+                sum(e << (w * k) for k, e in enumerate(exps)): c.numerator * (den // c.denominator)
+                for exps, c in subs[i].terms.items()
+            } if i in used else {}
+            for i in range(self.n)
+        ]
+        return _Substitution(ring.n, w, packed, den).combine([self], [[(0, 1)]], 1)[0]
 
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -433,6 +456,139 @@ def _packed_index(idx, width: int) -> int:
     directions 0-based and repeated alpha_j times, ``width`` bits per
     exponent."""
     return sum(1 << (width * t) for t in idx)
+
+
+def _cleared(rows) -> tuple[list[list[int]], int]:
+    """The exact ``rows`` times D, the lcm of all their entries'
+    denominators, as ints, and D."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _lifted_terms(polys, den: int) -> tuple[list, int, int]:
+    """The terms of ``polys`` cleared to ints over one scale L D^T, with L
+    the lcm of their coefficient denominators and T their top degree: per
+    distinct exponent tuple alpha, the (index, c L D^(T - |alpha|)) pairs
+    of the polynomials that hold it with coefficient c; the scale, and T."""
+    held: dict = {}
+    mult = 1
+    for j, p in enumerate(polys):
+        for exps, c in p.terms.items():
+            got = held.get(exps)
+            if got is None:
+                got = held[exps] = []
+            got.append((j, c))
+            if type(c) is not int:
+                mult = lcm(mult, c.denominator)
+    top = max(map(sum, held), default=0)
+    lift: dict = {}  # degree -> L D^(T - degree)
+    terms = []
+    for exps, pairs in held.items():
+        deg = sum(exps)
+        up = lift.get(deg)
+        if up is None:
+            up = lift[deg] = mult * den ** (top - deg)
+        nums = [(j, c * up if type(c) is int else c.numerator * (up // c.denominator)) for j, c in pairs]
+        terms.append((exps, nums))
+    return terms, mult * den**top, top
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two int polynomials in packed monomials."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+class _Substitution:
+    """The substitution x_i := S_i / D into polynomials in x_1..x_n, for int
+    polynomials S_i in y_1..y_m over one int denominator D, the kernel of
+    ``pushforward``, ``frame_change`` and ``Poly.compose``.
+
+    ``subs[i]`` is S_{i+1} as a dict from packed monomials (``width`` bits
+    per exponent, wide enough for every degree formed) to ints.  Each power
+    S_i^e and each image prod_i S_i^(alpha_i) of a monomial x^alpha is
+    formed once per substitution, and ``combine`` forms the results in ints
+    and one ``Fraction`` per coefficient at the end.
+    """
+
+    __slots__ = ("m", "width", "den", "subs", "_powers", "_images", "_decoded")
+
+    def __init__(self, m: int, width: int, subs: list, den: int):
+        self.m, self.width, self.subs, self.den = m, width, subs, den
+        self._powers: dict = {}
+        self._images: dict = {}
+        self._decoded: dict = {}
+
+    def _power(self, i: int, e: int) -> dict:
+        """S_i^e (e >= 1), by squaring from the powers formed before."""
+        if e == 1:
+            return self.subs[i]
+        got = self._powers.get((i, e))
+        if got is None:
+            if e % 2:
+                got = _product(self._power(i, e - 1), self.subs[i])
+            else:
+                half = self._power(i, e // 2)
+                got = _product(half, half)
+            self._powers[(i, e)] = got
+        return got
+
+    def _image(self, exps: tuple) -> list:
+        """The (packed monomial, int) terms of prod_i S_i^(alpha_i)."""
+        got = self._images.get(exps)
+        if got is None:
+            prod = {0: 1}
+            for i, e in enumerate(exps):
+                if e:
+                    prod = _product(prod, self._power(i, e))
+            got = self._images[exps] = list(prod.items())
+        return got
+
+    def _emit(self, acc: dict, scale: int) -> Poly:
+        """The ``Poly`` in y_1..y_m of the nonzero ints of ``acc`` over
+        ``scale``: each coefficient an int when integral, else one
+        ``Fraction``."""
+        w, mask, m, decoded = self.width, (1 << self.width) - 1, self.m, self._decoded
+        terms = {}
+        for key, v in acc.items():
+            if v:
+                exps = decoded.get(key)
+                if exps is None:
+                    exps = decoded[key] = tuple((key >> (w * i)) & mask for i in range(m))
+                q, r = divmod(v, scale)
+                terms[exps] = Fraction(v, scale) if r else q
+        p = Poly(m)
+        p.terms = terms
+        return p
+
+    def combine(self, polys, cols, wden: int) -> list[Poly]:
+        """As many polynomials as ``polys``: output i is
+        (1 / wden) sum_j w polys[j](S / D) over the int weights (i, w) in
+        ``cols[j]``.  The terms of ``polys`` are cleared to ints once
+        (``_lifted_terms``: c x^alpha becomes c L D^(T - |alpha|) over the
+        scale L D^T), the weighted sums of a monomial's int coefficients
+        multiply its image, and each coefficient is divided by wden L D^T
+        at the end."""
+        terms, scale, _ = _lifted_terms(polys, self.den)
+        outs: list[dict] = [{} for _ in polys]
+        for exps, nums in terms:
+            sums: dict = {}
+            for j, num in nums:
+                for i, w in cols[j]:
+                    sums[i] = sums.get(i, 0) + w * num
+            image = self._image(exps)
+            for i, v in sums.items():
+                if v:
+                    acc = outs[i]
+                    get = acc.get
+                    for key, f in image:
+                        acc[key] = get(key, 0) + v * f
+        return [self._emit(acc, wden * scale) for acc in outs]
 
 
 class _Expansion:
@@ -464,8 +620,7 @@ class _Expansion:
             raise OrderOverflow(f"Taylor order must be >= 0, got {order}")
         point = _exact_vector(point, "point", n)
         self.n, self.order, self.width = n, order, _pack_width(order)
-        den = self.den = lcm(*(x.denominator for x in point))
-        self.shift = [x.numerator * (den // x.denominator) for x in point]
+        (self.shift,), self.den = _cleared([point])
         # exponent tuple -> its record; (i, e) -> its ``_expansion`` triples
         self._monos: dict = {}
         self._factors: dict = {}
@@ -604,42 +759,21 @@ def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
     With D the common denominator of the point, L the lcm of a field's
     coefficient denominators and T its top degree, the field's ``scale`` is
     L D^T and its leaf is ``scale`` times its Taylor polynomial: a term
-    c x^alpha contributes c L D^(T - |alpha|), an int, times each slice of
-    x^alpha.  The terms are grouped by monomial, so each slice is looked up
-    once per field and degree.
+    c x^alpha contributes c L D^(T - |alpha|), an int (``_lifted_terms``),
+    times each slice of x^alpha.  The terms are grouped by monomial, so each
+    slice is looked up once per field and degree.
     """
     about = _Expansion(fields[0].n, point, order)
-    records, monomial, den = about._monos, about.monomial, about.den
+    records, monomial = about._monos, about.monomial
     leaves = []
     for field in fields:
-        # per monomial of the field: its record and the (component,
-        # coefficient) pairs that hold it
-        users: dict = {}
-        mult = 1
-        top = 0
-        for i, comp in enumerate(field.comps):
-            for exps, c in comp.terms.items():
-                got = users.get(exps)
-                if got is None:
-                    record = records.get(exps) or monomial(exps)
-                    if record[0] > top:
-                        top = record[0]
-                    got = users[exps] = (record, [])
-                got[1].append((i, c))
-                if type(c) is not int:
-                    mult = lcm(mult, c.denominator)
-        lift = [mult * den ** (top - deg) for deg in range(top + 1)]
+        lifted, scale, top = _lifted_terms(field.comps, about.den)
         terms = []
-        for record, held in users.values():
+        for exps, nums in lifted:
+            record = records.get(exps) or monomial(exps)
             deg, low, slices = record[:3]
             if low <= order:
-                up = lift[deg]
-                nums = [
-                    (i, c * up if type(c) is int else c.numerator * (up // c.denominator))
-                    for i, c in held
-                ]
                 terms.append((deg, low, slices, record, nums))
-        scale = mult * den**top
         leaves.append(_TaylorParts(about.n, about.width, min(top, order), scale, about, terms))
     return leaves
 
@@ -896,53 +1030,87 @@ class AffineMap:
         )
 
     def inverse(self) -> AffineMap:
-        inv = linalg.inverse(self.linear)
-        if inv is None:
+        rows, den = self._inverse_rows()
+        n = self.n
+        return AffineMap(
+            tuple(tuple(Fraction(x, den) for x in row[:n]) for row in rows),
+            tuple(Fraction(row[n], den) for row in rows),
+        )
+
+    def _inverse_rows(self) -> tuple[list[list[int]], int]:
+        """The inverse map x = (M y + s) / D as the int rows (M_i, s_i) and
+        D: the first n rows of the int inverse (``linalg._int_inverse``) of
+        the square matrix ((linear, shift), (0, 1)).  A singular linear part
+        raises ``DomainError``."""
+        n = self.n
+        rows = [(*row, s) for row, s in zip(self.linear, self.shift)]
+        got = linalg._int_inverse([*rows, (0,) * n + (1,)])
+        if got is None:
             raise DomainError("affine map has singular linear part")
-        shift = tuple(-linalg.dot(row, self.shift) for row in inv)
-        return AffineMap(tuple(tuple(r) for r in inv), shift)
+        mat, den = got
+        return mat[:n], den
+
+
+def _moved(fr: Frame, forms, den: int, cols, wden: int) -> Frame:
+    """The frame whose components, numbered field by field as those of
+    ``fr`` are, are ``_Substitution.combine`` (weights ``cols`` over
+    ``wden``) of the components of ``fr`` under the substitution
+    x_i := (sum_m forms[i][m] y_{m+1} + forms[i][n]) / den, for int
+    ``forms``.  The packed width is that of the frame's top degree, which
+    an affine substitution does not raise."""
+    n = fr.n
+    polys = [c for f in fr.fields for c in f.comps]
+    width = _pack_width(max((sum(exps) for p in polys for exps in p.terms), default=0))
+    keys = [1 << (width * m) for m in range(n)] + [0]
+    subs = [{key: x for key, x in zip(keys, row) if x} for row in forms]
+    comps = _Substitution(n, width, subs, den).combine(polys, cols, wden)
+    return Frame(n, tuple(PolyField(tuple(comps[j : j + n])) for j in range(0, len(polys), n)))
 
 
 def pushforward(fr: Frame, a: AffineMap) -> Frame:
-    """Pushforward (a_* X)(y) = L . X(a^{-1} y) computed exactly."""
+    """Pushforward (a_* X)(y) = L . X(a^{-1} y) computed exactly.
+
+    The inverse map is read once as an int matrix and shift over one
+    denominator D, and the linear part L as an int matrix over one
+    denominator.  One ``_Substitution`` substitutes the inverse into every
+    component of every field and combines each field's components by L,
+    in ints, forming each power of the substituted forms once per call;
+    one ``Fraction`` per output coefficient is formed at the end."""
     if a.n != fr.n:
         raise DomainError("affine map dimension does not match the frame")
-    inv = a.inverse()
     n = fr.n
-    subs = [
-        Poly(n, {tuple(int(m == j) for m in range(n)): x for j, x in enumerate(row)})
-        + Poly.const(n, shift)
-        for row, shift in zip(inv.linear, inv.shift)
+    rows, den = a._inverse_rows()
+    linear, lden = _cleared(a.linear)
+    # component j of a field, numbered f + j, enters its component i with
+    # weight L[i][j]
+    cols = [
+        [(f + i, linear[i][j]) for i in range(n) if linear[i][j]]
+        for f in range(0, fr.k * n, n)
+        for j in range(n)
     ]
-    linear = [[_exact(x, "linear part entry") for x in row] for row in a.linear]
-    new_fields = []
-    for f in fr.fields:
-        pulled = [c.compose(subs) for c in f.comps]
-        comps = []
-        for row in linear:
-            acc: dict = {}
-            for p, x in zip(pulled, row):
-                if x:
-                    for mono, c in p.terms.items():
-                        acc[mono] = acc.get(mono, 0) + c * x
-            comps.append(Poly(n)._like(acc))
-        new_fields.append(PolyField(tuple(comps)))
-    return Frame(n, tuple(new_fields))
+    return _moved(fr, rows, den, cols, lden)
 
 
 def frame_change(fr: Frame, g) -> Frame:
     """Constant recombination fr . G: new field m is sum_j G[j][m] X_j.
     An entry of G that is not exact, a float included, raises
-    ``DomainError`` naming it."""
-    k = fr.k
+    ``DomainError`` naming it.
+
+    G is read once as an int matrix over one denominator, and every
+    component of every new field is an int combination of the components
+    of the fields (``_Substitution.combine`` under the identity
+    substitution), with one ``Fraction`` per output coefficient at the
+    end."""
+    k, n = fr.k, fr.n
     rows = _exact_matrix(g, "change matrix", k, k)
     if linalg.det(rows) == 0:
         raise DomainError("frame change matrix is singular")
-    new_fields = []
-    for m in range(k):
-        acc = PolyField.zero(fr.n)
-        for j in range(k):
-            if rows[j][m] != 0:
-                acc = acc + fr.fields[j].scale(rows[j][m])
-        new_fields.append(acc)
-    return Frame(fr.n, tuple(new_fields))
+    rows, den = _cleared(rows)
+    identity = [[int(i == m) for m in range(n + 1)] for i in range(n)]
+    # component i of field j enters component i of field m with weight G[j][m]
+    cols = [
+        [(m * n + i, rows[j][m]) for m in range(k) if rows[j][m]]
+        for j in range(k)
+        for i in range(n)
+    ]
+    return _moved(fr, identity, 1, cols, den)

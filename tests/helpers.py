@@ -201,9 +201,10 @@ def taylor_reference(f, point, order: int):
 
 
 def assert_coeff_normal(field) -> None:
-    """Every coefficient of ``field`` is ``linalg._exact``-normal: an int when
-    integral, a Fraction otherwise, never zero."""
-    for comp in field.comps:
+    """Every coefficient of ``field``, or of a ``Poly``, is
+    ``linalg._exact``-normal: an int when integral, a Fraction otherwise,
+    never zero."""
+    for comp in (field,) if isinstance(field, Poly) else field.comps:
         for c in comp.terms.values():
             assert c != 0
             if isinstance(c, Fraction):
@@ -393,6 +394,38 @@ def push_triangular(fr: Frame, fs: list) -> Frame:
             for i in range(n)
         ]
         fields.append(PolyField(tuple(c.compose(psi) for c in moved)))
+    return Frame(n, tuple(fields))
+
+
+def pushforward_reference(fr: Frame, a) -> Frame:
+    """``pushforward`` by the Fraction algorithm it replaced: the inverse map
+    from ``linalg.inverse`` and ``linalg.dot``, each component's terms
+    substituted with ``Poly`` products and sums (one factor of the inverse's
+    affine form per unit of exponent, never ``compose``), and the pulled
+    components combined by the linear part with scalar products and sums."""
+    from liegrowth import linalg
+
+    n = fr.n
+    inv = linalg.inverse(a.linear)
+    ys = [Poly.variable(n, j) for j in range(1, n + 1)]
+    forms = [
+        sum((y * x for y, x in zip(ys, row)), Poly.const(n, -linalg.dot(row, a.shift)))
+        for row in inv
+    ]
+    fields = []
+    for f in fr.fields:
+        pulled = []
+        for comp in f.comps:
+            acc = Poly.zero(n)
+            for exps, c in comp.terms.items():
+                term = Poly.const(n, c)
+                for form, e in zip(forms, exps):
+                    for _ in range(e):
+                        term = term * form
+                acc = acc + term
+            pulled.append(acc)
+        comps = (sum((p * x for p, x in zip(pulled, row)), Poly.zero(n)) for row in a.linear)
+        fields.append(PolyField(tuple(comps)))
     return Frame(n, tuple(fields))
 
 

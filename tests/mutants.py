@@ -2,18 +2,23 @@
 
 Run from anywhere as
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
+
+With no names every mutant runs, as the CI step runs them; with names only
+those mutants run, so a change to one kernel can show its own mutants
+killed in minutes.
 
 Each mutant is one textual replacement in one module of ``src/liegrowth``.
-Its pattern must occur exactly once in the module, or the gate stops before
-it runs anything.  The repository tree (without ``.git`` and caches) is
-copied to a temporary directory once per mutant, the mutant is applied to
-the copy, and the tier-1 tests run there with ``-x``.  The unmutated copy
-runs first and must pass, so that no mutant counts as killed by a broken
-tree.  One JSON object per run is printed as it ends (the mutant's name,
-``killed`` or ``survived``, and the seconds it took), then a summary.  The
-exit status is 0 when every mutant is killed, 1 when one survives, and 2
-when a pattern does not match once or the unmutated tree fails.
+Every pattern, named or not, must occur exactly once in its module, or the
+gate stops before it runs anything.  The repository tree (without ``.git``
+and caches) is copied to a temporary directory once per mutant, the mutant
+is applied to the copy, and the tier-1 tests run there with ``-x``.  The
+unmutated copy runs first and must pass, so that no mutant counts as killed
+by a broken tree.  One JSON object per run is printed as it ends (the
+mutant's name, ``killed`` or ``survived``, and the seconds it took), then a
+summary of the mutants run.  The exit status is 0 when every mutant run is
+killed, 1 when one survives, and 2 when a name is unknown, a pattern does
+not match once or the unmutated tree fails.
 
 A mutant whose tests run past ``TIMEOUT_S`` counts as killed: a hang is a
 failure the tests show.  pytest does not collect this file (it is not a
@@ -214,16 +219,25 @@ MUTANTS = [
         "vec[c] = Fraction(row[f], ech.last)",
     ),
     (
+        # the forward linear part L / lden, with the inverse's shift, over
+        # the one denominator den * lden
         "pushforward-forward-linear",
         "polyfields.py",
-        "for row, shift in zip(inv.linear, inv.shift)",
-        "for row, shift in zip(a.linear, inv.shift)",
+        "return _moved(fr, rows, den, cols, lden)",
+        "return _moved(fr, [[*(x * den for x in lrow), row[n] * lden]"
+        " for lrow, row in zip(linear, rows)], den * lden, cols, lden)",
     ),
     (
         "frame-change-transposed",
         "polyfields.py",
-        "acc = acc + fr.fields[j].scale(rows[j][m])",
-        "acc = acc + fr.fields[j].scale(rows[m][j])",
+        "[(m * n + i, rows[j][m]) for m in range(k) if rows[j][m]]",
+        "[(m * n + i, rows[m][j]) for m in range(k) if rows[m][j]]",
+    ),
+    (
+        "lifted-terms-no-lift",
+        "polyfields.py",
+        "up = lift[deg] = mult * den ** (top - deg)",
+        "up = lift[deg] = mult",
     ),
     (
         "graded-vanishes-short",
@@ -270,7 +284,12 @@ def _run(name: str, module: str | None = None, old: str = "", new: str = "") -> 
     return {"mutant": name, "outcome": outcome, "seconds": seconds}
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    """Run the mutants named in ``names``, or all of them when none is."""
+    unknown = sorted(set(names) - {m[0] for m in MUTANTS})
+    if unknown:
+        print(json.dumps({"error": f"no mutant named {', '.join(unknown)}"}))
+        return 2
     for name, module, old, new in MUTANTS:
         count = (ROOT / "src" / "liegrowth" / module).read_text().count(old)
         if count != 1:
@@ -281,17 +300,18 @@ def main() -> int:
     print(json.dumps(baseline), flush=True)
     if baseline["outcome"] != "passed":
         return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
     survived = []
-    for name, module, old, new in MUTANTS:
+    for name, module, old, new in chosen:
         got = _run(name, module, old, new)
         got["outcome"] = "survived" if got["outcome"] == "passed" else "killed"
         print(json.dumps(got), flush=True)
         if got["outcome"] == "survived":
             survived.append(name)
-    killed = len(MUTANTS) - len(survived)
-    print(json.dumps({"mutants": len(MUTANTS), "killed": killed, "survived": survived}))
+    killed = len(chosen) - len(survived)
+    print(json.dumps({"mutants": len(chosen), "killed": killed, "survived": survived}))
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -110,6 +110,19 @@ def test_sizes_must_be_ints():
             call()
 
 
+def test_maximal_growth_vector_is_cached_and_still_reads_its_sizes():
+    # one answer per (k, n), keyed on the types too: an equal float or
+    # bool is refused after the int was answered
+    gv = fl.maximal_growth_vector(2, 5)
+    assert gv.entries == (2, 3, 5) and fl.maximal_growth_vector(2, 5) is gv
+    with pytest.raises(DomainError, match="^n must be an int, got float"):
+        fl.maximal_growth_vector(2, 5.0)
+    with pytest.raises(DomainError, match="^k must be an int, got bool"):
+        fl.maximal_growth_vector(True, 3)
+    with pytest.raises(DomainError, match="^n must be an int, got bool"):
+        fl.maximal_growth_vector(2, True)
+
+
 def test_maximal_growth_vector_domain():
     with pytest.raises(DomainError):
         fl.maximal_growth_vector(1, 5)
