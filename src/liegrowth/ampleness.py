@@ -18,7 +18,14 @@ are merged monomial by monomial over the same expansion
 ``_adapted_change`` reads the frame values
 at the point once for ``adapted_frame`` and ``slice_report``: it is their
 only independence check and normal-direction test, and it builds the
-adapted change from the Gram solve alone.
+adapted change from the Gram solve alone, on ints: each value row is
+cleared by its own multiplier and the direction by its denominator, the
+pairings and the Gram matrix are int dot products, one fraction-free
+elimination (``linalg._Echelon``) solves the Gram system, and a
+``Fraction`` is formed only per entry of the returned change.
+``slice_report`` hands it the leaves' int values (each leaf's degree-0
+part, the value times the leaf's scale), so the change it gets is on the
+leaves, and ``_recombined`` takes coefficients on the leaves.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -261,21 +269,41 @@ def _adapted_change(vecs, v, point):
     columns are the nullspace of r, the orthogonal complement of P inside
     the span (hence they pair to 0 with v).  All inner products use the
     Euclidean form in the original coordinates.
+
+    All of it is done on ints (``linalg._integer_rows``): X_i = V_i / m_i
+    for int rows V_i and positive row multipliers m_i, and v = w / e for an
+    int row w and a positive e.  With the int pairings p_i = <V_i, w> and
+    the int Gram matrix H_ij = <V_i, V_j>, H beta = p is G alpha = r for
+    beta_j = e alpha_j / m_j; one ``linalg._Echelon`` of the rows (H | p)
+    gives beta_j = y_j / last, so column 1 is y_j m_j e / sum_i y_i p_i.
+    The nullspace column of a free index f has 1 at f and
+    -p_f m_c / (m_f p_c) at the first index c with p_c != 0.  Each column
+    is kept as ints over one denominator, checked nonsingular on those ints,
+    and given as ``Fraction``s only at the end.
     """
     k = len(vecs)
-    if linalg.rank(vecs) < k:
+    rows, mults = linalg._integer_rows(vecs)
+    if linalg._Echelon(rows).rank < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    v = _direction(v, len(vecs[0]))
-    r = [linalg.dot(b, v) for b in vecs]
-    if not any(r):
+    (w,), (e,) = linalg._integer_rows([_direction(v, len(rows[0]))])
+    pairings = [sum(map(mul, row, w)) for row in rows]
+    if not any(pairings):
         return None
-    alpha = linalg.solve([[linalg.dot(a, b) for b in vecs] for a in vecs], r)
-    pairing = linalg.dot(alpha, r)
-    cols = [[a / pairing for a in alpha], *linalg.nullspace([r])]
-    g = [[col[j] for col in cols] for j in range(k)]
-    if linalg.det(g) == 0:
+    ech = linalg._Echelon(
+        [[sum(map(mul, a, b)) for b in rows] + [p] for a, p in zip(rows, pairings)]
+    )
+    ys = [row[k] for row in ech.by_column()]
+    # (int column, denominator) pairs
+    cols = [([y * m * e for y, m in zip(ys, mults)], sum(map(mul, ys, pairings)))]
+    c = next(i for i, p in enumerate(pairings) if p)
+    for f in range(k):
+        if f != c:
+            col = [0] * k
+            col[f], col[c] = mults[f] * pairings[c], -pairings[f] * mults[c]
+            cols.append((col, mults[f] * pairings[c]))
+    if linalg._Echelon([col for col, _ in cols]).rank < k:
         raise AssertionError("adapted change matrix is singular")
-    return g
+    return [[Fraction(col[j], den) for col, den in cols] for j in range(k)]
 
 
 def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:
@@ -321,14 +349,18 @@ def slice_report(fr: Frame, point, v, step: int) -> list[SliceReport]:
 
     The frame is read once, as its Taylor expansions about the point
     (leaves, ``polyfields._taylor_leaves``, sharing one expansion of the
-    frame's monomials), whose degree-0 parts give its values; each degree
-    is expanded once, when the engine first asks for it.  The direction is
-    read first; the values then go through ``_adapted_change``, which
-    refuses dependent ones and returns ``None`` for a normal direction, and
-    a normal direction makes every slice the full principal subspace.  For
-    non-normal directions the leaves are recombined by the change it
-    returns into adapted ones (``polyfields._recombined``, leaves of the
-    same class over the same expansion) and each level is
+    frame's monomials), whose int degree-0 parts give its values times each
+    leaf's positive scale; each degree is expanded once, when the engine
+    first asks for it.  The direction is read first; those int values then
+    go through ``_adapted_change``, which refuses dependent ones and returns
+    ``None`` for a normal direction (a positive scale per value changes
+    neither answer), and a normal direction makes every slice the full
+    principal subspace.  For non-normal directions the leaves are
+    recombined by the change it returns, coefficients on the leaves, into
+    adapted ones (``polyfields._recombined``, leaves of the same class over
+    the same expansion).  The first adapted field is the one the exact
+    values give, and the nullspace field of a free index f is the one they
+    give times leaf f's scale, so no rank moves, and each level is
     classified from the rank of the brackets that do not reach the top pure
     derivative.  The same ``_span_ranks`` pass gives the full Hall rank of
     each level, which a constant frame change does not move, for the
@@ -343,7 +375,7 @@ def slice_report(fr: Frame, point, v, step: int) -> list[SliceReport]:
             f"maximal growth on dimension {n} has step {gv.step}, got {step}"
         )
     leaves = _taylor_leaves(fr.fields, point, step - 1)
-    g = _adapted_change([leaf.values() for leaf in leaves], v, point)
+    g = _adapted_change([[c.get(0, 0) for c in leaf.part(0)] for leaf in leaves], v, point)
     normal = g is None
     if not normal:
         leaves = [_recombined(leaves, [row[m] for row in g]) for m in range(k)]

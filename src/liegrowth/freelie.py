@@ -27,7 +27,10 @@ lengths.
 [X_g1, [X_g2, [... [X_g(l-1), X_gl] ...]]], the one spelling of the
 convention that ``jetalg.bracket`` and the check suites read.
 ``witt_dimension`` owns its size bound: a value of more than
-``linalg.MAX_DIGITS`` digits is a ``DomainError``.  ``hall_basis`` refuses
+``linalg.MAX_DIGITS`` digits is a ``DomainError``.  Each value is computed
+once and kept in a bounded cache (``_witt``, the ``MAX_WITT_DIMENSIONS``
+most recent), which ``hall_basis`` reads for its cap total and its layer
+sizes.  ``hall_basis`` refuses
 a basis of more than ``MAX_HALL_ELEMENTS`` elements with ``CapExceeded``
 before it builds a layer.  ``maximal_growth_vector`` depends on (k, n)
 alone, and a bounded cache keyed on the arguments' types keeps its
@@ -84,11 +87,23 @@ def witt_dimension(k: int, length: int) -> int:
     Computed in arbitrary-precision integers, the divisors walked in pairs
     (d, length/d) up to the square root; exact divisibility is asserted.  A
     value of more than ``linalg.MAX_DIGITS`` digits is a ``DomainError``,
-    mostly told from bit lengths before anything is computed.
+    mostly told from bit lengths before anything is computed.  The sizes
+    are read first; each value is computed once and kept (``_witt``).
     """
     _sizes(k=k, length=length)
     if k < 1 or length < 1:
         raise DomainError("witt_dimension needs k >= 1 and length >= 1")
+    return _witt(k, length)
+
+
+# The Witt dimensions of the MAX_WITT_DIMENSIONS most recently asked
+# (k, length); a dropped one is computed again.
+MAX_WITT_DIMENSIONS = 512
+
+
+@lru_cache(maxsize=MAX_WITT_DIMENSIONS)
+def _witt(k: int, length: int) -> int:
+    """``witt_dimension`` of sizes already read: ints, both at least 1."""
     # W(k, l) >= (k^l - 2 k^(l/2)) / l >= k^l / (2 l) once k^(l/2) >= 4, so
     # bit lengths alone show most values past 10**MAX_DIGITS
     lower_bits = length * (k.bit_length() - 1) - 1 - length.bit_length()
@@ -308,7 +323,7 @@ def hall_basis(k: int, max_len: int) -> HallBasis:
     # layer sizes are Witt dimensions, so the total is known in advance
     total = k
     for length in range(2, max_len + 1):
-        total += witt_dimension(k, length)
+        total += _witt(k, length)
         if total > MAX_HALL_ELEMENTS:
             raise CapExceeded(
                 f"Hall basis would exceed {MAX_HALL_ELEMENTS} elements "
@@ -324,7 +339,7 @@ def hall_basis(k: int, max_len: int) -> HallBasis:
                     if _is_admissible_pair(a, b):
                         cands.append(BracketExpr.pair(a, b))
         cands.sort(key=_key)
-        expected = witt_dimension(k, length)
+        expected = _witt(k, length)
         if len(cands) != expected:
             raise AssertionError(
                 f"layer {length} has {len(cands)} elements, Witt predicts {expected}"

@@ -47,7 +47,8 @@ u^i_{a,alpha} / alpha! being the coefficient of x^alpha, as the flag
 engine's one leaf, ``polyfields._TaylorParts``, given all its int parts at
 once, which ``flags.formal_flag`` brackets.
 Both walk one table of multi-indices by length, ``_multi_indices``, beside
-the matching codes (``_Codes.run``); the table's packed monomials come from
+the matching codes (``_Codes.run``), kept like the code tables for the
+``MAX_TABLES`` most recent (n, order); the table's packed monomials come from
 ``polyfields._packed_index``, and the ``polyfields`` docstring describes
 the packed monomial, the leaf and the graded store once.
 
@@ -660,20 +661,21 @@ def pure_derivative_extract(
     return tuple(jet[JetVar(fld, comp, idx)] for comp in range(1, jet.n + 1))
 
 
-def _multi_indices(n: int, order: int, width: int) -> list[list]:
+# Kept beside the code tables, under the same bound; the tuples are shared.
+@lru_cache(maxsize=MAX_TABLES)
+def _multi_indices(n: int, order: int, width: int) -> tuple[tuple, ...]:
     """Per length m <= ``order``, ``(key, alpha!)`` for every multi-index of
     length m in n directions, in the order of ``_Codes.run``: the packed
     monomial x^alpha (``polyfields._TaylorParts``, ``width`` bits per
     exponent) matching the sorted directions of a jet coordinate, and the
     factorial of its exponents."""
-    runs = []
-    for ln in range(order + 1):
-        run = []
-        for idx in itertools.combinations_with_replacement(range(n), ln):
-            alpha = [idx.count(j) for j in range(n)]
-            run.append((_packed_index(idx, width), _prod(map(factorial, alpha))))
-        runs.append(run)
-    return runs
+    return tuple(
+        tuple(
+            (_packed_index(idx, width), _prod(factorial(idx.count(j)) for j in range(n)))
+            for idx in itertools.combinations_with_replacement(range(n), ln)
+        )
+        for ln in range(order + 1)
+    )
 
 
 def jet_of_frame(frame: Frame, point, order: int) -> JetPoint:

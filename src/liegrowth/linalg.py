@@ -9,7 +9,10 @@ so far, so each division is exact, and every pivot entry equals the last
 pivot: reduced row s is ``rows[s] / last``, with its pivot in column
 ``cols[s]``.  Rank is the pivot count, the determinant is ``last / scale``
 signed by the order of the pivot columns, and ``solve``, ``nullspace`` and
-``_int_inverse`` read the reduced rows.  ``_int_inverse`` gives an inverse
+``_int_inverse`` read the reduced rows.  ``solve`` and ``nullspace`` stay
+public with no caller in the library: ``ampleness._adapted_change`` clears
+its rows here (``_integer_rows`` gives each row's multiplier) and reads its
+own ``_Echelon``.  ``_int_inverse`` gives an inverse
 as int rows over one denominator, which ``inverse`` divides out and
 ``polyfields.AffineMap`` keeps.  The flag engine adds its values to one
 ``_Echelon`` per span, so each value is reduced once.  No tolerances
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import DomainError
 
@@ -117,16 +120,16 @@ def _mapping(x, what: str):
     return x
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    multipliers.  The rows must be read already (``_exact_matrix``)."""
-    mat = []
-    scale = 1
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those multipliers,
+    one positive int per row.  The rows must be read already
+    (``_exact_matrix``)."""
+    mat, mults = [], []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        scale *= mult
+        mults.append(mult)
         mat.append([x.numerator * (mult // x.denominator) for x in row])
-    return mat, scale
+    return mat, mults
 
 
 def _pivot(mat: list[list[int]], r: int, c: int, prev: int, rows) -> None:
@@ -200,12 +203,12 @@ def det(rows) -> Fraction:
     n = len(rows)
     if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
-    mat, scale = _integer_rows(rows)
+    mat, mults = _integer_rows(rows)
     ech = _Echelon(mat)
     if ech.rank < n:
         return Fraction(0)
     inversions = sum(a > b for i, a in enumerate(ech.cols) for b in ech.cols[i + 1 :])
-    return Fraction((-1) ** inversions * ech.last, scale)
+    return Fraction((-1) ** inversions * ech.last, prod(mults))
 
 
 def solve(a, b):

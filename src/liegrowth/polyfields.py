@@ -746,10 +746,6 @@ class _TaylorParts:
         w, mask = self.width, (1 << self.width) - 1
         return tuple((key >> (w * i)) & mask for i in range(self.n))
 
-    def values(self) -> tuple:
-        """The field's value at the point, read off the degree-0 part."""
-        return tuple(_exact(Fraction(c.get(0, 0), self.scale), "value") for c in self.part(0))
-
 
 def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
     """The ``_TaylorParts`` of ``fields`` (``PolyField``s on one R^n, at
@@ -779,18 +775,19 @@ def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
 
 
 def _recombined(leaves, coeffs) -> _TaylorParts:
-    """The leaf of the field sum_j coeffs[j] X_j, for exact ``coeffs`` not
-    all zero and leaves L_j = s_j X_j of one ``_taylor_leaves`` call (s_j
-    their ``scale``): sum_j (coeffs[j] / s_j) L_j times the lcm of those
-    ratios' denominators, its ``scale``.  The leaves' terms are merged
-    monomial by monomial, keyed by the identity of the record of their
-    shared expansion, so a slice is still formed once for all of them."""
-    ratios = [Fraction(c) / leaf.scale for c, leaf in zip(coeffs, leaves)]
-    scale = lcm(*(r.denominator for r in ratios))
+    """The leaf of sum_j coeffs[j] L_j, for exact ``coeffs`` not all zero
+    and leaves L_j of one ``_taylor_leaves`` call, each read as the int
+    field it holds (its field times its ``scale``): the leaves' terms times
+    coeffs[j] times the lcm of the coefficients' denominators, its
+    ``scale``.  The leaves' terms are merged monomial by monomial, keyed by
+    the identity of the record of their shared expansion, so a slice is
+    still formed once for all of them."""
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
     # per record, by identity: a term of it and its summed int coefficients
     # by component
     merged: dict = {}
-    for r, leaf in zip(ratios, leaves):
+    for r, leaf in zip(coeffs, leaves):
         if r:
             weight = int(r * scale)
             for term in leaf._terms:
@@ -802,7 +799,7 @@ def _recombined(leaves, coeffs) -> _TaylorParts:
         nums = [(i, c) for i, c in acc.items() if c]
         if nums:
             terms.append(term[:4] + (nums,))
-    top = max(leaf.top for r, leaf in zip(ratios, leaves) if r)
+    top = max(leaf.top for r, leaf in zip(coeffs, leaves) if r)
     first = leaves[0]
     return _TaylorParts(first.n, first.width, top, scale, first._about, terms)
 

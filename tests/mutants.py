@@ -93,10 +93,17 @@ MUTANTS = [
         "ai._act(acc, gb, 1)",
     ),
     (
+        # column 1 over last * e is alpha itself, not alpha / (alpha . r)
         "adapted-change-unscaled",
         "ampleness.py",
-        "cols = [[a / pairing for a in alpha], *linalg.nullspace([r])]",
-        "cols = [list(alpha), *linalg.nullspace([r])]",
+        "cols = [([y * m * e for y, m in zip(ys, mults)], sum(map(mul, ys, pairings)))]",
+        "cols = [([y * m * e for y, m in zip(ys, mults)], ech.last * e)]",
+    ),
+    (
+        "adapted-change-no-row-multiplier",
+        "ampleness.py",
+        "cols = [([y * m * e for y, m in zip(ys, mults)],",
+        "cols = [([y * e for y, m in zip(ys, mults)],",
     ),
     (
         "shape-verdict-hyperplane",

@@ -260,6 +260,75 @@ def test_adapted_change_matches_the_projection_formula():
     assert normal >= 100
 
 
+def test_adapted_change_reads_each_row_over_its_own_multiplier():
+    # _adapted_change clears each value row by its own multiplier and the
+    # direction by its own denominator: rows over distinct denominators,
+    # rows with zero leading entries, directions over large denominators,
+    # some orthogonal to the first value (the nullspace pivot moves past
+    # it) and some normal, checked against the projection formula
+    rng = random.Random(35)
+    dens = (1, 2, 3, 7, 12, 10**6 + 3, 2**40, 3**25)
+    cases = normal = moved = 0
+    while cases < 400:
+        n = rng.randint(2, 7)
+        k = rng.randint(2, n)
+        vecs = []
+        for den in rng.sample(dens, k):
+            lead = rng.randrange(n)
+            vecs.append((0,) * lead + tuple(F(rng.randint(-5, 5), den) for _ in range(n - lead)))
+        if linalg.rank(vecs) < k:
+            continue
+        pick = rng.random()
+        if pick < 0.1 and k < n:
+            basis = linalg.nullspace(vecs)
+        elif pick < 0.4:
+            basis = linalg.nullspace([vecs[0]])
+        else:
+            basis = None
+        if basis is None:
+            big = rng.choice((1, 10**12 + 39, 3**30))
+            v = tuple(F(rng.randint(-10**6, 10**6), big) for _ in range(n))
+        else:
+            coeffs = [F(rng.randint(-3, 3), rng.choice((1, 10**9 + 7))) for _ in basis]
+            v = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis))
+        if not any(v):
+            continue
+        cases += 1
+        want = adapted_change_reference(vecs, v)
+        got = amp._adapted_change(vecs, v, (0,) * n)
+        assert got == want, (vecs, v)
+        if got is None:
+            normal += 1
+            continue
+        moved += linalg.dot(vecs[0], v) == 0
+        assert all(type(x) is Fraction for row in got for x in row)
+        cols = [[linalg.dot(g_row, col) for g_row in zip(*got)] for col in zip(*vecs)]
+        adapted = list(zip(*cols))
+        assert [linalg.dot(w, v) for w in adapted] == [1] + [0] * (k - 1)
+    assert normal >= 10 and moved >= 50
+
+
+def test_slice_report_matches_the_reference_at_random_rational_points():
+    # the leaves' int values are their fields' values times each leaf's own
+    # scale, which grows with the point's denominators: random points and
+    # directions over mixed and large denominators on every catalog frame
+    rng = random.Random(35)
+    verdicts = set()
+    for fr in catalog.catalog_frames().values():
+        step = maximal_growth_vector(fr.k, fr.n).step
+        for _ in range(6):
+            p = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 5, 7, 11))) for _ in range(fr.n))
+            v = tuple(F(rng.randint(-9, 9), rng.choice((1, 3, 10**9 + 7))) for _ in range(fr.n))
+            got = _slice_outcome(lambda: amp.slice_report(fr, p, v, step))
+            want = _slice_outcome(lambda: slice_report_reference(fr, p, v, step))
+            assert got == want, (fr, p, v, step)
+            if isinstance(got, list):
+                verdicts.update(r.verdict for r in got if not r.normal)
+    assert verdicts == {
+        V.AMPLE_THIN_COMPLEMENT, V.NOT_AMPLE_HYPERPLANE, V.AMPLE_NON_THIN, V.TRIVIALLY_AMPLE_FULL,
+    }
+
+
 def test_a_degenerate_frame_with_a_zero_direction_keeps_each_precedence():
     # adapted_frame checks independence first, slice_report reads the
     # direction first
@@ -486,7 +555,9 @@ def test_a_recombined_leaf_is_the_leaf_of_the_changed_frame():
                     polyfields.frame_change(fr, g).fields, point, order
                 )
                 for m, want in enumerate(changed):
-                    got = polyfields._recombined(leaves, [row[m] for row in g])
+                    # coefficients on the leaves: g[j][m] X_j is g[j][m] / s_j times leaf j
+                    coeffs = [F(row[m], leaf.scale) for row, leaf in zip(g, leaves)]
+                    got = polyfields._recombined(leaves, coeffs)
                     assert got._about is leaves[0]._about
                     assert graded_field(got, order) == graded_field(want, order)
 
