@@ -26,6 +26,15 @@ elimination (``linalg._Echelon``) solves the Gram system, and a
 ``slice_report`` hands it the leaves' int values (each leaf's degree-0
 part, the value times the leaf's scale), so the change it gets is on the
 leaves, and ``_recombined`` takes coefficients on the leaves.
+
+The ampleness certificates run on ints too.  ``gl_convex_decomposition``,
+``hull_verdict`` and ``det_affine_in_free_column`` clear each matrix once
+to ints over one denominator D (``linalg._cleared``) and take every
+determinant, or its sign, with one int kernel (``linalg._int_det``);
+``ConvexWitness.validate`` clears the members and the target together over
+one D and checks the average on those ints.  A ``Fraction`` is formed only
+for an entry that a handed-out member changes, or per returned
+coefficient; the other entries of a member are the input's own objects.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -69,6 +79,8 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# the weight of both members of a ``gl_convex_decomposition``
+_HALF = Fraction(1, 2)
 
 
 class Verdict(enum.Enum):
@@ -175,18 +187,57 @@ class ConvexWitness:
         return _matrix(acc)
 
     def validate(self, target: Matrix, det_sign: int | None = None) -> None:
-        if any(w <= 0 for w in self.weights()):
+        """Check the witness exactly: positive weights w_i that sum to 1,
+        members of the target's shape that average to it, and every member
+        nonsingular, of sign ``det_sign`` when that is given.
+
+        The members and the target are read once and cleared together to
+        ints over one D (``linalg._cleared``), A_i and B, and the weights to
+        ints a_i over their lcm W, so w_i = a_i / W: the average is checked
+        as sum(a_i A_i) == W B, and each member's determinant sign is that
+        of ``linalg._int_det`` of A_i, a positive multiple of its
+        determinant.  A member of another shape does not average."""
+        weights = self.weights()
+        if any(w <= 0 for w in weights):
             raise AssertionError("witness has a nonpositive weight")
-        if sum(self.weights()) != 1:
+        if sum(weights) != 1:
             raise AssertionError("witness weights do not sum to 1")
-        if self.average() != _matrix(target, "target"):
+        weights = linalg._exact_vector(weights, "weights")
+        mats = [linalg._exact_matrix(m, "matrix") for _, m in self.terms]
+        tgt = linalg._exact_matrix(target, "target")
+        shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in (tgt, *mats)}
+        # B, then each A_i: n rows each when the shapes agree
+        n = len(tgt)
+        ints, _ = linalg._cleared([row for mat in (tgt, *mats) for row in mat])
+        b, *members = (ints[i * n : (i + 1) * n] for i in range(len(mats) + 1))
+        scale = lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (scale // w.denominator) for w in weights]
+        if len(shapes) > 1 or [
+            [sum(map(mul, nums, col)) for col in zip(*rows)] for rows in zip(*members)
+        ] != [[scale * x for x in row] for row in b]:
             raise AssertionError("witness does not average to the target")
-        for _, m in self.terms:
-            d = linalg.det(m)
+        ((rows, cols),) = shapes
+        if rows != cols:
+            raise DomainError("matrix is not square")
+        for mat in members:
+            d = linalg._int_det(mat)
             if d == 0:
                 raise AssertionError("witness member is singular")
             if det_sign is not None and (d > 0) != (det_sign > 0):
                 raise AssertionError("witness member has the wrong determinant sign")
+
+
+def _moved(rows, rest, k: int, diag: tuple[int, ...], step) -> list[list]:
+    """``rows`` plus ``step`` G E, for E the diagonal ``diag`` and G the
+    unit columns on the rows ``rest``: entry (rest[j], k + j) moves by
+    step * diag[j].  Each moved row is a new list holding the other
+    entries of that row, the same objects, and every other row is kept as
+    it is, the same object."""
+    rows = list(rows)
+    for j, (i, e) in enumerate(zip(rest, diag)):
+        row = rows[i] = list(rows[i])
+        row[k + j] += step * e
+    return rows
 
 
 def gl_convex_decomposition(m) -> ConvexWitness:
@@ -195,8 +246,11 @@ def gl_convex_decomposition(m) -> ConvexWitness:
     Nonsingular input: scale the first two columns by 3 and -1, and by -1
     and 3, so both members have determinant -3 det(m).  Singular input: shift
     by the first integer multiple of the identity off the spectrum,
-    m = 1/2 * 2(m - mu I) + 1/2 * 2 mu I.  The returned witness is
-    re-verified exactly before being returned.
+    m = 1/2 * 2(m - mu I) + 1/2 * 2 mu I.  The matrix is cleared once to
+    ints over one D (``linalg._cleared``), and det(m) and the shift mu are
+    found on those ints (``linalg._int_det``); a ``Fraction`` is formed only
+    for an entry a member changes.  The returned witness is re-verified
+    exactly before being returned.
     """
     m = linalg._tuple(m, "matrix")
     mat = _matrix(m, ncols=len(m))
@@ -205,27 +259,28 @@ def gl_convex_decomposition(m) -> ConvexWitness:
         raise DomainError("need a nonempty square matrix")
     if n == 1:
         raise NotAmple("1x1 case: the punctured line is not ample")
-    d = linalg.det(mat)
+    ints, den = linalg._cleared(mat)
+    d = linalg._int_det(ints)
     if d == 0:
-        mu = None
-        for cand in range(1, n + 2):
-            shifted = [
-                [mat[i][j] - (cand if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            if linalg.det(shifted) != 0:
-                mu = cand
-                break
+        minus_identity = (range(n), 0, (-1,) * n)  # m - mu I is m + mu G E for these
+        mu = next(
+            (c for c in range(1, n + 2) if linalg._int_det(_moved(ints, *minus_identity, c * den))),
+            None,
+        )
         if mu is None:
             raise AssertionError("no admissible shift found below n + 2")
-        m1 = _matrix([[2 * (mat[i][j] - (mu if i == j else 0)) for j in range(n)] for i in range(n)])
-        m2 = _matrix([[Fraction(2 * mu) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-        witness = ConvexWitness(((Fraction(1, 2), m1), (Fraction(1, 2), m2)))
+        m1 = tuple(
+            tuple(Fraction(2 * x, den) for x in row)
+            for row in _moved(ints, *minus_identity, mu * den)
+        )
+        diag, zero = Fraction(2 * mu), Fraction(0)
+        m2 = tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
+        witness = ConvexWitness(((_HALF, m1), (_HALF, m2)))
         witness.validate(mat)
         return witness
-    m1 = _matrix([[3 * row[0], -row[1], *row[2:]] for row in mat])
-    m2 = _matrix([[-row[0], 3 * row[1], *row[2:]] for row in mat])
-    witness = ConvexWitness(((Fraction(1, 2), m1), (Fraction(1, 2), m2)))
+    m1 = tuple((3 * row[0], -row[1], *row[2:]) for row in mat)
+    m2 = tuple((-row[0], 3 * row[1], *row[2:]) for row in mat)
+    witness = ConvexWitness(((_HALF, m1), (_HALF, m2)))
     witness.validate(mat, det_sign=-1 if d > 0 else 1)
     return witness
 
@@ -235,15 +290,17 @@ def det_affine_in_free_column(fixed) -> tuple[Fraction, ...]:
 
     The kernel of this linear functional is the hyperplane of singular
     completions; it is identically zero iff the fixed columns are dependent.
+    The block is cleared once to ints over one D (``linalg._cleared``), so
+    each of the n minors is an int determinant (``linalg._int_det``) over
+    D^(n-1), and a ``Fraction`` is formed only per coefficient.
     """
     fixed = linalg._tuple(fixed, "fixed block")
-    rows = _matrix(fixed, "fixed block", ncols=len(fixed) - 1)
+    rows, den = linalg._cleared(linalg._exact_matrix(fixed, "fixed block", ncols=len(fixed) - 1))
     n = len(rows)
     coeffs = []
     for i in range(n):
-        minor = [rows[r] for r in range(n) if r != i]
         sign = -1 if (i + n + 1) % 2 else 1
-        coeffs.append(sign * linalg.det(minor))
+        coeffs.append(Fraction(sign * linalg._int_det(rows[:i] + rows[i + 1 :]), den ** (n - 1)))
     return tuple(coeffs)
 
 
@@ -483,6 +540,13 @@ def hull_verdict(
     from 1 reaches a t at which every member has sign s; their equal-weight
     average is the target W.  Every witness is validated exactly before it
     is returned.
+
+    The target is cleared once to ints over one D (``linalg._cleared``):
+    det(target), the sign of delta and every member's sign in the doubling
+    loop, the ints of W + t G E_i D, are int determinants
+    (``linalg._int_det``), and the pivots are read off the same ints.  A
+    ``Fraction`` is formed only for an entry that a handed-out member
+    changes; its unchanged entries are the target's own objects.
     """
     if spec.rows != spec.cols:
         raise DomainError("hull search is defined for the square case only")
@@ -493,37 +557,33 @@ def hull_verdict(
     tgt = _matrix(target, "target", l, q)
     if any(row[:k] != fixed for row, fixed in zip(tgt, spec.fixed)):
         raise DomainError("target does not carry the fixed columns")
-    dt = linalg.det(tgt)
+    ints, den = linalg._cleared(tgt)
+    dt = linalg._int_det(ints)
     if dt != 0 and _sign(dt) == component_sign:
         witness = ConvexWitness(((Fraction(1), tgt),))
         witness.validate(tgt, det_sign=component_sign)
         return witness
     # the pivot columns of F^T are k independent rows of F when rank F = k
-    pivots = linalg._Echelon(linalg._integer_rows(zip(*spec.fixed))[0]).cols
+    pivots = linalg._Echelon(list(zip(*(row[:k] for row in ints)))).cols
     m = q - k
     if m <= 1:  # det(target) = c . w at the target
         c = det_affine_in_free_column(spec.fixed) if m else ()
-        return Refutation(len(pivots), c, dt)
+        return Refutation(len(pivots), c, Fraction(dt, den**l))
     if len(pivots) < k:
         return Refutation(len(pivots))
     rest = [i for i in range(l) if i not in pivots]
-    delta = linalg.det(
-        [row + tuple(int(i == r) for r in rest) for i, row in enumerate(spec.fixed)]
-    )
+    delta = linalg._int_det([row[:k] + [int(i == r) for r in rest] for i, row in enumerate(ints)])
     diagonals = _diagonals(m, component_sign * _sign(delta))
     t = 1
-    while True:
-        members = []
-        for diag in diagonals:
-            rows = [list(row) for row in tgt]
-            for j, (i, e) in enumerate(zip(rest, diag)):
-                rows[i][k + j] += t * e
-            members.append(_matrix(rows))
-        if all(_sign(linalg.det(mat)) == component_sign for mat in members):
-            break
+    while any(
+        _sign(linalg._int_det(_moved(ints, rest, k, diag, t * den))) != component_sign
+        for diag in diagonals
+    ):
         t *= 2
-    weight = Fraction(1, len(members))
-    witness = ConvexWitness(tuple((weight, mat) for mat in members))
+    weight = Fraction(1, len(diagonals))
+    witness = ConvexWitness(
+        tuple((weight, tuple(map(tuple, _moved(tgt, rest, k, diag, t)))) for diag in diagonals)
+    )
     witness.validate(tgt, det_sign=component_sign)
     return witness
 

@@ -33,8 +33,8 @@ most recent), which ``hall_basis`` reads for its cap total and its layer
 sizes.  ``hall_basis`` refuses
 a basis of more than ``MAX_HALL_ELEMENTS`` elements with ``CapExceeded``
 before it builds a layer.  ``maximal_growth_vector`` depends on (k, n)
-alone, and a bounded cache keyed on the arguments' types keeps its
-``MAX_GROWTH_VECTORS`` most recent answers.
+alone: it reads its sizes first, and a bounded cache (``_growth``) keeps
+its ``MAX_GROWTH_VECTORS`` most recent answers.
 """
 
 from __future__ import annotations
@@ -144,16 +144,21 @@ class GrowthVector:
 MAX_GROWTH_VECTORS = 128
 
 
-@lru_cache(maxsize=MAX_GROWTH_VECTORS, typed=True)
 def maximal_growth_vector(k: int, n: int) -> GrowthVector:
     """Entrywise-maximal growth vector of a rank-``k`` frame on dimension ``n``:
-    cumulative Witt sums truncated so the last entry is ``n``.  Answers are
-    kept per (k, n) in a bounded cache keyed on the arguments' types too,
-    so a bool or a float is refused whatever int was asked for before.
+    cumulative Witt sums truncated so the last entry is ``n``.  The sizes
+    are read first, so a bool, a float or an unhashable argument is a
+    ``DomainError``; each answer is computed once and kept (``_growth``).
     """
     _sizes(k=k, n=n)
     if k < 2 or k >= n:
         raise DomainError(f"maximal growth vector needs 2 <= k < n, got k={k}, n={n}")
+    return _growth(k, n)
+
+
+@lru_cache(maxsize=MAX_GROWTH_VECTORS)
+def _growth(k: int, n: int) -> GrowthVector:
+    """``maximal_growth_vector`` of sizes already read: ints, 2 <= k < n."""
     entries = []
     total = 0
     length = 0

@@ -8,15 +8,20 @@ only row operation.  Every entry stays an integer minor of the rows added
 so far, so each division is exact, and every pivot entry equals the last
 pivot: reduced row s is ``rows[s] / last``, with its pivot in column
 ``cols[s]``.  Rank is the pivot count, the determinant is ``last / scale``
-signed by the order of the pivot columns, and ``solve``, ``nullspace`` and
-``_int_inverse`` read the reduced rows.  ``solve`` and ``nullspace`` stay
-public with no caller in the library: ``ampleness._adapted_change`` clears
-its rows here (``_integer_rows`` gives each row's multiplier) and reads its
-own ``_Echelon``.  ``_int_inverse`` gives an inverse
-as int rows over one denominator, which ``inverse`` divides out and
-``polyfields.AffineMap`` keeps.  The flag engine adds its values to one
-``_Echelon`` per span, so each value is reduced once.  No tolerances
-anywhere, and no ``Fraction`` arithmetic inside a pivot.
+signed by the order of the pivot columns: ``_int_det`` takes it of int
+rows, and ``det`` is ``_int_det`` of the cleared rows over the product of
+the row multipliers.  ``solve``, ``nullspace`` and ``_int_inverse`` read
+the reduced rows.  ``solve`` and ``nullspace`` stay public with no caller
+in the library: ``ampleness._adapted_change`` clears its rows here
+(``_integer_rows`` gives each row's multiplier) and reads its own
+``_Echelon``.  ``_int_inverse`` gives an inverse as int rows over one
+denominator, which ``inverse`` divides out and ``polyfields.AffineMap``
+keeps.  ``_cleared`` clears a whole matrix to ints over one denominator
+D, the lcm of its entries' denominators: the affine moves of
+``polyfields`` and the ampleness certificates read their matrices that
+way and take their determinants with ``_int_det``.  The flag engine adds
+its values to one ``_Echelon`` per span, so each value is reduced once.
+No tolerances anywhere, and no ``Fraction`` arithmetic inside a pivot.
 
 Every module reads its callers' numbers here, by one rule: an int or a
 ``Fraction`` is accepted, anything else (a bool too) is a ``DomainError``
@@ -132,6 +137,14 @@ def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     return mat, mults
 
 
+def _cleared(rows) -> tuple[list[list[int]], int]:
+    """The exact ``rows`` times D, the lcm of all their entries'
+    denominators, as ints, and D.  The rows must be read already
+    (``_exact_matrix``)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def _pivot(mat: list[list[int]], r: int, c: int, prev: int, rows) -> None:
     """The one row operation: with p = mat[r][c], each row i in ``rows``
     becomes (p * row_i - row_i[c] * row_r) // prev.  ``prev`` is the previous
@@ -204,11 +217,18 @@ def det(rows) -> Fraction:
     if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
     mat, mults = _integer_rows(rows)
+    return Fraction(_int_det(mat), prod(mults))
+
+
+def _int_det(mat) -> int:
+    """Determinant of a square matrix of ints: the ``last`` of one
+    ``_Echelon``, signed by the order of its pivot columns, or 0 when the
+    rank falls short."""
     ech = _Echelon(mat)
-    if ech.rank < n:
-        return Fraction(0)
+    if ech.rank < len(mat):
+        return 0
     inversions = sum(a > b for i, a in enumerate(ech.cols) for b in ech.cols[i + 1 :])
-    return Fraction((-1) ** inversions * ech.last, prod(mults))
+    return -ech.last if inversions % 2 else ech.last
 
 
 def solve(a, b):

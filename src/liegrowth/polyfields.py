@@ -101,7 +101,7 @@ from operator import add, mul, sub
 from . import linalg
 from .errors import DomainError, OrderOverflow
 from .freelie import BracketExpr
-from .linalg import _exact, _exact_matrix, _exact_vector, _mapping, _sizes, _tuple
+from .linalg import _cleared, _exact, _exact_matrix, _exact_vector, _mapping, _sizes, _tuple
 
 __all__ = [
     "AffineMap",
@@ -456,13 +456,6 @@ def _packed_index(idx, width: int) -> int:
     directions 0-based and repeated alpha_j times, ``width`` bits per
     exponent."""
     return sum(1 << (width * t) for t in idx)
-
-
-def _cleared(rows) -> tuple[list[list[int]], int]:
-    """The exact ``rows`` times D, the lcm of all their entries'
-    denominators, as ints, and D."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _lifted_terms(polys, den: int) -> tuple[list, int, int]:

@@ -653,9 +653,9 @@ def validate_algebra_reference(alg):
 
 
 def matrix_and_mapping_calls() -> dict:
-    """Entry points that read a matrix or a mapping argument: name ->
-    (callable, valid arguments, position of that argument)."""
-    from liegrowth import ampleness, flags, jetalg, linalg
+    """Entry points that read a matrix, a mapping or a size argument: name
+    -> (callable, valid arguments, position of that argument)."""
+    from liegrowth import ampleness, flags, freelie, jetalg, linalg
     from liegrowth.polyfields import AffineMap, frame_change
 
     square = [[1, 2], [3, 4]]
@@ -683,4 +683,5 @@ def matrix_and_mapping_calls() -> dict:
         "substitute": (jetalg.substitute, (jetalg.DiffPoly.var(1, 1, (), 1, 1, 1), {u: 2}), 1),
         "structure table": (flags.StratifiedAlgebra, ((2, 1), {(1, 2): {3: 1}}), 1),
         "structure row": (lambda row: flags.StratifiedAlgebra((2, 1), {(1, 2): row}), ({3: 1},), 0),
+        "maximal_growth_vector": (freelie.maximal_growth_vector, (2, 5), 0),
     }

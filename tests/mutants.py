@@ -136,6 +136,13 @@ MUTANTS = [
         "pass",
     ),
     (
+        # sum(a_i A_i) compared with B, not W B: right only for weight 1
+        "witness-average-unscaled",
+        "ampleness.py",
+        "!= [[scale * x for x in row] for row in b]:",
+        "!= b:",
+    ),
+    (
         "witness-singular-member-unchecked",
         "ampleness.py",
         'raise AssertionError("witness member is singular")',
@@ -218,6 +225,12 @@ MUTANTS = [
         "ampleness.py",
         "sign = -1 if (i + n + 1) % 2 else 1",
         "sign = -1 if (i + n) % 2 else 1",
+    ),
+    (
+        "int-det-parity-flipped",
+        "linalg.py",
+        "return -ech.last if inversions % 2 else ech.last",
+        "return ech.last if inversions % 2 else -ech.last",
     ),
     (
         "nullspace-sign",

@@ -161,6 +161,64 @@ def test_convex_witness_validate_passes_a_true_witness():
     amp.ConvexWitness(((F(1, 2), _I), (F(1, 2), _TWICE))).validate([[F(3, 2), 0], [0, 1]], 1)
 
 
+# Members over denominators 2 and 5, weights over 3: the target's
+# denominators (6 and 15) are no member's, so the one D of the check is
+# their lcm and W is 3.
+_HALVES = _mat([[F(1, 2), 0], [0, 1]])  # det 1/2
+_FIFTHS = _mat([[1, F(1, 5)], [0, F(3, 5)]])  # det 3/5
+
+
+def _weighted(terms):
+    return [
+        [sum((w * m[i][j] for w, m in terms), Fraction(0)) for j in range(2)] for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "terms, shift, message",
+    [
+        # each witness has the one defect its check names; the target is
+        # its weighted sum, moved by ``shift`` at entry (1, 1)
+        (((F(-1, 3), _HALVES), (F(4, 3), _FIFTHS)), 0, "has a nonpositive weight"),
+        (((F(1, 3), _HALVES), (F(1, 3), _FIFTHS)), 0, "weights do not sum to 1"),
+        (((F(1, 3), _HALVES), (F(2, 3), _FIFTHS)), F(1, 7), "does not average to the target"),
+        (((F(1, 3), _HALVES), (F(2, 3), _mat([[F(1, 5), F(2, 5)], [F(1, 2), 1]]))), 0,
+         "member is singular"),
+        (((F(1, 3), _HALVES), (F(2, 3), _mat([[0, F(1, 5)], [F(1, 2), 0]]))), 0,
+         "member has the wrong determinant sign"),
+    ],
+)
+def test_validate_over_one_common_denominator_refuses_each_defect(terms, shift, message):
+    target = _weighted(terms)
+    target[0][0] += shift
+    with pytest.raises(AssertionError, match=f"^witness {message}$"):
+        amp.ConvexWitness(terms).validate(target, 1)
+
+
+def test_validate_over_one_common_denominator_passes_the_true_witness():
+    terms = ((F(1, 3), _HALVES), (F(2, 3), _FIFTHS))
+    target = _weighted(terms)
+    assert target == [[F(5, 6), F(2, 15)], [0, F(11, 15)]]
+    amp.ConvexWitness(terms).validate(target, 1)
+    amp.ConvexWitness(terms).validate(target)
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        _mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # its top left block is the target
+        _mat([[1, 0, 0], [0, 1, 0]]),
+        _mat([[1, 0], [0, 1], [0, 0]]),
+        _mat([[1], [0]]),
+        (),
+    ],
+)
+def test_validate_a_member_of_another_shape_does_not_average(member):
+    for terms in (((F(1, 2), _I), (F(1, 2), member)), ((F(1, 2), member), (F(1, 2), _I))):
+        with pytest.raises(AssertionError, match="^witness does not average to the target$"):
+            amp.ConvexWitness(terms).validate(_I)
+
+
 # --- det_affine_in_free_column ----------------------------------------------------
 
 

@@ -1,6 +1,7 @@
-"""Every matrix argument is read by ``linalg._exact_matrix`` and every
-mapping argument by ``linalg._mapping``: a malformed one (``None``, an int,
-a row that is an int, ragged rows, a wrong row count, a list where a mapping
+"""Every matrix argument is read by ``linalg._exact_matrix``, every
+mapping argument by ``linalg._mapping`` and every size by ``linalg._sizes``,
+before anything else sees it: a malformed one (``None``, an int, a row that
+is an int, ragged rows, a wrong row count, a list where a mapping or a size
 goes) is a ``DomainError`` whose message starts with the argument's name."""
 
 import pytest
@@ -49,6 +50,7 @@ CALLS = matrix_and_mapping_calls()
         ("DiffPoly", 0, "terms must be a mapping, got int"),
         ("structure table", 3, "structure table must be a mapping, got int"),
         ("structure row", 3, "row of bracket pair (1, 2) must be a mapping, got int"),
+        ("maximal_growth_vector", [2], "k must be an int, got list"),
     ],
 )
 def test_a_malformed_matrix_or_mapping_argument_is_named(name, bad, named):

@@ -3,9 +3,12 @@ det(fixed | w) = c . w for the cofactor vector c of the fixed block, so the
 component of sign s is the open half-space {w : s * (c . w) > 0} and
 ``hull_membership_witness`` finds a witness exactly when the target's last
 column lies in it.  With independent fixed columns and two or more free
-columns every verdict is a witness.  Determinants and c are computed here by
-expansion on permutations, independently of ``det_affine_in_free_column``
-and of ``linalg``."""
+columns every verdict is a witness.  ``gl_convex_decomposition`` writes
+every square matrix as an average of two nonsingular ones, of the sign
+opposite to its own when it is nonsingular, and ``det_affine_in_free_column``
+gives the cofactors c whatever the rows' denominators.  Determinants and c
+are computed here by expansion on permutations, independently of
+``det_affine_in_free_column`` and of ``linalg``."""
 
 import itertools
 import math
@@ -149,3 +152,52 @@ def test_one_free_column_or_dependent_fixed_columns_refute(case, sign):
         assert sign * verdict.value <= 0
     else:
         assert dependent and verdict.cofactors is None and verdict.value is None
+
+
+@st.composite
+def _square(draw):
+    """An n x n rational matrix (n in 2..4), sometimes singular: a zero
+    matrix, or a last row that is a multiple of the first."""
+    n = draw(st.integers(2, 4))
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("any", "dependent", "zero")))
+    if kind == "dependent":
+        scale = draw(_entries)
+        rows[-1] = [scale * x for x in rows[0]]
+    elif kind == "zero":
+        rows = [[Fraction(0)] * n for _ in range(n)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square())
+def test_gl_decomposition_members_are_nonsingular_and_average_to_the_input(rows):
+    n = len(rows)
+    w = amp.gl_convex_decomposition(rows)
+    assert sum(weight for weight, _ in w.terms) == 1
+    d = _leibniz_det(rows)
+    for _, member in w.terms:
+        dm = _leibniz_det(member)
+        assert dm != 0
+        if d:
+            assert (dm > 0) != (d > 0)
+    average = [
+        [sum((weight * m[i][j] for weight, m in w.terms), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert average == rows
+
+
+@st.composite
+def _block_with_row_denominators(draw):
+    """An n x (n-1) block (n in 2..4) whose rows have distinct
+    denominators, row i over dens[i]."""
+    n = draw(st.integers(2, 4))
+    dens = draw(st.permutations((1, 2, 3, 5, 7)))[:n]
+    return [[Fraction(draw(st.integers(-6, 6)), d) for _ in range(n - 1)] for d in dens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_with_row_denominators())
+def test_det_affine_in_free_column_matches_the_cofactors(fixed):
+    assert list(amp.det_affine_in_free_column(fixed)) == _cofactors(fixed)
