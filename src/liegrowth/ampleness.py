@@ -18,9 +18,9 @@ are merged monomial by monomial over the same expansion
 ``_adapted_change`` reads the frame values
 at the point once for ``adapted_frame`` and ``slice_report``: it is their
 only independence check and normal-direction test, and it builds the
-adapted change from the Gram solve alone, on ints: each value row is
-cleared by its own multiplier and the direction by its denominator, the
-pairings and the Gram matrix are int dot products, one fraction-free
+adapted change from the Gram solve alone, on ints: the values are cleared
+over one denominator and the direction over its own (``linalg._cleared``),
+the pairings and the Gram matrix are int dot products, one fraction-free
 elimination (``linalg._Echelon``) solves the Gram system, and a
 ``Fraction`` is formed only per entry of the returned change.
 ``slice_report`` hands it the leaves' int values (each leaf's degree-0
@@ -32,7 +32,8 @@ The ampleness certificates run on ints too.  ``gl_convex_decomposition``,
 to ints over one denominator D (``linalg._cleared``) and take every
 determinant, or its sign, with one int kernel (``linalg._int_det``);
 ``ConvexWitness.validate`` clears the members and the target together over
-one D and checks the average on those ints.  A ``Fraction`` is formed only
+one D and checks the average on those ints, and ``ConvexWitness.average``
+reads the average off the same ints.  A ``Fraction`` is formed only
 for an entry that a handed-out member changes, or per returned
 coefficient; the other entries of a member are the input's own objects.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -177,14 +177,34 @@ class ConvexWitness:
         return tuple(w for w, _ in self.terms)
 
     def average(self) -> Matrix:
-        rows = len(self.terms[0][1])
-        cols = len(self.terms[0][1][0])
-        acc = [[Fraction(0)] * cols for _ in range(rows)]
-        for w, m in self.terms:
-            for i in range(rows):
-                for j in range(cols):
-                    acc[i][j] += w * m[i][j]
-        return _matrix(acc)
+        """sum(w_i * matrix_i), read off the ints that ``validate`` checks.
+        Every member is read by ``linalg._exact_matrix`` against the first
+        member's shape; a member of another shape, or a witness with no
+        member, raises ``DomainError``."""
+        if not self.terms:
+            raise DomainError("a witness with no member has no average")
+        first = linalg._exact_matrix(self.terms[0][1], "member 1")
+        shape = len(first), len(first[0]) if first else None
+        mats = [first] + [
+            linalg._exact_matrix(m, f"member {i}", *shape)
+            for i, (_, m) in enumerate(self.terms[1:], start=2)
+        ]
+        _, total, scale, den = self._cleared_sum(mats)
+        return tuple(tuple(Fraction(x, scale * den) for x in row) for row in total)
+
+    def _cleared_sum(self, mats) -> tuple[list, list[list[int]], int, int]:
+        """The read matrices ``mats``, the members' first, cleared together
+        to int matrices over one D (``linalg._cleared``), and the weights to
+        ints a_i over their lcm W the same way, so w_i = a_i / W: the int
+        matrices, sum(a_i A_i) over the members' ones, W and D."""
+        (nums,), scale = linalg._cleared([linalg._exact_vector(self.weights(), "weights")])
+        cleared, den = linalg._cleared([row for mat in mats for row in mat])
+        it = iter(cleared)
+        ints = [[next(it) for _ in mat] for mat in mats]
+        total = [
+            [sum(map(mul, nums, col)) for col in zip(*rows)] for rows in zip(*ints[: len(nums)])
+        ]
+        return ints, total, scale, den
 
     def validate(self, target: Matrix, det_sign: int | None = None) -> None:
         """Check the witness exactly: positive weights w_i that sum to 1,
@@ -192,29 +212,22 @@ class ConvexWitness:
         nonsingular, of sign ``det_sign`` when that is given.
 
         The members and the target are read once and cleared together to
-        ints over one D (``linalg._cleared``), A_i and B, and the weights to
-        ints a_i over their lcm W, so w_i = a_i / W: the average is checked
-        as sum(a_i A_i) == W B, and each member's determinant sign is that
-        of ``linalg._int_det`` of A_i, a positive multiple of its
-        determinant.  A member of another shape does not average."""
+        ints over one D, A_i and B, and the weights to ints a_i over their
+        lcm W (``_cleared_sum``, which ``average`` reads too), so
+        w_i = a_i / W: the average is checked as sum(a_i A_i) == W B, and
+        each member's determinant sign is that of ``linalg._int_det`` of
+        A_i, a positive multiple of its determinant.  A member of another
+        shape does not average."""
         weights = self.weights()
         if any(w <= 0 for w in weights):
             raise AssertionError("witness has a nonpositive weight")
         if sum(weights) != 1:
             raise AssertionError("witness weights do not sum to 1")
-        weights = linalg._exact_vector(weights, "weights")
         mats = [linalg._exact_matrix(m, "matrix") for _, m in self.terms]
         tgt = linalg._exact_matrix(target, "target")
         shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in (tgt, *mats)}
-        # B, then each A_i: n rows each when the shapes agree
-        n = len(tgt)
-        ints, _ = linalg._cleared([row for mat in (tgt, *mats) for row in mat])
-        b, *members = (ints[i * n : (i + 1) * n] for i in range(len(mats) + 1))
-        scale = lcm(*(w.denominator for w in weights))
-        nums = [w.numerator * (scale // w.denominator) for w in weights]
-        if len(shapes) > 1 or [
-            [sum(map(mul, nums, col)) for col in zip(*rows)] for rows in zip(*members)
-        ] != [[scale * x for x in row] for row in b]:
+        (*members, b), total, scale, _ = self._cleared_sum([*mats, tgt])
+        if len(shapes) > 1 or total != [[scale * x for x in row] for row in b]:
             raise AssertionError("witness does not average to the target")
         ((rows, cols),) = shapes
         if rows != cols:
@@ -327,22 +340,22 @@ def _adapted_change(vecs, v, point):
     the span (hence they pair to 0 with v).  All inner products use the
     Euclidean form in the original coordinates.
 
-    All of it is done on ints (``linalg._integer_rows``): X_i = V_i / m_i
-    for int rows V_i and positive row multipliers m_i, and v = w / e for an
-    int row w and a positive e.  With the int pairings p_i = <V_i, w> and
-    the int Gram matrix H_ij = <V_i, V_j>, H beta = p is G alpha = r for
-    beta_j = e alpha_j / m_j; one ``linalg._Echelon`` of the rows (H | p)
-    gives beta_j = y_j / last, so column 1 is y_j m_j e / sum_i y_i p_i.
-    The nullspace column of a free index f has 1 at f and
-    -p_f m_c / (m_f p_c) at the first index c with p_c != 0.  Each column
-    is kept as ints over one denominator, checked nonsingular on those ints,
-    and given as ``Fraction``s only at the end.
+    All of it is done on ints (``linalg._cleared``): X_i = V_i / D for int
+    rows V_i over one positive D, and v = w / e for an int row w and a
+    positive e.  With the int pairings p_i = <V_i, w> and the int Gram
+    matrix H_ij = <V_i, V_j>, H beta = p is G alpha = r for
+    beta = e alpha / D; one ``linalg._Echelon`` of the rows (H | p) gives
+    beta_j = y_j / last, so column 1 is y_j D e / sum_i y_i p_i.  As r is
+    p / (D e), the nullspace column of a free index f is p_c at f and -p_f
+    at the first index c with p_c != 0, over p_c.  Each column is kept as
+    ints over one denominator, checked nonsingular on those ints, and given
+    as ``Fraction``s only at the end.
     """
     k = len(vecs)
-    rows, mults = linalg._integer_rows(vecs)
+    rows, den = linalg._cleared(vecs)
     if linalg._Echelon(rows).rank < k:
         raise DegenerateFrame(f"frame vectors dependent at {tuple(point)}")
-    (w,), (e,) = linalg._integer_rows([_direction(v, len(rows[0]))])
+    (w,), e = linalg._cleared([_direction(v, len(rows[0]))])
     pairings = [sum(map(mul, row, w)) for row in rows]
     if not any(pairings):
         return None
@@ -351,16 +364,16 @@ def _adapted_change(vecs, v, point):
     )
     ys = [row[k] for row in ech.by_column()]
     # (int column, denominator) pairs
-    cols = [([y * m * e for y, m in zip(ys, mults)], sum(map(mul, ys, pairings)))]
+    cols = [([y * den * e for y in ys], sum(map(mul, ys, pairings)))]
     c = next(i for i, p in enumerate(pairings) if p)
     for f in range(k):
         if f != c:
             col = [0] * k
-            col[f], col[c] = mults[f] * pairings[c], -pairings[f] * mults[c]
-            cols.append((col, mults[f] * pairings[c]))
+            col[f], col[c] = pairings[c], -pairings[f]
+            cols.append((col, pairings[c]))
     if linalg._Echelon([col for col, _ in cols]).rank < k:
         raise AssertionError("adapted change matrix is singular")
-    return [[Fraction(col[j], den) for col, den in cols] for j in range(k)]
+    return [[Fraction(col[j], q) for col, q in cols] for j in range(k)]
 
 
 def adapted_frame(fr: Frame, point, v) -> tuple[tuple[Fraction, ...], ...]:

@@ -112,7 +112,7 @@ from .errors import (
     OrderOverflow,
 )
 from .freelie import BracketExpr
-from .linalg import _exact, _exact_vector, _mapping, _sizes, _tuple
+from .linalg import _cleared, _exact, _exact_vector, _mapping, _sizes, _tuple
 from .polyfields import (
     _ZERO,
     Frame,
@@ -550,8 +550,8 @@ class JetPoint:
         if missing:
             first = min(missing, key=lambda v: (v.field, v.comp, len(v.idx), v.idx))
             raise IncompleteJet(f"jet point is missing {len(missing)} coordinates, e.g. {first}")
-        denom = lcm(*(c.denominator for c in vals))
-        self._set(k, n, order, base, denom, [c.numerator * (denom // c.denominator) for c in vals])
+        (nums,), denom = _cleared([vals])
+        self._set(k, n, order, base, denom, nums)
 
     def _set(self, k: int, n: int, order: int, base, denom: int, nums: list) -> JetPoint:
         """This jet, its parts set from canonical ones: ``base`` a tuple of

@@ -1,27 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Every routine here is one fraction-free elimination.  ``_integer_rows``
-clears the denominators of each row, and ``_Echelon`` grows an
-integer-preserving Gauss-Jordan form (Bareiss, Math. Comp. 22 (1968);
-Edmonds, J. Res. NBS 71B (1967)) one row at a time, with ``_pivot`` as its
-only row operation.  Every entry stays an integer minor of the rows added
-so far, so each division is exact, and every pivot entry equals the last
-pivot: reduced row s is ``rows[s] / last``, with its pivot in column
-``cols[s]``.  Rank is the pivot count, the determinant is ``last / scale``
-signed by the order of the pivot columns: ``_int_det`` takes it of int
-rows, and ``det`` is ``_int_det`` of the cleared rows over the product of
-the row multipliers.  ``solve``, ``nullspace`` and ``_int_inverse`` read
-the reduced rows.  ``solve`` and ``nullspace`` stay public with no caller
-in the library: ``ampleness._adapted_change`` clears its rows here
-(``_integer_rows`` gives each row's multiplier) and reads its own
-``_Echelon``.  ``_int_inverse`` gives an inverse as int rows over one
-denominator, which ``inverse`` divides out and ``polyfields.AffineMap``
-keeps.  ``_cleared`` clears a whole matrix to ints over one denominator
-D, the lcm of its entries' denominators: the affine moves of
-``polyfields`` and the ampleness certificates read their matrices that
-way and take their determinants with ``_int_det``.  The flag engine adds
-its values to one ``_Echelon`` per span, so each value is reduced once.
-No tolerances anywhere, and no ``Fraction`` arithmetic inside a pivot.
+Every routine here is one fraction-free elimination.  ``_cleared`` clears
+a whole matrix to ints over one denominator D, the lcm of its entries'
+denominators; it is the one way the library turns exact rationals into
+ints.  ``_Echelon`` grows an integer-preserving Gauss-Jordan form
+(Bareiss, Math. Comp. 22 (1968); Edmonds, J. Res. NBS 71B (1967)) one row
+at a time, with ``_pivot`` as its only row operation.  Every entry stays
+an integer minor of the rows added so far, so each division is exact, and
+every pivot entry equals the last pivot: reduced row s is
+``rows[s] / last``, with its pivot in column ``cols[s]``.  Rank is the
+pivot count, and the determinant is ``last`` signed by the order of the
+pivot columns: ``_int_det`` takes it of int rows, and ``det`` is
+``_int_det`` of the cleared rows over D^n.  ``_int_inverse`` gives an
+inverse as int rows over one denominator, which ``polyfields.AffineMap``
+keeps (``AffineMap.inverse`` is the public inverse).  The affine moves of
+``polyfields``, the adapted change and the certificates of ``ampleness``
+read their matrices through ``_cleared`` and eliminate with their own
+``_Echelon`` or ``_int_det``; the flag engine adds its values to one
+``_Echelon`` per span, so each value is reduced once.  No tolerances
+anywhere, and no ``Fraction`` arithmetic inside a pivot.
 
 Every module reads its callers' numbers here, by one rule: an int or a
 ``Fraction`` is accepted, anything else (a bool too) is a ``DomainError``
@@ -40,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .errors import DomainError
 
@@ -125,18 +122,6 @@ def _mapping(x, what: str):
     return x
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those multipliers,
-    one positive int per row.  The rows must be read already
-    (``_exact_matrix``)."""
-    mat, mults = [], []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        mults.append(mult)
-        mat.append([x.numerator * (mult // x.denominator) for x in row])
-    return mat, mults
-
-
 def _cleared(rows) -> tuple[list[list[int]], int]:
     """The exact ``rows`` times D, the lcm of all their entries'
     denominators, as ints, and D.  The rows must be read already
@@ -207,7 +192,7 @@ class _Echelon:
 
 def rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows of rationals."""
-    return _Echelon(_integer_rows(_exact_matrix(rows, "matrix"))[0]).rank
+    return _Echelon(_cleared(_exact_matrix(rows, "matrix"))[0]).rank
 
 
 def det(rows) -> Fraction:
@@ -216,8 +201,8 @@ def det(rows) -> Fraction:
     n = len(rows)
     if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
-    mat, mults = _integer_rows(rows)
-    return Fraction(_int_det(mat), prod(mults))
+    ints, den = _cleared(rows)
+    return Fraction(_int_det(ints), den**n)
 
 
 def _int_det(mat) -> int:
@@ -231,70 +216,16 @@ def _int_det(mat) -> int:
     return -ech.last if inversions % 2 else ech.last
 
 
-def solve(a, b):
-    """Unique solution of ``a x = b`` or None (singular/incompatible).
-    A matrix with no rows has no width to solve for, and ``b`` needs one
-    entry per row of ``a``: otherwise ``DomainError``.  The augmented rows
-    (row r of ``a``, then b[r]) are read as one matrix."""
-    a, b = _tuple(a, "matrix"), _tuple(b, "right-hand side")
-    if not a:
-        raise DomainError(
-            "solve of an empty matrix: a matrix with no rows has no width"
-        )
-    if len(b) != len(a):
-        raise DomainError(
-            f"solve needs one right-hand side entry per row: {len(a)} rows, "
-            f"{len(b)} entries in b"
-        )
-    augmented = (_tuple(row, f"matrix row {r}") + (bv,) for r, (row, bv) in enumerate(zip(a, b), start=1))
-    rows = _exact_matrix(augmented, "matrix")
-    ncols = len(rows[0]) - 1
-    ech = _Echelon(_integer_rows(rows)[0])
-    if sorted(ech.cols) != list(range(ncols)):
-        return None
-    return [Fraction(row[ncols], ech.last) for row in ech.by_column()]
-
-
-def nullspace(rows):
-    """Basis of the right nullspace as a list of Fraction vectors.
-    A matrix with no rows has no width: ``DomainError``."""
-    rows = _exact_matrix(rows, "matrix")
-    if not rows:
-        raise DomainError(
-            "nullspace of an empty matrix: a matrix with no rows has no width"
-        )
-    ncols = len(rows[0])
-    ech = _Echelon(_integer_rows(rows)[0])
-    basis = []
-    for f in range(ncols):
-        if f in ech.cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, row in zip(ech.cols, ech.rows):
-            vec[c] = Fraction(-row[f], ech.last)
-        basis.append(vec)
-    return basis
-
-
-def inverse(rows):
-    """Inverse of a square rational matrix, or None if singular."""
-    got = _int_inverse(rows)
-    if got is None:
-        return None
-    mat, last = got
-    return [[Fraction(x, last) for x in row] for row in mat]
-
-
 def _int_inverse(rows) -> tuple[list[list[int]], int] | None:
-    """The inverse of a square rational matrix as int rows over one int D,
-    and D, or None if singular: the reduced rows of (rows | I) are
-    D (I | rows^-1)."""
+    """The inverse of a square rational matrix as int rows over one int L,
+    and L, or None if singular: the reduced rows of (rows | I), cleared
+    over one denominator (``_cleared``), are L (I | rows^-1)."""
     rows = _exact_matrix(rows, "matrix")
     n = len(rows)
     if rows and len(rows[0]) != n:
         raise DomainError("matrix is not square")
-    ech = _Echelon(_integer_rows(r + tuple(int(j == i) for j in range(n)) for i, r in enumerate(rows))[0])
+    augmented = [row + tuple(int(j == i) for j in range(n)) for i, row in enumerate(rows)]
+    ech = _Echelon(_cleared(augmented)[0])
     if sorted(ech.cols) != list(range(n)):
         return None
     return [row[n:] for row in ech.by_column()], ech.last

@@ -771,18 +771,17 @@ def _recombined(leaves, coeffs) -> _TaylorParts:
     """The leaf of sum_j coeffs[j] L_j, for exact ``coeffs`` not all zero
     and leaves L_j of one ``_taylor_leaves`` call, each read as the int
     field it holds (its field times its ``scale``): the leaves' terms times
-    coeffs[j] times the lcm of the coefficients' denominators, its
-    ``scale``.  The leaves' terms are merged monomial by monomial, keyed by
-    the identity of the record of their shared expansion, so a slice is
-    still formed once for all of them."""
-    coeffs = [Fraction(c) for c in coeffs]
-    scale = lcm(*(c.denominator for c in coeffs))
+    the coefficients cleared to ints over one denominator
+    (``linalg._cleared``), which is its ``scale``.  The leaves' terms are
+    merged monomial by monomial, keyed by the identity of the record of
+    their shared expansion, so a slice is still formed once for all of
+    them."""
+    (weights,), scale = _cleared([coeffs])
     # per record, by identity: a term of it and its summed int coefficients
     # by component
     merged: dict = {}
-    for r, leaf in zip(coeffs, leaves):
-        if r:
-            weight = int(r * scale)
+    for weight, leaf in zip(weights, leaves):
+        if weight:
             for term in leaf._terms:
                 acc = merged.setdefault(id(term[3]), (term, {}))[1]
                 for i, num in term[4]:
@@ -792,7 +791,7 @@ def _recombined(leaves, coeffs) -> _TaylorParts:
         nums = [(i, c) for i, c in acc.items() if c]
         if nums:
             terms.append(term[:4] + (nums,))
-    top = max(leaf.top for r, leaf in zip(coeffs, leaves) if r)
+    top = max(leaf.top for weight, leaf in zip(weights, leaves) if weight)
     first = leaves[0]
     return _TaylorParts(first.n, first.width, top, scale, first._about, terms)
 
@@ -1086,16 +1085,16 @@ def frame_change(fr: Frame, g) -> Frame:
     An entry of G that is not exact, a float included, raises
     ``DomainError`` naming it.
 
-    G is read once as an int matrix over one denominator, and every
-    component of every new field is an int combination of the components
-    of the fields (``_Substitution.combine`` under the identity
-    substitution), with one ``Fraction`` per output coefficient at the
-    end."""
+    G is read once as an int matrix over one denominator
+    (``linalg._cleared``), its determinant is taken on those ints
+    (``linalg._int_det``), and every component of every new field is an
+    int combination of the components of the fields
+    (``_Substitution.combine`` under the identity substitution), with one
+    ``Fraction`` per output coefficient at the end."""
     k, n = fr.k, fr.n
-    rows = _exact_matrix(g, "change matrix", k, k)
-    if linalg.det(rows) == 0:
+    rows, den = _cleared(_exact_matrix(g, "change matrix", k, k))
+    if linalg._int_det(rows) == 0:
         raise DomainError("frame change matrix is singular")
-    rows, den = _cleared(rows)
     identity = [[int(i == m) for m in range(n + 1)] for i in range(n)]
     # component i of field j enters component i of field m with weight G[j][m]
     cols = [

@@ -71,8 +71,8 @@ MUTANTS = [
     (
         "recombined-wrong-weight",
         "polyfields.py",
-        "weight = int(r * scale)",
-        "weight = int(r * scale) + 1",
+        "acc[i] = acc.get(i, 0) + weight * num",
+        "acc[i] = acc.get(i, 0) + (weight + 1) * num",
     ),
     (
         "taylor-fields-no-factorial-ratio",
@@ -93,17 +93,18 @@ MUTANTS = [
         "ai._act(acc, gb, 1)",
     ),
     (
-        # column 1 over last * e is alpha itself, not alpha / (alpha . r)
+        # column 1 over last * e is e alpha, not alpha / (alpha . r)
         "adapted-change-unscaled",
         "ampleness.py",
-        "cols = [([y * m * e for y, m in zip(ys, mults)], sum(map(mul, ys, pairings)))]",
-        "cols = [([y * m * e for y, m in zip(ys, mults)], ech.last * e)]",
+        "cols = [([y * den * e for y in ys], sum(map(mul, ys, pairings)))]",
+        "cols = [([y * den * e for y in ys], ech.last * e)]",
     ),
     (
+        # column 1 without the values' one denominator D
         "adapted-change-no-row-multiplier",
         "ampleness.py",
-        "cols = [([y * m * e for y, m in zip(ys, mults)],",
-        "cols = [([y * e for y, m in zip(ys, mults)],",
+        "cols = [([y * den * e for y in ys],",
+        "cols = [([y * e for y in ys],",
     ),
     (
         "shape-verdict-hyperplane",
@@ -233,10 +234,11 @@ MUTANTS = [
         "return ech.last if inversions % 2 else -ech.last",
     ),
     (
+        # the nullspace columns of the adapted change
         "nullspace-sign",
-        "linalg.py",
-        "vec[c] = Fraction(-row[f], ech.last)",
-        "vec[c] = Fraction(row[f], ech.last)",
+        "ampleness.py",
+        "col[f], col[c] = pairings[c], -pairings[f]",
+        "col[f], col[c] = pairings[c], pairings[f]",
     ),
     (
         # the forward linear part L / lden, with the inverse's shift, over
@@ -275,6 +277,11 @@ MUTANTS = [
 ]
 
 
+def pattern_count(module: str, pattern: str) -> int:
+    """How often ``pattern`` occurs in the module ``src/liegrowth/<module>``."""
+    return (ROOT / "src" / "liegrowth" / module).read_text().count(pattern)
+
+
 def _run_tests(tree: Path) -> tuple[str, float]:
     """Run tier-1 with ``-x`` in ``tree``: "passed", "failed" or "timeout",
     and the seconds it took."""
@@ -311,7 +318,7 @@ def main(names: list[str]) -> int:
         print(json.dumps({"error": f"no mutant named {', '.join(unknown)}"}))
         return 2
     for name, module, old, new in MUTANTS:
-        count = (ROOT / "src" / "liegrowth" / module).read_text().count(old)
+        count = pattern_count(module, old)
         if count != 1:
             error = f"pattern occurs {count} times in {module}"
             print(json.dumps({"mutant": name, "error": error}))

@@ -27,6 +27,7 @@ from helpers import (
     adapted_change_reference,
     bench_workloads,
     graded_field,
+    nullspace_reference,
     push_triangular,
     rand_fraction,
     rand_point,
@@ -201,6 +202,7 @@ def test_validate_over_one_common_denominator_passes_the_true_witness():
     assert target == [[F(5, 6), F(2, 15)], [0, F(11, 15)]]
     amp.ConvexWitness(terms).validate(target, 1)
     amp.ConvexWitness(terms).validate(target)
+    assert amp.ConvexWitness(terms).average() == _mat(target)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +219,21 @@ def test_validate_a_member_of_another_shape_does_not_average(member):
     for terms in (((F(1, 2), _I), (F(1, 2), member)), ((F(1, 2), member), (F(1, 2), _I))):
         with pytest.raises(AssertionError, match="^witness does not average to the target$"):
             amp.ConvexWitness(terms).validate(_I)
+
+
+def test_average_reads_every_member_against_the_first_ones_shape():
+    # a member of another shape is refused whichever comes first, not cut to
+    # the first one's shape; a witness with no member has no average
+    big = _mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # its top left block is _I
+    for terms, message in (
+        (((F(1, 2), _I), (F(1, 2), big)), "^member 2 needs 2 rows, got 3$"),
+        (((F(1, 2), big), (F(1, 2), _I)), "^member 2 needs 3 rows, got 2$"),
+        (((F(1, 2), _I), (F(1, 2), _mat([[1, 0, 0], [0, 1, 0]]))),
+         "^member 2 row 1 needs 2 coordinates, got 3$"),
+        ((), "^a witness with no member has no average$"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            amp.ConvexWitness(terms).average()
 
 
 # --- det_affine_in_free_column ----------------------------------------------------
@@ -304,7 +321,7 @@ def test_adapted_change_matches_the_projection_formula():
         if linalg.rank(vecs) < k:
             continue
         if k < n and rng.random() < 0.15:
-            basis = linalg.nullspace(vecs)
+            basis = nullspace_reference(vecs)
             coeffs = [rng.randint(-2, 2) for _ in basis]
             v = [sum(a * c for a, c in zip(coeffs, col)) for col in zip(*basis)]
         else:
@@ -318,9 +335,9 @@ def test_adapted_change_matches_the_projection_formula():
     assert normal >= 100
 
 
-def test_adapted_change_reads_each_row_over_its_own_multiplier():
-    # _adapted_change clears each value row by its own multiplier and the
-    # direction by its own denominator: rows over distinct denominators,
+def test_adapted_change_reads_rows_over_distinct_denominators():
+    # _adapted_change clears the value rows over one denominator and the
+    # direction over its own: rows over distinct denominators,
     # rows with zero leading entries, directions over large denominators,
     # some orthogonal to the first value (the nullspace pivot moves past
     # it) and some normal, checked against the projection formula
@@ -338,9 +355,9 @@ def test_adapted_change_reads_each_row_over_its_own_multiplier():
             continue
         pick = rng.random()
         if pick < 0.1 and k < n:
-            basis = linalg.nullspace(vecs)
+            basis = nullspace_reference(vecs)
         elif pick < 0.4:
-            basis = linalg.nullspace([vecs[0]])
+            basis = nullspace_reference([vecs[0]])
         else:
             basis = None
         if basis is None:
@@ -487,7 +504,7 @@ def _slice_cases():
     for fr in frames.values():
         step = maximal_growth_vector(fr.k, fr.n).step
         for p in [(0,) * fr.n] + [rand_point(rng, fr.n) for _ in range(3)]:
-            normal = tuple(linalg.nullspace(fr.values_at(p))[0])
+            normal = tuple(nullspace_reference(fr.values_at(p))[0])
             for v in [normal] + [rand_point(rng, fr.n, 3, 2) for _ in range(5)]:
                 yield fr, p, v, step
     workloads = bench_workloads()

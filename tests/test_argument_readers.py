@@ -20,13 +20,6 @@ CALLS = matrix_and_mapping_calls()
         ("rank", [[1, 2], 3], "matrix row 2 must be a sequence, got int"),
         ("det", 5, "matrix must be a sequence, got int"),
         ("det", [[1, 2], [3]], "matrix row 2 needs 2 coordinates, got 1"),
-        ("solve", None, "matrix must be a sequence, got NoneType"),
-        ("solve", [1, 2], "matrix row 1 must be a sequence, got int"),
-        ("solve b", None, "right-hand side must be a sequence, got NoneType"),
-        ("nullspace", 3, "matrix must be a sequence, got int"),
-        ("nullspace", [[1, 2], 3], "matrix row 2 must be a sequence, got int"),
-        ("inverse", None, "matrix must be a sequence, got NoneType"),
-        ("inverse", [[1, 2], 3], "matrix row 2 must be a sequence, got int"),
         ("AffineMap.make", 5, "linear part must be a sequence, got int"),
         ("frame_change", None, "change matrix must be a sequence, got NoneType"),
         ("frame_change", [[1, 0]], "change matrix needs 2 rows, got 1"),

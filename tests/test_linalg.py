@@ -45,47 +45,10 @@ def test_det_multiplicative():
         assert linalg.det(prod) == linalg.det(a) * linalg.det(b)
 
 
-def test_solve_and_inverse():
-    a = [[2, 1], [1, 3]]
-    x = linalg.solve(a, [5, 10])
-    assert x == [F(1), F(3)]
-    inv = linalg.inverse(a)
-    assert inv == [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]
-    assert linalg.solve([[1, 1], [2, 2]], [1, 2]) is None
-    assert linalg.inverse([[1, 1], [2, 2]]) is None
-
-
-def test_solve_refuses_a_right_hand_side_of_another_length():
-    # every equation needs its right-hand side: a longer b is not cut to fit,
-    # and a shorter one does not make the system unsolvable
-    with pytest.raises(DomainError, match="1 rows, 2 entries in b"):
-        linalg.solve([[1]], [1, 2])
-    with pytest.raises(DomainError, match="2 rows, 1 entries in b"):
-        linalg.solve([[1, 0], [0, 1]], [1])
-
-
-def test_nullspace():
-    basis = linalg.nullspace([[1, 2, 3]])
-    assert len(basis) == 2
-    for vec in basis:
-        assert linalg.dot([1, 2, 3], vec) == 0
-    assert linalg.nullspace([[1, 0], [0, 1]]) == []
-
-
-def test_rowless_matrix_raises():
-    # a matrix with no rows cannot carry its width: neither an empty basis
-    # nor an empty solution is the answer for a 0 x c matrix
-    with pytest.raises(DomainError, match="empty matrix"):
-        linalg.nullspace([])
-    with pytest.raises(DomainError, match="empty matrix"):
-        linalg.solve([], [])
-
-
 def test_non_square_matrix_raises():
-    for call in (linalg.det, linalg.inverse):
+    for call in (linalg.det, linalg._int_inverse):
         with pytest.raises(DomainError, match="matrix is not square"):
             call([[1, 2]])
-
 
 
 def test_mixed_int_and_fraction_rows_read_like_fraction_rows():
@@ -102,19 +65,16 @@ def test_mixed_int_and_fraction_rows_read_like_fraction_rows():
         if n > 1 and rng.random() < 0.4:
             mixed[-1] = [2 * x for x in mixed[0]]  # singular
         fracs = [[F(x) for x in row] for row in mixed]
-        b = [rng.randint(-3, 3) for _ in range(n)]
         assert linalg.rank(mixed) == linalg.rank(fracs)
         assert linalg.det(mixed) == linalg.det(fracs)
-        assert linalg.solve(mixed, b) == linalg.solve(fracs, [F(x) for x in b])
-        assert linalg.nullspace(mixed) == linalg.nullspace(fracs)
-        assert linalg.inverse(mixed) == linalg.inverse(fracs)
+        assert linalg._int_inverse(mixed) == linalg._int_inverse(fracs)
 
 
 def test_ragged_rows_are_refused():
     # every row must be as long as the first, not read as a shorter one
-    for call in (linalg.rank, linalg.nullspace):
+    for call in (linalg.rank, linalg.det, linalg._int_inverse):
         for ragged in ([[1, 2], [3]], [[0, 1], [1]], [[1], [2, 3]]):
             with pytest.raises(DomainError, match="matrix row 2 needs"):
                 call(ragged)
     with pytest.raises(DomainError, match="matrix row 2 needs 3 coordinates, got 2"):
-        linalg.solve([[1, 2], [3]], [1, 2])
+        linalg.rank([[1, 2, 3], [4, 5]])

@@ -129,11 +129,9 @@ def test_float_entry_points_raise():
             Poly(2, {(1, 0): bad})
         with pytest.raises(DomainError, match="scalar must be an exact rational"):
             x1 * bad
-        for call in (linalg.rank, linalg.det, linalg.inverse, linalg.nullspace):
+        for call in (linalg.rank, linalg.det):
             with pytest.raises(DomainError, match="matrix row 2 coordinate 1"):
                 call([[1, 0], [bad, 1]])
-        with pytest.raises(DomainError, match="matrix row 2 coordinate 3"):
-            linalg.solve([[1, 0], [0, 1]], [0, bad])
         with pytest.raises(DomainError, match="right factor coordinate 2"):
             linalg.dot((1, 0), (0, bad))
     for call in (x1.eval_at, fr.fields[0].value_at, fr.values_at, amap.apply):
