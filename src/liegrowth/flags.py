@@ -8,8 +8,9 @@ family is evaluated; the engine-free references of the tests compare the
 Hall span with the right-nested chains.  ``lie_flag``, ``formal_flag`` and
 ``ampleness.slice_report`` share one engine, ``_span_ranks``.  Per length it
 yields the rank of all Hall values and, given a filter, the rank of the
-values the filter keeps, both read from one span, an incremental echelon
-form (``linalg._Echelon``) that each value is reduced into once:
+values the filter keeps, both read from one span, an incremental
+fraction-free row-echelon form (``linalg._Echelon``) that each value is
+reduced into once, against the stored rows only:
 ``slice_report`` takes its maximal-growth check and its slice ranks from one
 pass.
 
@@ -129,8 +130,10 @@ def _span_ranks(leaves, max_len, keep=None):
     < i and the admitted ones of length i.  So the Hall values go into one
     span (``linalg._Echelon``) layer by layer, the admitted ones of a layer
     first, the kept rank is read before the rest of the layer, and each
-    value is reduced once.  Once the span has rank n no further value is
-    formed.
+    value is reduced once.  The span is a forward row-echelon form: a value
+    is reduced against the stored rows, a stored row never changes, and
+    the span's reduced form is never read here.  Once the span has rank n
+    no further value is formed.
 
     The leaves are ``polyfields._TaylorParts``, Taylor fields about one
     centre kept as int parts, each the field times its own nonzero int; a

@@ -3,17 +3,20 @@
 Every routine here is one fraction-free elimination.  ``_cleared`` clears
 a whole matrix to ints over one denominator D, the lcm of its entries'
 denominators; it is the one way the library turns exact rationals into
-ints.  ``_Echelon`` grows an integer-preserving Gauss-Jordan form
-(Bareiss, Math. Comp. 22 (1968); Edmonds, J. Res. NBS 71B (1967)) one row
-at a time, with ``_pivot`` as its only row operation.  Every entry stays
-an integer minor of the rows added so far, so each division is exact, and
-every pivot entry equals the last pivot: reduced row s is
-``rows[s] / last``, with its pivot in column ``cols[s]``.  Rank is the
-pivot count, and the determinant is ``last`` signed by the order of the
-pivot columns: ``_int_det`` takes it of int rows, and ``det`` is
-``_int_det`` of the cleared rows over D^n.  ``_int_inverse`` gives an
-inverse as int rows over one denominator, which ``polyfields.AffineMap``
-keeps (``AffineMap.inverse`` is the public inverse).  The affine moves of
+ints.  ``_Echelon`` grows the integer-preserving row-echelon form of
+Bareiss (Math. Comp. 22 (1968)) one row at a time, with ``_pivot`` as its
+only row operation: a new row is reduced against the stored rows in the
+order they came, and no stored row is touched again.  Every entry is an
+integer minor of the rows added so far, so each division is exact, and
+the last pivot ``last`` is the determinant of the pivot block.  Rank is
+the pivot count, and the determinant is ``last`` signed by the order of
+the pivot columns: ``_int_det`` takes it of int rows, and ``det`` is
+``_int_det`` of the cleared rows over D^n.  Only ``by_column`` needs the
+reduced form: it back-reduces a copy (Gauss-Jordan, Edmonds, J. Res. NBS
+71B (1967)) to ``last`` times the row-reduced rows when it is read.
+``_int_inverse`` reads it to give an inverse as int rows over the least
+common denominator, which ``polyfields.AffineMap`` keeps
+(``AffineMap.inverse`` is the public inverse).  The affine moves of
 ``polyfields``, the adapted change and the certificates of ``ampleness``
 read their matrices through ``_cleared`` and eliminate with their own
 ``_Echelon`` or ``_int_det``; the flag engine adds its values to one
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -130,30 +133,33 @@ def _cleared(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _pivot(mat: list[list[int]], r: int, c: int, prev: int, rows) -> None:
-    """The one row operation: with p = mat[r][c], each row i in ``rows``
-    becomes (p * row_i - row_i[c] * row_r) // prev.  ``prev`` is the previous
-    pivot, and the division is exact (Sylvester's identity)."""
-    pivot_row = mat[r]
-    p = pivot_row[c]
-    for i in rows:
-        row = mat[i]
-        f = row[c]
-        mat[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+def _pivot(row, pivot_row, c: int, prev: int) -> list[int]:
+    """The one row operation: with p = pivot_row[c], ``row`` becomes
+    (p * row - row[c] * pivot_row) // prev, a new list.  ``prev`` is the
+    pivot before p, and the division is exact (Sylvester's identity); when
+    row[c] is 0 the row is only scaled by p // prev."""
+    p, f = pivot_row[c], row[c]
+    if not f:
+        return [p * a // prev for a in row]
+    return [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
 
 
 class _Echelon:
-    """The integer Gauss-Jordan form of the int rows added so far.
+    """The fraction-free row-echelon form of the int rows added so far
+    (Bareiss's forward elimination).
 
-    ``rows[s]`` has its pivot in column ``cols[s]``, every pivot entry is
-    ``last`` and every other entry of a pivot column is 0, so reduced row s
-    is ``rows[s] / last``; ``last`` is the determinant of the added rows'
-    pivot block, its columns in the order of ``cols``.  ``add(v)`` reduces
-    v to ``last * v - sum_s v[cols[s]] * rows[s]``, whose entries are
-    minors and need no division.  A nonzero remainder is a new pivot row at
-    its first nonzero column, and ``_pivot`` reduces the older rows against
-    it.  That column leads a vector of the row space, so it is a pivot of
-    the row-reduced form, and the set of ``cols`` is that form's pivot set.
+    ``rows[s]`` has its pivot p_s in column ``cols[s]`` and 0 in every
+    earlier pivot column; entry j of it is the (s+1)-minor of the first
+    s+1 pivot rows as added, on the columns cols[0..s-1] and j, in that
+    order.  So ``last``, the latest pivot, is the determinant of the added
+    rows' pivot block, its columns in the order of ``cols``.  ``add(v)``
+    reduces v against the rows in order, v = _pivot(v, rows[s], cols[s],
+    p_{s-1}) with p_{-1} = 1, and no older row is touched.  The remainder
+    is the minor vector ``last * v - sum_s v[cols[s]] * R_s`` for the rows
+    R_s of ``by_column``.  A nonzero remainder is a new pivot row at its
+    first nonzero column.  That column leads a vector of the row space, so
+    it is a pivot of the row-reduced form, and the set of ``cols`` is that
+    form's pivot set.  ``by_column`` back-reduces a copy when it is read.
     """
 
     __slots__ = ("rows", "cols", "last")
@@ -168,26 +174,34 @@ class _Echelon:
         return len(self.cols)
 
     def add(self, row) -> None:
-        """Reduce the int row ``row`` against the pivots; a nonzero
+        """Reduce the int row ``row`` against the pivot rows; a nonzero
         remainder becomes a pivot row.  A span of full width absorbs it."""
-        cols, rows, last = self.cols, self.rows, self.last
+        cols, rows = self.cols, self.rows
         if len(cols) == len(row):
             return
-        rem = [last * x for x in row]
+        prev = 1
         for c, pivot_row in zip(cols, rows):
-            if f := row[c]:
-                rem = [a - f * b for a, b in zip(rem, pivot_row)]
-        for c, x in enumerate(rem):
+            row = _pivot(row, pivot_row, c, prev)
+            prev = pivot_row[c]
+        for c, x in enumerate(row):
             if x:
-                rows.append(rem)
-                _pivot(rows, len(cols), c, last, range(len(cols)))
+                # a row that no pivot reduced is the caller's: keep a copy
+                rows.append(row if cols else list(row))
                 cols.append(c)
                 self.last = x
                 return
 
     def by_column(self):
-        """The reduced rows in the order of their pivot columns."""
-        return [row for _, row in sorted(zip(self.cols, self.rows))]
+        """The rows of ``last`` times the row-reduced form, in the order of
+        their pivot columns: Gauss-Jordan on a copy, each pivot row in turn
+        clearing its column from the rows above it."""
+        rows, prev = list(self.rows), 1
+        for t, c in enumerate(self.cols):
+            pivot_row = rows[t]
+            for i in range(t):
+                rows[i] = _pivot(rows[i], pivot_row, c, prev)
+            prev = pivot_row[c]
+        return [row for _, row in sorted(zip(self.cols, rows))]
 
 
 def rank(rows) -> int:
@@ -218,8 +232,10 @@ def _int_det(mat) -> int:
 
 def _int_inverse(rows) -> tuple[list[list[int]], int] | None:
     """The inverse of a square rational matrix as int rows over one int L,
-    and L, or None if singular: the reduced rows of (rows | I), cleared
-    over one denominator (``_cleared``), are L (I | rows^-1)."""
+    and L, or None if singular.  The reduced rows of (rows | I), cleared
+    over one denominator (``_cleared``), are last (I | rows^-1); the right
+    block and ``last`` are divided by their gcd, so |L| is the least common
+    denominator of the inverse's entries."""
     rows = _exact_matrix(rows, "matrix")
     n = len(rows)
     if rows and len(rows[0]) != n:
@@ -228,7 +244,9 @@ def _int_inverse(rows) -> tuple[list[list[int]], int] | None:
     ech = _Echelon(_cleared(augmented)[0])
     if sorted(ech.cols) != list(range(n)):
         return None
-    return [row[n:] for row in ech.by_column()], ech.last
+    inv = [row[n:] for row in ech.by_column()]
+    g = gcd(ech.last, *(x for row in inv for x in row))
+    return [[x // g for x in row] for row in inv], ech.last // g
 
 
 def dot(u, v) -> Fraction:

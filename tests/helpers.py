@@ -407,6 +407,37 @@ def _sympy_matrix(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
 
+def assert_forward_echelon(mat) -> None:
+    """``linalg._Echelon`` of the int rows ``mat`` against sympy: the rank,
+    the pivot columns in the order they were found, ``last`` as the
+    determinant of the pivot block in that order, every stored entry as its
+    minor (the Bareiss invariant) and ``by_column`` as ``last`` times the
+    reduced row echelon form."""
+    from liegrowth import linalg
+
+    ncols = len(mat[0])
+    ech = linalg._Echelon(mat)
+    assert ech.rank == _sympy_matrix(mat).rank()
+    # replay: a row is a pivot row when it raises the rank of the pivot
+    # rows before it, and its pivot is the first column whose minor with
+    # the earlier pivot columns is nonzero
+    taken, cols = [], []
+    for row in mat:
+        if _sympy_matrix(taken + [row]).rank() == len(taken):
+            continue
+        taken.append(row)
+        block = _sympy_matrix(taken)
+        cols.append(next(j for j in range(ncols) if block.extract(range(len(taken)), cols + [j]).det()))
+    assert ech.cols == cols
+    assert ech.last == (_sympy_matrix(taken).extract(range(len(cols)), cols).det() if cols else 1)
+    for s, stored in enumerate(ech.rows):
+        block = _sympy_matrix(taken[: s + 1])
+        assert stored == [block.extract(range(s + 1), cols[:s] + [j]).det() for j in range(ncols)]
+    rref, pivots = _sympy_matrix(mat).rref()
+    assert list(pivots) == sorted(cols)
+    assert ech.by_column() == [list(ech.last * rref.row(i)) for i in range(len(cols))]
+
+
 def _fraction(x) -> Fraction:
     """A sympy Rational as a Fraction."""
     return Fraction(int(x.p), int(x.q))

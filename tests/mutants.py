@@ -81,10 +81,26 @@ MUTANTS = [
         "terms[key] = u * fact",
     ),
     (
+        # the forward step of _Echelon.add (and of the back-reduction)
         "echelon-add-sign",
         "linalg.py",
-        "rem = [a - f * b for a, b in zip(rem, pivot_row)]",
-        "rem = [a + f * b for a, b in zip(rem, pivot_row)]",
+        "return [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]",
+        "return [(p * a + f * b) // prev for a, b in zip(row, pivot_row)]",
+    ),
+    (
+        # a forward step whose row has 0 in the pivot column is not scaled
+        "echelon-zero-step-unscaled",
+        "linalg.py",
+        "return [p * a // prev for a in row]",
+        "return list(row)",
+    ),
+    (
+        # the lazy back-reduction of by_column divides by 1, not the pivot
+        # before the clearing row's
+        "echelon-back-reduction-prev",
+        "linalg.py",
+        "rows[i] = _pivot(rows[i], pivot_row, c, prev)",
+        "rows[i] = _pivot(rows[i], pivot_row, c, 1)",
     ),
     (
         "bracket-sign",

@@ -11,7 +11,7 @@ from liegrowth import jetalg, linalg
 from liegrowth.errors import DomainError
 from liegrowth.polyfields import AffineMap, Poly, PolyField, poly_lie_bracket
 
-from helpers import F, rand_fraction
+from helpers import F, assert_forward_echelon, rand_fraction
 
 sympy = pytest.importorskip("sympy")
 
@@ -193,3 +193,50 @@ def test_linalg_matches_sympy_on_random_matrices():
     for perm in _permutation_matrices(4):
         _assert_rank(perm, len(perm), len(perm))
         _assert_det_inverse(rng, perm)
+
+
+def _int_matrix(rng, rows, cols, zeros=0.5):
+    return [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_forward_echelon_matches_sympy_minors():
+    rng = random.Random(3801)
+    cases = []
+    for _ in range(40):
+        cases.append(_int_matrix(rng, rng.randint(1, 3), rng.randint(4, 7)))  # wide
+        cases.append(_int_matrix(rng, rng.randint(4, 7), rng.randint(1, 3)))  # tall
+        mat = _int_matrix(rng, rng.randint(3, 5), rng.randint(3, 5))
+        i, j = rng.sample(range(len(mat)), 2)
+        mat[i] = [rng.choice((-2, 1, 3)) * a + b for a, b in zip(mat[j], mat[rng.randrange(len(mat))])]
+        cases.append(mat)  # rank-deficient
+        mat = _int_matrix(rng, rng.randint(2, 5), rng.randint(2, 5))
+        mat[rng.randrange(len(mat))] = [0] * len(mat[0])
+        cases.append(mat)  # an all-zero row
+        # zero leading entries: every later row has 0 in the first pivot
+        # column, so its first forward step only scales it
+        n = rng.randint(2, 5)
+        mat = _int_matrix(rng, n, n + rng.randint(0, 2), zeros=0.3)
+        mat[0][0] = rng.choice((-3, 2, 5))
+        for row in mat[1:]:
+            row[0] = 0
+        cases.append(mat)
+    for mat in cases:
+        assert_forward_echelon(mat)
+
+
+def test_int_inverse_takes_the_least_denominator():
+    # row denominators 7, 12 and 10^6 + 3 on one seeded 4x4: clearing the
+    # augmented rows over their lcm scales last * A^-1 by D^n, and the gcd
+    # brings it down to the least common denominator of A^-1
+    rng = random.Random(3802)
+    dens = (7, 12, 10**6 + 3, 5)
+    while True:
+        square = [[F(rng.randint(-20, 20), d) for _ in range(4)] for d in dens]
+        ssq = _sympy_matrix(square, 4, 4)
+        if ssq.det():
+            break
+    rows, den = linalg._int_inverse(square)
+    sinv = ssq.inv()
+    assert abs(den) == sympy.ilcm(*(x.q for x in sinv))
+    assert [[_rational(F(x, den)) for x in row] for row in rows] == sinv.tolist()
+
