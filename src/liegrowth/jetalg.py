@@ -70,7 +70,10 @@ The code tables are kept in the standard library's bounded cache
 ``MAX_TABLES`` most recently used ambients stay, and an older one is
 dropped; codes depend on the ambient alone, so a dropped table rebuilds
 with the same codes, and a jet's store or a pickled polynomial coded
-against it still reads right.  What reads codes through a
+against it still reads right.  A table holds at most ``MAX_JET_CODES``
+codes: ``_Codes.grow`` computes the size it would reach,
+k n C(n + order, order), and raises ``CapExceeded`` before it codes
+anything past it.  What reads codes through a
 table grows it first as far as it needs (``DiffPoly._table``,
 ``JetPoint._table``).
 
@@ -101,12 +104,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from math import prod as _prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
+    CapExceeded,
     DomainError,
     IncompleteJet,
     OrderOverflow,
@@ -179,7 +183,19 @@ class _Codes:
         self.grow(0)
 
     def grow(self, order: int) -> _Codes:
-        """Code every coordinate of order <= ``order``; the table itself."""
+        """Code every coordinate of order <= ``order``; the table itself.
+        A table of more than ``MAX_JET_CODES`` codes, k n C(n + order,
+        order) of them, raises ``CapExceeded`` before any code is added."""
+        if len(self.starts) - 2 < order:
+            # k n (order + 1) codes at least: comb is taken of small sizes only
+            size = self.k * self.n * (order + 1)
+            if size <= MAX_JET_CODES:
+                size = self.k * self.n * comb(self.n + order, order)
+            if size > MAX_JET_CODES:
+                raise CapExceeded(
+                    f"jet code table of {self.k} fields on R^{self.n} to order {order} "
+                    f"would exceed {MAX_JET_CODES} codes (jetalg.MAX_JET_CODES)"
+                )
         while len(self.starts) - 2 < order:
             m, dirs = len(self.starts) - 1, range(1, self.n + 1)
             idxs = list(itertools.combinations_with_replacement(dirs, m))  # shared by all keys
@@ -260,7 +276,9 @@ class _Codes:
 # The code tables of the MAX_TABLES most recently used ambients; a dropped
 # table rebuilds identically, since a code depends on (k, n) and the
 # coordinate alone.  Called positionally, as lru_cache keys on the call.
+# A table holds at most MAX_JET_CODES codes (``_Codes.grow``).
 MAX_TABLES = 8
+MAX_JET_CODES = 300_000
 _codes = lru_cache(maxsize=MAX_TABLES)(_Codes)
 
 

@@ -24,9 +24,10 @@ in n variables, and ``jetalg.DiffVec`` its jet instance.  The Lie bracket is
 written once too, in ``_bracket``: [A, B]^i = A(B^i) - B(A^i) over either
 ring, exact, each field's components listed once per bracket (``_grade``).
 ``poly_lie_bracket`` and ``jetalg.diffvec_bracket`` validate their
-arguments and return its components.  Nothing is kept between calls.  A
-``Frame`` is a nonempty tuple of ``PolyField``s sharing one ambient
-dimension.
+arguments and return its components.  One thing is kept between calls: a
+``PolyField``'s cleared ints (``PolyField._clearing``, below), which depend
+on the field alone.  A ``Frame`` is a nonempty tuple of ``PolyField``s
+sharing one ambient dimension.
 
 The Taylor engine runs on ints, and its monomial format is known here
 alone.  A packed monomial is one int: the exponent of x_{i+1} sits in bits
@@ -47,9 +48,12 @@ times one int, its ``scale``, with an int coefficient for every packed
 monomial.  A leaf forms each part once, when it is first asked for, from
 its per-monomial terms about the shared expansion, or is given its parts
 when it is made.  ``_taylor_leaves`` makes the leaves of a call's fields
-about one ``_Expansion``, which goes when they go, clearing each field's
-coefficient denominators once; ``_recombined`` makes the leaf of a constant
-combination of such leaves by merging their terms monomial by monomial, as
+about one ``_Expansion``, which goes when they go, from each field's
+clearing: its coefficients over the lcm of their denominators as ints,
+formed on the field's first call at any point and kept by the field, and
+lifted to the point's denominator per call.  ``_recombined`` makes the
+leaf of a constant combination of such leaves by merging their terms
+monomial by monomial, as
 ``ampleness.slice_report`` recombines a frame into its adapted one; and
 ``jetalg._taylor_fields`` gives every part of the Taylor fields a jet fixes.
 ``PolyField.taylor(p, s)`` assembles from the parts of degrees 0..s the
@@ -74,14 +78,16 @@ elimination, as int affine forms over one D (``AffineMap._inverse_rows``),
 and its linear part once as an int matrix over one denominator;
 ``frame_change`` reads its change matrix so and substitutes the identity;
 ``Poly.compose`` clears its substitutions over their common denominator.
-The polynomials moved together are cleared once (``_lifted_terms``, shared
-with ``_taylor_leaves``): with L the lcm of their coefficient denominators
-and T their top degree, a term c x^alpha becomes the int
-c L D^(T - |alpha|).  Each power of each S_i and each monomial's image is
-formed once per call, the matrix combines each monomial's int coefficients
-before they multiply its image, and ``_Substitution._emit`` forms the one
-``Fraction`` of each output coefficient at the very end, dividing by the
-matrix's denominator times L D^T and keeping an integral one as an int.
+The polynomials moved together are cleared once, by the clearing and the
+lift that ``_taylor_leaves`` uses (``_cleared_terms``, ``_lifted_terms``),
+not kept, as they are the components of several fields: with L the lcm of
+their coefficient denominators and T their top degree, a term c x^alpha
+becomes the int c L D^(T - |alpha|).  Each power of each S_i and each
+monomial's image is formed once per call, the matrix combines each
+monomial's int coefficients before they multiply its image, and
+``_Substitution._emit`` forms the one ``Fraction`` of each output
+coefficient at the very end, dividing by the matrix's denominator times
+L D^T and keeping an integral one as an int.
 
 Coefficients, points (of the ambient's length) and matrix entries are read
 by the exactness rule in ``linalg``: an int or a Fraction, or a
@@ -95,6 +101,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import add, mul, sub
 
@@ -458,11 +465,12 @@ def _packed_index(idx, width: int) -> int:
     return sum(1 << (width * t) for t in idx)
 
 
-def _lifted_terms(polys, den: int) -> tuple[list, int, int]:
-    """The terms of ``polys`` cleared to ints over one scale L D^T, with L
-    the lcm of their coefficient denominators and T their top degree: per
-    distinct exponent tuple alpha, the (index, c L D^(T - |alpha|)) pairs
-    of the polynomials that hold it with coefficient c; the scale, and T."""
+def _cleared_terms(polys) -> tuple[list, int, int]:
+    """The terms of ``polys`` cleared to ints, which depends on them alone:
+    with L the lcm of their coefficient denominators and T their top
+    degree, per distinct exponent tuple alpha, the triple (alpha, |alpha|,
+    the (index, c L) pairs of the polynomials that hold it with coefficient
+    c); L, and T."""
     held: dict = {}
     mult = 1
     for j, p in enumerate(polys):
@@ -473,17 +481,29 @@ def _lifted_terms(polys, den: int) -> tuple[list, int, int]:
             got.append((j, c))
             if type(c) is not int:
                 mult = lcm(mult, c.denominator)
-    top = max(map(sum, held), default=0)
-    lift: dict = {}  # degree -> L D^(T - degree)
     terms = []
     for exps, pairs in held.items():
-        deg = sum(exps)
+        nums = [(j, c * mult if type(c) is int else c.numerator * (mult // c.denominator)) for j, c in pairs]
+        terms.append((exps, sum(exps), nums))
+    return terms, mult, max((term[1] for term in terms), default=0)
+
+
+def _lifted_terms(cleared: tuple, den: int) -> tuple[list, int]:
+    """The terms of a clearing (``_cleared_terms``) lifted over one scale
+    L D^T for an int D, each int c L of a term of degree |alpha| times
+    D^(T - |alpha|), and the scale.  When D = 1 they are the clearing's
+    own terms, which no caller mutates."""
+    terms, mult, top = cleared
+    if den == 1:
+        return terms, mult
+    lift: dict = {}  # degree -> D^(T - degree)
+    lifted = []
+    for exps, deg, nums in terms:
         up = lift.get(deg)
         if up is None:
-            up = lift[deg] = mult * den ** (top - deg)
-        nums = [(j, c * up if type(c) is int else c.numerator * (up // c.denominator)) for j, c in pairs]
-        terms.append((exps, nums))
-    return terms, mult * den**top, top
+            up = lift[deg] = den ** (top - deg)
+        lifted.append((exps, deg, [(j, c * up) for j, c in nums]))
+    return lifted, mult * den**top
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -563,13 +583,14 @@ class _Substitution:
         """As many polynomials as ``polys``: output i is
         (1 / wden) sum_j w polys[j](S / D) over the int weights (i, w) in
         ``cols[j]``.  The terms of ``polys`` are cleared to ints once
-        (``_lifted_terms``: c x^alpha becomes c L D^(T - |alpha|) over the
-        scale L D^T), the weighted sums of a monomial's int coefficients
+        (``_cleared_terms``, lifted by ``_lifted_terms``: c x^alpha becomes
+        c L D^(T - |alpha|) over the scale L D^T), the weighted sums of a monomial's int coefficients
         multiply its image, and each coefficient is divided by wden L D^T
-        at the end."""
-        terms, scale, _ = _lifted_terms(polys, self.den)
+        at the end.  ``polys`` may be the components of several fields, so
+        no field's kept clearing is read."""
+        terms, scale = _lifted_terms(_cleared_terms(polys), self.den)
         outs: list[dict] = [{} for _ in polys]
-        for exps, nums in terms:
+        for exps, _, nums in terms:
             sums: dict = {}
             for j, num in nums:
                 for i, w in cols[j]:
@@ -748,19 +769,24 @@ def _taylor_leaves(fields, point, order: int) -> list[_TaylorParts]:
     With D the common denominator of the point, L the lcm of a field's
     coefficient denominators and T its top degree, the field's ``scale`` is
     L D^T and its leaf is ``scale`` times its Taylor polynomial: a term
-    c x^alpha contributes c L D^(T - |alpha|), an int (``_lifted_terms``),
-    times each slice of x^alpha.  The terms are grouped by monomial, so each
-    slice is looked up once per field and degree.
+    c x^alpha contributes c L D^(T - |alpha|), an int, times each slice of
+    x^alpha.  The ints c L are the field's kept clearing
+    (``PolyField._clearing``), formed on its first call whatever the point,
+    and only their lift by D (``_lifted_terms``) is done per call.  The
+    terms are grouped by monomial, so each slice is looked up once per
+    field and degree.
     """
     about = _Expansion(fields[0].n, point, order)
     records, monomial = about._monos, about.monomial
     leaves = []
     for field in fields:
-        lifted, scale, top = _lifted_terms(field.comps, about.den)
+        cleared = field._clearing
+        lifted, scale = _lifted_terms(cleared, about.den)
+        top = cleared[2]
         terms = []
-        for exps, nums in lifted:
+        for exps, deg, nums in lifted:
             record = records.get(exps) or monomial(exps)
-            deg, low, slices = record[:3]
+            low, slices = record[1], record[2]
             if low <= order:
                 terms.append((deg, low, slices, record, nums))
         leaves.append(_TaylorParts(about.n, about.width, min(top, order), scale, about, terms))
@@ -918,12 +944,26 @@ class _Graded:
 @dataclass(frozen=True, eq=False, repr=False)
 class PolyField(_Vector):
     """Vector field sum(comps[j] * d_{j+1}) with polynomial coefficients: n
-    ``Poly``s in n variables (``_Vector``)."""
+    ``Poly``s in n variables (``_Vector``).
+
+    It keeps one thing past a call, its clearing, which depends on it
+    alone; neither ``==``, ``hash``, ``repr`` nor its pickle sees it."""
 
     comps: tuple[Poly, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "comps", self._read(self.comps))
+
+    @cached_property
+    def _clearing(self) -> tuple[list, int, int]:
+        """The components' terms cleared to ints (``_cleared_terms``),
+        formed on first use and kept: nothing mutates a component's
+        ``terms`` after construction."""
+        return _cleared_terms(self.comps)
+
+    def __getstate__(self) -> dict:
+        """The pickled state: ``comps`` alone, not the clearing."""
+        return {"comps": self.comps}
 
     @staticmethod
     def zero(n: int) -> PolyField:

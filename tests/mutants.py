@@ -272,10 +272,18 @@ MUTANTS = [
         "[(m * n + i, rows[m][j]) for m in range(k) if rows[m][j]]",
     ),
     (
+        # the lift of a clearing to the point's denominator D is dropped
         "lifted-terms-no-lift",
         "polyfields.py",
-        "up = lift[deg] = mult * den ** (top - deg)",
-        "up = lift[deg] = mult",
+        "up = lift[deg] = den ** (top - deg)",
+        "up = lift[deg] = 1",
+    ),
+    (
+        # a field's kept clearing keeps a Fraction c in place of the int c L
+        "cleared-terms-fraction-unscaled",
+        "polyfields.py",
+        "c.numerator * (mult // c.denominator)",
+        "c",
     ),
     (
         "graded-vanishes-short",

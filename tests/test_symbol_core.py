@@ -4,8 +4,9 @@ evaluation scale of ``DiffPoly`` against a full walk of its terms, the
 canonical form the constructor gives ``JetVar`` monomials, codes that depend
 on the ambient alone (a pickled polynomial read back in a fresh interpreter),
 the ``JetPoint`` that ``jet_of_frame`` builds from parts against the
-checked constructor, and a jet point as a frozen record that keeps its
-values once and refuses malformed input."""
+checked constructor, a jet point as a frozen record that keeps its values
+once and refuses malformed input, and a code table of more than
+``MAX_JET_CODES`` codes refused before any code is added."""
 
 import os
 import pickle
@@ -22,7 +23,7 @@ import pytest
 
 from liegrowth import catalog, flags
 from liegrowth import jetalg as ja
-from liegrowth.errors import DomainError, IncompleteJet, OrderOverflow
+from liegrowth.errors import CapExceeded, DomainError, IncompleteJet, OrderOverflow
 
 from helpers import (
     F,
@@ -238,6 +239,57 @@ def test_codes_views_and_pickles_survive_an_evicted_table():
     for n in range(30, 30 + ja.MAX_TABLES - 1):
         ja._codes(1, n)
     assert ja._codes(2, 4) is rebuilt
+
+
+# --- the code table is bounded ----------------------------------------------
+
+_OVER_THE_CAP = """
+import sys, time
+from liegrowth import catalog, jetalg as ja
+from liegrowth.errors import CapExceeded
+calls = {
+    "jet_of_frame": lambda: ja.jet_of_frame(catalog.heisenberg_frame(), (1, 2, 3), 10**4),
+    "JetPoint": lambda: ja.JetPoint(2, 3, 10**4, (1, 2, 3), {}),
+    "bracket": lambda: ja.bracket((1, 2), 2, 10**4, 3),
+}
+start = time.perf_counter()
+try:
+    calls[sys.argv[1]]()
+except CapExceeded as e:
+    print(time.perf_counter() - start)
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("call", ["jet_of_frame", "JetPoint", "bracket"])
+def test_a_code_table_over_the_cap_is_refused_at_once(call):
+    # 2 * 3 * C(10003, 3) codes for order 10**4 on R^3, and 2 * 10**4 *
+    # 10001 for order 1 on R^10000: each used to run for many seconds.  In
+    # a subprocess, so that a table being coded fails at the timeout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _OVER_THE_CAP, call], env=env, capture_output=True,
+        text=True, check=True, timeout=30,
+    )
+    seconds, message = out.stdout.splitlines()
+    assert float(seconds) < 1, f"{call} took {seconds} s to refuse"
+    assert message.endswith(f"would exceed {ja.MAX_JET_CODES} codes (jetalg.MAX_JET_CODES)")
+
+
+def test_the_code_table_cap_is_checked_before_any_code(monkeypatch):
+    # the cap sits ten times above the largest table the tests build, k = 2,
+    # n = 3 to order 29; a smaller cap refuses a table before coding it, and
+    # the table is left as it was
+    assert ja.MAX_JET_CODES >= 10 * 2 * 3 * 4960
+    tab = ja._Codes(2, 3).grow(2)
+    size = len(tab.vars)
+    assert size == 2 * 3 * 10
+    monkeypatch.setattr(ja, "MAX_JET_CODES", 2 * 3 * 20)
+    tab.grow(3)
+    with pytest.raises(CapExceeded, match=r"^jet code table of 2 fields on R\^3 to order 4 would exceed 120 codes"):
+        tab.grow(4)
+    assert len(tab.vars) == 2 * 3 * 20 and len(tab.starts) == 5
 
 
 # --- carried order --------------------------------------------------------

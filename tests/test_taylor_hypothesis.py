@@ -9,7 +9,10 @@ zero.  The leaves of one call share one expansion about the point
 (``polyfields._taylor_leaves``): on frames of up to three fields whose
 components and fields draw from one pool of monomials, asked for their
 degrees in a random order and interleaved, each leaf's parts equal those of
-a leaf built alone and, read back, ``taylor_reference``."""
+a leaf built alone and, read back, ``taylor_reference``.  A frame reused
+across rational points, which clears its fields once (``PolyField._clearing``),
+gives at each point the ``lie_flag``, ``jet_of_frame`` and ``PolyField.taylor``
+of a freshly parsed copy."""
 
 import pytest
 
@@ -17,7 +20,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from liegrowth.polyfields import Poly, PolyField, _taylor_leaves  # noqa: E402
+from liegrowth import flags, jetalg  # noqa: E402
+from liegrowth.parsing import frame_to_text, parse_frame  # noqa: E402
+from liegrowth.polyfields import Frame, Poly, PolyField, _taylor_leaves  # noqa: E402
 
 from helpers import assert_coeff_normal, graded_field, taylor_reference  # noqa: E402
 
@@ -105,3 +110,43 @@ def test_leaves_sharing_one_expansion_match_leaves_built_alone(case, data):
     for f, leaf, solo in zip(fields, leaves, alone):
         assert leaf.scale == solo.scale and leaf.top == solo.top
         assert graded_field(leaf, order) == taylor_reference(f, point, order)
+
+
+@st.composite
+def _reused_frame(draw):
+    """X_i = d_i + sum_{j > k} q_ij d_j on R^n, n <= 4, each q_ij of degree
+    <= 2 with int and Fraction coefficients, so independent at every point;
+    and three points mixing ints and Fractions."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, min(2, n - 1)))
+    exps = st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda vs: tuple(vs.count(i) for i in range(n))
+    )
+    polys = st.dictionaries(exps, _coeffs, max_size=3).map(lambda t: Poly(n, t))
+    one, zero = Poly.const(n, 1), Poly.zero(n)
+    fields = tuple(
+        PolyField(tuple(one if j == i else draw(polys) if j >= k else zero for j in range(n)))
+        for i in range(k)
+    )
+    points = st.lists(_coords, min_size=n, max_size=n).map(tuple)
+    return Frame(n, fields), draw(st.lists(points, min_size=3, max_size=3))
+
+
+def _answers(fr, point) -> tuple:
+    return (
+        flags.lie_flag(fr, point, 3),
+        jetalg.jet_of_frame(fr, point, 2),
+        [f.taylor(point, 2) for f in fr.fields],
+    )
+
+
+@seed(39)
+@settings(max_examples=60, deadline=None)
+@given(case=_reused_frame())
+def test_a_frame_reused_across_points_answers_as_a_fresh_copy(case):
+    fr, points = case
+    text = frame_to_text(fr)
+    for point in points:
+        fresh = parse_frame(text)
+        assert fresh.fields == fr.fields
+        assert _answers(fr, point) == _answers(fresh, point)
